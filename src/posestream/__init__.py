@@ -7,7 +7,6 @@ scores with externally supplied spatial/temporal stream scores.
 """
 
 from .skeleton import (
-    JointId,
     SkeletonTopology,
     TraversalPath,
     build_topology,
@@ -33,8 +32,8 @@ from .tensorize import (
     SnippetPlan,
     build_pose_tensor,
     plan_snippets,
-    read_tensor_cache,
-    write_tensor_cache,
+    read_corpus,
+    write_corpus,
 )
 from .convnet import (
     NetSpec,
@@ -72,7 +71,6 @@ __all__ = [
     "AnnotationError",
     "EvalResult",
     "FusionWeights",
-    "JointId",
     "NetSpec",
     "NormalizedPoseSequence",
     "PipelineConfig",
@@ -107,17 +105,17 @@ __all__ = [
     "plan_snippets",
     "predict",
     "read_annotations",
+    "read_corpus",
     "read_labels",
     "read_scores",
-    "read_tensor_cache",
     "save_checkpoint",
     "search_weights",
     "spatial_interpolate",
     "temporal_interpolate",
     "train",
     "write_annotations",
+    "write_corpus",
     "write_labels",
     "write_scores",
-    "write_tensor_cache",
     "zero_fill",
 ]

@@ -1,14 +1,14 @@
 """Command-line surface: synth, preprocess, train, eval, fuse, weights-search.
 
 Commands compose through the files they exchange: ``preprocess`` turns an
-annotation file into a tensor cache (plus a filled-sequences sidecar for
-per-epoch snippet resampling), ``train`` turns the cache into a checkpoint
-and a metrics trace, ``eval`` turns checkpoint + cache into a score CSV and
-an accuracy report, and ``fuse`` combines score CSVs from this and external
-streams. Every command is deterministic given its config and seed, every
-output embeds the config hash and seed, and all writes are atomic
-(temp file + rename). Errors leave a machine-readable JSON line on stderr
-and a nonzero exit code.
+annotation file into one filled-corpus file (the ``--cache`` path),
+``train`` turns the corpus into a checkpoint and a metrics trace, redrawing
+snippets every epoch, ``eval`` turns checkpoint + corpus into a score CSV
+and an accuracy report, and ``fuse`` combines score CSVs from this and
+external streams. Every command is deterministic given its config and seed,
+every output embeds the config hash and seed, every check runs before the
+first write, and all writes are atomic (unique temp file + rename). Errors
+leave a machine-readable JSON line on stderr and a nonzero exit code.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import hashlib
 import itertools
 import json
 import os
+import secrets
 import sys
 import warnings
 from dataclasses import asdict
@@ -30,7 +31,6 @@ from . import convnet, fusion, preprocess, synth, tensorize
 from .config import PipelineConfig, load_config
 from .preprocess import (
     AnnotationError,
-    NormalizedPoseSequence,
     PoseSequence,
     VIS_OBSERVED,
     VIS_SPATIAL,
@@ -45,10 +45,14 @@ class CliError(ValueError):
 
 
 def _atomic_write(path: str | Path, writer: Callable[[Path], None]) -> None:
-    """Write via a temp file in the same directory, then rename into place."""
+    """Write via a unique temp file in the same directory, then rename into place.
+
+    O_EXCL leaves any existing file untouched; mode 0o666 lets the umask apply.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
+    tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
+    os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
     try:
         writer(tmp)
         os.replace(tmp, path)
@@ -61,15 +65,6 @@ def _write_json(path: str | Path, payload: dict) -> None:
         path,
         lambda p: p.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", "utf-8"),
     )
-
-
-def _video_seed(base_seed: int, video: str, extra: int | None = None) -> list[int]:
-    """Stable per-video (and optionally per-epoch) seed sequence."""
-    digest = hashlib.sha256(video.encode("utf-8")).digest()
-    parts = [base_seed, int.from_bytes(digest[:8], "little")]
-    if extra is not None:
-        parts.append(extra)
-    return parts
 
 
 def _load_topology(cfg: PipelineConfig) -> SkeletonTopology:
@@ -106,22 +101,27 @@ def _fill_counts(sequences: Sequence[PoseSequence]) -> dict[str, int]:
 
 
 def cmd_preprocess(cfg: PipelineConfig) -> dict:
-    """Annotations -> tensor cache + filled-sequences sidecar + report."""
+    """Annotations -> one filled-corpus file + report."""
     cfg.require("annotations", "cache")
     topology = _load_topology(cfg)
-    tour = euler_tour(topology)
     run_meta = {"config_hash": cfg.hash(), "seed": cfg.seed}
 
     poses: list[PoseSequence] = []
     rejected: list[dict] = []
+    first_line: dict[str, int] = {}
     for lineno, line in preprocess.iter_annotation_lines(cfg.annotations):
         try:
             pose = preprocess.parse_annotation_line(line, n_expected=topology.n)
         except AnnotationError as exc:
             rejected.append({"line": lineno, "error": str(exc)})
             continue
-        if pose is not None:
-            poses.append(pose)
+        if pose is None:
+            continue
+        if pose.video in first_line:
+            raise CliError(f"{cfg.annotations}: video id '{pose.video}' appears on lines "
+                           f"{first_line[pose.video]} and {lineno}")
+        first_line[pose.video] = lineno
+        poses.append(pose)
     if not poses:
         raise CliError(f"no valid records in {cfg.annotations} ({len(rejected)} rejected)")
 
@@ -144,25 +144,8 @@ def cmd_preprocess(cfg: PipelineConfig) -> dict:
         filled = [preprocess.spatial_interpolate(p, model, topology) for p in normalized]
     else:
         filled = [preprocess.zero_fill(p) for p in normalized]
-
-    tensors = []
-    for seq in filled:
-        plan = tensorize.plan_snippets(
-            seq.num_frames,
-            k=cfg.k,
-            mode=cfg.sampling,
-            seed=_video_seed(cfg.seed, seq.video),  # type: ignore[arg-type]
-        )
-        tensors.append(tensorize.build_pose_tensor(seq, tour, plan, divide_by_gap=cfg.divide_by_gap))
-
-    _atomic_write(
-        cfg.cache,
-        lambda p: tensorize.write_tensor_cache(p, tensors, seed=cfg.seed, config_hash=cfg.hash()),
-    )
-    sequences_path = cfg.sequences or str(Path(cfg.cache).with_suffix(".seq.jsonl"))
-    _atomic_write(
-        sequences_path, lambda p: preprocess.write_annotations(p, filled, meta=run_meta)
-    )
+    corpus = tensorize.FilledCorpus(euler_tour(topology), cfg.seed, cfg.hash(), filled)
+    _atomic_write(cfg.cache, lambda p: tensorize.write_corpus(p, corpus))
 
     report = {
         **run_meta,
@@ -171,9 +154,7 @@ def cmd_preprocess(cfg: PipelineConfig) -> dict:
         "frames": int(sum(p.num_frames for p in poses)),
         "unusable_frames": int(sum((~seq.frame_usable).sum() for seq in normalized)),
         "fills": _fill_counts(filled),
-        "tensor_shape": [cfg.k, 2 * len(tour), tensorize.CHANNELS],
         "cache": str(cfg.cache),
-        "sequences": sequences_path,
     }
     if cfg.report:
         _write_json(cfg.report, report)
@@ -184,48 +165,25 @@ def cmd_preprocess(cfg: PipelineConfig) -> dict:
 # train
 # ---------------------------------------------------------------------------
 
-def _sequences_resampler(
-    cfg: PipelineConfig, topology: SkeletonTopology, sequences_path: str
-) -> Callable[[int], tuple[np.ndarray, np.ndarray]]:
-    tour = euler_tour(topology)
-    records = preprocess.read_annotations(sequences_path, n_expected=topology.n)
-    filled = [
-        NormalizedPoseSequence(
-            video=p.video, coords=p.coords, visibility=p.visibility, label=p.label
-        )
-        for p in records
-    ]
-    if any(p.label is None for p in filled):
-        raise CliError(f"{sequences_path}: records without labels cannot be used for training")
-
-    def resample(epoch: int) -> tuple[np.ndarray, np.ndarray]:
-        tensors = []
-        for seq in filled:
-            plan = tensorize.plan_snippets(
-                seq.num_frames,
-                k=cfg.k,
-                mode=cfg.sampling,
-                seed=_video_seed(cfg.seed, seq.video, extra=epoch),  # type: ignore[arg-type]
-            )
-            tensors.append(
-                tensorize.build_pose_tensor(seq, tour, plan, divide_by_gap=cfg.divide_by_gap)
-            )
-        return tensorize.stack_tensors(tensors)
-
-    return resample
-
-
 def cmd_train(cfg: PipelineConfig) -> dict:
-    """Tensor cache -> checkpoint + per-epoch CSV trace."""
+    """Filled corpus -> checkpoint + per-epoch CSV trace; snippets are redrawn each epoch."""
     cfg.require("cache", "checkpoint")
-    cache = tensorize.read_tensor_cache(cfg.cache)
-    if not cache.tensors:
-        raise CliError(f"tensor cache {cfg.cache} is empty")
-    data, labels = tensorize.stack_tensors(cache.tensors)
-    num_classes = int(labels.max()) + 1
+    corpus = tensorize.read_corpus(cfg.cache)
+    tour = euler_tour(_load_topology(cfg))
+    if tour != corpus.path:
+        raise CliError(f"{cfg.cache}: corpus topology '{corpus.path.topology}' does not match "
+                       f"profile '{cfg.profile}' ('{tour.topology}')")
+    if any(seq.label is None for seq in corpus.poses):
+        raise CliError(f"{cfg.cache}: videos without labels cannot be used for training")
+    num_classes = max(seq.label for seq in corpus.poses) + 1
     if num_classes < 2:
-        raise CliError("training needs at least two classes in the cache")
+        raise CliError(f"{cfg.cache}: training needs at least two classes")
 
+    def draw(epoch: int) -> tuple[np.ndarray, np.ndarray]:
+        return tensorize.stack_tensors(tensorize.corpus_tensors(
+            corpus, cfg.k, cfg.sampling, cfg.seed, epoch=epoch, divide_by_gap=cfg.divide_by_gap))
+
+    data, labels = draw(0)
     arch = convnet.NetSpec(
         conv1_channels=cfg.conv1_channels, conv2_channels=cfg.conv2_channels, hidden=cfg.hidden
     )
@@ -238,16 +196,11 @@ def cmd_train(cfg: PipelineConfig) -> dict:
         batch_size=cfg.batch_size,
         seed=cfg.seed,
         weight_decay=cfg.weight_decay,
-        resample_each_epoch=cfg.resample_each_epoch,
     )
-
-    resample = None
-    sequences_path = cfg.sequences or str(Path(cfg.cache).with_suffix(".seq.jsonl"))
-    if cfg.resample_each_epoch and Path(sequences_path).exists():
-        topology = _load_topology(cfg)
-        resample = _sequences_resampler(cfg, topology, sequences_path)
-
-    trained, trace = convnet.train(net, data, labels, train_cfg, resample=resample)
+    trained, trace = convnet.train(
+        net, data, labels, train_cfg,
+        resample=lambda epoch: (data, labels) if epoch == 0 else draw(epoch),
+    )
 
     meta = {"config_hash": cfg.hash(), "seed": cfg.seed, "num_classes": num_classes}
     _atomic_write(cfg.checkpoint, lambda p: convnet.save_checkpoint(trained, p, meta=meta))
@@ -260,7 +213,6 @@ def cmd_train(cfg: PipelineConfig) -> dict:
         "epochs": len(trace),
         "final_loss": final.loss if final else None,
         "final_accuracy": final.accuracy if final else None,
-        "resampled": resample is not None,
         "checkpoint": str(cfg.checkpoint),
     }
 
@@ -270,41 +222,45 @@ def cmd_train(cfg: PipelineConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_eval(cfg: PipelineConfig) -> dict:
-    """Checkpoint + cache -> per-video score CSV + accuracy report."""
+    """Checkpoint + filled corpus -> per-video score CSV + accuracy report.
+
+    Snippets are drawn once from the corpus seed, K from the checkpoint.
+    Accuracy, per-class accuracy and confusion are null unless every video
+    has a label."""
     cfg.require("cache", "checkpoint", "scores")
-    cache = tensorize.read_tensor_cache(cfg.cache)
-    if not cache.tensors:
-        raise CliError(f"tensor cache {cfg.cache} holds no videos; nothing to evaluate")
+    corpus = tensorize.read_corpus(cfg.cache)
     net, _ = convnet.load_checkpoint(cfg.checkpoint)
-    shape = (cache.k, cache.width, tensorize.CHANNELS)
+    k = net.input_shape[0]
+    shape = (k, 2 * len(corpus.path), tensorize.CHANNELS)
     if tuple(net.input_shape) != shape:
         raise CliError(
-            f"checkpoint expects input {tuple(net.input_shape)}, cache provides {shape}"
+            f"checkpoint expects input {net.input_shape}, corpus {cfg.cache} provides {shape}"
         )
+    labels = {seq.video: seq.label for seq in corpus.poses if seq.label is not None}
+    labeled = len(labels) == len(corpus.poses)
+    if cfg.labels and not labeled:
+        raise CliError(f"{cfg.cache}: some videos have no label; cannot write {cfg.labels}")
 
-    data = np.stack([t.data for t in cache.tensors])
-    probs = convnet.forward(net, data)
+    tensors = tensorize.corpus_tensors(corpus, k, cfg.sampling, corpus.seed,
+                                       divide_by_gap=cfg.divide_by_gap)
+    probs = convnet.forward(net, np.stack([t.data for t in tensors]))
     scores = fusion.StreamScores(
-        stream="pose",
-        scores={t.video: probs[i] for i, t in enumerate(cache.tensors)},
+        stream="pose", scores={t.video: p for t, p in zip(tensors, probs)},
         kind=fusion.PROBABILITIES,
     )
+    result = fusion.evaluate(scores, labels) if labeled else None
+
     run_meta = {"config_hash": cfg.hash(), "seed": cfg.seed}
     _atomic_write(cfg.scores, lambda p: fusion.write_scores(p, scores, meta=run_meta))
-
-    labels = {t.video: t.label for t in cache.tensors if t.label is not None}
-    if len(labels) != len(cache.tensors):
-        raise CliError(f"cache {cfg.cache} has unlabeled videos; cannot report accuracy")
     if cfg.labels:
         _atomic_write(cfg.labels, lambda p: fusion.write_labels(p, labels, meta=run_meta))
-
-    result = fusion.evaluate(scores, labels)
+    per_class = [None if np.isnan(v) else float(v) for v in result.per_class] if result else None
     report = {
         **run_meta,
-        "videos": len(cache.tensors),
-        "accuracy": result.accuracy,
-        "per_class_accuracy": [None if np.isnan(v) else float(v) for v in result.per_class],
-        "confusion": result.confusion.tolist(),
+        "videos": len(tensors),
+        "accuracy": result.accuracy if result else None,
+        "per_class_accuracy": per_class,
+        "confusion": result.confusion.tolist() if result else None,
         "scores": str(cfg.scores),
     }
     if cfg.report:
@@ -433,7 +389,7 @@ def _add_config_args(parser: argparse.ArgumentParser, *names: str) -> None:
         "hidden": dict(type=int),
         "learning_rate": dict(type=float), "epochs": dict(type=int),
         "batch_size": dict(type=int), "weight_decay": dict(type=float),
-        "annotations": dict(type=str), "cache": dict(type=str), "sequences": dict(type=str),
+        "annotations": dict(type=str), "cache": dict(type=str),
         "spatial_model": dict(type=str, help="load a previously fitted spatial model (.npz)"),
         "save_spatial_model": dict(type=str, help="save the fitted spatial model (.npz)"),
         "checkpoint": dict(type=str), "trace": dict(type=str),
@@ -463,11 +419,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--profile", default="jhmdb_gt")
 
     for name, needed in {
-        "preprocess": ("annotations", "cache", "sequences", "profile", "topology_file", "k",
-                       "sampling", "seed", "max_gap", "poly_degree", "spatial_model",
-                       "save_spatial_model", "report"),
-        "train": ("cache", "sequences", "checkpoint", "trace", "profile", "topology_file", "k",
-                  "sampling", "seed", "learning_rate", "epochs", "batch_size", "weight_decay",
+        "preprocess": ("annotations", "cache", "profile", "topology_file", "seed", "max_gap",
+                       "poly_degree", "spatial_model", "save_spatial_model", "report"),
+        "train": ("cache", "checkpoint", "trace", "profile", "topology_file", "k", "sampling",
+                  "seed", "learning_rate", "epochs", "batch_size", "weight_decay",
                   "conv1_channels", "conv2_channels", "hidden"),
         "eval": ("cache", "checkpoint", "scores", "labels", "report", "seed"),
         "fuse": ("pose_scores", "spatial_scores", "temporal_scores", "labels", "fused_scores",
@@ -481,9 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "preprocess":
             p.add_argument("--no-interpolate", action="store_true",
                            help="skip interpolation; zero-fill missing joints (baseline)")
-        if name == "train":
-            p.add_argument("--no-resample", action="store_true",
-                           help="reuse cached tensors instead of redrawing snippets per epoch")
         if name == "fuse":
             p.add_argument("--weights", default=None,
                            help="comma-separated w_pose,w_spatial,w_temporal")
@@ -493,12 +445,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _overrides_from_args(args: argparse.Namespace) -> dict:
-    skip = {"command", "config", "func", "no_interpolate", "no_resample", "weights", "grid"}
+    skip = {"command", "config", "func", "no_interpolate", "weights", "grid"}
     overrides = {k: v for k, v in vars(args).items() if k not in skip}
     if getattr(args, "no_interpolate", False):
         overrides["interpolate"] = False
-    if getattr(args, "no_resample", False):
-        overrides["resample_each_epoch"] = False
     if getattr(args, "weights", None):
         overrides["weights"] = tuple(float(v) for v in args.weights.split(","))
     if getattr(args, "grid", None):

@@ -40,11 +40,9 @@ class PipelineConfig:
     epochs: int = 30
     batch_size: int = 32
     weight_decay: float = 0.0
-    resample_each_epoch: bool = True
     # paths
     annotations: str | None = None
     cache: str | None = None
-    sequences: str | None = None
     spatial_model: str | None = None
     save_spatial_model: str | None = None
     checkpoint: str | None = None
@@ -65,6 +63,8 @@ class PipelineConfig:
         self.weight_grid = tuple(float(w) for w in self.weight_grid)  # type: ignore[assignment]
         if len(self.weights) != 3:
             raise ValueError("weights must be three values (pose, spatial, temporal)")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
 
     def require(self, *names: str) -> None:
         missing = [name for name in names if getattr(self, name) is None]

@@ -21,6 +21,7 @@ any caller-supplied run metadata.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -29,6 +30,8 @@ from typing import Callable
 import numpy as np
 
 from numpy.lib.stride_tricks import sliding_window_view
+
+from .binio import BinaryReader
 
 FILTER_H = 3  # rows = snippets (time)
 FILTER_W = 2  # columns = flattened joint coordinates
@@ -329,7 +332,6 @@ class TrainConfig:
     batch_size: int = 32
     seed: int = 0
     weight_decay: float = 0.0
-    resample_each_epoch: bool = True
 
     def __post_init__(self) -> None:
         if self.learning_rate < 0:
@@ -376,7 +378,7 @@ def train(
     rng = np.random.default_rng(config.seed)
     trace: list[EpochStats] = []
     for epoch in range(config.epochs):
-        if resample is not None and config.resample_each_epoch:
+        if resample is not None:
             data, labels = resample(epoch)
             data = np.asarray(data, dtype=np.float64)
             labels = np.asarray(labels, dtype=np.int64)
@@ -411,12 +413,6 @@ def train(
     return net, trace
 
 
-def evaluate_batch(net: PoseConvNet, data: np.ndarray, labels: np.ndarray) -> float:
-    """Accuracy of the net over a stacked tensor array."""
-    probs = forward(net, np.asarray(data, dtype=np.float64))
-    return float((probs.argmax(axis=1) == np.asarray(labels)).mean())
-
-
 # ---------------------------------------------------------------------------
 # Checkpoint I/O
 # ---------------------------------------------------------------------------
@@ -445,31 +441,37 @@ def save_checkpoint(net: PoseConvNet, path: str | Path, meta: dict | None = None
 
 
 def load_checkpoint(path: str | Path) -> tuple[PoseConvNet, dict]:
-    """Rebuild a net from a checkpoint; returns (net, caller meta dict)."""
-    with open(path, "rb") as handle:
-        magic = handle.read(4)
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path}: not a pose ConvNet checkpoint (bad magic {magic!r})")
-        version, meta_len = struct.unpack("<II", handle.read(8))
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        header = json.loads(handle.read(meta_len).decode("utf-8"))
-        (count,) = struct.unpack("<I", handle.read(4))
-        params: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack("<H", handle.read(2))
-            name = handle.read(name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<B", handle.read(1))
-            shape = struct.unpack(f"<{ndim}I", handle.read(4 * ndim))
-            size = int(np.prod(shape)) if shape else 1
-            params[name] = np.frombuffer(handle.read(8 * size), dtype="<f8").reshape(shape).copy()
+    """Rebuild a net from a checkpoint; returns (net, caller meta dict).
+
+    Defects raise ValueError naming the file and the field."""
+    reader = BinaryReader(path)
+    magic = reader.take(4, "magic")
+    if magic != CHECKPOINT_MAGIC:
+        raise reader.fail(f"not a pose ConvNet checkpoint (bad magic {magic!r})")
+    (version,) = reader.unpack("I", "version")
+    if version != CHECKPOINT_VERSION:
+        raise reader.fail(f"unsupported checkpoint version {version}")
+    raw_meta = reader.text("I", "meta")
+    (count,) = reader.unpack("I", "parameter count")
+    params: dict[str, np.ndarray] = {}
+    for i in range(count):
+        name = reader.text("H", f"parameter {i} name")
+        (ndim,) = reader.unpack("B", f"parameter '{name}' ndim")
+        shape = reader.unpack(f"{ndim}I", f"parameter '{name}' shape")
+        values = reader.array("<f8", math.prod(shape), f"parameter '{name}'")
+        params[name] = values.reshape(shape).copy()
+    reader.finish()
     expected = {"conv1_w", "conv1_b", "conv2_w", "conv2_b", "fc1_w", "fc1_b", "out_w", "out_b"}
     if set(params) != expected:
-        raise ValueError(f"{path}: checkpoint parameters {sorted(params)} != expected {sorted(expected)}")
-    net = PoseConvNet(
-        input_shape=tuple(header["input_shape"]),
-        num_classes=int(header["num_classes"]),
-        arch=NetSpec(**header["arch"]),
-        **params,
-    )
+        raise reader.fail(f"checkpoint parameters {sorted(params)} != expected {sorted(expected)}")
+    try:
+        header = json.loads(raw_meta)
+        net = PoseConvNet(
+            input_shape=tuple(int(d) for d in header["input_shape"]),
+            num_classes=int(header["num_classes"]),
+            arch=NetSpec(**header["arch"]),
+            **params,
+        )
+    except (ValueError, KeyError, TypeError) as exc:
+        raise reader.fail(f"malformed meta block ({type(exc).__name__}: {exc})") from None
     return net, header.get("meta", {})

@@ -80,17 +80,6 @@ def consensus(snippet_scores: np.ndarray) -> np.ndarray:
     return snippet_scores.mean(axis=0)
 
 
-def consensus_stream(stream: StreamScores) -> StreamScores:
-    """Collapse a stream's snippet-level matrices to video-level vectors."""
-    if not stream.snippet_scores:
-        raise ValueError(f"stream '{stream.stream}' carries no snippet-level scores")
-    return StreamScores(
-        stream=stream.stream,
-        scores={video: consensus(m) for video, m in stream.snippet_scores.items()},
-        kind=stream.kind,
-    )
-
-
 def fuse(
     pose: StreamScores | None,
     spatial: StreamScores | None,

@@ -18,8 +18,10 @@ Annotation interchange format (JSON lines, one record per video)::
     {"video": "clip_001", "label": 3, "n": 15,
      "frames": [[[x, y, vis], ... n joints], ... per frame]}
 
-with vis 1 for visible and 0 for missing. Lines whose JSON object contains
-a ``_meta`` key are reserved for file metadata and skipped by the reader.
+with vis 1 for visible and 0 for missing, and the optional label in
+[0, 2**31). Ids may not contain ``,``, ``"``, CR or LF, nor start with ``#``.
+Lines whose JSON object contains a ``_meta`` key are reserved for file
+metadata and skipped by the reader.
 """
 
 from __future__ import annotations
@@ -395,6 +397,13 @@ def pose_from_record(record: dict, n_expected: int | None = None) -> PoseSequenc
         raise AnnotationError(f"missing or malformed field: {exc}") from None
     if not isinstance(video, str) or not video:
         raise AnnotationError("'video' must be a non-empty string")
+    # Score and label CSVs join fields with bare commas, one row per line, and
+    # the corpus file stores ids as UTF-8, which has no unpaired surrogates.
+    if video.startswith("#") or any(c in ',"\r\n' or "\ud800" <= c <= "\udfff" for c in video):
+        raise AnnotationError(
+            f"video id {video!r} must not contain ',', '\"', CR, LF or unpaired "
+            "surrogates, nor start with '#'"
+        )
     if n_expected is not None and n != n_expected:
         raise AnnotationError(f"record has n={n}, expected n={n_expected}")
     if not isinstance(frames, list) or not frames:
@@ -417,8 +426,8 @@ def pose_from_record(record: dict, n_expected: int | None = None) -> PoseSequenc
             coords[t, j] = (x, y)
             vis[t, j] = v
     label = record.get("label")
-    if label is not None:
-        label = int(label)
+    if label is not None and (type(label) is not int or not 0 <= label < 2**31):
+        raise AnnotationError(f"'label' must be an integer in [0, 2**31), got {label!r}")
     try:
         return PoseSequence(video=video, coords=coords, visibility=vis, label=label)
     except ValueError as exc:

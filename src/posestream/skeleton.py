@@ -29,20 +29,6 @@ from pathlib import Path
 
 
 @dataclass(frozen=True)
-class JointId:
-    """A joint's position in a topology: stable index plus a label."""
-
-    index: int
-    name: str
-
-    def __post_init__(self) -> None:
-        if self.index < 0:
-            raise ValueError(f"joint index must be non-negative, got {self.index}")
-        if not self.name:
-            raise ValueError("joint name must be non-empty")
-
-
-@dataclass(frozen=True)
 class SkeletonTopology:
     """Rooted joint tree for one dataset profile.
 
@@ -74,10 +60,6 @@ class SkeletonTopology:
     def n(self) -> int:
         return len(self.joint_names)
 
-    @property
-    def joints(self) -> tuple[JointId, ...]:
-        return tuple(JointId(i, nm) for i, nm in enumerate(self.joint_names))
-
     def joint_index(self, name: str) -> int:
         try:
             return self.joint_names.index(name)
@@ -95,9 +77,6 @@ class SkeletonTopology:
         for kids in out.values():
             kids.sort()
         return out
-
-    def part_members(self, part: int) -> tuple[int, ...]:
-        return tuple(i for i, p in enumerate(self.parts) if p == part)
 
 
 @dataclass(frozen=True)

@@ -12,11 +12,10 @@ the training and fusion paths can be exercised end to end in seconds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .preprocess import PoseSequence, write_annotations
+from .preprocess import PoseSequence
 from .skeleton import SkeletonTopology, build_topology
 
 # Canonical standing figure, pixel units, y grows downward.
@@ -163,10 +162,3 @@ def generate(spec: SyntheticSpec, topology: SkeletonTopology | None = None) -> l
                 )
             )
     return poses
-
-
-def generate_annotations(spec: SyntheticSpec, path: str | Path, meta: dict | None = None) -> int:
-    """Write the corpus as a JSON-lines annotation file; returns video count."""
-    poses = generate(spec)
-    write_annotations(path, poses, meta=meta)
-    return len(poses)

@@ -1,4 +1,4 @@
-"""Snippet sampling and pose-tensor assembly.
+"""Snippet sampling, pose-tensor assembly, and the filled-corpus file.
 
 A video is split into K equal segments and one snippet frame is chosen per
 segment (uniformly at random within the segment, or at its midpoint). The
@@ -8,32 +8,39 @@ velocity channel (row-to-row first difference) and an acceleration channel
 (difference of differences) alongside; both derivative channels have an
 all-zero first row. Result shape: K x 2L x 3.
 
-Tensor cache file (little-endian binary)::
+``preprocess`` writes its filled, normalized frames to one filled-corpus
+file, from which ``train`` and ``eval`` build tensors (``corpus_tensors``).
 
-    magic b"PTEN" | u32 version | u32 K | u32 width | u32 channels
-    | str topology id | str sampling mode | u64 seed | str config hash
-    | u32 record count
-    then per record:
-    | str video id | i32 label (-1 if absent) | u32 source frame count
-    | u32 x K snippet frame indices | float32 x (K*width*channels) payload
+Filled-corpus file (little-endian binary)::
 
-where ``str`` is a u16 byte length followed by UTF-8 bytes.
+    magic b"PCRP" | u32 version
+    | str topology name | u32 tour length L | u32 x L Euler-tour joint indices
+    | str config hash | u64 seed | u32 video count V | u32 joint count n
+    | u64 x (V+1) frame offsets (0 first, strictly increasing, last = total frames F)
+    | i32 x V labels (-1 if absent) | str x V video ids
+    | float64 x (F*n*2) coordinates, in (frame, joint, xy) order
+    | u8 x (F*n) fill-provenance flags (1 observed .. 4 synthetic)
+
+where ``str`` is a u32 byte length followed by UTF-8 bytes. Video i owns
+frames offsets[i] to offsets[i+1] - 1.
 """
 
 from __future__ import annotations
 
+import hashlib
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .preprocess import NormalizedPoseSequence
+from .binio import BinaryReader
+from .preprocess import VIS_OBSERVED, VIS_SYNTHETIC, NormalizedPoseSequence
 from .skeleton import TraversalPath
 
-CACHE_MAGIC = b"PTEN"
-CACHE_VERSION = 1
+CORPUS_MAGIC = b"PCRP"
+CORPUS_VERSION = 1
 CHANNELS = 3
 
 SAMPLING_MODES = ("random", "center")
@@ -60,7 +67,7 @@ class SnippetPlan:
 
 
 def plan_snippets(
-    num_frames: int, k: int = 15, mode: str = "random", seed: int = 0
+    num_frames: int, k: int = 15, mode: str = "random", seed: int | Sequence[int] = 0
 ) -> SnippetPlan:
     """Pick one frame per segment.
 
@@ -182,110 +189,120 @@ def build_pose_tensor(
 
 
 # ---------------------------------------------------------------------------
-# Tensor cache I/O
+# Filled corpus
 # ---------------------------------------------------------------------------
 
-def _write_str(handle: BinaryIO, text: str) -> None:
-    raw = text.encode("utf-8")
-    if len(raw) > 0xFFFF:
-        raise ValueError("string too long for cache header")
-    handle.write(struct.pack("<H", len(raw)))
-    handle.write(raw)
-
-
-def _read_str(handle: BinaryIO) -> str:
-    (length,) = struct.unpack("<H", handle.read(2))
-    return handle.read(length).decode("utf-8")
-
-
-def write_tensor_cache(
-    path: str | Path,
-    tensors: Sequence[PoseTensor],
-    seed: int = 0,
-    config_hash: str = "",
-) -> None:
-    """Write tensors of one run to a binary cache file (float32 payload)."""
-    tensors = list(tensors)
-    if not tensors:
-        raise ValueError("refusing to write an empty tensor cache")
-    k, width = tensors[0].k, tensors[0].width
-    topology = tensors[0].topology
-    mode = tensors[0].plan.mode
-    for t in tensors:
-        if (t.k, t.width, t.topology) != (k, width, topology):
-            raise ValueError(
-                f"tensor '{t.video}' shape/topology differs from the first tensor in the cache"
-            )
-    with open(path, "wb") as handle:
-        handle.write(CACHE_MAGIC)
-        handle.write(struct.pack("<IIII", CACHE_VERSION, k, width, CHANNELS))
-        _write_str(handle, topology)
-        _write_str(handle, mode)
-        handle.write(struct.pack("<Q", seed & 0xFFFFFFFFFFFFFFFF))
-        _write_str(handle, config_hash)
-        handle.write(struct.pack("<I", len(tensors)))
-        for t in tensors:
-            _write_str(handle, t.video)
-            label = -1 if t.label is None else int(t.label)
-            handle.write(struct.pack("<iI", label, t.plan.num_frames))
-            handle.write(np.asarray(t.plan.frames, dtype="<u4").tobytes())
-            handle.write(t.data.astype("<f4").tobytes())
-
-
 @dataclass
-class TensorCache:
-    tensors: list[PoseTensor]
-    topology: str
+class FilledCorpus:
+    """The filled, normalized poses of one preprocess run, the Euler
+    tour their tensors follow, and the run's seed and config hash."""
+
+    path: TraversalPath
     seed: int
     config_hash: str
-
-    @property
-    def k(self) -> int:
-        return self.tensors[0].k
-
-    @property
-    def width(self) -> int:
-        return self.tensors[0].width
+    poses: list[NormalizedPoseSequence]
 
 
-def read_tensor_cache(path: str | Path) -> TensorCache:
-    """Read a cache written by write_tensor_cache; payload returns as float64."""
-    with open(path, "rb") as handle:
-        magic = handle.read(4)
-        if magic != CACHE_MAGIC:
-            raise ValueError(f"{path}: not a pose tensor cache (bad magic {magic!r})")
-        version, k, width, channels = struct.unpack("<IIII", handle.read(16))
-        if version != CACHE_VERSION:
-            raise ValueError(f"{path}: unsupported cache version {version}")
-        if channels != CHANNELS:
-            raise ValueError(f"{path}: expected {CHANNELS} channels, found {channels}")
-        topology = _read_str(handle)
-        mode = _read_str(handle)
-        (seed,) = struct.unpack("<Q", handle.read(8))
-        config_hash = _read_str(handle)
-        (count,) = struct.unpack("<I", handle.read(4))
-        tensors = []
-        for _ in range(count):
-            video = _read_str(handle)
-            label, num_frames = struct.unpack("<iI", handle.read(8))
-            frames = np.frombuffer(handle.read(4 * k), dtype="<u4")
-            payload = np.frombuffer(handle.read(4 * k * width * channels), dtype="<f4")
-            plan = SnippetPlan(
-                frames=tuple(int(f) for f in frames),
-                mode=mode,
-                seed=int(seed),
-                num_frames=num_frames,
-            )
-            tensors.append(
-                PoseTensor(
-                    data=payload.astype(np.float64).reshape(k, width, channels),
-                    video=video,
-                    label=None if label < 0 else label,
-                    topology=topology,
-                    plan=plan,
-                )
-            )
-    return TensorCache(tensors=tensors, topology=topology, seed=int(seed), config_hash=config_hash)
+def _video_seed(base_seed: int, video: str, epoch: int | None = None) -> list[int]:
+    """Stable per-video (and optionally per-epoch) seed sequence."""
+    digest = hashlib.sha256(video.encode("utf-8")).digest()
+    parts = [base_seed, int.from_bytes(digest[:8], "little")]
+    if epoch is not None:
+        parts.append(epoch)
+    return parts
+
+
+def corpus_tensors(
+    corpus: FilledCorpus, k: int, mode: str, seed: int,
+    epoch: int | None = None, divide_by_gap: bool = False,
+) -> list[PoseTensor]:
+    """One pose tensor per corpus video; a video's plan is seeded by ``seed``,
+    its id and, when given, the epoch, never by the other videos."""
+    return [
+        build_pose_tensor(
+            seq,
+            corpus.path,
+            plan_snippets(seq.num_frames, k=k, mode=mode, seed=_video_seed(seed, seq.video, epoch)),
+            divide_by_gap=divide_by_gap,
+        )
+        for seq in corpus.poses
+    ]
+
+
+def _pack_text(text: str) -> bytes:
+    raw = text.encode("utf-8")
+    return struct.pack("<I", len(raw)) + raw
+
+
+def write_corpus(path: str | Path, corpus: FilledCorpus) -> None:
+    """Write a filled corpus in the binary layout of the module docstring."""
+    poses = corpus.poses
+    if not poses:
+        raise ValueError("refusing to write an empty corpus")
+    joints = poses[0].num_joints
+    if any(s.num_joints != joints for s in poses):
+        raise ValueError("corpus videos differ in joint count")
+    flags = np.concatenate([s.visibility for s in poses])
+    if np.any((flags < VIS_OBSERVED) | (flags > VIS_SYNTHETIC)):
+        raise ValueError("corpus has missing joints; fill them before writing")
+    with open(path, "wb") as handle:
+        handle.write(CORPUS_MAGIC)
+        handle.write(struct.pack("<I", CORPUS_VERSION))
+        handle.write(_pack_text(corpus.path.topology))
+        handle.write(struct.pack("<I", len(corpus.path)))
+        handle.write(np.asarray(corpus.path.joints, dtype="<u4").tobytes())
+        handle.write(_pack_text(corpus.config_hash))
+        handle.write(struct.pack("<QII", corpus.seed, len(poses), joints))
+        handle.write(np.cumsum([0] + [s.num_frames for s in poses], dtype="<u8").tobytes())
+        labels = [-1 if s.label is None else s.label for s in poses]
+        handle.write(np.asarray(labels, dtype="<i4").tobytes())
+        for seq in poses:
+            handle.write(_pack_text(seq.video))
+        for seq in poses:
+            handle.write(seq.coords.astype("<f8").tobytes())
+        handle.write(flags.astype("u1").tobytes())
+
+
+def read_corpus(path: str | Path) -> FilledCorpus:
+    """Read and validate a filled-corpus file; errors name the file and the field."""
+    reader = BinaryReader(path)
+    magic = reader.take(4, "magic")
+    if magic != CORPUS_MAGIC:
+        raise reader.fail(f"not a filled-corpus file (bad magic {magic!r})")
+    (version,) = reader.unpack("I", "version")
+    if version != CORPUS_VERSION:
+        raise reader.fail(f"unsupported corpus version {version}")
+    topology = reader.text("I", "topology name")
+    (tour_length,) = reader.unpack("I", "tour length")
+    tour = tuple(int(j) for j in reader.array("<u4", tour_length, "tour joints"))
+    config_hash = reader.text("I", "config hash")
+    seed, count, joints = reader.unpack("QII", "seed, video count and joint count")
+    if count == 0:
+        raise reader.fail("video count is 0")
+    if not tour or max(tour) >= joints:
+        raise reader.fail(f"tour joints do not index the {joints} joints")
+    offsets = reader.array("<u8", count + 1, "frame offsets").astype(np.int64)
+    if offsets[0] != 0 or np.any(np.diff(offsets) <= 0):
+        raise reader.fail("frame offsets do not start at 0 and strictly increase")
+    labels = reader.array("<i4", count, "labels").tolist()
+    if min(labels) < -1:
+        raise reader.fail("labels below -1 (-1 marks an absent label)")
+    videos = [reader.text("I", f"video id {i}") for i in range(count)]
+    if len(set(videos)) != count:
+        raise reader.fail("video ids are not unique")
+    frames = int(offsets[-1])
+    coords = reader.array("<f8", frames * joints * 2, "coordinates").reshape(frames, joints, 2)
+    flags = reader.array("u1", frames * joints, "fill flags").reshape(frames, joints)
+    reader.finish()
+    if np.any((flags < VIS_OBSERVED) | (flags > VIS_SYNTHETIC)):
+        raise reader.fail(f"fill flags outside {VIS_OBSERVED}-{VIS_SYNTHETIC}")
+    if not np.isfinite(coords).all():
+        raise reader.fail("coordinates contain non-finite values")
+    poses = [
+        NormalizedPoseSequence(video, coords[lo:hi], flags[lo:hi], None if label < 0 else label)
+        for video, label, lo, hi in zip(videos, labels, offsets[:-1], offsets[1:])
+    ]
+    return FilledCorpus(TraversalPath(joints=tour, topology=topology), seed, config_hash, poses)
 
 
 def stack_tensors(tensors: Iterable[PoseTensor]) -> tuple[np.ndarray, np.ndarray]:

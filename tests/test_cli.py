@@ -5,10 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from posestream.cli import main
+from posestream.cli import _atomic_write, main
 from posestream.convnet import init_net, load_checkpoint, NetSpec
 from posestream.fusion import read_scores
-from posestream.tensorize import read_tensor_cache
+from posestream.tensorize import read_corpus
 
 FAST = [
     "--conv1-channels", "4", "--conv2-channels", "6", "--hidden", "16",
@@ -84,11 +84,38 @@ class TestPreprocess:
     def test_report_contents(self, workdir):
         report = json.loads((workdir / "prep.json").read_text())
         assert report["videos"] == 24
-        assert report["tensor_shape"] == [15, 58, 3]
         assert report["rejected"] == []
         assert "config_hash" in report and "seed" in report
-        assert (workdir / "train.cache").exists()
-        assert (workdir / "train.seq.jsonl").exists()
+        corpus = read_corpus(workdir / "train.cache")
+        assert len(corpus.poses) == 24
+        assert (corpus.seed, corpus.config_hash) == (report["seed"], report["config_hash"])
+
+    def test_writes_one_artifact(self, tmp_path, capsys):
+        ann = tmp_path / "ann.jsonl"
+        assert main([
+            "synth", "--out", str(ann), "--videos-per-class", "1", "--frames", "6", "--seed", "2",
+        ]) == 0
+        code, _, _ = run(
+            capsys, "preprocess", "--annotations", str(ann),
+            "--cache", str(tmp_path / "c.cache"), "--report", str(tmp_path / "r.json"),
+        )
+        assert code == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ann.jsonl", "c.cache", "r.json"]
+
+    def test_duplicate_ids_rejected_before_any_write(self, tmp_path, capsys):
+        frames = ",".join(["[%s]" % ",".join("[1.0,%d,1]" % j for j in range(15))] * 3)
+        ann = tmp_path / "ann.jsonl"
+        ann.write_text("".join(
+            '{"video": "%s", "label": 0, "n": 15, "frames": [%s]}\n' % (video, frames)
+            for video in ("a", "b", "c", "b")
+        ))
+        code, _, err = run(
+            capsys, "preprocess", "--annotations", str(ann), "--cache", str(tmp_path / "c.cache"),
+            "--report", str(tmp_path / "r.json"), "--save-spatial-model", str(tmp_path / "m.npz"),
+        )
+        assert code == 1
+        assert "'b'" in err["message"] and "lines 2 and 4" in err["message"]
+        assert [p.name for p in tmp_path.iterdir()] == ["ann.jsonl"]
 
     def test_malformed_records_listed_with_line_numbers(self, tmp_path, capsys):
         good = '{"video": "ok", "label": 0, "n": 15, "frames": [%s]}' % ",".join(
@@ -157,9 +184,8 @@ class TestTrain:
         )
         assert code == 0
         net, _ = load_checkpoint(tmp_path / "init.ckpt")
-        cache = read_tensor_cache(workdir / "train.cache")
         fresh = init_net(
-            (cache.k, cache.width, 3), num_classes=4, seed=5,
+            (15, 2 * len(read_corpus(workdir / "train.cache").path), 3), num_classes=4, seed=5,
             arch=NetSpec(conv1_channels=4, conv2_channels=6, hidden=16),
         )
         for name, param in fresh.parameters().items():
@@ -177,6 +203,32 @@ class TestTrain:
             traces.append((tmp_path / "t.csv").read_bytes())
         capsys.readouterr()
         assert traces[0] == traces[1]
+
+    def test_k_sets_net_and_tensors(self, workdir, tmp_path, capsys):
+        code, out, _ = run(
+            capsys, "train", "--cache", str(workdir / "train.cache"),
+            "--checkpoint", str(tmp_path / "k10.ckpt"), "--seed", "0", "--k", "10", *FAST,
+        )
+        assert code == 0, out
+        net, _ = load_checkpoint(tmp_path / "k10.ckpt")
+        assert net.input_shape == (10, 58, 3)
+        # eval takes K from the checkpoint.
+        code, out, _ = run(
+            capsys, "eval", "--cache", str(workdir / "test.cache"),
+            "--checkpoint", str(tmp_path / "k10.ckpt"), "--scores", str(tmp_path / "s.csv"),
+        )
+        assert code == 0
+        assert out["videos"] == 12
+
+    def test_profile_mismatch_names_the_file(self, workdir, tmp_path, capsys):
+        cache = str(workdir / "train.cache")
+        code, _, err = run(
+            capsys, "train", "--cache", cache, "--profile", "penn",
+            "--checkpoint", str(tmp_path / "n.ckpt"),
+        )
+        assert code == 1
+        assert cache in err["message"] and "jhmdb_gt" in err["message"]
+        assert not (tmp_path / "n.ckpt").exists()
 
     def test_missing_cache_is_json_error(self, tmp_path, capsys):
         code, _, err = run(
@@ -246,6 +298,40 @@ class TestEval:
         )
         assert code == 1
         assert "checkpoint expects" in err["message"]
+        assert not (tmp_path / "s.csv").exists()
+
+    def unlabeled_corpus(self, tmp_path):
+        frames = ",".join(["[%s]" % ",".join("[%d.0,%d,1]" % (j % 3, j) for j in range(15))] * 4)
+        ann = tmp_path / "u.jsonl"
+        ann.write_text(
+            '{"video": "a", "label": 0, "n": 15, "frames": [%s]}\n' % frames
+            + '{"video": "b", "n": 15, "frames": [%s]}\n' % frames
+        )
+        assert main(["preprocess", "--annotations", str(ann),
+                     "--cache", str(tmp_path / "u.cache")]) == 0
+        return tmp_path / "u.cache"
+
+    def test_unlabeled_videos_scored_without_accuracy(self, workdir, tmp_path, capsys):
+        cache = self.unlabeled_corpus(tmp_path)
+        code, out, _ = run(
+            capsys, "eval", "--cache", str(cache), "--checkpoint", str(workdir / "net.ckpt"),
+            "--scores", str(tmp_path / "s.csv"), "--report", str(tmp_path / "r.json"),
+        )
+        assert code == 0
+        assert sorted(read_scores(tmp_path / "s.csv").scores) == ["a", "b"]
+        report = json.loads((tmp_path / "r.json").read_text())
+        assert report["accuracy"] is report["per_class_accuracy"] is report["confusion"] is None
+        assert out == report
+
+    def test_labels_of_unlabeled_corpus_fail_before_any_write(self, workdir, tmp_path, capsys):
+        cache = self.unlabeled_corpus(tmp_path)
+        code, _, err = run(
+            capsys, "eval", "--cache", str(cache), "--checkpoint", str(workdir / "net.ckpt"),
+            "--scores", str(tmp_path / "s.csv"), "--labels", str(tmp_path / "l.csv"),
+        )
+        assert code == 1
+        assert str(cache) in err["message"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["u.cache", "u.jsonl"]
 
 
 class TestFuse:
@@ -352,7 +438,39 @@ class TestDeterminism:
         assert outputs[0] == outputs[1]
 
 
+class TestAtomicWrite:
+    def test_foreign_temp_file_survives(self, tmp_path):
+        target = tmp_path / "out.txt"
+        foreign = tmp_path / "out.txt.tmp"
+        foreign.write_text("someone else's")
+        _atomic_write(target, lambda p: p.write_text("mine"))
+        assert target.read_text() == "mine"
+        assert foreign.read_text() == "someone else's"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt", "out.txt.tmp"]
+
+    def test_failed_writer_leaves_nothing(self, tmp_path):
+        def broken(p):
+            p.write_text("partial")
+            raise RuntimeError("disk full")
+
+        with pytest.raises(RuntimeError):
+            _atomic_write(tmp_path / "out.txt", broken)
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestUsageErrors:
+    @pytest.mark.parametrize("command, flag", [
+        ("preprocess", "--sequences=x"), ("preprocess", "--k=10"),
+        ("preprocess", "--sampling=center"), ("train", "--sequences=x"),
+        ("train", "--no-resample"),
+    ])
+    def test_removed_flags_are_usage_errors(self, command, flag, capsys):
+        paths = {"preprocess": ["--annotations", "a"], "train": ["--checkpoint", "n"]}
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--cache", "c", *paths[command], flag])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
     def test_unknown_command_exits_2_with_json(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

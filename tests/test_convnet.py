@@ -10,7 +10,6 @@ from posestream.convnet import (
     _conv_forward,
     _loss_and_grads,
     backward,
-    evaluate_batch,
     forward,
     init_net,
     load_checkpoint,
@@ -290,7 +289,7 @@ class TestTrain:
         net = init_net(SMALL_SHAPE, num_classes=2, seed=0, arch=SMALL_ARCH)
         cfg = TrainConfig(learning_rate=0.05, epochs=50, batch_size=20, seed=0)
         trained, trace = train(net, x, y, cfg)
-        assert evaluate_batch(trained, x, y) >= 0.99
+        assert (forward(trained, x).argmax(axis=1) == y).mean() >= 0.99
         assert len(trace) == 50
         assert [s.epoch for s in trace] == list(range(50))
 

@@ -9,7 +9,6 @@ from posestream.fusion import (
     FusionWeights,
     StreamScores,
     consensus,
-    consensus_stream,
     evaluate,
     fuse,
     infer_kind,
@@ -45,15 +44,6 @@ class TestConsensus:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             consensus(np.zeros((0, 3)))
-
-    def test_consensus_stream(self):
-        s = StreamScores(
-            stream="pose",
-            scores={},
-            snippet_scores={"v": np.array([[1.0, 0.0], [0.0, 1.0]])},
-        )
-        out = consensus_stream(s)
-        np.testing.assert_allclose(out.scores["v"], [0.5, 0.5])
 
 
 class TestFuse:

@@ -1,9 +1,14 @@
 """Normalization, interpolation, and annotation I/O tests."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+
+from posestream.fusion import StreamScores, read_labels, read_scores, write_labels, write_scores
 
 from posestream.preprocess import (
     AnnotationError,
@@ -512,3 +517,44 @@ class TestAnnotationIO:
         path.write_text('{"video": "a", "n": 1, "frames": [[[0, 0, 1]]]}\nnot json\n')
         with pytest.raises(AnnotationError, match="line 2"):
             read_annotations(path)
+
+    @pytest.mark.parametrize("video", ["a,b", 'a"b', "a\rb", "a\nb", "#a", "\ud800"])
+    def test_rejects_ids_the_csvs_cannot_carry(self, video):
+        with pytest.raises(AnnotationError, match="video id"):
+            pose_from_record({"video": video, "n": 1, "frames": [[[0, 0, 1]]]})
+
+    @pytest.mark.parametrize("label", [-1, 2**31, 1.5, "3", True])
+    def test_rejects_labels_outside_int_range(self, label):
+        with pytest.raises(AnnotationError, match="label"):
+            pose_from_record({"video": "v", "label": label, "n": 1, "frames": [[[0, 0, 1]]]})
+
+    def test_preprocess_reports_bad_id_with_line_number(self, tmp_path):
+        path = tmp_path / "ann.jsonl"
+        path.write_text('{"video": "a", "n": 1, "frames": [[[0, 0, 1]]]}\n'
+                        '{"video": "a,b", "n": 1, "frames": [[[0, 0, 1]]]}\n')
+        with pytest.raises(AnnotationError, match="line 2: video id"):
+            read_annotations(path)
+
+
+_ID_CHARS = st.one_of(st.characters(), st.sampled_from(list(',"\r\n# ')))
+
+
+@settings(max_examples=200, deadline=None)
+@given(videos=st.lists(st.text(_ID_CHARS, min_size=1, max_size=8), min_size=1, max_size=5,
+                       unique=True))
+def test_accepted_ids_round_trip_through_csvs(videos):
+    accepted = []
+    for video in videos:
+        try:
+            pose_from_record({"video": video, "n": 1, "frames": [[[0, 0, 1]]]})
+        except AnnotationError:
+            continue
+        accepted.append(video)
+    assume(accepted)
+    scores = StreamScores("pose", {v: np.array([0.25, 0.75]) for v in accepted})
+    labels = {v: i for i, v in enumerate(accepted)}
+    with tempfile.TemporaryDirectory() as tmp:
+        write_scores(Path(tmp) / "s.csv", scores, meta={"seed": 0})
+        write_labels(Path(tmp) / "l.csv", labels, meta={"seed": 0})
+        assert sorted(read_scores(Path(tmp) / "s.csv").scores) == sorted(accepted)
+        assert read_labels(Path(tmp) / "l.csv") == labels

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from posestream.skeleton import (
-    JointId,
     PROFILES,
     build_topology,
     euler_tour,
@@ -37,16 +36,6 @@ def random_tree(rng, n):
         parts={nm: 1 + (i % 5) for i, nm in enumerate(names)},
         torso=(names[0], names[1]),
     )
-
-
-class TestJointId:
-    def test_rejects_negative_index(self):
-        with pytest.raises(ValueError):
-            JointId(-1, "x")
-
-    def test_rejects_empty_name(self):
-        with pytest.raises(ValueError):
-            JointId(0, "")
 
 
 class TestBuildTopology:
@@ -88,11 +77,6 @@ class TestBuildTopology:
         for topo in PROFILES.values():
             assert len(topo.parts) == topo.n
             assert all(p in (1, 2, 3, 4, 5) for p in topo.parts)
-
-    def test_part_members(self):
-        topo = build_topology("jhmdb_gt")
-        arm = [topo.joint_names[i] for i in topo.part_members(1)]
-        assert sorted(arm) == ["r_elbow", "r_shoulder", "r_wrist"]
 
 
 class TestTopologyValidation:

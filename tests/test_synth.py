@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from posestream.synth import CLASS_NAMES, SyntheticSpec, generate, generate_annotations
+from posestream.cli import cmd_synth
+from posestream.synth import CLASS_NAMES, SyntheticSpec, generate
 
 
 class TestSpec:
@@ -77,8 +78,8 @@ class TestAnnotationsFile:
     def test_byte_identical_for_same_seed(self, tmp_path):
         spec = SyntheticSpec(videos_per_class=2, frames=6, noise_sigma=0.5, dropout=0.1, seed=6)
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        generate_annotations(spec, a, meta={"seed": spec.seed})
-        generate_annotations(spec, b, meta={"seed": spec.seed})
+        cmd_synth(spec, a)
+        cmd_synth(spec, b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_readable_by_annotation_reader(self, tmp_path):
@@ -86,6 +87,6 @@ class TestAnnotationsFile:
 
         spec = SyntheticSpec(videos_per_class=1, frames=5, seed=7)
         path = tmp_path / "ann.jsonl"
-        count = generate_annotations(spec, path)
+        count = cmd_synth(spec, path)["videos"]
         poses = read_annotations(path, n_expected=15)
         assert len(poses) == count

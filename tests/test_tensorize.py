@@ -1,4 +1,4 @@
-"""Snippet planning, tensor assembly, and cache I/O tests."""
+"""Snippet planning, tensor assembly, and filled-corpus file tests."""
 
 import numpy as np
 import pytest
@@ -6,18 +6,32 @@ import pytest
 from posestream.preprocess import NormalizedPoseSequence
 from posestream.skeleton import build_topology, euler_tour, make_topology
 from posestream.tensorize import (
+    FilledCorpus,
     SnippetPlan,
+    _video_seed,
     build_pose_tensor,
+    corpus_tensors,
     plan_snippets,
-    read_tensor_cache,
+    read_corpus,
     stack_tensors,
-    write_tensor_cache,
+    write_corpus,
 )
 
 
 def segment_bounds(num_frames, k):
     """Independent oracle for the segment layout."""
     return [((s * num_frames) // k, ((s + 1) * num_frames) // k) for s in range(k)]
+
+
+def chain_topology(n):
+    return make_topology(
+        name=f"chain{n}",
+        joint_names=[f"j{i}" for i in range(n)],
+        edges=[(f"j{i}", f"j{i+1}") for i in range(n - 1)],
+        root="j0",
+        parts={f"j{i}": 1 + (i % 5) for i in range(n)},
+        torso=("j0", "j1"),
+    )
 
 
 def filled_pose(coords, video="v", label=0):
@@ -83,15 +97,7 @@ class TestPlanSnippets:
 
 class TestBuildPoseTensor:
     def path_for(self, n):
-        topo = make_topology(
-            name=f"chain{n}",
-            joint_names=[f"j{i}" for i in range(n)],
-            edges=[(f"j{i}", f"j{i+1}") for i in range(n - 1)],
-            root="j0",
-            parts={f"j{i}": 1 + (i % 5) for i in range(n)},
-            torso=("j0", "j1"),
-        )
-        return euler_tour(topo)
+        return euler_tour(chain_topology(n))
 
     def test_profile_shapes(self):
         # 15/14/13 joints with K=15 give 15x58x3, 15x54x3, 15x50x3.
@@ -210,17 +216,11 @@ class TestBuildPoseTensor:
 
 
 class TestTensorCache:
+    """The filled-corpus file that preprocess writes at the --cache path."""
+
     def make_tensors(self, count=3, k=5, n=4):
         rng = np.random.default_rng(7)
-        topo = make_topology(
-            name="cache_topo",
-            joint_names=[f"j{i}" for i in range(n)],
-            edges=[(f"j{i}", f"j{i+1}") for i in range(n - 1)],
-            root="j0",
-            parts={f"j{i}": 1 + (i % 5) for i in range(n)},
-            torso=("j0", "j1"),
-        )
-        tour = euler_tour(topo)
+        tour = euler_tour(chain_topology(n))
         tensors = []
         for i in range(count):
             pose = filled_pose(rng.normal(size=(20, n, 2)), video=f"vid{i}", label=i % 2)
@@ -228,36 +228,90 @@ class TestTensorCache:
             tensors.append(build_pose_tensor(pose, tour, plan))
         return tensors
 
+    def make_corpus(self, frames=(20, 3, 9), n=4, labels=(0, None, 1)):
+        rng = np.random.default_rng(8)
+        poses = []
+        for i, (count, label) in enumerate(zip(frames, labels)):
+            pose = filled_pose(rng.normal(size=(count, n, 2)), video=f"vid{i}", label=label)
+            pose.visibility[:] = rng.integers(1, 5, size=pose.visibility.shape)
+            poses.append(pose)
+        return FilledCorpus(euler_tour(chain_topology(n)), 42, "abc123", poses)
+
     def test_round_trip(self, tmp_path):
-        tensors = self.make_tensors()
-        path = tmp_path / "tensors.bin"
-        write_tensor_cache(path, tensors, seed=42, config_hash="abc123")
-        cache = read_tensor_cache(path)
-        assert cache.seed == 42
-        assert cache.config_hash == "abc123"
-        assert [t.video for t in cache.tensors] == ["vid0", "vid1", "vid2"]
-        assert [t.label for t in cache.tensors] == [0, 1, 0]
-        for original, loaded in zip(tensors, cache.tensors):
-            # Payload is float32 on disk.
-            np.testing.assert_array_equal(
-                original.data.astype(np.float32).astype(np.float64), loaded.data
-            )
-            assert loaded.plan.frames == original.plan.frames
+        corpus = self.make_corpus()
+        path = tmp_path / "corpus.bin"
+        write_corpus(path, corpus)
+        loaded = read_corpus(path)
+        assert loaded.seed == 42
+        assert loaded.config_hash == "abc123"
+        assert loaded.path == corpus.path
+        assert [s.video for s in loaded.poses] == ["vid0", "vid1", "vid2"]
+        assert [s.label for s in loaded.poses] == [0, None, 1]
+        for original, again in zip(corpus.poses, loaded.poses):
+            # Coordinates are float64 on disk: bit-exact, like the flags.
+            np.testing.assert_array_equal(again.coords, original.coords)
+            np.testing.assert_array_equal(again.visibility, original.visibility)
 
     def test_rejects_empty(self, tmp_path):
+        tour = euler_tour(chain_topology(4))
         with pytest.raises(ValueError, match="empty"):
-            write_tensor_cache(tmp_path / "x.bin", [], seed=0)
+            write_corpus(tmp_path / "x.bin", FilledCorpus(tour, 0, "", []))
 
     def test_rejects_mixed_shapes(self, tmp_path):
-        tensors = self.make_tensors(k=5) + self.make_tensors(count=1, k=6)
-        with pytest.raises(ValueError, match="differs"):
-            write_tensor_cache(tmp_path / "x.bin", tensors, seed=0)
+        a = filled_pose(np.zeros((5, 4, 2)), video="a")
+        b = filled_pose(np.zeros((5, 3, 2)), video="b")
+        tour = euler_tour(chain_topology(4))
+        with pytest.raises(ValueError, match="joint count"):
+            write_corpus(tmp_path / "x.bin", FilledCorpus(tour, 0, "", [a, b]))
 
     def test_rejects_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"nope" + b"\x00" * 64)
         with pytest.raises(ValueError, match="magic"):
-            read_tensor_cache(path)
+            read_corpus(path)
+
+    @pytest.mark.parametrize("field, patch, message", [
+        ("version", lambda raw, at: raw[:4] + b"\x09" + raw[5:], "version 9"),
+        ("offsets", lambda raw, at: raw[:at["offsets"] + 8] + b"\x00" * 8
+         + raw[at["offsets"] + 16:], "frame offsets"),
+        ("label", lambda raw, at: raw[:at["labels"]] + np.int32(-2).tobytes()
+         + raw[at["labels"] + 4:], "labels below -1"),
+        ("flag 0", lambda raw, at: raw[:-1] + b"\x00", "fill flags"),
+        ("flag 5", lambda raw, at: raw[:-1] + b"\x05", "fill flags"),
+        ("nan", lambda raw, at: raw[:at["flags"] - 8] + np.float64(np.nan).tobytes()
+         + raw[at["flags"]:], "non-finite"),
+        ("trailing", lambda raw, at: raw + b"\x00", "trailing bytes"),
+    ])
+    def test_reader_rejects_defects_naming_file_and_field(self, tmp_path, field, patch, message):
+        corpus = self.make_corpus()
+        good = tmp_path / "good.bin"
+        write_corpus(good, corpus)
+        raw = good.read_bytes()
+        # Header: magic, version, topology name, tour, config hash, seed,
+        # video count, joint count; the flags are the last F * n bytes.
+        header = 8 + 4 + len(corpus.path.topology) + 4 + 4 * len(corpus.path) + 4 + 6 + 8 + 4 + 4
+        flags = sum(s.visibility.size for s in corpus.poses)
+        offsets = 8 * (len(corpus.poses) + 1)
+        at = {"offsets": header, "labels": header + offsets, "flags": len(raw) - flags}
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(patch(raw, at))
+        with pytest.raises(ValueError, match=message) as exc:
+            read_corpus(bad)
+        assert str(bad) in str(exc.value)
+
+    def test_corpus_tensors_follow_the_seed_rule(self):
+        corpus = self.make_corpus()
+        tensors = corpus_tensors(corpus, k=5, mode="random", seed=3, epoch=2)
+        for tensor, seq in zip(tensors, corpus.poses):
+            plan = plan_snippets(seq.num_frames, k=5, mode="random",
+                                 seed=_video_seed(3, seq.video, 2))
+            expected = build_pose_tensor(seq, corpus.path, plan)
+            np.testing.assert_array_equal(tensor.data, expected.data)
+            assert tensor.label == seq.label
+        # A video's plan does not depend on the rest of the corpus.
+        alone = FilledCorpus(corpus.path, 42, "", corpus.poses[1:2])
+        only = corpus_tensors(alone, k=5, mode="random", seed=3, epoch=2)[0]
+        np.testing.assert_array_equal(only.data, tensors[1].data)
 
     def test_stack_tensors(self):
         tensors = self.make_tensors()
