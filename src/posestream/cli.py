@@ -20,7 +20,6 @@ import json
 import os
 import secrets
 import sys
-import warnings
 from dataclasses import asdict
 from pathlib import Path
 from typing import Callable, Sequence
@@ -181,7 +180,7 @@ def cmd_train(cfg: PipelineConfig) -> dict:
 
     def draw(epoch: int) -> tuple[np.ndarray, np.ndarray]:
         return tensorize.stack_tensors(tensorize.corpus_tensors(
-            corpus, cfg.k, cfg.sampling, cfg.seed, epoch=epoch, divide_by_gap=cfg.divide_by_gap))
+            corpus, cfg.k, cfg.sampling, cfg.seed, epoch=epoch))
 
     data, labels = draw(0)
     arch = convnet.NetSpec(
@@ -241,12 +240,11 @@ def cmd_eval(cfg: PipelineConfig) -> dict:
     if cfg.labels and not labeled:
         raise CliError(f"{cfg.cache}: some videos have no label; cannot write {cfg.labels}")
 
-    tensors = tensorize.corpus_tensors(corpus, k, cfg.sampling, corpus.seed,
-                                       divide_by_gap=cfg.divide_by_gap)
-    probs = convnet.forward(net, np.stack([t.data for t in tensors]))
+    tensors = sorted(tensorize.corpus_tensors(corpus, k, cfg.sampling, corpus.seed),
+                     key=lambda t: t.video)
     scores = fusion.StreamScores(
-        stream="pose", scores={t.video: p for t, p in zip(tensors, probs)},
-        kind=fusion.PROBABILITIES,
+        stream="pose", videos=tuple(t.video for t in tensors),
+        matrix=convnet.forward(net, np.stack([t.data for t in tensors])),
     )
     result = fusion.evaluate(scores, labels) if labeled else None
 
@@ -297,9 +295,7 @@ def cmd_fuse(cfg: PipelineConfig) -> dict:
     labels = fusion.read_labels(cfg.labels)
     weights = fusion.FusionWeights(*cfg.weights)
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        fused = fusion.fuse(streams["pose"], streams["spatial"], streams["temporal"], weights)
+    fused = fusion.fuse(streams["pose"], streams["spatial"], streams["temporal"], weights)
     run_meta = {
         "config_hash": cfg.hash(),
         "seed": cfg.seed,
@@ -312,11 +308,9 @@ def cmd_fuse(cfg: PipelineConfig) -> dict:
     for size in range(1, len(present) + 1):
         for combo in itertools.combinations(present, size):
             picked = {name: (streams[name] if name in combo else None) for name in _STREAM_ORDER}
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                combo_scores = fusion.fuse(
-                    picked["pose"], picked["spatial"], picked["temporal"], weights
-                )
+            combo_scores = fusion.fuse(
+                picked["pose"], picked["spatial"], picked["temporal"], weights
+            )
             subsets["+".join(combo)] = fusion.evaluate(combo_scores, labels).accuracy
 
     report = {

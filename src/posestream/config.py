@@ -31,7 +31,6 @@ class PipelineConfig:
     max_gap: int = 10
     poly_degree: int = 1
     interpolate: bool = True
-    divide_by_gap: bool = False
     # network
     conv1_channels: int = 32
     conv2_channels: int = 64

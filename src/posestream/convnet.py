@@ -41,6 +41,10 @@ CHECKPOINT_VERSION = 1
 
 PROB_FLOOR = 1e-12
 
+# Rows per _forward call in forward(): its im2col buffers grow with the rows
+# it is given, so scoring in slices keeps eval memory flat in corpus size.
+FORWARD_SLICE = 64
+
 
 class TrainingDivergedError(RuntimeError):
     """Loss became non-finite during training."""
@@ -250,9 +254,15 @@ def _forward(net: PoseConvNet, x: np.ndarray) -> dict[str, np.ndarray]:
 
 
 def forward(net: PoseConvNet, tensor: np.ndarray) -> np.ndarray:
-    """Class probabilities for one tensor (K, W, 3) or a batch (B, K, W, 3)."""
+    """Class probabilities for one tensor (K, W, 3) or a batch (B, K, W, 3).
+
+    A batch is scored in near-equal slices of at most FORWARD_SLICE rows.
+    No slice has a single row unless the batch does: numpy scores a lone
+    row through a matrix-vector path whose last bits differ, and slicing
+    must not change the probabilities."""
     batch, single = _as_batch(tensor, net.input_shape)
-    probs = _forward(net, batch)["probs"]
+    slices = np.array_split(batch, -(-len(batch) // FORWARD_SLICE))
+    probs = np.concatenate([_forward(net, part)["probs"] for part in slices])
     return probs[0] if single else probs
 
 

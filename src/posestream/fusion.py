@@ -1,59 +1,63 @@
 """Score aggregation: snippet consensus, weighted stream fusion, metrics.
 
-Streams arrive as per-video class-score vectors (probabilities or raw
-logits, fused as given without re-normalization). Snippet-level scores are
-collapsed to video level by average pooling. Stream fusion is the weighted
-per-class sum pose*w_p + spatial*w_s + temporal*w_t; a missing stream
-contributes zero (with a warning) so two-stream ablations run through the
-same code path.
+A stream is one sorted tuple of unique video ids and one (videos x classes)
+float64 score matrix; its rows are probabilities or raw logits, fused as
+given without re-normalization. Snippet-level score files are collapsed to
+video level by average pooling on read. Stream fusion is the weighted
+per-class sum pose*w_p + spatial*w_s + temporal*w_t; a stream passed as
+None contributes zero, so two-stream ablations run through the same code
+path.
 
 Score CSV format: header ``video,class_0,...,class_{C-1}``, one row per
 video, sorted by video id. The snippet-level variant inserts a ``snippet``
 column after ``video``. A labels CSV is ``video,label``. Lines starting
-with ``#`` are metadata comments and are ignored by the readers.
+with ``#`` are metadata comments and are ignored by the readers, which
+reject malformed rows naming the file and the line.
 """
 
 from __future__ import annotations
 
 import csv
-import warnings
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
-
-PROBABILITIES = "probabilities"
-LOGITS = "logits"
-
-_PROB_ATOL = 1e-6
 
 
 @dataclass
 class StreamScores:
-    """Per-video class scores for one stream."""
+    """Class scores for one stream: row i of ``matrix`` scores ``videos[i]``."""
 
     stream: str
-    scores: dict[str, np.ndarray]
-    kind: str = PROBABILITIES
-    snippet_scores: dict[str, np.ndarray] = field(default_factory=dict)
+    videos: tuple[str, ...]
+    matrix: np.ndarray  # (len(videos), C) float64, every entry finite
 
     def __post_init__(self) -> None:
-        if self.kind not in (PROBABILITIES, LOGITS):
-            raise ValueError(f"kind must be '{PROBABILITIES}' or '{LOGITS}', got '{self.kind}'")
-        widths = {v.shape for v in self.scores.values()}
-        if len(widths) > 1:
-            raise ValueError(f"stream '{self.stream}' mixes class counts: {sorted(widths)}")
+        self.videos = tuple(self.videos)
+        self.matrix = np.asarray(self.matrix, dtype=np.float64)
+        if not self.videos:
+            raise ValueError(f"stream '{self.stream}' has no videos")
+        if list(self.videos) != sorted(set(self.videos)):
+            raise ValueError(f"stream '{self.stream}': video ids must be sorted and unique")
+        if (self.matrix.ndim != 2 or self.matrix.shape[0] != len(self.videos)
+                or self.matrix.shape[1] < 1):
+            raise ValueError(
+                f"stream '{self.stream}': expected a ({len(self.videos)}, classes) score "
+                f"matrix, got shape {self.matrix.shape}"
+            )
+        if not np.isfinite(self.matrix).all():
+            raise ValueError(f"stream '{self.stream}' has non-finite scores")
 
     @property
     def num_classes(self) -> int:
-        if not self.scores:
-            raise ValueError(f"stream '{self.stream}' has no videos")
-        return next(iter(self.scores.values())).shape[0]
+        return self.matrix.shape[1]
 
     @property
-    def videos(self) -> list[str]:
-        return sorted(self.scores)
+    def scores(self) -> dict[str, np.ndarray]:
+        """Video id -> score row."""
+        return dict(zip(self.videos, self.matrix))
 
 
 @dataclass(frozen=True)
@@ -70,14 +74,14 @@ class FusionWeights:
         return (self.w_pose, self.w_spatial, self.w_temporal)
 
 
-def consensus(snippet_scores: np.ndarray) -> np.ndarray:
+def consensus(snippets: np.ndarray) -> np.ndarray:
     """Video-level scores as the per-class mean over snippet rows."""
-    snippet_scores = np.asarray(snippet_scores, dtype=np.float64)
-    if snippet_scores.ndim != 2 or snippet_scores.shape[0] < 1:
+    snippets = np.asarray(snippets, dtype=np.float64)
+    if snippets.ndim != 2 or snippets.shape[0] < 1:
         raise ValueError(
-            f"expected a (snippets, classes) matrix with >= 1 row, got shape {snippet_scores.shape}"
+            f"expected a (snippets, classes) matrix with >= 1 row, got shape {snippets.shape}"
         )
-    return snippet_scores.mean(axis=0)
+    return snippets.mean(axis=0)
 
 
 def fuse(
@@ -88,42 +92,26 @@ def fuse(
 ) -> StreamScores:
     """Weighted per-class sum of up to three streams.
 
-    Streams passed as None contribute zero and trigger a warning; the
-    remaining streams must cover identical video sets and class counts.
-    Scores are combined exactly as given; mixing probabilities with logits
-    warns but proceeds.
+    Streams passed as None contribute zero; the remaining streams must
+    cover identical video sets and class counts. Scores are combined
+    exactly as given, added in pose, spatial, temporal order.
     """
-    named = [("pose", pose), ("spatial", spatial), ("temporal", temporal)]
-    present = [(name, s) for name, s in named if s is not None]
+    named = zip(("pose", "spatial", "temporal"), (pose, spatial, temporal), weights.as_tuple())
+    present = [(name, s, w) for name, s, w in named if s is not None]
     if not present:
         raise ValueError("fusion needs at least one stream")
-    for name, _ in named:
-        if all(n != name for n, _ in present):
-            warnings.warn(f"stream '{name}' missing; it contributes zero to the fusion")
-
-    reference = present[0][1]
-    videos = set(reference.scores)
-    classes = reference.num_classes
-    for name, s in present[1:]:
-        if set(s.scores) != videos:
+    first_name, first, _ = present[0]
+    for name, s, _ in present[1:]:
+        if s.videos != first.videos:
+            raise ValueError(f"stream '{name}' covers a different video set than '{first_name}'")
+        if s.num_classes != first.num_classes:
             raise ValueError(
-                f"stream '{name}' covers a different video set than '{present[0][0]}'"
+                f"stream '{name}' has {s.num_classes} classes, expected {first.num_classes}"
             )
-        if s.num_classes != classes:
-            raise ValueError(
-                f"stream '{name}' has {s.num_classes} classes, expected {classes}"
-            )
-    if len({s.kind for _, s in present}) > 1:
-        warnings.warn("fusing streams with mixed normalization states (probabilities vs logits)")
-
-    w = dict(zip(("pose", "spatial", "temporal"), weights.as_tuple()))
-    fused = {}
-    for video in sorted(videos):
-        total = np.zeros(classes)
-        for name, s in present:
-            total += w[name] * s.scores[video]
-        fused[video] = total
-    return StreamScores(stream="fused", scores=fused, kind=LOGITS)
+    total = np.zeros(first.matrix.shape)
+    for _, s, w in present:
+        total += w * s.matrix
+    return StreamScores(stream="fused", videos=first.videos, matrix=total)
 
 
 @dataclass
@@ -133,7 +121,6 @@ class EvalResult:
     accuracy: float
     per_class: np.ndarray       # (C,) recall; NaN for classes with no videos
     confusion: np.ndarray       # (C, C) rows true class, columns predicted
-    class_counts: np.ndarray    # (C,) videos per true class
 
 
 def evaluate(scores: StreamScores, labels: dict[str, int]) -> EvalResult:
@@ -142,24 +129,23 @@ def evaluate(scores: StreamScores, labels: dict[str, int]) -> EvalResult:
     Every scored video needs a label; ties in the score vector resolve to
     the lowest class id.
     """
-    missing = sorted(set(scores.scores) - set(labels))
+    missing = [video for video in scores.videos if video not in labels]
     if missing:
         raise ValueError(f"labels missing for videos: {missing[:5]}")
     classes = scores.num_classes
-    confusion = np.zeros((classes, classes), dtype=np.int64)
-    for video in scores.videos:
-        true = labels[video]
-        if not 0 <= true < classes:
-            raise ValueError(f"label {true} of video '{video}' out of range for {classes} classes")
-        predicted = int(np.argmax(scores.scores[video]))
-        confusion[true, predicted] += 1
+    truth = np.array([labels[video] for video in scores.videos], dtype=np.int64)
+    bad = np.flatnonzero((truth < 0) | (truth >= classes))
+    if bad.size:
+        video = scores.videos[bad[0]]
+        raise ValueError(f"label {labels[video]} of video '{video}' out of range for {classes} classes")
+    predicted = scores.matrix.argmax(axis=1)
+    confusion = np.bincount(
+        truth * classes + predicted, minlength=classes * classes
+    ).reshape(classes, classes)
     counts = confusion.sum(axis=1)
-    with np.errstate(invalid="ignore"):
-        per_class = np.where(counts > 0, np.diag(confusion) / np.maximum(counts, 1), np.nan)
+    per_class = np.where(counts > 0, np.diag(confusion) / np.maximum(counts, 1), np.nan)
     accuracy = float(np.diag(confusion).sum() / confusion.sum())
-    return EvalResult(
-        accuracy=accuracy, per_class=per_class, confusion=confusion, class_counts=counts
-    )
+    return EvalResult(accuracy=accuracy, per_class=per_class, confusion=confusion)
 
 
 def search_weights(
@@ -178,9 +164,7 @@ def search_weights(
     best: tuple[float, FusionWeights] | None = None
     for candidate in grid:
         weights = FusionWeights(*candidate)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            result = evaluate(fuse(pose, spatial, temporal, weights), labels)
+        result = evaluate(fuse(pose, spatial, temporal, weights), labels)
         rows.append({"weights": weights.as_tuple(), "accuracy": result.accuracy})
         if best is None or result.accuracy > best[0]:
             best = (result.accuracy, weights)
@@ -197,14 +181,6 @@ def _format(value: float) -> str:
     return f"{value:.12g}"
 
 
-def infer_kind(scores: dict[str, np.ndarray]) -> str:
-    """Probabilities iff every row is non-negative and sums to 1 (1e-6)."""
-    for vector in scores.values():
-        if np.any(vector < 0) or abs(float(vector.sum()) - 1.0) > _PROB_ATOL:
-            return LOGITS
-    return PROBABILITIES
-
-
 def write_scores(path: str | Path, stream: StreamScores, meta: dict | None = None) -> None:
     classes = stream.num_classes
     lines = []
@@ -212,52 +188,81 @@ def write_scores(path: str | Path, stream: StreamScores, meta: dict | None = Non
         joined = " ".join(f"{k}={v}" for k, v in sorted(meta.items()))
         lines.append(f"# {joined}")
     lines.append("video," + ",".join(f"class_{c}" for c in range(classes)))
-    for video in stream.videos:
-        lines.append(video + "," + ",".join(_format(v) for v in stream.scores[video]))
+    for video, row in zip(stream.videos, stream.matrix):
+        lines.append(video + "," + ",".join(_format(v) for v in row))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def read_scores(path: str | Path, stream: str = "other") -> StreamScores:
-    """Read a score CSV; detects the snippet-level variant by its header."""
+def _csv_rows(path: str | Path) -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields) of every line that is neither blank nor a ``#`` comment."""
     with open(path, encoding="utf-8") as handle:
-        rows = [row for row in csv.reader(line for line in handle if not line.startswith("#"))]
-    rows = [row for row in rows if row]
-    if not rows:
+        for lineno, line in enumerate(handle, start=1):
+            if not line.startswith("#"):
+                row = next(csv.reader([line]), [])
+                if row:
+                    yield lineno, row
+
+
+def _parse_int(path: str | Path, lineno: int, text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{path}:{lineno}: {what} '{text}' is not an integer") from None
+
+
+def _parse_scores(path: str | Path, lineno: int, fields: list[str]) -> np.ndarray:
+    try:
+        values = [float(v) for v in fields]
+    except ValueError as exc:
+        raise ValueError(f"{path}:{lineno}: score is not a number ({exc})") from None
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"{path}:{lineno}: score is not finite: {fields}")
+    return np.array(values)
+
+
+def read_scores(path: str | Path, stream: str = "other") -> StreamScores:
+    """Read a score CSV; detects the snippet-level variant by its header.
+
+    Non-numeric or non-finite scores, non-integer snippet indices, rows of
+    the wrong width, duplicate rows and a file without score rows raise
+    ValueError naming the file and the line."""
+    rows = _csv_rows(path)
+    header_line, header = next(rows, (0, None))
+    if header is None:
         raise ValueError(f"{path}: empty score file")
-    header = rows[0]
     if len(header) < 2 or header[0] != "video":
-        raise ValueError(f"{path}: expected header 'video,class_0,...', got {header}")
+        raise ValueError(f"{path}:{header_line}: expected header 'video,class_0,...', got {header}")
     snippet_level = len(header) > 2 and header[1] == "snippet"
     first_class = 2 if snippet_level else 1
-    classes = len(header) - first_class
-    if classes < 1:
-        raise ValueError(f"{path}: no class columns found")
+    if len(header) - first_class < 1:
+        raise ValueError(f"{path}:{header_line}: no class columns found")
 
-    if snippet_level:
-        per_video: dict[str, list[tuple[int, np.ndarray]]] = {}
-        for row in rows[1:]:
-            if len(row) != len(header):
-                raise ValueError(f"{path}: row has {len(row)} fields, header has {len(header)}")
-            per_video.setdefault(row[0], []).append(
-                (int(row[1]), np.array([float(v) for v in row[2:]]))
-            )
-        snippets = {
-            video: np.stack([vec for _, vec in sorted(entries, key=lambda e: e[0])])
-            for video, entries in per_video.items()
-        }
-        scores = {video: consensus(matrix) for video, matrix in snippets.items()}
-        return StreamScores(
-            stream=stream, scores=scores, kind=infer_kind(scores), snippet_scores=snippets
-        )
-
-    scores = {}
-    for row in rows[1:]:
+    first_seen: dict[tuple[str, int], int] = {}
+    per_video: dict[str, list[tuple[int, np.ndarray]]] = {}
+    for lineno, row in rows:
         if len(row) != len(header):
-            raise ValueError(f"{path}: row has {len(row)} fields, header has {len(header)}")
-        if row[0] in scores:
-            raise ValueError(f"{path}: duplicate video id '{row[0]}'")
-        scores[row[0]] = np.array([float(v) for v in row[1:]])
-    return StreamScores(stream=stream, scores=scores, kind=infer_kind(scores))
+            raise ValueError(
+                f"{path}:{lineno}: row has {len(row)} fields, header has {len(header)}"
+            )
+        snippet = _parse_int(path, lineno, row[1], "snippet index") if snippet_level else 0
+        key = (row[0], snippet)
+        if key in first_seen:
+            what = f"video '{row[0]}' snippet {snippet}" if snippet_level else f"video '{row[0]}'"
+            raise ValueError(f"{path}:{lineno}: duplicate {what}, first on line {first_seen[key]}")
+        first_seen[key] = lineno
+        per_video.setdefault(row[0], []).append(
+            (snippet, _parse_scores(path, lineno, row[first_class:]))
+        )
+    if not per_video:
+        raise ValueError(f"{path}:{header_line}: no score rows after the header")
+
+    videos = tuple(sorted(per_video))
+    matrix = np.array([
+        consensus(np.stack([vec for _, vec in sorted(per_video[v], key=lambda e: e[0])]))
+        if snippet_level else per_video[v][0][1]
+        for v in videos
+    ])
+    return StreamScores(stream=stream, videos=videos, matrix=matrix)
 
 
 def write_labels(path: str | Path, labels: dict[str, int], meta: dict | None = None) -> None:
@@ -271,15 +276,24 @@ def write_labels(path: str | Path, labels: dict[str, int], meta: dict | None = N
 
 
 def read_labels(path: str | Path) -> dict[str, int]:
-    with open(path, encoding="utf-8") as handle:
-        rows = [row for row in csv.reader(line for line in handle if not line.startswith("#")) if row]
-    if not rows or rows[0] != ["video", "label"]:
+    """Read a labels CSV; malformed rows, non-integer labels and duplicate
+    ids raise ValueError naming the file and the line."""
+    rows = _csv_rows(path)
+    _, header = next(rows, (0, None))
+    if header != ["video", "label"]:
         raise ValueError(f"{path}: expected header 'video,label'")
-    labels = {}
-    for row in rows[1:]:
+    labels: dict[str, int] = {}
+    first_seen: dict[str, int] = {}
+    for lineno, row in rows:
         if len(row) != 2:
-            raise ValueError(f"{path}: malformed labels row {row}")
+            raise ValueError(f"{path}:{lineno}: malformed labels row {row}")
         if row[0] in labels:
-            raise ValueError(f"{path}: duplicate video id '{row[0]}'")
-        labels[row[0]] = int(row[1])
+            raise ValueError(
+                f"{path}:{lineno}: duplicate video id '{row[0]}', first on line {first_seen[row[0]]}"
+            )
+        first_seen[row[0]] = lineno
+        label = _parse_int(path, lineno, row[1], "label")
+        if not 0 <= label < 2**31:
+            raise ValueError(f"{path}:{lineno}: label {label} outside [0, 2**31)")
+        labels[row[0]] = label
     return labels

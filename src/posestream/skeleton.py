@@ -42,8 +42,6 @@ class SkeletonTopology:
             indices whose mean position defines one end of the torso
             segment. Groups of size > 1 act as midpoint proxies for
             profiles without a dedicated torso joint.
-        neck, belly, head: Indices of those joints where the profile has
-            them, else None.
     """
 
     name: str
@@ -52,22 +50,10 @@ class SkeletonTopology:
     root: int
     parts: tuple[int, ...]
     torso_anchors: tuple[tuple[int, ...], tuple[int, ...]]
-    neck: int | None = None
-    belly: int | None = None
-    head: int | None = None
 
     @property
     def n(self) -> int:
         return len(self.joint_names)
-
-    def joint_index(self, name: str) -> int:
-        try:
-            return self.joint_names.index(name)
-        except ValueError:
-            raise ValueError(
-                f"joint '{name}' not in topology '{self.name}'; "
-                f"available: {list(self.joint_names)}"
-            ) from None
 
     def children(self) -> dict[int, list[int]]:
         """Parent index -> child indices, ascending."""
@@ -156,11 +142,6 @@ def _validate(topology: SkeletonTopology) -> SkeletonTopology:
                 raise ValueError(f"torso anchor joint {idx} out of range")
     if set(anchors[0]) == set(anchors[1]):
         raise ValueError("torso anchor groups must differ")
-
-    for attr in ("neck", "belly", "head"):
-        idx = getattr(topology, attr)
-        if idx is not None and not 0 <= idx < n:
-            raise ValueError(f"{attr} index {idx} out of range")
     return topology
 
 
@@ -171,9 +152,6 @@ def make_topology(
     root: str,
     parts: dict[str, int],
     torso: tuple[str | tuple[str, ...], str | tuple[str, ...]],
-    neck: str | None = None,
-    belly: str | None = None,
-    head: str | None = None,
 ) -> SkeletonTopology:
     """Build and validate a topology from joint names instead of indices."""
     names = tuple(joint_names)
@@ -199,9 +177,6 @@ def make_topology(
         root=resolve(root),
         parts=tuple(parts[nm] for nm in names),
         torso_anchors=(resolve_group(torso[0]), resolve_group(torso[1])),
-        neck=resolve(neck) if neck else None,
-        belly=resolve(belly) if belly else None,
-        head=resolve(head) if head else None,
     )
     return _validate(topology)
 
@@ -281,9 +256,6 @@ JHMDB_GT = make_topology(
         "head": 5, "neck": 5, "belly": 5,
     },
     torso=("neck", "belly"),
-    neck="neck",
-    belly="belly",
-    head="head",
 )
 
 # Detector output with the four face keypoints dropped and the nose kept as
@@ -331,8 +303,6 @@ ESTIMATED_14 = make_topology(
         "head": 5, "neck": 5,
     },
     torso=("neck", ("r_hip", "l_hip")),
-    neck="neck",
-    head="head",
 )
 
 # 13 joints, official annotation order, rooted at the head. No neck or
@@ -377,7 +347,6 @@ PENN = make_topology(
         "head": 5,
     },
     torso=("head", ("l_hip", "r_hip")),
-    head="head",
 )
 
 PROFILES: dict[str, SkeletonTopology] = {
@@ -464,7 +433,6 @@ def load_topology(path: str | Path) -> SkeletonTopology:
     if missing:
         raise ValueError(f"{path}: joints without a part: {missing}")
 
-    lowered = {nm.lower(): nm for nm in names}
     return make_topology(
         name=f"custom:{path.stem}",
         joint_names=names,
@@ -472,7 +440,4 @@ def load_topology(path: str | Path) -> SkeletonTopology:
         root=header["root"],
         parts=parts,
         torso=(torso_names[0], torso_names[1]),
-        neck=lowered.get("neck"),
-        belly=lowered.get("belly"),
-        head=lowered.get("head"),
     )

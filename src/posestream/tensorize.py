@@ -51,8 +51,6 @@ class SnippetPlan:
     """Chosen frame index per segment for one video."""
 
     frames: tuple[int, ...]
-    mode: str
-    seed: int
     num_frames: int
 
     def __post_init__(self) -> None:
@@ -103,20 +101,16 @@ def plan_snippets(
     for i in range(first + 1, k):
         if chosen[i] is None:
             chosen[i] = chosen[i - 1]
-    return SnippetPlan(
-        frames=tuple(chosen), mode=mode, seed=seed, num_frames=num_frames  # type: ignore[arg-type]
-    )
+    return SnippetPlan(frames=tuple(chosen), num_frames=num_frames)  # type: ignore[arg-type]
 
 
 @dataclass
 class PoseTensor:
-    """K x 2L x 3 tensor for one video plus its provenance."""
+    """K x 2L x 3 tensor for one video, with its id and label."""
 
     data: np.ndarray
     video: str
     label: int | None
-    topology: str
-    plan: SnippetPlan
 
     def __post_init__(self) -> None:
         self.data = np.asarray(self.data, dtype=np.float64)
@@ -138,16 +132,14 @@ def build_pose_tensor(
     pose: NormalizedPoseSequence,
     path: TraversalPath,
     plan: SnippetPlan,
-    divide_by_gap: bool = False,
 ) -> PoseTensor:
     """Assemble the position/velocity/acceleration tensor for one video.
 
     Row k of channel 0 concatenates the (x, y) of each traversal-path joint
     at snippet frame k. Channel 1 row k is channel0[k] - channel0[k-1] and
     channel 2 repeats the differencing on channel 1; row 0 of both is zero.
-    Differences are taken between chosen snippets as-is; with
-    ``divide_by_gap`` they are divided by the frame gap instead (repeated
-    frames count as gap 1).
+    Differences are taken between chosen snippets as-is, whatever the frame
+    gap between them.
 
     The pose must be fully filled; missing joints are a caller error.
     """
@@ -172,19 +164,12 @@ def build_pose_tensor(
     acceleration = np.zeros_like(positions)
     if plan.k > 1:
         velocity[1:] = positions[1:] - positions[:-1]
-        if divide_by_gap:
-            gaps = np.maximum(np.diff(frames), 1).astype(np.float64)
-            velocity[1:] /= gaps[:, None]
         acceleration[1:] = velocity[1:] - velocity[:-1]
-        if divide_by_gap:
-            acceleration[1:] /= gaps[:, None]
 
     return PoseTensor(
         data=np.stack([positions, velocity, acceleration], axis=-1),
         video=pose.video,
         label=pose.label,
-        topology=path.topology,
-        plan=plan,
     )
 
 
@@ -213,8 +198,7 @@ def _video_seed(base_seed: int, video: str, epoch: int | None = None) -> list[in
 
 
 def corpus_tensors(
-    corpus: FilledCorpus, k: int, mode: str, seed: int,
-    epoch: int | None = None, divide_by_gap: bool = False,
+    corpus: FilledCorpus, k: int, mode: str, seed: int, epoch: int | None = None
 ) -> list[PoseTensor]:
     """One pose tensor per corpus video; a video's plan is seeded by ``seed``,
     its id and, when given, the epoch, never by the other videos."""
@@ -223,7 +207,6 @@ def corpus_tensors(
             seq,
             corpus.path,
             plan_snippets(seq.num_frames, k=k, mode=mode, seed=_video_seed(seed, seq.video, epoch)),
-            divide_by_gap=divide_by_gap,
         )
         for seq in corpus.poses
     ]

@@ -306,15 +306,15 @@ def test_criterion_9_fusion_improvement():
 
         def build(name):
             pair = confusions[name]
-            scores = {}
-            for video, label in labels.items():
-                vec = np.full(classes, 0.02)
+            videos = tuple(sorted(labels))
+            matrix = np.full((len(videos), classes), 0.02)
+            for row, video in zip(matrix, videos):
+                label = labels[video]
                 if label in pair:
-                    vec[list(pair)] = 0.5  # exact tie inside the confused pair
+                    row[list(pair)] = 0.5  # exact tie inside the confused pair
                 else:
-                    vec[label] = 0.9
-                scores[video] = vec
-            return StreamScores(stream=name, scores=scores, kind="logits")
+                    row[label] = 0.9
+            return StreamScores(stream=name, videos=videos, matrix=matrix)
 
         streams = {name: build(name) for name in confusions}
         solo = {name: evaluate(s, labels).accuracy for name, s in streams.items()}

@@ -1,5 +1,7 @@
 """Pose ConvNet tests: init, forward, gradients, training, checkpoints."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from posestream.convnet import (
     TrainConfig,
     TrainingDivergedError,
     _conv_forward,
+    _forward,
     _loss_and_grads,
     backward,
     forward,
@@ -178,6 +181,30 @@ class TestForward:
         net = small_net()
         with pytest.raises(ValueError, match="does not match"):
             forward(net, np.zeros((8, 11, 3)))
+
+    # Default tensor shape with a narrow net: im2col buffers dominate memory.
+    EVAL_SHAPE = (15, 58, 3)
+    EVAL_ARCH = NetSpec(conv1_channels=8, conv2_channels=16, hidden=64)
+
+    def test_memory_flat_in_batch_size(self):
+        net = init_net(self.EVAL_SHAPE, num_classes=4, seed=0, arch=self.EVAL_ARCH)
+        x = np.random.default_rng(5).normal(size=(256,) + self.EVAL_SHAPE)
+
+        def peak(batch):
+            tracemalloc.start()
+            try:
+                forward(net, batch)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(x) < 2 * peak(x[:64])
+
+    @pytest.mark.parametrize("count", [129, 130])
+    def test_slicing_keeps_probabilities_bit_exact(self, count):
+        net = init_net(self.EVAL_SHAPE, num_classes=4, seed=1, arch=self.EVAL_ARCH)
+        x = np.random.default_rng(6).normal(size=(count,) + self.EVAL_SHAPE)
+        assert forward(net, x).tobytes() == _forward(net, x)["probs"].tobytes()
 
 
 class TestLoss:

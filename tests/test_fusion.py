@@ -2,16 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posestream.fusion import (
-    LOGITS,
-    PROBABILITIES,
     FusionWeights,
     StreamScores,
     consensus,
     evaluate,
     fuse,
-    infer_kind,
     read_labels,
     read_scores,
     search_weights,
@@ -20,12 +19,9 @@ from posestream.fusion import (
 )
 
 
-def stream(name, vectors, kind=PROBABILITIES):
-    return StreamScores(
-        stream=name,
-        scores={vid: np.asarray(vec, dtype=np.float64) for vid, vec in vectors.items()},
-        kind=kind,
-    )
+def stream(name, vectors):
+    videos = tuple(sorted(vectors))
+    return StreamScores(name, videos, np.array([vectors[v] for v in videos], dtype=np.float64))
 
 
 class TestConsensus:
@@ -59,8 +55,7 @@ class TestFuse:
 
     def test_single_stream_projection(self):
         pose = stream("pose", {"a": [0.9, 0.1], "b": [0.3, 0.7]})
-        with pytest.warns(UserWarning):
-            fused = fuse(pose, None, None, FusionWeights(1, 0, 0))
+        fused = fuse(pose, None, None, FusionWeights(1, 0, 0))
         for vid in pose.scores:
             np.testing.assert_allclose(fused.scores[vid], pose.scores[vid])
 
@@ -85,19 +80,8 @@ class TestFuse:
         two = fuse(c, a, b, FusionWeights(4.0, 2.0, 3.0))
         np.testing.assert_allclose(one.scores["v"], two.scores["v"])
 
-    def test_missing_stream_warns(self):
-        pose = stream("pose", {"v": [0.5, 0.5]})
-        with pytest.warns(UserWarning, match="temporal"):
-            fuse(pose, stream("spatial", {"v": [1.0, 0.0]}), None, FusionWeights())
-
-    def test_mixed_kind_warns(self):
-        pose = stream("pose", {"v": [0.5, 0.5]}, kind=PROBABILITIES)
-        spatial = stream("spatial", {"v": [4.0, -2.0]}, kind=LOGITS)
-        with pytest.warns(UserWarning, match="normalization"):
-            fuse(pose, spatial, stream("temporal", {"v": [0.9, 0.1]}), FusionWeights())
-
     def test_class_count_mismatch(self):
-        with pytest.warns(UserWarning), pytest.raises(ValueError, match="classes"):
+        with pytest.raises(ValueError, match="classes"):
             fuse(
                 stream("pose", {"v": [0.5, 0.5]}),
                 stream("spatial", {"v": [0.2, 0.3, 0.5]}),
@@ -106,7 +90,7 @@ class TestFuse:
             )
 
     def test_video_set_mismatch(self):
-        with pytest.warns(UserWarning), pytest.raises(ValueError, match="video set"):
+        with pytest.raises(ValueError, match="video set"):
             fuse(
                 stream("pose", {"a": [1.0, 0.0]}),
                 stream("spatial", {"b": [1.0, 0.0]}),
@@ -154,7 +138,8 @@ class TestEvaluate:
         labels = {f"v{i}": int(rng.integers(0, 3)) for i in range(150)}
         scores = stream("pose", {vid: rng.normal(size=3) for vid in labels})
         result = evaluate(scores, labels)
-        weighted = np.nansum(result.per_class * result.class_counts) / result.class_counts.sum()
+        counts = result.confusion.sum(axis=1)
+        weighted = np.nansum(result.per_class * counts) / counts.sum()
         np.testing.assert_allclose(weighted, result.accuracy, atol=1e-12)
 
     def test_missing_label_rejected(self):
@@ -192,8 +177,7 @@ class TestScoreFiles:
         path = tmp_path / "scores.csv"
         write_scores(path, s, meta={"seed": 7, "config_hash": "abc"})
         loaded = read_scores(path, stream="pose")
-        assert loaded.kind == PROBABILITIES
-        assert loaded.videos == ["v0", "v1", "v2"]
+        assert loaded.videos == ("v0", "v1", "v2")
         for vid in s.scores:
             np.testing.assert_allclose(loaded.scores[vid], s.scores[vid], atol=1e-9)
         text = path.read_text()
@@ -208,12 +192,6 @@ class TestScoreFiles:
         lines = path.read_text().splitlines()
         assert lines[1].startswith("aa,") and lines[2].startswith("zz,")
 
-    def test_kind_inferred_logits(self, tmp_path):
-        s = stream("pose", {"v": [3.0, -1.0]}, kind=LOGITS)
-        path = tmp_path / "scores.csv"
-        write_scores(path, s)
-        assert read_scores(path).kind == LOGITS
-
     def test_snippet_variant(self, tmp_path):
         path = tmp_path / "snips.csv"
         path.write_text(
@@ -223,9 +201,8 @@ class TestScoreFiles:
             "w,0,0.5,0.5\n"
         )
         loaded = read_scores(path, stream="temporal")
-        np.testing.assert_allclose(loaded.scores["v"], [0.5, 0.5])
-        np.testing.assert_allclose(loaded.snippet_scores["v"][0], [1.0, 0.0])  # sorted by snippet
-        np.testing.assert_allclose(loaded.scores["w"], [0.5, 0.5])
+        assert loaded.videos == ("v", "w")
+        np.testing.assert_allclose(loaded.matrix, [[0.5, 0.5], [0.5, 0.5]])
 
     def test_rejects_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -239,10 +216,124 @@ class TestScoreFiles:
         with pytest.raises(ValueError, match="duplicate"):
             read_scores(path)
 
-    def test_infer_kind(self):
-        assert infer_kind({"v": np.array([0.25, 0.75])}) == PROBABILITIES
-        assert infer_kind({"v": np.array([0.5, 0.75])}) == LOGITS
-        assert infer_kind({"v": np.array([-0.5, 1.5])}) == LOGITS
+
+@pytest.mark.parametrize("reader, text, line", [
+    (read_scores, "# seed=1\nvideo,class_0,class_1\nv,nan,0.5\n", 3),
+    (read_scores, "video,class_0,class_1\nv,0.5,0.5\nw,inf,0.5\n", 3),
+    (read_scores, "video,class_0,class_1\nv,abc,0.5\n", 2),
+    (read_scores, "# seed=1\nvideo,class_0,class_1\n", 2),
+    (read_scores, "video,class_0,class_1\nv,0.5\n", 2),
+    (read_scores, "video,snippet,class_0\nv,0,0.5\nv,x,0.5\n", 3),
+    (read_scores, "video,snippet,class_0\nv,0,0.5\nw,0,0.5\nv,0,0.7\n", 4),
+    (read_labels, "video,label\nv,0\nw,x\n", 3),
+    (read_labels, "# seed=1\nvideo,label\nv,-1\n", 3),
+    (read_labels, "video,label\nv,0\nv,1\n", 3),
+], ids=["nan", "inf", "not-a-number", "header-only", "short-row", "snippet-index",
+        "duplicate-snippet", "label-not-int", "negative-label", "duplicate-label"])
+def test_csv_defects_name_file_and_line(tmp_path, reader, text, line):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"{path}:{line}:"):
+        reader(path)
+
+
+class TestStreamScores:
+    @pytest.mark.parametrize("videos, matrix, match", [
+        ((), np.zeros((0, 2)), "no videos"),
+        (("b", "a"), np.zeros((2, 2)), "sorted and unique"),
+        (("a", "a"), np.zeros((2, 2)), "sorted and unique"),
+        (("a", "b"), np.zeros((3, 2)), "matrix"),
+        (("a",), np.zeros((1, 0)), "matrix"),
+        (("a",), np.array([[0.5, np.nan]]), "non-finite"),
+    ])
+    def test_rejects_malformed(self, videos, matrix, match):
+        with pytest.raises(ValueError, match=match):
+            StreamScores("pose", videos, matrix)
+
+    def test_scores_view(self):
+        s = stream("pose", {"b": [0.0, 1.0], "a": [1.0, 0.0]})
+        assert list(s.scores) == ["a", "b"]
+        np.testing.assert_array_equal(s.scores["b"], [0.0, 1.0])
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the per-video loops fusion used before streams became matrices
+# ---------------------------------------------------------------------------
+
+def reference_fuse(streams, weights):
+    """streams: (pose, spatial, temporal) dicts video -> vector, or None."""
+    present = [(w, s) for w, s in zip(weights, streams) if s is not None]
+    videos = set(present[0][1])
+    classes = len(next(iter(present[0][1].values())))
+    fused = {}
+    for video in sorted(videos):
+        total = np.zeros(classes)
+        for w, s in present:
+            total += w * s[video]
+        fused[video] = total
+    return fused
+
+
+def reference_evaluate(scores, labels, classes):
+    confusion = np.zeros((classes, classes), dtype=np.int64)
+    for video in sorted(scores):
+        confusion[labels[video], int(np.argmax(scores[video]))] += 1
+    counts = confusion.sum(axis=1)
+    with np.errstate(invalid="ignore"):
+        per_class = np.where(counts > 0, np.diag(confusion) / np.maximum(counts, 1), np.nan)
+    return float(np.diag(confusion).sum() / confusion.sum()), per_class, confusion
+
+
+def reference_search(streams, labels, classes, grid):
+    rows, best = [], None
+    for candidate in grid:
+        accuracy = reference_evaluate(reference_fuse(streams, candidate), labels, classes)[0]
+        rows.append({"weights": tuple(candidate), "accuracy": accuracy})
+        if best is None or accuracy > best[0]:
+            best = (accuracy, tuple(candidate))
+    return best[1], rows
+
+
+_WEIGHT = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, -1.0, 0.1])
+_TRIPLE = st.tuples(_WEIGHT, _WEIGHT, _WEIGHT).filter(lambda t: any(w != 0.0 for w in t))
+
+
+@st.composite
+def fusion_cases(draw):
+    videos = draw(st.lists(st.text("abcv0", min_size=1, max_size=3), min_size=1, max_size=9,
+                           unique=True))
+    classes = draw(st.integers(1, 4))
+    present = draw(st.lists(st.booleans(), min_size=3, max_size=3).filter(any))
+    score = st.lists(st.integers(-2, 2), min_size=classes, max_size=classes)
+    streams = tuple(
+        {v: np.array(draw(score), dtype=np.float64) for v in videos} if on else None
+        for on in present
+    )
+    labels = {v: draw(st.integers(0, classes - 1)) for v in videos}
+    grid = draw(st.lists(_TRIPLE, min_size=1, max_size=6))
+    return streams, labels, classes, grid
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=fusion_cases())
+def test_matrix_fusion_matches_per_video_reference(case):
+    streams, labels, classes, grid = case
+    objects = [None if s is None else stream(name, s)
+               for name, s in zip(("pose", "spatial", "temporal"), streams)]
+    for weights in grid:
+        fused = fuse(*objects, FusionWeights(*weights))
+        expected = reference_fuse(streams, weights)
+        assert fused.videos == tuple(sorted(expected))
+        assert fused.matrix.tobytes() == np.stack([expected[v] for v in fused.videos]).tobytes()
+        result = evaluate(fused, labels)
+        accuracy, per_class, confusion = reference_evaluate(expected, labels, classes)
+        assert result.accuracy == accuracy
+        np.testing.assert_array_equal(result.per_class, per_class)
+        np.testing.assert_array_equal(result.confusion, confusion)
+    best, rows = search_weights(*objects, labels, grid)
+    expected_best, expected_rows = reference_search(streams, labels, classes, grid)
+    assert best.as_tuple() == expected_best
+    assert rows == expected_rows
 
 
 class TestLabelFiles:

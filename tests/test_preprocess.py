@@ -42,8 +42,6 @@ def simple_topology():
         root="neck",
         parts={"neck": 5, "belly": 5, "wrist": 1},
         torso=("neck", "belly"),
-        neck="neck",
-        belly="belly",
     )
 
 
@@ -135,8 +133,9 @@ class TestNormalize:
         rng = np.random.default_rng(1)
         pose = random_pose(rng, n=13, frames=2)
         out = normalize(pose, topo)
-        head = out.coords[:, topo.head]
-        hips = out.coords[:, [topo.joint_index("l_hip"), topo.joint_index("r_hip")]].mean(axis=1)
+        head = out.coords[:, topo.joint_names.index("head")]
+        hips = out.coords[:, [topo.joint_names.index("l_hip"),
+                              topo.joint_names.index("r_hip")]].mean(axis=1)
         np.testing.assert_allclose(np.linalg.norm(head - hips, axis=1), 1.0, atol=1e-9)
 
 
@@ -367,17 +366,17 @@ class TestSpatialInterpolate:
         # the part-5 joints, not every visible joint. Leg voters are trained
         # to predict something far away to catch the wrong voter set.
         topo = JHMDB
-        wrist = topo.joint_index("r_wrist")
-        preds = {(topo.joint_index(nm), wrist): point for nm, point in [
+        wrist = topo.joint_names.index("r_wrist")
+        preds = {(topo.joint_names.index(nm), wrist): point for nm, point in [
             ("neck", (0.0, 0.0)), ("belly", (3.0, 0.0)), ("head", (0.0, 3.0)),
         ]}
         for nm in ("r_hip", "l_hip", "r_knee", "l_knee", "r_ankle", "l_ankle"):
-            preds[(topo.joint_index(nm), wrist)] = (9.0, 9.0)
+            preds[(topo.joint_names.index(nm), wrist)] = (9.0, 9.0)
         model = self.constant_model(topo, preds)
 
         vis = np.ones((1, topo.n), dtype=np.uint8)
         for nm in ("r_shoulder", "r_elbow", "r_wrist"):
-            vis[0, topo.joint_index(nm)] = 0
+            vis[0, topo.joint_names.index(nm)] = 0
         pose = NormalizedPoseSequence(
             video="v", coords=np.zeros((1, topo.n, 2)), visibility=vis
         )
@@ -388,19 +387,19 @@ class TestSpatialInterpolate:
         # r_ankle (part 3) missing with its whole part: not an upper-body
         # joint, so every visible trained joint votes.
         topo = JHMDB
-        ankle = topo.joint_index("r_ankle")
+        ankle = topo.joint_names.index("r_ankle")
         visible = [
             nm for nm in topo.joint_names
             if nm not in ("r_hip", "r_knee", "r_ankle")
         ]
         preds = {
-            (topo.joint_index(nm), ankle): (float(i), 0.0)
+            (topo.joint_names.index(nm), ankle): (float(i), 0.0)
             for i, nm in enumerate(visible)
         }
         model = self.constant_model(topo, preds)
         vis = np.ones((1, topo.n), dtype=np.uint8)
         for nm in ("r_hip", "r_knee", "r_ankle"):
-            vis[0, topo.joint_index(nm)] = 0
+            vis[0, topo.joint_names.index(nm)] = 0
         pose = NormalizedPoseSequence(
             video="v", coords=np.zeros((1, topo.n, 2)), visibility=vis
         )
@@ -410,12 +409,12 @@ class TestSpatialInterpolate:
 
     def test_untrained_voter_abstains(self):
         topo = JHMDB
-        wrist = topo.joint_index("r_wrist")
+        wrist = topo.joint_names.index("r_wrist")
         # Only belly is trained for the wrist; neck and head abstain.
-        model = self.constant_model(topo, {(topo.joint_index("belly"), wrist): (4.0, 5.0)})
+        model = self.constant_model(topo, {(topo.joint_names.index("belly"), wrist): (4.0, 5.0)})
         vis = np.ones((1, topo.n), dtype=np.uint8)
         for nm in ("r_shoulder", "r_elbow", "r_wrist"):
-            vis[0, topo.joint_index(nm)] = 0
+            vis[0, topo.joint_names.index(nm)] = 0
         pose = NormalizedPoseSequence(
             video="v", coords=np.zeros((1, topo.n, 2)), visibility=vis
         )
@@ -551,7 +550,8 @@ def test_accepted_ids_round_trip_through_csvs(videos):
             continue
         accepted.append(video)
     assume(accepted)
-    scores = StreamScores("pose", {v: np.array([0.25, 0.75]) for v in accepted})
+    videos = tuple(sorted(set(accepted)))
+    scores = StreamScores("pose", videos, np.tile([0.25, 0.75], (len(videos), 1)))
     labels = {v: i for i, v in enumerate(accepted)}
     with tempfile.TemporaryDirectory() as tmp:
         write_scores(Path(tmp) / "s.csv", scores, meta={"seed": 0})

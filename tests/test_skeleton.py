@@ -56,7 +56,6 @@ class TestBuildTopology:
     def test_estimated_14_has_no_belly(self):
         topo = build_topology("estimated_14")
         assert topo.n == 14
-        assert topo.belly is None
         assert "belly" not in topo.joint_names
 
     def test_tour_lengths_match_tensor_widths(self):

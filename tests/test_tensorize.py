@@ -90,9 +90,9 @@ class TestPlanSnippets:
 
     def test_plan_validates_frames(self):
         with pytest.raises(ValueError, match="non-decreasing"):
-            SnippetPlan(frames=(3, 1), mode="center", seed=0, num_frames=5)
+            SnippetPlan(frames=(3, 1), num_frames=5)
         with pytest.raises(ValueError, match="outside"):
-            SnippetPlan(frames=(0, 9), mode="center", seed=0, num_frames=5)
+            SnippetPlan(frames=(0, 9), num_frames=5)
 
 
 class TestBuildPoseTensor:
@@ -172,16 +172,6 @@ class TestBuildPoseTensor:
         pose = filled_pose(np.zeros((4, 2, 2)))
         with pytest.raises(ValueError, match="plan covers"):
             build_pose_tensor(pose, path, plan_snippets(5, k=2, mode="center"))
-
-    def test_divide_by_gap(self):
-        path = self.path_for(2)
-        coords = np.zeros((9, 2, 2))
-        coords[:, 0, 0] = np.arange(9.0) * 4.0
-        pose = filled_pose(coords)
-        plan = SnippetPlan(frames=(0, 2, 8), mode="center", seed=0, num_frames=9)
-        tensor = build_pose_tensor(pose, path, plan, divide_by_gap=True)
-        # Position steps are 8 over gap 2 and 24 over gap 6.
-        np.testing.assert_allclose(tensor.data[:, 0, 1], [0.0, 4.0, 4.0])
 
     def test_consistent_relabeling_keeps_tensor(self):
         # Moving joint data to new indices while renaming the topology the
