@@ -89,14 +89,26 @@ def cmd_synth(spec: synth.SyntheticSpec, out: str | Path) -> dict:
 # preprocess
 # ---------------------------------------------------------------------------
 
-def _fill_counts(sequences: Sequence[PoseSequence]) -> dict[str, int]:
-    flags = np.concatenate([seq.visibility.ravel() for seq in sequences])
-    return {
-        "observed": int((flags == VIS_OBSERVED).sum()),
-        "temporal": int((flags == VIS_TEMPORAL).sum()),
-        "spatial": int((flags == VIS_SPATIAL).sum()),
-        "synthetic": int((flags == VIS_SYNTHETIC).sum()),
+_FILL_KINDS = {
+    "observed": VIS_OBSERVED,
+    "temporal": VIS_TEMPORAL,
+    "spatial": VIS_SPATIAL,
+    "synthetic": VIS_SYNTHETIC,
+}
+
+
+def _fill_counts(
+    sequences: Sequence[PoseSequence], topology: SkeletonTopology
+) -> tuple[dict[str, int], dict[str, dict[str, int]]]:
+    """Provenance counts over the corpus: in total, and per joint name."""
+    flags = np.concatenate([seq.visibility for seq in sequences])
+    per_joint = {kind: (flags == code).sum(axis=0) for kind, code in _FILL_KINDS.items()}
+    totals = {kind: int(counts.sum()) for kind, counts in per_joint.items()}
+    by_name = {
+        name: {kind: int(counts[j]) for kind, counts in per_joint.items()}
+        for j, name in enumerate(topology.joint_names)
     }
+    return totals, by_name
 
 
 def cmd_preprocess(cfg: PipelineConfig) -> dict:
@@ -104,6 +116,15 @@ def cmd_preprocess(cfg: PipelineConfig) -> dict:
     cfg.require("annotations", "cache")
     topology = _load_topology(cfg)
     run_meta = {"config_hash": cfg.hash(), "seed": cfg.seed}
+    model = None
+    if cfg.interpolate and cfg.spatial_model:
+        model = preprocess.SpatialModel.load(cfg.spatial_model)
+        if model.topology_name != topology.name:
+            raise CliError(f"spatial model '{cfg.spatial_model}' was fit on "
+                           f"'{model.topology_name}', not '{topology.name}'")
+        if model.trained.shape[0] != topology.n:
+            raise CliError(f"spatial model '{cfg.spatial_model}' has {model.trained.shape[0]} "
+                           f"joints, topology '{topology.name}' has {topology.n}")
 
     poses: list[PoseSequence] = []
     rejected: list[dict] = []
@@ -129,14 +150,7 @@ def cmd_preprocess(cfg: PipelineConfig) -> dict:
     normalized = [preprocess.normalize(p, topology) for p in poses]
 
     if cfg.interpolate:
-        if cfg.spatial_model:
-            model = preprocess.SpatialModel.load(cfg.spatial_model)
-            if model.topology_name != topology.name:
-                raise CliError(
-                    f"spatial model '{cfg.spatial_model}' was fit on '{model.topology_name}', "
-                    f"not '{topology.name}'"
-                )
-        else:
+        if model is None:
             model = preprocess.fit_spatial_model(normalized, topology, degree=cfg.poly_degree)
         if cfg.save_spatial_model:
             _atomic_write(cfg.save_spatial_model, model.save)
@@ -146,13 +160,15 @@ def cmd_preprocess(cfg: PipelineConfig) -> dict:
     corpus = tensorize.FilledCorpus(euler_tour(topology), cfg.seed, cfg.hash(), filled)
     _atomic_write(cfg.cache, lambda p: tensorize.write_corpus(p, corpus))
 
+    fills, fills_per_joint = _fill_counts(filled, topology)
     report = {
         **run_meta,
         "videos": len(poses),
         "rejected": rejected,
         "frames": int(sum(p.num_frames for p in poses)),
         "unusable_frames": int(sum((~seq.frame_usable).sum() for seq in normalized)),
-        "fills": _fill_counts(filled),
+        "fills": fills,
+        "fills_per_joint": fills_per_joint,
         "cache": str(cfg.cache),
     }
     if cfg.report:

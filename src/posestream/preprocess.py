@@ -26,7 +26,10 @@ metadata and skipped by the reader.
 
 from __future__ import annotations
 
+import functools
 import json
+import math
+import zipfile
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -102,14 +105,6 @@ class NormalizedPoseSequence(PoseSequence):
             raise ValueError("frame_usable must have one entry per frame")
 
 
-def _anchor_point(coords: np.ndarray, vis: np.ndarray, group: tuple[int, ...]) -> np.ndarray | None:
-    """Mean position of an anchor group, or None if any member is missing."""
-    idx = list(group)
-    if np.any(vis[idx] == 0):
-        return None
-    return coords[idx].mean(axis=0)
-
-
 def normalize(
     pose: PoseSequence, topology: SkeletonTopology, eps: float = 1e-8
 ) -> NormalizedPoseSequence:
@@ -129,21 +124,25 @@ def normalize(
         )
     coords = pose.coords.copy()
     vis = pose.visibility.copy()
-    usable = np.ones(pose.num_frames, dtype=bool)
-    group_a, group_b = topology.torso_anchors
-    for t in range(pose.num_frames):
-        a = _anchor_point(coords[t], vis[t], group_a)
-        b = _anchor_point(coords[t], vis[t], group_b)
-        if a is None or b is None:
-            usable[t] = False
-            continue
-        d = float(np.hypot(*(a - b)))
-        if d <= eps:
-            usable[t] = False
-            continue
-        center = (a + b) / (2.0 * d)
-        filled = vis[t] > 0
-        coords[t, filled] = coords[t, filled] / d - center
+    filled = vis > 0
+    group_a, group_b = (list(group) for group in topology.torso_anchors)
+    # Anchor means only over frames whose anchors are all present: the
+    # coordinates of missing joints are arbitrary and never enter arithmetic.
+    anchored = np.flatnonzero(filled[:, group_a].all(axis=1) & filled[:, group_b].all(axis=1))
+    a = coords[anchored[:, None], group_a].mean(axis=1)
+    b = coords[anchored[:, None], group_b].mean(axis=1)
+    d = np.hypot(*(a - b).T)
+    keep = ~(d <= eps)
+    frames = anchored[keep]
+    usable = np.zeros(pose.num_frames, dtype=bool)
+    usable[frames] = True
+    scale = np.ones(pose.num_frames)
+    scale[frames] = d[keep]
+    shift = np.zeros((pose.num_frames, 2))
+    shift[frames] = (a + b)[keep] / (2.0 * d[keep, None])
+    moved = filled & usable[:, None]
+    t = np.nonzero(moved)[0]
+    coords[moved] = coords[moved] / scale[t, None] - shift[t]
     coords[~usable] = 0.0
     vis[~usable] = VIS_MISSING
     return NormalizedPoseSequence(
@@ -166,17 +165,18 @@ def temporal_interpolate(pose: PoseSequence, max_gap: int = 10) -> PoseSequence:
     """
     coords = pose.coords.copy()
     vis = pose.visibility.copy()
-    for j in range(pose.num_joints):
-        anchors = np.flatnonzero(vis[:, j] > 0)
-        for t0, t1 in zip(anchors[:-1], anchors[1:]):
-            gap = t1 - t0 - 1
-            if gap == 0 or gap > max_gap:
-                continue
-            steps = np.arange(1, gap + 1, dtype=np.float64) / (t1 - t0)
-            coords[t0 + 1:t1, j] = (
-                coords[t0, j] * (1.0 - steps)[:, None] + coords[t1, j] * steps[:, None]
-            )
-            vis[t0 + 1:t1, j] = VIS_TEMPORAL
+    num_frames = pose.num_frames
+    filled = vis > 0
+    frame = np.arange(num_frames)[:, None]
+    # Nearest filled frame at or before / at or after every (frame, joint).
+    before = np.maximum.accumulate(np.where(filled, frame, -1), axis=0)
+    after = np.minimum.accumulate(np.where(filled, frame, num_frames)[::-1], axis=0)[::-1]
+    gap = ~filled & (before >= 0) & (after < num_frames) & (after - before - 1 <= max_gap)
+    t, j = np.nonzero(gap)
+    t0, t1 = before[t, j], after[t, j]
+    steps = (t - t0).astype(np.float64) / (t1 - t0)
+    coords[t, j] = coords[t0, j] * (1.0 - steps)[:, None] + coords[t1, j] * steps[:, None]
+    vis[t, j] = VIS_TEMPORAL
     return replace(pose, coords=coords, visibility=vis)
 
 
@@ -197,6 +197,9 @@ def _feature_count(degree: int) -> int:
     return 3 if degree == 1 else 6
 
 
+_MODEL_FIELDS = ("topology_name", "degree", "coeffs", "trained", "counts")
+
+
 @dataclass
 class SpatialModel:
     """Pairwise joint-position predictors used for missing-joint voting.
@@ -213,9 +216,15 @@ class SpatialModel:
     trained: np.ndarray  # (n, n) bool
     counts: np.ndarray   # (n, n) int64
 
-    def predict(self, source: int, target: int, xy: np.ndarray) -> np.ndarray:
-        feats = _poly_features(np.asarray(xy, dtype=np.float64)[None, :], self.degree)
-        return feats[0] @ self.coeffs[source, target]
+    def predict(self, source, target, xy) -> np.ndarray:
+        """Predicted positions of joints target from positions xy of joints source.
+
+        xy is (..., 2) and so is the result. source and target are joint
+        indices, or index arrays with one entry per row of xy.
+        """
+        xy = np.asarray(xy, dtype=np.float64)
+        feats = _poly_features(xy.reshape(-1, 2), self.degree)
+        return np.matmul(feats[:, None, :], self.coeffs[source, target])[:, 0].reshape(xy.shape)
 
     def save(self, path: str | Path) -> None:
         # Write through a handle so numpy cannot append a .npz suffix.
@@ -231,14 +240,50 @@ class SpatialModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "SpatialModel":
-        with np.load(path, allow_pickle=False) as data:
-            return cls(
-                topology_name=str(data["topology_name"]),
-                degree=int(data["degree"]),
-                coeffs=data["coeffs"],
-                trained=data["trained"],
-                counts=data["counts"],
-            )
+        """Read a model written by save; ValueError naming the file and the field
+        for anything that is not a complete, self-consistent model."""
+        fields: dict[str, np.ndarray] = {}
+        # Through a handle: np.load leaks the file it opened when the zip is bad.
+        with open(path, "rb") as handle:
+            try:
+                archive = np.load(handle, allow_pickle=False)
+            except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+                raise ValueError(f"{path}: not a spatial model .npz file ({exc})") from None
+            if not isinstance(archive, np.lib.npyio.NpzFile):
+                raise ValueError(f"{path}: not a spatial model .npz file (a single .npy array)")
+            with archive:
+                for name in _MODEL_FIELDS:
+                    if name not in archive.files:
+                        raise ValueError(f"{path}: spatial model field '{name}' is missing")
+                    try:
+                        fields[name] = archive[name]
+                    except (ValueError, EOFError, OSError, zipfile.BadZipFile) as exc:
+                        raise ValueError(
+                            f"{path}: spatial model field '{name}' is unreadable ({exc})"
+                        ) from None
+
+        def bad(name: str, rule: str) -> ValueError:
+            array = fields[name]
+            return ValueError(f"{path}: spatial model field '{name}' must be {rule}, "
+                              f"got {array.dtype} array of shape {array.shape}")
+
+        name, degree, coeffs, trained, counts = (fields[k] for k in _MODEL_FIELDS)
+        if name.shape != () or name.dtype.kind != "U":
+            raise bad("topology_name", "a string")
+        if degree.shape != () or degree.dtype.kind not in "iu" or int(degree) not in (1, 2):
+            raise bad("degree", "the integer 1 or 2")
+        n_feat = _feature_count(int(degree))
+        n = coeffs.shape[0] if coeffs.ndim else 0
+        if coeffs.dtype.kind != "f" or coeffs.shape != (n, n, n_feat, 2):
+            raise bad("coeffs", f"a float (n, n, {n_feat}, 2) array for degree {int(degree)}")
+        if not np.isfinite(coeffs).all():
+            raise ValueError(f"{path}: spatial model field 'coeffs' has non-finite entries")
+        if trained.dtype != bool or trained.shape != (n, n):
+            raise bad("trained", f"a bool ({n}, {n}) array")
+        if counts.dtype.kind not in "iu" or counts.shape != (n, n):
+            raise bad("counts", f"an integer ({n}, {n}) array")
+        return cls(topology_name=str(name), degree=int(degree),
+                   coeffs=coeffs.astype(np.float64), trained=trained, counts=counts)
 
 
 def fit_spatial_model(
@@ -266,8 +311,9 @@ def fit_spatial_model(
                 f"corpus video '{seq.video}' has {seq.num_joints} joints, expected {topology.n}"
             )
 
-    coords = np.concatenate([s.coords for s in sequences], axis=0)
-    filled = np.concatenate([s.visibility for s in sequences], axis=0) > 0
+    # Joint-major (n, frames, ...) layout: every pair reads two contiguous rows.
+    coords = np.concatenate([s.coords for s in sequences]).transpose(1, 0, 2).copy()
+    filled = (np.concatenate([s.visibility for s in sequences]) > 0).T.copy()
 
     n = topology.n
     n_feat = _feature_count(degree)
@@ -276,20 +322,18 @@ def fit_spatial_model(
     counts = np.zeros((n, n), dtype=np.int64)
 
     for s in range(n):
+        features = _poly_features(coords[s], degree)
         for t in range(n):
             if s == t:
                 continue
-            both = filled[:, s] & filled[:, t]
-            m = int(both.sum())
-            counts[s, t] = m
-            if m < max(min_samples, 1):
+            rows = np.flatnonzero(filled[s] & filled[t])
+            counts[s, t] = rows.size
+            if rows.size < max(min_samples, 1):
                 continue
-            src = coords[both, s]
-            design = _poly_features(src, degree)
-            target = coords[both, t]
-            solution, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
+            target = coords[t].take(rows, axis=0)
+            solution, _, rank, _ = np.linalg.lstsq(features.take(rows, axis=0), target, rcond=None)
             if rank < n_feat:
-                offset = (target - src).mean(axis=0)
+                offset = (target - coords[s].take(rows, axis=0)).mean(axis=0)
                 solution = np.zeros((n_feat, 2))
                 solution[0] = offset
                 solution[1, 0] = 1.0
@@ -301,12 +345,24 @@ def fit_spatial_model(
     )
 
 
+@functools.lru_cache(maxsize=8)
+def _voter_groups(topology: SkeletonTopology) -> tuple[np.ndarray, np.ndarray]:
+    """(n, n) masks [missing joint, voter]: same limb part, and torso voter for
+    an upper-body joint."""
+    parts = np.array(topology.parts)
+    upper = np.isin(np.arange(topology.n), list(upper_body_joints(topology)))
+    masks = (parts[:, None] == parts) & (parts[:, None] <= 4), upper[:, None] & (parts == 5)
+    for mask in masks:
+        mask.flags.writeable = False  # shared by every caller through the cache
+    return masks
+
+
 def spatial_interpolate(
     pose: NormalizedPoseSequence,
     model: SpatialModel,
     topology: SkeletonTopology,
 ) -> NormalizedPoseSequence:
-    """Fill still-missing joints from same-frame neighbors, frame by frame.
+    """Fill still-missing joints from same-frame neighbors.
 
     Voter selection per missing joint: filled joints of the same body part
     when that part is one of the four limbs; if none, filled torso-group
@@ -322,33 +378,38 @@ def spatial_interpolate(
         raise ValueError(
             f"spatial model was fit on '{model.topology_name}', not '{topology.name}'"
         )
-    if pose.num_joints != topology.n:
-        raise ValueError(f"pose has {pose.num_joints} joints, topology expects {topology.n}")
+    n = topology.n
+    if pose.num_joints != n:
+        raise ValueError(f"pose has {pose.num_joints} joints, topology expects {n}")
+    if model.trained.shape != (n, n):
+        raise ValueError(f"spatial model has {model.trained.shape[0]} joints, topology expects {n}")
 
     coords = pose.coords.copy()
     vis = pose.visibility.copy()
-    upper = upper_body_joints(topology)
-    parts = topology.parts
+    same_limb, torso = _voter_groups(topology)
 
-    for t in range(pose.num_frames):
-        before = vis[t].copy()
-        for j in np.flatnonzero(before == 0):
-            voters: list[int] = []
-            if parts[j] in (1, 2, 3, 4):
-                voters = [v for v in np.flatnonzero(before > 0) if parts[v] == parts[j]]
-            if not voters and j in upper:
-                voters = [v for v in np.flatnonzero(before > 0) if parts[v] == 5]
-            if not voters:
-                voters = list(np.flatnonzero(before > 0))
-            votes = [
-                model.predict(v, j, coords[t, v]) for v in voters if model.trained[v, j]
-            ]
-            if votes:
-                coords[t, j] = np.mean(votes, axis=0)
-                vis[t, j] = VIS_SPATIAL
-            else:
-                coords[t, j] = 0.0
-                vis[t, j] = VIS_SYNTHETIC
+    # One row per missing (frame, joint), in frame-major order.
+    filled = vis > 0
+    t, j = np.nonzero(~filled)
+    seen = filled[t]
+    limb_voters = seen & same_limb[j]
+    torso_voters = seen & torso[j]
+    voters = np.where(limb_voters.any(axis=1, keepdims=True), limb_voters,
+                      np.where(torso_voters.any(axis=1, keepdims=True), torso_voters, seen))
+    votes = voters & model.trained.T[j]
+    row, voter = np.nonzero(votes)
+    predictions = model.predict(voter, j[row], coords[t[row], voter])
+    count = votes.sum(axis=1)
+    first = np.cumsum(count) - count
+
+    coords[t, j] = 0.0
+    vis[t, j] = VIS_SYNTHETIC
+    # Rows with k votes at once, as a (rows, k, 2) mean: that reduces each
+    # row's votes in the same order as a mean over that row's vote list.
+    for k in np.flatnonzero(np.bincount(count)[1:]) + 1:
+        rows = np.flatnonzero(count == k)
+        coords[t[rows], j[rows]] = predictions[first[rows, None] + np.arange(k)].mean(axis=1)
+        vis[t[rows], j[rows]] = VIS_SPATIAL
     return replace(pose, coords=coords, visibility=vis)
 
 
@@ -385,6 +446,45 @@ def pose_to_record(pose: PoseSequence) -> dict:
     return record
 
 
+def _parse_frames(frames: list, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(T, n, 2) float64 coordinates and (T, n) visibility of a ``frames`` list.
+
+    A well-formed list passes with one ``np.array`` call and array checks.
+    Any other list is walked triple by triple in row-major order, and the
+    first defect raises AnnotationError naming its frame and joint.
+    """
+    try:
+        table = np.array(frames)
+    except (ValueError, TypeError, OverflowError):
+        table = None
+    if table is not None and table.shape == (len(frames), n, 3) and table.dtype.kind in "biuf":
+        coords, vis = table[..., :2].astype(np.float64), table[..., 2]
+        if ((vis == 0) | (vis == 1)).all() and np.isfinite(coords[vis == 1]).all():
+            return coords, vis.astype(np.uint8)
+    for t, frame in enumerate(frames):
+        if not isinstance(frame, list) or len(frame) != n:
+            raise AnnotationError(f"frame {t} does not have exactly {n} joint entries")
+        for j, entry in enumerate(frame):
+            if not isinstance(entry, list) or len(entry) != 3:
+                raise AnnotationError(f"frame {t} joint {j} is not an [x, y, vis] triple")
+            x, y, v = entry
+            if not all(isinstance(f, (int, float)) for f in (x, y, v)):
+                raise AnnotationError(f"frame {t} joint {j} has non-numeric entries")
+            if v not in (0, 1):
+                raise AnnotationError(f"frame {t} joint {j} visibility must be 0 or 1, got {v!r}")
+            try:
+                x, y = float(x), float(y)
+            except OverflowError:
+                raise AnnotationError(
+                    f"frame {t} joint {j} has an integer coordinate outside the float64 range"
+                ) from None
+            if v and not (math.isfinite(x) and math.isfinite(y)):
+                raise AnnotationError(f"frame {t} joint {j} visible with non-finite coordinates")
+    # No defect: integers too large for int64 (or no joints) kept the fast path away.
+    table = np.array(frames, dtype=np.float64).reshape(len(frames), n, 3)
+    return table[..., :2], table[..., 2].astype(np.uint8)
+
+
 def pose_from_record(record: dict, n_expected: int | None = None) -> PoseSequence:
     """Parse one annotation record; raises AnnotationError on any defect."""
     if not isinstance(record, dict):
@@ -408,23 +508,7 @@ def pose_from_record(record: dict, n_expected: int | None = None) -> PoseSequenc
         raise AnnotationError(f"record has n={n}, expected n={n_expected}")
     if not isinstance(frames, list) or not frames:
         raise AnnotationError("'frames' must be a non-empty list")
-    coords = np.zeros((len(frames), n, 2))
-    vis = np.zeros((len(frames), n), dtype=np.uint8)
-    for t, frame in enumerate(frames):
-        if not isinstance(frame, list) or len(frame) != n:
-            raise AnnotationError(f"frame {t} does not have exactly {n} joint entries")
-        for j, entry in enumerate(frame):
-            if not isinstance(entry, list) or len(entry) != 3:
-                raise AnnotationError(f"frame {t} joint {j} is not an [x, y, vis] triple")
-            x, y, v = entry
-            if not all(isinstance(f, (int, float)) for f in (x, y, v)):
-                raise AnnotationError(f"frame {t} joint {j} has non-numeric entries")
-            if v not in (0, 1):
-                raise AnnotationError(f"frame {t} joint {j} visibility must be 0 or 1, got {v!r}")
-            if v and not (np.isfinite(x) and np.isfinite(y)):
-                raise AnnotationError(f"frame {t} joint {j} visible with non-finite coordinates")
-            coords[t, j] = (x, y)
-            vis[t, j] = v
+    coords, vis = _parse_frames(frames, n)
     label = record.get("label")
     if label is not None and (type(label) is not int or not 0 <= label < 2**31):
         raise AnnotationError(f"'label' must be an integer in [0, 2**31), got {label!r}")

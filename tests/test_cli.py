@@ -1,13 +1,20 @@
 """CLI command tests: composition, validation, determinism, error JSON."""
 
 import json
+import shutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posestream.cli import _atomic_write, main
 from posestream.convnet import init_net, load_checkpoint, NetSpec
 from posestream.fusion import read_scores
+from posestream.preprocess import SpatialModel
+from posestream.skeleton import build_topology
 from posestream.tensorize import read_corpus
 
 FAST = [
@@ -173,6 +180,66 @@ class TestPreprocess:
         assert out["fills"]["temporal"] == 0
         assert out["fills"]["spatial"] == 0
         assert out["fills"]["synthetic"] == 0
+
+
+    def test_fills_per_joint(self, tmp_path, capsys):
+        ann = tmp_path / "ann.jsonl"
+        assert main(["synth", "--out", str(ann), "--videos-per-class", "2", "--frames", "12",
+                     "--dropout", "0.3", "--seed", "4"]) == 0
+        code, out, _ = run(capsys, "preprocess", "--annotations", str(ann),
+                           "--cache", str(tmp_path / "c.cache"))
+        assert code == 0
+        per_joint = out["fills_per_joint"]
+        assert sorted(per_joint) == sorted(build_topology("jhmdb_gt").joint_names)
+        for kind, total in out["fills"].items():
+            assert sum(counts[kind] for counts in per_joint.values()) == total
+        assert all(sum(counts.values()) == out["frames"] for counts in per_joint.values())
+        assert out["fills"]["temporal"] > 0 and out["fills"]["spatial"] > 0
+
+    def test_out_of_range_integer_rejects_only_its_line(self, tmp_path, capsys):
+        def line(video, value, vis):
+            joints = [[1.0, float(j), 1] for j in range(15)]
+            joints[3] = [value, 2.0, vis]
+            return json.dumps({"video": video, "label": 0, "n": 15, "frames": [joints] * 3})
+
+        ann = tmp_path / "ann.jsonl"
+        ann.write_text("\n".join([line("a", 10**30, 1), line("b", 10**400, 0),
+                                   line("c", -(10**400), 1)]) + "\n")
+        code, out, _ = run(capsys, "preprocess", "--annotations", str(ann),
+                           "--cache", str(tmp_path / "c.cache"))
+        assert code == 0
+        assert out["videos"] == 1
+        error = "frame 0 joint 3 has an integer coordinate outside the float64 range"
+        assert out["rejected"] == [{"line": 2, "error": error}, {"line": 3, "error": error}]
+        assert read_corpus(tmp_path / "c.cache").poses[0].video == "a"
+
+    @pytest.mark.parametrize("defect", ["truncated", "five joints", "penn"])
+    def test_bad_spatial_model_fails_before_any_write(self, defect, tmp_path, capsys):
+        ann = tmp_path / "ann.jsonl"
+        assert main(["synth", "--out", str(ann), "--videos-per-class", "1", "--frames", "6"]) == 0
+        model = tmp_path / "model.npz"
+        _bad_model(model, defect)
+        out = tmp_path / "out"
+        code, _, err = run(
+            capsys, "preprocess", "--annotations", str(ann), "--cache", str(out / "c.cache"),
+            "--report", str(out / "r.json"), "--spatial-model", str(model),
+            "--save-spatial-model", str(out / "m.npz"),
+        )
+        assert code == 1
+        assert str(model) in err["message"]
+        assert not out.exists()
+
+
+def _bad_model(path, defect):
+    if defect == "penn":
+        model = SpatialModel("penn", 1, np.zeros((13, 13, 3, 2)), np.zeros((13, 13), bool),
+                             np.zeros((13, 13), np.int64))
+    else:
+        model = SpatialModel("jhmdb_gt", 1, np.zeros((5, 5, 3, 2)), np.zeros((5, 5), bool),
+                             np.zeros((5, 5), np.int64))
+    model.save(path)
+    if defect == "truncated":
+        path.write_bytes(path.read_bytes()[:200])
 
 
 class TestTrain:
@@ -435,6 +502,65 @@ class TestDeterminism:
             outputs.append((d / "s.csv").read_bytes())
         capsys.readouterr()
         assert outputs[0] == outputs[1]
+
+
+@pytest.fixture(scope="module")
+def rerun_inputs(tmp_path_factory):
+    """A small dropout corpus, the same corpus with a repeated id, and bad models."""
+    root = tmp_path_factory.mktemp("rerun")
+    ann = root / "ann.jsonl"
+    assert main(["synth", "--out", str(ann), "--videos-per-class", "2", "--frames", "10",
+                 "--dropout", "0.2", "--seed", "5"]) == 0
+    lines = ann.read_text().splitlines()
+    (root / "dup.jsonl").write_text("\n".join(lines + [lines[1]]) + "\n")
+    (root / "junk.jsonl").write_text("not json\n")
+    for defect in ("truncated", "five joints", "penn"):
+        _bad_model(root / f"{defect}.npz", defect)
+    return root
+
+
+_FAILED_RUNS = {
+    "duplicate id": ("dup.jsonl", ()),
+    "no valid records": ("junk.jsonl", ()),
+    "truncated model": ("ann.jsonl", ("--spatial-model", "truncated.npz")),
+    "five-joint model": ("ann.jsonl", ("--spatial-model", "five joints.npz")),
+    "penn model": ("ann.jsonl", ("--spatial-model", "penn.npz")),
+}
+
+
+def _snapshot(directory):
+    return {p.name: p.read_bytes() for p in directory.iterdir()} if directory.exists() else None
+
+
+class TestRerunAfterFailure:
+    @settings(max_examples=15, deadline=None)
+    @given(failure=st.sampled_from(sorted(_FAILED_RUNS)), kept=st.booleans(),
+           seed=st.integers(0, 3))
+    def test_rerun_after_failed_run_is_byte_identical(self, rerun_inputs, failure, kept, seed):
+        """A failed preprocess leaves the output directory as it was (the outputs of
+        an earlier run, or nothing), and the rerun writes the clean run's bytes."""
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out"
+
+            def preprocess(annotations, *extra):
+                return main([
+                    "preprocess", "--annotations", str(rerun_inputs / annotations),
+                    "--cache", str(out / "c.cache"), "--report", str(out / "r.json"),
+                    "--save-spatial-model", str(out / "m.npz"), "--seed", str(seed),
+                    *(str(rerun_inputs / a) if a.endswith(".npz") else a for a in extra),
+                ])
+
+            assert preprocess("ann.jsonl") == 0
+            clean = _snapshot(out)
+            assert sorted(clean) == ["c.cache", "m.npz", "r.json"]
+            if not kept:
+                shutil.rmtree(out)
+            before = _snapshot(out)
+            annotations, extra = _FAILED_RUNS[failure]
+            assert preprocess(annotations, *extra) == 1
+            assert _snapshot(out) == before
+            assert preprocess("ann.jsonl") == 0
+            assert _snapshot(out) == clean
 
 
 class TestAtomicWrite:

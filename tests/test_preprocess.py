@@ -1,6 +1,8 @@
 """Normalization, interpolation, and annotation I/O tests."""
 
+import copy
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,12 +10,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import preprocess_reference as reference
 from posestream.fusion import StreamScores, read_labels, read_scores, write_labels, write_scores
 
 from posestream.preprocess import (
     AnnotationError,
     NormalizedPoseSequence,
     PoseSequence,
+    SpatialModel,
     VIS_MISSING,
     VIS_SPATIAL,
     VIS_SYNTHETIC,
@@ -289,6 +293,69 @@ class TestSpatialModel:
         np.testing.assert_array_equal(loaded.coeffs, model.coeffs)
         np.testing.assert_array_equal(loaded.trained, model.trained)
 
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_predict_is_array_valued(self, degree):
+        model = fit_spatial_model([affine_corpus(JHMDB)], JHMDB, degree=degree)
+        rng = np.random.default_rng(degree)
+        sources, targets = rng.integers(0, JHMDB.n, size=(2, 40))
+        xy = rng.normal(size=(40, 2))
+        rows = model.predict(sources, targets, xy)
+        assert rows.shape == (40, 2)
+        for s, t, p, row in zip(sources, targets, xy, rows):
+            np.testing.assert_array_equal(row, reference.predict(model, s, t, p))
+            np.testing.assert_array_equal(row, model.predict(s, t, p))
+
+
+def _write_npz(path, **changes):
+    """A valid degree-1 model file with some fields replaced; None drops a field."""
+    model = fit_spatial_model([affine_corpus(JHMDB)], JHMDB, degree=1)
+    fields = dict(topology_name=np.array(model.topology_name), degree=np.array(1),
+                  coeffs=model.coeffs, trained=model.trained, counts=model.counts)
+    fields.update(changes)
+    with open(path, "wb") as handle:
+        np.savez(handle, **{k: v for k, v in fields.items() if v is not None})
+
+
+def _bare_npy(path):
+    with open(path, "wb") as handle:
+        np.save(handle, np.zeros(3))
+
+
+def _truncated(path):
+    _write_npz(path)
+    path.write_bytes(path.read_bytes()[:300])
+
+
+MODEL_DEFECTS = {
+    "truncated zip": (_truncated, "not a spatial model .npz"),
+    "not a zip": (lambda p: p.write_bytes(b"hello, not a model\n"), "not a spatial model .npz"),
+    "a bare .npy": (_bare_npy, "not a spatial model .npz"),
+    "missing key": (lambda p: _write_npz(p, counts=None), "field 'counts' is missing"),
+    "degree 3": (lambda p: _write_npz(p, degree=np.array(3)), "field 'degree'"),
+    "float degree": (lambda p: _write_npz(p, degree=np.array(1.0)), "field 'degree'"),
+    "name not a string": (lambda p: _write_npz(p, topology_name=np.array(7)), "field 'topology_name'"),
+    "5x5 coeffs": (lambda p: _write_npz(p, coeffs=np.zeros((5, 5, 3, 2))), "field 'trained'"),
+    "degree-2 coeffs": (lambda p: _write_npz(p, coeffs=np.zeros((15, 15, 6, 2))), "field 'coeffs'"),
+    "non-finite coeffs": (
+        lambda p: _write_npz(p, coeffs=np.full((15, 15, 3, 2), np.nan)), "field 'coeffs'"),
+    "int trained": (
+        lambda p: _write_npz(p, trained=np.ones((15, 15), dtype=np.int64)), "field 'trained'"),
+    "short counts": (
+        lambda p: _write_npz(p, counts=np.zeros((15, 14), dtype=np.int64)), "field 'counts'"),
+    "float counts": (lambda p: _write_npz(p, counts=np.zeros((15, 15))), "field 'counts'"),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(MODEL_DEFECTS))
+def test_spatial_model_load_names_file_and_field(defect, tmp_path):
+    make, message = MODEL_DEFECTS[defect]
+    path = tmp_path / "model.npz"
+    make(path)
+    with pytest.raises(ValueError, match="spatial model") as info:
+        SpatialModel.load(path)
+    assert str(path) in str(info.value)
+    assert message in str(info.value)
+
 
 class TestSpatialInterpolate:
     def test_mean_of_votes(self):
@@ -511,6 +578,22 @@ class TestAnnotationIO:
         with pytest.raises(AnnotationError, match="non-finite"):
             pose_from_record(record)
 
+    def test_integers_convert_as_floats_do(self):
+        # 10**30 is beyond int64; 2**53 + 1 rounds to 2**53 as a float.
+        frames = [[[10**30, 2**53 + 1, 1], [-(10**30), 7, 0]]]
+        pose = pose_from_record({"video": "v", "n": 2, "frames": frames})
+        expected = [[float(10**30), float(2**53 + 1)], [float(-(10**30)), 7.0]]
+        np.testing.assert_array_equal(pose.coords[0], expected)
+        np.testing.assert_array_equal(pose.visibility, [[1, 0]])
+
+    @pytest.mark.parametrize("vis", [0, 1])
+    @pytest.mark.parametrize("value", [10**400, -(10**400)])
+    def test_integer_beyond_float64_range_rejected(self, value, vis):
+        record = {"video": "v", "n": 2, "frames": [[[0, 0, 1], [0, 0, 1]],
+                                                   [[0, 0, 1], [1.5, value, vis]]]}
+        with pytest.raises(AnnotationError, match="frame 1 joint 1 .*float64 range"):
+            pose_from_record(record)
+
     def test_reader_reports_line_numbers(self, tmp_path):
         path = tmp_path / "ann.jsonl"
         path.write_text('{"video": "a", "n": 1, "frames": [[[0, 0, 1]]]}\nnot json\n')
@@ -558,3 +641,130 @@ def test_accepted_ids_round_trip_through_csvs(videos):
         write_labels(Path(tmp) / "l.csv", labels, meta={"seed": 0})
         assert sorted(read_scores(Path(tmp) / "s.csv").scores) == sorted(accepted)
         assert read_labels(Path(tmp) / "l.csv") == labels
+
+
+# ---------------------------------------------------------------------------
+# The array stages against the loop implementations in preprocess_reference
+# ---------------------------------------------------------------------------
+
+PROFILES = [build_topology(name) for name in ("jhmdb_gt", "estimated_14", "penn")]
+
+
+def noisy_pose(topo, rng, frames, dropout, degenerate, max_gap):
+    """A pixel-space pose with every case the stage loops branch on: random
+    dropout, possibly a joint missing in every frame, missing runs at both
+    ends, a gap one frame longer than max_gap, and frames whose torso anchor
+    groups coincide to within 1e-9 (so d <= eps)."""
+    coords = rng.uniform(-50.0, 250.0, size=(frames, topo.n, 2))
+    vis = (rng.random((frames, topo.n)) >= dropout).astype(np.uint8)
+    if rng.random() < 0.5:
+        vis[:, rng.integers(topo.n)] = 0
+    joint = rng.integers(topo.n)
+    head, tail = rng.integers(0, frames // 2 + 1, size=2)
+    vis[:head, joint] = 0
+    vis[frames - tail:, joint] = 0
+    if frames >= max_gap + 3:
+        start = rng.integers(1, frames - max_gap - 1)
+        vis[start:start + max_gap + 1, rng.integers(topo.n)] = 0
+    anchors = [j for group in topo.torso_anchors for j in group]
+    for t in np.flatnonzero(rng.random(frames) < degenerate):
+        coords[t, anchors] = coords[t, anchors[0]] + rng.uniform(-1e-9, 1e-9, (len(anchors), 2))
+    return PoseSequence(video="v", coords=coords, visibility=vis, label=0)
+
+
+def assert_same_pose(new, old):
+    assert new.coords.tobytes() == old.coords.tobytes()
+    np.testing.assert_array_equal(new.visibility, old.visibility)
+    if isinstance(old, NormalizedPoseSequence):
+        np.testing.assert_array_equal(new.frame_usable, old.frame_usable)
+
+
+pose_knobs = dict(
+    seed=st.integers(0, 2**32 - 1),
+    topo=st.sampled_from(PROFILES),
+    frames=st.integers(1, 16),
+    dropout=st.floats(0.0, 0.8),
+    degenerate=st.sampled_from([0.0, 0.3]),
+    max_gap=st.integers(0, 5),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(**pose_knobs)
+def test_temporal_and_normalize_match_loops(seed, topo, frames, dropout, degenerate, max_gap):
+    pose = noisy_pose(topo, np.random.default_rng(seed), frames, dropout, degenerate, max_gap)
+    filled = temporal_interpolate(pose, max_gap=max_gap)
+    assert_same_pose(filled, reference.temporal_interpolate(pose, max_gap=max_gap))
+    for source in (pose, filled):
+        assert_same_pose(normalize(source, topo), reference.normalize(source, topo))
+
+
+@settings(max_examples=60, deadline=None)
+@given(**pose_knobs, videos=st.integers(1, 3), degree=st.sampled_from([1, 2]),
+       min_samples=st.sampled_from([1, 4, 12]), abstain=st.sampled_from([0.0, 0.5]))
+def test_fit_and_fill_match_loops(seed, topo, frames, dropout, degenerate, max_gap, videos,
+                                  degree, min_samples, abstain):
+    # Small corpora make rank-deficient designs and untrained pairs common.
+    rng = np.random.default_rng(seed)
+    corpus = [
+        normalize(noisy_pose(topo, rng, frames, dropout, degenerate, max_gap), topo)
+        for _ in range(videos)
+    ]
+    model = fit_spatial_model(corpus, topo, degree=degree, min_samples=min_samples)
+    loop_model = reference.fit_spatial_model(corpus, topo, degree=degree, min_samples=min_samples)
+    assert model.coeffs.tobytes() == loop_model.coeffs.tobytes()
+    np.testing.assert_array_equal(model.trained, loop_model.trained)
+    np.testing.assert_array_equal(model.counts, loop_model.counts)
+
+    # Knock out pairs at random so that untrained voters abstain.
+    model = replace(model, trained=model.trained & (rng.random(model.trained.shape) >= abstain))
+    for pose in corpus:
+        assert_same_pose(spatial_interpolate(pose, model, topo),
+                         reference.spatial_interpolate(pose, model, topo))
+
+
+_ODD_VALUES = [2, -1, 0.5, 1.0, -0.0, True, False, float("nan"), float("inf"), 2**40,
+               -(2**62), 2**63, "1", None, [1], {}]
+_EDITS = ["value", "drop", "extra", "entry", "frame", "short"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    n=st.integers(1, 3),
+    frames=st.integers(1, 3),
+    edits=st.lists(
+        st.tuples(st.sampled_from(_EDITS), st.integers(0, 2), st.integers(0, 2),
+                  st.integers(0, 2), st.sampled_from(_ODD_VALUES)),
+        max_size=3,
+    ),
+)
+def test_parser_matches_loop_on_malformed_records(n, frames, edits):
+    table = [[[float(10 * t + j), float(j), 1] for j in range(n)] for t in range(frames)]
+    for kind, t, j, k, value in edits:
+        t %= len(table)
+        frame = table[t]
+        if kind == "frame":
+            table[t] = copy.deepcopy(value)
+        elif not isinstance(frame, list) or not frame:
+            continue
+        elif kind == "short":
+            del frame[j % len(frame)]
+        elif kind == "entry":
+            frame[j % len(frame)] = copy.deepcopy(value)
+        elif isinstance(entry := frame[j % len(frame)], list) and entry:
+            if kind == "value":
+                entry[k % len(entry)] = copy.deepcopy(value)
+            elif kind == "drop":
+                del entry[k % len(entry)]
+            else:
+                entry.append(copy.deepcopy(value))
+    record = {"video": "v", "n": n, "label": 1, "frames": table}
+
+    def outcome(parse):
+        try:
+            pose = parse(copy.deepcopy(record))
+        except AnnotationError as exc:
+            return str(exc)
+        return pose.coords.tobytes(), pose.visibility.tobytes(), pose.label
+
+    assert outcome(pose_from_record) == outcome(reference.pose_from_record)
