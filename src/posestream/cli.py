@@ -125,6 +125,9 @@ def cmd_preprocess(cfg: PipelineConfig) -> dict:
         if model.trained.shape[0] != topology.n:
             raise CliError(f"spatial model '{cfg.spatial_model}' has {model.trained.shape[0]} "
                            f"joints, topology '{topology.name}' has {topology.n}")
+        if model.degree != cfg.poly_degree:
+            raise CliError(f"spatial model '{cfg.spatial_model}' has degree {model.degree}, "
+                           f"but --poly-degree is {cfg.poly_degree}")
 
     poses: list[PoseSequence] = []
     rejected: list[dict] = []

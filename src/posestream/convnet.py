@@ -6,6 +6,13 @@ softmax output layer. Channel counts and the hidden width are configuration,
 not contract; the 3x2 filter and the layer order are fixed. All math runs in
 float64 so analytic gradients match central finite differences tightly.
 
+Each conv is one GEMM over an im2col buffer and computes only the output
+positions the pool reads. The pool covers the first (K - 4) // pool * pool
+conv2 rows (and likewise columns), so input rows past that many + 4 never
+reach the output: with the default 2x2 pool the net never sees the last
+snippet when K - 4 is odd (K = 15: row 14 is dead), nor the last tensor
+column when W - 2 is odd.
+
 Checkpoint file (little-endian binary)::
 
     magic b"PCN1" | u32 version | u32 meta length | meta JSON
@@ -41,7 +48,7 @@ CHECKPOINT_VERSION = 1
 
 PROB_FLOOR = 1e-12
 
-# Rows per _forward call in forward(): its im2col buffers grow with the rows
+# Rows per _probs call in forward(): its im2col buffers grow with the rows
 # it is given, so scoring in slices keeps eval memory flat in corpus size.
 FORWARD_SLICE = 64
 
@@ -156,66 +163,90 @@ def init_net(
 # Forward / backward
 # ---------------------------------------------------------------------------
 
-def _conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Valid-padding stride-1 convolution; returns (output, im2col columns)."""
-    windows = sliding_window_view(x, (FILTER_H, FILTER_W), axis=(1, 2))
-    batch, rows, cols = windows.shape[:3]
-    # (B, R, C, Cin, fh, fw) -> columns flattened in (fh, fw, Cin) order to
-    # match w.reshape(-1, Cout).
-    columns = windows.transpose(0, 1, 2, 4, 5, 3).reshape(batch, rows, cols, -1)
-    out = columns @ w.reshape(-1, w.shape[3]) + b
-    return out, columns
+def _conv_extents(net: PoseConvNet) -> tuple[tuple[int, int], tuple[int, int]]:
+    """(rows, cols) each conv computes: only the conv2 outputs the pool reads,
+    and only the conv1 outputs those read."""
+    pooled_rows, pooled_cols = _pooled_shape(net.input_shape, net.arch)
+    rows2, cols2 = pooled_rows * net.arch.pool, pooled_cols * net.arch.pool
+    return (rows2 + FILTER_H - 1, cols2 + FILTER_W - 1), (rows2, cols2)
 
 
-def _conv_backward(
-    grad_out: np.ndarray,
-    columns: np.ndarray,
-    w: np.ndarray,
-    input_shape: tuple[int, ...],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients for a valid conv: (d_input, d_weights, d_bias)."""
-    batch, rows, cols, _ = grad_out.shape
-    c_out = w.shape[3]
-    flat_cols = columns.reshape(-1, columns.shape[3])
-    flat_grad = grad_out.reshape(-1, c_out)
-    d_w = (flat_cols.T @ flat_grad).reshape(w.shape)
-    d_b = flat_grad.sum(axis=0)
-    d_cols = (flat_grad @ w.reshape(-1, c_out).T).reshape(
-        batch, rows, cols, FILTER_H, FILTER_W, input_shape[3]
+def _im2col(x: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """(B·rows·cols, 6·Cin) buffer: row (b, r, c) is the 3x2 window of x[b]
+    at (r, c), flattened in (fh, fw, Cin) order to match w.reshape(-1, Cout)."""
+    windows = sliding_window_view(
+        x[:, : rows + FILTER_H - 1, : cols + FILTER_W - 1], (FILTER_H, FILTER_W), axis=(1, 2)
     )
+    return windows.transpose(0, 1, 2, 4, 5, 3).reshape(-1, FILTER_H * FILTER_W * x.shape[3])
+
+
+def _conv_relu(
+    x: np.ndarray, w: np.ndarray, b: np.ndarray, extent: tuple[int, int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """ReLU of the valid stride-1 conv at the top-left extent of output
+    positions, as one GEMM; returns (im2col columns, activations (B, R, C, Cout))."""
+    columns = _im2col(x, *extent)
+    out = columns @ w.reshape(-1, w.shape[3])
+    out += b
+    np.maximum(out, 0.0, out=out)
+    return columns, out.reshape(x.shape[0], *extent, w.shape[3])
+
+
+def _conv_grads(
+    d_out: np.ndarray, columns: np.ndarray, w: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(d_weights, d_bias) of a conv from its output gradient (B, R, C, Cout)."""
+    flat = d_out.reshape(-1, w.shape[3])
+    return (columns.T @ flat).reshape(w.shape), flat.sum(axis=0)
+
+
+def _conv_input_grad(d_out: np.ndarray, w: np.ndarray, input_shape: tuple[int, ...]) -> np.ndarray:
+    """Gradient of a conv's input (B, R+2, C+1, Cin) from its output gradient
+    (B, R, C, Cout): one contiguous GEMM per filter offset, added at that offset."""
+    batch, rows, cols, c_out = d_out.shape
+    flat = d_out.reshape(-1, c_out)
     d_x = np.zeros(input_shape)
     for i in range(FILTER_H):
         for j in range(FILTER_W):
-            d_x[:, i:i + rows, j:j + cols, :] += d_cols[:, :, :, i, j, :]
-    return d_x, d_w, d_b
+            d_x[:, i:i + rows, j:j + cols, :] += (flat @ w[i, j].T).reshape(batch, rows, cols, -1)
+    return d_x
 
 
-def _pool_forward(x: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Non-overlapping max pool; returns (output, argmax within each window)."""
-    batch, rows, cols, channels = x.shape
-    out_rows, out_cols = rows // size, cols // size
-    trimmed = x[:, : out_rows * size, : out_cols * size, :]
-    windows = trimmed.reshape(batch, out_rows, size, out_cols, size, channels)
-    windows = windows.transpose(0, 1, 3, 2, 4, 5).reshape(
-        batch, out_rows, out_cols, size * size, channels
-    )
-    idx = windows.argmax(axis=3)
-    out = np.take_along_axis(windows, idx[:, :, :, None, :], axis=3)[:, :, :, 0, :]
+def _pool_views(x: np.ndarray, size: int) -> list[np.ndarray]:
+    """The size² strided views of x (B, R·size, C·size, ch), one per window
+    offset in row-major order; view k holds offset k of every window."""
+    return [x[:, i::size, j::size, :] for i in range(size) for j in range(size)]
+
+
+def _pool(x: np.ndarray, size: int) -> np.ndarray:
+    """Non-overlapping max pool of x, whose rows and columns are whole windows."""
+    views = _pool_views(x, size)
+    out = views[0].copy()
+    for view in views[1:]:
+        np.maximum(out, view, out=out)
+    return out
+
+
+def _pool_argmax(x: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Max pool plus the argmax offset within each window; ties go to the
+    lowest offset."""
+    views = _pool_views(x, size)
+    out = views[0].copy()
+    idx = np.zeros(out.shape, dtype=np.intp)
+    for k, view in enumerate(views[1:], start=1):
+        better = view > out
+        np.maximum(out, view, out=out)
+        # idx[better] = k without a data-dependent branch per element (~2x faster).
+        idx += better * (k - idx)
     return out, idx
 
 
-def _pool_backward(
-    grad_out: np.ndarray, idx: np.ndarray, input_shape: tuple[int, ...], size: int
-) -> np.ndarray:
-    batch, rows, cols, channels = input_shape
-    out_rows, out_cols = rows // size, cols // size
-    d_windows = np.zeros((batch, out_rows, out_cols, size * size, channels))
-    np.put_along_axis(d_windows, idx[:, :, :, None, :], grad_out[:, :, :, None, :], axis=3)
-    d_trimmed = d_windows.reshape(batch, out_rows, out_cols, size, size, channels).transpose(
-        0, 1, 3, 2, 4, 5
-    ).reshape(batch, out_rows * size, out_cols * size, channels)
-    d_x = np.zeros(input_shape)
-    d_x[:, : out_rows * size, : out_cols * size, :] = d_trimmed
+def _unpool(d_out: np.ndarray, idx: np.ndarray, size: int) -> np.ndarray:
+    """Route each window's gradient to its argmax offset; zeros elsewhere."""
+    batch, rows, cols, channels = d_out.shape
+    d_x = np.empty((batch, rows * size, cols * size, channels))
+    for k, view in enumerate(_pool_views(d_x, size)):
+        np.multiply(d_out, idx == k, out=view)
     return d_x
 
 
@@ -235,21 +266,33 @@ def _as_batch(x: np.ndarray, input_shape: tuple[int, int, int]) -> tuple[np.ndar
     return x, single
 
 
+def _head(net: PoseConvNet, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(hidden activations, logits) from flattened pool features."""
+    hidden = flat @ net.fc1_w
+    hidden += net.fc1_b
+    np.maximum(hidden, 0.0, out=hidden)
+    return hidden, hidden @ net.out_w + net.out_b
+
+
+def _probs(net: PoseConvNet, x: np.ndarray) -> np.ndarray:
+    """Class probabilities of a batch, keeping nothing for backprop."""
+    extent1, extent2 = _conv_extents(net)
+    a1 = _conv_relu(x, net.conv1_w, net.conv1_b, extent1)[1]
+    a2 = _conv_relu(a1, net.conv2_w, net.conv2_b, extent2)[1]
+    pooled = _pool(a2, net.arch.pool)
+    return _softmax(_head(net, pooled.reshape(len(x), -1))[1])
+
+
 def _forward(net: PoseConvNet, x: np.ndarray) -> dict[str, np.ndarray]:
-    z1, cols1 = _conv_forward(x, net.conv1_w, net.conv1_b)
-    a1 = np.maximum(z1, 0.0)
-    z2, cols2 = _conv_forward(a1, net.conv2_w, net.conv2_b)
-    a2 = np.maximum(z2, 0.0)
-    pooled, pool_idx = _pool_forward(a2, net.arch.pool)
-    flat = pooled.reshape(x.shape[0], -1)
-    zf = flat @ net.fc1_w + net.fc1_b
-    af = np.maximum(zf, 0.0)
-    logits = af @ net.out_w + net.out_b
+    """Training forward pass: probabilities plus what backprop reads."""
+    extent1, extent2 = _conv_extents(net)
+    cols1, a1 = _conv_relu(x, net.conv1_w, net.conv1_b, extent1)
+    cols2, a2 = _conv_relu(a1, net.conv2_w, net.conv2_b, extent2)
+    pooled, pool_idx = _pool_argmax(a2, net.arch.pool)
+    af, logits = _head(net, pooled.reshape(len(x), -1))
     return {
-        "x": x, "z1": z1, "cols1": cols1, "a1": a1,
-        "z2": z2, "cols2": cols2, "a2": a2,
-        "pool_idx": pool_idx, "flat": flat,
-        "zf": zf, "af": af, "logits": logits, "probs": _softmax(logits),
+        "cols1": cols1, "a1": a1, "cols2": cols2, "pooled": pooled,
+        "pool_idx": pool_idx, "af": af, "probs": _softmax(logits),
     }
 
 
@@ -262,7 +305,7 @@ def forward(net: PoseConvNet, tensor: np.ndarray) -> np.ndarray:
     must not change the probabilities."""
     batch, single = _as_batch(tensor, net.input_shape)
     slices = np.array_split(batch, -(-len(batch) // FORWARD_SLICE))
-    probs = np.concatenate([_forward(net, part)["probs"] for part in slices])
+    probs = np.concatenate([_probs(net, part) for part in slices])
     return probs[0] if single else probs
 
 
@@ -290,22 +333,17 @@ def _loss_and_grads(
     grads: dict[str, np.ndarray] = {}
     grads["out_w"] = cache["af"].T @ d_logits
     grads["out_b"] = d_logits.sum(axis=0)
-    d_af = d_logits @ net.out_w.T
-    d_zf = d_af * (cache["zf"] > 0)
-    grads["fc1_w"] = cache["flat"].T @ d_zf
+    d_zf = (d_logits @ net.out_w.T) * (cache["af"] > 0)
+    pooled = cache["pooled"]
+    grads["fc1_w"] = pooled.reshape(batch, -1).T @ d_zf
     grads["fc1_b"] = d_zf.sum(axis=0)
-    d_flat = d_zf @ net.fc1_w.T
-    d_pooled = d_flat.reshape(cache["pool_idx"].shape[0], cache["pool_idx"].shape[1],
-                              cache["pool_idx"].shape[2], -1)
-    d_a2 = _pool_backward(d_pooled, cache["pool_idx"], cache["a2"].shape, net.arch.pool)
-    d_z2 = d_a2 * (cache["z2"] > 0)
-    d_a1, grads["conv2_w"], grads["conv2_b"] = _conv_backward(
-        d_z2, cache["cols2"], net.conv2_w, cache["a1"].shape
-    )
-    d_z1 = d_a1 * (cache["z1"] > 0)
-    _, grads["conv1_w"], grads["conv1_b"] = _conv_backward(
-        d_z1, cache["cols1"], net.conv1_w, cache["x"].shape
-    )
+    # A window's gradient passes conv2's ReLU iff the window max is positive.
+    d_pooled = (d_zf @ net.fc1_w.T).reshape(pooled.shape) * (pooled > 0)
+    d_z2 = _unpool(d_pooled, cache["pool_idx"], net.arch.pool)
+    grads["conv2_w"], grads["conv2_b"] = _conv_grads(d_z2, cache["cols2"], net.conv2_w)
+    d_z1 = _conv_input_grad(d_z2, net.conv2_w, cache["a1"].shape)
+    d_z1 *= cache["a1"] > 0
+    grads["conv1_w"], grads["conv1_b"] = _conv_grads(d_z1, cache["cols1"], net.conv1_w)
     return total_loss, probs, grads
 
 

@@ -11,9 +11,10 @@ def assert_kink_free(net, x, h=1e-4, factor=10.0):
     window whose two best positive entries are within ~h of each other,
     turns f(theta +- h) into a kinked comparison. Asserting a safety
     margin makes a gradient-check failure mean wrong gradients rather
-    than an invalid oracle.
+    than an invalid oracle. The margins come from the reference forward
+    pass, which keeps the pre-ReLU values and every conv output position.
     """
-    from posestream.convnet import _forward
+    from convnet_reference import _forward
 
     cache = _forward(net, np.asarray(x, dtype=np.float64))
     z_margin = min(

@@ -142,6 +142,19 @@ class TestPreprocess:
         assert [r["line"] for r in out["rejected"]] == [2, 3]
         assert "invalid JSON" in out["rejected"][0]["error"]
 
+    def test_over_deep_line_rejected(self, tmp_path, capsys):
+        # json.loads raises RecursionError, not JSONDecodeError, past its nesting limit.
+        good = '{"video": "ok", "label": 0, "n": 15, "frames": [[%s]]}' % ",".join(
+            "[1.0,%d,1]" % j for j in range(15)
+        )
+        ann = tmp_path / "ann.jsonl"
+        ann.write_text("[" * 100000 + "\n" + good + "\n")
+        code, out, _ = run(capsys, "preprocess", "--annotations", str(ann),
+                           "--cache", str(tmp_path / "c.cache"))
+        assert code == 0
+        assert out["videos"] == 1
+        assert out["rejected"] == [{"line": 1, "error": "invalid JSON (nested too deeply)"}]
+
     def test_wrong_n_rejected_with_line_number(self, tmp_path, capsys):
         frames15 = ",".join(["[%s]" % ",".join("[1.0,%d,1]" % j for j in range(15))] * 3)
         frames14 = ",".join(["[%s]" % ",".join("[1.0,%d,1]" % j for j in range(14))] * 3)
@@ -213,7 +226,7 @@ class TestPreprocess:
         assert out["rejected"] == [{"line": 2, "error": error}, {"line": 3, "error": error}]
         assert read_corpus(tmp_path / "c.cache").poses[0].video == "a"
 
-    @pytest.mark.parametrize("defect", ["truncated", "five joints", "penn"])
+    @pytest.mark.parametrize("defect", ["truncated", "five joints", "penn", "degree two"])
     def test_bad_spatial_model_fails_before_any_write(self, defect, tmp_path, capsys):
         ann = tmp_path / "ann.jsonl"
         assert main(["synth", "--out", str(ann), "--videos-per-class", "1", "--frames", "6"]) == 0
@@ -227,6 +240,8 @@ class TestPreprocess:
         )
         assert code == 1
         assert str(model) in err["message"]
+        if defect == "degree two":
+            assert "degree 2, but --poly-degree is 1" in err["message"]
         assert not out.exists()
 
 
@@ -234,6 +249,9 @@ def _bad_model(path, defect):
     if defect == "penn":
         model = SpatialModel("penn", 1, np.zeros((13, 13, 3, 2)), np.zeros((13, 13), bool),
                              np.zeros((13, 13), np.int64))
+    elif defect == "degree two":
+        model = SpatialModel("jhmdb_gt", 2, np.zeros((15, 15, 6, 2)), np.zeros((15, 15), bool),
+                             np.zeros((15, 15), np.int64))
     else:
         model = SpatialModel("jhmdb_gt", 1, np.zeros((5, 5, 3, 2)), np.zeros((5, 5), bool),
                              np.zeros((5, 5), np.int64))
@@ -514,7 +532,7 @@ def rerun_inputs(tmp_path_factory):
     lines = ann.read_text().splitlines()
     (root / "dup.jsonl").write_text("\n".join(lines + [lines[1]]) + "\n")
     (root / "junk.jsonl").write_text("not json\n")
-    for defect in ("truncated", "five joints", "penn"):
+    for defect in ("truncated", "five joints", "penn", "degree two"):
         _bad_model(root / f"{defect}.npz", defect)
     return root
 
@@ -525,6 +543,7 @@ _FAILED_RUNS = {
     "truncated model": ("ann.jsonl", ("--spatial-model", "truncated.npz")),
     "five-joint model": ("ann.jsonl", ("--spatial-model", "five joints.npz")),
     "penn model": ("ann.jsonl", ("--spatial-model", "penn.npz")),
+    "model of another degree": ("ann.jsonl", ("--spatial-model", "degree two.npz")),
 }
 
 

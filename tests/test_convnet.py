@@ -4,14 +4,23 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import convnet_reference as reference
 from posestream.convnet import (
+    FORWARD_SLICE,
     NetSpec,
     TrainConfig,
     TrainingDivergedError,
-    _conv_forward,
+    _conv_grads,
+    _conv_input_grad,
+    _conv_relu,
     _forward,
     _loss_and_grads,
+    _pool,
+    _pool_argmax,
+    _unpool,
     backward,
     forward,
     init_net,
@@ -138,7 +147,7 @@ class TestConvPrimitive:
         w = np.zeros((3, 2, 1, 1))
         w[:, :, 0, 0] = [[1.0, 0.0], [0.0, 2.0], [-1.0, 0.0]]
         b = np.array([0.5])
-        out, _ = _conv_forward(x, w, b)
+        _, out = _conv_relu(x, w, b, (1, 3))
         # out[j] = x[0,j] + 2*x[1,j+1] - x[2,j] + 0.5
         expected = np.array(
             [[0 + 2 * 5 - 8 + 0.5, 1 + 2 * 6 - 9 + 0.5, 2 + 2 * 7 - 10 + 0.5]]
@@ -150,8 +159,10 @@ class TestConvPrimitive:
         x = rng.normal(size=(2, 6, 7, 3))
         w = rng.normal(size=(3, 2, 3, 4))
         b = rng.normal(size=4)
-        out, _ = _conv_forward(x, w, b)
-        np.testing.assert_allclose(out, naive_conv(x, w, b), atol=1e-12)
+        expected = np.maximum(naive_conv(x, w, b), 0.0)
+        for extent in [(4, 6), (3, 5), (1, 1)]:
+            _, out = _conv_relu(x, w, b, extent)
+            np.testing.assert_allclose(out, expected[:, : extent[0], : extent[1]], atol=1e-12)
 
 
 class TestForward:
@@ -205,6 +216,130 @@ class TestForward:
         net = init_net(self.EVAL_SHAPE, num_classes=4, seed=1, arch=self.EVAL_ARCH)
         x = np.random.default_rng(6).normal(size=(count,) + self.EVAL_SHAPE)
         assert forward(net, x).tobytes() == _forward(net, x)["probs"].tobytes()
+
+
+def _data(seed, shape, dyadic):
+    """Normal draws, or small dyadic values (exact in float64) that make
+    ReLU zeros and equal pool entries common."""
+    rng = np.random.default_rng(seed)
+    if dyadic:
+        return rng.integers(-2, 3, size=shape) / 4.0
+    return rng.normal(size=shape)
+
+
+def _oracle_net(shape, classes, arch, seed, dyadic):
+    net = init_net(shape, num_classes=classes, seed=seed, arch=arch)
+    if dyadic:
+        net.conv1_w[...] = _data(seed + 1, net.conv1_w.shape, True) / 2.0
+        net.conv2_w[...] = _data(seed + 2, net.conv2_w.shape, True) / 2.0
+    return net
+
+
+def _reference_forward(net, x):
+    """forward() with the reference layers: same slices, same arithmetic."""
+    slices = np.array_split(x, -(-len(x) // FORWARD_SLICE))
+    return np.concatenate([reference._forward(net, part)["probs"] for part in slices])
+
+
+def _assert_grads_close(got, want):
+    assert list(got) == list(want)
+    for name in want:
+        tol = 1e-12 * max(1.0, float(np.abs(want[name]).max()))
+        np.testing.assert_allclose(got[name], want[name], rtol=0, atol=tol, err_msg=name)
+
+
+class TestAgainstReference:
+    """The contiguous-layout layers against the layer functions they replaced
+    (tests/convnet_reference.py)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(batch=st.integers(1, 3), rows=st.integers(1, 4), cols=st.integers(1, 4),
+           c_in=st.integers(1, 6), c_out=st.integers(1, 6), size=st.sampled_from([2, 3]),
+           seed=st.integers(0, 2**32 - 1), dyadic=st.booleans())
+    def test_layers(self, batch, rows, cols, c_in, c_out, size, seed, dyadic):
+        # rows x cols pool windows; the conv input has spare rows and
+        # columns that only the reference computes outputs for.
+        r2, c2 = rows * size, cols * size
+        x = _data(seed, (batch, r2 + 2 + size - 1, c2 + 1 + size - 1, c_in), dyadic)
+        w = _data(seed + 1, (3, 2, c_in, c_out), dyadic)
+        b = _data(seed + 2, (c_out,), dyadic)
+        z_ref, cols_ref = reference._conv_forward(x, w, b)
+        cols, a = _conv_relu(x, w, b, (r2, c2))
+        np.testing.assert_allclose(a, np.maximum(z_ref, 0.0)[:, :r2, :c2], rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(cols, cols_ref[:, :r2, :c2].reshape(cols.shape))
+
+        a_ref = np.maximum(z_ref, 0.0)
+        a = a_ref[:, :r2, :c2]
+        pooled_ref, idx_ref = reference._pool_forward(a_ref, size)
+        pooled, idx = _pool_argmax(a, size)
+        assert pooled.tobytes() == pooled_ref.tobytes()
+        assert pooled.tobytes() == _pool(a, size).tobytes()
+        np.testing.assert_array_equal(idx, idx_ref)
+
+        d_pooled = _data(seed + 3, pooled.shape, dyadic)
+        d_a_ref = reference._pool_backward(d_pooled, idx_ref, a_ref.shape, size)
+        d_a = _unpool(d_pooled, idx, size)
+        np.testing.assert_array_equal(d_a, d_a_ref[:, :r2, :c2])
+        assert not d_a_ref[:, r2:].any() and not d_a_ref[:, :, c2:].any()
+
+        d_x_ref, d_w_ref, d_b_ref = reference._conv_backward(d_a_ref, cols_ref, w, x.shape)
+        d_w, d_b = _conv_grads(d_a, cols, w)
+        d_x = _conv_input_grad(d_a, w, (batch, r2 + 2, c2 + 1, c_in))
+        _assert_grads_close({"d_w": d_w, "d_b": d_b, "d_x": d_x},
+                            {"d_w": d_w_ref, "d_b": d_b_ref, "d_x": d_x_ref[:, : r2 + 2, : c2 + 1]})
+        assert not d_x_ref[:, r2 + 2:].any() and not d_x_ref[:, :, c2 + 1:].any()
+
+    @settings(max_examples=80, deadline=None)
+    @given(c1=st.integers(4, 9), c2=st.integers(5, 9), hidden=st.integers(6, 12),
+           pool=st.sampled_from([2, 3]), k_extra=st.integers(0, 7), w_extra=st.integers(0, 7),
+           classes=st.integers(2, 5), batch=st.integers(1, 6),
+           seed=st.integers(0, 2**31), dyadic=st.booleans())
+    def test_net(self, c1, c2, hidden, pool, k_extra, w_extra, classes, batch, seed, dyadic):
+        shape = (4 + pool + k_extra, 2 + pool + w_extra, 3)
+        arch = NetSpec(conv1_channels=c1, conv2_channels=c2, hidden=hidden, pool=pool)
+        net = _oracle_net(shape, classes, arch, seed, dyadic)
+        x = _data(seed + 3, (batch, *shape), dyadic)
+        labels = np.random.default_rng(seed).integers(0, classes, batch)
+
+        np.testing.assert_allclose(forward(net, x), _reference_forward(net, x), rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(_forward(net, x)["pool_idx"],
+                                      reference._forward(net, x)["pool_idx"])
+        loss_new, probs_new, grads = _loss_and_grads(net, x, labels)
+        loss_ref, probs_ref, grads_ref = reference._loss_and_grads(net, x, labels)
+        assert abs(loss_new - loss_ref) <= 1e-12 * max(1.0, abs(loss_ref))
+        np.testing.assert_allclose(probs_new, probs_ref, rtol=0, atol=1e-12)
+        _assert_grads_close(grads, grads_ref)
+
+    # The two architectures the pipeline runs: the default net and the
+    # narrow one of the acceptance and benchmark runs, on K=15 tensors.
+    PRODUCTION = [NetSpec(), NetSpec(conv1_channels=8, conv2_channels=16, hidden=64)]
+
+    @pytest.mark.parametrize("arch", PRODUCTION, ids=["32_64_256", "8_16_64"])
+    @settings(max_examples=10, deadline=None)
+    @given(batch=st.integers(1, 8), seed=st.integers(0, 2**31), dyadic=st.booleans())
+    def test_production_archs_bit_identical(self, arch, batch, seed, dyadic):
+        shape = (15, 58, 3)
+        net = _oracle_net(shape, 5, arch, seed, dyadic)
+        x = _data(seed + 3, (batch, *shape), dyadic)
+        labels = np.random.default_rng(seed).integers(0, 5, batch)
+        assert forward(net, x).tobytes() == _reference_forward(net, x).tobytes()
+        _, probs, grads = _loss_and_grads(net, x, labels)
+        _, probs_ref, grads_ref = reference._loss_and_grads(net, x, labels)
+        assert probs.tobytes() == probs_ref.tobytes()
+        _assert_grads_close(grads, grads_ref)
+
+    @pytest.mark.parametrize("arch", PRODUCTION, ids=["32_64_256", "8_16_64"])
+    def test_last_snippet_is_dead_at_k15(self, arch):
+        """K - 4 = 11 conv2 rows, the 2x2 pool reads 10: input row 14 never
+        reaches the output, while row 13 does."""
+        net = init_net((15, 58, 3), num_classes=4, seed=2, arch=arch)
+        x = np.random.default_rng(7).normal(size=(3, 15, 58, 3))
+        base = forward(net, x)
+        dead, live = x.copy(), x.copy()
+        dead[:, 14] = 1e6
+        live[:, 13] = 1e6
+        assert forward(net, dead).tobytes() == base.tobytes()
+        assert not np.array_equal(forward(net, live), base)
 
 
 class TestLoss:
