@@ -28,10 +28,8 @@ from .preprocess import (
     zero_fill,
 )
 from .tensorize import (
-    PoseTensor,
-    SnippetPlan,
-    build_pose_tensor,
-    plan_snippets,
+    FilledCorpus,
+    corpus_tensors,
     read_corpus,
     write_corpus,
 )
@@ -44,8 +42,6 @@ from .convnet import (
     forward,
     init_net,
     load_checkpoint,
-    loss,
-    predict,
     save_checkpoint,
     train,
 )
@@ -70,15 +66,14 @@ __version__ = "0.1.0"
 __all__ = [
     "AnnotationError",
     "EvalResult",
+    "FilledCorpus",
     "FusionWeights",
     "NetSpec",
     "NormalizedPoseSequence",
     "PipelineConfig",
     "PoseConvNet",
     "PoseSequence",
-    "PoseTensor",
     "SkeletonTopology",
-    "SnippetPlan",
     "SpatialModel",
     "StreamScores",
     "SyntheticSpec",
@@ -86,9 +81,9 @@ __all__ = [
     "TrainingDivergedError",
     "TraversalPath",
     "backward",
-    "build_pose_tensor",
     "build_topology",
     "consensus",
+    "corpus_tensors",
     "euler_tour",
     "evaluate",
     "fit_spatial_model",
@@ -99,11 +94,8 @@ __all__ = [
     "load_checkpoint",
     "load_config",
     "load_topology",
-    "loss",
     "make_topology",
     "normalize",
-    "plan_snippets",
-    "predict",
     "read_annotations",
     "read_corpus",
     "read_labels",

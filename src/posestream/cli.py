@@ -98,10 +98,9 @@ _FILL_KINDS = {
 
 
 def _fill_counts(
-    sequences: Sequence[PoseSequence], topology: SkeletonTopology
+    flags: np.ndarray, topology: SkeletonTopology
 ) -> tuple[dict[str, int], dict[str, dict[str, int]]]:
-    """Provenance counts over the corpus: in total, and per joint name."""
-    flags = np.concatenate([seq.visibility for seq in sequences])
+    """Provenance counts over the corpus flags: in total, and per joint name."""
     per_joint = {kind: (flags == code).sum(axis=0) for kind, code in _FILL_KINDS.items()}
     totals = {kind: int(counts.sum()) for kind, counts in per_joint.items()}
     by_name = {
@@ -151,6 +150,9 @@ def cmd_preprocess(cfg: PipelineConfig) -> dict:
     if cfg.interpolate:
         poses = [preprocess.temporal_interpolate(p, max_gap=cfg.max_gap) for p in poses]
     normalized = [preprocess.normalize(p, topology) for p in poses]
+    # The report reads its counts from the corpus, so the parsed copies can go
+    # before the corpus arrays are built, which is where memory peaks.
+    del poses
 
     if cfg.interpolate:
         if model is None:
@@ -160,15 +162,15 @@ def cmd_preprocess(cfg: PipelineConfig) -> dict:
         filled = [preprocess.spatial_interpolate(p, model, topology) for p in normalized]
     else:
         filled = [preprocess.zero_fill(p) for p in normalized]
-    corpus = tensorize.FilledCorpus(euler_tour(topology), cfg.seed, cfg.hash(), filled)
+    corpus = tensorize.FilledCorpus.from_poses(euler_tour(topology), cfg.seed, cfg.hash(), filled)
     _atomic_write(cfg.cache, lambda p: tensorize.write_corpus(p, corpus))
 
-    fills, fills_per_joint = _fill_counts(filled, topology)
+    fills, fills_per_joint = _fill_counts(corpus.flags, topology)
     report = {
         **run_meta,
-        "videos": len(poses),
+        "videos": len(corpus.videos),
         "rejected": rejected,
-        "frames": int(sum(p.num_frames for p in poses)),
+        "frames": int(corpus.offsets[-1]),
         "unusable_frames": int(sum((~seq.frame_usable).sum() for seq in normalized)),
         "fills": fills,
         "fills_per_joint": fills_per_joint,
@@ -191,15 +193,14 @@ def cmd_train(cfg: PipelineConfig) -> dict:
     if tour != corpus.path:
         raise CliError(f"{cfg.cache}: corpus topology '{corpus.path.topology}' does not match "
                        f"profile '{cfg.profile}' ('{tour.topology}')")
-    if any(seq.label is None for seq in corpus.poses):
+    if np.any(corpus.labels < 0):
         raise CliError(f"{cfg.cache}: videos without labels cannot be used for training")
-    num_classes = max(seq.label for seq in corpus.poses) + 1
+    num_classes = int(corpus.labels.max()) + 1
     if num_classes < 2:
         raise CliError(f"{cfg.cache}: training needs at least two classes")
 
     def draw(epoch: int) -> tuple[np.ndarray, np.ndarray]:
-        return tensorize.stack_tensors(tensorize.corpus_tensors(
-            corpus, cfg.k, cfg.sampling, cfg.seed, epoch=epoch))
+        return tensorize.corpus_tensors(corpus, cfg.k, cfg.sampling, cfg.seed, epoch=epoch)
 
     data, labels = draw(0)
     arch = convnet.NetSpec(
@@ -254,16 +255,17 @@ def cmd_eval(cfg: PipelineConfig) -> dict:
         raise CliError(
             f"checkpoint expects input {net.input_shape}, corpus {cfg.cache} provides {shape}"
         )
-    labels = {seq.video: seq.label for seq in corpus.poses if seq.label is not None}
-    labeled = len(labels) == len(corpus.poses)
+    labels = {video: int(label) for video, label in zip(corpus.videos, corpus.labels)
+              if label >= 0}
+    labeled = len(labels) == len(corpus.videos)
     if cfg.labels and not labeled:
         raise CliError(f"{cfg.cache}: some videos have no label; cannot write {cfg.labels}")
 
-    tensors = sorted(tensorize.corpus_tensors(corpus, k, cfg.sampling, corpus.seed),
-                     key=lambda t: t.video)
+    data, _ = tensorize.corpus_tensors(corpus, k, cfg.sampling, corpus.seed)
+    order = sorted(range(len(corpus.videos)), key=corpus.videos.__getitem__)
     scores = fusion.StreamScores(
-        stream="pose", videos=tuple(t.video for t in tensors),
-        matrix=convnet.forward(net, np.stack([t.data for t in tensors])),
+        stream="pose", videos=tuple(corpus.videos[i] for i in order),
+        matrix=convnet.forward(net, data[order]),
     )
     result = fusion.evaluate(scores, labels) if labeled else None
 
@@ -274,7 +276,7 @@ def cmd_eval(cfg: PipelineConfig) -> dict:
     per_class = [None if np.isnan(v) else float(v) for v in result.per_class] if result else None
     report = {
         **run_meta,
-        "videos": len(tensors),
+        "videos": len(order),
         "accuracy": result.accuracy if result else None,
         "per_class_accuracy": per_class,
         "confusion": result.confusion.tolist() if result else None,

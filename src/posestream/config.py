@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -62,6 +63,9 @@ class PipelineConfig:
         self.weight_grid = tuple(float(w) for w in self.weight_grid)  # type: ignore[assignment]
         if len(self.weights) != 3:
             raise ValueError("weights must be three values (pose, spatial, temporal)")
+        for key in ("weights", "weight_grid"):
+            if not all(math.isfinite(w) for w in getattr(self, key)):
+                raise ValueError(f"{key} must be finite numbers, got {getattr(self, key)}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
 

@@ -13,6 +13,12 @@ reach the output: with the default 2x2 pool the net never sees the last
 snippet when K - 4 is odd (K = 15: row 14 is dead), nor the last tensor
 column when W - 2 is odd.
 
+Scoring (``forward``) keeps nothing for backprop and runs in slices of at
+most FORWARD_SLICE rows, so its memory does not grow with the batch.
+Within a slice, the convs and the pool run on sub-slices of at most
+CONV_SLICE rows and the fully connected head once on the slice's pooled
+rows. The probabilities are bit-identical to one unsliced pass.
+
 Checkpoint file (little-endian binary)::
 
     magic b"PCN1" | u32 version | u32 meta length | meta JSON
@@ -48,9 +54,12 @@ CHECKPOINT_VERSION = 1
 
 PROB_FLOOR = 1e-12
 
-# Rows per _probs call in forward(): its im2col buffers grow with the rows
-# it is given, so scoring in slices keeps eval memory flat in corpus size.
+# Rows per _probs call in forward(), which keeps eval memory flat in corpus
+# size, and rows per conv/pool pass inside it: at CONV_SLICE rows the im2col
+# buffers are reused from the heap instead of freshly mapped, while the head
+# still reads fc1_w only once per FORWARD_SLICE rows.
 FORWARD_SLICE = 64
+CONV_SLICE = 8
 
 
 class TrainingDivergedError(RuntimeError):
@@ -274,12 +283,25 @@ def _head(net: PoseConvNet, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hidden, hidden @ net.out_w + net.out_b
 
 
-def _probs(net: PoseConvNet, x: np.ndarray) -> np.ndarray:
-    """Class probabilities of a batch, keeping nothing for backprop."""
+def _slices(x: np.ndarray, size: int) -> list[np.ndarray]:
+    """Near-equal row slices of x, none longer than size; no slice has a
+    single row unless x does, because numpy runs a one-row matmul through a
+    matrix-vector path whose last bits differ."""
+    return np.array_split(x, -(-len(x) // size))
+
+
+def _pooled(net: PoseConvNet, x: np.ndarray) -> np.ndarray:
+    """Pool output of a batch, keeping nothing for backprop."""
     extent1, extent2 = _conv_extents(net)
     a1 = _conv_relu(x, net.conv1_w, net.conv1_b, extent1)[1]
     a2 = _conv_relu(a1, net.conv2_w, net.conv2_b, extent2)[1]
-    pooled = _pool(a2, net.arch.pool)
+    return _pool(a2, net.arch.pool)
+
+
+def _probs(net: PoseConvNet, x: np.ndarray) -> np.ndarray:
+    """Class probabilities of a batch: convs and pool per CONV_SLICE rows,
+    then one head over all of x."""
+    pooled = np.concatenate([_pooled(net, part) for part in _slices(x, CONV_SLICE)])
     return _softmax(_head(net, pooled.reshape(len(x), -1))[1])
 
 
@@ -299,22 +321,11 @@ def _forward(net: PoseConvNet, x: np.ndarray) -> dict[str, np.ndarray]:
 def forward(net: PoseConvNet, tensor: np.ndarray) -> np.ndarray:
     """Class probabilities for one tensor (K, W, 3) or a batch (B, K, W, 3).
 
-    A batch is scored in near-equal slices of at most FORWARD_SLICE rows.
-    No slice has a single row unless the batch does: numpy scores a lone
-    row through a matrix-vector path whose last bits differ, and slicing
-    must not change the probabilities."""
+    A batch is scored in near-equal slices of at most FORWARD_SLICE rows,
+    with the same probabilities, bit for bit, as one unsliced pass."""
     batch, single = _as_batch(tensor, net.input_shape)
-    slices = np.array_split(batch, -(-len(batch) // FORWARD_SLICE))
-    probs = np.concatenate([_probs(net, part) for part in slices])
+    probs = np.concatenate([_probs(net, part) for part in _slices(batch, FORWARD_SLICE)])
     return probs[0] if single else probs
-
-
-def loss(probs: np.ndarray, label: int) -> float:
-    """Cross entropy -log p[label], with p floored at 1e-12."""
-    probs = np.asarray(probs)
-    if not 0 <= label < probs.shape[-1]:
-        raise ValueError(f"label {label} out of range for {probs.shape[-1]} classes")
-    return float(-np.log(max(float(probs[label]), PROB_FLOOR)))
 
 
 def _loss_and_grads(
@@ -359,14 +370,6 @@ def backward(net: PoseConvNet, tensor: np.ndarray, label: int | np.ndarray) -> d
         raise ValueError(f"labels out of range for {net.num_classes} classes")
     _, _, grads = _loss_and_grads(net, batch, labels)
     return grads
-
-
-def predict(net: PoseConvNet, tensor: np.ndarray) -> tuple[int, np.ndarray]:
-    """(argmax class, probabilities); ties resolve to the lowest class id."""
-    probs = forward(net, tensor)
-    if probs.ndim != 1:
-        raise ValueError("predict takes a single tensor, not a batch")
-    return int(np.argmax(probs)), probs
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,10 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+# Weight candidates fused at once by search_weights; its temporaries hold
+# SEARCH_CHUNK x videos x classes floats.
+SEARCH_CHUNK = 64
+
 
 @dataclass
 class StreamScores:
@@ -84,6 +88,41 @@ def consensus(snippets: np.ndarray) -> np.ndarray:
     return snippets.mean(axis=0)
 
 
+def _present(
+    pose: StreamScores | None, spatial: StreamScores | None, temporal: StreamScores | None
+) -> list[tuple[int, StreamScores]]:
+    """(weight column, stream) of each given stream; they must cover identical
+    video sets and class counts."""
+    named = zip(("pose", "spatial", "temporal"), (pose, spatial, temporal))
+    present = [(column, name, s) for column, (name, s) in enumerate(named) if s is not None]
+    if not present:
+        raise ValueError("fusion needs at least one stream")
+    _, first_name, first = present[0]
+    for _, name, s in present[1:]:
+        if s.videos != first.videos:
+            raise ValueError(f"stream '{name}' covers a different video set than '{first_name}'")
+        if s.num_classes != first.num_classes:
+            raise ValueError(
+                f"stream '{name}' has {s.num_classes} classes, expected {first.num_classes}"
+            )
+    return [(column, s) for column, _, s in present]
+
+
+def _fused(present: list[tuple[int, StreamScores]], weights: np.ndarray) -> np.ndarray:
+    """(candidates, videos, classes) weighted sums for a (candidates, 3) weight
+    array, added in pose, spatial, temporal order; a candidate whose sum
+    overflows raises ValueError naming its weights."""
+    total = np.zeros((len(weights), *present[0][1].matrix.shape))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for column, s in present:
+            total += weights[:, column, None, None] * s.matrix
+    finite = np.isfinite(total).all(axis=(1, 2))
+    if not finite.all():
+        bad = tuple(float(w) for w in weights[finite.argmin()])
+        raise ValueError(f"fused scores are not finite with weights {bad}")
+    return total
+
+
 def fuse(
     pose: StreamScores | None,
     spatial: StreamScores | None,
@@ -96,22 +135,9 @@ def fuse(
     cover identical video sets and class counts. Scores are combined
     exactly as given, added in pose, spatial, temporal order.
     """
-    named = zip(("pose", "spatial", "temporal"), (pose, spatial, temporal), weights.as_tuple())
-    present = [(name, s, w) for name, s, w in named if s is not None]
-    if not present:
-        raise ValueError("fusion needs at least one stream")
-    first_name, first, _ = present[0]
-    for name, s, _ in present[1:]:
-        if s.videos != first.videos:
-            raise ValueError(f"stream '{name}' covers a different video set than '{first_name}'")
-        if s.num_classes != first.num_classes:
-            raise ValueError(
-                f"stream '{name}' has {s.num_classes} classes, expected {first.num_classes}"
-            )
-    total = np.zeros(first.matrix.shape)
-    for _, s, w in present:
-        total += w * s.matrix
-    return StreamScores(stream="fused", videos=first.videos, matrix=total)
+    present = _present(pose, spatial, temporal)
+    total = _fused(present, np.array([weights.as_tuple()]))[0]
+    return StreamScores(stream="fused", videos=present[0][1].videos, matrix=total)
 
 
 @dataclass
@@ -123,21 +149,27 @@ class EvalResult:
     confusion: np.ndarray       # (C, C) rows true class, columns predicted
 
 
+def _truth(videos: tuple[str, ...], labels: dict[str, int], classes: int) -> np.ndarray:
+    """Label of every video, each checked to exist and to index the classes."""
+    missing = [video for video in videos if video not in labels]
+    if missing:
+        raise ValueError(f"labels missing for videos: {missing[:5]}")
+    truth = np.array([labels[video] for video in videos], dtype=np.int64)
+    bad = np.flatnonzero((truth < 0) | (truth >= classes))
+    if bad.size:
+        video = videos[bad[0]]
+        raise ValueError(f"label {labels[video]} of video '{video}' out of range for {classes} classes")
+    return truth
+
+
 def evaluate(scores: StreamScores, labels: dict[str, int]) -> EvalResult:
     """Argmax accuracy of a stream against ground-truth labels.
 
     Every scored video needs a label; ties in the score vector resolve to
     the lowest class id.
     """
-    missing = [video for video in scores.videos if video not in labels]
-    if missing:
-        raise ValueError(f"labels missing for videos: {missing[:5]}")
     classes = scores.num_classes
-    truth = np.array([labels[video] for video in scores.videos], dtype=np.int64)
-    bad = np.flatnonzero((truth < 0) | (truth >= classes))
-    if bad.size:
-        video = scores.videos[bad[0]]
-        raise ValueError(f"label {labels[video]} of video '{video}' out of range for {classes} classes")
+    truth = _truth(scores.videos, labels, classes)
     predicted = scores.matrix.argmax(axis=1)
     confusion = np.bincount(
         truth * classes + predicted, minlength=classes * classes
@@ -158,19 +190,24 @@ def search_weights(
     """Try every weight triple on a validation split; best accuracy wins.
 
     Ties keep the earliest grid entry. Returns the winning weights and one
-    result row per candidate.
+    result row per candidate. Candidates are fused and scored together,
+    SEARCH_CHUNK at a time, with the same per-element operations as ``fuse``
+    and ``evaluate`` on each one.
     """
-    rows = []
-    best: tuple[float, FusionWeights] | None = None
-    for candidate in grid:
-        weights = FusionWeights(*candidate)
-        result = evaluate(fuse(pose, spatial, temporal, weights), labels)
-        rows.append({"weights": weights.as_tuple(), "accuracy": result.accuracy})
-        if best is None or result.accuracy > best[0]:
-            best = (result.accuracy, weights)
-    if best is None:
+    candidates = [FusionWeights(*candidate) for candidate in grid]
+    if not candidates:
         raise ValueError("weight grid is empty")
-    return best[1], rows
+    present = _present(pose, spatial, temporal)
+    videos = present[0][1].videos
+    truth = _truth(videos, labels, present[0][1].num_classes)
+    weights = np.array([w.as_tuple() for w in candidates])
+    hits = np.concatenate([
+        (_fused(present, weights[start:start + SEARCH_CHUNK]).argmax(axis=2) == truth).sum(axis=1)
+        for start in range(0, len(weights), SEARCH_CHUNK)
+    ])
+    accuracies = hits / len(videos)
+    rows = [{"weights": w.as_tuple(), "accuracy": float(a)} for w, a in zip(candidates, accuracies)]
+    return candidates[int(hits.argmax())], rows
 
 
 # ---------------------------------------------------------------------------

@@ -30,9 +30,9 @@ import functools
 import json
 import math
 import zipfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, TypeVar
 
 import numpy as np
 
@@ -43,6 +43,9 @@ VIS_OBSERVED = 1
 VIS_TEMPORAL = 2
 VIS_SPATIAL = 3
 VIS_SYNTHETIC = 4
+
+
+P = TypeVar("P", bound="PoseSequence")
 
 
 class AnnotationError(ValueError):
@@ -105,6 +108,21 @@ class NormalizedPoseSequence(PoseSequence):
             raise ValueError("frame_usable must have one entry per frame")
 
 
+def _built(cls: type[P], **fields) -> P:
+    """An instance of cls from arrays this module built itself, already of the
+    right dtype and shape and finite where filled: __post_init__'s conversions
+    and scans would only repeat work. Inputs from files go through the
+    constructor."""
+    pose = object.__new__(cls)
+    pose.__dict__.update(fields)
+    return pose
+
+
+def _replace(pose: P, **changes) -> P:
+    """``dataclasses.replace`` without __post_init__, for arrays built here."""
+    return _built(type(pose), **{**vars(pose), **changes})
+
+
 def normalize(
     pose: PoseSequence, topology: SkeletonTopology, eps: float = 1e-8
 ) -> NormalizedPoseSequence:
@@ -142,10 +160,16 @@ def normalize(
     shift[frames] = (a + b)[keep] / (2.0 * d[keep, None])
     moved = filled & usable[:, None]
     t = np.nonzero(moved)[0]
-    coords[moved] = coords[moved] / scale[t, None] - shift[t]
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = coords[moved] / scale[t, None] - shift[t]
+    # The one stage that can overflow finite input (huge joints, tiny torso).
+    if not np.isfinite(scaled).all():
+        raise ValueError(f"video '{pose.video}': non-finite coordinates on visible joints")
+    coords[moved] = scaled
     coords[~usable] = 0.0
     vis[~usable] = VIS_MISSING
-    return NormalizedPoseSequence(
+    return _built(
+        NormalizedPoseSequence,
         video=pose.video,
         coords=coords,
         visibility=vis,
@@ -177,7 +201,7 @@ def temporal_interpolate(pose: PoseSequence, max_gap: int = 10) -> PoseSequence:
     steps = (t - t0).astype(np.float64) / (t1 - t0)
     coords[t, j] = coords[t0, j] * (1.0 - steps)[:, None] + coords[t1, j] * steps[:, None]
     vis[t, j] = VIS_TEMPORAL
-    return replace(pose, coords=coords, visibility=vis)
+    return _replace(pose, coords=coords, visibility=vis)
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +434,7 @@ def spatial_interpolate(
         rows = np.flatnonzero(count == k)
         coords[t[rows], j[rows]] = predictions[first[rows, None] + np.arange(k)].mean(axis=1)
         vis[t[rows], j[rows]] = VIS_SPATIAL
-    return replace(pose, coords=coords, visibility=vis)
+    return _replace(pose, coords=coords, visibility=vis)
 
 
 def zero_fill(pose: NormalizedPoseSequence) -> NormalizedPoseSequence:
@@ -424,7 +448,7 @@ def zero_fill(pose: NormalizedPoseSequence) -> NormalizedPoseSequence:
     missing = vis == 0
     coords[missing] = 0.0
     vis[missing] = VIS_SYNTHETIC
-    return replace(pose, coords=coords, visibility=vis)
+    return _replace(pose, coords=coords, visibility=vis)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,11 @@ velocity channel (row-to-row first difference) and an acceleration channel
 all-zero first row. Result shape: K x 2L x 3.
 
 ``preprocess`` writes its filled, normalized frames to one filled-corpus
-file, from which ``train`` and ``eval`` build tensors (``corpus_tensors``).
+file. ``FilledCorpus`` holds that file's arrays as they are on disk, and
+``train`` and ``eval`` build the tensors of every video at once from them
+(``corpus_tensors``): the segment bounds of all videos as one (V, K) array,
+one random draw per video, then one gather of the chosen frames and two
+differences over the whole (V, K, 2L) position array.
 
 Filled-corpus file (little-endian binary)::
 
@@ -31,7 +35,7 @@ import hashlib
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -46,146 +50,44 @@ CHANNELS = 3
 SAMPLING_MODES = ("random", "center")
 
 
-@dataclass(frozen=True)
-class SnippetPlan:
-    """Chosen frame index per segment for one video."""
-
-    frames: tuple[int, ...]
-    num_frames: int
-
-    def __post_init__(self) -> None:
-        if any(f < 0 or f >= self.num_frames for f in self.frames):
-            raise ValueError("snippet frame index outside the video")
-        if any(b < a for a, b in zip(self.frames, self.frames[1:])):
-            raise ValueError("snippet frames must be non-decreasing")
-
-    @property
-    def k(self) -> int:
-        return len(self.frames)
-
-
-def plan_snippets(
-    num_frames: int, k: int = 15, mode: str = "random", seed: int | Sequence[int] = 0
-) -> SnippetPlan:
-    """Pick one frame per segment.
-
-    Segment s covers frame indices [floor(s*F/K), floor((s+1)*F/K)). Random
-    mode draws uniformly inside each segment from a generator seeded with
-    ``seed``; center mode takes (lo + hi) // 2. When F < K some segments
-    are empty; an empty segment reuses the nearest earlier chosen frame
-    (leading empties borrow from the first non-empty segment), keeping the
-    plan length K and monotone.
-    """
-    if num_frames < 1:
-        raise ValueError("cannot sample snippets from an empty video")
-    if k < 1:
-        raise ValueError(f"segment count must be >= 1, got {k}")
-    if mode not in SAMPLING_MODES:
-        raise ValueError(f"unknown sampling mode '{mode}'; use one of {SAMPLING_MODES}")
-
-    rng = np.random.default_rng(seed)
-    chosen: list[int | None] = []
-    for s in range(k):
-        lo = (s * num_frames) // k
-        hi = ((s + 1) * num_frames) // k
-        if hi <= lo:
-            chosen.append(None)
-        elif mode == "center":
-            chosen.append((lo + hi) // 2)
-        else:
-            chosen.append(int(rng.integers(lo, hi)))
-
-    first = next(i for i, c in enumerate(chosen) if c is not None)
-    for i in range(first):
-        chosen[i] = chosen[first]
-    for i in range(first + 1, k):
-        if chosen[i] is None:
-            chosen[i] = chosen[i - 1]
-    return SnippetPlan(frames=tuple(chosen), num_frames=num_frames)  # type: ignore[arg-type]
-
-
-@dataclass
-class PoseTensor:
-    """K x 2L x 3 tensor for one video, with its id and label."""
-
-    data: np.ndarray
-    video: str
-    label: int | None
-
-    def __post_init__(self) -> None:
-        self.data = np.asarray(self.data, dtype=np.float64)
-        if self.data.ndim != 3 or self.data.shape[2] != CHANNELS:
-            raise ValueError(f"tensor must have shape (K, width, {CHANNELS}), got {self.data.shape}")
-        if not np.isfinite(self.data).all():
-            raise ValueError(f"tensor for video '{self.video}' contains non-finite values")
-
-    @property
-    def k(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
-
-
-def build_pose_tensor(
-    pose: NormalizedPoseSequence,
-    path: TraversalPath,
-    plan: SnippetPlan,
-) -> PoseTensor:
-    """Assemble the position/velocity/acceleration tensor for one video.
-
-    Row k of channel 0 concatenates the (x, y) of each traversal-path joint
-    at snippet frame k. Channel 1 row k is channel0[k] - channel0[k-1] and
-    channel 2 repeats the differencing on channel 1; row 0 of both is zero.
-    Differences are taken between chosen snippets as-is, whatever the frame
-    gap between them.
-
-    The pose must be fully filled; missing joints are a caller error.
-    """
-    if plan.num_frames != pose.num_frames:
-        raise ValueError(
-            f"plan covers {plan.num_frames} frames but video '{pose.video}' has {pose.num_frames}"
-        )
-    if np.any(pose.visibility == 0):
-        raise ValueError(
-            f"video '{pose.video}' still has missing joints; interpolate before tensorizing"
-        )
-    if max(path.joints) >= pose.num_joints:
-        raise ValueError(
-            f"traversal path references joint {max(path.joints)}, pose has {pose.num_joints}"
-        )
-
-    frames = np.asarray(plan.frames, dtype=np.intp)
-    joints = np.asarray(path.joints, dtype=np.intp)
-    positions = pose.coords[frames][:, joints, :].reshape(plan.k, 2 * len(joints))
-
-    velocity = np.zeros_like(positions)
-    acceleration = np.zeros_like(positions)
-    if plan.k > 1:
-        velocity[1:] = positions[1:] - positions[:-1]
-        acceleration[1:] = velocity[1:] - velocity[:-1]
-
-    return PoseTensor(
-        data=np.stack([positions, velocity, acceleration], axis=-1),
-        video=pose.video,
-        label=pose.label,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Filled corpus
 # ---------------------------------------------------------------------------
 
 @dataclass
 class FilledCorpus:
-    """The filled, normalized poses of one preprocess run, the Euler
-    tour their tensors follow, and the run's seed and config hash."""
+    """The filled, normalized frames of one preprocess run, the Euler tour
+    their tensors follow, and the run's seed and config hash.
+
+    Video i owns rows offsets[i] to offsets[i+1] - 1 of coords and flags.
+    """
 
     path: TraversalPath
     seed: int
     config_hash: str
-    poses: list[NormalizedPoseSequence]
+    coords: np.ndarray   # (F, n, 2) float64
+    flags: np.ndarray    # (F, n) uint8 fill provenance
+    offsets: np.ndarray  # (V+1,) int64
+    videos: tuple[str, ...]
+    labels: np.ndarray   # (V,) int64, -1 where absent
+
+    @classmethod
+    def from_poses(
+        cls, path: TraversalPath, seed: int, config_hash: str,
+        poses: Sequence[NormalizedPoseSequence],
+    ) -> "FilledCorpus":
+        if not poses:
+            raise ValueError("refusing to build an empty corpus")
+        if len({p.num_joints for p in poses}) > 1:
+            raise ValueError("corpus videos differ in joint count")
+        return cls(
+            path, seed, config_hash,
+            coords=np.concatenate([p.coords for p in poses]),
+            flags=np.concatenate([p.visibility for p in poses]),
+            offsets=np.cumsum([0] + [p.num_frames for p in poses], dtype=np.int64),
+            videos=tuple(p.video for p in poses),
+            labels=np.array([-1 if p.label is None else p.label for p in poses], dtype=np.int64),
+        )
 
 
 def _video_seed(base_seed: int, video: str, epoch: int | None = None) -> list[int]:
@@ -197,19 +99,67 @@ def _video_seed(base_seed: int, video: str, epoch: int | None = None) -> list[in
     return parts
 
 
+def _segment_frames(frames: np.ndarray, k: int, mode: str, seeds: list) -> np.ndarray:
+    """(V, K) chosen frame of every segment of videos with the given frame counts.
+
+    Segment s covers frame indices [floor(s*F/K), floor((s+1)*F/K)). Random
+    mode draws uniformly inside each non-empty segment, in segment order,
+    from a generator seeded with that video's entry of ``seeds``; center
+    mode takes (lo + hi) // 2. When F < K some segments are empty; an empty
+    segment reuses the nearest earlier chosen frame (leading empties borrow
+    from the first non-empty segment), keeping every row monotone.
+    """
+    steps = np.arange(k + 1)
+    bounds = steps * frames[:, None] // k
+    lo, hi = bounds[:, :-1], bounds[:, 1:]
+    full = hi > lo
+    if mode == "center":
+        chosen = (lo + hi) // 2
+    else:
+        chosen = np.empty_like(lo)
+        for row, seed in enumerate(seeds):
+            keep = full[row]
+            chosen[row, keep] = np.random.default_rng(seed).integers(lo[row, keep], hi[row, keep])
+    # Each segment takes the frame of the last non-empty segment at or before
+    # it, or of the first non-empty one when there is none.
+    source = np.maximum.accumulate(np.where(full, steps[:-1], -1), axis=1)
+    source = np.where(source < 0, full.argmax(axis=1)[:, None], source)
+    return np.take_along_axis(chosen, source, axis=1)
+
+
 def corpus_tensors(
     corpus: FilledCorpus, k: int, mode: str, seed: int, epoch: int | None = None
-) -> list[PoseTensor]:
-    """One pose tensor per corpus video; a video's plan is seeded by ``seed``,
-    its id and, when given, the epoch, never by the other videos."""
-    return [
-        build_pose_tensor(
-            seq,
-            corpus.path,
-            plan_snippets(seq.num_frames, k=k, mode=mode, seed=_video_seed(seed, seq.video, epoch)),
-        )
-        for seq in corpus.poses
-    ]
+) -> tuple[np.ndarray, np.ndarray]:
+    """(V, K, 2L, 3) pose tensors and (V,) labels (-1 where absent) of the
+    corpus videos, in corpus order.
+
+    Row k of channel 0 concatenates the (x, y) of each traversal-path joint
+    at snippet frame k. Channel 1 row k is channel0[k] - channel0[k-1] and
+    channel 2 repeats the differencing on channel 1; row 0 of both is zero.
+    Differences are taken between chosen snippets as-is, whatever the frame
+    gap between them. A video's snippets are seeded by ``seed``, its id and,
+    when given, the epoch, never by the other videos.
+    """
+    if k < 1:
+        raise ValueError(f"segment count must be >= 1, got {k}")
+    if mode not in SAMPLING_MODES:
+        raise ValueError(f"unknown sampling mode '{mode}'; use one of {SAMPLING_MODES}")
+    if np.any(np.diff(corpus.offsets) < 1):
+        raise ValueError("cannot sample snippets from an empty video")
+    if np.any(corpus.flags < VIS_OBSERVED):
+        raise ValueError("corpus still has missing joints; interpolate before tensorizing")
+    if max(corpus.path.joints) >= corpus.coords.shape[1]:
+        raise ValueError(f"traversal path references joint {max(corpus.path.joints)}, "
+                         f"corpus has {corpus.coords.shape[1]}")
+    seeds = [_video_seed(seed, video, epoch) for video in corpus.videos] if mode == "random" else []
+    frames = _segment_frames(np.diff(corpus.offsets), k, mode, seeds) + corpus.offsets[:-1, None]
+    joints = np.asarray(corpus.path.joints, dtype=np.intp)
+    positions = corpus.coords[frames[:, :, None], joints].reshape(len(frames), k, -1)
+    velocity = np.zeros_like(positions)
+    acceleration = np.zeros_like(positions)
+    velocity[:, 1:] = positions[:, 1:] - positions[:, :-1]
+    acceleration[:, 1:] = velocity[:, 1:] - velocity[:, :-1]
+    return np.stack([positions, velocity, acceleration], axis=-1), corpus.labels.copy()
 
 
 def _pack_text(text: str) -> bytes:
@@ -219,15 +169,12 @@ def _pack_text(text: str) -> bytes:
 
 def write_corpus(path: str | Path, corpus: FilledCorpus) -> None:
     """Write a filled corpus in the binary layout of the module docstring."""
-    poses = corpus.poses
-    if not poses:
-        raise ValueError("refusing to write an empty corpus")
-    joints = poses[0].num_joints
-    if any(s.num_joints != joints for s in poses):
-        raise ValueError("corpus videos differ in joint count")
-    flags = np.concatenate([s.visibility for s in poses])
-    if np.any((flags < VIS_OBSERVED) | (flags > VIS_SYNTHETIC)):
+    if np.any((corpus.flags < VIS_OBSERVED) | (corpus.flags > VIS_SYNTHETIC)):
         raise ValueError("corpus has missing joints; fill them before writing")
+    finite = np.isfinite(corpus.coords).all(axis=(1, 2))
+    if not finite.all():
+        video = corpus.videos[np.searchsorted(corpus.offsets, finite.argmin(), side="right") - 1]
+        raise ValueError(f"video '{video}' has non-finite coordinates")
     with open(path, "wb") as handle:
         handle.write(CORPUS_MAGIC)
         handle.write(struct.pack("<I", CORPUS_VERSION))
@@ -235,15 +182,14 @@ def write_corpus(path: str | Path, corpus: FilledCorpus) -> None:
         handle.write(struct.pack("<I", len(corpus.path)))
         handle.write(np.asarray(corpus.path.joints, dtype="<u4").tobytes())
         handle.write(_pack_text(corpus.config_hash))
-        handle.write(struct.pack("<QII", corpus.seed, len(poses), joints))
-        handle.write(np.cumsum([0] + [s.num_frames for s in poses], dtype="<u8").tobytes())
-        labels = [-1 if s.label is None else s.label for s in poses]
-        handle.write(np.asarray(labels, dtype="<i4").tobytes())
-        for seq in poses:
-            handle.write(_pack_text(seq.video))
-        for seq in poses:
-            handle.write(seq.coords.astype("<f8").tobytes())
-        handle.write(flags.astype("u1").tobytes())
+        handle.write(struct.pack("<QII", corpus.seed, len(corpus.videos), corpus.coords.shape[1]))
+        handle.write(corpus.offsets.astype("<u8").tobytes())
+        handle.write(corpus.labels.astype("<i4").tobytes())
+        for video in corpus.videos:
+            handle.write(_pack_text(video))
+        # Buffers written in place: a copy of the whole corpus would set peak memory.
+        handle.write(np.ascontiguousarray(corpus.coords, "<f8").data)
+        handle.write(np.ascontiguousarray(corpus.flags, "u1").data)
 
 
 def read_corpus(path: str | Path) -> FilledCorpus:
@@ -267,10 +213,10 @@ def read_corpus(path: str | Path) -> FilledCorpus:
     offsets = reader.array("<u8", count + 1, "frame offsets").astype(np.int64)
     if offsets[0] != 0 or np.any(np.diff(offsets) <= 0):
         raise reader.fail("frame offsets do not start at 0 and strictly increase")
-    labels = reader.array("<i4", count, "labels").tolist()
-    if min(labels) < -1:
+    labels = reader.array("<i4", count, "labels").astype(np.int64)
+    if labels.min() < -1:
         raise reader.fail("labels below -1 (-1 marks an absent label)")
-    videos = [reader.text("I", f"video id {i}") for i in range(count)]
+    videos = tuple(reader.text("I", f"video id {i}") for i in range(count))
     if len(set(videos)) != count:
         raise reader.fail("video ids are not unique")
     frames = int(offsets[-1])
@@ -281,19 +227,5 @@ def read_corpus(path: str | Path) -> FilledCorpus:
         raise reader.fail(f"fill flags outside {VIS_OBSERVED}-{VIS_SYNTHETIC}")
     if not np.isfinite(coords).all():
         raise reader.fail("coordinates contain non-finite values")
-    poses = [
-        NormalizedPoseSequence(video, coords[lo:hi], flags[lo:hi], None if label < 0 else label)
-        for video, label, lo, hi in zip(videos, labels, offsets[:-1], offsets[1:])
-    ]
-    return FilledCorpus(TraversalPath(joints=tour, topology=topology), seed, config_hash, poses)
-
-
-def stack_tensors(tensors: Iterable[PoseTensor]) -> tuple[np.ndarray, np.ndarray]:
-    """(N, K, width, 3) data array and (N,) label array for training/eval."""
-    tensors = list(tensors)
-    missing = [t.video for t in tensors if t.label is None]
-    if missing:
-        raise ValueError(f"tensors without labels: {missing[:5]}")
-    data = np.stack([t.data for t in tensors])
-    labels = np.array([t.label for t in tensors], dtype=np.int64)
-    return data, labels
+    return FilledCorpus(TraversalPath(joints=tour, topology=topology), seed, config_hash,
+                        coords, flags, offsets, videos, labels)

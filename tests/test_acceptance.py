@@ -28,7 +28,7 @@ from posestream.preprocess import (
 )
 from posestream.skeleton import build_topology, euler_tour, make_topology
 from posestream.synth import SyntheticSpec
-from posestream.tensorize import build_pose_tensor, plan_snippets
+from posestream.tensorize import FilledCorpus, corpus_tensors
 
 JHMDB = build_topology("jhmdb_gt")
 
@@ -88,9 +88,9 @@ def test_criterion_2_tensor_shapes():
             pose = NormalizedPoseSequence(
                 video="v", coords=coords, visibility=np.ones((40, topo.n), np.uint8), label=0
             )
-            plan = plan_snippets(40, k=15, mode="random", seed=1)
-            tensor = build_pose_tensor(pose, euler_tour(topo), plan)
-            assert tensor.data.shape == shape
+            corpus = FilledCorpus.from_poses(euler_tour(topo), 0, "", [pose])
+            data, _ = corpus_tensors(corpus, k=15, mode="random", seed=1)
+            assert data.shape == (1, *shape)
 
 
 def test_criterion_3_normalization_invariance():

@@ -33,7 +33,7 @@ def small_corpus(rng, frames):
         )
         for i, count in enumerate(frames)
     ]
-    return FilledCorpus(euler_tour(TOPOLOGY), seed=7, config_hash="h", poses=poses)
+    return FilledCorpus.from_poses(euler_tour(TOPOLOGY), seed=7, config_hash="h", poses=poses)
 
 
 @settings(max_examples=8, deadline=None)

@@ -94,7 +94,7 @@ class TestPreprocess:
         assert report["rejected"] == []
         assert "config_hash" in report and "seed" in report
         corpus = read_corpus(workdir / "train.cache")
-        assert len(corpus.poses) == 24
+        assert len(corpus.videos) == 24
         assert (corpus.seed, corpus.config_hash) == (report["seed"], report["config_hash"])
 
     def test_writes_one_artifact(self, tmp_path, capsys):
@@ -224,7 +224,7 @@ class TestPreprocess:
         assert out["videos"] == 1
         error = "frame 0 joint 3 has an integer coordinate outside the float64 range"
         assert out["rejected"] == [{"line": 2, "error": error}, {"line": 3, "error": error}]
-        assert read_corpus(tmp_path / "c.cache").poses[0].video == "a"
+        assert read_corpus(tmp_path / "c.cache").videos[0] == "a"
 
     @pytest.mark.parametrize("defect", ["truncated", "five joints", "penn", "degree two"])
     def test_bad_spatial_model_fails_before_any_write(self, defect, tmp_path, capsys):
@@ -275,6 +275,16 @@ class TestTrain:
         )
         for name, param in fresh.parameters().items():
             np.testing.assert_array_equal(net.parameters()[name], param)
+
+    def test_unlabeled_corpus_rejected_before_any_write(self, tmp_path, capsys):
+        cache = TestEval().unlabeled_corpus(tmp_path)
+        capsys.readouterr()
+        code, _, err = run(
+            capsys, "train", "--cache", str(cache), "--checkpoint", str(tmp_path / "n.ckpt"),
+        )
+        assert code == 1
+        assert "without labels" in err["message"] and str(cache) in err["message"]
+        assert not (tmp_path / "n.ckpt").exists()
 
     def test_trace_rerun_identical(self, workdir, tmp_path, capsys):
         argv = [
@@ -491,6 +501,41 @@ class TestWeightsSearch:
         assert code == 0
         assert out["best_accuracy"] == 1.0
         assert len(out["candidates"]) == 3  # (0,1), (1,0), (1,1); temporal axis fixed at 0
+
+    @pytest.mark.parametrize("flag, value, key", [
+        ("--grid", "nan,1", "weight_grid"), ("--grid", "0,inf", "weight_grid"),
+        ("--weights", "1,nan,1", "weights"),
+    ])
+    def test_non_finite_weights_rejected_naming_key(self, tmp_path, capsys, flag, value, key):
+        TestFuse().write_streams(tmp_path)
+        command = "weights-search" if flag == "--grid" else "fuse"
+        code, _, err = run(
+            capsys, command, "--pose-scores", str(tmp_path / "pose.csv"),
+            "--labels", str(tmp_path / "labels.csv"),
+            "--fused-scores" if command == "fuse" else "--report", str(tmp_path / "out"),
+            flag, value,
+        )
+        assert code == 1
+        assert err["error"] == "ValueError"
+        assert err["message"].startswith(f"{key} must be finite")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["fuse", "weights-search"])
+    def test_overflowing_weights_named(self, tmp_path, capsys, command):
+        TestFuse().write_streams(tmp_path)
+        # Both streams score v0 above 0.5, so 1.5e308 on each overflows.
+        weights = ("--weights", "1.5e308,1.5e308,0") if command == "fuse" else ("--grid", "1,1.5e308")
+        code, _, err = run(
+            capsys, command, "--pose-scores", str(tmp_path / "pose.csv"),
+            "--spatial-scores", str(tmp_path / "spatial.csv"),
+            "--labels", str(tmp_path / "labels.csv"),
+            "--fused-scores" if command == "fuse" else "--report", str(tmp_path / "out"),
+            *weights,
+        )
+        assert code == 1
+        assert err["error"] == "ValueError"  # not a numpy RuntimeWarning
+        assert "weights (1.5e+308, 1.5e+308, 0.0)" in err["message"]
+        assert not (tmp_path / "out").exists()
 
 
 class TestDeterminism:

@@ -106,6 +106,11 @@ class TestFuse:
         with pytest.raises(ValueError, match="nonzero"):
             FusionWeights(0.0, 0.0, 0.0)
 
+    def test_overflow_names_weights(self):
+        big = stream("pose", {"a": [1.0, 0.5]})
+        with pytest.raises(ValueError, match=r"weights \(1e\+308, 1e\+308, 0\.0\)"):
+            fuse(big, big, None, FusionWeights(1e308, 1e308, 0.0))
+
 
 class TestEvaluate:
     def test_all_correct(self):
@@ -167,6 +172,33 @@ class TestSearchWeights:
         assert best.as_tuple() == (1.0, 0.0, 0.0)
         assert len(rows) == 3
         assert rows[0]["accuracy"] == 1.0
+
+    def test_overflowing_candidate_named(self):
+        labels = {"a": 0, "b": 1}
+        pose = stream("pose", {"a": [1.0, 0.5], "b": [0.5, 1.0]})
+        spatial = stream("spatial", {"a": [1.0, 0.0], "b": [0.0, 1.0]})
+        grid = [(1.0, 1.0, 0.0), (1e308, 1.0, 0.0), (1e308, 1e308, 0.0), (2.0, 1.0, 0.0)]
+        with pytest.raises(ValueError, match=r"weights \(1e\+308, 1e\+308, 0\.0\)"):
+            search_weights(pose, spatial, None, labels, grid)
+        # The same candidates without the overflowing one all score.
+        best, rows = search_weights(pose, spatial, None, labels, grid[:2] + grid[3:])
+        assert [row["accuracy"] for row in rows] == [1.0, 1.0, 1.0]
+        assert best.as_tuple() == grid[0]
+
+    def test_chunks_match_one_candidate_at_a_time(self):
+        # More candidates than one chunk holds, with ties across chunks.
+        rng = np.random.default_rng(9)
+        videos = [f"v{i:02d}" for i in range(30)]
+        labels = {v: int(rng.integers(0, 3)) for v in videos}
+        streams = [stream(name, {v: rng.integers(0, 3, 3).astype(float) for v in videos})
+                   for name in ("pose", "spatial", "temporal")]
+        values = (0.0, 0.5, 1.0, 2.0, -1.0)
+        grid = [(p, s, t) for p in values for s in values for t in values if (p, s, t) != (0, 0, 0)]
+        assert len(grid) > 64
+        best, rows = search_weights(*streams, labels, grid)
+        expected = [evaluate(fuse(*streams, FusionWeights(*w)), labels).accuracy for w in grid]
+        assert [row["accuracy"] for row in rows] == expected
+        assert best.as_tuple() == grid[expected.index(max(expected))]
 
 
 class TestScoreFiles:

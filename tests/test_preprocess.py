@@ -71,6 +71,16 @@ class TestNormalize:
         np.testing.assert_allclose(out.coords[0, 2], [1.0, 0.5])
         assert out.frame_usable[0]
 
+    def test_overflow_rejected_naming_video(self):
+        # A torso of 1e-5 scales a joint at 1e304 past the float64 range.
+        pose = PoseSequence(
+            video="clip",
+            coords=np.array([[[0.0, 0.0], [0.0, 1e-5], [1e304, 0.0]]]),
+            visibility=np.ones((1, 3), dtype=np.uint8),
+        )
+        with pytest.raises(ValueError, match="video 'clip': non-finite coordinates"):
+            normalize(pose, simple_topology())
+
     def test_already_normalized_is_identity(self):
         topo = simple_topology()
         coords = np.array([[[0.0, -0.5], [0.0, 0.5], [1.0, 0.5]]])

@@ -2,18 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import tensorize_reference as reference
 from posestream.preprocess import NormalizedPoseSequence
 from posestream.skeleton import build_topology, euler_tour, make_topology
 from posestream.tensorize import (
     FilledCorpus,
-    SnippetPlan,
     _video_seed,
-    build_pose_tensor,
     corpus_tensors,
-    plan_snippets,
     read_corpus,
-    stack_tensors,
     write_corpus,
 )
 
@@ -40,59 +39,75 @@ def filled_pose(coords, video="v", label=0):
     return NormalizedPoseSequence(video=video, coords=coords, visibility=vis, label=label)
 
 
+def tensor_of(pose, path, k, mode="center", seed=0):
+    """The tensor corpus_tensors builds for a one-video corpus."""
+    corpus = FilledCorpus.from_poses(path, 0, "", [pose])
+    return corpus_tensors(corpus, k=k, mode=mode, seed=seed)[0][0]
+
+
+def planned_frames(num_frames, k=15, mode="random", seed=0):
+    """The snippet frames corpus_tensors picks for one video: its first joint's
+    x coordinate is the frame index, and channel 0 column 0 reads it back."""
+    coords = np.zeros((num_frames, 2, 2))
+    coords[:, 0, 0] = np.arange(num_frames)
+    tensor = tensor_of(filled_pose(coords), euler_tour(chain_topology(2)), k, mode, seed)
+    return tuple(int(f) for f in tensor[:, 0, 0])
+
+
 class TestPlanSnippets:
     def test_center_thirty_over_fifteen(self):
         # Segments [2s, 2s+2); midpoint (lo+hi)//2 = 2s+1.
-        plan = plan_snippets(30, k=15, mode="center")
-        assert plan.frames == tuple(range(1, 30, 2))
+        assert planned_frames(30, k=15, mode="center") == tuple(range(1, 30, 2))
 
     def test_singleton_segments(self):
         for mode in ("center", "random"):
-            plan = plan_snippets(15, k=15, mode=mode, seed=3)
-            assert plan.frames == tuple(range(15))
+            assert planned_frames(15, k=15, mode=mode, seed=3) == tuple(range(15))
 
     def test_short_video_backfill(self):
         # F=7, K=15: every frame appears, empties copy their predecessor,
         # plan is monotone and full length.
-        plan = plan_snippets(7, k=15, mode="center")
-        assert len(plan.frames) == 15
-        assert set(plan.frames) == set(range(7))
-        assert all(b >= a for a, b in zip(plan.frames, plan.frames[1:]))
+        frames = planned_frames(7, k=15, mode="center")
+        assert len(frames) == 15
+        assert set(frames) == set(range(7))
+        assert all(b >= a for a, b in zip(frames, frames[1:]))
 
     def test_random_within_segment(self):
         bounds = segment_bounds(120, 15)
         for seed in range(25):
-            plan = plan_snippets(120, k=15, mode="random", seed=seed)
-            for (lo, hi), frame in zip(bounds, plan.frames):
+            frames = planned_frames(120, k=15, mode="random", seed=seed)
+            for (lo, hi), frame in zip(bounds, frames):
                 assert lo <= frame < hi
 
     def test_center_within_segment(self):
-        for frames in (15, 16, 29, 30, 100, 1000):
-            bounds = segment_bounds(frames, 15)
-            plan = plan_snippets(frames, k=15, mode="center")
-            for (lo, hi), frame in zip(bounds, plan.frames):
+        for count in (15, 16, 29, 30, 100, 1000):
+            bounds = segment_bounds(count, 15)
+            frames = planned_frames(count, k=15, mode="center")
+            for (lo, hi), frame in zip(bounds, frames):
                 assert lo <= frame < hi
 
     def test_random_is_seed_deterministic(self):
-        a = plan_snippets(200, k=15, mode="random", seed=11)
-        b = plan_snippets(200, k=15, mode="random", seed=11)
-        c = plan_snippets(200, k=15, mode="random", seed=12)
-        assert a.frames == b.frames
-        assert a.frames != c.frames  # astronomically unlikely to collide
+        a = planned_frames(200, k=15, mode="random", seed=11)
+        b = planned_frames(200, k=15, mode="random", seed=11)
+        c = planned_frames(200, k=15, mode="random", seed=12)
+        assert a == b
+        assert a != c  # astronomically unlikely to collide
 
     def test_rejects_empty_video(self):
         with pytest.raises(ValueError, match="empty video"):
-            plan_snippets(0, k=15)
+            planned_frames(0, k=15)
 
     def test_rejects_bad_mode(self):
         with pytest.raises(ValueError, match="sampling mode"):
-            plan_snippets(10, k=5, mode="fancy")
+            planned_frames(10, k=5, mode="fancy")
 
-    def test_plan_validates_frames(self):
-        with pytest.raises(ValueError, match="non-decreasing"):
-            SnippetPlan(frames=(3, 1), num_frames=5)
-        with pytest.raises(ValueError, match="outside"):
-            SnippetPlan(frames=(0, 9), num_frames=5)
+    @settings(max_examples=60, deadline=None)
+    @given(count=st.integers(1, 60), k=st.integers(1, 20), mode=st.sampled_from(["random", "center"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_frames_inside_video_and_non_decreasing(self, count, k, mode, seed):
+        frames = planned_frames(count, k=k, mode=mode, seed=seed)
+        assert len(frames) == k
+        assert all(0 <= f < count for f in frames)
+        assert all(b >= a for a, b in zip(frames, frames[1:]))
 
 
 class TestBuildPoseTensor:
@@ -104,19 +119,15 @@ class TestBuildPoseTensor:
         rng = np.random.default_rng(0)
         for profile, width in [("jhmdb_gt", 58), ("estimated_14", 54), ("penn", 50)]:
             topo = build_topology(profile)
-            tour = euler_tour(topo)
             pose = filled_pose(rng.normal(size=(30, topo.n, 2)))
-            plan = plan_snippets(30, k=15, mode="center")
-            tensor = build_pose_tensor(pose, tour, plan)
-            assert tensor.data.shape == (15, width, 3)
+            assert tensor_of(pose, euler_tour(topo), 15).shape == (15, width, 3)
 
     def test_static_pose_zero_derivatives(self):
         path = self.path_for(3)
         frame = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
-        pose = filled_pose(np.repeat(frame[None], 10, axis=0))
-        tensor = build_pose_tensor(pose, path, plan_snippets(10, k=5, mode="center"))
-        assert (tensor.data[:, :, 1] == 0).all()
-        assert (tensor.data[:, :, 2] == 0).all()
+        tensor = tensor_of(filled_pose(np.repeat(frame[None], 10, axis=0)), path, 5)
+        assert (tensor[:, :, 1] == 0).all()
+        assert (tensor[:, :, 2] == 0).all()
 
     def test_finite_difference_rows(self):
         # Channel-0 first column [0, 2, 6] -> velocity [0, 2, 4],
@@ -124,54 +135,42 @@ class TestBuildPoseTensor:
         path = self.path_for(2)
         coords = np.zeros((3, 2, 2))
         coords[:, 0, 0] = [0.0, 2.0, 6.0]
-        pose = filled_pose(coords)
-        plan = plan_snippets(3, k=3, mode="center")
-        tensor = build_pose_tensor(pose, path, plan)
-        np.testing.assert_allclose(tensor.data[:, 0, 0], [0.0, 2.0, 6.0])
-        np.testing.assert_allclose(tensor.data[:, 0, 1], [0.0, 2.0, 4.0])
-        np.testing.assert_allclose(tensor.data[:, 0, 2], [0.0, 2.0, 2.0])
+        tensor = tensor_of(filled_pose(coords), path, 3)
+        np.testing.assert_allclose(tensor[:, 0, 0], [0.0, 2.0, 6.0])
+        np.testing.assert_allclose(tensor[:, 0, 1], [0.0, 2.0, 4.0])
+        np.testing.assert_allclose(tensor[:, 0, 2], [0.0, 2.0, 2.0])
 
     def test_positions_follow_tour_order(self):
         topo = build_topology("jhmdb_gt")
         tour = euler_tour(topo)
         rng = np.random.default_rng(1)
         coords = rng.normal(size=(15, topo.n, 2))
-        pose = filled_pose(coords)
-        plan = plan_snippets(15, k=15, mode="center")
-        tensor = build_pose_tensor(pose, tour, plan)
+        tensor = tensor_of(filled_pose(coords), tour, 15)
         for k in range(15):
             expected = np.concatenate([coords[k, j] for j in tour.joints])
-            np.testing.assert_array_equal(tensor.data[k, :, 0], expected)
+            np.testing.assert_array_equal(tensor[k, :, 0], expected)
 
     def test_reconstruction_from_velocity(self):
         rng = np.random.default_rng(2)
         path = self.path_for(4)
-        pose = filled_pose(rng.normal(size=(40, 4, 2)))
-        plan = plan_snippets(40, k=15, mode="random", seed=5)
-        tensor = build_pose_tensor(pose, path, plan)
-        rebuilt = tensor.data[0, :, 0] + np.cumsum(tensor.data[:, :, 1], axis=0)
-        np.testing.assert_allclose(rebuilt, tensor.data[:, :, 0], atol=1e-12)
+        tensor = tensor_of(filled_pose(rng.normal(size=(40, 4, 2))), path, 15, "random", 5)
+        rebuilt = tensor[0, :, 0] + np.cumsum(tensor[:, :, 1], axis=0)
+        np.testing.assert_allclose(rebuilt, tensor[:, :, 0], atol=1e-12)
 
     def test_same_seed_bit_identical(self):
         rng = np.random.default_rng(3)
         coords = rng.normal(size=(60, 4, 2))
         path = self.path_for(4)
-        t1 = build_pose_tensor(filled_pose(coords), path, plan_snippets(60, 15, "random", 9))
-        t2 = build_pose_tensor(filled_pose(coords), path, plan_snippets(60, 15, "random", 9))
-        assert (t1.data == t2.data).all()
+        t1 = tensor_of(filled_pose(coords), path, 15, "random", 9)
+        t2 = tensor_of(filled_pose(coords), path, 15, "random", 9)
+        assert t1.tobytes() == t2.tobytes()
 
     def test_rejects_missing_joints(self):
         path = self.path_for(2)
         pose = filled_pose(np.zeros((4, 2, 2)))
         pose.visibility[1, 0] = 0
         with pytest.raises(ValueError, match="missing joints"):
-            build_pose_tensor(pose, path, plan_snippets(4, k=2, mode="center"))
-
-    def test_rejects_plan_length_mismatch(self):
-        path = self.path_for(2)
-        pose = filled_pose(np.zeros((4, 2, 2)))
-        with pytest.raises(ValueError, match="plan covers"):
-            build_pose_tensor(pose, path, plan_snippets(5, k=2, mode="center"))
+            tensor_of(pose, path, 2)
 
     def test_consistent_relabeling_keeps_tensor(self):
         # Moving joint data to new indices while renaming the topology the
@@ -199,24 +198,13 @@ class TestBuildPoseTensor:
         new_coords = np.empty_like(coords)
         for old, new in enumerate(perm):
             new_coords[:, new] = coords[:, old]
-        plan = plan_snippets(6, k=3, mode="center")
-        t_orig = build_pose_tensor(filled_pose(coords), euler_tour(topo), plan)
-        t_perm = build_pose_tensor(filled_pose(new_coords), euler_tour(permuted), plan)
-        np.testing.assert_array_equal(t_orig.data, t_perm.data)
+        t_orig = tensor_of(filled_pose(coords), euler_tour(topo), 3)
+        t_perm = tensor_of(filled_pose(new_coords), euler_tour(permuted), 3)
+        np.testing.assert_array_equal(t_orig, t_perm)
 
 
 class TestTensorCache:
     """The filled-corpus file that preprocess writes at the --cache path."""
-
-    def make_tensors(self, count=3, k=5, n=4):
-        rng = np.random.default_rng(7)
-        tour = euler_tour(chain_topology(n))
-        tensors = []
-        for i in range(count):
-            pose = filled_pose(rng.normal(size=(20, n, 2)), video=f"vid{i}", label=i % 2)
-            plan = plan_snippets(20, k=k, mode="random", seed=i)
-            tensors.append(build_pose_tensor(pose, tour, plan))
-        return tensors
 
     def make_corpus(self, frames=(20, 3, 9), n=4, labels=(0, None, 1)):
         rng = np.random.default_rng(8)
@@ -225,7 +213,7 @@ class TestTensorCache:
             pose = filled_pose(rng.normal(size=(count, n, 2)), video=f"vid{i}", label=label)
             pose.visibility[:] = rng.integers(1, 5, size=pose.visibility.shape)
             poses.append(pose)
-        return FilledCorpus(euler_tour(chain_topology(n)), 42, "abc123", poses)
+        return FilledCorpus.from_poses(euler_tour(chain_topology(n)), 42, "abc123", poses)
 
     def test_round_trip(self, tmp_path):
         corpus = self.make_corpus()
@@ -235,24 +223,24 @@ class TestTensorCache:
         assert loaded.seed == 42
         assert loaded.config_hash == "abc123"
         assert loaded.path == corpus.path
-        assert [s.video for s in loaded.poses] == ["vid0", "vid1", "vid2"]
-        assert [s.label for s in loaded.poses] == [0, None, 1]
-        for original, again in zip(corpus.poses, loaded.poses):
-            # Coordinates are float64 on disk: bit-exact, like the flags.
-            np.testing.assert_array_equal(again.coords, original.coords)
-            np.testing.assert_array_equal(again.visibility, original.visibility)
+        assert loaded.videos == ("vid0", "vid1", "vid2")
+        np.testing.assert_array_equal(loaded.labels, [0, -1, 1])
+        np.testing.assert_array_equal(loaded.offsets, [0, 20, 23, 32])
+        # Coordinates are float64 on disk: bit-exact, like the flags.
+        assert loaded.coords.tobytes() == corpus.coords.tobytes()
+        np.testing.assert_array_equal(loaded.flags, corpus.flags)
 
     def test_rejects_empty(self, tmp_path):
         tour = euler_tour(chain_topology(4))
         with pytest.raises(ValueError, match="empty"):
-            write_corpus(tmp_path / "x.bin", FilledCorpus(tour, 0, "", []))
+            FilledCorpus.from_poses(tour, 0, "", [])
 
     def test_rejects_mixed_shapes(self, tmp_path):
         a = filled_pose(np.zeros((5, 4, 2)), video="a")
         b = filled_pose(np.zeros((5, 3, 2)), video="b")
         tour = euler_tour(chain_topology(4))
         with pytest.raises(ValueError, match="joint count"):
-            write_corpus(tmp_path / "x.bin", FilledCorpus(tour, 0, "", [a, b]))
+            FilledCorpus.from_poses(tour, 0, "", [a, b])
 
     def test_rejects_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bin"
@@ -280,8 +268,8 @@ class TestTensorCache:
         # Header: magic, version, topology name, tour, config hash, seed,
         # video count, joint count; the flags are the last F * n bytes.
         header = 8 + 4 + len(corpus.path.topology) + 4 + 4 * len(corpus.path) + 4 + 6 + 8 + 4 + 4
-        flags = sum(s.visibility.size for s in corpus.poses)
-        offsets = 8 * (len(corpus.poses) + 1)
+        flags = corpus.flags.size
+        offsets = 8 * (len(corpus.videos) + 1)
         at = {"offsets": header, "labels": header + offsets, "flags": len(raw) - flags}
         bad = tmp_path / "bad.bin"
         bad.write_bytes(patch(raw, at))
@@ -289,28 +277,59 @@ class TestTensorCache:
             read_corpus(bad)
         assert str(bad) in str(exc.value)
 
+    def test_rejects_non_finite_coordinates(self, tmp_path):
+        corpus = self.make_corpus()
+        corpus.coords[21, 1, 0] = np.inf
+        with pytest.raises(ValueError, match="video 'vid1' has non-finite"):
+            write_corpus(tmp_path / "x.bin", corpus)
+
     def test_corpus_tensors_follow_the_seed_rule(self):
         corpus = self.make_corpus()
-        tensors = corpus_tensors(corpus, k=5, mode="random", seed=3, epoch=2)
-        for tensor, seq in zip(tensors, corpus.poses):
-            plan = plan_snippets(seq.num_frames, k=5, mode="random",
-                                 seed=_video_seed(3, seq.video, 2))
-            expected = build_pose_tensor(seq, corpus.path, plan)
-            np.testing.assert_array_equal(tensor.data, expected.data)
-            assert tensor.label == seq.label
+        data, labels = corpus_tensors(corpus, k=5, mode="random", seed=3, epoch=2)
+        for row, video in enumerate(corpus.videos):
+            lo, hi = corpus.offsets[row:row + 2]
+            pose = filled_pose(corpus.coords[lo:hi], video=video)
+            frames = reference.plan_snippets(int(hi - lo), k=5, mode="random",
+                                             seed=_video_seed(3, video, 2))
+            expected = reference.build_pose_tensor(pose, corpus.path, frames)
+            assert data[row].tobytes() == expected.tobytes()
+        np.testing.assert_array_equal(labels, corpus.labels)
         # A video's plan does not depend on the rest of the corpus.
-        alone = FilledCorpus(corpus.path, 42, "", corpus.poses[1:2])
-        only = corpus_tensors(alone, k=5, mode="random", seed=3, epoch=2)[0]
-        np.testing.assert_array_equal(only.data, tensors[1].data)
+        alone = FilledCorpus.from_poses(corpus.path, 42, "", [filled_pose(
+            corpus.coords[20:23], video="vid1")])
+        only = corpus_tensors(alone, k=5, mode="random", seed=3, epoch=2)[0][0]
+        assert only.tobytes() == data[1].tobytes()
 
     def test_stack_tensors(self):
-        tensors = self.make_tensors()
-        data, labels = stack_tensors(tensors)
+        data, labels = corpus_tensors(self.make_corpus(), k=5, mode="center", seed=0)
         assert data.shape == (3, 5, 14, 3)
-        np.testing.assert_array_equal(labels, [0, 1, 0])
+        assert data.dtype == np.float64 and labels.dtype == np.int64
+        np.testing.assert_array_equal(labels, [0, -1, 1])
 
-    def test_stack_rejects_unlabeled(self):
-        tensors = self.make_tensors()
-        tensors[1].label = None
-        with pytest.raises(ValueError, match="without labels"):
-            stack_tensors(tensors)
+    def test_unlabeled_videos_read_minus_one(self, tmp_path):
+        corpus = self.make_corpus(labels=(None, None, 2))
+        write_corpus(tmp_path / "c.bin", corpus)
+        _, labels = corpus_tensors(read_corpus(tmp_path / "c.bin"), k=5, mode="center", seed=0)
+        np.testing.assert_array_equal(labels, [-1, -1, 2])
+
+
+@st.composite
+def corpora(draw):
+    """Random corpora: frame counts from 1 (so F < K) upwards, 2-4 joints."""
+    n = draw(st.integers(2, 4))
+    counts = draw(st.lists(st.integers(1, 40), min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    poses = [filled_pose(rng.normal(size=(count, n, 2)), video=f"clip{i}", label=i)
+             for i, count in enumerate(counts)]
+    return FilledCorpus.from_poses(euler_tour(chain_topology(n)), 1, "", poses)
+
+
+@settings(max_examples=150, deadline=None)
+@given(corpus=corpora(), k=st.integers(1, 20), mode=st.sampled_from(["random", "center"]),
+       seed=st.integers(0, 2**64 - 1), epoch=st.none() | st.integers(0, 50))
+def test_corpus_tensors_match_per_video_reference(corpus, k, mode, seed, epoch):
+    data, labels = corpus_tensors(corpus, k=k, mode=mode, seed=seed, epoch=epoch)
+    expected, expected_labels = reference.corpus_tensors(corpus, k, mode, seed, epoch)
+    assert data.dtype == expected.dtype and data.shape == expected.shape
+    assert data.tobytes() == expected.tobytes()
+    assert labels.tobytes() == expected_labels.tobytes()
