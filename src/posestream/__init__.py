@@ -16,12 +16,11 @@ from .skeleton import (
 )
 from .preprocess import (
     AnnotationError,
-    NormalizedPoseSequence,
+    PoseCorpus,
     PoseSequence,
     SpatialModel,
     fit_spatial_model,
     normalize,
-    read_annotations,
     spatial_interpolate,
     temporal_interpolate,
     write_annotations,
@@ -69,9 +68,9 @@ __all__ = [
     "FilledCorpus",
     "FusionWeights",
     "NetSpec",
-    "NormalizedPoseSequence",
     "PipelineConfig",
     "PoseConvNet",
+    "PoseCorpus",
     "PoseSequence",
     "SkeletonTopology",
     "SpatialModel",
@@ -96,7 +95,6 @@ __all__ = [
     "load_topology",
     "make_topology",
     "normalize",
-    "read_annotations",
     "read_corpus",
     "read_labels",
     "read_scores",

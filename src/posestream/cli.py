@@ -147,22 +147,23 @@ def cmd_preprocess(cfg: PipelineConfig) -> dict:
     if not poses:
         raise CliError(f"no valid records in {cfg.annotations} ({len(rejected)} rejected)")
 
-    if cfg.interpolate:
-        poses = [preprocess.temporal_interpolate(p, max_gap=cfg.max_gap) for p in poses]
-    normalized = [preprocess.normalize(p, topology) for p in poses]
-    # The report reads its counts from the corpus, so the parsed copies can go
-    # before the corpus arrays are built, which is where memory peaks.
+    corpus = preprocess.PoseCorpus.of(poses)
     del poses
-
+    if cfg.interpolate:
+        corpus = preprocess.temporal_interpolate(corpus, max_gap=cfg.max_gap)
+    corpus = preprocess.normalize(corpus, topology)
+    # Usable frames keep their torso anchors, so unusable ones have no filled joint.
+    unusable_frames = int(np.count_nonzero(~corpus.flags.any(axis=1)))
     if cfg.interpolate:
         if model is None:
-            model = preprocess.fit_spatial_model(normalized, topology, degree=cfg.poly_degree)
+            model = preprocess.fit_spatial_model(corpus, topology, degree=cfg.poly_degree)
         if cfg.save_spatial_model:
             _atomic_write(cfg.save_spatial_model, model.save)
-        filled = [preprocess.spatial_interpolate(p, model, topology) for p in normalized]
+        corpus = preprocess.spatial_interpolate(corpus, model, topology)
     else:
-        filled = [preprocess.zero_fill(p) for p in normalized]
-    corpus = tensorize.FilledCorpus.from_poses(euler_tour(topology), cfg.seed, cfg.hash(), filled)
+        corpus = preprocess.zero_fill(corpus)
+    corpus = tensorize.FilledCorpus(**vars(corpus), path=euler_tour(topology), seed=cfg.seed,
+                                    config_hash=cfg.hash())
     _atomic_write(cfg.cache, lambda p: tensorize.write_corpus(p, corpus))
 
     fills, fills_per_joint = _fill_counts(corpus.flags, topology)
@@ -171,7 +172,7 @@ def cmd_preprocess(cfg: PipelineConfig) -> dict:
         "videos": len(corpus.videos),
         "rejected": rejected,
         "frames": int(corpus.offsets[-1]),
-        "unusable_frames": int(sum((~seq.frame_usable).sum() for seq in normalized)),
+        "unusable_frames": unusable_frames,
         "fills": fills,
         "fills_per_joint": fills_per_joint,
         "cache": str(cfg.cache),

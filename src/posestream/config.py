@@ -2,8 +2,10 @@
 
 A config file is a YAML (or JSON) mapping whose keys match PipelineConfig
 fields. Command-line flags override file values, which override defaults.
-Every output file of every command embeds the hash of the fully resolved
-configuration plus the seed, so runs can be traced back to their settings.
+Every output file of every command embeds the hash of the resolved
+settings plus the seed, so runs can be traced back to their settings. The
+hash leaves out input and output paths (``topology_file`` stays in: it
+selects the skeleton).
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ class PipelineConfig:
     epochs: int = 30
     batch_size: int = 32
     weight_decay: float = 0.0
-    # paths
+    # paths (not part of the hash)
     annotations: str | None = None
     cache: str | None = None
     spatial_model: str | None = None
@@ -75,11 +77,20 @@ class PipelineConfig:
             raise ValueError(f"config is missing required path(s): {', '.join(missing)}")
 
     def hash(self) -> str:
-        canonical = json.dumps(asdict(self), sort_keys=True, default=list)
+        """Hash of the settings and seed; the paths under ``# paths`` are
+        left out, so the same run written under other file names records
+        the same hash."""
+        settings = {k: v for k, v in asdict(self).items() if k not in _PATH_FIELDS}
+        canonical = json.dumps(settings, sort_keys=True, default=list)
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
 
 
 _FIELD_NAMES = {f.name for f in fields(PipelineConfig)}
+_PATH_FIELDS = frozenset({
+    "annotations", "cache", "spatial_model", "save_spatial_model", "checkpoint", "trace",
+    "scores", "labels", "report", "fused_scores", "pose_scores", "spatial_scores",
+    "temporal_scores",
+})
 
 
 def load_config(path: str | Path | None, overrides: dict | None = None) -> PipelineConfig:

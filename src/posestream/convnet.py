@@ -265,14 +265,11 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=-1, keepdims=True)
 
 
-def _as_batch(x: np.ndarray, input_shape: tuple[int, int, int]) -> tuple[np.ndarray, bool]:
+def _as_batch(x: np.ndarray, input_shape: tuple[int, int, int]) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 3
-    if single:
-        x = x[None]
     if x.shape[1:] != input_shape:
-        raise ValueError(f"input shape {x.shape[1:]} does not match net input {input_shape}")
-    return x, single
+        raise ValueError(f"input shape {x.shape} does not match a batch of net input {input_shape}")
+    return x
 
 
 def _head(net: PoseConvNet, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -318,14 +315,13 @@ def _forward(net: PoseConvNet, x: np.ndarray) -> dict[str, np.ndarray]:
     }
 
 
-def forward(net: PoseConvNet, tensor: np.ndarray) -> np.ndarray:
-    """Class probabilities for one tensor (K, W, 3) or a batch (B, K, W, 3).
+def forward(net: PoseConvNet, batch: np.ndarray) -> np.ndarray:
+    """(B, classes) probabilities of a batch (B, K, W, 3) of tensors.
 
-    A batch is scored in near-equal slices of at most FORWARD_SLICE rows,
+    The batch is scored in near-equal slices of at most FORWARD_SLICE rows,
     with the same probabilities, bit for bit, as one unsliced pass."""
-    batch, single = _as_batch(tensor, net.input_shape)
-    probs = np.concatenate([_probs(net, part) for part in _slices(batch, FORWARD_SLICE)])
-    return probs[0] if single else probs
+    batch = _as_batch(batch, net.input_shape)
+    return np.concatenate([_probs(net, part) for part in _slices(batch, FORWARD_SLICE)])
 
 
 def _loss_and_grads(
@@ -358,13 +354,12 @@ def _loss_and_grads(
     return total_loss, probs, grads
 
 
-def backward(net: PoseConvNet, tensor: np.ndarray, label: int | np.ndarray) -> dict[str, np.ndarray]:
-    """Analytic loss gradients, summed over the batch when given one."""
-    batch, single = _as_batch(tensor, net.input_shape)
-    labels = np.atleast_1d(np.asarray(label, dtype=np.int64))
-    if single and labels.shape != (1,):
-        raise ValueError("single tensor needs a single label")
-    if not single and labels.shape != (batch.shape[0],):
+def backward(net: PoseConvNet, batch: np.ndarray, labels: np.ndarray) -> dict[str, np.ndarray]:
+    """Analytic loss gradients of a batch (B, K, W, 3) with B labels, summed
+    over the batch."""
+    batch = _as_batch(batch, net.input_shape)
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape != (batch.shape[0],):
         raise ValueError(f"expected {batch.shape[0]} labels, got {labels.shape}")
     if labels.min() < 0 or labels.max() >= net.num_classes:
         raise ValueError(f"labels out of range for {net.num_classes} classes")

@@ -9,7 +9,14 @@ models in the scale-free normalized space. Joints nothing can recover are
 set to the torso center (0, 0) and flagged synthetic, never left marked
 invalid.
 
-Visibility flags carry provenance: 0 missing, 1 observed, 2 temporally
+A parsed annotation record is a ``PoseSequence``; ``PoseCorpus.of``
+concatenates the records once into a ``PoseCorpus``, the frames of every
+video as one set of arrays with per-video frame offsets. Each stage maps a
+whole ``PoseCorpus`` to a new one in a few array passes. Temporal
+interpolation is the only stage that looks at video boundaries; the others
+work frame by frame.
+
+Fill flags carry provenance: 0 missing, 1 observed, 2 temporally
 interpolated, 3 spatially interpolated, 4 synthetic fill. Any value > 0
 counts as filled.
 
@@ -30,9 +37,9 @@ import functools
 import json
 import math
 import zipfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Iterator, TypeVar
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -45,16 +52,14 @@ VIS_SPATIAL = 3
 VIS_SYNTHETIC = 4
 
 
-P = TypeVar("P", bound="PoseSequence")
-
-
 class AnnotationError(ValueError):
     """Malformed annotation record."""
 
 
 @dataclass
 class PoseSequence:
-    """Per-frame 2D joints for one person in one video, in pixel coordinates.
+    """Per-frame 2D joints for one person in one video, in pixel coordinates:
+    one annotation record.
 
     coords has shape (T, n, 2) and visibility (T, n); coordinates are only
     meaningful where visibility > 0.
@@ -88,120 +93,146 @@ class PoseSequence:
 
 
 @dataclass
-class NormalizedPoseSequence(PoseSequence):
-    """A pose sequence in torso units: torso length 1, torso midpoint at (0, 0).
+class PoseCorpus:
+    """The frames of every video of a corpus as one set of arrays.
 
-    frame_usable marks frames whose torso segment could be resolved; on
-    unusable frames every joint is demoted to missing (their raw pixel
-    coordinates have no meaning in normalized space).
+    Video i owns rows offsets[i] to offsets[i+1] - 1 of coords and flags.
+    flags holds fill provenance (0 missing .. 4 synthetic); coordinates are
+    only meaningful where flags > 0.
     """
 
-    frame_usable: np.ndarray | None = None
+    videos: tuple[str, ...]
+    labels: np.ndarray   # (V,) int64, -1 where absent
+    offsets: np.ndarray  # (V+1,) int64
+    coords: np.ndarray   # (F, n, 2) float64
+    flags: np.ndarray    # (F, n) uint8
 
     def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.frame_usable is None:
-            self.frame_usable = np.ones(self.num_frames, dtype=bool)
-        else:
-            self.frame_usable = np.asarray(self.frame_usable, dtype=bool)
-        if self.frame_usable.shape != (self.num_frames,):
-            raise ValueError("frame_usable must have one entry per frame")
+        self.videos = tuple(self.videos)
+        self.labels = np.asarray(self.labels, dtype=np.int64)
+        self.offsets = np.asarray(self.offsets, dtype=np.int64)
+        self.coords = np.asarray(self.coords, dtype=np.float64)
+        self.flags = np.asarray(self.flags, dtype=np.uint8)
+        count = len(self.videos)
+        if count == 0:
+            raise ValueError("refusing to build an empty corpus")
+        if self.labels.shape != (count,) or self.offsets.shape != (count + 1,):
+            raise ValueError(f"{count} videos need {count} labels and {count + 1} offsets, got "
+                             f"{self.labels.shape} and {self.offsets.shape}")
+        if self.coords.ndim != 3 or self.coords.shape[2] != 2:
+            raise ValueError(f"coords must have shape (F, n, 2), got {self.coords.shape}")
+        if self.flags.shape != self.coords.shape[:2]:
+            raise ValueError(f"flags shape {self.flags.shape} does not match coords "
+                             f"{self.coords.shape[:2]}")
+        if (self.offsets[0] != 0 or self.offsets[-1] != len(self.coords)
+                or np.any(np.diff(self.offsets) < 1)):
+            raise ValueError(f"frame offsets must rise from 0 to {len(self.coords)} "
+                             "with no empty video")
+        if not np.isfinite(self.coords).all():
+            bad = ((self.flags > 0) & ~np.isfinite(self.coords).all(axis=2)).any(axis=1)
+            if bad.any():
+                video = self.videos[np.searchsorted(self.offsets, bad.argmax(), side="right") - 1]
+                raise ValueError(f"video '{video}' has non-finite coordinates on filled joints")
+
+    @classmethod
+    def of(cls, poses: Sequence[PoseSequence]) -> "PoseCorpus":
+        """The corpus of the given records, in their order."""
+        if not poses:
+            raise ValueError("refusing to build an empty corpus")
+        if len({p.num_joints for p in poses}) > 1:
+            raise ValueError("corpus videos differ in joint count")
+        return cls(
+            videos=tuple(p.video for p in poses),
+            labels=np.array([-1 if p.label is None else p.label for p in poses], dtype=np.int64),
+            offsets=np.cumsum([0] + [p.num_frames for p in poses], dtype=np.int64),
+            coords=np.concatenate([p.coords for p in poses]),
+            flags=np.concatenate([p.visibility for p in poses]),
+        )
+
+    @property
+    def num_joints(self) -> int:
+        return self.coords.shape[1]
 
 
-def _built(cls: type[P], **fields) -> P:
-    """An instance of cls from arrays this module built itself, already of the
-    right dtype and shape and finite where filled: __post_init__'s conversions
-    and scans would only repeat work. Inputs from files go through the
-    constructor."""
-    pose = object.__new__(cls)
-    pose.__dict__.update(fields)
-    return pose
-
-
-def _replace(pose: P, **changes) -> P:
-    """``dataclasses.replace`` without __post_init__, for arrays built here."""
-    return _built(type(pose), **{**vars(pose), **changes})
-
-
-def normalize(
-    pose: PoseSequence, topology: SkeletonTopology, eps: float = 1e-8
-) -> NormalizedPoseSequence:
+def normalize(corpus: PoseCorpus, topology: SkeletonTopology, eps: float = 1e-8) -> PoseCorpus:
     """Rescale each frame by the torso length and center on the torso midpoint.
 
     Every filled joint is divided by the distance d between the topology's
     two torso anchors and shifted so the anchor midpoint lands on the
     origin; missing joints are left untouched and stay flagged missing.
-    Frames where an anchor joint is missing or d <= eps cannot be
-    normalized: they are flagged unusable and all their joints are demoted
-    to missing (zeroed) so downstream filling treats them uniformly.
+    Frames where an anchor joint is missing, d <= eps, or the scale, shift
+    or a normalized coordinate is not finite (huge joints over a tiny
+    torso) cannot be normalized: they are unusable, and all their joints
+    are demoted to missing (zeroed) so downstream filling treats them
+    uniformly. Usable frames keep their anchors, so the unusable frames are
+    exactly those left with no filled joint.
     """
-    if pose.num_joints != topology.n:
+    if corpus.num_joints != topology.n:
         raise ValueError(
-            f"video '{pose.video}' has {pose.num_joints} joints, topology "
-            f"'{topology.name}' expects {topology.n}"
+            f"corpus has {corpus.num_joints} joints, topology '{topology.name}' expects {topology.n}"
         )
-    coords = pose.coords.copy()
-    vis = pose.visibility.copy()
-    filled = vis > 0
+    flags = corpus.flags.copy()
+    filled = flags > 0
     group_a, group_b = (list(group) for group in topology.torso_anchors)
     # Anchor means only over frames whose anchors are all present: the
-    # coordinates of missing joints are arbitrary and never enter arithmetic.
+    # coordinates of missing joints are arbitrary.
     anchored = np.flatnonzero(filled[:, group_a].all(axis=1) & filled[:, group_b].all(axis=1))
-    a = coords[anchored[:, None], group_a].mean(axis=1)
-    b = coords[anchored[:, None], group_b].mean(axis=1)
-    d = np.hypot(*(a - b).T)
-    keep = ~(d <= eps)
-    frames = anchored[keep]
-    usable = np.zeros(pose.num_frames, dtype=bool)
-    usable[frames] = True
-    scale = np.ones(pose.num_frames)
-    scale[frames] = d[keep]
-    shift = np.zeros((pose.num_frames, 2))
-    shift[frames] = (a + b)[keep] / (2.0 * d[keep, None])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        a = corpus.coords[anchored[:, None], group_a].mean(axis=1)
+        b = corpus.coords[anchored[:, None], group_b].mean(axis=1)
+        d = np.hypot(*(a - b).T)
+        centers = (a + b) / (2.0 * d[:, None])
+        keep = (d > eps) & np.isfinite(d) & np.isfinite(centers).all(axis=1)
+        frames = anchored[keep]
+        usable = np.zeros(len(flags), dtype=bool)
+        usable[frames] = True
+        scale = np.ones(len(flags))
+        scale[frames] = d[keep]
+        shift = np.zeros((len(flags), 2))
+        shift[frames] = centers[keep]
+        # Whole frames at once; missing joints and unusable frames are put back.
+        coords = corpus.coords / scale[:, None, None]
+        coords -= shift[:, None]
     moved = filled & usable[:, None]
-    t = np.nonzero(moved)[0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        scaled = coords[moved] / scale[t, None] - shift[t]
-    # The one stage that can overflow finite input (huge joints, tiny torso).
-    if not np.isfinite(scaled).all():
-        raise ValueError(f"video '{pose.video}': non-finite coordinates on visible joints")
-    coords[moved] = scaled
+    np.copyto(coords, corpus.coords, where=~moved[..., None])
+    usable &= (np.isfinite(coords).all(axis=2) | ~moved).all(axis=1)
     coords[~usable] = 0.0
-    vis[~usable] = VIS_MISSING
-    return _built(
-        NormalizedPoseSequence,
-        video=pose.video,
-        coords=coords,
-        visibility=vis,
-        label=pose.label,
-        frame_usable=usable,
-    )
+    flags[~usable] = VIS_MISSING
+    return replace(corpus, coords=coords, flags=flags)
 
 
-def temporal_interpolate(pose: PoseSequence, max_gap: int = 10) -> PoseSequence:
+def temporal_interpolate(corpus: PoseCorpus, max_gap: int = 10) -> PoseCorpus:
     """Fill short visibility gaps per joint by linear interpolation.
 
-    A gap is a run of missing frames bounded on both sides by filled frames.
-    Gaps of length <= max_gap are filled per coordinate and flagged
-    temporally interpolated; longer gaps and runs touching the sequence
-    boundary are left missing (no anchor, or the linear-motion assumption
-    is not trusted that far). Filled/visible coordinates are never modified.
+    A gap is a run of missing frames bounded on both sides by filled frames
+    of the same video. Gaps of length <= max_gap are filled per coordinate
+    and flagged temporally interpolated; longer gaps and runs touching a
+    video's first or last frame are left missing (no anchor, or the
+    linear-motion assumption is not trusted that far). Filled coordinates
+    are never modified.
     """
-    coords = pose.coords.copy()
-    vis = pose.visibility.copy()
-    num_frames = pose.num_frames
-    filled = vis > 0
+    filled = corpus.flags > 0
+    num_frames = len(filled)
     frame = np.arange(num_frames)[:, None]
-    # Nearest filled frame at or before / at or after every (frame, joint).
-    before = np.maximum.accumulate(np.where(filled, frame, -1), axis=0)
-    after = np.minimum.accumulate(np.where(filled, frame, num_frames)[::-1], axis=0)[::-1]
-    gap = ~filled & (before >= 0) & (after < num_frames) & (after - before - 1 <= max_gap)
+    lengths = np.diff(corpus.offsets)
+    # Nearest filled frame at or before / at or after every (frame, joint),
+    # over the whole corpus; one outside the frame's own video is no anchor.
+    before = np.where(filled, frame, -1)
+    np.maximum.accumulate(before, axis=0, out=before)
+    after = np.where(filled, frame, num_frames)
+    np.minimum.accumulate(after[::-1], axis=0, out=after[::-1])
+    gap = ~filled & (after - before <= max_gap + 1)
+    gap &= before >= np.repeat(corpus.offsets[:-1], lengths)[:, None]
+    gap &= after < np.repeat(corpus.offsets[1:], lengths)[:, None]
     t, j = np.nonzero(gap)
     t0, t1 = before[t, j], after[t, j]
+    del before, after  # freed before the corpus copies, where memory peaks
+    coords = corpus.coords.copy()
+    flags = corpus.flags.copy()
     steps = (t - t0).astype(np.float64) / (t1 - t0)
     coords[t, j] = coords[t0, j] * (1.0 - steps)[:, None] + coords[t1, j] * steps[:, None]
-    vis[t, j] = VIS_TEMPORAL
-    return _replace(pose, coords=coords, visibility=vis)
+    flags[t, j] = VIS_TEMPORAL
+    return replace(corpus, coords=coords, flags=flags)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +342,7 @@ class SpatialModel:
 
 
 def fit_spatial_model(
-    corpus: Iterable[NormalizedPoseSequence],
+    corpus: PoseCorpus,
     topology: SkeletonTopology,
     degree: int = 1,
     min_samples: int = 1,
@@ -326,18 +357,13 @@ def fit_spatial_model(
     """
     if degree not in (1, 2):
         raise ValueError(f"degree must be 1 or 2, got {degree}")
-    sequences = list(corpus)
-    if not sequences:
-        raise ValueError("spatial model corpus is empty")
-    for seq in sequences:
-        if seq.num_joints != topology.n:
-            raise ValueError(
-                f"corpus video '{seq.video}' has {seq.num_joints} joints, expected {topology.n}"
-            )
+    if corpus.num_joints != topology.n:
+        raise ValueError(f"corpus has {corpus.num_joints} joints, expected {topology.n}")
 
     # Joint-major (n, frames, ...) layout: every pair reads two contiguous rows.
-    coords = np.concatenate([s.coords for s in sequences]).transpose(1, 0, 2).copy()
-    filled = (np.concatenate([s.visibility for s in sequences]) > 0).T.copy()
+    # Missing joints hold arbitrary coordinates; zeros keep the features finite.
+    filled = (corpus.flags > 0).T.copy()
+    coords = np.where(filled[..., None], corpus.coords.transpose(1, 0, 2), 0.0)
 
     n = topology.n
     n_feat = _feature_count(degree)
@@ -382,10 +408,8 @@ def _voter_groups(topology: SkeletonTopology) -> tuple[np.ndarray, np.ndarray]:
 
 
 def spatial_interpolate(
-    pose: NormalizedPoseSequence,
-    model: SpatialModel,
-    topology: SkeletonTopology,
-) -> NormalizedPoseSequence:
+    corpus: PoseCorpus, model: SpatialModel, topology: SkeletonTopology
+) -> PoseCorpus:
     """Fill still-missing joints from same-frame neighbors.
 
     Voter selection per missing joint: filled joints of the same body part
@@ -403,17 +427,17 @@ def spatial_interpolate(
             f"spatial model was fit on '{model.topology_name}', not '{topology.name}'"
         )
     n = topology.n
-    if pose.num_joints != n:
-        raise ValueError(f"pose has {pose.num_joints} joints, topology expects {n}")
+    if corpus.num_joints != n:
+        raise ValueError(f"corpus has {corpus.num_joints} joints, topology expects {n}")
     if model.trained.shape != (n, n):
         raise ValueError(f"spatial model has {model.trained.shape[0]} joints, topology expects {n}")
 
-    coords = pose.coords.copy()
-    vis = pose.visibility.copy()
+    coords = corpus.coords.copy()
+    flags = corpus.flags.copy()
     same_limb, torso = _voter_groups(topology)
 
     # One row per missing (frame, joint), in frame-major order.
-    filled = vis > 0
+    filled = flags > 0
     t, j = np.nonzero(~filled)
     seen = filled[t]
     limb_voters = seen & same_limb[j]
@@ -427,28 +451,28 @@ def spatial_interpolate(
     first = np.cumsum(count) - count
 
     coords[t, j] = 0.0
-    vis[t, j] = VIS_SYNTHETIC
+    flags[t, j] = VIS_SYNTHETIC
     # Rows with k votes at once, as a (rows, k, 2) mean: that reduces each
     # row's votes in the same order as a mean over that row's vote list.
     for k in np.flatnonzero(np.bincount(count)[1:]) + 1:
         rows = np.flatnonzero(count == k)
         coords[t[rows], j[rows]] = predictions[first[rows, None] + np.arange(k)].mean(axis=1)
-        vis[t[rows], j[rows]] = VIS_SPATIAL
-    return _replace(pose, coords=coords, visibility=vis)
+        flags[t[rows], j[rows]] = VIS_SPATIAL
+    return replace(corpus, coords=coords, flags=flags)
 
 
-def zero_fill(pose: NormalizedPoseSequence) -> NormalizedPoseSequence:
+def zero_fill(corpus: PoseCorpus) -> PoseCorpus:
     """Set every missing joint to (0, 0) synthetic, with no model voting.
 
     Baseline used to measure what interpolation buys; also the final
     fallback the full pipeline applies via spatial_interpolate.
     """
-    coords = pose.coords.copy()
-    vis = pose.visibility.copy()
-    missing = vis == 0
+    coords = corpus.coords.copy()
+    flags = corpus.flags.copy()
+    missing = flags == VIS_MISSING
     coords[missing] = 0.0
-    vis[missing] = VIS_SYNTHETIC
-    return _replace(pose, coords=coords, visibility=vis)
+    flags[missing] = VIS_SYNTHETIC
+    return replace(corpus, coords=coords, flags=flags)
 
 
 # ---------------------------------------------------------------------------
@@ -566,19 +590,6 @@ def iter_annotation_lines(path: str | Path) -> Iterator[tuple[int, str]]:
         for lineno, line in enumerate(handle, start=1):
             if line.strip():
                 yield lineno, line
-
-
-def read_annotations(path: str | Path, n_expected: int | None = None) -> list[PoseSequence]:
-    """Strict reader: every record must parse, errors carry line numbers."""
-    poses = []
-    for lineno, line in iter_annotation_lines(path):
-        try:
-            pose = parse_annotation_line(line, n_expected=n_expected)
-        except AnnotationError as exc:
-            raise AnnotationError(f"line {lineno}: {exc}") from None
-        if pose is not None:
-            poses.append(pose)
-    return poses
 
 
 def write_annotations(

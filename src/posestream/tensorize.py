@@ -9,11 +9,13 @@ velocity channel (row-to-row first difference) and an acceleration channel
 all-zero first row. Result shape: K x 2L x 3.
 
 ``preprocess`` writes its filled, normalized frames to one filled-corpus
-file. ``FilledCorpus`` holds that file's arrays as they are on disk, and
-``train`` and ``eval`` build the tensors of every video at once from them
-(``corpus_tensors``): the segment bounds of all videos as one (V, K) array,
-one random draw per video, then one gather of the chosen frames and two
-differences over the whole (V, K, 2L) position array.
+file. ``FilledCorpus`` is the ``preprocess.PoseCorpus`` of those frames
+plus the file header (Euler tour, seed, config hash), with the file's
+arrays as they are on disk. ``train`` and ``eval`` build the tensors of
+every video at once from them (``corpus_tensors``): the segment bounds of
+all videos as one (V, K) array, one random draw per video, then one gather
+of the chosen frames and two differences over the whole (V, K, 2L)
+position array.
 
 Filled-corpus file (little-endian binary)::
 
@@ -35,12 +37,11 @@ import hashlib
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
 from .binio import BinaryReader
-from .preprocess import VIS_OBSERVED, VIS_SYNTHETIC, NormalizedPoseSequence
+from .preprocess import VIS_OBSERVED, VIS_SYNTHETIC, PoseCorpus
 from .skeleton import TraversalPath
 
 CORPUS_MAGIC = b"PCRP"
@@ -55,39 +56,22 @@ SAMPLING_MODES = ("random", "center")
 # ---------------------------------------------------------------------------
 
 @dataclass
-class FilledCorpus:
-    """The filled, normalized frames of one preprocess run, the Euler tour
-    their tensors follow, and the run's seed and config hash.
-
-    Video i owns rows offsets[i] to offsets[i+1] - 1 of coords and flags.
-    """
+class FilledCorpus(PoseCorpus):
+    """A filled corpus as one file holds it: the normalized frames of one
+    preprocess run, the Euler tour their tensors follow, and the run's seed
+    and config hash."""
 
     path: TraversalPath
     seed: int
     config_hash: str
-    coords: np.ndarray   # (F, n, 2) float64
-    flags: np.ndarray    # (F, n) uint8 fill provenance
-    offsets: np.ndarray  # (V+1,) int64
-    videos: tuple[str, ...]
-    labels: np.ndarray   # (V,) int64, -1 where absent
 
-    @classmethod
-    def from_poses(
-        cls, path: TraversalPath, seed: int, config_hash: str,
-        poses: Sequence[NormalizedPoseSequence],
-    ) -> "FilledCorpus":
-        if not poses:
-            raise ValueError("refusing to build an empty corpus")
-        if len({p.num_joints for p in poses}) > 1:
-            raise ValueError("corpus videos differ in joint count")
-        return cls(
-            path, seed, config_hash,
-            coords=np.concatenate([p.coords for p in poses]),
-            flags=np.concatenate([p.visibility for p in poses]),
-            offsets=np.cumsum([0] + [p.num_frames for p in poses], dtype=np.int64),
-            videos=tuple(p.video for p in poses),
-            labels=np.array([-1 if p.label is None else p.label for p in poses], dtype=np.int64),
-        )
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if np.any((self.flags < VIS_OBSERVED) | (self.flags > VIS_SYNTHETIC)):
+            raise ValueError(f"fill flags outside {VIS_OBSERVED}-{VIS_SYNTHETIC}: "
+                             "a filled corpus has no missing joints")
+        if not self.path.joints or max(self.path.joints) >= self.num_joints:
+            raise ValueError(f"tour joints do not index the {self.num_joints} joints")
 
 
 def _video_seed(base_seed: int, video: str, epoch: int | None = None) -> list[int]:
@@ -144,13 +128,6 @@ def corpus_tensors(
         raise ValueError(f"segment count must be >= 1, got {k}")
     if mode not in SAMPLING_MODES:
         raise ValueError(f"unknown sampling mode '{mode}'; use one of {SAMPLING_MODES}")
-    if np.any(np.diff(corpus.offsets) < 1):
-        raise ValueError("cannot sample snippets from an empty video")
-    if np.any(corpus.flags < VIS_OBSERVED):
-        raise ValueError("corpus still has missing joints; interpolate before tensorizing")
-    if max(corpus.path.joints) >= corpus.coords.shape[1]:
-        raise ValueError(f"traversal path references joint {max(corpus.path.joints)}, "
-                         f"corpus has {corpus.coords.shape[1]}")
     seeds = [_video_seed(seed, video, epoch) for video in corpus.videos] if mode == "random" else []
     frames = _segment_frames(np.diff(corpus.offsets), k, mode, seeds) + corpus.offsets[:-1, None]
     joints = np.asarray(corpus.path.joints, dtype=np.intp)
@@ -169,12 +146,6 @@ def _pack_text(text: str) -> bytes:
 
 def write_corpus(path: str | Path, corpus: FilledCorpus) -> None:
     """Write a filled corpus in the binary layout of the module docstring."""
-    if np.any((corpus.flags < VIS_OBSERVED) | (corpus.flags > VIS_SYNTHETIC)):
-        raise ValueError("corpus has missing joints; fill them before writing")
-    finite = np.isfinite(corpus.coords).all(axis=(1, 2))
-    if not finite.all():
-        video = corpus.videos[np.searchsorted(corpus.offsets, finite.argmin(), side="right") - 1]
-        raise ValueError(f"video '{video}' has non-finite coordinates")
     with open(path, "wb") as handle:
         handle.write(CORPUS_MAGIC)
         handle.write(struct.pack("<I", CORPUS_VERSION))
@@ -208,8 +179,6 @@ def read_corpus(path: str | Path) -> FilledCorpus:
     seed, count, joints = reader.unpack("QII", "seed, video count and joint count")
     if count == 0:
         raise reader.fail("video count is 0")
-    if not tour or max(tour) >= joints:
-        raise reader.fail(f"tour joints do not index the {joints} joints")
     offsets = reader.array("<u8", count + 1, "frame offsets").astype(np.int64)
     if offsets[0] != 0 or np.any(np.diff(offsets) <= 0):
         raise reader.fail("frame offsets do not start at 0 and strictly increase")
@@ -223,9 +192,8 @@ def read_corpus(path: str | Path) -> FilledCorpus:
     coords = reader.array("<f8", frames * joints * 2, "coordinates").reshape(frames, joints, 2)
     flags = reader.array("u1", frames * joints, "fill flags").reshape(frames, joints)
     reader.finish()
-    if np.any((flags < VIS_OBSERVED) | (flags > VIS_SYNTHETIC)):
-        raise reader.fail(f"fill flags outside {VIS_OBSERVED}-{VIS_SYNTHETIC}")
-    if not np.isfinite(coords).all():
-        raise reader.fail("coordinates contain non-finite values")
-    return FilledCorpus(TraversalPath(joints=tour, topology=topology), seed, config_hash,
-                        coords, flags, offsets, videos, labels)
+    try:
+        return FilledCorpus(videos, labels, offsets, coords, flags,
+                            TraversalPath(joints=tour, topology=topology), seed, config_hash)
+    except ValueError as exc:
+        raise reader.fail(str(exc)) from None

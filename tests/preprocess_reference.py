@@ -1,9 +1,11 @@
 """Loop implementations of the five preprocess stages, kept as test oracles.
 
-These are the per-frame, per-joint and per-triple loops that
-``posestream.preprocess`` replaced with array-at-a-time code. They are
-not used by the package; the property tests in ``test_preprocess.py``
-check the array code against them on random inputs.
+These are the per-video, per-frame, per-joint and per-triple loops that
+``posestream.preprocess`` replaced with array-at-a-time code over a whole
+``PoseCorpus``. Each stage here takes and returns one ``PoseSequence``.
+They are not used by the package; the property tests in
+``test_preprocess.py`` check the corpus stages against these loops, run
+video by video and concatenated, on random inputs.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from posestream.preprocess import (
     VIS_SYNTHETIC,
     VIS_TEMPORAL,
     AnnotationError,
-    NormalizedPoseSequence,
     PoseSequence,
     SpatialModel,
 )
@@ -89,18 +90,17 @@ def normalize(pose: PoseSequence, topology: SkeletonTopology, eps: float = 1e-8)
         if a is None or b is None:
             usable[t] = False
             continue
-        d = float(np.hypot(*(a - b)))
-        if d <= eps:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            d = np.hypot(*(a - b))
+            center = (a + b) / (2.0 * d)
+            filled = vis[t] > 0
+            coords[t, filled] = coords[t, filled] / d - center
+        if not (d > eps and np.isfinite(d) and np.isfinite(center).all()
+                and np.isfinite(coords[t, filled]).all()):
             usable[t] = False
-            continue
-        center = (a + b) / (2.0 * d)
-        filled = vis[t] > 0
-        coords[t, filled] = coords[t, filled] / d - center
     coords[~usable] = 0.0
     vis[~usable] = VIS_MISSING
-    return NormalizedPoseSequence(
-        video=pose.video, coords=coords, visibility=vis, label=pose.label, frame_usable=usable
-    )
+    return PoseSequence(video=pose.video, coords=coords, visibility=vis, label=pose.label)
 
 
 def temporal_interpolate(pose: PoseSequence, max_gap: int = 10) -> PoseSequence:
@@ -169,7 +169,7 @@ def fit_spatial_model(corpus, topology: SkeletonTopology, degree: int = 1, min_s
     )
 
 
-def spatial_interpolate(pose: NormalizedPoseSequence, model: SpatialModel, topology: SkeletonTopology):
+def spatial_interpolate(pose: PoseSequence, model: SpatialModel, topology: SkeletonTopology):
     coords = pose.coords.copy()
     vis = pose.visibility.copy()
     upper = upper_body_joints(topology)

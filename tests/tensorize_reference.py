@@ -12,7 +12,6 @@ from typing import Sequence
 
 import numpy as np
 
-from posestream.preprocess import NormalizedPoseSequence
 from posestream.skeleton import TraversalPath
 from posestream.tensorize import FilledCorpus, _video_seed
 
@@ -44,13 +43,13 @@ def plan_snippets(
 
 
 def build_pose_tensor(
-    pose: NormalizedPoseSequence, path: TraversalPath, frames: tuple[int, ...]
+    coords: np.ndarray, path: TraversalPath, frames: tuple[int, ...]
 ) -> np.ndarray:
-    """(K, 2L, 3) positions, velocity and acceleration of one video."""
+    """(K, 2L, 3) positions, velocity and acceleration of one video's (T, n, 2) frames."""
     k = len(frames)
     picked = np.asarray(frames, dtype=np.intp)
     joints = np.asarray(path.joints, dtype=np.intp)
-    positions = pose.coords[picked][:, joints, :].reshape(k, 2 * len(joints))
+    positions = coords[picked][:, joints, :].reshape(k, 2 * len(joints))
     velocity = np.zeros_like(positions)
     acceleration = np.zeros_like(positions)
     if k > 1:
@@ -65,7 +64,6 @@ def corpus_tensors(
     """One plan and one tensor per video, stacked."""
     tensors = []
     for video, lo, hi in zip(corpus.videos, corpus.offsets[:-1], corpus.offsets[1:]):
-        pose = NormalizedPoseSequence(video, corpus.coords[lo:hi], corpus.flags[lo:hi])
         frames = plan_snippets(int(hi - lo), k=k, mode=mode, seed=_video_seed(seed, video, epoch))
-        tensors.append(build_pose_tensor(pose, corpus.path, frames))
+        tensors.append(build_pose_tensor(corpus.coords[lo:hi], corpus.path, frames))
     return np.stack(tensors), corpus.labels.copy()

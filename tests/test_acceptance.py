@@ -19,7 +19,7 @@ from posestream.cli import cmd_eval, cmd_preprocess, cmd_synth, cmd_train
 from posestream.convnet import NetSpec, backward, init_net, _loss_and_grads
 from posestream.fusion import FusionWeights, StreamScores, evaluate, fuse
 from posestream.preprocess import (
-    NormalizedPoseSequence,
+    PoseCorpus,
     PoseSequence,
     fit_spatial_model,
     normalize,
@@ -85,10 +85,11 @@ def test_criterion_2_tensor_shapes():
         for profile, shape in expected.items():
             topo = build_topology(profile)
             coords = rng.uniform(0, 100, size=(40, topo.n, 2))
-            pose = NormalizedPoseSequence(
+            pose = PoseSequence(
                 video="v", coords=coords, visibility=np.ones((40, topo.n), np.uint8), label=0
             )
-            corpus = FilledCorpus.from_poses(euler_tour(topo), 0, "", [pose])
+            corpus = FilledCorpus(**vars(PoseCorpus.of([pose])), path=euler_tour(topo), seed=0,
+                                  config_hash="")
             data, _ = corpus_tensors(corpus, k=15, mode="random", seed=1)
             assert data.shape == (1, *shape)
 
@@ -105,8 +106,8 @@ def test_criterion_3_normalization_invariance():
             moved = PoseSequence(
                 video="v", coords=coords * scale + shift, visibility=pose.visibility
             )
-            a = normalize(pose, JHMDB)
-            b = normalize(moved, JHMDB)
+            a = normalize(PoseCorpus.of([pose]), JHMDB)
+            b = normalize(PoseCorpus.of([moved]), JHMDB)
             assert np.allclose(a.coords, b.coords, rtol=0.0, atol=1e-9)
             anchor_a = b.coords[0, list(neck_idx)].mean(axis=0)
             anchor_b = b.coords[0, list(belly_idx)].mean(axis=0)
@@ -131,10 +132,10 @@ def test_criterion_4_temporal_exactness():
                     lo = int(rng.integers(1, frames - gap - 1))
                     vis[lo:lo + gap, j] = 0
             pose = PoseSequence(video="v", coords=coords.copy(), visibility=vis.copy())
-            out = temporal_interpolate(pose, max_gap=max_gap)
+            out = temporal_interpolate(PoseCorpus.of([pose]), max_gap=max_gap)
             visible = vis > 0
             assert np.array_equal(out.coords[visible], coords[visible])
-            filled = (vis == 0) & (out.visibility > 0)
+            filled = (vis == 0) & (out.flags > 0)
             assert np.allclose(out.coords[filled], coords[filled], rtol=0.0, atol=1e-9)
 
 
@@ -154,16 +155,16 @@ def affine_corpus(family_seed, latent_seed, num_frames):
     offsets = rng.uniform(-1.0, 1.0, size=(n, 2))
     latents = np.random.default_rng(latent_seed).uniform(-2.0, 2.0, size=(num_frames, 2))
     coords = np.einsum("njk,tk->tnj", mats, latents) + offsets
-    return NormalizedPoseSequence(
+    return PoseCorpus.of([PoseSequence(
         video="affine", coords=coords, visibility=np.ones((num_frames, n), np.uint8), label=0
-    )
+    )])
 
 
 def test_criterion_5_spatial_model_recovery():
     with criterion(5, "exact affine corpus: fit residual < 1e-6, knocked-out joints refilled < 1e-6"):
-        corpus = [affine_corpus(family_seed=9, latent_seed=1, num_frames=120)]
+        corpus = affine_corpus(family_seed=9, latent_seed=1, num_frames=120)
         model = fit_spatial_model(corpus, JHMDB, degree=1)
-        coords = corpus[0].coords
+        coords = corpus.coords
         worst_fit = 0.0
         for s in range(JHMDB.n):
             for t in range(JHMDB.n):
@@ -176,11 +177,11 @@ def test_criterion_5_spatial_model_recovery():
         probe = affine_corpus(family_seed=9, latent_seed=2, num_frames=8)
         worst_fill = 0.0
         for victim in range(JHMDB.n):
-            vis = probe.visibility.copy()
+            vis = probe.flags.copy()
             vis[:, victim] = 0
-            broken = NormalizedPoseSequence(
+            broken = PoseCorpus.of([PoseSequence(
                 video="p", coords=probe.coords.copy(), visibility=vis
-            )
+            )])
             out = spatial_interpolate(broken, model, JHMDB)
             worst_fill = max(
                 worst_fill, float(np.abs(out.coords[:, victim] - probe.coords[:, victim]).max())

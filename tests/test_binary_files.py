@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posestream.convnet import NetSpec, init_net, load_checkpoint, save_checkpoint
-from posestream.preprocess import NormalizedPoseSequence
+from posestream.preprocess import PoseCorpus, PoseSequence
 from posestream.skeleton import euler_tour, make_topology
 from posestream.tensorize import FilledCorpus, read_corpus, write_corpus
 
@@ -25,7 +25,7 @@ TOPOLOGY = make_topology(
 
 def small_corpus(rng, frames):
     poses = [
-        NormalizedPoseSequence(
+        PoseSequence(
             video=f"clip{i}",
             coords=rng.normal(size=(count, TOPOLOGY.n, 2)),
             visibility=rng.integers(1, 5, size=(count, TOPOLOGY.n)),
@@ -33,7 +33,8 @@ def small_corpus(rng, frames):
         )
         for i, count in enumerate(frames)
     ]
-    return FilledCorpus.from_poses(euler_tour(TOPOLOGY), seed=7, config_hash="h", poses=poses)
+    return FilledCorpus(**vars(PoseCorpus.of(poses)), path=euler_tour(TOPOLOGY), seed=7,
+                        config_hash="h")
 
 
 @settings(max_examples=8, deadline=None)

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posestream.cli import _atomic_write, main
+from posestream.config import PipelineConfig
 from posestream.convnet import init_net, load_checkpoint, NetSpec
 from posestream.fusion import read_scores
 from posestream.preprocess import SpatialModel
@@ -141,6 +142,37 @@ class TestPreprocess:
         assert out["videos"] == 2
         assert [r["line"] for r in out["rejected"]] == [2, 3]
         assert "invalid JSON" in out["rejected"][0]["error"]
+
+    def test_overflowing_record_only_loses_its_frames(self, tmp_path, capsys):
+        # A joint at 1e304 over a 1e-5 torso overflows when normalized: the
+        # frame is unusable, its video is zero-filled, and the others come
+        # out exactly as they do without that record.
+        topo = build_topology("jhmdb_gt")
+        ann = tmp_path / "ann.jsonl"
+        assert main(["synth", "--out", str(ann), "--videos-per-class", "1", "--frames", "12",
+                     "--dropout", "0.3", "--seed", "4"]) == 0
+        first, last = ann.read_text().splitlines()[1:3]
+        joints = [[1.0, 2.0, 1] for _ in range(topo.n)]
+        (neck,), (belly,) = topo.torso_anchors
+        joints[neck], joints[belly] = [0.0, 0.0, 1], [0.0, 1e-5, 1]
+        joints[topo.joint_names.index("r_wrist")] = [1e304, 0.0, 1]
+        bad = json.dumps({"video": "bad", "label": 0, "n": topo.n, "frames": [joints] * 2})
+        (tmp_path / "with.jsonl").write_text("\n".join([first, bad, last]) + "\n")
+        (tmp_path / "without.jsonl").write_text("\n".join([first, last]) + "\n")
+        reports = {}
+        for name in ("with", "without"):
+            code, reports[name], err = run(
+                capsys, "preprocess", "--annotations", str(tmp_path / f"{name}.jsonl"),
+                "--cache", str(tmp_path / f"{name}.cache"))
+            assert code == 0, err
+        assert reports["with"]["rejected"] == []
+        assert reports["with"]["unusable_frames"] == reports["without"]["unusable_frames"] + 2
+        full, kept = read_corpus(tmp_path / "with.cache"), read_corpus(tmp_path / "without.cache")
+        assert full.videos == (kept.videos[0], "bad", kept.videos[1])
+        assert (full.coords[12:14] == 0.0).all() and (full.flags[12:14] == 4).all()
+        rows = np.r_[0:12, 14:26]
+        assert full.coords[rows].tobytes() == kept.coords.tobytes()
+        assert full.flags[rows].tobytes() == kept.flags.tobytes()
 
     def test_over_deep_line_rejected(self, tmp_path, capsys):
         # json.loads raises RecursionError, not JSONDecodeError, past its nesting limit.
@@ -285,6 +317,17 @@ class TestTrain:
         assert code == 1
         assert "without labels" in err["message"] and str(cache) in err["message"]
         assert not (tmp_path / "n.ckpt").exists()
+
+    def test_output_names_leave_artifacts_unchanged(self, workdir, tmp_path, capsys):
+        for name in ("a", "b"):
+            assert main([
+                "train", "--cache", str(workdir / "train.cache"),
+                "--checkpoint", str(tmp_path / f"{name}.ckpt"),
+                "--trace", str(tmp_path / f"{name}.csv"), "--seed", "0", *FAST,
+            ]) == 0
+        capsys.readouterr()
+        assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     def test_trace_rerun_identical(self, workdir, tmp_path, capsys):
         argv = [
@@ -645,6 +688,21 @@ class TestAtomicWrite:
         with pytest.raises(RuntimeError):
             _atomic_write(tmp_path / "out.txt", broken)
         assert list(tmp_path.iterdir()) == []
+
+
+class TestConfigHash:
+    def test_paths_are_not_settings(self):
+        base = PipelineConfig().hash()
+        for name in ("annotations", "cache", "spatial_model", "save_spatial_model", "checkpoint",
+                     "trace", "scores", "labels", "report", "fused_scores", "pose_scores",
+                     "spatial_scores", "temporal_scores"):
+            assert PipelineConfig(**{name: "elsewhere"}).hash() == base, name
+
+    @pytest.mark.parametrize("change", [
+        {"topology_file": "skeleton.txt"}, {"seed": 1}, {"k": 9}, {"weights": (1, 0, 1)},
+    ])
+    def test_settings_change_the_hash(self, change):
+        assert PipelineConfig(**change).hash() != PipelineConfig().hash()
 
 
 class TestUsageErrors:

@@ -166,8 +166,8 @@ class TestConvPrimitive:
 class TestForward:
     def test_zero_input_uniform_probabilities(self):
         net = small_net()
-        probs = forward(net, np.zeros(SMALL_SHAPE))
-        np.testing.assert_allclose(probs, np.full(3, 1 / 3), atol=1e-12)
+        probs = forward(net, np.zeros((1,) + SMALL_SHAPE))
+        np.testing.assert_allclose(probs, np.full((1, 3), 1 / 3), atol=1e-12)
 
     def test_probabilities_sum_to_one(self):
         rng = np.random.default_rng(1)
@@ -180,7 +180,7 @@ class TestForward:
     def test_logit_shift_invariance(self):
         rng = np.random.default_rng(2)
         net = small_net()
-        x = rng.normal(size=SMALL_SHAPE)
+        x = rng.normal(size=(1,) + SMALL_SHAPE)
         base = forward(net, x)
         shifted = net.copy()
         shifted.out_b += 7.3
@@ -189,7 +189,10 @@ class TestForward:
     def test_shape_mismatch(self):
         net = small_net()
         with pytest.raises(ValueError, match="does not match"):
-            forward(net, np.zeros((8, 11, 3)))
+            forward(net, np.zeros((2, 8, 11, 3)))
+        # A single tensor is not a batch.
+        with pytest.raises(ValueError, match="does not match"):
+            forward(net, np.zeros(SMALL_SHAPE))
 
     # Default tensor shape with a narrow net: im2col buffers dominate memory.
     EVAL_SHAPE = (15, 58, 3)
@@ -402,9 +405,9 @@ class TestGradients:
     def test_duplicate_batch_doubles_gradient(self):
         rng = np.random.default_rng(4)
         net = small_net()
-        x = rng.normal(size=SMALL_SHAPE)
-        single = backward(net, x, 1)
-        double = backward(net, np.stack([x, x]), np.array([1, 1]))
+        x = rng.normal(size=(1,) + SMALL_SHAPE)
+        single = backward(net, x, np.array([1]))
+        double = backward(net, np.concatenate([x, x]), np.array([1, 1]))
         for name in single:
             np.testing.assert_allclose(double[name], 2.0 * single[name], atol=1e-12)
 
@@ -415,15 +418,17 @@ class TestGradients:
         net = small_net()
         net.out_b[:] = -50.0
         net.out_b[1] = 50.0
-        x = rng.normal(size=SMALL_SHAPE)
-        grads = backward(net, x, 1)
+        x = rng.normal(size=(1,) + SMALL_SHAPE)
+        grads = backward(net, x, np.array([1]))
         norm = np.sqrt(sum(float((g ** 2).sum()) for g in grads.values()))
         assert norm < 1e-6
 
     def test_label_validation(self):
         net = small_net()
         with pytest.raises(ValueError, match="out of range"):
-            backward(net, np.zeros(SMALL_SHAPE), 3)
+            backward(net, np.zeros((1,) + SMALL_SHAPE), np.array([3]))
+        with pytest.raises(ValueError, match="expected 1 labels"):
+            backward(net, np.zeros((1,) + SMALL_SHAPE), 1)
 
 
 class TestPredict:
@@ -436,13 +441,13 @@ class TestPredict:
         assert (probs.argmax(axis=1) == 0).all()
 
     def test_agrees_with_forward_argmax(self):
-        # A single tensor's last bits may differ from its row in a batch
-        # (numpy's one-row matmul path), but not its class.
+        # A batch of one may differ from its row in a larger batch in the
+        # last bits (numpy's one-row matmul path), but not in its class.
         rng = np.random.default_rng(6)
         net = small_net(seed=7)
         batch = rng.normal(size=(100,) + SMALL_SHAPE)
         classes = forward(net, batch).argmax(axis=1)
-        assert classes.tolist() == [int(np.argmax(forward(net, x))) for x in batch]
+        assert classes.tolist() == [int(np.argmax(forward(net, x[None]))) for x in batch]
 
 
 def linearly_separable_dataset(rng, count=80):
@@ -558,7 +563,7 @@ class TestCheckpoint:
     def test_loaded_net_forward_identical(self, tmp_path):
         rng = np.random.default_rng(22)
         net = small_net(seed=23)
-        x = rng.normal(size=SMALL_SHAPE)
+        x = rng.normal(size=(2,) + SMALL_SHAPE)
         path = tmp_path / "net.ckpt"
         save_checkpoint(net, path)
         loaded, _ = load_checkpoint(path)

@@ -1,6 +1,7 @@
 """Normalization, interpolation, and annotation I/O tests."""
 
 import copy
+import json
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -11,11 +12,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import preprocess_reference as reference
+from posestream.cli import cmd_preprocess
+from posestream.config import PipelineConfig
 from posestream.fusion import StreamScores, read_labels, read_scores, write_labels, write_scores
 
 from posestream.preprocess import (
     AnnotationError,
-    NormalizedPoseSequence,
+    PoseCorpus,
     PoseSequence,
     SpatialModel,
     VIS_MISSING,
@@ -25,8 +28,9 @@ from posestream.preprocess import (
     fit_spatial_model,
     normalize,
     pose_from_record,
+    iter_annotation_lines,
+    parse_annotation_line,
     pose_to_record,
-    read_annotations,
     spatial_interpolate,
     temporal_interpolate,
     write_annotations,
@@ -55,43 +59,62 @@ def random_pose(rng, n=15, frames=5, lo=0.0, hi=200.0):
     return PoseSequence(video="v", coords=coords, visibility=vis, label=0)
 
 
+def one_video(coords, vis=None, video="v"):
+    """A one-video corpus; every joint filled unless vis says otherwise."""
+    coords = np.asarray(coords, dtype=np.float64)
+    vis = np.ones(coords.shape[:2], np.uint8) if vis is None else vis
+    return PoseCorpus.of([PoseSequence(video=video, coords=coords, visibility=vis, label=0)])
+
+
+def read_records(path, n_expected=None):
+    """Every record of an annotation file, through the reader preprocess uses."""
+    poses = (parse_annotation_line(line, n_expected) for _, line in iter_annotation_lines(path))
+    return [pose for pose in poses if pose is not None]
+
+
+def preprocess_file(tmp_path, lines):
+    """The preprocess report for an annotation file of the given lines."""
+    path = tmp_path / "ann.jsonl"
+    path.write_text("".join(line + "\n" for line in lines))
+    return cmd_preprocess(PipelineConfig(annotations=str(path), cache=str(tmp_path / "c.cache")))
+
+
+def record_line(video):
+    """A valid one-frame jhmdb_gt record."""
+    return json.dumps({"video": video, "n": 15, "frames": [[[0, j, 1] for j in range(15)]]})
+
+
 class TestNormalize:
     def test_hand_example(self):
         # neck=(0,0), belly=(0,2), wrist=(2,2): torso length 2, so the
         # scaled pose has the torso midpoint at (0, 0.5).
         topo = simple_topology()
-        pose = PoseSequence(
-            video="v",
-            coords=np.array([[[0.0, 0.0], [0.0, 2.0], [2.0, 2.0]]]),
-            visibility=np.ones((1, 3), dtype=np.uint8),
-        )
-        out = normalize(pose, topo)
+        out = normalize(one_video([[[0.0, 0.0], [0.0, 2.0], [2.0, 2.0]]]), topo)
         np.testing.assert_allclose(out.coords[0, 0], [0.0, -0.5])
         np.testing.assert_allclose(out.coords[0, 1], [0.0, 0.5])
         np.testing.assert_allclose(out.coords[0, 2], [1.0, 0.5])
-        assert out.frame_usable[0]
+        assert (out.flags[0] > 0).all()
 
     def test_overflow_rejected_naming_video(self):
-        # A torso of 1e-5 scales a joint at 1e304 past the float64 range.
-        pose = PoseSequence(
-            video="clip",
-            coords=np.array([[[0.0, 0.0], [0.0, 1e-5], [1e304, 0.0]]]),
-            visibility=np.ones((1, 3), dtype=np.uint8),
-        )
-        with pytest.raises(ValueError, match="video 'clip': non-finite coordinates"):
-            normalize(pose, simple_topology())
+        # A torso of 1e-5 scales a joint at 1e304 past the float64 range: that
+        # frame is unusable like a degenerate torso, and the next one is kept.
+        coords = np.array([[[0.0, 0.0], [0.0, 1e-5], [1e304, 0.0]],
+                           [[0.0, 0.0], [0.0, 2.0], [2.0, 2.0]]])
+        with np.errstate(all="raise"):
+            out = normalize(one_video(coords, video="clip"), simple_topology())
+        assert (out.flags[0] == VIS_MISSING).all() and (out.coords[0] == 0.0).all()
+        np.testing.assert_allclose(out.coords[1, 2], [1.0, 0.5])
 
     def test_already_normalized_is_identity(self):
         topo = simple_topology()
         coords = np.array([[[0.0, -0.5], [0.0, 0.5], [1.0, 0.5]]])
-        pose = PoseSequence(video="v", coords=coords, visibility=np.ones((1, 3), np.uint8))
-        out = normalize(pose, topo)
+        out = normalize(one_video(coords), topo)
         np.testing.assert_allclose(out.coords, coords, atol=1e-15)
 
     def test_torso_length_one_and_centered(self):
         rng = np.random.default_rng(0)
         pose = random_pose(rng)
-        out = normalize(pose, JHMDB)
+        out = normalize(PoseCorpus.of([pose]), JHMDB)
         neck, belly = JHMDB.torso_anchors
         for t in range(pose.num_frames):
             a = out.coords[t, list(neck)].mean(axis=0)
@@ -115,38 +138,36 @@ class TestNormalize:
             coords=pose.coords * scale + np.array([tx, ty]),
             visibility=pose.visibility,
         )
-        a = normalize(pose, JHMDB)
-        b = normalize(moved, JHMDB)
+        a = normalize(PoseCorpus.of([pose]), JHMDB)
+        b = normalize(PoseCorpus.of([moved]), JHMDB)
         np.testing.assert_allclose(a.coords, b.coords, atol=1e-9)
 
     def test_missing_joint_left_untouched(self):
         topo = simple_topology()
         coords = np.array([[[0.0, 0.0], [0.0, 2.0], [123.0, 456.0]]])
         vis = np.array([[1, 1, 0]], dtype=np.uint8)
-        out = normalize(PoseSequence(video="v", coords=coords, visibility=vis), topo)
+        out = normalize(one_video(coords, vis), topo)
         np.testing.assert_allclose(out.coords[0, 2], [123.0, 456.0])
-        assert out.visibility[0, 2] == VIS_MISSING
+        assert out.flags[0, 2] == VIS_MISSING
 
     def test_degenerate_torso_flagged_unusable(self):
         topo = simple_topology()
-        coords = np.zeros((1, 3, 2))
-        out = normalize(PoseSequence(video="v", coords=coords, visibility=np.ones((1, 3), np.uint8)), topo)
-        assert not out.frame_usable[0]
-        assert (out.visibility[0] == VIS_MISSING).all()
+        out = normalize(one_video(np.zeros((1, 3, 2))), topo)
+        assert (out.flags[0] == VIS_MISSING).all()
 
     def test_missing_torso_flagged_unusable(self):
         topo = simple_topology()
         coords = np.array([[[0.0, 0.0], [0.0, 2.0], [1.0, 1.0]]])
         vis = np.array([[1, 0, 1]], dtype=np.uint8)
-        out = normalize(PoseSequence(video="v", coords=coords, visibility=vis), topo)
-        assert not out.frame_usable[0]
+        out = normalize(one_video(coords, vis), topo)
+        assert (out.flags[0] == VIS_MISSING).all()
 
     def test_midpoint_proxy_anchor(self):
         # Penn has no belly; the head-to-hip-midpoint distance becomes 1.
         topo = build_topology("penn")
         rng = np.random.default_rng(1)
         pose = random_pose(rng, n=13, frames=2)
-        out = normalize(pose, topo)
+        out = normalize(PoseCorpus.of([pose]), topo)
         head = out.coords[:, topo.joint_names.index("head")]
         hips = out.coords[:, [topo.joint_names.index("l_hip"),
                               topo.joint_names.index("r_hip")]].mean(axis=1)
@@ -160,7 +181,7 @@ class TestTemporalInterpolate:
         for t in range(frames):
             coords[t, 0] = coords_fn(t) if vis_pattern[t] else (0.0, 0.0)
         vis = np.array(vis_pattern, dtype=np.uint8)[:, None]
-        return PoseSequence(video="v", coords=coords, visibility=vis)
+        return one_video(coords, vis)
 
     def test_linear_midpoint(self):
         # Visible at t=0 as (0,0) and t=4 as (4,8); t=2 must become (2,4).
@@ -169,37 +190,36 @@ class TestTemporalInterpolate:
         np.testing.assert_allclose(out.coords[2, 0], [2.0, 4.0])
         np.testing.assert_allclose(out.coords[1, 0], [1.0, 2.0])
         np.testing.assert_allclose(out.coords[3, 0], [3.0, 6.0])
-        assert (out.visibility[1:4, 0] == VIS_TEMPORAL).all()
+        assert (out.flags[1:4, 0] == VIS_TEMPORAL).all()
 
     def test_fully_visible_unchanged(self):
         pose = self.make([1] * 6, lambda t: (t, -t))
         out = temporal_interpolate(pose)
         np.testing.assert_array_equal(out.coords, pose.coords)
-        np.testing.assert_array_equal(out.visibility, pose.visibility)
+        np.testing.assert_array_equal(out.flags, pose.flags)
 
     def test_boundary_run_not_filled(self):
         pose = self.make([1] + [0] * 9, lambda t: (t, t))
         out = temporal_interpolate(pose, max_gap=5)
-        assert (out.visibility[1:, 0] == VIS_MISSING).all()
+        assert (out.flags[1:, 0] == VIS_MISSING).all()
 
     def test_gap_longer_than_max_not_filled(self):
         pattern = [1] + [0] * 6 + [1]
         pose = self.make(pattern, lambda t: (t, t))
         out = temporal_interpolate(pose, max_gap=5)
-        assert (out.visibility[1:7, 0] == VIS_MISSING).all()
+        assert (out.flags[1:7, 0] == VIS_MISSING).all()
         out2 = temporal_interpolate(pose, max_gap=6)
-        assert (out2.visibility[1:7, 0] == VIS_TEMPORAL).all()
+        assert (out2.flags[1:7, 0] == VIS_TEMPORAL).all()
 
     def test_never_modifies_visible(self):
         rng = np.random.default_rng(3)
         coords = rng.normal(size=(30, 4, 2))
         vis = (rng.random((30, 4)) > 0.4).astype(np.uint8)
-        pose = PoseSequence(video="v", coords=coords, visibility=vis)
-        out = temporal_interpolate(pose, max_gap=4)
+        out = temporal_interpolate(one_video(coords, vis), max_gap=4)
         was_visible = vis > 0
         np.testing.assert_array_equal(out.coords[was_visible], coords[was_visible])
         # Missing count never increases.
-        assert (out.visibility == 0).sum() <= (vis == 0).sum()
+        assert (out.flags == 0).sum() <= (vis == 0).sum()
 
     def test_exact_for_linear_motion(self):
         velocity = np.array([0.7, -1.3])
@@ -207,8 +227,7 @@ class TestTemporalInterpolate:
         coords = start + velocity * np.arange(20)[:, None]
         vis = np.ones(20, dtype=np.uint8)
         vis[3:9] = 0
-        pose = PoseSequence(video="v", coords=coords[:, None, :] * [[1.0]], visibility=vis[:, None])
-        out = temporal_interpolate(pose, max_gap=10)
+        out = temporal_interpolate(one_video(coords[:, None, :], vis[:, None]), max_gap=10)
         np.testing.assert_allclose(out.coords[:, 0, :], coords, atol=1e-9)
 
 
@@ -227,8 +246,7 @@ def affine_corpus(topo, num_frames=60, seed=0):
     offsets = rng.uniform(-1.0, 1.0, size=(n, 2))
     latents = rng.uniform(-2.0, 2.0, size=(num_frames, 2))
     coords = np.einsum("njk,tk->tnj", mats, latents) + offsets
-    vis = np.ones((num_frames, n), dtype=np.uint8)
-    return NormalizedPoseSequence(video="affine", coords=coords, visibility=vis, label=0)
+    return one_video(coords, video="affine")
 
 
 class TestSpatialModel:
@@ -237,17 +255,14 @@ class TestSpatialModel:
         rng = np.random.default_rng(0)
         base = rng.uniform(size=(40, 1, 2))
         coords = np.concatenate([base, base + [0.0, -1.0], base + [0.5, 0.5]], axis=1)
-        corpus = [
-            NormalizedPoseSequence(video="c", coords=coords, visibility=np.ones((40, 3), np.uint8))
-        ]
-        model = fit_spatial_model(corpus, topo, degree=1)
+        model = fit_spatial_model(one_video(coords), topo, degree=1)
         pred = model.predict(0, 1, np.array([0.3, 0.7]))
         np.testing.assert_allclose(pred, [0.3, -0.3], atol=1e-9)
 
     def test_affine_recovery(self):
-        corpus = [affine_corpus(JHMDB)]
+        corpus = affine_corpus(JHMDB)
         model = fit_spatial_model(corpus, JHMDB, degree=1)
-        coords = corpus[0].coords
+        coords = corpus.coords
         for s, t in [(0, 1), (3, 11), (14, 2)]:
             preds = np.array([model.predict(s, t, coords[f, s]) for f in range(10)])
             np.testing.assert_allclose(preds, coords[:10, t], atol=1e-6)
@@ -255,10 +270,7 @@ class TestSpatialModel:
     def test_single_frame_fallback(self):
         topo = simple_topology()
         coords = np.array([[[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]]])
-        corpus = [
-            NormalizedPoseSequence(video="c", coords=coords, visibility=np.ones((1, 3), np.uint8))
-        ]
-        model = fit_spatial_model(corpus, topo, degree=1)
+        model = fit_spatial_model(one_video(coords), topo, degree=1)
         # Mean offset: joint 1 = joint 0 + (1, 1) on the only sample.
         np.testing.assert_allclose(model.predict(0, 1, np.array([5.0, 5.0])), [6.0, 6.0])
         assert model.trained[0, 1]
@@ -266,19 +278,16 @@ class TestSpatialModel:
     def test_min_samples_marks_untrained(self):
         topo = simple_topology()
         coords = np.array([[[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]]])
-        corpus = [
-            NormalizedPoseSequence(video="c", coords=coords, visibility=np.ones((1, 3), np.uint8))
-        ]
-        model = fit_spatial_model(corpus, topo, degree=1, min_samples=3)
+        model = fit_spatial_model(one_video(coords), topo, degree=1, min_samples=3)
         assert not model.trained.any()
 
     def test_rejects_bad_degree(self):
         with pytest.raises(ValueError, match="degree"):
-            fit_spatial_model([affine_corpus(JHMDB)], JHMDB, degree=3)
+            fit_spatial_model(affine_corpus(JHMDB), JHMDB, degree=3)
 
     def test_rejects_empty_corpus(self):
         with pytest.raises(ValueError, match="empty"):
-            fit_spatial_model([], JHMDB)
+            fit_spatial_model(PoseCorpus.of([]), JHMDB)
 
     def test_degree_two_fits_quadratic(self):
         topo = simple_topology()
@@ -286,15 +295,12 @@ class TestSpatialModel:
         src = rng.uniform(-1, 1, size=(80, 2))
         tgt = np.stack([src[:, 0] ** 2, src[:, 0] * src[:, 1]], axis=1)
         coords = np.stack([src, tgt, src + 1.0], axis=1)
-        corpus = [
-            NormalizedPoseSequence(video="q", coords=coords, visibility=np.ones((80, 3), np.uint8))
-        ]
-        model = fit_spatial_model(corpus, topo, degree=2)
+        model = fit_spatial_model(one_video(coords), topo, degree=2)
         pred = model.predict(0, 1, np.array([0.4, -0.3]))
         np.testing.assert_allclose(pred, [0.16, -0.12], atol=1e-9)
 
     def test_save_load_round_trip(self, tmp_path):
-        model = fit_spatial_model([affine_corpus(JHMDB)], JHMDB, degree=1)
+        model = fit_spatial_model(affine_corpus(JHMDB), JHMDB, degree=1)
         path = tmp_path / "model.npz"
         model.save(path)
         loaded = type(model).load(path)
@@ -305,7 +311,7 @@ class TestSpatialModel:
 
     @pytest.mark.parametrize("degree", [1, 2])
     def test_predict_is_array_valued(self, degree):
-        model = fit_spatial_model([affine_corpus(JHMDB)], JHMDB, degree=degree)
+        model = fit_spatial_model(affine_corpus(JHMDB), JHMDB, degree=degree)
         rng = np.random.default_rng(degree)
         sources, targets = rng.integers(0, JHMDB.n, size=(2, 40))
         xy = rng.normal(size=(40, 2))
@@ -318,7 +324,7 @@ class TestSpatialModel:
 
 def _write_npz(path, **changes):
     """A valid degree-1 model file with some fields replaced; None drops a field."""
-    model = fit_spatial_model([affine_corpus(JHMDB)], JHMDB, degree=1)
+    model = fit_spatial_model(affine_corpus(JHMDB), JHMDB, degree=1)
     fields = dict(topology_name=np.array(model.topology_name), degree=np.array(1),
                   coeffs=model.coeffs, trained=model.trained, counts=model.counts)
     fields.update(changes)
@@ -385,38 +391,30 @@ class TestSpatialInterpolate:
             [base, base + [0.0, 1.0], base + [1.0, 0.0], base + [3.0, 0.0], base + [2.0, 0.0]],
             axis=1,
         )
-        corpus = [
-            NormalizedPoseSequence(video="c", coords=coords, visibility=np.ones((50, 5), np.uint8))
-        ]
-        model = fit_spatial_model(corpus, topo, degree=1)
+        model = fit_spatial_model(one_video(coords), topo, degree=1)
 
         frame = np.array([[[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [3.0, 0.0], [99.0, 99.0]]])
         vis = np.array([[1, 1, 1, 1, 0]], dtype=np.uint8)
-        pose = NormalizedPoseSequence(video="v", coords=frame, visibility=vis)
-        out = spatial_interpolate(pose, model, topo)
+        out = spatial_interpolate(one_video(frame, vis), model, topo)
         # Voters a and b (same part) predict c at (2,0) and (2,0) exactly;
         # with the offsets above the mean is (2, 0).
         np.testing.assert_allclose(out.coords[0, 4], [2.0, 0.0], atol=1e-9)
-        assert out.visibility[0, 4] == VIS_SPATIAL
+        assert out.flags[0, 4] == VIS_SPATIAL
 
     def test_identity_when_nothing_missing(self):
-        corpus = [affine_corpus(JHMDB)]
-        model = fit_spatial_model(corpus, JHMDB, degree=1)
+        model = fit_spatial_model(affine_corpus(JHMDB), JHMDB, degree=1)
         pose = affine_corpus(JHMDB, num_frames=4, seed=1)
         out = spatial_interpolate(pose, model, JHMDB)
         np.testing.assert_array_equal(out.coords, pose.coords)
-        np.testing.assert_array_equal(out.visibility, pose.visibility)
+        np.testing.assert_array_equal(out.flags, pose.flags)
 
     def test_knocked_out_joint_recovered(self):
-        corpus = [affine_corpus(JHMDB, num_frames=80)]
-        model = fit_spatial_model(corpus, JHMDB, degree=1)
+        model = fit_spatial_model(affine_corpus(JHMDB, num_frames=80), JHMDB, degree=1)
         probe = affine_corpus(JHMDB, num_frames=6, seed=0)
         for victim in (11, 2, 14):
-            vis = probe.visibility.copy()
+            vis = probe.flags.copy()
             vis[:, victim] = 0
-            broken = NormalizedPoseSequence(
-                video="p", coords=probe.coords.copy(), visibility=vis
-            )
+            broken = one_video(probe.coords, vis, video="p")
             out = spatial_interpolate(broken, model, JHMDB)
             np.testing.assert_allclose(
                 out.coords[:, victim], probe.coords[:, victim], atol=1e-6
@@ -454,10 +452,7 @@ class TestSpatialInterpolate:
         vis = np.ones((1, topo.n), dtype=np.uint8)
         for nm in ("r_shoulder", "r_elbow", "r_wrist"):
             vis[0, topo.joint_names.index(nm)] = 0
-        pose = NormalizedPoseSequence(
-            video="v", coords=np.zeros((1, topo.n, 2)), visibility=vis
-        )
-        out = spatial_interpolate(pose, model, topo)
+        out = spatial_interpolate(one_video(np.zeros((1, topo.n, 2)), vis), model, topo)
         np.testing.assert_allclose(out.coords[0, wrist], [1.0, 1.0])
 
     def test_all_visible_fallback_for_lower_body(self):
@@ -477,10 +472,7 @@ class TestSpatialInterpolate:
         vis = np.ones((1, topo.n), dtype=np.uint8)
         for nm in ("r_hip", "r_knee", "r_ankle"):
             vis[0, topo.joint_names.index(nm)] = 0
-        pose = NormalizedPoseSequence(
-            video="v", coords=np.zeros((1, topo.n, 2)), visibility=vis
-        )
-        out = spatial_interpolate(pose, model, topo)
+        out = spatial_interpolate(one_video(np.zeros((1, topo.n, 2)), vis), model, topo)
         expected_x = np.mean([float(i) for i in range(len(visible))])
         np.testing.assert_allclose(out.coords[0, ankle], [expected_x, 0.0])
 
@@ -492,37 +484,28 @@ class TestSpatialInterpolate:
         vis = np.ones((1, topo.n), dtype=np.uint8)
         for nm in ("r_shoulder", "r_elbow", "r_wrist"):
             vis[0, topo.joint_names.index(nm)] = 0
-        pose = NormalizedPoseSequence(
-            video="v", coords=np.zeros((1, topo.n, 2)), visibility=vis
-        )
-        out = spatial_interpolate(pose, model, topo)
+        out = spatial_interpolate(one_video(np.zeros((1, topo.n, 2)), vis), model, topo)
         np.testing.assert_allclose(out.coords[0, wrist], [4.0, 5.0])
 
     def test_zero_voters_synthetic_zero_fill(self):
         topo = simple_topology()
         coords = np.array([[[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]])
-        corpus = [
-            NormalizedPoseSequence(video="c", coords=coords, visibility=np.ones((1, 3), np.uint8))
-        ]
-        model = fit_spatial_model(corpus, topo, degree=1, min_samples=99)  # all untrained
+        model = fit_spatial_model(one_video(coords), topo, degree=1, min_samples=99)  # all untrained
         vis = np.array([[1, 1, 0]], dtype=np.uint8)
-        pose = NormalizedPoseSequence(video="v", coords=coords.copy(), visibility=vis)
-        out = spatial_interpolate(pose, model, topo)
+        out = spatial_interpolate(one_video(coords, vis), model, topo)
         np.testing.assert_allclose(out.coords[0, 2], [0.0, 0.0])
-        assert out.visibility[0, 2] == VIS_SYNTHETIC
+        assert out.flags[0, 2] == VIS_SYNTHETIC
 
     def test_no_missing_after_interpolation(self):
         rng = np.random.default_rng(9)
-        corpus = [affine_corpus(JHMDB, num_frames=100)]
-        model = fit_spatial_model(corpus, JHMDB, degree=1)
+        model = fit_spatial_model(affine_corpus(JHMDB, num_frames=100), JHMDB, degree=1)
         probe = affine_corpus(JHMDB, num_frames=12, seed=3)
-        vis = (rng.random(probe.visibility.shape) > 0.4).astype(np.uint8)
-        pose = NormalizedPoseSequence(video="p", coords=probe.coords.copy(), visibility=vis)
-        out = spatial_interpolate(pose, model, JHMDB)
-        assert (out.visibility > 0).all()
+        vis = (rng.random(probe.flags.shape) > 0.4).astype(np.uint8)
+        out = spatial_interpolate(one_video(probe.coords, vis, video="p"), model, JHMDB)
+        assert (out.flags > 0).all()
 
     def test_topology_mismatch_rejected(self):
-        model = fit_spatial_model([affine_corpus(JHMDB)], JHMDB, degree=1)
+        model = fit_spatial_model(affine_corpus(JHMDB), JHMDB, degree=1)
         pose = affine_corpus(JHMDB, num_frames=2)
         with pytest.raises(ValueError, match="fit on"):
             spatial_interpolate(pose, model, build_topology("penn"))
@@ -532,10 +515,9 @@ class TestZeroFill:
     def test_fills_missing_with_origin(self):
         coords = np.array([[[1.0, 1.0], [5.0, 5.0]]])
         vis = np.array([[1, 0]], dtype=np.uint8)
-        pose = NormalizedPoseSequence(video="v", coords=coords, visibility=vis)
-        out = zero_fill(pose)
+        out = zero_fill(one_video(coords, vis))
         np.testing.assert_allclose(out.coords[0, 1], [0.0, 0.0])
-        assert out.visibility[0, 1] == VIS_SYNTHETIC
+        assert out.flags[0, 1] == VIS_SYNTHETIC
         np.testing.assert_allclose(out.coords[0, 0], [1.0, 1.0])
 
 
@@ -548,7 +530,7 @@ class TestAnnotationIO:
             p.visibility[0, 1] = 0
         path = tmp_path / "ann.jsonl"
         write_annotations(path, poses, meta={"seed": 1})
-        loaded = read_annotations(path, n_expected=3)
+        loaded = read_records(path, n_expected=3)
         assert [p.video for p in loaded] == ["clip_0", "clip_1", "clip_2"]
         for original, again in zip(poses, loaded):
             np.testing.assert_array_equal(original.visibility > 0, again.visibility > 0)
@@ -559,7 +541,7 @@ class TestAnnotationIO:
     def test_meta_line_skipped(self, tmp_path):
         path = tmp_path / "ann.jsonl"
         write_annotations(path, [], meta={"note": "header only"})
-        assert read_annotations(path) == []
+        assert read_records(path) == []
 
     def test_rejects_wrong_n(self):
         record = pose_to_record(random_pose(np.random.default_rng(0), n=5, frames=2))
@@ -605,10 +587,9 @@ class TestAnnotationIO:
             pose_from_record(record)
 
     def test_reader_reports_line_numbers(self, tmp_path):
-        path = tmp_path / "ann.jsonl"
-        path.write_text('{"video": "a", "n": 1, "frames": [[[0, 0, 1]]]}\nnot json\n')
-        with pytest.raises(AnnotationError, match="line 2"):
-            read_annotations(path)
+        report = preprocess_file(tmp_path, [record_line("a"), "", "not json"])
+        assert [entry["line"] for entry in report["rejected"]] == [3]
+        assert report["rejected"][0]["error"].startswith("invalid JSON")
 
     @pytest.mark.parametrize("video", ["a,b", 'a"b', "a\rb", "a\nb", "#a", "\ud800"])
     def test_rejects_ids_the_csvs_cannot_carry(self, video):
@@ -621,11 +602,9 @@ class TestAnnotationIO:
             pose_from_record({"video": "v", "label": label, "n": 1, "frames": [[[0, 0, 1]]]})
 
     def test_preprocess_reports_bad_id_with_line_number(self, tmp_path):
-        path = tmp_path / "ann.jsonl"
-        path.write_text('{"video": "a", "n": 1, "frames": [[[0, 0, 1]]]}\n'
-                        '{"video": "a,b", "n": 1, "frames": [[[0, 0, 1]]]}\n')
-        with pytest.raises(AnnotationError, match="line 2: video id"):
-            read_annotations(path)
+        report = preprocess_file(tmp_path, [record_line("a"), record_line("a,b")])
+        assert [entry["line"] for entry in report["rejected"]] == [2]
+        assert report["rejected"][0]["error"].startswith("video id 'a,b'")
 
 
 _ID_CHARS = st.one_of(st.characters(), st.sampled_from(list(',"\r\n# ')))
@@ -654,17 +633,18 @@ def test_accepted_ids_round_trip_through_csvs(videos):
 
 
 # ---------------------------------------------------------------------------
-# The array stages against the loop implementations in preprocess_reference
+# The corpus stages against the per-video loops in preprocess_reference
 # ---------------------------------------------------------------------------
 
 PROFILES = [build_topology(name) for name in ("jhmdb_gt", "estimated_14", "penn")]
 
 
-def noisy_pose(topo, rng, frames, dropout, degenerate, max_gap):
+def noisy_pose(topo, rng, frames, dropout, degenerate, max_gap, video="v"):
     """A pixel-space pose with every case the stage loops branch on: random
     dropout, possibly a joint missing in every frame, missing runs at both
-    ends, a gap one frame longer than max_gap, and frames whose torso anchor
-    groups coincide to within 1e-9 (so d <= eps)."""
+    ends, a gap one frame longer than max_gap, frames whose torso anchor
+    groups coincide to within 1e-9 (so d <= eps), and frames whose 1e-5
+    torso scales a joint at 1e304 past the float64 range."""
     coords = rng.uniform(-50.0, 250.0, size=(frames, topo.n, 2))
     vis = (rng.random((frames, topo.n)) >= dropout).astype(np.uint8)
     if rng.random() < 0.5:
@@ -679,20 +659,31 @@ def noisy_pose(topo, rng, frames, dropout, degenerate, max_gap):
     anchors = [j for group in topo.torso_anchors for j in group]
     for t in np.flatnonzero(rng.random(frames) < degenerate):
         coords[t, anchors] = coords[t, anchors[0]] + rng.uniform(-1e-9, 1e-9, (len(anchors), 2))
-    return PoseSequence(video="v", coords=coords, visibility=vis, label=0)
+    others = [j for j in range(topo.n) if j not in anchors]
+    for t in np.flatnonzero(rng.random(frames) < degenerate / 2):
+        coords[t, anchors] = coords[t, anchors[0]] + rng.uniform(-1e-5, 1e-5, (len(anchors), 2))
+        coords[t, rng.choice(others)] = 1e304
+    return PoseSequence(video=video, coords=coords, visibility=vis, label=0)
 
 
-def assert_same_pose(new, old):
-    assert new.coords.tobytes() == old.coords.tobytes()
-    np.testing.assert_array_equal(new.visibility, old.visibility)
-    if isinstance(old, NormalizedPoseSequence):
-        np.testing.assert_array_equal(new.frame_usable, old.frame_usable)
+def noisy_poses(topo, rng, counts, dropout, degenerate, max_gap):
+    return [noisy_pose(topo, rng, frames, dropout, degenerate, max_gap, video=f"v{i}")
+            for i, frames in enumerate(counts)]
 
 
-pose_knobs = dict(
+def assert_same_corpus(corpus, poses):
+    """The corpus equals the given per-video outputs concatenated, bit for bit."""
+    expected = PoseCorpus.of(poses)
+    assert corpus.coords.tobytes() == expected.coords.tobytes()
+    np.testing.assert_array_equal(corpus.flags, expected.flags)
+    np.testing.assert_array_equal(corpus.offsets, expected.offsets)
+    assert corpus.videos == expected.videos
+
+
+corpus_knobs = dict(
     seed=st.integers(0, 2**32 - 1),
     topo=st.sampled_from(PROFILES),
-    frames=st.integers(1, 16),
+    counts=st.lists(st.integers(1, 16), min_size=1, max_size=4),
     dropout=st.floats(0.0, 0.8),
     degenerate=st.sampled_from([0.0, 0.3]),
     max_gap=st.integers(0, 5),
@@ -700,37 +691,132 @@ pose_knobs = dict(
 
 
 @settings(max_examples=150, deadline=None)
-@given(**pose_knobs)
-def test_temporal_and_normalize_match_loops(seed, topo, frames, dropout, degenerate, max_gap):
-    pose = noisy_pose(topo, np.random.default_rng(seed), frames, dropout, degenerate, max_gap)
-    filled = temporal_interpolate(pose, max_gap=max_gap)
-    assert_same_pose(filled, reference.temporal_interpolate(pose, max_gap=max_gap))
-    for source in (pose, filled):
-        assert_same_pose(normalize(source, topo), reference.normalize(source, topo))
+@given(**corpus_knobs)
+def test_temporal_and_normalize_match_loops(seed, topo, counts, dropout, degenerate, max_gap):
+    poses = noisy_poses(topo, np.random.default_rng(seed), counts, dropout, degenerate, max_gap)
+    corpus = PoseCorpus.of(poses)
+    filled = temporal_interpolate(corpus, max_gap=max_gap)
+    filled_poses = [reference.temporal_interpolate(p, max_gap=max_gap) for p in poses]
+    assert_same_corpus(filled, filled_poses)
+    for source, sources in ((corpus, poses), (filled, filled_poses)):
+        with np.errstate(all="raise"):
+            out = normalize(source, topo)
+        assert_same_corpus(out, [reference.normalize(p, topo) for p in sources])
 
 
 @settings(max_examples=60, deadline=None)
-@given(**pose_knobs, videos=st.integers(1, 3), degree=st.sampled_from([1, 2]),
+@given(**corpus_knobs, degree=st.sampled_from([1, 2]),
        min_samples=st.sampled_from([1, 4, 12]), abstain=st.sampled_from([0.0, 0.5]))
-def test_fit_and_fill_match_loops(seed, topo, frames, dropout, degenerate, max_gap, videos,
+def test_fit_and_fill_match_loops(seed, topo, counts, dropout, degenerate, max_gap,
                                   degree, min_samples, abstain):
     # Small corpora make rank-deficient designs and untrained pairs common.
     rng = np.random.default_rng(seed)
-    corpus = [
-        normalize(noisy_pose(topo, rng, frames, dropout, degenerate, max_gap), topo)
-        for _ in range(videos)
-    ]
+    poses = [reference.normalize(p, topo)
+             for p in noisy_poses(topo, rng, counts, dropout, degenerate, max_gap)]
+    corpus = PoseCorpus.of(poses)
     model = fit_spatial_model(corpus, topo, degree=degree, min_samples=min_samples)
-    loop_model = reference.fit_spatial_model(corpus, topo, degree=degree, min_samples=min_samples)
+    loop_model = reference.fit_spatial_model(poses, topo, degree=degree, min_samples=min_samples)
     assert model.coeffs.tobytes() == loop_model.coeffs.tobytes()
     np.testing.assert_array_equal(model.trained, loop_model.trained)
     np.testing.assert_array_equal(model.counts, loop_model.counts)
 
     # Knock out pairs at random so that untrained voters abstain.
     model = replace(model, trained=model.trained & (rng.random(model.trained.shape) >= abstain))
-    for pose in corpus:
-        assert_same_pose(spatial_interpolate(pose, model, topo),
-                         reference.spatial_interpolate(pose, model, topo))
+    assert_same_corpus(spatial_interpolate(corpus, model, topo),
+                       [reference.spatial_interpolate(p, model, topo) for p in poses])
+
+
+def chain(values):
+    """One-joint records of a three-joint topology: joint 2 takes the given
+    x values (None for missing), the torso joints 0 and 1 are always there."""
+    coords = np.zeros((len(values), 3, 2))
+    coords[:, 1, 1] = 1.0
+    coords[:, 2, 0] = [0.0 if v is None else v for v in values]
+    vis = np.ones((len(values), 3), np.uint8)
+    vis[:, 2] = [v is not None for v in values]
+    return coords, vis
+
+
+class TestVideoBoundaries:
+    def corpus(self, *videos):
+        return PoseCorpus.of([PoseSequence(f"v{i}", *chain(values), label=0)
+                              for i, values in enumerate(videos)])
+
+    def test_temporal_fill_stays_inside_each_video(self):
+        # v0 ends in a missing run and v1 starts with filled frames, and the
+        # other way round: neither run has an anchor on both sides in its video.
+        corpus = self.corpus([1.0, None, None], [4.0, 5.0], [None, None, 8.0])
+        out = temporal_interpolate(corpus, max_gap=10)
+        np.testing.assert_array_equal(out.flags[:, 2], [1, 0, 0, 1, 1, 0, 0, 1])
+        assert out.coords.tobytes() == corpus.coords.tobytes()
+
+    def test_gap_inside_a_video_is_still_filled(self):
+        corpus = self.corpus([0.0], [1.0, None, 3.0], [None])
+        out = temporal_interpolate(corpus, max_gap=10)
+        np.testing.assert_array_equal(out.flags[:, 2], [1, 1, VIS_TEMPORAL, 1, 0])
+        assert out.coords[2, 2, 0] == 2.0
+
+    def test_one_frame_videos(self):
+        poses = [PoseSequence(f"v{i}", *chain(values), label=i)
+                 for i, values in enumerate([[None], [2.0], [None], [None, 1.0, None]])]
+        corpus = PoseCorpus.of(poses)
+        topo = simple_topology()
+        out = normalize(temporal_interpolate(corpus, max_gap=10), topo)
+        expected = [reference.normalize(reference.temporal_interpolate(p, 10), topo)
+                    for p in poses]
+        assert_same_corpus(out, expected)
+        np.testing.assert_array_equal(out.flags[:, 2], [0, 1, 0, 0, 1, 0])
+        np.testing.assert_array_equal(out.labels, [0, 1, 2, 3])
+
+    def test_unusable_frames_at_video_edges(self):
+        # The first and last frame of each video has a degenerate torso; the
+        # inner frames are fine. Every edge frame is demoted to missing.
+        topo = simple_topology()
+        poses = []
+        for i in range(3):
+            coords, vis = chain([1.0, 2.0, 3.0, 4.0])
+            coords[[0, -1], 1] = coords[[0, -1], 0]
+            poses.append(PoseSequence(f"v{i}", coords, vis, label=0))
+        out = normalize(PoseCorpus.of(poses), topo)
+        unusable = ~out.flags.any(axis=1)
+        np.testing.assert_array_equal(np.flatnonzero(unusable), [0, 3, 4, 7, 8, 11])
+        assert_same_corpus(out, [reference.normalize(p, topo) for p in poses])
+
+
+class TestPoseCorpus:
+    def test_of_concatenates_records(self):
+        rng = np.random.default_rng(0)
+        a, b = random_pose(rng, n=3, frames=2), random_pose(rng, n=3, frames=5)
+        b.video, b.label = "w", None
+        corpus = PoseCorpus.of([a, b])
+        assert corpus.videos == ("v", "w")
+        np.testing.assert_array_equal(corpus.labels, [0, -1])
+        np.testing.assert_array_equal(corpus.offsets, [0, 2, 7])
+        assert corpus.coords.tobytes() == np.concatenate([a.coords, b.coords]).tobytes()
+
+    def test_rejects_mixed_joint_counts(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="joint count"):
+            PoseCorpus.of([random_pose(rng, n=3), random_pose(rng, n=4)])
+
+    @pytest.mark.parametrize("offsets, message", [
+        ([0, 2, 2, 5], "no empty video"), ([0, 3, 4, 6], "rise from 0 to 5"),
+        ([1, 2, 3, 5], "rise from 0"), ([0, 5], "labels and 4 offsets"),
+    ])
+    def test_rejects_bad_offsets(self, offsets, message):
+        with pytest.raises(ValueError, match=message):
+            PoseCorpus(("a", "b", "c"), [0, 1, 2], offsets, np.zeros((5, 2, 2)),
+                       np.ones((5, 2), np.uint8))
+
+    def test_non_finite_filled_coordinate_names_its_video(self):
+        coords = np.zeros((5, 2, 2))
+        coords[3, 1, 0] = np.nan
+        flags = np.ones((5, 2), np.uint8)
+        flags[3, 1] = 0  # a missing joint may hold anything
+        PoseCorpus(("a", "b"), [0, 1], [0, 3, 5], coords, flags)
+        flags[3, 1] = 1
+        with pytest.raises(ValueError, match="video 'b' has non-finite"):
+            PoseCorpus(("a", "b"), [0, 1], [0, 3, 5], coords, flags)
 
 
 _ODD_VALUES = [2, -1, 0.5, 1.0, -0.0, True, False, float("nan"), float("inf"), 2**40,

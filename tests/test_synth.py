@@ -83,10 +83,11 @@ class TestAnnotationsFile:
         assert a.read_bytes() == b.read_bytes()
 
     def test_readable_by_annotation_reader(self, tmp_path):
-        from posestream.preprocess import read_annotations
+        from posestream.preprocess import iter_annotation_lines, parse_annotation_line
 
         spec = SyntheticSpec(videos_per_class=1, frames=5, seed=7)
         path = tmp_path / "ann.jsonl"
         count = cmd_synth(spec, path)["videos"]
-        poses = read_annotations(path, n_expected=15)
-        assert len(poses) == count
+        poses = [parse_annotation_line(line, n_expected=15)
+                 for _, line in iter_annotation_lines(path)]
+        assert len([pose for pose in poses if pose is not None]) == count

@@ -1,12 +1,14 @@
 """Snippet planning, tensor assembly, and filled-corpus file tests."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tensorize_reference as reference
-from posestream.preprocess import NormalizedPoseSequence
+from posestream.preprocess import PoseCorpus, PoseSequence
 from posestream.skeleton import build_topology, euler_tour, make_topology
 from posestream.tensorize import (
     FilledCorpus,
@@ -36,13 +38,17 @@ def chain_topology(n):
 def filled_pose(coords, video="v", label=0):
     coords = np.asarray(coords, dtype=np.float64)
     vis = np.ones(coords.shape[:2], dtype=np.uint8)
-    return NormalizedPoseSequence(video=video, coords=coords, visibility=vis, label=label)
+    return PoseSequence(video=video, coords=coords, visibility=vis, label=label)
+
+
+def filled_corpus(path, poses, seed=0, config_hash=""):
+    return FilledCorpus(**vars(PoseCorpus.of(poses)), path=path, seed=seed,
+                        config_hash=config_hash)
 
 
 def tensor_of(pose, path, k, mode="center", seed=0):
     """The tensor corpus_tensors builds for a one-video corpus."""
-    corpus = FilledCorpus.from_poses(path, 0, "", [pose])
-    return corpus_tensors(corpus, k=k, mode=mode, seed=seed)[0][0]
+    return corpus_tensors(filled_corpus(path, [pose]), k=k, mode=mode, seed=seed)[0][0]
 
 
 def planned_frames(num_frames, k=15, mode="random", seed=0):
@@ -213,7 +219,7 @@ class TestTensorCache:
             pose = filled_pose(rng.normal(size=(count, n, 2)), video=f"vid{i}", label=label)
             pose.visibility[:] = rng.integers(1, 5, size=pose.visibility.shape)
             poses.append(pose)
-        return FilledCorpus.from_poses(euler_tour(chain_topology(n)), 42, "abc123", poses)
+        return filled_corpus(euler_tour(chain_topology(n)), poses, 42, "abc123")
 
     def test_round_trip(self, tmp_path):
         corpus = self.make_corpus()
@@ -233,14 +239,14 @@ class TestTensorCache:
     def test_rejects_empty(self, tmp_path):
         tour = euler_tour(chain_topology(4))
         with pytest.raises(ValueError, match="empty"):
-            FilledCorpus.from_poses(tour, 0, "", [])
+            filled_corpus(tour, [])
 
     def test_rejects_mixed_shapes(self, tmp_path):
         a = filled_pose(np.zeros((5, 4, 2)), video="a")
         b = filled_pose(np.zeros((5, 3, 2)), video="b")
         tour = euler_tour(chain_topology(4))
         with pytest.raises(ValueError, match="joint count"):
-            FilledCorpus.from_poses(tour, 0, "", [a, b])
+            filled_corpus(tour, [a, b])
 
     def test_rejects_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bin"
@@ -277,26 +283,25 @@ class TestTensorCache:
             read_corpus(bad)
         assert str(bad) in str(exc.value)
 
-    def test_rejects_non_finite_coordinates(self, tmp_path):
+    def test_rejects_non_finite_coordinates(self):
         corpus = self.make_corpus()
-        corpus.coords[21, 1, 0] = np.inf
+        coords = corpus.coords.copy()
+        coords[21, 1, 0] = np.inf
         with pytest.raises(ValueError, match="video 'vid1' has non-finite"):
-            write_corpus(tmp_path / "x.bin", corpus)
+            replace(corpus, coords=coords)
 
     def test_corpus_tensors_follow_the_seed_rule(self):
         corpus = self.make_corpus()
         data, labels = corpus_tensors(corpus, k=5, mode="random", seed=3, epoch=2)
         for row, video in enumerate(corpus.videos):
             lo, hi = corpus.offsets[row:row + 2]
-            pose = filled_pose(corpus.coords[lo:hi], video=video)
             frames = reference.plan_snippets(int(hi - lo), k=5, mode="random",
                                              seed=_video_seed(3, video, 2))
-            expected = reference.build_pose_tensor(pose, corpus.path, frames)
+            expected = reference.build_pose_tensor(corpus.coords[lo:hi], corpus.path, frames)
             assert data[row].tobytes() == expected.tobytes()
         np.testing.assert_array_equal(labels, corpus.labels)
         # A video's plan does not depend on the rest of the corpus.
-        alone = FilledCorpus.from_poses(corpus.path, 42, "", [filled_pose(
-            corpus.coords[20:23], video="vid1")])
+        alone = filled_corpus(corpus.path, [filled_pose(corpus.coords[20:23], video="vid1")])
         only = corpus_tensors(alone, k=5, mode="random", seed=3, epoch=2)[0][0]
         assert only.tobytes() == data[1].tobytes()
 
@@ -321,7 +326,7 @@ def corpora(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     poses = [filled_pose(rng.normal(size=(count, n, 2)), video=f"clip{i}", label=i)
              for i, count in enumerate(counts)]
-    return FilledCorpus.from_poses(euler_tour(chain_topology(n)), 1, "", poses)
+    return filled_corpus(euler_tour(chain_topology(n)), poses, seed=1)
 
 
 @settings(max_examples=150, deadline=None)
