@@ -46,7 +46,6 @@ from .convnet import (
 )
 from .fusion import (
     EvalResult,
-    FusionWeights,
     StreamScores,
     consensus,
     evaluate,
@@ -66,7 +65,6 @@ __all__ = [
     "AnnotationError",
     "EvalResult",
     "FilledCorpus",
-    "FusionWeights",
     "NetSpec",
     "PipelineConfig",
     "PoseConvNet",

@@ -292,53 +292,45 @@ def cmd_eval(cfg: PipelineConfig) -> dict:
 # fuse / weights-search
 # ---------------------------------------------------------------------------
 
-_STREAM_ORDER = ("pose", "spatial", "temporal")
-
-
-def _load_streams(cfg: PipelineConfig) -> dict[str, fusion.StreamScores | None]:
-    paths = {
-        "pose": cfg.pose_scores,
-        "spatial": cfg.spatial_scores,
-        "temporal": cfg.temporal_scores,
-    }
-    streams = {
-        name: fusion.read_scores(path, stream=name) if path else None
-        for name, path in paths.items()
-    }
-    if all(s is None for s in streams.values()):
-        raise CliError("fusion needs at least one of pose/spatial/temporal score files")
+def _load_streams(cfg: PipelineConfig) -> dict[str, fusion.StreamScores]:
+    """The streams whose score files are given, by name."""
+    paths = {name: getattr(cfg, f"{name}_scores") for name in fusion.STREAMS}
+    streams = {name: fusion.read_scores(path, stream=name) for name, path in paths.items() if path}
+    if not streams:
+        raise CliError(f"fusion needs at least one of {'/'.join(fusion.STREAMS)} score files")
     return streams
 
 
 def cmd_fuse(cfg: PipelineConfig) -> dict:
-    """Score CSVs + labels -> fused score CSV + accuracy table per subset."""
+    """Score CSVs + labels -> fused score CSV + accuracy table per subset.
+
+    Each subset of the given streams is scored with the run's weights set to
+    0.0 outside it; a subset whose own weights are all zero reads null."""
     cfg.require("labels", "fused_scores")
     streams = _load_streams(cfg)
     labels = fusion.read_labels(cfg.labels)
-    weights = fusion.FusionWeights(*cfg.weights)
+    fused = fusion.fuse(streams, cfg.weights)
 
-    fused = fusion.fuse(streams["pose"], streams["spatial"], streams["temporal"], weights)
+    present = [name for name in fusion.STREAMS if name in streams]
+    combos = [combo for size in range(1, len(present) + 1)
+              for combo in itertools.combinations(present, size)]
+    rows = np.where([[name in combo for name in fusion.STREAMS] for combo in combos],
+                    cfg.weights, 0.0)
+    usable = rows.any(axis=1)
+    accuracies = iter(fusion.search_weights(streams, labels, rows[usable]).tolist())
+    subsets = {"+".join(combo): next(accuracies) if scored else None
+               for combo, scored in zip(combos, usable)}
+
     run_meta = {
         "config_hash": cfg.hash(),
         "seed": cfg.seed,
-        "weights": ",".join(f"{w:g}" for w in weights.as_tuple()),
+        "weights": ",".join(f"{w:g}" for w in cfg.weights),
     }
     _atomic_write(cfg.fused_scores, lambda p: fusion.write_scores(p, fused, meta=run_meta))
-
-    present = [name for name in _STREAM_ORDER if streams[name] is not None]
-    subsets = {}
-    for size in range(1, len(present) + 1):
-        for combo in itertools.combinations(present, size):
-            picked = {name: (streams[name] if name in combo else None) for name in _STREAM_ORDER}
-            combo_scores = fusion.fuse(
-                picked["pose"], picked["spatial"], picked["temporal"], weights
-            )
-            subsets["+".join(combo)] = fusion.evaluate(combo_scores, labels).accuracy
-
     report = {
         "config_hash": cfg.hash(),
         "seed": cfg.seed,
-        "weights": list(weights.as_tuple()),
+        "weights": list(cfg.weights),
         "streams": present,
         "accuracy": subsets,
         "fused_accuracy": subsets["+".join(present)],
@@ -355,25 +347,20 @@ def cmd_weights_search(cfg: PipelineConfig) -> dict:
     streams = _load_streams(cfg)
     labels = fusion.read_labels(cfg.labels)
 
-    axes = [
-        cfg.weight_grid if streams[name] is not None else (0.0,) for name in _STREAM_ORDER
-    ]
-    grid = [
-        combo for combo in itertools.product(*axes) if any(w != 0.0 for w in combo)
-    ]
+    axes = [cfg.weight_grid if name in streams else (0.0,) for name in fusion.STREAMS]
+    grid = [combo for combo in itertools.product(*axes) if any(w != 0.0 for w in combo)]
     if not grid:
         raise CliError("weight grid contains no usable (non-zero) combination")
-    best, rows = fusion.search_weights(
-        streams["pose"], streams["spatial"], streams["temporal"], labels, grid
-    )
-    best_accuracy = max(row["accuracy"] for row in rows)
+    accuracies = fusion.search_weights(streams, labels, grid).tolist()
+    best = accuracies.index(max(accuracies))
     report = {
         "config_hash": cfg.hash(),
         "seed": cfg.seed,
-        "best_weights": list(best.as_tuple()),
-        "best_accuracy": best_accuracy,
+        "best_weights": list(grid[best]),
+        "best_accuracy": accuracies[best],
         "candidates": [
-            {"weights": list(row["weights"]), "accuracy": row["accuracy"]} for row in rows
+            {"weights": list(weights), "accuracy": accuracy}
+            for weights, accuracy in zip(grid, accuracies)
         ],
     }
     if cfg.report:

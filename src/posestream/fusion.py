@@ -3,10 +3,12 @@
 A stream is one sorted tuple of unique video ids and one (videos x classes)
 float64 score matrix; its rows are probabilities or raw logits, fused as
 given without re-normalization. Snippet-level score files are collapsed to
-video level by average pooling on read. Stream fusion is the weighted
-per-class sum pose*w_p + spatial*w_s + temporal*w_t; a stream passed as
-None contributes zero, so two-stream ablations run through the same code
-path.
+video level by average pooling on read. Stream fusion takes a mapping of
+the given streams, keyed by the names in STREAMS, and one weight per name
+in that order: the per-class sum pose*w_p + spatial*w_s + temporal*w_t over
+the given streams, so ablations on stream subsets run through the same code
+path. A weighting that is zero on every given stream fuses nothing and is
+rejected.
 
 Score CSV format: header ``video,class_0,...,class_{C-1}``, one row per
 video, sorted by video id. The snippet-level variant inserts a ``snippet``
@@ -21,9 +23,13 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
+
+# Stream names in weight-column order: a weighting is one
+# (w_pose, w_spatial, w_temporal) row.
+STREAMS = ("pose", "spatial", "temporal")
 
 # Weight candidates fused at once by search_weights; its temporaries hold
 # SEARCH_CHUNK x videos x classes floats.
@@ -64,20 +70,6 @@ class StreamScores:
         return dict(zip(self.videos, self.matrix))
 
 
-@dataclass(frozen=True)
-class FusionWeights:
-    w_pose: float = 1.0
-    w_spatial: float = 1.0
-    w_temporal: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.w_pose == self.w_spatial == self.w_temporal == 0.0:
-            raise ValueError("at least one fusion weight must be nonzero")
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.w_pose, self.w_spatial, self.w_temporal)
-
-
 def consensus(snippets: np.ndarray) -> np.ndarray:
     """Video-level scores as the per-class mean over snippet rows."""
     snippets = np.asarray(snippets, dtype=np.float64)
@@ -88,13 +80,14 @@ def consensus(snippets: np.ndarray) -> np.ndarray:
     return snippets.mean(axis=0)
 
 
-def _present(
-    pose: StreamScores | None, spatial: StreamScores | None, temporal: StreamScores | None
-) -> list[tuple[int, StreamScores]]:
-    """(weight column, stream) of each given stream; they must cover identical
-    video sets and class counts."""
-    named = zip(("pose", "spatial", "temporal"), (pose, spatial, temporal))
-    present = [(column, name, s) for column, (name, s) in enumerate(named) if s is not None]
+def _present(streams: Mapping[str, StreamScores]) -> list[tuple[int, StreamScores]]:
+    """(weight column, stream) of each given stream; the names must be from
+    STREAMS, and the streams must cover identical video sets and class counts."""
+    unknown = sorted(set(streams) - set(STREAMS))
+    if unknown:
+        raise ValueError(f"unknown streams {unknown}, expected names from {STREAMS}")
+    present = [(column, name, streams[name]) for column, name in enumerate(STREAMS)
+               if name in streams]
     if not present:
         raise ValueError("fusion needs at least one stream")
     _, first_name, first = present[0]
@@ -108,10 +101,18 @@ def _present(
     return [(column, s) for column, _, s in present]
 
 
-def _fused(present: list[tuple[int, StreamScores]], weights: np.ndarray) -> np.ndarray:
-    """(candidates, videos, classes) weighted sums for a (candidates, 3) weight
-    array, added in pose, spatial, temporal order; a candidate whose sum
-    overflows raises ValueError naming its weights."""
+def _fused(present: list[tuple[int, StreamScores]], weights) -> np.ndarray:
+    """(rows, videos, classes) weighted sums for a (rows, 3) weight array,
+    added in STREAMS order. A row that is zero on every given stream, or
+    whose sum overflows, raises ValueError naming its weights."""
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.ndim != 2 or weights.shape[1] != len(STREAMS):
+        raise ValueError(f"expected rows of {len(STREAMS)} weights {STREAMS}, "
+                         f"got an array of shape {weights.shape}")
+    idle = ~weights[:, [column for column, _ in present]].any(axis=1)
+    if idle.any():
+        bad = tuple(float(w) for w in weights[idle.argmax()])
+        raise ValueError(f"weights {bad} are zero on every given stream")
     total = np.zeros((len(weights), *present[0][1].matrix.shape))
     with np.errstate(over="ignore", invalid="ignore"):
         for column, s in present:
@@ -123,20 +124,15 @@ def _fused(present: list[tuple[int, StreamScores]], weights: np.ndarray) -> np.n
     return total
 
 
-def fuse(
-    pose: StreamScores | None,
-    spatial: StreamScores | None,
-    temporal: StreamScores | None,
-    weights: FusionWeights = FusionWeights(),
-) -> StreamScores:
-    """Weighted per-class sum of up to three streams.
+def fuse(streams: Mapping[str, StreamScores], weights: Sequence[float]) -> StreamScores:
+    """Weighted per-class sum of the given streams, one weight per STREAMS name.
 
-    Streams passed as None contribute zero; the remaining streams must
-    cover identical video sets and class counts. Scores are combined
-    exactly as given, added in pose, spatial, temporal order.
+    The streams must cover identical video sets and class counts, and some
+    given stream needs a nonzero weight. Scores are combined exactly as
+    given, added in pose, spatial, temporal order.
     """
-    present = _present(pose, spatial, temporal)
-    total = _fused(present, np.array([weights.as_tuple()]))[0]
+    present = _present(streams)
+    total = _fused(present, [weights])[0]
     return StreamScores(stream="fused", videos=present[0][1].videos, matrix=total)
 
 
@@ -181,33 +177,26 @@ def evaluate(scores: StreamScores, labels: dict[str, int]) -> EvalResult:
 
 
 def search_weights(
-    pose: StreamScores | None,
-    spatial: StreamScores | None,
-    temporal: StreamScores | None,
+    streams: Mapping[str, StreamScores],
     labels: dict[str, int],
-    grid: Iterable[tuple[float, float, float]],
-) -> tuple[FusionWeights, list[dict]]:
-    """Try every weight triple on a validation split; best accuracy wins.
+    weights: Sequence[Sequence[float]],
+) -> np.ndarray:
+    """Accuracy of every weight row on a labeled split, in row order.
 
-    Ties keep the earliest grid entry. Returns the winning weights and one
-    result row per candidate. Candidates are fused and scored together,
-    SEARCH_CHUNK at a time, with the same per-element operations as ``fuse``
-    and ``evaluate`` on each one.
+    Rows are fused and scored together, SEARCH_CHUNK at a time, with the same
+    per-element operations as ``fuse`` and ``evaluate`` on each one.
     """
-    candidates = [FusionWeights(*candidate) for candidate in grid]
-    if not candidates:
+    if not len(weights):
         raise ValueError("weight grid is empty")
-    present = _present(pose, spatial, temporal)
+    present = _present(streams)
+    weights = np.asarray(weights, dtype=np.float64)
     videos = present[0][1].videos
     truth = _truth(videos, labels, present[0][1].num_classes)
-    weights = np.array([w.as_tuple() for w in candidates])
     hits = np.concatenate([
         (_fused(present, weights[start:start + SEARCH_CHUNK]).argmax(axis=2) == truth).sum(axis=1)
         for start in range(0, len(weights), SEARCH_CHUNK)
     ])
-    accuracies = hits / len(videos)
-    rows = [{"weights": w.as_tuple(), "accuracy": float(a)} for w, a in zip(candidates, accuracies)]
-    return candidates[int(hits.argmax())], rows
+    return hits / len(videos)
 
 
 # ---------------------------------------------------------------------------

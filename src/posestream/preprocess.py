@@ -154,14 +154,18 @@ class PoseCorpus:
         return self.coords.shape[1]
 
 
-def normalize(corpus: PoseCorpus, topology: SkeletonTopology, eps: float = 1e-8) -> PoseCorpus:
+# Torso lengths at or below this cannot scale a frame.
+TORSO_EPS = 1e-8
+
+
+def normalize(corpus: PoseCorpus, topology: SkeletonTopology) -> PoseCorpus:
     """Rescale each frame by the torso length and center on the torso midpoint.
 
     Every filled joint is divided by the distance d between the topology's
     two torso anchors and shifted so the anchor midpoint lands on the
     origin; missing joints are left untouched and stay flagged missing.
-    Frames where an anchor joint is missing, d <= eps, or the scale, shift
-    or a normalized coordinate is not finite (huge joints over a tiny
+    Frames where an anchor joint is missing, d <= TORSO_EPS, or the scale,
+    shift or a normalized coordinate is not finite (huge joints over a tiny
     torso) cannot be normalized: they are unusable, and all their joints
     are demoted to missing (zeroed) so downstream filling treats them
     uniformly. Usable frames keep their anchors, so the unusable frames are
@@ -182,7 +186,7 @@ def normalize(corpus: PoseCorpus, topology: SkeletonTopology, eps: float = 1e-8)
         b = corpus.coords[anchored[:, None], group_b].mean(axis=1)
         d = np.hypot(*(a - b).T)
         centers = (a + b) / (2.0 * d[:, None])
-        keep = (d > eps) & np.isfinite(d) & np.isfinite(centers).all(axis=1)
+        keep = (d > TORSO_EPS) & np.isfinite(d) & np.isfinite(centers).all(axis=1)
         frames = anchored[keep]
         usable = np.zeros(len(flags), dtype=bool)
         usable[frames] = True
@@ -252,7 +256,7 @@ def _feature_count(degree: int) -> int:
     return 3 if degree == 1 else 6
 
 
-_MODEL_FIELDS = ("topology_name", "degree", "coeffs", "trained", "counts")
+_MODEL_FIELDS = ("topology_name", "degree", "coeffs", "trained")
 
 
 @dataclass
@@ -261,15 +265,14 @@ class SpatialModel:
 
     For each ordered joint pair (source, target), coeffs[source, target]
     holds polynomial coefficients mapping the source's normalized (x, y) to
-    the target's predicted (x, y). Pairs with fewer than the minimum number
-    of training samples are left untrained and abstain from voting.
+    the target's predicted (x, y). Pairs that no training frame fills
+    together are left untrained and abstain from voting.
     """
 
     topology_name: str
     degree: int
     coeffs: np.ndarray   # (n, n, n_features, 2)
     trained: np.ndarray  # (n, n) bool
-    counts: np.ndarray   # (n, n) int64
 
     def predict(self, source, target, xy) -> np.ndarray:
         """Predicted positions of joints target from positions xy of joints source.
@@ -290,7 +293,6 @@ class SpatialModel:
                 degree=np.array(self.degree),
                 coeffs=self.coeffs,
                 trained=self.trained,
-                counts=self.counts,
             )
 
     @classmethod
@@ -322,7 +324,7 @@ class SpatialModel:
             return ValueError(f"{path}: spatial model field '{name}' must be {rule}, "
                               f"got {array.dtype} array of shape {array.shape}")
 
-        name, degree, coeffs, trained, counts = (fields[k] for k in _MODEL_FIELDS)
+        name, degree, coeffs, trained = (fields[k] for k in _MODEL_FIELDS)
         if name.shape != () or name.dtype.kind != "U":
             raise bad("topology_name", "a string")
         if degree.shape != () or degree.dtype.kind not in "iu" or int(degree) not in (1, 2):
@@ -335,25 +337,18 @@ class SpatialModel:
             raise ValueError(f"{path}: spatial model field 'coeffs' has non-finite entries")
         if trained.dtype != bool or trained.shape != (n, n):
             raise bad("trained", f"a bool ({n}, {n}) array")
-        if counts.dtype.kind not in "iu" or counts.shape != (n, n):
-            raise bad("counts", f"an integer ({n}, {n}) array")
         return cls(topology_name=str(name), degree=int(degree),
-                   coeffs=coeffs.astype(np.float64), trained=trained, counts=counts)
+                   coeffs=coeffs.astype(np.float64), trained=trained)
 
 
-def fit_spatial_model(
-    corpus: PoseCorpus,
-    topology: SkeletonTopology,
-    degree: int = 1,
-    min_samples: int = 1,
-) -> SpatialModel:
+def fit_spatial_model(corpus: PoseCorpus, topology: SkeletonTopology, degree: int = 1) -> SpatialModel:
     """Least-squares fit of every ordered joint pair over a normalized corpus.
 
     For each pair the target position is regressed on polynomial features of
     the source position, using every corpus frame where both joints are
     filled. A rank-deficient design (e.g. a single-frame corpus) falls back
     to a mean-offset model: target = source + mean(target - source). Pairs
-    with fewer than min_samples joint observations stay untrained.
+    that are never filled together stay untrained.
     """
     if degree not in (1, 2):
         raise ValueError(f"degree must be 1 or 2, got {degree}")
@@ -369,7 +364,6 @@ def fit_spatial_model(
     n_feat = _feature_count(degree)
     coeffs = np.zeros((n, n, n_feat, 2))
     trained = np.zeros((n, n), dtype=bool)
-    counts = np.zeros((n, n), dtype=np.int64)
 
     for s in range(n):
         features = _poly_features(coords[s], degree)
@@ -377,8 +371,7 @@ def fit_spatial_model(
             if s == t:
                 continue
             rows = np.flatnonzero(filled[s] & filled[t])
-            counts[s, t] = rows.size
-            if rows.size < max(min_samples, 1):
+            if not rows.size:
                 continue
             target = coords[t].take(rows, axis=0)
             solution, _, rank, _ = np.linalg.lstsq(features.take(rows, axis=0), target, rcond=None)
@@ -390,9 +383,7 @@ def fit_spatial_model(
                 solution[2, 1] = 1.0
             coeffs[s, t] = solution
             trained[s, t] = True
-    return SpatialModel(
-        topology_name=topology.name, degree=degree, coeffs=coeffs, trained=trained, counts=counts
-    )
+    return SpatialModel(topology_name=topology.name, degree=degree, coeffs=coeffs, trained=trained)
 
 
 @functools.lru_cache(maxsize=8)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .preprocess import PoseSequence
-from .skeleton import SkeletonTopology, build_topology
+from .skeleton import build_topology
 
 # Canonical standing figure, pixel units, y grows downward.
 _BASE_POSE = {
@@ -127,9 +127,9 @@ def _motion(
     return coords
 
 
-def generate(spec: SyntheticSpec, topology: SkeletonTopology | None = None) -> list[PoseSequence]:
+def generate(spec: SyntheticSpec) -> list[PoseSequence]:
     """Deterministic corpus of labeled pose sequences for the given spec."""
-    topology = topology or build_topology(spec.profile)
+    topology = build_topology(spec.profile)
     names = {nm: i for i, nm in enumerate(topology.joint_names)}
     missing = [nm for nm in topology.joint_names if nm not in _BASE_POSE]
     if missing:

@@ -142,14 +142,12 @@ def fit_spatial_model(corpus, topology: SkeletonTopology, degree: int = 1, min_s
     n_feat = 3 if degree == 1 else 6
     coeffs = np.zeros((n, n, n_feat, 2))
     trained = np.zeros((n, n), dtype=bool)
-    counts = np.zeros((n, n), dtype=np.int64)
     for s in range(n):
         for t in range(n):
             if s == t:
                 continue
             both = filled[:, s] & filled[:, t]
             m = int(both.sum())
-            counts[s, t] = m
             if m < max(min_samples, 1):
                 continue
             src = coords[both, s]
@@ -164,9 +162,7 @@ def fit_spatial_model(corpus, topology: SkeletonTopology, degree: int = 1, min_s
                 solution[2, 1] = 1.0
             coeffs[s, t] = solution
             trained[s, t] = True
-    return SpatialModel(
-        topology_name=topology.name, degree=degree, coeffs=coeffs, trained=trained, counts=counts
-    )
+    return SpatialModel(topology_name=topology.name, degree=degree, coeffs=coeffs, trained=trained)
 
 
 def spatial_interpolate(pose: PoseSequence, model: SpatialModel, topology: SkeletonTopology):

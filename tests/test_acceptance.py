@@ -17,7 +17,7 @@ from posestream.cli import main
 from posestream.config import PipelineConfig
 from posestream.cli import cmd_eval, cmd_preprocess, cmd_synth, cmd_train
 from posestream.convnet import NetSpec, backward, init_net, _loss_and_grads
-from posestream.fusion import FusionWeights, StreamScores, evaluate, fuse
+from posestream.fusion import StreamScores, evaluate, fuse
 from posestream.preprocess import (
     PoseCorpus,
     PoseSequence,
@@ -319,16 +319,14 @@ def test_criterion_9_fusion_improvement():
 
         streams = {name: build(name) for name in confusions}
         solo = {name: evaluate(s, labels).accuracy for name, s in streams.items()}
-        fused = fuse(streams["pose"], streams["spatial"], streams["temporal"],
-                     FusionWeights(1.0, 1.0, 1.0))
+        fused = fuse(streams, (1.0, 1.0, 1.0))
         fused_accuracy = evaluate(fused, labels).accuracy
         for name, accuracy in solo.items():
             assert fused_accuracy >= accuracy, f"fused {fused_accuracy} < {name} {accuracy}"
 
         base_pred = {v: int(np.argmax(s)) for v, s in fused.scores.items()}
         for c in (0.1, 2.0, 25.0):
-            scaled = fuse(streams["pose"], streams["spatial"], streams["temporal"],
-                          FusionWeights(c, c, c))
+            scaled = fuse(streams, (c, c, c))
             for video, vec in scaled.scores.items():
                 assert int(np.argmax(vec)) == base_pred[video]
         print(f"  [solo {sorted(solo.values())} -> fused {fused_accuracy:.3f}]")

@@ -279,14 +279,11 @@ class TestPreprocess:
 
 def _bad_model(path, defect):
     if defect == "penn":
-        model = SpatialModel("penn", 1, np.zeros((13, 13, 3, 2)), np.zeros((13, 13), bool),
-                             np.zeros((13, 13), np.int64))
+        model = SpatialModel("penn", 1, np.zeros((13, 13, 3, 2)), np.zeros((13, 13), bool))
     elif defect == "degree two":
-        model = SpatialModel("jhmdb_gt", 2, np.zeros((15, 15, 6, 2)), np.zeros((15, 15), bool),
-                             np.zeros((15, 15), np.int64))
+        model = SpatialModel("jhmdb_gt", 2, np.zeros((15, 15, 6, 2)), np.zeros((15, 15), bool))
     else:
-        model = SpatialModel("jhmdb_gt", 1, np.zeros((5, 5, 3, 2)), np.zeros((5, 5), bool),
-                             np.zeros((5, 5), np.int64))
+        model = SpatialModel("jhmdb_gt", 1, np.zeros((5, 5, 3, 2)), np.zeros((5, 5), bool))
     model.save(path)
     if defect == "truncated":
         path.write_bytes(path.read_bytes()[:200])
@@ -522,6 +519,50 @@ class TestFuse:
         table = out["accuracy"]
         assert set(table) == {"pose", "spatial", "pose+spatial"}
         assert table["pose+spatial"] >= max(table["pose"], table["spatial"])
+
+    def test_zero_weight_on_every_given_stream_fails_before_any_write(self, tmp_path, capsys):
+        self.write_streams(tmp_path)
+        inputs = sorted(p.name for p in tmp_path.iterdir())
+        code, _, err = run(
+            capsys, "fuse", "--pose-scores", str(tmp_path / "pose.csv"),
+            "--labels", str(tmp_path / "labels.csv"),
+            "--fused-scores", str(tmp_path / "fused.csv"),
+            "--report", str(tmp_path / "fuse.json"),
+            "--weights", "0,1,0",
+        )
+        assert code == 1
+        assert err["error"] == "ValueError"
+        assert "weights (0.0, 1.0, 0.0) are zero on every given stream" in err["message"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == inputs
+
+    def test_subset_with_zero_weights_reads_null(self, tmp_path, capsys):
+        self.write_streams(tmp_path)
+        code, out, _ = run(
+            capsys, "fuse", "--pose-scores", str(tmp_path / "pose.csv"),
+            "--spatial-scores", str(tmp_path / "spatial.csv"),
+            "--labels", str(tmp_path / "labels.csv"),
+            "--fused-scores", str(tmp_path / "fused.csv"),
+            "--weights", "0,1,1",
+        )
+        assert code == 0
+        assert out["accuracy"] == {"pose": None, "spatial": 1.0, "pose+spatial": 1.0}
+        assert out["fused_accuracy"] == 1.0
+
+    def test_subset_overflow_fails_before_any_write(self, tmp_path, capsys):
+        # The full sum cancels to 1e308, but pose+temporal alone overflows.
+        for name, score in (("pose", "1e308"), ("spatial", "-1e308"), ("temporal", "1e308")):
+            (tmp_path / f"{name}.csv").write_text(f"video,class_0,class_1\nv0,{score},0\n")
+        (tmp_path / "labels.csv").write_text("video,label\nv0,0\n")
+        inputs = sorted(p.name for p in tmp_path.iterdir())
+        code, _, err = run(
+            capsys, "fuse", *(arg for name in ("pose", "spatial", "temporal")
+                              for arg in (f"--{name}-scores", str(tmp_path / f"{name}.csv"))),
+            "--labels", str(tmp_path / "labels.csv"),
+            "--fused-scores", str(tmp_path / "fused.csv"),
+        )
+        assert code == 1
+        assert "weights (1.0, 0.0, 1.0)" in err["message"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == inputs
 
     def test_needs_labels(self, tmp_path, capsys):
         self.write_streams(tmp_path)

@@ -1,12 +1,19 @@
 """Consensus, fusion, evaluation, and score-file tests."""
 
+import itertools
+import re
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from posestream.cli import cmd_fuse
+from posestream.config import PipelineConfig
 from posestream.fusion import (
-    FusionWeights,
+    STREAMS,
     StreamScores,
     consensus,
     evaluate,
@@ -45,29 +52,33 @@ class TestConsensus:
 class TestFuse:
     def test_hand_sum(self):
         fused = fuse(
-            stream("pose", {"v": [0.2, 0.8]}),
-            stream("spatial", {"v": [0.5, 0.5]}),
-            stream("temporal", {"v": [0.6, 0.4]}),
-            FusionWeights(1, 1, 1),
+            {
+                "pose": stream("pose", {"v": [0.2, 0.8]}),
+                "spatial": stream("spatial", {"v": [0.5, 0.5]}),
+                "temporal": stream("temporal", {"v": [0.6, 0.4]}),
+            },
+            (1, 1, 1),
         )
         np.testing.assert_allclose(fused.scores["v"], [1.3, 1.7])
         assert int(np.argmax(fused.scores["v"])) == 1
 
     def test_single_stream_projection(self):
         pose = stream("pose", {"a": [0.9, 0.1], "b": [0.3, 0.7]})
-        fused = fuse(pose, None, None, FusionWeights(1, 0, 0))
+        fused = fuse({"pose": pose}, (1, 0, 0))
         for vid in pose.scores:
             np.testing.assert_allclose(fused.scores[vid], pose.scores[vid])
 
     def test_weight_scaling_preserves_argmax(self):
         rng = np.random.default_rng(1)
         vids = {f"v{i}": rng.normal(size=5) for i in range(40)}
-        pose = stream("pose", vids)
-        spatial = stream("spatial", {k: rng.normal(size=5) for k in vids})
-        temporal = stream("temporal", {k: rng.normal(size=5) for k in vids})
-        base = fuse(pose, spatial, temporal, FusionWeights(1.0, 0.5, 2.0))
+        streams = {
+            "pose": stream("pose", vids),
+            "spatial": stream("spatial", {k: rng.normal(size=5) for k in vids}),
+            "temporal": stream("temporal", {k: rng.normal(size=5) for k in vids}),
+        }
+        base = fuse(streams, (1.0, 0.5, 2.0))
         for c in (0.1, 3.0, 17.5):
-            scaled = fuse(pose, spatial, temporal, FusionWeights(1.0 * c, 0.5 * c, 2.0 * c))
+            scaled = fuse(streams, (1.0 * c, 0.5 * c, 2.0 * c))
             for vid in vids:
                 np.testing.assert_allclose(scaled.scores[vid], c * base.scores[vid], atol=1e-9)
                 assert np.argmax(scaled.scores[vid]) == np.argmax(base.scores[vid])
@@ -76,40 +87,48 @@ class TestFuse:
         a = stream("pose", {"v": [1.0, 2.0]})
         b = stream("spatial", {"v": [3.0, 5.0]})
         c = stream("temporal", {"v": [7.0, 11.0]})
-        one = fuse(a, b, c, FusionWeights(2.0, 3.0, 4.0))
-        two = fuse(c, a, b, FusionWeights(4.0, 2.0, 3.0))
+        one = fuse({"pose": a, "spatial": b, "temporal": c}, (2.0, 3.0, 4.0))
+        two = fuse({"pose": c, "spatial": a, "temporal": b}, (4.0, 2.0, 3.0))
         np.testing.assert_allclose(one.scores["v"], two.scores["v"])
 
     def test_class_count_mismatch(self):
         with pytest.raises(ValueError, match="classes"):
             fuse(
-                stream("pose", {"v": [0.5, 0.5]}),
-                stream("spatial", {"v": [0.2, 0.3, 0.5]}),
-                None,
-                FusionWeights(),
+                {
+                    "pose": stream("pose", {"v": [0.5, 0.5]}),
+                    "spatial": stream("spatial", {"v": [0.2, 0.3, 0.5]}),
+                },
+                (1, 1, 1),
             )
 
     def test_video_set_mismatch(self):
         with pytest.raises(ValueError, match="video set"):
             fuse(
-                stream("pose", {"a": [1.0, 0.0]}),
-                stream("spatial", {"b": [1.0, 0.0]}),
-                None,
-                FusionWeights(),
+                {"pose": stream("pose", {"a": [1.0, 0.0]}),
+                 "spatial": stream("spatial", {"b": [1.0, 0.0]})},
+                (1, 1, 1),
             )
 
     def test_needs_a_stream(self):
         with pytest.raises(ValueError, match="at least one"):
-            fuse(None, None, None, FusionWeights())
+            fuse({}, (1, 1, 1))
+
+    def test_unknown_stream_rejected(self):
+        with pytest.raises(ValueError, match="unknown streams \\['flow'\\]"):
+            fuse({"pose": stream("pose", {"v": [1.0]}), "flow": stream("flow", {"v": [1.0]})},
+                 (1, 1, 1))
 
     def test_all_zero_weights_rejected(self):
-        with pytest.raises(ValueError, match="nonzero"):
-            FusionWeights(0.0, 0.0, 0.0)
+        # All zero on the given streams is enough: the others add nothing.
+        pose = stream("pose", {"v": [1.0, 0.0]})
+        for weights in ((0.0, 0.0, 0.0), (0.0, 1.0, 2.0)):
+            with pytest.raises(ValueError, match=re.escape(f"weights {weights} are zero on every")):
+                fuse({"pose": pose}, weights)
 
     def test_overflow_names_weights(self):
         big = stream("pose", {"a": [1.0, 0.5]})
         with pytest.raises(ValueError, match=r"weights \(1e\+308, 1e\+308, 0\.0\)"):
-            fuse(big, big, None, FusionWeights(1e308, 1e308, 0.0))
+            fuse({"pose": big, "spatial": big}, (1e308, 1e308, 0.0))
 
 
 class TestEvaluate:
@@ -168,10 +187,8 @@ class TestSearchWeights:
         pose = stream("pose", {v: [1.0, 0.0] if l == 0 else [0.0, 1.0] for v, l in labels.items()})
         bad = stream("spatial", {v: [0.0, 2.0] if l == 0 else [2.0, 0.0] for v, l in labels.items()})
         grid = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (1.0, 1.0, 0.0)]
-        best, rows = search_weights(pose, bad, None, labels, grid)
-        assert best.as_tuple() == (1.0, 0.0, 0.0)
-        assert len(rows) == 3
-        assert rows[0]["accuracy"] == 1.0
+        accuracies = search_weights({"pose": pose, "spatial": bad}, labels, grid)
+        assert accuracies.tolist() == [1.0, 0.0, 0.0]
 
     def test_overflowing_candidate_named(self):
         labels = {"a": 0, "b": 1}
@@ -179,26 +196,34 @@ class TestSearchWeights:
         spatial = stream("spatial", {"a": [1.0, 0.0], "b": [0.0, 1.0]})
         grid = [(1.0, 1.0, 0.0), (1e308, 1.0, 0.0), (1e308, 1e308, 0.0), (2.0, 1.0, 0.0)]
         with pytest.raises(ValueError, match=r"weights \(1e\+308, 1e\+308, 0\.0\)"):
-            search_weights(pose, spatial, None, labels, grid)
+            search_weights({"pose": pose, "spatial": spatial}, labels, grid)
         # The same candidates without the overflowing one all score.
-        best, rows = search_weights(pose, spatial, None, labels, grid[:2] + grid[3:])
-        assert [row["accuracy"] for row in rows] == [1.0, 1.0, 1.0]
-        assert best.as_tuple() == grid[0]
+        accuracies = search_weights({"pose": pose, "spatial": spatial}, labels, grid[:2] + grid[3:])
+        assert accuracies.tolist() == [1.0, 1.0, 1.0]
+
+    @pytest.mark.parametrize("grid, match", [
+        ([], "empty"),
+        ([(1.0, 1.0)], r"rows of 3 weights"),
+        ([(1.0, 0.0, 0.0), (0.0, 0.0, 1.0)], r"\(0\.0, 0\.0, 1\.0\) are zero on every given"),
+    ])
+    def test_rejects_bad_grid(self, grid, match):
+        labels = {"a": 0}
+        with pytest.raises(ValueError, match=match):
+            search_weights({"pose": stream("pose", {"a": [1.0, 0.0]})}, labels, grid)
 
     def test_chunks_match_one_candidate_at_a_time(self):
         # More candidates than one chunk holds, with ties across chunks.
         rng = np.random.default_rng(9)
         videos = [f"v{i:02d}" for i in range(30)]
         labels = {v: int(rng.integers(0, 3)) for v in videos}
-        streams = [stream(name, {v: rng.integers(0, 3, 3).astype(float) for v in videos})
-                   for name in ("pose", "spatial", "temporal")]
+        streams = {name: stream(name, {v: rng.integers(0, 3, 3).astype(float) for v in videos})
+                   for name in STREAMS}
         values = (0.0, 0.5, 1.0, 2.0, -1.0)
         grid = [(p, s, t) for p in values for s in values for t in values if (p, s, t) != (0, 0, 0)]
         assert len(grid) > 64
-        best, rows = search_weights(*streams, labels, grid)
-        expected = [evaluate(fuse(*streams, FusionWeights(*w)), labels).accuracy for w in grid]
-        assert [row["accuracy"] for row in rows] == expected
-        assert best.as_tuple() == grid[expected.index(max(expected))]
+        accuracies = search_weights(streams, labels, grid)
+        expected = [evaluate(fuse(streams, w), labels).accuracy for w in grid]
+        assert accuracies.tolist() == expected
 
 
 class TestScoreFiles:
@@ -317,17 +342,16 @@ def reference_evaluate(scores, labels, classes):
 
 
 def reference_search(streams, labels, classes, grid):
-    rows, best = [], None
-    for candidate in grid:
-        accuracy = reference_evaluate(reference_fuse(streams, candidate), labels, classes)[0]
-        rows.append({"weights": tuple(candidate), "accuracy": accuracy})
-        if best is None or accuracy > best[0]:
-            best = (accuracy, tuple(candidate))
-    return best[1], rows
+    return [reference_evaluate(reference_fuse(streams, w), labels, classes)[0] for w in grid]
+
+
+def idle(weights, streams):
+    """True when every given stream has weight zero."""
+    return all(w == 0.0 for w, s in zip(weights, streams) if s is not None)
 
 
 _WEIGHT = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, -1.0, 0.1])
-_TRIPLE = st.tuples(_WEIGHT, _WEIGHT, _WEIGHT).filter(lambda t: any(w != 0.0 for w in t))
+_TRIPLE = st.tuples(_WEIGHT, _WEIGHT, _WEIGHT)
 
 
 @st.composite
@@ -346,14 +370,21 @@ def fusion_cases(draw):
     return streams, labels, classes, grid
 
 
+def as_mapping(streams):
+    return {name: stream(name, s) for name, s in zip(STREAMS, streams) if s is not None}
+
+
 @settings(max_examples=200, deadline=None)
 @given(case=fusion_cases())
 def test_matrix_fusion_matches_per_video_reference(case):
     streams, labels, classes, grid = case
-    objects = [None if s is None else stream(name, s)
-               for name, s in zip(("pose", "spatial", "temporal"), streams)]
+    objects = as_mapping(streams)
     for weights in grid:
-        fused = fuse(*objects, FusionWeights(*weights))
+        if idle(weights, streams):
+            with pytest.raises(ValueError, match="zero on every given stream"):
+                fuse(objects, weights)
+            continue
+        fused = fuse(objects, weights)
         expected = reference_fuse(streams, weights)
         assert fused.videos == tuple(sorted(expected))
         assert fused.matrix.tobytes() == np.stack([expected[v] for v in fused.videos]).tobytes()
@@ -362,10 +393,56 @@ def test_matrix_fusion_matches_per_video_reference(case):
         assert result.accuracy == accuracy
         np.testing.assert_array_equal(result.per_class, per_class)
         np.testing.assert_array_equal(result.confusion, confusion)
-    best, rows = search_weights(*objects, labels, grid)
-    expected_best, expected_rows = reference_search(streams, labels, classes, grid)
-    assert best.as_tuple() == expected_best
-    assert rows == expected_rows
+    usable = [weights for weights in grid if not idle(weights, streams)]
+    if usable:
+        accuracies = search_weights(objects, labels, usable)
+        assert accuracies.tolist() == reference_search(streams, labels, classes, usable)
+    if len(usable) < len(grid):
+        with pytest.raises(ValueError, match="zero on every given stream"):
+            search_weights(objects, labels, grid)
+
+
+@st.composite
+def subset_cases(draw):
+    streams, labels, classes, _ = draw(fusion_cases())
+    return streams, labels, classes, draw(_TRIPLE)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=subset_cases())
+def test_subset_table_matches_per_subset_reference(case):
+    """cmd_fuse's table holds, for every subset of the given streams, the
+    accuracy of those streams alone fused with their own weights, and null
+    where those weights are all zero."""
+    streams, labels, classes, weights = case
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        paths = {}
+        for name, s in as_mapping(streams).items():
+            paths[f"{name}_scores"] = str(tmp / f"{name}.csv")
+            write_scores(paths[f"{name}_scores"], s)
+        write_labels(tmp / "labels.csv", labels)
+        inputs = sorted(p.name for p in tmp.iterdir())
+        cfg = PipelineConfig(weights=weights, labels=str(tmp / "labels.csv"),
+                             fused_scores=str(tmp / "fused.csv"), **paths)
+        if idle(weights, streams):
+            with pytest.raises(ValueError, match="zero on every given stream"):
+                cmd_fuse(cfg)
+            assert sorted(p.name for p in tmp.iterdir()) == inputs
+            return
+        report = cmd_fuse(cfg)
+
+    expected = {}
+    for keep in itertools.product((False, True), repeat=len(STREAMS)):
+        if not any(keep) or any(on and s is None for s, on in zip(streams, keep)):
+            continue
+        picked = tuple(s if on else None for s, on in zip(streams, keep))
+        name = "+".join(n for n, on in zip(STREAMS, keep) if on)
+        expected[name] = None if idle(weights, picked) else reference_evaluate(
+            reference_fuse(picked, weights), labels, classes)[0]
+    assert report["accuracy"] == expected
+    given_names = "+".join(n for n, s in zip(STREAMS, streams) if s is not None)
+    assert report["fused_accuracy"] == expected[given_names]
 
 
 class TestLabelFiles:

@@ -275,11 +275,14 @@ class TestSpatialModel:
         np.testing.assert_allclose(model.predict(0, 1, np.array([5.0, 5.0])), [6.0, 6.0])
         assert model.trained[0, 1]
 
-    def test_min_samples_marks_untrained(self):
+    def test_pairs_never_filled_together_stay_untrained(self):
         topo = simple_topology()
-        coords = np.array([[[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]]])
-        model = fit_spatial_model(one_video(coords), topo, degree=1, min_samples=3)
-        assert not model.trained.any()
+        coords = np.array([[[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]]] * 2)
+        vis = np.array([[1, 1, 0], [1, 0, 1]], dtype=np.uint8)
+        model = fit_spatial_model(one_video(coords, vis), topo, degree=1)
+        np.testing.assert_array_equal(
+            model.trained, [[False, True, True], [True, False, False], [True, False, False]]
+        )
 
     def test_rejects_bad_degree(self):
         with pytest.raises(ValueError, match="degree"):
@@ -298,6 +301,23 @@ class TestSpatialModel:
         model = fit_spatial_model(one_video(coords), topo, degree=2)
         pred = model.predict(0, 1, np.array([0.4, -0.3]))
         np.testing.assert_allclose(pred, [0.16, -0.12], atol=1e-9)
+
+    def test_model_file_with_counts_fills_identically(self, tmp_path):
+        # Model files once also held a per-pair sample count; load ignores it.
+        corpus = affine_corpus(JHMDB)
+        model = fit_spatial_model(corpus, JHMDB, degree=1)
+        old, new = tmp_path / "old.npz", tmp_path / "new.npz"
+        _write_npz(old, counts=np.ones((JHMDB.n, JHMDB.n), dtype=np.int64))
+        model.save(new)
+        assert "counts" in np.load(old).files
+        rng = np.random.default_rng(3)
+        vis = (rng.random(corpus.flags.shape) > 0.3).astype(np.uint8)
+        holed = replace(corpus, flags=np.where(vis, corpus.flags, VIS_MISSING))
+        old_fill = spatial_interpolate(holed, SpatialModel.load(old), JHMDB)
+        new_fill = spatial_interpolate(holed, SpatialModel.load(new), JHMDB)
+        assert old_fill.coords.tobytes() == new_fill.coords.tobytes()
+        np.testing.assert_array_equal(old_fill.flags, new_fill.flags)
+        assert (new_fill.flags == VIS_SPATIAL).any()
 
     def test_save_load_round_trip(self, tmp_path):
         model = fit_spatial_model(affine_corpus(JHMDB), JHMDB, degree=1)
@@ -326,7 +346,7 @@ def _write_npz(path, **changes):
     """A valid degree-1 model file with some fields replaced; None drops a field."""
     model = fit_spatial_model(affine_corpus(JHMDB), JHMDB, degree=1)
     fields = dict(topology_name=np.array(model.topology_name), degree=np.array(1),
-                  coeffs=model.coeffs, trained=model.trained, counts=model.counts)
+                  coeffs=model.coeffs, trained=model.trained)
     fields.update(changes)
     with open(path, "wb") as handle:
         np.savez(handle, **{k: v for k, v in fields.items() if v is not None})
@@ -346,7 +366,7 @@ MODEL_DEFECTS = {
     "truncated zip": (_truncated, "not a spatial model .npz"),
     "not a zip": (lambda p: p.write_bytes(b"hello, not a model\n"), "not a spatial model .npz"),
     "a bare .npy": (_bare_npy, "not a spatial model .npz"),
-    "missing key": (lambda p: _write_npz(p, counts=None), "field 'counts' is missing"),
+    "missing key": (lambda p: _write_npz(p, trained=None), "field 'trained' is missing"),
     "degree 3": (lambda p: _write_npz(p, degree=np.array(3)), "field 'degree'"),
     "float degree": (lambda p: _write_npz(p, degree=np.array(1.0)), "field 'degree'"),
     "name not a string": (lambda p: _write_npz(p, topology_name=np.array(7)), "field 'topology_name'"),
@@ -356,9 +376,6 @@ MODEL_DEFECTS = {
         lambda p: _write_npz(p, coeffs=np.full((15, 15, 3, 2), np.nan)), "field 'coeffs'"),
     "int trained": (
         lambda p: _write_npz(p, trained=np.ones((15, 15), dtype=np.int64)), "field 'trained'"),
-    "short counts": (
-        lambda p: _write_npz(p, counts=np.zeros((15, 14), dtype=np.int64)), "field 'counts'"),
-    "float counts": (lambda p: _write_npz(p, counts=np.zeros((15, 15))), "field 'counts'"),
 }
 
 
@@ -427,14 +444,10 @@ class TestSpatialInterpolate:
         n = topo.n
         coeffs = np.zeros((n, n, 3, 2))
         trained = np.zeros((n, n), dtype=bool)
-        counts = np.zeros((n, n), dtype=np.int64)
         for (voter, target), point in predictions.items():
             coeffs[voter, target, 0] = point
             trained[voter, target] = True
-            counts[voter, target] = 10
-        return SpatialModel(
-            topology_name=topo.name, degree=1, coeffs=coeffs, trained=trained, counts=counts
-        )
+        return SpatialModel(topology_name=topo.name, degree=1, coeffs=coeffs, trained=trained)
 
     def test_torso_group_fallback_for_upper_body(self):
         # r_wrist (part 1) missing along with its whole part: voters must be
@@ -490,7 +503,8 @@ class TestSpatialInterpolate:
     def test_zero_voters_synthetic_zero_fill(self):
         topo = simple_topology()
         coords = np.array([[[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]])
-        model = fit_spatial_model(one_video(coords), topo, degree=1, min_samples=99)  # all untrained
+        model = fit_spatial_model(one_video(coords), topo, degree=1)
+        model = replace(model, trained=np.zeros_like(model.trained))  # every voter abstains
         vis = np.array([[1, 1, 0]], dtype=np.uint8)
         out = spatial_interpolate(one_video(coords, vis), model, topo)
         np.testing.assert_allclose(out.coords[0, 2], [0.0, 0.0])
@@ -714,14 +728,14 @@ def test_fit_and_fill_match_loops(seed, topo, counts, dropout, degenerate, max_g
     poses = [reference.normalize(p, topo)
              for p in noisy_poses(topo, rng, counts, dropout, degenerate, max_gap)]
     corpus = PoseCorpus.of(poses)
-    model = fit_spatial_model(corpus, topo, degree=degree, min_samples=min_samples)
-    loop_model = reference.fit_spatial_model(poses, topo, degree=degree, min_samples=min_samples)
+    model = fit_spatial_model(corpus, topo, degree=degree)
+    loop_model = reference.fit_spatial_model(poses, topo, degree=degree)
     assert model.coeffs.tobytes() == loop_model.coeffs.tobytes()
     np.testing.assert_array_equal(model.trained, loop_model.trained)
-    np.testing.assert_array_equal(model.counts, loop_model.counts)
 
-    # Knock out pairs at random so that untrained voters abstain.
-    model = replace(model, trained=model.trained & (rng.random(model.trained.shape) >= abstain))
+    # Untrain pairs with few samples, and more at random, so that untrained voters abstain.
+    sampled = reference.fit_spatial_model(poses, topo, degree=degree, min_samples=min_samples)
+    model = replace(model, trained=sampled.trained & (rng.random(model.trained.shape) >= abstain))
     assert_same_corpus(spatial_interpolate(corpus, model, topo),
                        [reference.spatial_interpolate(p, model, topo) for p in poses])
 
