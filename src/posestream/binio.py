@@ -6,6 +6,7 @@ field where it ends, not with a numpy or struct error.
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -13,28 +14,52 @@ import numpy as np
 
 
 class BinaryReader:
-    """Sequential field reads over the bytes of one file."""
+    """Sequential field reads from one open file.
+
+    Every field is checked against the file size (from ``fstat``) before it
+    is read, and an array field is read straight into its own buffer, so
+    the file's bytes are held once, in the arrays the caller keeps. Use it
+    as a context manager: the file is closed on every path out."""
 
     def __init__(self, path: str | Path) -> None:
         self.path = path
-        self.data = Path(path).read_bytes()
+        self.handle = open(path, "rb")
+        self.size = os.fstat(self.handle.fileno()).st_size
         self.pos = 0
+
+    def __enter__(self) -> "BinaryReader":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.handle.close()
 
     def fail(self, message: str) -> ValueError:
         return ValueError(f"{self.path}: {message}")
 
-    def take(self, size: int, field: str) -> bytes:
-        if self.pos + size > len(self.data):
+    def _check(self, size: int, field: str) -> None:
+        if self.pos + size > self.size:
             raise self.fail(f"truncated in {field} ({size} bytes needed at offset {self.pos}, "
-                            f"file has {len(self.data)})")
-        self.pos += size
-        return self.data[self.pos - size:self.pos]
+                            f"file has {self.size})")
+
+    def _read_into(self, buffer: np.ndarray | bytearray, field: str) -> None:
+        if self.handle.readinto(buffer) != len(buffer):
+            raise self.fail(f"truncated in {field} (the file shrank while it was read)")
+        self.pos += len(buffer)
+
+    def take(self, size: int, field: str) -> bytes:
+        self._check(size, field)
+        buffer = bytearray(size)
+        self._read_into(buffer, field)
+        return bytes(buffer)
 
     def unpack(self, fmt: str, field: str) -> tuple:
         return struct.unpack("<" + fmt, self.take(struct.calcsize("<" + fmt), field))
 
     def array(self, dtype: str, count: int, field: str) -> np.ndarray:
-        return np.frombuffer(self.take(np.dtype(dtype).itemsize * count, field), dtype=dtype)
+        self._check(np.dtype(dtype).itemsize * count, field)
+        values = np.empty(count, dtype=dtype)
+        self._read_into(values.view(np.uint8), field)
+        return values
 
     def text(self, length_fmt: str, field: str) -> str:
         (length,) = self.unpack(length_fmt, f"{field} length")
@@ -45,5 +70,5 @@ class BinaryReader:
 
     def finish(self) -> None:
         """Reject bytes left after the last field."""
-        if self.pos != len(self.data):
-            raise self.fail(f"{len(self.data) - self.pos} trailing bytes after the last field")
+        if self.pos != self.size:
+            raise self.fail(f"{self.size - self.pos} trailing bytes after the last field")

@@ -245,8 +245,11 @@ def cmd_eval(cfg: PipelineConfig) -> dict:
     """Checkpoint + filled corpus -> per-video score CSV + accuracy report.
 
     Snippets are drawn once from the corpus seed, K from the checkpoint.
-    Accuracy, per-class accuracy and confusion are null unless every video
-    has a label."""
+    The videos are taken in id order, in the same slices of at most
+    FORWARD_SLICE rows that ``forward`` scores, and only one slice's
+    tensors exist at a time, so memory holds the corpus, the checkpoint
+    and one slice whatever the corpus size. Accuracy, per-class accuracy
+    and confusion are null unless every video has a label."""
     cfg.require("cache", "checkpoint", "scores")
     corpus = tensorize.read_corpus(cfg.cache)
     net, _ = convnet.load_checkpoint(cfg.checkpoint)
@@ -262,11 +265,15 @@ def cmd_eval(cfg: PipelineConfig) -> dict:
     if cfg.labels and not labeled:
         raise CliError(f"{cfg.cache}: some videos have no label; cannot write {cfg.labels}")
 
-    data, _ = tensorize.corpus_tensors(corpus, k, cfg.sampling, corpus.seed)
-    order = sorted(range(len(corpus.videos)), key=corpus.videos.__getitem__)
+    def score(rows: np.ndarray) -> np.ndarray:
+        data, _ = tensorize.corpus_tensors(corpus, k, cfg.sampling, corpus.seed, rows=rows)
+        return convnet.forward(net, data)
+
+    order = np.array(sorted(range(len(corpus.videos)), key=corpus.videos.__getitem__))
+    slices = convnet.row_slices(order, convnet.FORWARD_SLICE)
     scores = fusion.StreamScores(
         stream="pose", videos=tuple(corpus.videos[i] for i in order),
-        matrix=convnet.forward(net, data[order]),
+        matrix=np.concatenate([score(rows) for rows in slices]),
     )
     result = fusion.evaluate(scores, labels) if labeled else None
 

@@ -11,12 +11,11 @@ selects the skeleton).
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-
-import yaml
 
 
 @dataclass
@@ -85,12 +84,61 @@ class PipelineConfig:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
 
 
-_FIELD_NAMES = {f.name for f in fields(PipelineConfig)}
+_DEFAULTS = {f.name: f.default for f in fields(PipelineConfig)}
+_FIELD_NAMES = set(_DEFAULTS)
 _PATH_FIELDS = frozenset({
     "annotations", "cache", "spatial_model", "save_spatial_model", "checkpoint", "trace",
     "scores", "labels", "report", "fused_scores", "pose_scores", "spatial_scores",
     "temporal_scores",
 })
+
+
+def _number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# Type of a field's default -> what a config-file value for it must be, and its test.
+_KINDS = {
+    str: ("a string", lambda v: isinstance(v, str)),
+    type(None): ("a string", lambda v: v is None or isinstance(v, str)),
+    bool: ("true or false", lambda v: isinstance(v, bool)),
+    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    float: ("a number", _number),
+    tuple: ("a list of numbers", lambda v: isinstance(v, (list, tuple)) and all(map(_number, v))),
+}
+
+
+def _read_config_file(path: str | Path) -> dict:
+    """The mapping in a YAML/JSON config file; every defect raises ValueError
+    naming the file (and the key, for a value of the wrong type)."""
+    import yaml  # only commands given a config file pay for the import
+
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: config is not UTF-8 (bad byte at offset {exc.start})") from None
+    stream = io.StringIO(text)
+    stream.name = str(path)  # so YAML error marks cite the file
+    try:
+        raw = yaml.safe_load(stream)
+    except yaml.YAMLError as exc:
+        raise ValueError(f"{path}: config is not valid YAML: {exc}") from None
+    if raw is None:
+        return {}
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path}: config must be a mapping, got {type(raw).__name__}")
+    unknown = sorted(set(raw) - _FIELD_NAMES, key=str)
+    if unknown:
+        raise ValueError(f"{path}: unknown config keys: {unknown}")
+    for key, value in raw.items():
+        kind, fits = _KINDS[type(_DEFAULTS[key])]
+        if not fits(value):
+            raise ValueError(f"{path}: {key} must be {kind}, got {value!r}")
+    try:
+        PipelineConfig(**raw)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return raw
 
 
 def load_config(path: str | Path | None, overrides: dict | None = None) -> PipelineConfig:
@@ -99,17 +147,7 @@ def load_config(path: str | Path | None, overrides: dict | None = None) -> Pipel
     Unknown keys in the file or overrides raise (typo protection); override
     entries whose value is None are treated as not given.
     """
-    values: dict = {}
-    if path is not None:
-        raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
-        if raw is None:
-            raw = {}
-        if not isinstance(raw, dict):
-            raise ValueError(f"{path}: config must be a mapping, got {type(raw).__name__}")
-        unknown = sorted(set(raw) - _FIELD_NAMES)
-        if unknown:
-            raise ValueError(f"{path}: unknown config keys: {unknown}")
-        values.update(raw)
+    values = _read_config_file(path) if path is not None else {}
     for key, value in (overrides or {}).items():
         if value is None:
             continue

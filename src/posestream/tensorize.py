@@ -11,11 +11,11 @@ all-zero first row. Result shape: K x 2L x 3.
 ``preprocess`` writes its filled, normalized frames to one filled-corpus
 file. ``FilledCorpus`` is the ``preprocess.PoseCorpus`` of those frames
 plus the file header (Euler tour, seed, config hash), with the file's
-arrays as they are on disk. ``train`` and ``eval`` build the tensors of
-every video at once from them (``corpus_tensors``): the segment bounds of
-all videos as one (V, K) array, one random draw per video, then one gather
-of the chosen frames and two differences over the whole (V, K, 2L)
-position array.
+arrays as they are on disk. ``corpus_tensors`` builds the tensors of a
+selection of rows at once: ``train`` takes every video, ``eval`` one slice
+of videos at a time. It takes the segment bounds of the rows as one (R, K)
+array, one random draw per video, then one gather of the chosen frames and
+two differences over the whole (R, K, 2L) position array.
 
 Filled-corpus file (little-endian binary)::
 
@@ -112,31 +112,38 @@ def _segment_frames(frames: np.ndarray, k: int, mode: str, seeds: list) -> np.nd
 
 
 def corpus_tensors(
-    corpus: FilledCorpus, k: int, mode: str, seed: int, epoch: int | None = None
+    corpus: FilledCorpus, k: int, mode: str, seed: int, epoch: int | None = None,
+    rows: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(V, K, 2L, 3) pose tensors and (V,) labels (-1 where absent) of the
-    corpus videos, in corpus order.
+    """(R, K, 2L, 3) pose tensors and (R,) labels (-1 where absent) of the
+    corpus videos at the indices ``rows``, in that order (all videos, in
+    corpus order, when not given).
 
     Row k of channel 0 concatenates the (x, y) of each traversal-path joint
     at snippet frame k. Channel 1 row k is channel0[k] - channel0[k-1] and
     channel 2 repeats the differencing on channel 1; row 0 of both is zero.
     Differences are taken between chosen snippets as-is, whatever the frame
     gap between them. A video's snippets are seeded by ``seed``, its id and,
-    when given, the epoch, never by the other videos.
+    when given, the epoch, never by the other videos, so a video's tensor
+    is the same whichever rows are asked for. The three channels are
+    written into one preallocated array.
     """
     if k < 1:
         raise ValueError(f"segment count must be >= 1, got {k}")
     if mode not in SAMPLING_MODES:
         raise ValueError(f"unknown sampling mode '{mode}'; use one of {SAMPLING_MODES}")
-    seeds = [_video_seed(seed, video, epoch) for video in corpus.videos] if mode == "random" else []
-    frames = _segment_frames(np.diff(corpus.offsets), k, mode, seeds) + corpus.offsets[:-1, None]
+    rows = np.arange(len(corpus.videos)) if rows is None else np.asarray(rows, dtype=np.intp)
+    seeds = ([_video_seed(seed, corpus.videos[row], epoch) for row in rows]
+             if mode == "random" else [])
+    starts = corpus.offsets[rows]
+    frames = _segment_frames(corpus.offsets[rows + 1] - starts, k, mode, seeds) + starts[:, None]
     joints = np.asarray(corpus.path.joints, dtype=np.intp)
-    positions = corpus.coords[frames[:, :, None], joints].reshape(len(frames), k, -1)
-    velocity = np.zeros_like(positions)
-    acceleration = np.zeros_like(positions)
-    velocity[:, 1:] = positions[:, 1:] - positions[:, :-1]
-    acceleration[:, 1:] = velocity[:, 1:] - velocity[:, :-1]
-    return np.stack([positions, velocity, acceleration], axis=-1), corpus.labels.copy()
+    tensors = np.zeros((len(rows), k, 2 * len(joints), CHANNELS))
+    positions, velocity, acceleration = np.moveaxis(tensors, -1, 0)
+    positions[...] = corpus.coords[frames[:, :, None], joints].reshape(len(rows), k, -1)
+    np.subtract(positions[:, 1:], positions[:, :-1], out=velocity[:, 1:])
+    np.subtract(velocity[:, 1:], velocity[:, :-1], out=acceleration[:, 1:])
+    return tensors, corpus.labels[rows]
 
 
 def _pack_text(text: str) -> bytes:
@@ -165,33 +172,33 @@ def write_corpus(path: str | Path, corpus: FilledCorpus) -> None:
 
 def read_corpus(path: str | Path) -> FilledCorpus:
     """Read and validate a filled-corpus file; errors name the file and the field."""
-    reader = BinaryReader(path)
-    magic = reader.take(4, "magic")
-    if magic != CORPUS_MAGIC:
-        raise reader.fail(f"not a filled-corpus file (bad magic {magic!r})")
-    (version,) = reader.unpack("I", "version")
-    if version != CORPUS_VERSION:
-        raise reader.fail(f"unsupported corpus version {version}")
-    topology = reader.text("I", "topology name")
-    (tour_length,) = reader.unpack("I", "tour length")
-    tour = tuple(int(j) for j in reader.array("<u4", tour_length, "tour joints"))
-    config_hash = reader.text("I", "config hash")
-    seed, count, joints = reader.unpack("QII", "seed, video count and joint count")
-    if count == 0:
-        raise reader.fail("video count is 0")
-    offsets = reader.array("<u8", count + 1, "frame offsets").astype(np.int64)
-    if offsets[0] != 0 or np.any(np.diff(offsets) <= 0):
-        raise reader.fail("frame offsets do not start at 0 and strictly increase")
-    labels = reader.array("<i4", count, "labels").astype(np.int64)
-    if labels.min() < -1:
-        raise reader.fail("labels below -1 (-1 marks an absent label)")
-    videos = tuple(reader.text("I", f"video id {i}") for i in range(count))
-    if len(set(videos)) != count:
-        raise reader.fail("video ids are not unique")
-    frames = int(offsets[-1])
-    coords = reader.array("<f8", frames * joints * 2, "coordinates").reshape(frames, joints, 2)
-    flags = reader.array("u1", frames * joints, "fill flags").reshape(frames, joints)
-    reader.finish()
+    with BinaryReader(path) as reader:
+        magic = reader.take(4, "magic")
+        if magic != CORPUS_MAGIC:
+            raise reader.fail(f"not a filled-corpus file (bad magic {magic!r})")
+        (version,) = reader.unpack("I", "version")
+        if version != CORPUS_VERSION:
+            raise reader.fail(f"unsupported corpus version {version}")
+        topology = reader.text("I", "topology name")
+        (tour_length,) = reader.unpack("I", "tour length")
+        tour = tuple(int(j) for j in reader.array("<u4", tour_length, "tour joints"))
+        config_hash = reader.text("I", "config hash")
+        seed, count, joints = reader.unpack("QII", "seed, video count and joint count")
+        if count == 0:
+            raise reader.fail("video count is 0")
+        offsets = reader.array("<u8", count + 1, "frame offsets").astype(np.int64)
+        if offsets[0] != 0 or np.any(np.diff(offsets) <= 0):
+            raise reader.fail("frame offsets do not start at 0 and strictly increase")
+        labels = reader.array("<i4", count, "labels").astype(np.int64)
+        if labels.min() < -1:
+            raise reader.fail("labels below -1 (-1 marks an absent label)")
+        videos = tuple(reader.text("I", f"video id {i}") for i in range(count))
+        if len(set(videos)) != count:
+            raise reader.fail("video ids are not unique")
+        frames = int(offsets[-1])
+        coords = reader.array("<f8", frames * joints * 2, "coordinates").reshape(frames, joints, 2)
+        flags = reader.array("u1", frames * joints, "fill flags").reshape(frames, joints)
+        reader.finish()
     try:
         return FilledCorpus(videos, labels, offsets, coords, flags,
                             TraversalPath(joints=tour, topology=topology), seed, config_hash)

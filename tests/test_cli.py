@@ -1,8 +1,12 @@
 """CLI command tests: composition, validation, determinism, error JSON."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,13 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posestream.cli import _atomic_write, main
-from posestream.config import PipelineConfig
-from posestream.convnet import init_net, load_checkpoint, NetSpec
+from posestream.cli import _atomic_write, cmd_eval, main
+from posestream.config import PipelineConfig, load_config
+from posestream.convnet import FORWARD_SLICE, init_net, load_checkpoint, NetSpec, save_checkpoint
 from posestream.fusion import read_scores
 from posestream.preprocess import SpatialModel
-from posestream.skeleton import build_topology
-from posestream.tensorize import read_corpus
+from posestream.skeleton import build_topology, euler_tour
+from posestream.tensorize import FilledCorpus, read_corpus, write_corpus
 
 FAST = [
     "--conv1-channels", "4", "--conv2-channels", "6", "--hidden", "16",
@@ -467,6 +471,41 @@ class TestEval:
         assert str(cache) in err["message"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["u.cache", "u.jsonl"]
 
+    def test_memory_flat_in_corpus_size(self, tmp_path):
+        """A corpus 4x larger adds no more to eval's peak than its own arrays
+        and score rows: the tensors exist one FORWARD_SLICE of videos at a time."""
+        tour = euler_tour(build_topology("jhmdb_gt"))
+        net = init_net((15, 2 * len(tour), 3), num_classes=4, seed=0,
+                       arch=NetSpec(conv1_channels=8, conv2_channels=16, hidden=64))
+        save_checkpoint(net, tmp_path / "net.ckpt")
+        rng = np.random.default_rng(8)
+
+        def eval_peak(videos):
+            frames = 20
+            corpus = FilledCorpus(
+                videos=[f"clip{i:05d}" for i in range(videos)], labels=np.arange(videos) % 4,
+                offsets=np.arange(videos + 1) * frames,
+                coords=rng.normal(size=(videos * frames, 15, 2)),
+                flags=np.ones((videos * frames, 15), np.uint8), path=tour, seed=3,
+                config_hash="h",
+            )
+            write_corpus(tmp_path / "c.bin", corpus)
+            cfg = PipelineConfig(cache=str(tmp_path / "c.bin"), scores=str(tmp_path / "s.csv"),
+                                 checkpoint=str(tmp_path / "net.ckpt"))
+            tracemalloc.start()
+            try:
+                cmd_eval(cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            arrays = sum(a.nbytes for a in (corpus.labels, corpus.offsets, corpus.coords,
+                                            corpus.flags))
+            return peak, arrays + (tmp_path / "s.csv").stat().st_size
+
+        small, _ = eval_peak(FORWARD_SLICE)
+        large, own = eval_peak(4 * FORWARD_SLICE)
+        assert large - small <= own
+
 
 class TestFuse:
     def write_streams(self, tmp_path):
@@ -744,6 +783,32 @@ class TestConfigHash:
     ])
     def test_settings_change_the_hash(self, change):
         assert PipelineConfig(**change).hash() != PipelineConfig().hash()
+
+
+class TestConfigFile:
+    @pytest.mark.parametrize("content, message", [
+        (b"seed: [1\nk: 3\n", "not valid YAML"),
+        (b"profile: \xff\n", "not UTF-8"),
+        (b"seed: abc\n", "seed must be an integer, got 'abc'"),
+        (b"weights: 5\n", "weights must be a list of numbers, got 5"),
+        (b'epochs: "x"\n', "epochs must be an integer, got 'x'"),
+        (b"weights: [1, 2]\n", "weights must be three values"),
+    ], ids=["yaml syntax", "not utf-8", "seed text", "weights scalar", "epochs text",
+            "weights length"])
+    def test_defect_is_value_error_naming_the_file(self, tmp_path, content, message):
+        cfg_file = tmp_path / "cfg.yaml"
+        cfg_file.write_bytes(content)
+        with pytest.raises(ValueError, match=message) as exc:
+            load_config(cfg_file)
+        assert str(exc.value).startswith(f"{cfg_file}: ")
+        assert "<unicode string>" not in str(exc.value)
+
+    def test_cli_import_leaves_yaml_unloaded(self):
+        """Only a command given --config pays for importing yaml."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        code = "import sys, posestream.cli; sys.exit('yaml' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestUsageErrors:

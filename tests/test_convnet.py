@@ -214,9 +214,13 @@ class TestForward:
 
     @pytest.mark.parametrize("count", [1, 2, 7, 8, 9, 17, 63, 64, 65, 129, 130])
     def test_slicing_keeps_probabilities_bit_exact(self, count):
-        net = init_net(self.EVAL_SHAPE, num_classes=4, seed=1, arch=self.EVAL_ARCH)
-        x = np.random.default_rng(6).normal(size=(count,) + self.EVAL_SHAPE)
-        assert forward(net, x).tobytes() == _forward(net, x)["probs"].tobytes()
+        # Dyadic inputs and conv weights make pool ties and zero activations
+        # common, where conv2's bias and ReLU after the pool (forward) must
+        # still match them before it (_forward).
+        for dyadic in (False, True):
+            net = _oracle_net(self.EVAL_SHAPE, 4, self.EVAL_ARCH, 1, dyadic)
+            x = _data(6, (count,) + self.EVAL_SHAPE, dyadic)
+            assert forward(net, x).tobytes() == _forward(net, x)["probs"].tobytes(), dyadic
 
 
 def _data(seed, shape, dyadic):
@@ -233,6 +237,8 @@ def _oracle_net(shape, classes, arch, seed, dyadic):
     if dyadic:
         net.conv1_w[...] = _data(seed + 1, net.conv1_w.shape, True) / 2.0
         net.conv2_w[...] = _data(seed + 2, net.conv2_w.shape, True) / 2.0
+        net.conv1_b[...] = _data(seed + 4, net.conv1_b.shape, True)
+        net.conv2_b[...] = _data(seed + 5, net.conv2_b.shape, True)
     return net
 
 

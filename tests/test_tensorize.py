@@ -338,3 +338,18 @@ def test_corpus_tensors_match_per_video_reference(corpus, k, mode, seed, epoch):
     assert data.dtype == expected.dtype and data.shape == expected.shape
     assert data.tobytes() == expected.tobytes()
     assert labels.tobytes() == expected_labels.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(corpus=corpora(), k=st.integers(1, 20), mode=st.sampled_from(["random", "center"]),
+       seed=st.integers(0, 2**64 - 1), data=st.data())
+def test_rows_select_the_videos_they_name(corpus, k, mode, seed, data):
+    """Any selection of rows, in any order, gets the tensors and labels the
+    whole corpus gives those videos, bit for bit."""
+    count = len(corpus.videos)
+    rows = data.draw(st.lists(st.integers(0, count - 1), min_size=1, max_size=count,
+                              unique=True))
+    tensors, labels = corpus_tensors(corpus, k=k, mode=mode, seed=seed, rows=rows)
+    expected, expected_labels = reference.corpus_tensors(corpus, k, mode, seed, None)
+    assert tensors.tobytes() == expected[rows].tobytes()
+    assert labels.tobytes() == expected_labels[rows].tobytes()
