@@ -17,7 +17,6 @@ from .skeleton import (
 from .preprocess import (
     AnnotationError,
     PoseCorpus,
-    PoseSequence,
     SpatialModel,
     fit_spatial_model,
     normalize,
@@ -69,7 +68,6 @@ __all__ = [
     "PipelineConfig",
     "PoseConvNet",
     "PoseCorpus",
-    "PoseSequence",
     "SkeletonTopology",
     "SpatialModel",
     "StreamScores",

@@ -30,7 +30,6 @@ from . import convnet, fusion, preprocess, synth, tensorize
 from .config import PipelineConfig, load_config
 from .preprocess import (
     AnnotationError,
-    PoseSequence,
     VIS_OBSERVED,
     VIS_SPATIAL,
     VIS_SYNTHETIC,
@@ -80,9 +79,9 @@ def cmd_synth(spec: synth.SyntheticSpec, out: str | Path) -> dict:
         json.dumps(spec_dict, sort_keys=True, default=list).encode("utf-8")
     ).hexdigest()[:12]
     meta = {"seed": spec.seed, "config_hash": spec_hash, "spec": spec_dict}
-    poses = synth.generate(spec)
-    _atomic_write(out, lambda p: preprocess.write_annotations(p, poses, meta=meta))
-    return {"videos": len(poses), "classes": len(spec.classes), "out": str(out)}
+    corpus = synth.generate(spec)
+    _atomic_write(out, lambda p: preprocess.write_annotations(p, corpus, meta=meta))
+    return {"videos": len(corpus.videos), "classes": len(spec.classes), "out": str(out)}
 
 
 # ---------------------------------------------------------------------------
@@ -128,27 +127,28 @@ def cmd_preprocess(cfg: PipelineConfig) -> dict:
             raise CliError(f"spatial model '{cfg.spatial_model}' has degree {model.degree}, "
                            f"but --poly-degree is {cfg.poly_degree}")
 
-    poses: list[PoseSequence] = []
+    records: list[preprocess.Record] = []
     rejected: list[dict] = []
     first_line: dict[str, int] = {}
     for lineno, line in preprocess.iter_annotation_lines(cfg.annotations):
         try:
-            pose = preprocess.parse_annotation_line(line, n_expected=topology.n)
+            record = preprocess.parse_annotation_line(line, n_expected=topology.n)
         except AnnotationError as exc:
             rejected.append({"line": lineno, "error": str(exc)})
             continue
-        if pose is None:
+        if record is None:
             continue
-        if pose.video in first_line:
-            raise CliError(f"{cfg.annotations}: video id '{pose.video}' appears on lines "
-                           f"{first_line[pose.video]} and {lineno}")
-        first_line[pose.video] = lineno
-        poses.append(pose)
-    if not poses:
+        video = record[0]
+        if video in first_line:
+            raise CliError(f"{cfg.annotations}: video id '{video}' appears on lines "
+                           f"{first_line[video]} and {lineno}")
+        first_line[video] = lineno
+        records.append(record)
+    if not records:
         raise CliError(f"no valid records in {cfg.annotations} ({len(rejected)} rejected)")
 
-    corpus = preprocess.PoseCorpus.of(poses)
-    del poses
+    corpus = preprocess.PoseCorpus.of(records)
+    del records
     if cfg.interpolate:
         corpus = preprocess.temporal_interpolate(corpus, max_gap=cfg.max_gap)
     corpus = preprocess.normalize(corpus, topology)

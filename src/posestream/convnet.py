@@ -32,7 +32,8 @@ Checkpoint file (little-endian binary)::
     | float64 payload (C order)
 
 The meta JSON holds input shape, class count, architecture constants and
-any caller-supplied run metadata.
+any caller-supplied run metadata; those fix every parameter's shape, and
+the reader rejects a parameter of another shape or a repeated name.
 """
 
 from __future__ import annotations
@@ -141,6 +142,26 @@ def _xavier(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_o
     return rng.uniform(-bound, bound, size=shape)
 
 
+def _param_shapes(
+    input_shape: tuple[int, int, int], num_classes: int, arch: NetSpec
+) -> dict[str, tuple[int, ...]]:
+    """Shape of every named parameter, in ``PoseConvNet.parameters`` order."""
+    _, _, channels = input_shape
+    pooled_rows, pooled_cols = _pooled_shape(input_shape, arch)
+    flat = pooled_rows * pooled_cols * arch.conv2_channels
+    c1, c2, hidden = arch.conv1_channels, arch.conv2_channels, arch.hidden
+    return {
+        "conv1_w": (FILTER_H, FILTER_W, channels, c1),
+        "conv1_b": (c1,),
+        "conv2_w": (FILTER_H, FILTER_W, c1, c2),
+        "conv2_b": (c2,),
+        "fc1_w": (flat, hidden),
+        "fc1_b": (hidden,),
+        "out_w": (hidden, num_classes),
+        "out_b": (num_classes,),
+    }
+
+
 def init_net(
     input_shape: tuple[int, int, int],
     num_classes: int,
@@ -148,28 +169,18 @@ def init_net(
     arch: NetSpec = NetSpec(),
 ) -> PoseConvNet:
     """Uniform Xavier weights (bound sqrt(6 / (fan_in + fan_out))), zero biases."""
-    k, width, channels = input_shape
     if num_classes < 2:
         raise ValueError(f"need at least 2 classes, got {num_classes}")
-    pooled_rows, pooled_cols = _pooled_shape(input_shape, arch)
-    flat = pooled_rows * pooled_cols * arch.conv2_channels
-
     rng = np.random.default_rng(seed)
-    receptive = FILTER_H * FILTER_W
-    c1, c2, hidden = arch.conv1_channels, arch.conv2_channels, arch.hidden
-    return PoseConvNet(
-        input_shape=(k, width, channels),
-        num_classes=num_classes,
-        arch=arch,
-        conv1_w=_xavier(rng, (FILTER_H, FILTER_W, channels, c1), receptive * channels, receptive * c1),
-        conv1_b=np.zeros(c1),
-        conv2_w=_xavier(rng, (FILTER_H, FILTER_W, c1, c2), receptive * c1, receptive * c2),
-        conv2_b=np.zeros(c2),
-        fc1_w=_xavier(rng, (flat, hidden), flat, hidden),
-        fc1_b=np.zeros(hidden),
-        out_w=_xavier(rng, (hidden, num_classes), hidden, num_classes),
-        out_b=np.zeros(num_classes),
-    )
+    params = {}
+    for name, shape in _param_shapes(input_shape, num_classes, arch).items():
+        if name.endswith("_b"):
+            params[name] = np.zeros(shape)
+        else:  # conv (3, 2, in, out) or fully connected (in, out)
+            receptive = math.prod(shape[:-2])
+            params[name] = _xavier(rng, shape, receptive * shape[-2], receptive * shape[-1])
+    return PoseConvNet(input_shape=tuple(input_shape), num_classes=num_classes, arch=arch,
+                       **params)
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +515,9 @@ def save_checkpoint(net: PoseConvNet, path: str | Path, meta: dict | None = None
 def load_checkpoint(path: str | Path) -> tuple[PoseConvNet, dict]:
     """Rebuild a net from a checkpoint; returns (net, caller meta dict).
 
-    Defects raise ValueError naming the file and the field."""
+    Defects raise ValueError naming the file and the field: among them a
+    missing or repeated parameter, or one whose shape is not the one the
+    meta block implies."""
     with BinaryReader(path) as reader:
         magic = reader.take(4, "magic")
         if magic != CHECKPOINT_MAGIC:
@@ -517,22 +530,26 @@ def load_checkpoint(path: str | Path) -> tuple[PoseConvNet, dict]:
         params: dict[str, np.ndarray] = {}
         for i in range(count):
             name = reader.text("H", f"parameter {i} name")
+            if name in params:
+                raise reader.fail(f"parameter '{name}' appears twice")
             (ndim,) = reader.unpack("B", f"parameter '{name}' ndim")
             shape = reader.unpack(f"{ndim}I", f"parameter '{name}' shape")
             values = reader.array("<f8", math.prod(shape), f"parameter '{name}'")
             params[name] = values.reshape(shape)
         reader.finish()
-    expected = {"conv1_w", "conv1_b", "conv2_w", "conv2_b", "fc1_w", "fc1_b", "out_w", "out_b"}
-    if set(params) != expected:
-        raise reader.fail(f"checkpoint parameters {sorted(params)} != expected {sorted(expected)}")
     try:
         header = json.loads(raw_meta)
-        net = PoseConvNet(
-            input_shape=tuple(int(d) for d in header["input_shape"]),
-            num_classes=int(header["num_classes"]),
-            arch=NetSpec(**header["arch"]),
-            **params,
-        )
+        input_shape = tuple(int(d) for d in header["input_shape"])
+        num_classes = int(header["num_classes"])
+        arch = NetSpec(**header["arch"])
+        shapes = _param_shapes(input_shape, num_classes, arch)
     except (ValueError, KeyError, TypeError) as exc:
         raise reader.fail(f"malformed meta block ({type(exc).__name__}: {exc})") from None
+    if set(params) != set(shapes):
+        raise reader.fail(f"checkpoint parameters {sorted(params)} != expected {sorted(shapes)}")
+    for name, shape in shapes.items():
+        if params[name].shape != shape:
+            raise reader.fail(f"parameter '{name}' has shape {params[name].shape}, but the "
+                              f"meta block implies {shape}")
+    net = PoseConvNet(input_shape=input_shape, num_classes=num_classes, arch=arch, **params)
     return net, header.get("meta", {})

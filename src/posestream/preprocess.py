@@ -9,12 +9,13 @@ models in the scale-free normalized space. Joints nothing can recover are
 set to the torso center (0, 0) and flagged synthetic, never left marked
 invalid.
 
-A parsed annotation record is a ``PoseSequence``; ``PoseCorpus.of``
-concatenates the records once into a ``PoseCorpus``, the frames of every
-video as one set of arrays with per-video frame offsets. Each stage maps a
-whole ``PoseCorpus`` to a new one in a few array passes. Temporal
-interpolation is the only stage that looks at video boundaries; the others
-work frame by frame.
+A video exists in memory only as rows of a ``PoseCorpus``: the frames of
+every video as one set of arrays with per-video frame offsets. The parser
+turns an annotation record into a ``(video, coords, flags, label)`` tuple,
+that video's corpus fields, and ``PoseCorpus.of`` concatenates the tuples
+once. Each stage maps a whole ``PoseCorpus`` to a new one in a few array
+passes. Temporal interpolation is the only stage that looks at video
+boundaries; the others work frame by frame.
 
 Fill flags carry provenance: 0 missing, 1 observed, 2 temporally
 interpolated, 3 spatially interpolated, 4 synthetic fill. Any value > 0
@@ -39,7 +40,7 @@ import math
 import zipfile
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -56,40 +57,9 @@ class AnnotationError(ValueError):
     """Malformed annotation record."""
 
 
-@dataclass
-class PoseSequence:
-    """Per-frame 2D joints for one person in one video, in pixel coordinates:
-    one annotation record.
-
-    coords has shape (T, n, 2) and visibility (T, n); coordinates are only
-    meaningful where visibility > 0.
-    """
-
-    video: str
-    coords: np.ndarray
-    visibility: np.ndarray
-    label: int | None = None
-
-    def __post_init__(self) -> None:
-        self.coords = np.asarray(self.coords, dtype=np.float64)
-        self.visibility = np.asarray(self.visibility, dtype=np.uint8)
-        if self.coords.ndim != 3 or self.coords.shape[2] != 2:
-            raise ValueError(f"coords must have shape (T, n, 2), got {self.coords.shape}")
-        if self.visibility.shape != self.coords.shape[:2]:
-            raise ValueError(
-                f"visibility shape {self.visibility.shape} does not match coords {self.coords.shape[:2]}"
-            )
-        filled = self.coords[self.visibility > 0]
-        if filled.size and not np.isfinite(filled).all():
-            raise ValueError(f"video '{self.video}': non-finite coordinates on visible joints")
-
-    @property
-    def num_frames(self) -> int:
-        return self.coords.shape[0]
-
-    @property
-    def num_joints(self) -> int:
-        return self.coords.shape[1]
+# One video's corpus fields: id, (T, n, 2) coordinates, (T, n) flags and
+# label (-1 where absent).
+Record = tuple[str, np.ndarray, np.ndarray, int]
 
 
 @dataclass
@@ -135,18 +105,19 @@ class PoseCorpus:
                 raise ValueError(f"video '{video}' has non-finite coordinates on filled joints")
 
     @classmethod
-    def of(cls, poses: Sequence[PoseSequence]) -> "PoseCorpus":
-        """The corpus of the given records, in their order."""
-        if not poses:
+    def of(cls, records: Sequence[Record]) -> "PoseCorpus":
+        """The corpus of the given (video, coords, flags, label) records, in their order."""
+        if not records:
             raise ValueError("refusing to build an empty corpus")
-        if len({p.num_joints for p in poses}) > 1:
+        videos, coords, flags, labels = zip(*records)
+        if len({c.shape[1] for c in coords}) > 1:
             raise ValueError("corpus videos differ in joint count")
         return cls(
-            videos=tuple(p.video for p in poses),
-            labels=np.array([-1 if p.label is None else p.label for p in poses], dtype=np.int64),
-            offsets=np.cumsum([0] + [p.num_frames for p in poses], dtype=np.int64),
-            coords=np.concatenate([p.coords for p in poses]),
-            flags=np.concatenate([p.visibility for p in poses]),
+            videos=videos,
+            labels=labels,
+            offsets=np.cumsum([0] + [len(c) for c in coords], dtype=np.int64),
+            coords=np.concatenate(coords),
+            flags=np.concatenate(flags),
         )
 
     @property
@@ -470,21 +441,6 @@ def zero_fill(corpus: PoseCorpus) -> PoseCorpus:
 # Annotation file I/O
 # ---------------------------------------------------------------------------
 
-def pose_to_record(pose: PoseSequence) -> dict:
-    """Annotation record for one video; fill provenance collapses to vis 1."""
-    frames = [
-        [
-            [float(x), float(y), 1 if v > 0 else 0]
-            for (x, y), v in zip(frame_xy, frame_vis)
-        ]
-        for frame_xy, frame_vis in zip(pose.coords, pose.visibility)
-    ]
-    record: dict = {"video": pose.video, "n": pose.num_joints, "frames": frames}
-    if pose.label is not None:
-        record["label"] = int(pose.label)
-    return record
-
-
 def _parse_frames(frames: list, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(T, n, 2) float64 coordinates and (T, n) visibility of a ``frames`` list.
 
@@ -524,8 +480,9 @@ def _parse_frames(frames: list, n: int) -> tuple[np.ndarray, np.ndarray]:
     return table[..., :2], table[..., 2].astype(np.uint8)
 
 
-def pose_from_record(record: dict, n_expected: int | None = None) -> PoseSequence:
-    """Parse one annotation record; raises AnnotationError on any defect."""
+def pose_from_record(record: dict, n_expected: int | None = None) -> Record:
+    """Parse one annotation record into its corpus fields; raises
+    AnnotationError on any defect."""
     if not isinstance(record, dict):
         raise AnnotationError("record is not a JSON object")
     try:
@@ -551,14 +508,11 @@ def pose_from_record(record: dict, n_expected: int | None = None) -> PoseSequenc
     label = record.get("label")
     if label is not None and (type(label) is not int or not 0 <= label < 2**31):
         raise AnnotationError(f"'label' must be an integer in [0, 2**31), got {label!r}")
-    try:
-        return PoseSequence(video=video, coords=coords, visibility=vis, label=label)
-    except ValueError as exc:
-        raise AnnotationError(str(exc)) from None
+    return video, coords, vis, -1 if label is None else label
 
 
-def parse_annotation_line(line: str, n_expected: int | None = None) -> PoseSequence | None:
-    """One annotation line to a PoseSequence; None for ``_meta`` lines.
+def parse_annotation_line(line: str, n_expected: int | None = None) -> Record | None:
+    """One annotation line to its corpus fields; None for ``_meta`` lines.
 
     Raises AnnotationError for JSON syntax errors as well as schema
     violations, so callers can choose between failing fast and skipping
@@ -583,11 +537,18 @@ def iter_annotation_lines(path: str | Path) -> Iterator[tuple[int, str]]:
                 yield lineno, line
 
 
-def write_annotations(
-    path: str | Path, poses: Iterable[PoseSequence], meta: dict | None = None
-) -> None:
-    lines = []
-    if meta is not None:
-        lines.append(json.dumps({"_meta": meta}, sort_keys=True))
-    lines.extend(json.dumps(pose_to_record(p)) for p in poses)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+def write_annotations(path: str | Path, corpus: PoseCorpus, meta: dict | None = None) -> None:
+    """One annotation line per video; fill provenance collapses to vis 1."""
+    with open(path, "w", encoding="utf-8") as handle:
+        if meta is not None:
+            handle.write(json.dumps({"_meta": meta}, sort_keys=True) + "\n")
+        for i, video in enumerate(corpus.videos):
+            a, b = corpus.offsets[i], corpus.offsets[i + 1]
+            frames = corpus.coords[a:b].tolist()
+            for frame, frame_vis in zip(frames, (corpus.flags[a:b] > 0).astype(int).tolist()):
+                for joint, v in zip(frame, frame_vis):
+                    joint.append(v)
+            record: dict = {"video": video, "n": corpus.num_joints, "frames": frames}
+            if corpus.labels[i] >= 0:
+                record["label"] = int(corpus.labels[i])
+            handle.write(json.dumps(record) + "\n")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .preprocess import PoseSequence
+from .preprocess import PoseCorpus
 from .skeleton import build_topology
 
 # Canonical standing figure, pixel units, y grows downward.
@@ -127,8 +127,8 @@ def _motion(
     return coords
 
 
-def generate(spec: SyntheticSpec) -> list[PoseSequence]:
-    """Deterministic corpus of labeled pose sequences for the given spec."""
+def generate(spec: SyntheticSpec) -> PoseCorpus:
+    """Deterministic corpus of labeled videos of spec.frames frames each."""
     topology = build_topology(spec.profile)
     names = {nm: i for i, nm in enumerate(topology.joint_names)}
     missing = [nm for nm in topology.joint_names if nm not in _BASE_POSE]
@@ -136,29 +136,28 @@ def generate(spec: SyntheticSpec) -> list[PoseSequence]:
         raise ValueError(f"profile '{topology.name}' has joints the generator lacks: {missing}")
     base = np.array([_BASE_POSE[nm] for nm in topology.joint_names])
 
+    shape = (len(spec.classes), spec.videos_per_class, spec.frames, topology.n)
+    coords = np.empty((*shape, 2))
+    flags = np.ones(shape, dtype=np.uint8)
     rng = np.random.default_rng(spec.seed)
-    poses = []
     for label, motion in enumerate(spec.classes):
         for v in range(spec.videos_per_class):
-            coords = _motion(motion, spec.frames, names, base, rng)
+            video = _motion(motion, spec.frames, names, base, rng)
             scale = rng.uniform(0.6, 1.8)
             shift = rng.uniform(-200.0, 200.0, size=2)
-            coords = coords * scale + shift
+            coords[label, v] = video * scale + shift
             if spec.noise_sigma > 0:
-                coords = coords + rng.normal(0.0, spec.noise_sigma, size=coords.shape)
-            vis = np.ones(coords.shape[:2], dtype=np.uint8)
+                coords[label, v] += rng.normal(0.0, spec.noise_sigma, size=video.shape)
             if spec.dropout > 0:
                 # Separate per-video generator: turning dropout on or off
                 # leaves the motion stream (and thus the coordinates) as
                 # they were, so corpora differ only in visibility.
                 drop_rng = np.random.default_rng([spec.seed, label, v])
-                vis[drop_rng.random(vis.shape) < spec.dropout] = 0
-            poses.append(
-                PoseSequence(
-                    video=f"{motion}_{v:04d}",
-                    coords=coords,
-                    visibility=vis,
-                    label=label,
-                )
-            )
-    return poses
+                flags[label, v][drop_rng.random(shape[2:]) < spec.dropout] = 0
+    return PoseCorpus(
+        videos=[f"{motion}_{v:04d}" for motion in spec.classes for v in range(shape[1])],
+        labels=np.repeat(np.arange(shape[0]), shape[1]),
+        offsets=np.arange(shape[0] * shape[1] + 1) * spec.frames,
+        coords=coords.reshape(-1, topology.n, 2),
+        flags=flags.reshape(-1, topology.n),
+    )

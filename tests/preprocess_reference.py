@@ -1,16 +1,18 @@
-"""Loop implementations of the five preprocess stages, kept as test oracles.
+"""Loop implementations of the preprocess stages and the annotation
+writer, kept as test oracles.
 
 These are the per-video, per-frame, per-joint and per-triple loops that
 ``posestream.preprocess`` replaced with array-at-a-time code over a whole
-``PoseCorpus``. Each stage here takes and returns one ``PoseSequence``.
-They are not used by the package; the property tests in
-``test_preprocess.py`` check the corpus stages against these loops, run
-video by video and concatenated, on random inputs.
+``PoseCorpus``. Each stage here takes and returns one ``Pose``, a video's
+corpus fields as a named tuple, so ``PoseCorpus.of`` concatenates a list of
+them. They are not used by the package; the property tests in
+``test_preprocess.py`` check the corpus stages and ``write_annotations``
+against these loops, run video by video and concatenated, on random inputs.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,13 +22,44 @@ from posestream.preprocess import (
     VIS_SYNTHETIC,
     VIS_TEMPORAL,
     AnnotationError,
-    PoseSequence,
     SpatialModel,
 )
 from posestream.skeleton import SkeletonTopology, upper_body_joints
 
 
-def pose_from_record(record: dict, n_expected: int | None = None) -> PoseSequence:
+class Pose(NamedTuple):
+    """One video: (T, n, 2) coordinates, (T, n) fill flags, label -1 where absent."""
+
+    video: str
+    coords: np.ndarray
+    flags: np.ndarray
+    label: int = -1
+
+    @property
+    def num_frames(self) -> int:
+        return self.coords.shape[0]
+
+    @property
+    def num_joints(self) -> int:
+        return self.coords.shape[1]
+
+
+def pose_to_record(pose: Pose) -> dict:
+    """Annotation record for one video; fill provenance collapses to vis 1."""
+    frames = [
+        [
+            [float(x), float(y), 1 if v > 0 else 0]
+            for (x, y), v in zip(frame_xy, frame_vis)
+        ]
+        for frame_xy, frame_vis in zip(pose.coords, pose.flags)
+    ]
+    record: dict = {"video": pose.video, "n": pose.num_joints, "frames": frames}
+    if pose.label >= 0:
+        record["label"] = int(pose.label)
+    return record
+
+
+def pose_from_record(record: dict, n_expected: int | None = None) -> Pose:
     if not isinstance(record, dict):
         raise AnnotationError("record is not a JSON object")
     try:
@@ -66,10 +99,7 @@ def pose_from_record(record: dict, n_expected: int | None = None) -> PoseSequenc
     label = record.get("label")
     if label is not None and (type(label) is not int or not 0 <= label < 2**31):
         raise AnnotationError(f"'label' must be an integer in [0, 2**31), got {label!r}")
-    try:
-        return PoseSequence(video=video, coords=coords, visibility=vis, label=label)
-    except ValueError as exc:
-        raise AnnotationError(str(exc)) from None
+    return Pose(video, coords, vis, -1 if label is None else label)
 
 
 def _anchor_point(coords: np.ndarray, vis: np.ndarray, group: tuple[int, ...]) -> np.ndarray | None:
@@ -79,9 +109,9 @@ def _anchor_point(coords: np.ndarray, vis: np.ndarray, group: tuple[int, ...]) -
     return coords[idx].mean(axis=0)
 
 
-def normalize(pose: PoseSequence, topology: SkeletonTopology, eps: float = 1e-8):
+def normalize(pose: Pose, topology: SkeletonTopology, eps: float = 1e-8):
     coords = pose.coords.copy()
-    vis = pose.visibility.copy()
+    vis = pose.flags.copy()
     usable = np.ones(pose.num_frames, dtype=bool)
     group_a, group_b = topology.torso_anchors
     for t in range(pose.num_frames):
@@ -100,12 +130,12 @@ def normalize(pose: PoseSequence, topology: SkeletonTopology, eps: float = 1e-8)
             usable[t] = False
     coords[~usable] = 0.0
     vis[~usable] = VIS_MISSING
-    return PoseSequence(video=pose.video, coords=coords, visibility=vis, label=pose.label)
+    return pose._replace(coords=coords, flags=vis)
 
 
-def temporal_interpolate(pose: PoseSequence, max_gap: int = 10) -> PoseSequence:
+def temporal_interpolate(pose: Pose, max_gap: int = 10) -> Pose:
     coords = pose.coords.copy()
-    vis = pose.visibility.copy()
+    vis = pose.flags.copy()
     for j in range(pose.num_joints):
         anchors = np.flatnonzero(vis[:, j] > 0)
         for t0, t1 in zip(anchors[:-1], anchors[1:]):
@@ -117,7 +147,7 @@ def temporal_interpolate(pose: PoseSequence, max_gap: int = 10) -> PoseSequence:
                 coords[t0, j] * (1.0 - steps)[:, None] + coords[t1, j] * steps[:, None]
             )
             vis[t0 + 1:t1, j] = VIS_TEMPORAL
-    return replace(pose, coords=coords, visibility=vis)
+    return pose._replace(coords=coords, flags=vis)
 
 
 def _poly_features(xy: np.ndarray, degree: int) -> np.ndarray:
@@ -137,7 +167,7 @@ def predict(model: SpatialModel, source: int, target: int, xy: np.ndarray) -> np
 def fit_spatial_model(corpus, topology: SkeletonTopology, degree: int = 1, min_samples: int = 1):
     sequences = list(corpus)
     coords = np.concatenate([s.coords for s in sequences], axis=0)
-    filled = np.concatenate([s.visibility for s in sequences], axis=0) > 0
+    filled = np.concatenate([s.flags for s in sequences], axis=0) > 0
     n = topology.n
     n_feat = 3 if degree == 1 else 6
     coeffs = np.zeros((n, n, n_feat, 2))
@@ -165,9 +195,9 @@ def fit_spatial_model(corpus, topology: SkeletonTopology, degree: int = 1, min_s
     return SpatialModel(topology_name=topology.name, degree=degree, coeffs=coeffs, trained=trained)
 
 
-def spatial_interpolate(pose: PoseSequence, model: SpatialModel, topology: SkeletonTopology):
+def spatial_interpolate(pose: Pose, model: SpatialModel, topology: SkeletonTopology):
     coords = pose.coords.copy()
-    vis = pose.visibility.copy()
+    vis = pose.flags.copy()
     upper = upper_body_joints(topology)
     parts = topology.parts
     for t in range(pose.num_frames):
@@ -187,4 +217,4 @@ def spatial_interpolate(pose: PoseSequence, model: SpatialModel, topology: Skele
             else:
                 coords[t, j] = 0.0
                 vis[t, j] = VIS_SYNTHETIC
-    return replace(pose, coords=coords, visibility=vis)
+    return pose._replace(coords=coords, flags=vis)

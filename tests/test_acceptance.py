@@ -20,7 +20,6 @@ from posestream.convnet import NetSpec, backward, init_net, _loss_and_grads
 from posestream.fusion import StreamScores, evaluate, fuse
 from posestream.preprocess import (
     PoseCorpus,
-    PoseSequence,
     fit_spatial_model,
     normalize,
     spatial_interpolate,
@@ -85,9 +84,7 @@ def test_criterion_2_tensor_shapes():
         for profile, shape in expected.items():
             topo = build_topology(profile)
             coords = rng.uniform(0, 100, size=(40, topo.n, 2))
-            pose = PoseSequence(
-                video="v", coords=coords, visibility=np.ones((40, topo.n), np.uint8), label=0
-            )
+            pose = ("v", coords, np.ones((40, topo.n), np.uint8), 0)
             corpus = FilledCorpus(**vars(PoseCorpus.of([pose])), path=euler_tour(topo), seed=0,
                                   config_hash="")
             data, _ = corpus_tensors(corpus, k=15, mode="random", seed=1)
@@ -100,12 +97,11 @@ def test_criterion_3_normalization_invariance():
         neck_idx, belly_idx = JHMDB.torso_anchors
         for _ in range(1000):
             coords = rng.uniform(0.0, 200.0, size=(1, 15, 2))
-            pose = PoseSequence(video="v", coords=coords, visibility=np.ones((1, 15), np.uint8))
+            vis = np.ones((1, 15), np.uint8)
+            pose = ("v", coords, vis, -1)
             scale = float(rng.uniform(0.1, 10.0))
             shift = rng.uniform(-1e3, 1e3, size=2)
-            moved = PoseSequence(
-                video="v", coords=coords * scale + shift, visibility=pose.visibility
-            )
+            moved = ("v", coords * scale + shift, vis, -1)
             a = normalize(PoseCorpus.of([pose]), JHMDB)
             b = normalize(PoseCorpus.of([moved]), JHMDB)
             assert np.allclose(a.coords, b.coords, rtol=0.0, atol=1e-9)
@@ -131,7 +127,7 @@ def test_criterion_4_temporal_exactness():
                     gap = int(rng.integers(1, max_gap + 1))
                     lo = int(rng.integers(1, frames - gap - 1))
                     vis[lo:lo + gap, j] = 0
-            pose = PoseSequence(video="v", coords=coords.copy(), visibility=vis.copy())
+            pose = ("v", coords.copy(), vis.copy(), -1)
             out = temporal_interpolate(PoseCorpus.of([pose]), max_gap=max_gap)
             visible = vis > 0
             assert np.array_equal(out.coords[visible], coords[visible])
@@ -155,9 +151,7 @@ def affine_corpus(family_seed, latent_seed, num_frames):
     offsets = rng.uniform(-1.0, 1.0, size=(n, 2))
     latents = np.random.default_rng(latent_seed).uniform(-2.0, 2.0, size=(num_frames, 2))
     coords = np.einsum("njk,tk->tnj", mats, latents) + offsets
-    return PoseCorpus.of([PoseSequence(
-        video="affine", coords=coords, visibility=np.ones((num_frames, n), np.uint8), label=0
-    )])
+    return PoseCorpus.of([("affine", coords, np.ones((num_frames, n), np.uint8), 0)])
 
 
 def test_criterion_5_spatial_model_recovery():
@@ -179,9 +173,7 @@ def test_criterion_5_spatial_model_recovery():
         for victim in range(JHMDB.n):
             vis = probe.flags.copy()
             vis[:, victim] = 0
-            broken = PoseCorpus.of([PoseSequence(
-                video="p", coords=probe.coords.copy(), visibility=vis
-            )])
+            broken = PoseCorpus.of([("p", probe.coords.copy(), vis, -1)])
             out = spatial_interpolate(broken, model, JHMDB)
             worst_fill = max(
                 worst_fill, float(np.abs(out.coords[:, victim] - probe.coords[:, victim]).max())

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posestream.convnet import NetSpec, init_net, load_checkpoint, save_checkpoint
-from posestream.preprocess import PoseCorpus, PoseSequence
+from posestream.preprocess import PoseCorpus
 from posestream.skeleton import euler_tour, make_topology
 from posestream.tensorize import FilledCorpus, read_corpus, write_corpus
 
@@ -25,12 +25,8 @@ TOPOLOGY = make_topology(
 
 def small_corpus(rng, frames):
     poses = [
-        PoseSequence(
-            video=f"clip{i}",
-            coords=rng.normal(size=(count, TOPOLOGY.n, 2)),
-            visibility=rng.integers(1, 5, size=(count, TOPOLOGY.n)),
-            label=i,
-        )
+        (f"clip{i}", rng.normal(size=(count, TOPOLOGY.n, 2)),
+         rng.integers(1, 5, size=(count, TOPOLOGY.n)), i)
         for i, count in enumerate(frames)
     ]
     return FilledCorpus(**vars(PoseCorpus.of(poses)), path=euler_tour(TOPOLOGY), seed=7,

@@ -1,6 +1,8 @@
 """Pose ConvNet tests: init, forward, gradients, training, checkpoints."""
 
+import struct
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -574,3 +576,28 @@ class TestCheckpoint:
         save_checkpoint(net, path)
         loaded, _ = load_checkpoint(path)
         np.testing.assert_array_equal(forward(loaded, x), forward(net, x))
+
+    def test_rejects_parameter_shape_the_meta_contradicts(self, tmp_path):
+        # Input (15, 58, 3) pools to 5 x 28 positions of 6 channels: fc1_w
+        # must have 840 rows, and a (570, 8) one is named on load.
+        net = init_net((15, 58, 3), num_classes=3, seed=1, arch=NetSpec(4, 6, 8))
+        assert net.fc1_w.shape == (840, 8)
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(replace(net, fc1_w=np.zeros((570, 8))), path)
+        with pytest.raises(ValueError, match=r"net\.ckpt: parameter 'fc1_w' has shape \(570, 8\)"):
+            load_checkpoint(path)
+
+    def test_rejects_repeated_parameter(self, tmp_path):
+        path = tmp_path / "net.ckpt"
+        net = small_net()
+        save_checkpoint(net, path)
+        raw = bytearray(path.read_bytes())
+        # Nine parameters: a second copy of the last record, out_b.
+        record = (struct.pack("<H", 5) + b"out_b" + struct.pack("<BI", 1, net.num_classes)
+                  + net.out_b.astype("<f8").tobytes())
+        assert raw.endswith(record)
+        (meta_length,) = struct.unpack_from("<I", raw, 8)
+        struct.pack_into("<I", raw, 12 + meta_length, 9)
+        path.write_bytes(bytes(raw + record))
+        with pytest.raises(ValueError, match=r"net\.ckpt: parameter 'out_b' appears twice"):
+            load_checkpoint(path)

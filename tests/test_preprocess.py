@@ -19,7 +19,6 @@ from posestream.fusion import StreamScores, read_labels, read_scores, write_labe
 from posestream.preprocess import (
     AnnotationError,
     PoseCorpus,
-    PoseSequence,
     SpatialModel,
     VIS_MISSING,
     VIS_SPATIAL,
@@ -30,7 +29,6 @@ from posestream.preprocess import (
     pose_from_record,
     iter_annotation_lines,
     parse_annotation_line,
-    pose_to_record,
     spatial_interpolate,
     temporal_interpolate,
     write_annotations,
@@ -56,20 +54,20 @@ def simple_topology():
 def random_pose(rng, n=15, frames=5, lo=0.0, hi=200.0):
     coords = rng.uniform(lo, hi, size=(frames, n, 2))
     vis = np.ones((frames, n), dtype=np.uint8)
-    return PoseSequence(video="v", coords=coords, visibility=vis, label=0)
+    return reference.Pose("v", coords, vis, 0)
 
 
 def one_video(coords, vis=None, video="v"):
     """A one-video corpus; every joint filled unless vis says otherwise."""
     coords = np.asarray(coords, dtype=np.float64)
     vis = np.ones(coords.shape[:2], np.uint8) if vis is None else vis
-    return PoseCorpus.of([PoseSequence(video=video, coords=coords, visibility=vis, label=0)])
+    return PoseCorpus.of([reference.Pose(video, coords, vis, 0)])
 
 
 def read_records(path, n_expected=None):
     """Every record of an annotation file, through the reader preprocess uses."""
     poses = (parse_annotation_line(line, n_expected) for _, line in iter_annotation_lines(path))
-    return [pose for pose in poses if pose is not None]
+    return [reference.Pose(*pose) for pose in poses if pose is not None]
 
 
 def preprocess_file(tmp_path, lines):
@@ -133,11 +131,7 @@ class TestNormalize:
         # Uniform scaling plus translation must not change the result.
         rng = np.random.default_rng(seed)
         pose = random_pose(rng, frames=3)
-        moved = PoseSequence(
-            video="v",
-            coords=pose.coords * scale + np.array([tx, ty]),
-            visibility=pose.visibility,
-        )
+        moved = reference.Pose("v", pose.coords * scale + np.array([tx, ty]), pose.flags)
         a = normalize(PoseCorpus.of([pose]), JHMDB)
         b = normalize(PoseCorpus.of([moved]), JHMDB)
         np.testing.assert_allclose(a.coords, b.coords, atol=1e-9)
@@ -538,27 +532,27 @@ class TestZeroFill:
 class TestAnnotationIO:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(4)
-        poses = [random_pose(rng, n=3, frames=4) for _ in range(3)]
-        for i, p in enumerate(poses):
-            p.video = f"clip_{i}"
-            p.visibility[0, 1] = 0
+        poses = [random_pose(rng, n=3, frames=4)._replace(video=f"clip_{i}") for i in range(3)]
+        for p in poses:
+            p.flags[0, 1] = 0
         path = tmp_path / "ann.jsonl"
-        write_annotations(path, poses, meta={"seed": 1})
+        write_annotations(path, PoseCorpus.of(poses), meta={"seed": 1})
         loaded = read_records(path, n_expected=3)
         assert [p.video for p in loaded] == ["clip_0", "clip_1", "clip_2"]
         for original, again in zip(poses, loaded):
-            np.testing.assert_array_equal(original.visibility > 0, again.visibility > 0)
-            mask = original.visibility > 0
+            np.testing.assert_array_equal(original.flags > 0, again.flags > 0)
+            mask = original.flags > 0
             np.testing.assert_allclose(original.coords[mask], again.coords[mask])
             assert again.label == original.label
 
     def test_meta_line_skipped(self, tmp_path):
         path = tmp_path / "ann.jsonl"
-        write_annotations(path, [], meta={"note": "header only"})
+        # A corpus cannot be empty, so the header-only file is written as text.
+        path.write_text(json.dumps({"_meta": {"note": "header only"}}) + "\n")
         assert read_records(path) == []
 
     def test_rejects_wrong_n(self):
-        record = pose_to_record(random_pose(np.random.default_rng(0), n=5, frames=2))
+        record = reference.pose_to_record(random_pose(np.random.default_rng(0), n=5, frames=2))
         with pytest.raises(AnnotationError, match="expected n=15"):
             pose_from_record(record, n_expected=15)
 
@@ -587,10 +581,10 @@ class TestAnnotationIO:
     def test_integers_convert_as_floats_do(self):
         # 10**30 is beyond int64; 2**53 + 1 rounds to 2**53 as a float.
         frames = [[[10**30, 2**53 + 1, 1], [-(10**30), 7, 0]]]
-        pose = pose_from_record({"video": "v", "n": 2, "frames": frames})
+        _, coords, flags, _ = pose_from_record({"video": "v", "n": 2, "frames": frames})
         expected = [[float(10**30), float(2**53 + 1)], [float(-(10**30)), 7.0]]
-        np.testing.assert_array_equal(pose.coords[0], expected)
-        np.testing.assert_array_equal(pose.visibility, [[1, 0]])
+        np.testing.assert_array_equal(coords[0], expected)
+        np.testing.assert_array_equal(flags, [[1, 0]])
 
     @pytest.mark.parametrize("vis", [0, 1])
     @pytest.mark.parametrize("value", [10**400, -(10**400)])
@@ -677,7 +671,7 @@ def noisy_pose(topo, rng, frames, dropout, degenerate, max_gap, video="v"):
     for t in np.flatnonzero(rng.random(frames) < degenerate / 2):
         coords[t, anchors] = coords[t, anchors[0]] + rng.uniform(-1e-5, 1e-5, (len(anchors), 2))
         coords[t, rng.choice(others)] = 1e304
-    return PoseSequence(video=video, coords=coords, visibility=vis, label=0)
+    return reference.Pose(video, coords, vis, 0)
 
 
 def noisy_poses(topo, rng, counts, dropout, degenerate, max_gap):
@@ -753,7 +747,7 @@ def chain(values):
 
 class TestVideoBoundaries:
     def corpus(self, *videos):
-        return PoseCorpus.of([PoseSequence(f"v{i}", *chain(values), label=0)
+        return PoseCorpus.of([reference.Pose(f"v{i}", *chain(values), 0)
                               for i, values in enumerate(videos)])
 
     def test_temporal_fill_stays_inside_each_video(self):
@@ -771,7 +765,7 @@ class TestVideoBoundaries:
         assert out.coords[2, 2, 0] == 2.0
 
     def test_one_frame_videos(self):
-        poses = [PoseSequence(f"v{i}", *chain(values), label=i)
+        poses = [reference.Pose(f"v{i}", *chain(values), i)
                  for i, values in enumerate([[None], [2.0], [None], [None, 1.0, None]])]
         corpus = PoseCorpus.of(poses)
         topo = simple_topology()
@@ -790,7 +784,7 @@ class TestVideoBoundaries:
         for i in range(3):
             coords, vis = chain([1.0, 2.0, 3.0, 4.0])
             coords[[0, -1], 1] = coords[[0, -1], 0]
-            poses.append(PoseSequence(f"v{i}", coords, vis, label=0))
+            poses.append(reference.Pose(f"v{i}", coords, vis, 0))
         out = normalize(PoseCorpus.of(poses), topo)
         unusable = ~out.flags.any(axis=1)
         np.testing.assert_array_equal(np.flatnonzero(unusable), [0, 3, 4, 7, 8, 11])
@@ -801,7 +795,7 @@ class TestPoseCorpus:
     def test_of_concatenates_records(self):
         rng = np.random.default_rng(0)
         a, b = random_pose(rng, n=3, frames=2), random_pose(rng, n=3, frames=5)
-        b.video, b.label = "w", None
+        b = b._replace(video="w", label=-1)
         corpus = PoseCorpus.of([a, b])
         assert corpus.videos == ("v", "w")
         np.testing.assert_array_equal(corpus.labels, [0, -1])
@@ -872,9 +866,41 @@ def test_parser_matches_loop_on_malformed_records(n, frames, edits):
 
     def outcome(parse):
         try:
-            pose = parse(copy.deepcopy(record))
+            _, coords, flags, label = parse(copy.deepcopy(record))
         except AnnotationError as exc:
             return str(exc)
-        return pose.coords.tobytes(), pose.visibility.tobytes(), pose.label
+        return coords.tobytes(), flags.tobytes(), label
 
     assert outcome(pose_from_record) == outcome(reference.pose_from_record)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 4),
+    counts=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+    labelled=st.sampled_from([0.0, 0.5, 1.0]),
+    meta=st.sampled_from([None, {"seed": 3, "spec": {"frames": 2, "classes": ["a"]}}]),
+)
+def test_writer_matches_record_loop(seed, n, counts, labelled, meta):
+    """write_annotations writes the json.dumps lines of the per-joint record
+    loop, byte for byte: flags 0-4 collapse to vis 0/1, a label of -1 is left
+    out, and -0.0, integer-valued floats and NaN on missing joints keep their form."""
+    rng = np.random.default_rng(seed)
+    poses = []
+    for i, frames in enumerate(counts):
+        coords = rng.normal(scale=100.0, size=(frames, n, 2))
+        kind = rng.integers(0, 5, size=coords.shape)
+        coords[kind == 1] = -0.0
+        coords[kind == 2] = np.round(coords[kind == 2])
+        coords[kind == 3] = 1e17
+        flags = rng.integers(0, 5, size=(frames, n)).astype(np.uint8)
+        coords[(flags == 0)[..., None] & (kind == 4)] = np.nan
+        label = int(rng.integers(0, 2**31)) if rng.random() < labelled else -1
+        poses.append(reference.Pose(f"clip_é{i}", coords, flags, label))
+    lines = [] if meta is None else [json.dumps({"_meta": meta}, sort_keys=True)]
+    lines += [json.dumps(reference.pose_to_record(pose)) for pose in poses]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ann.jsonl"
+        write_annotations(path, PoseCorpus.of(poses), meta=meta)
+        assert path.read_bytes() == "".join(line + "\n" for line in lines).encode("utf-8")

@@ -1,4 +1,5 @@
-"""Every public name of the package is used by the package or the benchmark.
+"""Every public name of the package is used by the package or the benchmark,
+and the README's library example runs.
 
 A name in ``posestream.__all__`` that nothing references outside its own
 ``def`` or ``class`` in ``src/posestream`` or ``perfbench/`` is public API
@@ -6,6 +7,7 @@ that only tests use; it should go, or the code that needs it should use it.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import posestream
@@ -49,3 +51,14 @@ def test_the_guard_sees_a_def_that_only_refers_to_itself():
                      "def user():\n    return helper.used()\n")
     assert {"lonely", "Box"}.isdisjoint(_references(tree))
     assert {"helper", "used"} <= _references(tree)
+
+
+def test_readme_library_example_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"^```python\n(.*?)^```$", section, re.S | re.M)
+    assert len(blocks) == 1, "the Library use section should hold one python block"
+    namespace: dict = {}
+    exec(compile(blocks[0], "README.md#library-use", "exec"), namespace)
+    assert 0.0 <= namespace["accuracy"] <= 1.0
+

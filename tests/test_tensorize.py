@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tensorize_reference as reference
-from posestream.preprocess import PoseCorpus, PoseSequence
+from posestream.preprocess import PoseCorpus
+from preprocess_reference import Pose
 from posestream.skeleton import build_topology, euler_tour, make_topology
 from posestream.tensorize import (
     FilledCorpus,
@@ -38,7 +39,7 @@ def chain_topology(n):
 def filled_pose(coords, video="v", label=0):
     coords = np.asarray(coords, dtype=np.float64)
     vis = np.ones(coords.shape[:2], dtype=np.uint8)
-    return PoseSequence(video=video, coords=coords, visibility=vis, label=label)
+    return Pose(video, coords, vis, label)
 
 
 def filled_corpus(path, poses, seed=0, config_hash=""):
@@ -174,7 +175,7 @@ class TestBuildPoseTensor:
     def test_rejects_missing_joints(self):
         path = self.path_for(2)
         pose = filled_pose(np.zeros((4, 2, 2)))
-        pose.visibility[1, 0] = 0
+        pose.flags[1, 0] = 0
         with pytest.raises(ValueError, match="missing joints"):
             tensor_of(pose, path, 2)
 
@@ -212,12 +213,12 @@ class TestBuildPoseTensor:
 class TestTensorCache:
     """The filled-corpus file that preprocess writes at the --cache path."""
 
-    def make_corpus(self, frames=(20, 3, 9), n=4, labels=(0, None, 1)):
+    def make_corpus(self, frames=(20, 3, 9), n=4, labels=(0, -1, 1)):
         rng = np.random.default_rng(8)
         poses = []
         for i, (count, label) in enumerate(zip(frames, labels)):
             pose = filled_pose(rng.normal(size=(count, n, 2)), video=f"vid{i}", label=label)
-            pose.visibility[:] = rng.integers(1, 5, size=pose.visibility.shape)
+            pose.flags[:] = rng.integers(1, 5, size=pose.flags.shape)
             poses.append(pose)
         return filled_corpus(euler_tour(chain_topology(n)), poses, 42, "abc123")
 
@@ -312,7 +313,7 @@ class TestTensorCache:
         np.testing.assert_array_equal(labels, [0, -1, 1])
 
     def test_unlabeled_videos_read_minus_one(self, tmp_path):
-        corpus = self.make_corpus(labels=(None, None, 2))
+        corpus = self.make_corpus(labels=(-1, -1, 2))
         write_corpus(tmp_path / "c.bin", corpus)
         _, labels = corpus_tensors(read_corpus(tmp_path / "c.bin"), k=5, mode="center", seed=0)
         np.testing.assert_array_equal(labels, [-1, -1, 2])
