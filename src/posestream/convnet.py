@@ -3,8 +3,12 @@
 Architecture: two valid-padding 3x2 convolutions (stride 1) each followed by
 ReLU, one 2x2/2 max pool, a hidden fully connected layer with ReLU, and a
 softmax output layer. Channel counts and the hidden width are configuration,
-not contract; the 3x2 filter and the layer order are fixed. All math runs in
-float64 so analytic gradients match central finite differences tightly.
+not contract; the 3x2 filter and the layer order are fixed. The net computes
+in the dtype of its parameters: ``init_net`` draws float64, where analytic
+gradients match central finite differences tightly, and ``astype`` casts a
+net; forward, backward and train cast their batch to that dtype and keep
+every intermediate in it. The command line trains and scores float32 nets,
+at about half the float64 GEMM cost.
 
 Each conv is one GEMM over an im2col buffer and computes only the output
 positions the pool reads. The pool covers the first (K - 4) // pool * pool
@@ -33,7 +37,9 @@ Checkpoint file (little-endian binary)::
 
 The meta JSON holds input shape, class count, architecture constants and
 any caller-supplied run metadata; those fix every parameter's shape, and
-the reader rejects a parameter of another shape or a repeated name.
+the reader rejects a parameter of another shape or a repeated name. The
+payload is float64 whatever the net's dtype (it holds every float32 value
+exactly), and the reader returns a float64 net.
 """
 
 from __future__ import annotations
@@ -83,7 +89,8 @@ class NetSpec:
 
 @dataclass
 class PoseConvNet:
-    """Parameter container; every array is float64.
+    """Parameter container; every array has the net's dtype (float64 from
+    ``init_net``), which is the dtype it computes in.
 
     Conv weights have shape (3, 2, in_channels, out_channels); fully
     connected weights are (fan_in, fan_out); biases are 1-D.
@@ -114,13 +121,21 @@ class PoseConvNet:
             "out_b": self.out_b,
         }
 
-    def copy(self) -> "PoseConvNet":
+    @property
+    def dtype(self) -> np.dtype:
+        return self.conv1_w.dtype
+
+    def astype(self, dtype) -> "PoseConvNet":
+        """A copy with every parameter cast to dtype."""
         return PoseConvNet(
             input_shape=self.input_shape,
             num_classes=self.num_classes,
             arch=self.arch,
-            **{name: value.copy() for name, value in self.parameters().items()},
+            **{name: value.astype(dtype) for name, value in self.parameters().items()},
         )
+
+    def copy(self) -> "PoseConvNet":
+        return self.astype(self.dtype)
 
 
 def _pooled_shape(input_shape: tuple[int, int, int], arch: NetSpec) -> tuple[int, int]:
@@ -238,7 +253,7 @@ def _conv_input_grad(d_out: np.ndarray, w: np.ndarray, input_shape: tuple[int, .
     (B, R, C, Cout): one contiguous GEMM per filter offset, added at that offset."""
     batch, rows, cols, c_out = d_out.shape
     flat = d_out.reshape(-1, c_out)
-    d_x = np.zeros(input_shape)
+    d_x = np.zeros(input_shape, dtype=d_out.dtype)
     for i in range(FILTER_H):
         for j in range(FILTER_W):
             d_x[:, i:i + rows, j:j + cols, :] += (flat @ w[i, j].T).reshape(batch, rows, cols, -1)
@@ -277,7 +292,7 @@ def _pool_argmax(x: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
 def _unpool(d_out: np.ndarray, idx: np.ndarray, size: int) -> np.ndarray:
     """Route each window's gradient to its argmax offset; zeros elsewhere."""
     batch, rows, cols, channels = d_out.shape
-    d_x = np.empty((batch, rows * size, cols * size, channels))
+    d_x = np.empty((batch, rows * size, cols * size, channels), dtype=d_out.dtype)
     for k, view in enumerate(_pool_views(d_x, size)):
         np.multiply(d_out, idx == k, out=view)
     return d_x
@@ -289,10 +304,13 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=-1, keepdims=True)
 
 
-def _as_batch(x: np.ndarray, input_shape: tuple[int, int, int]) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[1:] != input_shape:
-        raise ValueError(f"input shape {x.shape} does not match a batch of net input {input_shape}")
+def _as_batch(net: PoseConvNet, x: np.ndarray) -> np.ndarray:
+    """x as a batch of the net's input, in the net's dtype."""
+    x = np.asarray(x, dtype=net.dtype)
+    if x.shape[1:] != net.input_shape:
+        raise ValueError(
+            f"input shape {x.shape} does not match a batch of net input {net.input_shape}"
+        )
     return x
 
 
@@ -346,7 +364,7 @@ def forward(net: PoseConvNet, batch: np.ndarray) -> np.ndarray:
     (``row_slices``). For the default and the 8/16/64 net the probabilities
     are those of one unsliced pass bit for bit; for other widths they may
     differ in the last bits (module docstring)."""
-    batch = _as_batch(batch, net.input_shape)
+    batch = _as_batch(net, batch)
     return np.concatenate([_probs(net, part) for part in row_slices(batch, FORWARD_SLICE)])
 
 
@@ -383,7 +401,7 @@ def _loss_and_grads(
 def backward(net: PoseConvNet, batch: np.ndarray, labels: np.ndarray) -> dict[str, np.ndarray]:
     """Analytic loss gradients of a batch (B, K, W, 3) with B labels, summed
     over the batch."""
-    batch = _as_batch(batch, net.input_shape)
+    batch = _as_batch(net, batch)
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (batch.shape[0],):
         raise ValueError(f"expected {batch.shape[0]} labels, got {labels.shape}")
@@ -437,7 +455,7 @@ def train(
     reproducible for a fixed seed. Raises TrainingDivergedError the moment
     a batch loss stops being finite.
     """
-    data = np.asarray(data, dtype=np.float64)
+    data = np.asarray(data, dtype=net.dtype)
     labels = np.asarray(labels, dtype=np.int64)
     if data.ndim != 4 or data.shape[0] == 0:
         raise ValueError("training data must be a non-empty (N, K, W, 3) array")
@@ -452,7 +470,7 @@ def train(
     for epoch in range(config.epochs):
         if resample is not None:
             data, labels = resample(epoch)
-            data = np.asarray(data, dtype=np.float64)
+            data = np.asarray(data, dtype=net.dtype)
             labels = np.asarray(labels, dtype=np.int64)
         order = rng.permutation(data.shape[0])
         epoch_loss = 0.0
@@ -514,6 +532,7 @@ def save_checkpoint(net: PoseConvNet, path: str | Path, meta: dict | None = None
 
 def load_checkpoint(path: str | Path) -> tuple[PoseConvNet, dict]:
     """Rebuild a net from a checkpoint; returns (net, caller meta dict).
+    The net is float64, whatever dtype the saved net had.
 
     Defects raise ValueError naming the file and the field: among them a
     missing or repeated parameter, or one whose shape is not the one the

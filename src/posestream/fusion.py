@@ -207,16 +207,22 @@ def _format(value: float) -> str:
     return f"{value:.12g}"
 
 
+def _write_csv(path: str | Path, meta: dict | None, header: str, rows: Iterator[str]) -> None:
+    """Write an optional ``# key=value`` meta line, the header and the rows,
+    one line at a time."""
+    with open(path, "w", encoding="utf-8") as handle:
+        if meta:
+            handle.write("# " + " ".join(f"{k}={v}" for k, v in sorted(meta.items())) + "\n")
+        handle.write(header + "\n")
+        for row in rows:
+            handle.write(row + "\n")
+
+
 def write_scores(path: str | Path, stream: StreamScores, meta: dict | None = None) -> None:
-    classes = stream.num_classes
-    lines = []
-    if meta:
-        joined = " ".join(f"{k}={v}" for k, v in sorted(meta.items()))
-        lines.append(f"# {joined}")
-    lines.append("video," + ",".join(f"class_{c}" for c in range(classes)))
-    for video, row in zip(stream.videos, stream.matrix):
-        lines.append(video + "," + ",".join(_format(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    header = "video," + ",".join(f"class_{c}" for c in range(stream.num_classes))
+    rows = (video + "," + ",".join(_format(v) for v in row)
+            for video, row in zip(stream.videos, stream.matrix))
+    _write_csv(path, meta, header, rows)
 
 
 def _csv_rows(path: str | Path) -> Iterator[tuple[int, list[str]]]:
@@ -292,13 +298,7 @@ def read_scores(path: str | Path, stream: str = "other") -> StreamScores:
 
 
 def write_labels(path: str | Path, labels: dict[str, int], meta: dict | None = None) -> None:
-    lines = []
-    if meta:
-        joined = " ".join(f"{k}={v}" for k, v in sorted(meta.items()))
-        lines.append(f"# {joined}")
-    lines.append("video,label")
-    lines.extend(f"{video},{labels[video]}" for video in sorted(labels))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_csv(path, meta, "video,label", (f"{video},{labels[video]}" for video in sorted(labels)))
 
 
 def read_labels(path: str | Path) -> dict[str, int]:

@@ -16,11 +16,13 @@ from hypothesis import strategies as st
 
 from posestream.cli import _atomic_write, cmd_eval, main
 from posestream.config import PipelineConfig, load_config
-from posestream.convnet import FORWARD_SLICE, init_net, load_checkpoint, NetSpec, save_checkpoint
+from posestream.convnet import (
+    FORWARD_SLICE, NetSpec, forward, init_net, load_checkpoint, save_checkpoint,
+)
 from posestream.fusion import read_scores
 from posestream.preprocess import SpatialModel
 from posestream.skeleton import build_topology, euler_tour
-from posestream.tensorize import FilledCorpus, read_corpus, write_corpus
+from posestream.tensorize import FilledCorpus, corpus_tensors, read_corpus, write_corpus
 
 FAST = [
     "--conv1-channels", "4", "--conv2-channels", "6", "--hidden", "16",
@@ -302,10 +304,11 @@ class TestTrain:
         )
         assert code == 0
         net, _ = load_checkpoint(tmp_path / "init.ckpt")
+        # train starts from the float64 initialization cast to float32.
         fresh = init_net(
             (15, 2 * len(read_corpus(workdir / "train.cache").path), 3), num_classes=4, seed=5,
             arch=NetSpec(conv1_channels=4, conv2_channels=6, hidden=16),
-        )
+        ).astype(np.float32)
         for name, param in fresh.parameters().items():
             np.testing.assert_array_equal(net.parameters()[name], param)
 
@@ -376,6 +379,15 @@ class TestTrain:
         )
         assert code == 1
         assert err["error"] == "FileNotFoundError"
+
+
+def random_corpus(videos, tour, rng, frames=20):
+    """A labeled corpus of fully observed normal-noise frames."""
+    return FilledCorpus(
+        videos=[f"clip{i:05d}" for i in range(videos)], labels=np.arange(videos) % 4,
+        offsets=np.arange(videos + 1) * frames, coords=rng.normal(size=(videos * frames, 15, 2)),
+        flags=np.ones((videos * frames, 15), np.uint8), path=tour, seed=3, config_hash="h",
+    )
 
 
 class TestEval:
@@ -471,6 +483,27 @@ class TestEval:
         assert str(cache) in err["message"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["u.cache", "u.jsonl"]
 
+    def test_float32_scores_within_stated_tolerance_of_float64(self, tmp_path):
+        """eval scores a float64 checkpoint in float32: within 1e-6 of float64
+        library scoring of the same net, with the same predicted classes."""
+        tour = euler_tour(build_topology("jhmdb_gt"))
+        net = init_net((15, 2 * len(tour), 3), num_classes=4, seed=3)  # default NetSpec
+        save_checkpoint(net, tmp_path / "net.ckpt")
+        corpus = random_corpus(130, tour, np.random.default_rng(9))
+        write_corpus(tmp_path / "c.bin", corpus)
+        cmd_eval(PipelineConfig(cache=str(tmp_path / "c.bin"), scores=str(tmp_path / "s.csv"),
+                                checkpoint=str(tmp_path / "net.ckpt")))
+        scored = read_scores(tmp_path / "s.csv")
+        assert scored.videos == tuple(corpus.videos)
+        data, _ = corpus_tensors(corpus, 15, "random", corpus.seed)
+        want = forward(net, data)
+        assert want.dtype == np.float64
+        assert np.abs(scored.matrix - want).max() <= 1e-6
+        assert (scored.matrix.argmax(axis=1) == want.argmax(axis=1)).all()
+        # The CSV's 12 significant digits hold the float32 scores exactly.
+        got = scored.matrix.astype(np.float32)
+        assert got.tobytes() == forward(net.astype(np.float32), data).tobytes()
+
     def test_memory_flat_in_corpus_size(self, tmp_path):
         """A corpus 4x larger adds no more to eval's peak than its own arrays
         and score rows: the tensors exist one FORWARD_SLICE of videos at a time."""
@@ -481,14 +514,7 @@ class TestEval:
         rng = np.random.default_rng(8)
 
         def eval_peak(videos):
-            frames = 20
-            corpus = FilledCorpus(
-                videos=[f"clip{i:05d}" for i in range(videos)], labels=np.arange(videos) % 4,
-                offsets=np.arange(videos + 1) * frames,
-                coords=rng.normal(size=(videos * frames, 15, 2)),
-                flags=np.ones((videos * frames, 15), np.uint8), path=tour, seed=3,
-                config_hash="h",
-            )
+            corpus = random_corpus(videos, tour, rng)
             write_corpus(tmp_path / "c.bin", corpus)
             cfg = PipelineConfig(cache=str(tmp_path / "c.bin"), scores=str(tmp_path / "s.csv"),
                                  checkpoint=str(tmp_path / "net.ckpt"))

@@ -214,15 +214,23 @@ class TestForward:
 
         assert peak(x) < 2 * peak(x[:64])
 
-    @pytest.mark.parametrize("count", [1, 2, 7, 8, 9, 17, 63, 64, 65, 129, 130])
-    def test_slicing_keeps_probabilities_bit_exact(self, count):
+    # Batch sizes around CONV_SLICE and FORWARD_SLICE multiples; the float64
+    # cases are named by the count alone.
+    @pytest.mark.parametrize("count, dtype", [
+        pytest.param(count, dtype, id=str(count) + suffix)
+        for dtype, suffix in ((np.float64, ""), (np.float32, "-float32"))
+        for count in (1, 2, 7, 8, 9, 17, 63, 64, 65, 129, 130)
+    ])
+    def test_slicing_keeps_probabilities_bit_exact(self, count, dtype):
         # Dyadic inputs and conv weights make pool ties and zero activations
         # common, where conv2's bias and ReLU after the pool (forward) must
         # still match them before it (_forward).
         for dyadic in (False, True):
-            net = _oracle_net(self.EVAL_SHAPE, 4, self.EVAL_ARCH, 1, dyadic)
-            x = _data(6, (count,) + self.EVAL_SHAPE, dyadic)
-            assert forward(net, x).tobytes() == _forward(net, x)["probs"].tobytes(), dyadic
+            net = _oracle_net(self.EVAL_SHAPE, 4, self.EVAL_ARCH, 1, dyadic).astype(dtype)
+            x = _data(6, (count,) + self.EVAL_SHAPE, dyadic).astype(dtype)
+            probs = forward(net, x)
+            assert probs.dtype == dtype
+            assert probs.tobytes() == _forward(net, x)["probs"].tobytes(), dyadic
 
 
 def _data(seed, shape, dyadic):
@@ -549,6 +557,45 @@ class TestTrain:
         np.testing.assert_allclose(trained.conv1_w, net.conv1_w * (1 - 0.1 * 0.5), atol=1e-12)
 
 
+class TestFloat32:
+    """A float32 net computes in float32 from float64 input: a step that
+    upcast would throw the halved GEMM cost away."""
+
+    def test_backward_train_and_forward_stay_float32(self):
+        x, y = linearly_separable_dataset(np.random.default_rng(15), count=16)
+        assert x.dtype == np.float64
+        net = small_net(seed=4).astype(np.float32)
+        grads = backward(net, x, y)
+        assert {name: g.dtype for name, g in grads.items()} == dict.fromkeys(grads, np.float32)
+        trained, trace = train(net, x, y, TrainConfig(epochs=1, batch_size=8, weight_decay=0.1))
+        params = trained.parameters()
+        assert {name: p.dtype for name, p in params.items()} == dict.fromkeys(params, np.float32)
+        assert np.isfinite(trace[0].loss)
+        assert forward(trained, x).dtype == np.float32
+
+    def test_train_step_is_float32_backward_step(self):
+        # One SGD step on one tensor is the float32 backward step bit for
+        # bit, with and without a resample callback: train's batch is cast
+        # to float32 on both paths, not upcast with the gradients.
+        x, y = linearly_separable_dataset(np.random.default_rng(17), count=1)
+        net = small_net(seed=5).astype(np.float32)
+        grads = backward(net, x, y)
+        cfg = TrainConfig(learning_rate=0.05, epochs=1, batch_size=1)
+        for resample in (None, lambda epoch: (x, y)):
+            stepped, _ = train(net, x, y, cfg, resample=resample)
+            for name, param in net.parameters().items():
+                want = param - 0.05 * grads[name]
+                assert stepped.parameters()[name].tobytes() == want.tobytes(), name
+
+    def test_astype_copies(self):
+        net = small_net()
+        for dtype in (np.float64, np.float32):
+            cast = net.astype(dtype)
+            assert cast.dtype == dtype
+            cast.conv1_w[...] = 0.0
+            assert net.conv1_w.any()
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         net = small_net(seed=21)
@@ -561,6 +608,21 @@ class TestCheckpoint:
         assert loaded.arch == net.arch
         for name, param in net.parameters().items():
             np.testing.assert_array_equal(loaded.parameters()[name], param)
+
+    def test_float32_round_trip_exact(self, tmp_path):
+        # The float64 payload holds every float32 value, so casting the
+        # loaded (float64) net back gives the saved net bit for bit.
+        x, y = linearly_separable_dataset(np.random.default_rng(16), count=16)
+        net, _ = train(small_net(seed=25).astype(np.float32), x, y,
+                       TrainConfig(learning_rate=0.05, epochs=2, batch_size=8))
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(net, path)
+        loaded, _ = load_checkpoint(path)
+        assert loaded.dtype == np.float64
+        restored = loaded.astype(np.float32).parameters()
+        for name, param in net.parameters().items():
+            assert restored[name].dtype == np.float32
+            assert restored[name].tobytes() == param.tobytes(), name
 
     def test_rejects_bad_magic(self, tmp_path):
         path = tmp_path / "junk.ckpt"
