@@ -2,13 +2,17 @@
 
 Commands compose through the files they exchange: ``preprocess`` turns an
 annotation file into one filled-corpus file (the ``--cache`` path),
-``train`` turns the corpus into a checkpoint and a metrics trace, redrawing
-snippets every epoch, ``eval`` turns checkpoint + corpus into a score CSV
-and an accuracy report, and ``fuse`` combines score CSVs from this and
-external streams. Every command is deterministic given its config and seed,
-every output embeds the config hash and seed, every check runs before the
-first write, and all writes are atomic (unique temp file + rename). Errors
-leave a machine-readable JSON line on stderr and a nonzero exit code.
+``train`` turns the corpus into a checkpoint and a metrics trace, ``eval``
+turns checkpoint + corpus into a score CSV and an accuracy report, and
+``fuse`` combines score CSVs from this and external streams. ``train`` and
+``eval`` build pose tensors from the corpus on demand, in the shape
+``FilledCorpus.tensor_shape`` gives: ``train`` hands ``convnet.train`` a
+draw that builds each epoch's tensors from fresh snippets, in that epoch's
+order, and ``eval`` builds one slice of videos at a time. Every command is
+deterministic given its config and seed, every output embeds the config
+hash and seed, every check runs before the first write, and all writes are
+atomic (unique temp file + rename). Errors leave a machine-readable JSON
+line on stderr and a nonzero exit code.
 """
 
 from __future__ import annotations
@@ -205,27 +209,14 @@ def cmd_train(cfg: PipelineConfig) -> dict:
     if num_classes < 2:
         raise CliError(f"{cfg.cache}: training needs at least two classes")
 
-    def draw(epoch: int) -> tuple[np.ndarray, np.ndarray]:
-        return tensorize.corpus_tensors(corpus, cfg.k, cfg.sampling, cfg.seed, epoch=epoch)
+    def draw(epoch: int, rows: np.ndarray) -> np.ndarray:
+        return tensorize.corpus_tensors(corpus, rows, cfg.k, cfg.sampling, cfg.seed, epoch)
 
-    data, labels = draw(0)
-    arch = convnet.NetSpec(
-        conv1_channels=cfg.conv1_channels, conv2_channels=cfg.conv2_channels, hidden=cfg.hidden
-    )
     net = convnet.init_net(
-        input_shape=data.shape[1:], num_classes=num_classes, seed=cfg.seed, arch=arch
+        input_shape=corpus.tensor_shape(cfg.k), num_classes=num_classes, seed=cfg.seed,
+        arch=cfg.net_spec(),
     ).astype(COMPUTE_DTYPE)
-    train_cfg = convnet.TrainConfig(
-        learning_rate=cfg.learning_rate,
-        epochs=cfg.epochs,
-        batch_size=cfg.batch_size,
-        seed=cfg.seed,
-        weight_decay=cfg.weight_decay,
-    )
-    trained, trace = convnet.train(
-        net, data, labels, train_cfg,
-        resample=lambda epoch: (data, labels) if epoch == 0 else draw(epoch),
-    )
+    trained, trace = convnet.train(net, draw, corpus.labels, cfg.train_config())
 
     meta = {"config_hash": cfg.hash(), "seed": cfg.seed, "num_classes": num_classes}
     _atomic_write(cfg.checkpoint, lambda p: convnet.save_checkpoint(trained, p, meta=meta))
@@ -259,11 +250,9 @@ def cmd_eval(cfg: PipelineConfig) -> dict:
     corpus = tensorize.read_corpus(cfg.cache)
     net = convnet.load_checkpoint(cfg.checkpoint)[0].astype(COMPUTE_DTYPE)
     k = net.input_shape[0]
-    shape = (k, 2 * len(corpus.path), tensorize.CHANNELS)
-    if tuple(net.input_shape) != shape:
-        raise CliError(
-            f"checkpoint expects input {net.input_shape}, corpus {cfg.cache} provides {shape}"
-        )
+    if net.input_shape != corpus.tensor_shape(k):
+        raise CliError(f"checkpoint expects input {net.input_shape}, corpus {cfg.cache} "
+                       f"provides {corpus.tensor_shape(k)}")
     labels = {video: int(label) for video, label in zip(corpus.videos, corpus.labels)
               if label >= 0}
     labeled = len(labels) == len(corpus.videos)
@@ -271,8 +260,8 @@ def cmd_eval(cfg: PipelineConfig) -> dict:
         raise CliError(f"{cfg.cache}: some videos have no label; cannot write {cfg.labels}")
 
     def score(rows: np.ndarray) -> np.ndarray:
-        data, _ = tensorize.corpus_tensors(corpus, k, cfg.sampling, corpus.seed, rows=rows)
-        return convnet.forward(net, data)
+        tensors = tensorize.corpus_tensors(corpus, rows, k, cfg.sampling, corpus.seed)
+        return convnet.forward(net, tensors)
 
     order = np.array(sorted(range(len(corpus.videos)), key=corpus.videos.__getitem__))
     slices = convnet.row_slices(order, convnet.FORWARD_SLICE)
@@ -396,10 +385,10 @@ def _add_config_args(parser: argparse.ArgumentParser, *names: str) -> None:
         "profile": dict(type=str, help="skeleton profile (jhmdb_gt, estimated_14, penn, custom)"),
         "topology_file": dict(type=str, help="description file for --profile custom"),
         "k": dict(type=int, help="segments per video"),
-        "sampling": dict(type=str, choices=["random", "center"], help="snippet sampling mode"),
+        "sampling": dict(type=str, help="snippet sampling mode (random, center)"),
         "seed": dict(type=int, help="master seed"),
         "max_gap": dict(type=int, help="longest temporal gap filled by interpolation"),
-        "poly_degree": dict(type=int, choices=[1, 2], help="spatial model polynomial degree"),
+        "poly_degree": dict(type=int, help="spatial model polynomial degree (1, 2)"),
         "conv1_channels": dict(type=int), "conv2_channels": dict(type=int),
         "hidden": dict(type=int),
         "learning_rate": dict(type=float), "epochs": dict(type=int),

@@ -2,10 +2,12 @@
 
 A config file is a YAML (or JSON) mapping whose keys match PipelineConfig
 fields. Command-line flags override file values, which override defaults.
-Every output file of every command embeds the hash of the resolved
-settings plus the seed, so runs can be traced back to their settings. The
-hash leaves out input and output paths (``topology_file`` stays in: it
-selects the skeleton).
+A value out of its range raises ValueError naming the key as soon as the
+config is built, before any command reads or writes a file. Every output
+file of every command embeds the hash of the resolved settings plus the
+seed, so runs can be traced back to their settings. The hash leaves out
+input and output paths (``topology_file`` stays in: it selects the
+skeleton).
 """
 
 from __future__ import annotations
@@ -16,6 +18,9 @@ import json
 import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+
+from .convnet import NetSpec, TrainConfig
+from .tensorize import SAMPLING_MODES
 
 
 @dataclass
@@ -69,6 +74,24 @@ class PipelineConfig:
                 raise ValueError(f"{key} must be finite numbers, got {getattr(self, key)}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
+        self.net_spec()  # NetSpec and TrainConfig check their own fields
+        self.train_config()
+        for key, fits, rule in (
+            ("k", self.k >= 1, ">= 1"), ("max_gap", self.max_gap >= 0, ">= 0"),
+            ("sampling", self.sampling in SAMPLING_MODES, f"one of {SAMPLING_MODES}"),
+            ("poly_degree", self.poly_degree in (1, 2), "1 or 2"),
+        ):
+            if not fits:
+                raise ValueError(f"{key} must be {rule}, got {getattr(self, key)!r}")
+
+    def net_spec(self) -> NetSpec:
+        return NetSpec(conv1_channels=self.conv1_channels, conv2_channels=self.conv2_channels,
+                       hidden=self.hidden)
+
+    def train_config(self) -> TrainConfig:
+        return TrainConfig(learning_rate=self.learning_rate, epochs=self.epochs,
+                           batch_size=self.batch_size, seed=self.seed,
+                           weight_decay=self.weight_decay)
 
     def require(self, *names: str) -> None:
         missing = [name for name in names if getattr(self, name) is None]

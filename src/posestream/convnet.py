@@ -86,6 +86,11 @@ class NetSpec:
     hidden: int = 256
     pool: int = 2  # window and stride of the single max-pool layer
 
+    def __post_init__(self) -> None:
+        for name, value in asdict(self).items():
+            if not value >= 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+
 
 @dataclass
 class PoseConvNet:
@@ -424,12 +429,10 @@ class TrainConfig:
     weight_decay: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.learning_rate < 0:
-            raise ValueError("learning rate must be >= 0")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-        if self.batch_size < 1:
-            raise ValueError("batch size must be >= 1")
+        for name, least in (("learning_rate", 0), ("epochs", 0), ("batch_size", 1),
+                            ("weight_decay", 0)):
+            if not getattr(self, name) >= least:  # NaN fails too
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
 
 
 @dataclass
@@ -441,26 +444,23 @@ class EpochStats:
 
 def train(
     net: PoseConvNet,
-    data: np.ndarray,
+    draw: Callable[[int, np.ndarray], np.ndarray],
     labels: np.ndarray,
     config: TrainConfig,
-    resample: Callable[[int], tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> tuple[PoseConvNet, list[EpochStats]]:
     """Mini-batch SGD on summed-then-averaged cross entropy.
 
-    ``resample(epoch)`` may supply fresh (data, labels) each epoch (new
-    snippet draws); otherwise the given arrays are reused. The input net is
-    not modified. The epoch trace reports mean loss and accuracy over that
-    epoch's own batches (measured before each update). Runs are bit
-    reproducible for a fixed seed. Raises TrainingDivergedError the moment
-    a batch loss stops being finite.
+    ``draw(epoch, rows)`` returns the tensors of the examples at ``rows``, in
+    order; train calls it once per epoch with that epoch's permutation of
+    all of ``labels``' rows and takes each batch as a contiguous slice. The
+    input net is not modified. The epoch trace reports mean loss and
+    accuracy over that epoch's own batches (measured before each update).
+    Runs are bit reproducible for a fixed seed. Raises TrainingDivergedError
+    the moment a batch loss stops being finite.
     """
-    data = np.asarray(data, dtype=net.dtype)
     labels = np.asarray(labels, dtype=np.int64)
-    if data.ndim != 4 or data.shape[0] == 0:
-        raise ValueError("training data must be a non-empty (N, K, W, 3) array")
-    if labels.shape != (data.shape[0],):
-        raise ValueError("labels must be one class id per tensor")
+    if labels.ndim != 1 or labels.size == 0:
+        raise ValueError("labels must be a non-empty 1-D array of class ids")
     if labels.min() < 0 or labels.max() >= net.num_classes:
         raise ValueError(f"labels out of range for {net.num_classes} classes")
 
@@ -468,39 +468,39 @@ def train(
     rng = np.random.default_rng(config.seed)
     trace: list[EpochStats] = []
     for epoch in range(config.epochs):
-        if resample is not None:
-            data, labels = resample(epoch)
-            data = np.asarray(data, dtype=net.dtype)
-            labels = np.asarray(labels, dtype=np.int64)
-        order = rng.permutation(data.shape[0])
-        epoch_loss = 0.0
-        epoch_hits = 0
-        for start in range(0, len(order), config.batch_size):
-            batch_idx = order[start:start + config.batch_size]
-            x = data[batch_idx]
-            y = labels[batch_idx]
-            batch_loss, probs, grads = _loss_and_grads(net, x, y)
-            if not np.isfinite(batch_loss):
-                raise TrainingDivergedError(
-                    f"non-finite loss at epoch {epoch}, batch {start // config.batch_size}"
-                )
-            epoch_loss += batch_loss
-            epoch_hits += int((probs.argmax(axis=1) == y).sum())
-            scale = config.learning_rate / len(batch_idx)
-            params = net.parameters()
-            for name, grad in grads.items():
-                param = params[name]
-                param -= scale * grad
-                if config.weight_decay:
-                    param -= config.learning_rate * config.weight_decay * param
-        trace.append(
-            EpochStats(
-                epoch=epoch,
-                loss=epoch_loss / len(order),
-                accuracy=epoch_hits / len(order),
-            )
-        )
+        order = rng.permutation(len(labels))
+        data = _as_batch(net, draw(epoch, order))
+        trace.append(_train_epoch(net, epoch, data, labels[order], config))
+        del data  # this epoch's tensors go before the next draw
     return net, trace
+
+
+def _train_epoch(
+    net: PoseConvNet, epoch: int, data: np.ndarray, labels: np.ndarray, config: TrainConfig
+) -> EpochStats:
+    """One epoch of SGD steps on net, in place; no slice of data outlives it."""
+    if len(data) != len(labels):
+        raise ValueError(f"draw returned {len(data)} tensors for {len(labels)} rows")
+    epoch_loss = 0.0
+    epoch_hits = 0
+    for start in range(0, len(labels), config.batch_size):
+        x = data[start:start + config.batch_size]
+        y = labels[start:start + config.batch_size]
+        batch_loss, probs, grads = _loss_and_grads(net, x, y)
+        if not np.isfinite(batch_loss):
+            raise TrainingDivergedError(
+                f"non-finite loss at epoch {epoch}, batch {start // config.batch_size}"
+            )
+        epoch_loss += batch_loss
+        epoch_hits += int((probs.argmax(axis=1) == y).sum())
+        scale = config.learning_rate / len(y)
+        params = net.parameters()
+        for name, grad in grads.items():
+            param = params[name]
+            param -= scale * grad
+            if config.weight_decay:
+                param -= config.learning_rate * config.weight_decay * param
+    return EpochStats(epoch, epoch_loss / len(labels), epoch_hits / len(labels))
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,11 @@ all-zero first row. Result shape: K x 2L x 3.
 ``preprocess`` writes its filled, normalized frames to one filled-corpus
 file. ``FilledCorpus`` is the ``preprocess.PoseCorpus`` of those frames
 plus the file header (Euler tour, seed, config hash), with the file's
-arrays as they are on disk. ``corpus_tensors`` builds the tensors of a
-selection of rows at once: ``train`` takes every video, ``eval`` one slice
-of videos at a time. It takes the segment bounds of the rows as one (R, K)
-array, one random draw per video, then one gather of the chosen frames and
-two differences over the whole (R, K, 2L) position array.
+arrays as they are on disk. ``corpus_tensors`` builds the tensors of the
+rows it is given (``train``: every video, in an epoch's order; ``eval``:
+one slice) from their segment bounds as one (R, K) array, one random draw
+per video, one gather of the chosen frames and two differences over the
+whole (R, K, 2L) position array.
 
 Filled-corpus file (little-endian binary)::
 
@@ -73,6 +73,10 @@ class FilledCorpus(PoseCorpus):
         if not self.path.joints or max(self.path.joints) >= self.num_joints:
             raise ValueError(f"tour joints do not index the {self.num_joints} joints")
 
+    def tensor_shape(self, k: int) -> tuple[int, int, int]:
+        """(K, 2L, CHANNELS): the shape of one video's tensor at k segments."""
+        return k, 2 * len(self.path), CHANNELS
+
 
 def _video_seed(base_seed: int, video: str, epoch: int | None = None) -> list[int]:
     """Stable per-video (and optionally per-epoch) seed sequence."""
@@ -112,12 +116,11 @@ def _segment_frames(frames: np.ndarray, k: int, mode: str, seeds: list) -> np.nd
 
 
 def corpus_tensors(
-    corpus: FilledCorpus, k: int, mode: str, seed: int, epoch: int | None = None,
-    rows: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(R, K, 2L, 3) pose tensors and (R,) labels (-1 where absent) of the
-    corpus videos at the indices ``rows``, in that order (all videos, in
-    corpus order, when not given).
+    corpus: FilledCorpus, rows: np.ndarray, k: int, mode: str, seed: int,
+    epoch: int | None = None,
+) -> np.ndarray:
+    """(R, K, 2L, 3) pose tensors of the corpus videos at the indices
+    ``rows``, in that order.
 
     Row k of channel 0 concatenates the (x, y) of each traversal-path joint
     at snippet frame k. Channel 1 row k is channel0[k] - channel0[k-1] and
@@ -132,18 +135,18 @@ def corpus_tensors(
         raise ValueError(f"segment count must be >= 1, got {k}")
     if mode not in SAMPLING_MODES:
         raise ValueError(f"unknown sampling mode '{mode}'; use one of {SAMPLING_MODES}")
-    rows = np.arange(len(corpus.videos)) if rows is None else np.asarray(rows, dtype=np.intp)
+    rows = np.asarray(rows, dtype=np.intp)
     seeds = ([_video_seed(seed, corpus.videos[row], epoch) for row in rows]
              if mode == "random" else [])
     starts = corpus.offsets[rows]
     frames = _segment_frames(corpus.offsets[rows + 1] - starts, k, mode, seeds) + starts[:, None]
     joints = np.asarray(corpus.path.joints, dtype=np.intp)
-    tensors = np.zeros((len(rows), k, 2 * len(joints), CHANNELS))
+    tensors = np.zeros((len(rows), *corpus.tensor_shape(k)))
     positions, velocity, acceleration = np.moveaxis(tensors, -1, 0)
     positions[...] = corpus.coords[frames[:, :, None], joints].reshape(len(rows), k, -1)
     np.subtract(positions[:, 1:], positions[:, :-1], out=velocity[:, 1:])
     np.subtract(velocity[:, 1:], velocity[:, :-1], out=acceleration[:, 1:])
-    return tensors, corpus.labels[rows]
+    return tensors
 
 
 def _pack_text(text: str) -> bytes:

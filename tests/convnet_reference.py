@@ -1,10 +1,13 @@
-"""Layer functions of the pose ConvNet before the contiguous-layout rewrite,
-kept as test oracles.
+"""Earlier forms of the pose ConvNet's layers and training loop, kept as
+test oracles.
 
-These compute every conv output position (including the rows and columns
+The layer functions are those before the contiguous-layout rewrite. They
+compute every conv output position (including the rows and columns
 the pool never reads), take the pool argmax over a transposed window copy,
 scatter the conv input gradient through six offset adds, and compute the
-conv1 input gradient that the loss gradient discards. They are not used by
+conv1 input gradient that the loss gradient discards. ``train`` is the
+training loop as it was before tensors came from a ``draw`` callable: it
+gathers each batch's rows from one fixed array. None of these is used by
 the package; ``test_convnet.py`` checks ``posestream.convnet`` against
 them on random inputs.
 """
@@ -14,7 +17,10 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from posestream.convnet import FILTER_H, FILTER_W, PROB_FLOOR, PoseConvNet, _softmax
+from posestream import convnet
+from posestream.convnet import (
+    FILTER_H, FILTER_W, PROB_FLOOR, PoseConvNet, TrainConfig, _softmax,
+)
 
 
 def _conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -131,3 +137,34 @@ def _loss_and_grads(
         d_z1, cache["cols1"], net.conv1_w, cache["x"].shape
     )
     return total_loss, probs, grads
+
+
+def train(net: PoseConvNet, data: np.ndarray, labels: np.ndarray, config: TrainConfig):
+    """Mini-batch SGD as it ran before ``draw``: one fixed (N, K, W, 3) array,
+    one fancy-index gather of each batch's permuted rows, and the package's
+    own ``_loss_and_grads``. Returns (net, [(loss, accuracy) per epoch])."""
+    data = np.asarray(data, dtype=net.dtype)
+    labels = np.asarray(labels, dtype=np.int64)
+    net = net.copy()
+    rng = np.random.default_rng(config.seed)
+    trace = []
+    for _ in range(config.epochs):
+        order = rng.permutation(data.shape[0])
+        epoch_loss = 0.0
+        epoch_hits = 0
+        for start in range(0, len(order), config.batch_size):
+            batch_idx = order[start:start + config.batch_size]
+            x = data[batch_idx]
+            y = labels[batch_idx]
+            batch_loss, probs, grads = convnet._loss_and_grads(net, x, y)
+            epoch_loss += batch_loss
+            epoch_hits += int((probs.argmax(axis=1) == y).sum())
+            scale = config.learning_rate / len(batch_idx)
+            params = net.parameters()
+            for name, grad in grads.items():
+                param = params[name]
+                param -= scale * grad
+                if config.weight_decay:
+                    param -= config.learning_rate * config.weight_decay * param
+        trace.append((epoch_loss / len(order), epoch_hits / len(order)))
+    return net, trace

@@ -60,10 +60,10 @@ def build_pose_tensor(
 
 def corpus_tensors(
     corpus: FilledCorpus, k: int, mode: str, seed: int, epoch: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """One plan and one tensor per video, stacked."""
+) -> np.ndarray:
+    """One plan and one tensor per video, stacked in corpus order."""
     tensors = []
     for video, lo, hi in zip(corpus.videos, corpus.offsets[:-1], corpus.offsets[1:]):
         frames = plan_snippets(int(hi - lo), k=k, mode=mode, seed=_video_seed(seed, video, epoch))
         tensors.append(build_pose_tensor(corpus.coords[lo:hi], corpus.path, frames))
-    return np.stack(tensors), corpus.labels.copy()
+    return np.stack(tensors)

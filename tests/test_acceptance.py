@@ -87,7 +87,7 @@ def test_criterion_2_tensor_shapes():
             pose = ("v", coords, np.ones((40, topo.n), np.uint8), 0)
             corpus = FilledCorpus(**vars(PoseCorpus.of([pose])), path=euler_tour(topo), seed=0,
                                   config_hash="")
-            data, _ = corpus_tensors(corpus, k=15, mode="random", seed=1)
+            data = corpus_tensors(corpus, [0], k=15, mode="random", seed=1)
             assert data.shape == (1, *shape)
 
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posestream.cli import _atomic_write, cmd_eval, main
+from posestream.cli import _atomic_write, cmd_eval, cmd_train, main
 from posestream.config import PipelineConfig, load_config
 from posestream.convnet import (
     FORWARD_SLICE, NetSpec, forward, init_net, load_checkpoint, save_checkpoint,
@@ -380,6 +380,33 @@ class TestTrain:
         assert code == 1
         assert err["error"] == "FileNotFoundError"
 
+    def test_memory_growth_bounded(self, tmp_path):
+        """A corpus 4x larger adds no more to train's peak than its own arrays
+        and one float64 copy of the added videos' tensors: train holds one
+        epoch's draw at a time, and nothing of an earlier epoch's."""
+        tour = euler_tour(build_topology("jhmdb_gt"))
+        rng = np.random.default_rng(8)
+
+        def train_peak(videos):
+            corpus = random_corpus(videos, tour, rng)
+            write_corpus(tmp_path / "c.bin", corpus)
+            cfg = PipelineConfig(cache=str(tmp_path / "c.bin"), checkpoint=str(tmp_path / "n"),
+                                 conv1_channels=8, conv2_channels=16, hidden=64, epochs=2,
+                                 batch_size=16)
+            tracemalloc.start()
+            try:
+                cmd_train(cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            arrays = sum(a.nbytes for a in (corpus.labels, corpus.offsets, corpus.coords,
+                                            corpus.flags))
+            return peak, arrays, 8 * videos * np.prod(corpus.tensor_shape(cfg.k))
+
+        small, _, small_tensors = train_peak(64)
+        large, arrays, large_tensors = train_peak(256)
+        assert large - small <= arrays + (large_tensors - small_tensors)
+
 
 def random_corpus(videos, tour, rng, frames=20):
     """A labeled corpus of fully observed normal-noise frames."""
@@ -495,7 +522,7 @@ class TestEval:
                                 checkpoint=str(tmp_path / "net.ckpt")))
         scored = read_scores(tmp_path / "s.csv")
         assert scored.videos == tuple(corpus.videos)
-        data, _ = corpus_tensors(corpus, 15, "random", corpus.seed)
+        data = corpus_tensors(corpus, range(130), 15, "random", corpus.seed)
         want = forward(net, data)
         assert want.dtype == np.float64
         assert np.abs(scored.matrix - want).max() <= 1e-6
@@ -835,6 +862,38 @@ class TestConfigFile:
         env = {**os.environ, "PYTHONPATH": str(src)}
         code = "import sys, posestream.cli; sys.exit('yaml' in sys.modules)"
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+class TestConfigValues:
+    """A setting out of range fails where it enters, from a config file or a
+    flag, naming the key (and the file), before anything is read or written."""
+
+    @pytest.mark.parametrize("key, value", [
+        ("conv1_channels", 0), ("conv2_channels", 0), ("hidden", 0), ("learning_rate", -1),
+        ("epochs", -1), ("batch_size", 0), ("weight_decay", -5), ("k", 0), ("sampling", "foo"),
+        ("max_gap", -1), ("poly_degree", 3),
+    ])
+    @pytest.mark.parametrize("via", ["file", "flag"])
+    def test_rejected_naming_the_key(self, workdir, tmp_path, capsys, key, value, via):
+        if key in ("max_gap", "poly_degree"):
+            argv = ["preprocess", "--annotations", str(workdir / "train.jsonl"),
+                    "--cache", str(tmp_path / "out.cache")]
+        else:
+            argv = ["train", "--cache", str(workdir / "train.cache"),
+                    "--checkpoint", str(tmp_path / "n.ckpt"), "--trace", str(tmp_path / "t.csv")]
+        if via == "file":
+            source = tmp_path / "cfg.yaml"
+            source.write_text(f"{key}: {value}\n")
+            argv += ["--config", str(source)]
+            prefix = f"{source}: {key} must be "
+        else:
+            argv.append(f"--{key.replace('_', '-')}={value}")
+            prefix = f"{key} must be "
+        before = sorted(tmp_path.iterdir())
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert err["error"] == "ValueError" and err["message"].startswith(prefix), err
+        assert sorted(tmp_path.iterdir()) == before
 
 
 class TestUsageErrors:

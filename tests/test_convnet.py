@@ -39,6 +39,11 @@ def small_net(seed=0):
     return init_net(SMALL_SHAPE, num_classes=3, seed=seed, arch=SMALL_ARCH)
 
 
+def fixed(x):
+    """A draw that hands train the same tensors every epoch."""
+    return lambda epoch, rows: x[rows]
+
+
 def naive_conv(x, w, b):
     """Loop-based valid convolution oracle."""
     batch, height, width, c_in = x.shape
@@ -80,6 +85,11 @@ def numeric_gradients(net, x, labels, h=1e-4):
 
 
 class TestInit:
+    @pytest.mark.parametrize("field", ["conv1_channels", "conv2_channels", "hidden", "pool"])
+    def test_netspec_rejects_a_size_below_one(self, field):
+        with pytest.raises(ValueError, match=f"^{field} must be >= 1, got 0$"):
+            NetSpec(**{field: 0})
+
     def test_same_seed_identical(self):
         a, b = small_net(5), small_net(5)
         for name, param in a.parameters().items():
@@ -485,7 +495,7 @@ class TestTrain:
         x, y = linearly_separable_dataset(rng, count=200)
         net = init_net(SMALL_SHAPE, num_classes=2, seed=0, arch=SMALL_ARCH)
         cfg = TrainConfig(learning_rate=0.05, epochs=50, batch_size=20, seed=0)
-        trained, trace = train(net, x, y, cfg)
+        trained, trace = train(net, fixed(x), y, cfg)
         assert (forward(trained, x).argmax(axis=1) == y).mean() >= 0.99
         assert len(trace) == 50
         assert [s.epoch for s in trace] == list(range(50))
@@ -495,7 +505,7 @@ class TestTrain:
         x, y = linearly_separable_dataset(rng, count=20)
         net = small_net()
         cfg = TrainConfig(learning_rate=0.0, epochs=3, batch_size=8, seed=0)
-        trained, _ = train(net, x, y, cfg)
+        trained, _ = train(net, fixed(x), y, cfg)
         for name, param in net.parameters().items():
             np.testing.assert_array_equal(trained.parameters()[name], param)
 
@@ -503,7 +513,7 @@ class TestTrain:
         rng = np.random.default_rng(10)
         x, y = linearly_separable_dataset(rng, count=10)
         net = small_net()
-        trained, trace = train(net, x, y, TrainConfig(epochs=0))
+        trained, trace = train(net, fixed(x), y, TrainConfig(epochs=0))
         assert trace == []
         for name, param in net.parameters().items():
             np.testing.assert_array_equal(trained.parameters()[name], param)
@@ -512,8 +522,8 @@ class TestTrain:
         rng = np.random.default_rng(11)
         x, y = linearly_separable_dataset(rng, count=40)
         cfg = TrainConfig(learning_rate=0.02, epochs=5, batch_size=16, seed=3)
-        a, trace_a = train(small_net(), x, y, cfg)
-        b, trace_b = train(small_net(), x, y, cfg)
+        a, trace_a = train(small_net(), fixed(x), y, cfg)
+        b, trace_b = train(small_net(), fixed(x), y, cfg)
         for name, param in a.parameters().items():
             np.testing.assert_array_equal(param, b.parameters()[name])
         assert [(s.loss, s.accuracy) for s in trace_a] == [(s.loss, s.accuracy) for s in trace_b]
@@ -523,7 +533,7 @@ class TestTrain:
         x, y = linearly_separable_dataset(rng, count=20)
         net = small_net()
         before = {k: v.copy() for k, v in net.parameters().items()}
-        train(net, x, y, TrainConfig(learning_rate=0.05, epochs=2, batch_size=8))
+        train(net, fixed(x), y, TrainConfig(learning_rate=0.05, epochs=2, batch_size=8))
         for name, param in net.parameters().items():
             np.testing.assert_array_equal(param, before[name])
 
@@ -533,26 +543,65 @@ class TestTrain:
         net = small_net()
         net.fc1_w[:] = np.nan
         with pytest.raises(TrainingDivergedError, match="epoch 0"):
-            train(net, x, y, TrainConfig(epochs=1, batch_size=4))
+            train(net, fixed(x), y, TrainConfig(epochs=1, batch_size=4))
 
-    def test_resample_callback_used(self):
+    def test_draw_gets_each_epochs_permutation_once(self):
         rng = np.random.default_rng(14)
         x, y = linearly_separable_dataset(rng, count=20)
         calls = []
 
-        def resample(epoch):
-            calls.append(epoch)
-            return x, y
+        def draw(epoch, rows):
+            calls.append((epoch, rows.copy()))
+            return x[rows]
 
-        train(small_net(), x, y, TrainConfig(epochs=3, batch_size=8), resample=resample)
-        assert calls == [0, 1, 2]
+        train(small_net(), draw, y, TrainConfig(epochs=3, batch_size=8, seed=4))
+        assert [epoch for epoch, _ in calls] == [0, 1, 2]
+        permutations = np.random.default_rng(4)
+        for _, rows in calls:
+            np.testing.assert_array_equal(rows, permutations.permutation(20))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("count, batch_size", [(24, 8), (21, 8)], ids=["whole", "ragged"])
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
+    def test_matches_gather_per_batch_reference(self, dtype, count, batch_size, weight_decay):
+        """Slicing the drawn epoch equals gathering each batch from a fixed
+        array (tests/convnet_reference.py), bit for bit."""
+        x, y = linearly_separable_dataset(np.random.default_rng(18), count=count)
+        net = init_net(SMALL_SHAPE, num_classes=2, seed=6, arch=SMALL_ARCH).astype(dtype)
+        cfg = TrainConfig(learning_rate=0.05, epochs=3, batch_size=batch_size, seed=2,
+                          weight_decay=weight_decay)
+        trained, trace = train(net, fixed(x), y, cfg)
+        want, want_trace = reference.train(net, x, y, cfg)
+        for name, param in want.parameters().items():
+            assert trained.parameters()[name].tobytes() == param.tobytes(), name
+        assert [(s.loss, s.accuracy) for s in trace] == want_trace
+
+    @pytest.mark.parametrize("draw, message", [
+        (lambda epoch, rows: np.zeros((len(rows) - 1, *SMALL_SHAPE)), "draw returned 19 tensors"),
+        (lambda epoch, rows: np.zeros((len(rows), 8, 10)), "does not match a batch"),
+    ], ids=["count", "shape"])
+    def test_rejects_a_draw_that_does_not_fit(self, draw, message):
+        y = np.arange(20) % 2
+        with pytest.raises(ValueError, match=message):
+            train(small_net(), draw, y, TrainConfig(epochs=1, batch_size=8))
+
+    @pytest.mark.parametrize("labels, message", [
+        (np.zeros(0, np.int64), "non-empty 1-D"), (np.zeros((4, 2), np.int64), "non-empty 1-D"),
+        (np.array([0, 3]), "out of range for 3 classes"),
+    ], ids=["empty", "2-D", "class"])
+    def test_rejects_labels_before_any_draw(self, labels, message):
+        def draw(epoch, rows):
+            raise AssertionError("train drew tensors for invalid labels")
+
+        with pytest.raises(ValueError, match=message):
+            train(small_net(), draw, labels, TrainConfig(epochs=1))
 
     def test_weight_decay_shrinks_weights(self):
         x = np.zeros((8, *SMALL_SHAPE))
         y = np.array([0, 1] * 4, dtype=np.int64)
         net = small_net()
         cfg = TrainConfig(learning_rate=0.1, epochs=1, batch_size=8, weight_decay=0.5)
-        trained, _ = train(net, x, y, cfg)
+        trained, _ = train(net, fixed(x), y, cfg)
         # On all-zero input conv gradients vanish, so only decay acts.
         np.testing.assert_allclose(trained.conv1_w, net.conv1_w * (1 - 0.1 * 0.5), atol=1e-12)
 
@@ -567,7 +616,8 @@ class TestFloat32:
         net = small_net(seed=4).astype(np.float32)
         grads = backward(net, x, y)
         assert {name: g.dtype for name, g in grads.items()} == dict.fromkeys(grads, np.float32)
-        trained, trace = train(net, x, y, TrainConfig(epochs=1, batch_size=8, weight_decay=0.1))
+        cfg = TrainConfig(epochs=1, batch_size=8, weight_decay=0.1)
+        trained, trace = train(net, fixed(x), y, cfg)
         params = trained.parameters()
         assert {name: p.dtype for name, p in params.items()} == dict.fromkeys(params, np.float32)
         assert np.isfinite(trace[0].loss)
@@ -575,17 +625,16 @@ class TestFloat32:
 
     def test_train_step_is_float32_backward_step(self):
         # One SGD step on one tensor is the float32 backward step bit for
-        # bit, with and without a resample callback: train's batch is cast
-        # to float32 on both paths, not upcast with the gradients.
+        # bit: train casts the drawn float64 batch to float32, not the
+        # gradients up to float64.
         x, y = linearly_separable_dataset(np.random.default_rng(17), count=1)
         net = small_net(seed=5).astype(np.float32)
         grads = backward(net, x, y)
         cfg = TrainConfig(learning_rate=0.05, epochs=1, batch_size=1)
-        for resample in (None, lambda epoch: (x, y)):
-            stepped, _ = train(net, x, y, cfg, resample=resample)
-            for name, param in net.parameters().items():
-                want = param - 0.05 * grads[name]
-                assert stepped.parameters()[name].tobytes() == want.tobytes(), name
+        stepped, _ = train(net, fixed(x), y, cfg)
+        for name, param in net.parameters().items():
+            want = param - 0.05 * grads[name]
+            assert stepped.parameters()[name].tobytes() == want.tobytes(), name
 
     def test_astype_copies(self):
         net = small_net()
@@ -613,7 +662,7 @@ class TestCheckpoint:
         # The float64 payload holds every float32 value, so casting the
         # loaded (float64) net back gives the saved net bit for bit.
         x, y = linearly_separable_dataset(np.random.default_rng(16), count=16)
-        net, _ = train(small_net(seed=25).astype(np.float32), x, y,
+        net, _ = train(small_net(seed=25).astype(np.float32), fixed(x), y,
                        TrainConfig(learning_rate=0.05, epochs=2, batch_size=8))
         path = tmp_path / "net.ckpt"
         save_checkpoint(net, path)

@@ -49,7 +49,7 @@ def filled_corpus(path, poses, seed=0, config_hash=""):
 
 def tensor_of(pose, path, k, mode="center", seed=0):
     """The tensor corpus_tensors builds for a one-video corpus."""
-    return corpus_tensors(filled_corpus(path, [pose]), k=k, mode=mode, seed=seed)[0][0]
+    return corpus_tensors(filled_corpus(path, [pose]), [0], k=k, mode=mode, seed=seed)[0]
 
 
 def planned_frames(num_frames, k=15, mode="random", seed=0):
@@ -293,29 +293,30 @@ class TestTensorCache:
 
     def test_corpus_tensors_follow_the_seed_rule(self):
         corpus = self.make_corpus()
-        data, labels = corpus_tensors(corpus, k=5, mode="random", seed=3, epoch=2)
+        data = corpus_tensors(corpus, range(3), k=5, mode="random", seed=3, epoch=2)
         for row, video in enumerate(corpus.videos):
             lo, hi = corpus.offsets[row:row + 2]
             frames = reference.plan_snippets(int(hi - lo), k=5, mode="random",
                                              seed=_video_seed(3, video, 2))
             expected = reference.build_pose_tensor(corpus.coords[lo:hi], corpus.path, frames)
             assert data[row].tobytes() == expected.tobytes()
-        np.testing.assert_array_equal(labels, corpus.labels)
         # A video's plan does not depend on the rest of the corpus.
         alone = filled_corpus(corpus.path, [filled_pose(corpus.coords[20:23], video="vid1")])
-        only = corpus_tensors(alone, k=5, mode="random", seed=3, epoch=2)[0][0]
+        only = corpus_tensors(alone, [0], k=5, mode="random", seed=3, epoch=2)[0]
         assert only.tobytes() == data[1].tobytes()
 
     def test_stack_tensors(self):
-        data, labels = corpus_tensors(self.make_corpus(), k=5, mode="center", seed=0)
-        assert data.shape == (3, 5, 14, 3)
-        assert data.dtype == np.float64 and labels.dtype == np.int64
-        np.testing.assert_array_equal(labels, [0, -1, 1])
+        corpus = self.make_corpus()
+        data = corpus_tensors(corpus, range(3), k=5, mode="center", seed=0)
+        assert data.shape == (3, *corpus.tensor_shape(5)) == (3, 5, 14, 3)
+        assert data.dtype == np.float64 and corpus.labels.dtype == np.int64
+        np.testing.assert_array_equal(corpus.labels, [0, -1, 1])
 
     def test_unlabeled_videos_read_minus_one(self, tmp_path):
         corpus = self.make_corpus(labels=(-1, -1, 2))
         write_corpus(tmp_path / "c.bin", corpus)
-        _, labels = corpus_tensors(read_corpus(tmp_path / "c.bin"), k=5, mode="center", seed=0)
+        labels = read_corpus(tmp_path / "c.bin").labels
+        assert labels.dtype == np.int64
         np.testing.assert_array_equal(labels, [-1, -1, 2])
 
 
@@ -334,23 +335,22 @@ def corpora(draw):
 @given(corpus=corpora(), k=st.integers(1, 20), mode=st.sampled_from(["random", "center"]),
        seed=st.integers(0, 2**64 - 1), epoch=st.none() | st.integers(0, 50))
 def test_corpus_tensors_match_per_video_reference(corpus, k, mode, seed, epoch):
-    data, labels = corpus_tensors(corpus, k=k, mode=mode, seed=seed, epoch=epoch)
-    expected, expected_labels = reference.corpus_tensors(corpus, k, mode, seed, epoch)
+    data = corpus_tensors(corpus, range(len(corpus.videos)), k=k, mode=mode, seed=seed,
+                          epoch=epoch)
+    expected = reference.corpus_tensors(corpus, k, mode, seed, epoch)
     assert data.dtype == expected.dtype and data.shape == expected.shape
     assert data.tobytes() == expected.tobytes()
-    assert labels.tobytes() == expected_labels.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
 @given(corpus=corpora(), k=st.integers(1, 20), mode=st.sampled_from(["random", "center"]),
        seed=st.integers(0, 2**64 - 1), data=st.data())
 def test_rows_select_the_videos_they_name(corpus, k, mode, seed, data):
-    """Any selection of rows, in any order, gets the tensors and labels the
-    whole corpus gives those videos, bit for bit."""
+    """Any selection of rows, in any order, gets the tensors the whole
+    corpus gives those videos, bit for bit."""
     count = len(corpus.videos)
     rows = data.draw(st.lists(st.integers(0, count - 1), min_size=1, max_size=count,
                               unique=True))
-    tensors, labels = corpus_tensors(corpus, k=k, mode=mode, seed=seed, rows=rows)
-    expected, expected_labels = reference.corpus_tensors(corpus, k, mode, seed, None)
+    tensors = corpus_tensors(corpus, rows, k=k, mode=mode, seed=seed)
+    expected = reference.corpus_tensors(corpus, k, mode, seed, None)
     assert tensors.tobytes() == expected[rows].tobytes()
-    assert labels.tobytes() == expected_labels[rows].tobytes()
