@@ -1,74 +1,134 @@
-"""Bounds-checked field reads for the package's little-endian binary files.
+"""The one container of every binary file the package writes.
 
-Each read names its field, so a short file fails with the file name and the
-field where it ends, not with a numpy or struct error.
+Filled corpus, checkpoint and spatial model share one little-endian form::
+
+    magic (4 bytes) | u32 version | u32 header length | header JSON object (UTF-8)
+    | arrays, in layout order, C order, nothing between them
+
+A ``FileKind`` names the type of every header field and gives a
+``layout(header) -> {name: (dtype, shape)}`` of the arrays that follow, so
+the header is the schema. ``write`` and ``read`` own every framing check:
+bad magic or version, a header that is not a JSON object or has a field of
+the wrong type (a dimension 1.5 or true is no integer), a negative
+dimension, truncation and trailing bytes. Every size is checked against the file's (from
+``fstat``) before anything is allocated, and each array is read straight
+into the buffer the caller keeps, so a file's bytes are held once. Each
+defect is a ValueError that names the file; a file kind adds only the
+checks of what its values mean.
 """
 
 from __future__ import annotations
 
+import json
+import math
 import os
 import struct
+import typing
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, TypeVar
 
 import numpy as np
 
+PREFIX = struct.Struct("<4sII")  # magic, version, header length
 
-class BinaryReader:
-    """Sequential field reads from one open file.
+Layout = dict[str, tuple[str, tuple[int, ...]]]
+T = TypeVar("T")
 
-    Every field is checked against the file size (from ``fstat``) before it
-    is read, and an array field is read straight into its own buffer, so
-    the file's bytes are held once, in the arrays the caller keeps. Use it
-    as a context manager: the file is closed on every path out."""
 
-    def __init__(self, path: str | Path) -> None:
-        self.path = path
-        self.handle = open(path, "rb")
-        self.size = os.fstat(self.handle.fileno()).st_size
-        self.pos = 0
+def _is(value, kind) -> bool:
+    """value is exactly of kind (a bool is no int); list[X] and dict[str, X]
+    also type every member."""
+    origin, args = typing.get_origin(kind) or kind, typing.get_args(kind)
+    if type(value) is not origin:
+        return False
+    members = (value.values() if origin is dict else value) if args else ()
+    return all(type(member) is args[-1] for member in members)
 
-    def __enter__(self) -> "BinaryReader":
-        return self
 
-    def __exit__(self, *exc_info: object) -> None:
-        self.handle.close()
+@dataclass(frozen=True)
+class FileKind:
+    """One binary file kind; ``fields`` maps each header field to its type."""
 
-    def fail(self, message: str) -> ValueError:
-        return ValueError(f"{self.path}: {message}")
+    name: str
+    magic: bytes
+    version: int
+    fields: dict[str, object]
+    layout: Callable[[dict], Layout]
 
-    def _check(self, size: int, field: str) -> None:
-        if self.pos + size > self.size:
-            raise self.fail(f"truncated in {field} ({size} bytes needed at offset {self.pos}, "
-                            f"file has {self.size})")
+    def _check_header(self, path: str | Path, header: dict) -> None:
+        for key, kind in self.fields.items():
+            if not _is(header.get(key), kind):
+                kind = kind.__name__ if isinstance(kind, type) else kind
+                raise ValueError(f"{path}: header field '{key}' must be {kind}")
 
-    def _read_into(self, buffer: np.ndarray | bytearray, field: str) -> None:
-        if self.handle.readinto(buffer) != len(buffer):
-            raise self.fail(f"truncated in {field} (the file shrank while it was read)")
-        self.pos += len(buffer)
+    def write(self, path: str | Path, header: dict, arrays: dict[str, np.ndarray]) -> None:
+        """Write header and arrays; a header field of the wrong type, or arrays
+        that are not the layout's names and shapes, are refused before any
+        write, so every file written reads back."""
+        self._check_header(path, header)
+        layout = self.layout(header)
+        if list(arrays) != list(layout):
+            raise ValueError(f"{path}: arrays {list(arrays)} are not the layout's {list(layout)}")
+        for name, (_, shape) in layout.items():
+            if arrays[name].shape != shape:
+                raise ValueError(f"{path}: array '{name}' has shape {arrays[name].shape}, "
+                                 f"the header implies {shape}")
+        raw = json.dumps(header, sort_keys=True).encode("utf-8")
+        with open(path, "wb") as handle:
+            handle.write(PREFIX.pack(self.magic, self.version, len(raw)))
+            handle.write(raw)
+            for name, (dtype, _) in layout.items():
+                # Written in place: a copy of a corpus-sized array would set peak memory.
+                handle.write(np.ascontiguousarray(arrays[name], dtype).data)
 
-    def take(self, size: int, field: str) -> bytes:
-        self._check(size, field)
-        buffer = bytearray(size)
-        self._read_into(buffer, field)
-        return bytes(buffer)
+    def read(self, path: str | Path, build: Callable[[dict, dict[str, np.ndarray]], T]) -> T:
+        """``build(header, arrays)`` of a file of this kind; a ValueError or
+        TypeError of the layout or the build names the file."""
 
-    def unpack(self, fmt: str, field: str) -> tuple:
-        return struct.unpack("<" + fmt, self.take(struct.calcsize("<" + fmt), field))
+        def fail(message: str) -> ValueError:
+            return ValueError(f"{path}: {message}")
 
-    def array(self, dtype: str, count: int, field: str) -> np.ndarray:
-        self._check(np.dtype(dtype).itemsize * count, field)
-        values = np.empty(count, dtype=dtype)
-        self._read_into(values.view(np.uint8), field)
-        return values
-
-    def text(self, length_fmt: str, field: str) -> str:
-        (length,) = self.unpack(length_fmt, f"{field} length")
+        with open(path, "rb") as handle:
+            size = os.fstat(handle.fileno()).st_size
+            prefix = handle.read(PREFIX.size)
+            if prefix[:4] != self.magic[:len(prefix)]:
+                raise fail(f"not a {self.name} file (bad magic {prefix[:4]!r})")
+            if len(prefix) < PREFIX.size:
+                raise fail(f"truncated in the prefix (file has {size} bytes)")
+            _, version, length = PREFIX.unpack(prefix)
+            if version != self.version:
+                raise fail(f"unsupported {self.name} version {version} "
+                           f"(this reader reads version {self.version})")
+            end = PREFIX.size + length
+            if end > size:
+                raise fail(f"truncated in the header (it ends at {end}, the file at {size})")
+            try:
+                header = json.loads(handle.read(length).decode("utf-8"))
+            except (ValueError, RecursionError) as exc:  # also bad UTF-8, too deep
+                raise fail(f"header is not valid JSON ({type(exc).__name__}: {exc})") from None
+            if not isinstance(header, dict):
+                raise fail(f"header is a JSON {type(header).__name__}, not an object")
+            self._check_header(path, header)
+            try:
+                layout = self.layout(header)
+            except (TypeError, ValueError) as exc:
+                raise fail(str(exc)) from None
+            for name, (dtype, shape) in layout.items():
+                if min(shape, default=0) < 0:
+                    raise fail(f"array '{name}' has a negative dimension: {shape}")
+                end += np.dtype(dtype).itemsize * math.prod(shape)
+                if end > size:
+                    raise fail(f"truncated in array '{name}' (it ends at {end}, "
+                               f"the file at {size})")
+            if end < size:
+                raise fail(f"{size - end} trailing bytes after the last array")
+            arrays = {name: np.empty(shape, dtype) for name, (dtype, shape) in layout.items()}
+            for name, array in arrays.items():
+                buffer = array.reshape(-1).view(np.uint8)
+                if handle.readinto(buffer) != len(buffer):
+                    raise fail(f"truncated in array '{name}' (the file shrank while it was read)")
         try:
-            return self.take(length, field).decode("utf-8")
-        except UnicodeDecodeError:
-            raise self.fail(f"{field} is not valid UTF-8") from None
-
-    def finish(self) -> None:
-        """Reject bytes left after the last field."""
-        if self.pos != self.size:
-            raise self.fail(f"{self.size - self.pos} trailing bytes after the last field")
+            return build(header, arrays)
+        except (TypeError, ValueError) as exc:
+            raise fail(str(exc)) from None

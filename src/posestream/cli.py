@@ -394,8 +394,8 @@ def _add_config_args(parser: argparse.ArgumentParser, *names: str) -> None:
         "learning_rate": dict(type=float), "epochs": dict(type=int),
         "batch_size": dict(type=int), "weight_decay": dict(type=float),
         "annotations": dict(type=str), "cache": dict(type=str),
-        "spatial_model": dict(type=str, help="load a previously fitted spatial model (.npz)"),
-        "save_spatial_model": dict(type=str, help="save the fitted spatial model (.npz)"),
+        "spatial_model": dict(type=str, help="load a previously fitted spatial model"),
+        "save_spatial_model": dict(type=str, help="save the fitted spatial model"),
         "checkpoint": dict(type=str), "trace": dict(type=str),
         "scores": dict(type=str), "labels": dict(type=str), "report": dict(type=str),
         "fused_scores": dict(type=str),

@@ -27,26 +27,18 @@ probabilities are equal bit for bit only where the tests check it: the
 default 32/64/256 net and the 8/16/64 net. Other widths may differ in the
 last bits (NetSpec(5, 7, 9) does at 129 and 130 rows).
 
-Checkpoint file (little-endian binary)::
-
-    magic b"PCN1" | u32 version | u32 meta length | meta JSON
-    | u32 parameter count
-    then per parameter:
-    | u16 name length | name UTF-8 | u8 ndim | u32 x ndim dims
-    | float64 payload (C order)
-
-The meta JSON holds input shape, class count, architecture constants and
-any caller-supplied run metadata; those fix every parameter's shape, and
-the reader rejects a parameter of another shape or a repeated name. The
+The checkpoint file is a ``binio`` container (magic ``PCN1``). Its header
+holds ``input_shape``, ``num_classes``, ``arch`` (the ``NetSpec`` fields)
+and ``meta`` (the caller's run metadata); those fix every parameter's
+shape, and the parameters follow as float64 arrays in ``parameters()``
+order, so the file cannot hold a missing, repeated or mis-shaped one. The
 payload is float64 whatever the net's dtype (it holds every float32 value
 exactly), and the reader returns a float64 net.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import struct
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable
@@ -55,13 +47,13 @@ import numpy as np
 
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .binio import BinaryReader
+from . import binio
 
 FILTER_H = 3  # rows = snippets (time)
 FILTER_W = 2  # columns = flattened joint coordinates
 
 CHECKPOINT_MAGIC = b"PCN1"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 PROB_FLOOR = 1e-12
 
@@ -166,6 +158,8 @@ def _param_shapes(
     input_shape: tuple[int, int, int], num_classes: int, arch: NetSpec
 ) -> dict[str, tuple[int, ...]]:
     """Shape of every named parameter, in ``PoseConvNet.parameters`` order."""
+    if num_classes < 2:
+        raise ValueError(f"need at least 2 classes, got {num_classes}")
     _, _, channels = input_shape
     pooled_rows, pooled_cols = _pooled_shape(input_shape, arch)
     flat = pooled_rows * pooled_cols * arch.conv2_channels
@@ -189,8 +183,6 @@ def init_net(
     arch: NetSpec = NetSpec(),
 ) -> PoseConvNet:
     """Uniform Xavier weights (bound sqrt(6 / (fan_in + fan_out))), zero biases."""
-    if num_classes < 2:
-        raise ValueError(f"need at least 2 classes, got {num_classes}")
     rng = np.random.default_rng(seed)
     params = {}
     for name, shape in _param_shapes(input_shape, num_classes, arch).items():
@@ -507,6 +499,21 @@ def _train_epoch(
 # Checkpoint I/O
 # ---------------------------------------------------------------------------
 
+def _checkpoint_layout(header: dict) -> binio.Layout:
+    if len(header["input_shape"]) != 3:
+        raise ValueError(f"input_shape {header['input_shape']} is not 3 dimensions")
+    shapes = _param_shapes(tuple(header["input_shape"]), header["num_classes"],
+                           NetSpec(**header["arch"]))
+    return {name: ("<f8", shape) for name, shape in shapes.items()}
+
+
+CHECKPOINT_FILE = binio.FileKind(
+    "pose ConvNet checkpoint", CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+    {"input_shape": list[int], "num_classes": int, "arch": dict[str, int], "meta": dict},
+    _checkpoint_layout,
+)
+
+
 def save_checkpoint(net: PoseConvNet, path: str | Path, meta: dict | None = None) -> None:
     header = {
         "input_shape": list(net.input_shape),
@@ -514,61 +521,17 @@ def save_checkpoint(net: PoseConvNet, path: str | Path, meta: dict | None = None
         "arch": asdict(net.arch),
         "meta": meta or {},
     }
-    raw_meta = json.dumps(header, sort_keys=True).encode("utf-8")
-    params = net.parameters()
-    with open(path, "wb") as handle:
-        handle.write(CHECKPOINT_MAGIC)
-        handle.write(struct.pack("<II", CHECKPOINT_VERSION, len(raw_meta)))
-        handle.write(raw_meta)
-        handle.write(struct.pack("<I", len(params)))
-        for name, value in params.items():
-            raw_name = name.encode("utf-8")
-            handle.write(struct.pack("<H", len(raw_name)))
-            handle.write(raw_name)
-            handle.write(struct.pack("<B", value.ndim))
-            handle.write(struct.pack(f"<{value.ndim}I", *value.shape))
-            handle.write(value.astype("<f8").tobytes())
+    CHECKPOINT_FILE.write(path, header, net.parameters())
+
+
+def _net_of(header: dict, params: dict[str, np.ndarray]) -> tuple[PoseConvNet, dict]:
+    net = PoseConvNet(input_shape=tuple(header["input_shape"]), num_classes=header["num_classes"],
+                      arch=NetSpec(**header["arch"]), **params)
+    return net, header["meta"]
 
 
 def load_checkpoint(path: str | Path) -> tuple[PoseConvNet, dict]:
     """Rebuild a net from a checkpoint; returns (net, caller meta dict).
-    The net is float64, whatever dtype the saved net had.
-
-    Defects raise ValueError naming the file and the field: among them a
-    missing or repeated parameter, or one whose shape is not the one the
-    meta block implies."""
-    with BinaryReader(path) as reader:
-        magic = reader.take(4, "magic")
-        if magic != CHECKPOINT_MAGIC:
-            raise reader.fail(f"not a pose ConvNet checkpoint (bad magic {magic!r})")
-        (version,) = reader.unpack("I", "version")
-        if version != CHECKPOINT_VERSION:
-            raise reader.fail(f"unsupported checkpoint version {version}")
-        raw_meta = reader.text("I", "meta")
-        (count,) = reader.unpack("I", "parameter count")
-        params: dict[str, np.ndarray] = {}
-        for i in range(count):
-            name = reader.text("H", f"parameter {i} name")
-            if name in params:
-                raise reader.fail(f"parameter '{name}' appears twice")
-            (ndim,) = reader.unpack("B", f"parameter '{name}' ndim")
-            shape = reader.unpack(f"{ndim}I", f"parameter '{name}' shape")
-            values = reader.array("<f8", math.prod(shape), f"parameter '{name}'")
-            params[name] = values.reshape(shape)
-        reader.finish()
-    try:
-        header = json.loads(raw_meta)
-        input_shape = tuple(int(d) for d in header["input_shape"])
-        num_classes = int(header["num_classes"])
-        arch = NetSpec(**header["arch"])
-        shapes = _param_shapes(input_shape, num_classes, arch)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise reader.fail(f"malformed meta block ({type(exc).__name__}: {exc})") from None
-    if set(params) != set(shapes):
-        raise reader.fail(f"checkpoint parameters {sorted(params)} != expected {sorted(shapes)}")
-    for name, shape in shapes.items():
-        if params[name].shape != shape:
-            raise reader.fail(f"parameter '{name}' has shape {params[name].shape}, but the "
-                              f"meta block implies {shape}")
-    net = PoseConvNet(input_shape=input_shape, num_classes=num_classes, arch=arch, **params)
-    return net, header.get("meta", {})
+    The net is float64, whatever dtype the saved net had. Defects raise
+    ValueError naming the file."""
+    return CHECKPOINT_FILE.read(path, _net_of)

@@ -37,13 +37,13 @@ from __future__ import annotations
 import functools
 import json
 import math
-import zipfile
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
 
+from . import binio
 from .skeleton import SkeletonTopology, upper_body_joints
 
 VIS_MISSING = 0
@@ -227,9 +227,6 @@ def _feature_count(degree: int) -> int:
     return 3 if degree == 1 else 6
 
 
-_MODEL_FIELDS = ("topology_name", "degree", "coeffs", "trained")
-
-
 @dataclass
 class SpatialModel:
     """Pairwise joint-position predictors used for missing-joint voting.
@@ -238,6 +235,10 @@ class SpatialModel:
     holds polynomial coefficients mapping the source's normalized (x, y) to
     the target's predicted (x, y). Pairs that no training frame fills
     together are left untrained and abstain from voting.
+
+    A model file is a ``binio`` container (magic ``PSPM``) whose header
+    holds ``topology_name``, ``degree`` (1 or 2) and ``joints`` n, followed
+    by coeffs as float64 (n, n, 3 or 6, 2) and trained as uint8 0/1 (n, n).
     """
 
     topology_name: str
@@ -256,60 +257,36 @@ class SpatialModel:
         return np.matmul(feats[:, None, :], self.coeffs[source, target])[:, 0].reshape(xy.shape)
 
     def save(self, path: str | Path) -> None:
-        # Write through a handle so numpy cannot append a .npz suffix.
-        with open(path, "wb") as handle:
-            np.savez(
-                handle,
-                topology_name=np.array(self.topology_name),
-                degree=np.array(self.degree),
-                coeffs=self.coeffs,
-                trained=self.trained,
-            )
+        header = {"topology_name": self.topology_name, "degree": self.degree,
+                  "joints": len(self.trained)}
+        MODEL_FILE.write(path, header, {"coeffs": self.coeffs, "trained": self.trained})
 
     @classmethod
     def load(cls, path: str | Path) -> "SpatialModel":
-        """Read a model written by save; ValueError naming the file and the field
-        for anything that is not a complete, self-consistent model."""
-        fields: dict[str, np.ndarray] = {}
-        # Through a handle: np.load leaks the file it opened when the zip is bad.
-        with open(path, "rb") as handle:
-            try:
-                archive = np.load(handle, allow_pickle=False)
-            except (ValueError, EOFError, zipfile.BadZipFile) as exc:
-                raise ValueError(f"{path}: not a spatial model .npz file ({exc})") from None
-            if not isinstance(archive, np.lib.npyio.NpzFile):
-                raise ValueError(f"{path}: not a spatial model .npz file (a single .npy array)")
-            with archive:
-                for name in _MODEL_FIELDS:
-                    if name not in archive.files:
-                        raise ValueError(f"{path}: spatial model field '{name}' is missing")
-                    try:
-                        fields[name] = archive[name]
-                    except (ValueError, EOFError, OSError, zipfile.BadZipFile) as exc:
-                        raise ValueError(
-                            f"{path}: spatial model field '{name}' is unreadable ({exc})"
-                        ) from None
+        """Read a model written by save; ValueError naming the file for
+        anything that is not a complete, self-consistent model."""
+        return MODEL_FILE.read(path, _model_of)
 
-        def bad(name: str, rule: str) -> ValueError:
-            array = fields[name]
-            return ValueError(f"{path}: spatial model field '{name}' must be {rule}, "
-                              f"got {array.dtype} array of shape {array.shape}")
 
-        name, degree, coeffs, trained = (fields[k] for k in _MODEL_FIELDS)
-        if name.shape != () or name.dtype.kind != "U":
-            raise bad("topology_name", "a string")
-        if degree.shape != () or degree.dtype.kind not in "iu" or int(degree) not in (1, 2):
-            raise bad("degree", "the integer 1 or 2")
-        n_feat = _feature_count(int(degree))
-        n = coeffs.shape[0] if coeffs.ndim else 0
-        if coeffs.dtype.kind != "f" or coeffs.shape != (n, n, n_feat, 2):
-            raise bad("coeffs", f"a float (n, n, {n_feat}, 2) array for degree {int(degree)}")
-        if not np.isfinite(coeffs).all():
-            raise ValueError(f"{path}: spatial model field 'coeffs' has non-finite entries")
-        if trained.dtype != bool or trained.shape != (n, n):
-            raise bad("trained", f"a bool ({n}, {n}) array")
-        return cls(topology_name=str(name), degree=int(degree),
-                   coeffs=coeffs.astype(np.float64), trained=trained)
+def _model_layout(header: dict) -> binio.Layout:
+    degree, n = header["degree"], header["joints"]
+    if degree not in (1, 2):
+        raise ValueError(f"spatial model degree must be 1 or 2, got {degree}")
+    return {"coeffs": ("<f8", (n, n, _feature_count(degree), 2)), "trained": ("u1", (n, n))}
+
+
+def _model_of(header: dict, arrays: dict[str, np.ndarray]) -> SpatialModel:
+    coeffs, trained = arrays["coeffs"], arrays["trained"]
+    if not np.isfinite(coeffs).all():
+        raise ValueError("spatial model coeffs have non-finite entries")
+    if trained.max(initial=0) > 1:
+        raise ValueError("spatial model trained flags must be 0 or 1")
+    return SpatialModel(topology_name=header["topology_name"], degree=header["degree"],
+                        coeffs=coeffs, trained=trained.view(bool))
+
+
+MODEL_FILE = binio.FileKind("spatial model", b"PSPM", 1,
+                            {"topology_name": str, "degree": int, "joints": int}, _model_layout)
 
 
 def fit_spatial_model(corpus: PoseCorpus, topology: SkeletonTopology, degree: int = 1) -> SpatialModel:

@@ -17,35 +17,33 @@ one slice) from their segment bounds as one (R, K) array, one random draw
 per video, one gather of the chosen frames and two differences over the
 whole (R, K, 2L) position array.
 
-Filled-corpus file (little-endian binary)::
+The filled-corpus file is a ``binio`` container (magic ``PCRP``). Its
+header holds ``topology`` (the name), ``tour`` (the Euler tour's joint
+indices), ``config_hash``, ``seed``, ``videos`` (the ids, in order),
+``frames`` F and ``joints`` n; the arrays that follow it are::
 
-    magic b"PCRP" | u32 version
-    | str topology name | u32 tour length L | u32 x L Euler-tour joint indices
-    | str config hash | u64 seed | u32 video count V | u32 joint count n
-    | u64 x (V+1) frame offsets (0 first, strictly increasing, last = total frames F)
-    | i32 x V labels (-1 if absent) | str x V video ids
-    | float64 x (F*n*2) coordinates, in (frame, joint, xy) order
-    | u8 x (F*n) fill-provenance flags (1 observed .. 4 synthetic)
+    offsets  int64   (V+1,)     0 first, strictly increasing, last = F
+    labels   int64   (V,)       -1 where absent
+    coords   float64 (F, n, 2)  in (frame, joint, xy) order
+    flags    uint8   (F, n)     fill provenance, 1 observed .. 4 synthetic
 
-where ``str`` is a u32 byte length followed by UTF-8 bytes. Video i owns
-frames offsets[i] to offsets[i+1] - 1.
+Video i owns frames offsets[i] to offsets[i+1] - 1.
 """
 
 from __future__ import annotations
 
 import hashlib
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .binio import BinaryReader
+from . import binio
 from .preprocess import VIS_OBSERVED, VIS_SYNTHETIC, PoseCorpus
 from .skeleton import TraversalPath
 
 CORPUS_MAGIC = b"PCRP"
-CORPUS_VERSION = 1
+CORPUS_VERSION = 2
 CHANNELS = 3
 
 SAMPLING_MODES = ("random", "center")
@@ -67,11 +65,18 @@ class FilledCorpus(PoseCorpus):
 
     def __post_init__(self) -> None:
         super().__post_init__()
+        if self.labels.min() < -1:
+            raise ValueError("labels below -1 (-1 marks an absent label)")
+        if len(set(self.videos)) != len(self.videos):
+            raise ValueError("video ids are not unique")
         if np.any((self.flags < VIS_OBSERVED) | (self.flags > VIS_SYNTHETIC)):
             raise ValueError(f"fill flags outside {VIS_OBSERVED}-{VIS_SYNTHETIC}: "
                              "a filled corpus has no missing joints")
-        if not self.path.joints or max(self.path.joints) >= self.num_joints:
+        tour = self.path.joints
+        if not tour or min(tour) < 0 or max(tour) >= self.num_joints:
             raise ValueError(f"tour joints do not index the {self.num_joints} joints")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def tensor_shape(self, k: int) -> tuple[int, int, int]:
         """(K, 2L, CHANNELS): the shape of one video's tensor at k segments."""
@@ -149,61 +154,42 @@ def corpus_tensors(
     return tensors
 
 
-def _pack_text(text: str) -> bytes:
-    raw = text.encode("utf-8")
-    return struct.pack("<I", len(raw)) + raw
+def _corpus_layout(header: dict) -> binio.Layout:
+    count, frames, joints = len(header["videos"]), header["frames"], header["joints"]
+    return {
+        "offsets": ("<i8", (count + 1,)),
+        "labels": ("<i8", (count,)),
+        "coords": ("<f8", (frames, joints, 2)),
+        "flags": ("u1", (frames, joints)),
+    }
+
+
+CORPUS_FILE = binio.FileKind(
+    "filled-corpus", CORPUS_MAGIC, CORPUS_VERSION,
+    {"topology": str, "tour": list[int], "config_hash": str, "seed": int,
+     "videos": list[str], "frames": int, "joints": int},
+    _corpus_layout,
+)
 
 
 def write_corpus(path: str | Path, corpus: FilledCorpus) -> None:
-    """Write a filled corpus in the binary layout of the module docstring."""
-    with open(path, "wb") as handle:
-        handle.write(CORPUS_MAGIC)
-        handle.write(struct.pack("<I", CORPUS_VERSION))
-        handle.write(_pack_text(corpus.path.topology))
-        handle.write(struct.pack("<I", len(corpus.path)))
-        handle.write(np.asarray(corpus.path.joints, dtype="<u4").tobytes())
-        handle.write(_pack_text(corpus.config_hash))
-        handle.write(struct.pack("<QII", corpus.seed, len(corpus.videos), corpus.coords.shape[1]))
-        handle.write(corpus.offsets.astype("<u8").tobytes())
-        handle.write(corpus.labels.astype("<i4").tobytes())
-        for video in corpus.videos:
-            handle.write(_pack_text(video))
-        # Buffers written in place: a copy of the whole corpus would set peak memory.
-        handle.write(np.ascontiguousarray(corpus.coords, "<f8").data)
-        handle.write(np.ascontiguousarray(corpus.flags, "u1").data)
+    """Write a filled corpus in the layout of the module docstring."""
+    header = {
+        "topology": corpus.path.topology, "tour": list(corpus.path.joints),
+        "config_hash": corpus.config_hash, "seed": corpus.seed, "videos": list(corpus.videos),
+        "frames": len(corpus.coords), "joints": corpus.num_joints,
+    }
+    arrays = {"offsets": corpus.offsets, "labels": corpus.labels, "coords": corpus.coords,
+              "flags": corpus.flags}
+    CORPUS_FILE.write(path, header, arrays)
+
+
+def _corpus_of(header: dict, arrays: dict[str, np.ndarray]) -> FilledCorpus:
+    return FilledCorpus(header["videos"], **arrays,
+                        path=TraversalPath(tuple(header["tour"]), header["topology"]),
+                        seed=header["seed"], config_hash=header["config_hash"])
 
 
 def read_corpus(path: str | Path) -> FilledCorpus:
-    """Read and validate a filled-corpus file; errors name the file and the field."""
-    with BinaryReader(path) as reader:
-        magic = reader.take(4, "magic")
-        if magic != CORPUS_MAGIC:
-            raise reader.fail(f"not a filled-corpus file (bad magic {magic!r})")
-        (version,) = reader.unpack("I", "version")
-        if version != CORPUS_VERSION:
-            raise reader.fail(f"unsupported corpus version {version}")
-        topology = reader.text("I", "topology name")
-        (tour_length,) = reader.unpack("I", "tour length")
-        tour = tuple(int(j) for j in reader.array("<u4", tour_length, "tour joints"))
-        config_hash = reader.text("I", "config hash")
-        seed, count, joints = reader.unpack("QII", "seed, video count and joint count")
-        if count == 0:
-            raise reader.fail("video count is 0")
-        offsets = reader.array("<u8", count + 1, "frame offsets").astype(np.int64)
-        if offsets[0] != 0 or np.any(np.diff(offsets) <= 0):
-            raise reader.fail("frame offsets do not start at 0 and strictly increase")
-        labels = reader.array("<i4", count, "labels").astype(np.int64)
-        if labels.min() < -1:
-            raise reader.fail("labels below -1 (-1 marks an absent label)")
-        videos = tuple(reader.text("I", f"video id {i}") for i in range(count))
-        if len(set(videos)) != count:
-            raise reader.fail("video ids are not unique")
-        frames = int(offsets[-1])
-        coords = reader.array("<f8", frames * joints * 2, "coordinates").reshape(frames, joints, 2)
-        flags = reader.array("u1", frames * joints, "fill flags").reshape(frames, joints)
-        reader.finish()
-    try:
-        return FilledCorpus(videos, labels, offsets, coords, flags,
-                            TraversalPath(joints=tour, topology=topology), seed, config_hash)
-    except ValueError as exc:
-        raise reader.fail(str(exc)) from None
+    """Read and validate a filled-corpus file; errors name the file."""
+    return CORPUS_FILE.read(path, _corpus_of)

@@ -1,6 +1,16 @@
 """Shared test helpers."""
 
+from dataclasses import replace
+
 import numpy as np
+
+
+def write_raw(path, kind, header, arrays):
+    """A file with kind's magic and version holding any header and arrays,
+    as given: no header field is typed, and the layout is the arrays' own
+    dtypes and shapes."""
+    layout = {name: (array.dtype.str, array.shape) for name, array in arrays.items()}
+    replace(kind, fields={}, layout=lambda _: layout).write(path, header, arrays)
 
 
 def assert_kink_free(net, x, h=1e-4, factor=10.0):

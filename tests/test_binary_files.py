@@ -1,6 +1,12 @@
-"""Cut and padded checkpoint and corpus files fail with the file name."""
+"""Corpus, checkpoint and spatial model files share one container: cut,
+padded, old-format and arbitrary-header files fail with the file name, and
+no other module frames a binary file of its own."""
 
+import ast
+import json
+import re
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,10 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from posestream import binio
 from posestream.convnet import NetSpec, init_net, load_checkpoint, save_checkpoint
-from posestream.preprocess import PoseCorpus
+from posestream.preprocess import PoseCorpus, SpatialModel
 from posestream.skeleton import euler_tour, make_topology
 from posestream.tensorize import FilledCorpus, read_corpus, write_corpus
+
+ROOT = Path(__file__).resolve().parents[1]
 
 TOPOLOGY = make_topology(
     name="tri",
@@ -33,6 +42,40 @@ def small_corpus(rng, frames):
                         config_hash="h")
 
 
+def small_model(rng, degree=1):
+    n = TOPOLOGY.n
+    return SpatialModel(TOPOLOGY.name, degree, rng.normal(size=(n, n, 3 * degree, 2)),
+                        rng.random((n, n)) > 0.5)
+
+
+def write_files(directory, seed=0, frames=(2, 1)):
+    """{path: reader} of a valid corpus, checkpoint and spatial model."""
+    rng = np.random.default_rng(seed)
+    net = init_net((6, 6, 3), num_classes=2, seed=seed,
+                   arch=NetSpec(conv1_channels=1, conv2_channels=1, hidden=2))
+    corpus, checkpoint, model = (Path(directory) / name for name in ("c.bin", "n.ckpt", "m.bin"))
+    write_corpus(corpus, small_corpus(rng, frames))
+    save_checkpoint(net, checkpoint, meta={"seed": seed})
+    small_model(rng).save(model)
+    return {corpus: read_corpus, checkpoint: load_checkpoint, model: SpatialModel.load}
+
+
+def with_header(raw, header, version=None):
+    """raw with its header bytes (and optionally its version) replaced."""
+    magic, old_version, length = binio.PREFIX.unpack_from(raw)
+    prefix = binio.PREFIX.pack(magic, old_version if version is None else version, len(header))
+    return prefix + header + raw[binio.PREFIX.size + length:]
+
+
+def rejected(read, path):
+    """The ValueError read raises on path; it must name the file."""
+    with pytest.raises(ValueError) as exc:
+        read(path)
+    assert type(exc.value) is ValueError, repr(exc.value)
+    assert str(exc.value).startswith(f"{path}: "), str(exc.value)
+    return str(exc.value)
+
+
 @settings(max_examples=8, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -40,27 +83,145 @@ def small_corpus(rng, frames):
     padding=st.binary(min_size=1, max_size=9),
 )
 def test_every_cut_and_any_padding_is_rejected(seed, frames, padding):
-    rng = np.random.default_rng(seed)
-    net = init_net((6, 6, 3), num_classes=2, seed=seed,
-                   arch=NetSpec(conv1_channels=1, conv2_channels=1, hidden=2))
     with tempfile.TemporaryDirectory() as tmp:
-        files = {
-            Path(tmp) / "net.ckpt": (lambda p: save_checkpoint(net, p), load_checkpoint),
-            Path(tmp) / "corpus.bin": (
-                lambda p: write_corpus(p, small_corpus(rng, frames)), read_corpus
-            ),
-        }
-        for path, (write, read) in files.items():
-            write(path)
+        for path, read in write_files(tmp, seed, frames).items():
             raw = path.read_bytes()
             read(path)
             bad = path.with_suffix(".bad")
             for cut in range(len(raw)):
                 bad.write_bytes(raw[:cut])
-                with pytest.raises(ValueError, match="truncated") as exc:
-                    read(bad)
-                assert str(bad) in str(exc.value)
+                assert "truncated" in rejected(read, bad)
             bad.write_bytes(raw + padding)
-            with pytest.raises(ValueError, match="trailing bytes") as exc:
-                read(bad)
-            assert str(bad) in str(exc.value)
+            assert "trailing bytes" in rejected(read, bad)
+
+
+def test_round_trips_and_old_formats_are_rejected_naming_the_file(tmp_path):
+    for path, read in write_files(tmp_path).items():
+        read(path)
+    # A corpus or checkpoint of the format before the container starts with
+    # the same magic and a u32 version 1; a spatial model was an .npz file.
+    for path, read in ((tmp_path / "c.bin", read_corpus), (tmp_path / "n.ckpt", load_checkpoint)):
+        path.write_bytes(with_header(path.read_bytes(), b"{}", version=1))
+        assert "version 1 " in rejected(read, path)
+    old_model = tmp_path / "model.npz"
+    with open(old_model, "wb") as handle:
+        np.savez(handle, topology_name=np.array("tri"), degree=np.array(1),
+                 coeffs=np.zeros((3, 3, 3, 2)), trained=np.zeros((3, 3), bool),
+                 counts=np.ones((3, 3), np.int64))
+    assert "not a spatial model file (bad magic" in rejected(SpatialModel.load, old_model)
+
+
+def test_writers_refuse_what_would_not_read_back(tmp_path):
+    rng = np.random.default_rng(3)
+    corpus = replace(small_corpus(rng, [2]), seed=np.int64(7))
+    model = replace(small_model(rng), trained=np.zeros((2, 2), bool))
+    cases = [
+        (tmp_path / "c.bin", lambda p: write_corpus(p, corpus), "header field 'seed' must be int"),
+        (tmp_path / "m.bin", model.save,
+         r"array 'coeffs' has shape \(3, 3, 3, 2\), the header implies \(2, 2, 3, 2\)"),
+    ]
+    for path, write, message in cases:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
+            write(path)
+        assert not path.exists()
+
+
+# Header paths that size an array, and values no header may give them.
+DIMENSIONS = {
+    "c.bin": [("frames",), ("joints",), ("tour", 0)],
+    "n.ckpt": [("num_classes",), ("input_shape", 0), ("input_shape", 1), ("input_shape", 2),
+               *(("arch", key) for key in ("conv1_channels", "conv2_channels", "hidden", "pool"))],
+    "m.bin": [("joints",), ("degree",)],
+}
+BAD_DIMENSIONS = st.sampled_from([-1, -(10**12), 1.5, 2.0, 10**12, True])
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                              max_size=3),
+    max_leaves=6,
+)
+DEEP = 10**5
+
+
+@st.composite
+def bad_headers(draw, header, name):
+    """Header bytes no reader may accept, from a valid header."""
+    header = json.loads(json.dumps(header))
+    kind = draw(st.sampled_from(["drop", "retype", "dimension", "not an object", "deep",
+                                 "not JSON"]))
+    key = draw(st.sampled_from(sorted(header)))
+    if kind == "drop":
+        del header[key]
+    elif kind == "retype":
+        header[key] = draw(JSON.filter(lambda value: type(value) is not type(header[key])))
+    elif kind == "dimension":
+        *parents, last = draw(st.sampled_from(DIMENSIONS[name]))
+        target = header
+        for part in parents:
+            target = target[part]
+        target[last] = draw(BAD_DIMENSIONS)
+    elif kind == "not an object":
+        return json.dumps(draw(JSON.filter(lambda value: not isinstance(value, dict)))).encode()
+    elif kind == "deep":
+        nested = draw(st.sampled_from(["[" * DEEP + "]" * DEEP, '{"a":' * DEEP + "1" + "}" * DEEP]))
+        return draw(st.sampled_from([nested, json.dumps({key: 0})[:-3] + nested + "}"])).encode()
+    else:
+        return draw(st.sampled_from([b"", b"{", b'{"a": 1,}', b"\xff\xfe{}", b"{} {}"]))
+    return json.dumps(header).encode()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_any_bad_header_is_a_value_error_naming_the_file(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        files = write_files(tmp)
+        path, read = data.draw(st.sampled_from(sorted(files.items())))
+        raw = path.read_bytes()
+        _, _, length = binio.PREFIX.unpack_from(raw)
+        header = json.loads(raw[binio.PREFIX.size:binio.PREFIX.size + length])
+        path.write_bytes(with_header(raw, data.draw(bad_headers(header, path.name))))
+        rejected(read, path)
+
+
+# ---------------------------------------------------------------------------
+# Only binio frames binary files
+# ---------------------------------------------------------------------------
+
+def _framing_calls(tree: ast.AST) -> list[str]:
+    """Imports of struct, and numpy's own file readers and writers, in tree."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if alias.name.split(".")[0] == "struct"]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = [node.module] if node.module.split(".")[0] == "struct" else []
+            if node.module.split(".")[0] == "numpy":
+                names = [alias.name for alias in node.names if _is_numpy_io(alias.name)]
+            found += names
+        elif isinstance(node, ast.Attribute):
+            numpy = isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
+            if node.attr == "tofile" or (numpy and _is_numpy_io(node.attr)):
+                found.append(node.attr)
+    return found
+
+
+def _is_numpy_io(name: str) -> bool:
+    return name in ("load", "fromfile") or name.startswith("save")
+
+
+def test_only_binio_frames_binary_files():
+    sources = sorted((ROOT / "src" / "posestream").glob("*.py"))
+    assert ROOT / "src" / "posestream" / "binio.py" in sources
+    bypasses = {
+        path.name: calls for path in sources if path.name != "binio.py"
+        if (calls := _framing_calls(ast.parse(path.read_text(encoding="utf-8"))))
+    }
+    assert not bypasses, f"binary files framed outside binio: {bypasses}"
+
+
+def test_the_framing_guard_sees_every_bypass():
+    tree = ast.parse("import struct\nfrom struct import pack\nfrom numpy import savez, zeros\n"
+                     "np.load(f)\nnumpy.save(f, a)\nnp.fromfile(f)\na.tofile(f)\n"
+                     "np.zeros(3)\nnp.loadtxt\nreader.load(f)\n")
+    assert sorted(_framing_calls(tree)) == ["fromfile", "load", "save", "savez", "struct",
+                                            "struct", "tofile"]

@@ -1,8 +1,7 @@
 """Pose ConvNet tests: init, forward, gradients, training, checkpoints."""
 
-import struct
 import tracemalloc
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -11,6 +10,7 @@ from hypothesis import strategies as st
 
 import convnet_reference as reference
 from posestream.convnet import (
+    CHECKPOINT_FILE,
     FORWARD_SLICE,
     NetSpec,
     TrainConfig,
@@ -57,7 +57,7 @@ def naive_conv(x, w, b):
     return out
 
 
-from conftest import assert_kink_free
+from conftest import assert_kink_free, write_raw
 
 
 def numeric_gradients(net, x, labels, h=1e-4):
@@ -690,25 +690,22 @@ class TestCheckpoint:
 
     def test_rejects_parameter_shape_the_meta_contradicts(self, tmp_path):
         # Input (15, 58, 3) pools to 5 x 28 positions of 6 channels: fc1_w
-        # must have 840 rows, and a (570, 8) one is named on load.
+        # must have 840 rows, and a (570, 8) one is refused before any write.
         net = init_net((15, 58, 3), num_classes=3, seed=1, arch=NetSpec(4, 6, 8))
         assert net.fc1_w.shape == (840, 8)
         path = tmp_path / "net.ckpt"
-        save_checkpoint(replace(net, fc1_w=np.zeros((570, 8))), path)
-        with pytest.raises(ValueError, match=r"net\.ckpt: parameter 'fc1_w' has shape \(570, 8\)"):
-            load_checkpoint(path)
+        with pytest.raises(ValueError, match=r"net\.ckpt: array 'fc1_w' has shape \(570, 8\)"):
+            save_checkpoint(replace(net, fc1_w=np.zeros((570, 8))), path)
+        assert not path.exists()
 
-    def test_rejects_repeated_parameter(self, tmp_path):
-        path = tmp_path / "net.ckpt"
+    def test_rejects_a_checkpoint_of_fewer_than_two_classes(self, tmp_path):
+        # A file whose header says 0 classes and whose out layer has 0
+        # columns: it fails on load, not in eval's argmax.
         net = small_net()
-        save_checkpoint(net, path)
-        raw = bytearray(path.read_bytes())
-        # Nine parameters: a second copy of the last record, out_b.
-        record = (struct.pack("<H", 5) + b"out_b" + struct.pack("<BI", 1, net.num_classes)
-                  + net.out_b.astype("<f8").tobytes())
-        assert raw.endswith(record)
-        (meta_length,) = struct.unpack_from("<I", raw, 8)
-        struct.pack_into("<I", raw, 12 + meta_length, 9)
-        path.write_bytes(bytes(raw + record))
-        with pytest.raises(ValueError, match=r"net\.ckpt: parameter 'out_b' appears twice"):
+        header = {"input_shape": list(net.input_shape), "num_classes": 0,
+                  "arch": asdict(net.arch), "meta": {}}
+        params = {**net.parameters(), "out_w": net.out_w[:, :0], "out_b": net.out_b[:0]}
+        path = tmp_path / "net.ckpt"
+        write_raw(path, CHECKPOINT_FILE, header, params)
+        with pytest.raises(ValueError, match=r"net\.ckpt: need at least 2 classes, got 0"):
             load_checkpoint(path)

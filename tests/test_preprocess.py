@@ -12,11 +12,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import preprocess_reference as reference
+from conftest import write_raw
 from posestream.cli import cmd_preprocess
 from posestream.config import PipelineConfig
 from posestream.fusion import StreamScores, read_labels, read_scores, write_labels, write_scores
 
 from posestream.preprocess import (
+    MODEL_FILE,
     AnnotationError,
     PoseCorpus,
     SpatialModel,
@@ -296,26 +298,9 @@ class TestSpatialModel:
         pred = model.predict(0, 1, np.array([0.4, -0.3]))
         np.testing.assert_allclose(pred, [0.16, -0.12], atol=1e-9)
 
-    def test_model_file_with_counts_fills_identically(self, tmp_path):
-        # Model files once also held a per-pair sample count; load ignores it.
-        corpus = affine_corpus(JHMDB)
-        model = fit_spatial_model(corpus, JHMDB, degree=1)
-        old, new = tmp_path / "old.npz", tmp_path / "new.npz"
-        _write_npz(old, counts=np.ones((JHMDB.n, JHMDB.n), dtype=np.int64))
-        model.save(new)
-        assert "counts" in np.load(old).files
-        rng = np.random.default_rng(3)
-        vis = (rng.random(corpus.flags.shape) > 0.3).astype(np.uint8)
-        holed = replace(corpus, flags=np.where(vis, corpus.flags, VIS_MISSING))
-        old_fill = spatial_interpolate(holed, SpatialModel.load(old), JHMDB)
-        new_fill = spatial_interpolate(holed, SpatialModel.load(new), JHMDB)
-        assert old_fill.coords.tobytes() == new_fill.coords.tobytes()
-        np.testing.assert_array_equal(old_fill.flags, new_fill.flags)
-        assert (new_fill.flags == VIS_SPATIAL).any()
-
     def test_save_load_round_trip(self, tmp_path):
         model = fit_spatial_model(affine_corpus(JHMDB), JHMDB, degree=1)
-        path = tmp_path / "model.npz"
+        path = tmp_path / "model.bin"
         model.save(path)
         loaded = type(model).load(path)
         assert loaded.topology_name == model.topology_name
@@ -336,14 +321,14 @@ class TestSpatialModel:
             np.testing.assert_array_equal(row, model.predict(s, t, p))
 
 
-def _write_npz(path, **changes):
-    """A valid degree-1 model file with some fields replaced; None drops a field."""
+def _write_model(path, coeffs=None, trained=None, **changes):
+    """A degree-1 model file with header fields replaced (None drops one) and
+    the given arrays written as they are."""
     model = fit_spatial_model(affine_corpus(JHMDB), JHMDB, degree=1)
-    fields = dict(topology_name=np.array(model.topology_name), degree=np.array(1),
-                  coeffs=model.coeffs, trained=model.trained)
-    fields.update(changes)
-    with open(path, "wb") as handle:
-        np.savez(handle, **{k: v for k, v in fields.items() if v is not None})
+    header = {"topology_name": model.topology_name, "degree": 1, "joints": JHMDB.n, **changes}
+    arrays = {"coeffs": model.coeffs if coeffs is None else coeffs,
+              "trained": model.trained.astype(np.uint8) if trained is None else trained}
+    write_raw(path, MODEL_FILE, {k: v for k, v in header.items() if v is not None}, arrays)
 
 
 def _bare_npy(path):
@@ -352,35 +337,36 @@ def _bare_npy(path):
 
 
 def _truncated(path):
-    _write_npz(path)
+    _write_model(path)
     path.write_bytes(path.read_bytes()[:300])
 
 
 MODEL_DEFECTS = {
-    "truncated zip": (_truncated, "not a spatial model .npz"),
-    "not a zip": (lambda p: p.write_bytes(b"hello, not a model\n"), "not a spatial model .npz"),
-    "a bare .npy": (_bare_npy, "not a spatial model .npz"),
-    "missing key": (lambda p: _write_npz(p, trained=None), "field 'trained' is missing"),
-    "degree 3": (lambda p: _write_npz(p, degree=np.array(3)), "field 'degree'"),
-    "float degree": (lambda p: _write_npz(p, degree=np.array(1.0)), "field 'degree'"),
-    "name not a string": (lambda p: _write_npz(p, topology_name=np.array(7)), "field 'topology_name'"),
-    "5x5 coeffs": (lambda p: _write_npz(p, coeffs=np.zeros((5, 5, 3, 2))), "field 'trained'"),
-    "degree-2 coeffs": (lambda p: _write_npz(p, coeffs=np.zeros((15, 15, 6, 2))), "field 'coeffs'"),
+    "truncated": (_truncated, "truncated in array 'coeffs'"),
+    "not a model file": (lambda p: p.write_bytes(b"hello, not a model\n"), "bad magic"),
+    "a bare .npy": (_bare_npy, "not a spatial model file (bad magic"),
+    "missing key": (lambda p: _write_model(p, degree=None), "header field 'degree'"),
+    "degree 3": (lambda p: _write_model(p, degree=3), "degree must be 1 or 2, got 3"),
+    "float degree": (lambda p: _write_model(p, degree=1.0), "header field 'degree' must be int"),
+    "name not a string": (lambda p: _write_model(p, topology_name=7), "field 'topology_name'"),
+    "5x5 coeffs": (lambda p: _write_model(p, coeffs=np.zeros((5, 5, 3, 2))), "truncated"),
+    "degree-2 coeffs": (lambda p: _write_model(p, coeffs=np.zeros((15, 15, 6, 2))),
+                        "trailing bytes"),
     "non-finite coeffs": (
-        lambda p: _write_npz(p, coeffs=np.full((15, 15, 3, 2), np.nan)), "field 'coeffs'"),
+        lambda p: _write_model(p, coeffs=np.full((15, 15, 3, 2), np.nan)), "non-finite"),
     "int trained": (
-        lambda p: _write_npz(p, trained=np.ones((15, 15), dtype=np.int64)), "field 'trained'"),
+        lambda p: _write_model(p, trained=np.full((15, 15), 2, dtype=np.uint8)), "0 or 1"),
 }
 
 
 @pytest.mark.parametrize("defect", sorted(MODEL_DEFECTS))
 def test_spatial_model_load_names_file_and_field(defect, tmp_path):
     make, message = MODEL_DEFECTS[defect]
-    path = tmp_path / "model.npz"
+    path = tmp_path / "model.bin"
     make(path)
-    with pytest.raises(ValueError, match="spatial model") as info:
+    with pytest.raises(ValueError) as info:
         SpatialModel.load(path)
-    assert str(path) in str(info.value)
+    assert str(info.value).startswith(f"{path}: ")
     assert message in str(info.value)
 
 

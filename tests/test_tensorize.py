@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tensorize_reference as reference
+from posestream import binio
 from posestream.preprocess import PoseCorpus
 from preprocess_reference import Pose
 from posestream.skeleton import build_topology, euler_tour, make_topology
@@ -259,25 +260,29 @@ class TestTensorCache:
         ("version", lambda raw, at: raw[:4] + b"\x09" + raw[5:], "version 9"),
         ("offsets", lambda raw, at: raw[:at["offsets"] + 8] + b"\x00" * 8
          + raw[at["offsets"] + 16:], "frame offsets"),
-        ("label", lambda raw, at: raw[:at["labels"]] + np.int32(-2).tobytes()
-         + raw[at["labels"] + 4:], "labels below -1"),
+        ("label", lambda raw, at: raw[:at["labels"]] + np.int64(-2).tobytes()
+         + raw[at["labels"] + 8:], "labels below -1"),
         ("flag 0", lambda raw, at: raw[:-1] + b"\x00", "fill flags"),
         ("flag 5", lambda raw, at: raw[:-1] + b"\x05", "fill flags"),
         ("nan", lambda raw, at: raw[:at["flags"] - 8] + np.float64(np.nan).tobytes()
          + raw[at["flags"]:], "non-finite"),
         ("trailing", lambda raw, at: raw + b"\x00", "trailing bytes"),
+        ("ids", lambda raw, at: raw.replace(b'"vid2"', b'"vid1"'), "video ids are not unique"),
+        ("seed", lambda raw, at: raw.replace(b'"seed": 42', b'"seed": -4'), "seed must be >= 0"),
+        ("joints", lambda raw, at: raw.replace(b'"joints": 4', b'"joints":-4'),
+         r"array 'coords' has a negative dimension: \(32, -4, 2\)"),
     ])
     def test_reader_rejects_defects_naming_file_and_field(self, tmp_path, field, patch, message):
         corpus = self.make_corpus()
         good = tmp_path / "good.bin"
         write_corpus(good, corpus)
         raw = good.read_bytes()
-        # Header: magic, version, topology name, tour, config hash, seed,
-        # video count, joint count; the flags are the last F * n bytes.
-        header = 8 + 4 + len(corpus.path.topology) + 4 + 4 * len(corpus.path) + 4 + 6 + 8 + 4 + 4
-        flags = corpus.flags.size
-        offsets = 8 * (len(corpus.videos) + 1)
-        at = {"offsets": header, "labels": header + offsets, "flags": len(raw) - flags}
+        # The int64 offsets follow the prefix and header, then the int64
+        # labels; the flags are the last F * n bytes.
+        _, _, length = binio.PREFIX.unpack_from(raw)
+        offsets = binio.PREFIX.size + length
+        at = {"offsets": offsets, "labels": offsets + 8 * (len(corpus.videos) + 1),
+              "flags": len(raw) - corpus.flags.size}
         bad = tmp_path / "bad.bin"
         bad.write_bytes(patch(raw, at))
         with pytest.raises(ValueError, match=message) as exc:
