@@ -30,6 +30,21 @@ with vis 1 for visible and 0 for missing, and the optional label in
 [0, 2**31). Ids may not contain ``,``, ``"``, CR or LF, nor start with ``#``.
 Lines whose JSON object contains a ``_meta`` key are reserved for file
 metadata and skipped by the reader.
+
+Annotation files are read as bytes, one line at a time, and each line is
+decoded with orjson, which rounds every number as json does. The stdlib json
+decodes a line again, and its outcome stands, when orjson refuses the line
+(``NaN`` and ``Infinity`` tokens, which ``write_annotations`` writes for
+missing joints that hold them, numbers beyond the float64 range, lone
+surrogate escapes, a byte-order mark), when the record fails validation,
+when an object other than a plain record nests deeper than json is sure to
+decode, or when a long line has so many brackets that orjson's recursion
+could exhaust the stack. On the lines left, the decoders differ only on
+integers outside [-2**63, 2**64), which orjson returns as floats: as
+coordinates they round to the same float64, and as ``vis``, ``n`` or
+``label`` they fail validation. So every accepted record and every rejection
+message is json's. A line that is not UTF-8 is rejected on its own, like one
+that is not JSON.
 """
 
 from __future__ import annotations
@@ -466,7 +481,7 @@ def pose_from_record(record: dict, n_expected: int | None = None) -> Record:
         video = record["video"]
         n = int(record["n"])
         frames = record["frames"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise AnnotationError(f"missing or malformed field: {exc}") from None
     if not isinstance(video, str) or not video:
         raise AnnotationError("'video' must be a non-empty string")
@@ -488,15 +503,67 @@ def pose_from_record(record: dict, n_expected: int | None = None) -> Record:
     return video, coords, vis, -1 if label is None else label
 
 
-def parse_annotation_line(line: str, n_expected: int | None = None) -> Record | None:
-    """One annotation line to its corpus fields; None for ``_meta`` lines.
+# orjson builds nested values recursively with no depth limit: 53,000 nested
+# objects overflowed an 8 MB stack, ~160 bytes of stack per level and ~32 per
+# byte of line. So a line goes to orjson only when it is at most
+# _ORJSON_MAX_BYTES long or has at most _ORJSON_MAX_OPENERS opening brackets
+# (each bound keeps the stack under ~2 MB); any other goes straight to json,
+# whose recursion guard refuses what it cannot nest. A record of T frames and
+# n joints has 1 + T * (n + 1) opening brackets.
+_ORJSON_MAX_BYTES = 1 << 16
+_ORJSON_MAX_OPENERS = 8192
+# A record holding only these keys nests 4 deep once validated. Any other
+# object is taken from orjson only if it nests at most _SHALLOW deep, which
+# json decodes from any call stack; deeper ones json may refuse.
+_RECORD_KEYS = frozenset(("video", "n", "frames", "label"))
+_SHALLOW = 32
 
-    Raises AnnotationError for JSON syntax errors as well as schema
-    violations, so callers can choose between failing fast and skipping
-    bad records.
+
+def parse_annotation_line(line: bytes, n_expected: int | None = None) -> Record | None:
+    """One annotation line (UTF-8 bytes) to its corpus fields; None for ``_meta`` lines.
+
+    Raises AnnotationError for bytes that are not UTF-8 and JSON syntax
+    errors as well as schema violations, so callers can choose between
+    failing fast and skipping bad records.
     """
+    import orjson  # only commands that read annotations pay for the import
+
+    if (len(line) <= _ORJSON_MAX_BYTES
+            or line.count(b"[") + line.count(b"{") <= _ORJSON_MAX_OPENERS):
+        try:
+            obj = orjson.loads(line)
+        except orjson.JSONDecodeError:
+            obj = None
+        if isinstance(obj, dict) and (obj.keys() <= _RECORD_KEYS or _nests_within(obj, _SHALLOW)):
+            if "_meta" in obj:
+                return None
+            try:
+                return pose_from_record(obj, n_expected=n_expected)
+            except AnnotationError:
+                pass
+    return _parse_with_json(line, n_expected)
+
+
+def _nests_within(value: object, depth: int) -> bool:
+    """Whether no list or dict item lies depth or more levels inside value."""
+    level = [value]
+    for _ in range(depth):
+        level = [item for node in level if isinstance(node, (list, dict))
+                 for item in (node.values() if isinstance(node, dict) else node)]
+        if not level:
+            return True
+    return False
+
+
+def _parse_with_json(line: bytes, n_expected: int | None) -> Record | None:
+    """parse_annotation_line on the stdlib decoder alone, whose outcome on
+    every line is the parser's contract."""
     try:
-        obj = json.loads(line)
+        text = line.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise AnnotationError(f"line is not UTF-8 (bad byte at offset {exc.start})") from None
+    try:
+        obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise AnnotationError(f"invalid JSON ({exc.msg})") from None
     except RecursionError:
@@ -506,12 +573,30 @@ def parse_annotation_line(line: str, n_expected: int | None = None) -> Record | 
     return pose_from_record(obj, n_expected=n_expected)
 
 
-def iter_annotation_lines(path: str | Path) -> Iterator[tuple[int, str]]:
-    """(line number, raw text) for every non-blank line of an annotation file."""
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if line.strip():
-                yield lineno, line
+def iter_annotation_lines(path: str | Path) -> Iterator[tuple[int, bytes]]:
+    """(line number, raw bytes) for every non-blank line of an annotation file.
+
+    Lines end at LF, CR or CR LF, and a line is blank when ``str.strip``
+    empties its text: the lines and numbers a text-mode reader sees, without
+    decoding the file, so one line that is not UTF-8 fails alone.
+    """
+    lineno = 0
+    with open(path, "rb", buffering=1 << 17) as handle:  # records run to tens of KB
+        for chunk in handle:
+            for line in chunk.splitlines() if b"\r" in chunk else (chunk,):
+                lineno += 1
+                if not _is_blank(line):
+                    yield lineno, line
+
+
+def _is_blank(line: bytes) -> bool:
+    """Whether ``str.strip`` empties the line's text."""
+    if b"!" <= line.lstrip()[:1] <= b"~":  # the usual case: a line starting '{'
+        return False
+    try:
+        return not line.decode("utf-8").strip()
+    except UnicodeDecodeError:
+        return False
 
 
 def write_annotations(path: str | Path, corpus: PoseCorpus, meta: dict | None = None) -> None:

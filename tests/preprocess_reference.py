@@ -1,5 +1,5 @@
 """Loop implementations of the preprocess stages and the annotation
-writer, kept as test oracles.
+writer, and the json-only annotation line parser, kept as test oracles.
 
 These are the per-video, per-frame, per-joint and per-triple loops that
 ``posestream.preprocess`` replaced with array-at-a-time code over a whole
@@ -7,15 +7,18 @@ These are the per-video, per-frame, per-joint and per-triple loops that
 corpus fields as a named tuple, so ``PoseCorpus.of`` concatenates a list of
 them. They are not used by the package; the property tests in
 ``test_preprocess.py`` check the corpus stages and ``write_annotations``
-against these loops, run video by video and concatenated, on random inputs.
+against these loops, run video by video and concatenated, on random inputs,
+and the orjson line parser against ``parse_annotation_line`` here.
 """
 
 from __future__ import annotations
 
+import json
 from typing import NamedTuple
 
 import numpy as np
 
+from posestream import preprocess
 from posestream.preprocess import (
     VIS_MISSING,
     VIS_SPATIAL,
@@ -59,6 +62,20 @@ def pose_to_record(pose: Pose) -> dict:
     return record
 
 
+def parse_annotation_line(line: str, n_expected: int | None = None):
+    """One line of text to its corpus fields through the stdlib json decoder
+    alone: the accepted records and rejection messages the parser keeps."""
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise AnnotationError(f"invalid JSON ({exc.msg})") from None
+    except RecursionError:
+        raise AnnotationError("invalid JSON (nested too deeply)") from None
+    if isinstance(obj, dict) and "_meta" in obj:
+        return None
+    return preprocess.pose_from_record(obj, n_expected=n_expected)
+
+
 def pose_from_record(record: dict, n_expected: int | None = None) -> Pose:
     if not isinstance(record, dict):
         raise AnnotationError("record is not a JSON object")
@@ -66,7 +83,7 @@ def pose_from_record(record: dict, n_expected: int | None = None) -> Pose:
         video = record["video"]
         n = int(record["n"])
         frames = record["frames"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise AnnotationError(f"missing or malformed field: {exc}") from None
     if not isinstance(video, str) or not video:
         raise AnnotationError("'video' must be a non-empty string")

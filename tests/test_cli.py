@@ -1,5 +1,6 @@
 """CLI command tests: composition, validation, determinism, error JSON."""
 
+import ast
 import json
 import os
 import shutil
@@ -193,6 +194,22 @@ class TestPreprocess:
         assert out["videos"] == 1
         assert out["rejected"] == [{"line": 1, "error": "invalid JSON (nested too deeply)"}]
 
+    def test_line_nested_past_the_fast_decoder_stack_rejected(self, tmp_path):
+        # 60,000 nested objects overflow orjson's recursive build on an 8 MB
+        # stack, so the line must reach json, which refuses it; a subprocess
+        # keeps a crash from taking the whole test run down.
+        good = json.dumps({"video": "ok", "n": 15, "frames": [[[1.0, j, 1] for j in range(15)]]})
+        ann = tmp_path / "ann.jsonl"
+        ann.write_text(good + "\n" + '{"a":' * 60000 + "1" + "}" * 60000 + "\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        result = subprocess.run(
+            [sys.executable, "-m", "posestream.cli", "preprocess", "--annotations", str(ann),
+             "--cache", str(tmp_path / "c.cache")],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        report = json.loads(result.stdout.splitlines()[-1])
+        assert report["rejected"] == [{"line": 2, "error": "invalid JSON (nested too deeply)"}]
+
     def test_wrong_n_rejected_with_line_number(self, tmp_path, capsys):
         frames15 = ",".join(["[%s]" % ",".join("[1.0,%d,1]" % j for j in range(15))] * 3)
         frames14 = ",".join(["[%s]" % ",".join("[1.0,%d,1]" % j for j in range(14))] * 3)
@@ -263,6 +280,32 @@ class TestPreprocess:
         error = "frame 0 joint 3 has an integer coordinate outside the float64 range"
         assert out["rejected"] == [{"line": 2, "error": error}, {"line": 3, "error": error}]
         assert read_corpus(tmp_path / "c.cache").videos[0] == "a"
+
+    def test_infinite_joint_count_rejects_only_its_line(self, tmp_path, capsys):
+        joints = [[1.0, float(j), 1] for j in range(15)]
+        lines = [json.dumps({"video": video, "label": 0, "n": n, "frames": [joints] * 3})
+                 for video, n in [("a", 15), ("b", float("inf")), ("c", float("-inf"))]]
+        ann = tmp_path / "ann.jsonl"
+        ann.write_text("\n".join(lines) + "\n")
+        code, out, _ = run(capsys, "preprocess", "--annotations", str(ann),
+                           "--cache", str(tmp_path / "c.cache"))
+        assert code == 0
+        assert out["videos"] == 1
+        error = "missing or malformed field: cannot convert float infinity to integer"
+        assert out["rejected"] == [{"line": 2, "error": error}, {"line": 3, "error": error}]
+
+    def test_line_that_is_not_utf8_rejected_alone(self, tmp_path, capsys):
+        good = json.dumps({"video": "ok", "label": 0, "n": 15,
+                           "frames": [[[1.0, float(j), 1] for j in range(15)]] * 3})
+        # Latin-1 "é" in the id: the byte 0xe9 at offset 14 starts no UTF-8 sequence.
+        bad = good.replace("ok", "caf?").encode().replace(b"?", b"\xe9")
+        ann = tmp_path / "ann.jsonl"
+        ann.write_bytes(b"\n".join([good.encode(), bad, good.replace("ok", "ok2").encode()]))
+        code, out, _ = run(capsys, "preprocess", "--annotations", str(ann),
+                           "--cache", str(tmp_path / "c.cache"))
+        assert code == 0
+        assert out["videos"] == 2
+        assert out["rejected"] == [{"line": 2, "error": "line is not UTF-8 (bad byte at offset 14)"}]
 
     @pytest.mark.parametrize("defect", ["truncated", "five joints", "penn", "degree two"])
     def test_bad_spatial_model_fails_before_any_write(self, defect, tmp_path, capsys):
@@ -862,6 +905,44 @@ class TestConfigFile:
         env = {**os.environ, "PYTHONPATH": str(src)}
         code = "import sys, posestream.cli; sys.exit('yaml' in sys.modules)"
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+class TestOrjsonImport:
+    """Only commands that decode annotation lines pay for importing orjson."""
+
+    @pytest.mark.parametrize("command, loads", [("eval", False), ("fuse", False),
+                                                ("weights-search", False), ("preprocess", True)])
+    def test_loaded_only_by_commands_reading_annotations(self, workdir, tmp_path, command, loads):
+        argv = {
+            "eval": ["--cache", workdir / "test.cache", "--checkpoint", workdir / "net.ckpt",
+                     "--scores", tmp_path / "s.csv"],
+            "fuse": ["--pose-scores", workdir / "scores.csv", "--labels", workdir / "labels.csv",
+                     "--fused-scores", tmp_path / "f.csv"],
+            "weights-search": ["--pose-scores", workdir / "scores.csv",
+                               "--labels", workdir / "labels.csv"],
+            "preprocess": ["--annotations", workdir / "test.jsonl", "--cache", tmp_path / "c"],
+        }[command]
+        code = ("import sys, posestream.cli\n"
+                "assert 'orjson' not in sys.modules\n"
+                "assert posestream.cli.main(sys.argv[1:]) == 0\n"
+                "sys.exit(30 + ('orjson' in sys.modules))")
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        result = subprocess.run([sys.executable, "-c", code, command, *map(str, argv)],
+                                env=env, capture_output=True)
+        assert result.returncode == 30 + loads, result.stderr
+
+    def test_only_preprocess_imports_orjson(self):
+        sources = sorted((Path(__file__).resolve().parents[1] / "src" / "posestream").glob("*.py"))
+        importers = [path.name for path in sources
+                     if any(_imports_orjson(node) for node in ast.walk(ast.parse(path.read_text())))]
+        assert importers == ["preprocess.py"]
+
+
+def _imports_orjson(node: ast.AST) -> bool:
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "orjson" for alias in node.names)
+    return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "orjson"
 
 
 class TestConfigValues:

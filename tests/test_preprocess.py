@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 import preprocess_reference as reference
 from conftest import write_raw
-from posestream.cli import cmd_preprocess
+from posestream import preprocess
+from posestream.cli import cmd_preprocess, main
 from posestream.config import PipelineConfig
 from posestream.fusion import StreamScores, read_labels, read_scores, write_labels, write_scores
 
@@ -858,6 +859,123 @@ def test_parser_matches_loop_on_malformed_records(n, frames, edits):
         return coords.tobytes(), flags.tobytes(), label
 
     assert outcome(pose_from_record) == outcome(reference.pose_from_record)
+
+
+_BIG_INTS = [2**63 - 1, 2**63, -(2**63), -(2**63) - 1, 2**64 - 1, 2**64, 2**64 + 2**11,
+             -(2**64), 10**400, -(10**400)]
+_LINE_VALUES = [*_ODD_VALUES, *_BIG_INTS, float("-inf"), "\ud800", "a\ud800b", "é"]
+_FIELDS = ["x", "y", "vis", "n", "label", "video", "extra"]
+_FRAMINGS = ["record", "duplicate key", "trailing data", "bom", "meta", "deep", "deep extra",
+             "deep meta"]
+
+
+def _line_outcome(parse, line):
+    try:
+        record = parse(line)
+    except AnnotationError as exc:
+        return str(exc)
+    if record is None:
+        return None
+    video, coords, flags, label = record
+    return (video, coords.shape, coords.dtype.str, coords.tobytes(), flags.shape,
+            flags.dtype.str, flags.tobytes(), type(label), label)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    n=st.integers(1, 3),
+    frames=st.integers(1, 3),
+    xy=st.lists(st.floats(width=64), min_size=18, max_size=18),
+    vis=st.lists(st.integers(0, 1), min_size=9, max_size=9),
+    edits=st.lists(st.tuples(st.sampled_from(_FIELDS), st.integers(0, 8),
+                             st.sampled_from(_LINE_VALUES)), max_size=3),
+    framing=st.sampled_from(_FRAMINGS),
+    duplicate=st.sampled_from([("n", 1), ("n", 2**64), ("video", "w"), ("frames", [])]),
+    depth=st.sampled_from([3000, 10000]),
+)
+def test_line_parser_matches_json_oracle(n, frames, xy, vis, edits, framing, duplicate, depth):
+    """Every line gives the json-only parser's record bytes or its rejection
+    text: NaN and Infinity tokens on missing and visible joints, integers
+    beyond orjson's range in each field, lone surrogates in ids, duplicate
+    keys, trailing data, a byte-order mark and deep nesting."""
+    table = [[[xy[2 * (3 * t + j)], xy[2 * (3 * t + j) + 1], vis[3 * t + j]]
+              for j in range(n)] for t in range(frames)]
+    record = {"video": "v", "n": n, "label": 1, "frames": table}
+    for field, at, value in edits:
+        if field in ("x", "y", "vis"):
+            table[at // 3 % frames][at % n]["xyv".index(field[0])] = value
+        else:
+            record[field] = value
+    line = json.dumps(record)
+    nest = "[" * depth + "%s" + "]" * depth
+    line = {
+        "record": line,
+        "duplicate key": line[:-1] + ", %s: %s}" % tuple(map(json.dumps, duplicate)),
+        "trailing data": line + " {}",
+        "bom": "\ufeff" + line,
+        "meta": '{"_meta": %s}' % line,
+        "deep": nest % line,
+        "deep extra": line[:-1] + ', "deep": %s}' % (nest % 1),
+        "deep meta": '{"_meta": %s}' % (nest % line),
+    }[framing]
+    assert (_line_outcome(lambda b: parse_annotation_line(b, n), line.encode("utf-8"))
+            == _line_outcome(lambda text: reference.parse_annotation_line(text, n), line))
+
+
+def test_orjson_decodes_the_traffic(tmp_path, monkeypatch):
+    """A synth file at 20% dropout, its _meta line included, parses with the
+    stdlib decoder broken, to the records the json-only parser reads."""
+    path = tmp_path / "synth.jsonl"
+    assert main(["synth", "--out", str(path), "--videos-per-class", "3", "--frames", "8",
+                 "--dropout", "0.2"]) == 0
+    lines = [line for _, line in iter_annotation_lines(path)]
+    expected = [_line_outcome(reference.parse_annotation_line, line.decode()) for line in lines]
+
+    def no_json(*args, **kwargs):
+        raise AssertionError("the stdlib JSON decoder ran")
+
+    monkeypatch.setattr(preprocess.json, "loads", no_json)
+    assert [_line_outcome(parse_annotation_line, line) for line in lines] == expected
+    assert expected[0] is None and all(isinstance(e, tuple) for e in expected[1:])
+    assert any(b", 0]" in line for line in lines)  # missing joints were written
+
+
+def test_missing_joints_holding_nan_read_back_through_json(tmp_path, monkeypatch):
+    """write_annotations writes NaN for a missing joint that holds it; orjson
+    refuses the token and json reads every value back."""
+    coords = np.random.default_rng(3).normal(size=(2, 4, 3, 2))
+    flags = np.ones((4, 3), np.uint8)
+    flags[1, 2] = flags[3, 0] = 0
+    coords[0, 1, 2] = np.nan
+    corpus = PoseCorpus.of([reference.Pose("nan", coords[0], flags, 2),
+                            reference.Pose("plain", coords[1], np.ones_like(flags), -1)])
+    path = tmp_path / "ann.jsonl"
+    write_annotations(path, corpus)
+    decoded = []
+    monkeypatch.setattr(preprocess.json, "loads",
+                        lambda text, loads=json.loads: decoded.append(text) or loads(text))
+    again = PoseCorpus.of(read_records(path, n_expected=3))
+    assert [text.split('"')[3] for text in decoded] == ["nan"]
+    assert again.videos == corpus.videos and again.labels.tolist() == [2, -1]
+    assert again.coords.tobytes() == corpus.coords.tobytes()
+    assert again.flags.tobytes() == corpus.flags.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=st.text(st.sampled_from(list(" \t\r\n\x0b\x0c\x1c\x85\xa0\u3000\ufeff{}a")),
+                    max_size=30))
+def test_annotation_lines_are_those_text_mode_reads(text):
+    """Lines end at LF, CR or CR LF, and whitespace-only lines (Unicode
+    whitespace too) are skipped, with the numbers a text-mode reader gives."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ann.jsonl"
+        path.write_bytes(text.encode("utf-8"))
+        with open(path, encoding="utf-8") as handle:
+            expected = [(number, line.rstrip("\n")) for number, line in enumerate(handle, 1)
+                        if line.strip()]
+        got = [(number, line.decode("utf-8").rstrip("\n"))
+               for number, line in iter_annotation_lines(path)]
+    assert got == expected
 
 
 @settings(max_examples=100, deadline=None)
