@@ -568,6 +568,8 @@ def _parse_with_json(line: bytes, n_expected: int | None) -> Record | None:
         raise AnnotationError(f"invalid JSON ({exc.msg})") from None
     except RecursionError:
         raise AnnotationError("invalid JSON (nested too deeply)") from None
+    except ValueError as exc:  # an integer of more digits than int() converts
+        raise AnnotationError(f"invalid JSON ({exc})") from None
     if isinstance(obj, dict) and "_meta" in obj:
         return None
     return pose_from_record(obj, n_expected=n_expected)
@@ -600,17 +602,41 @@ def _is_blank(line: bytes) -> bool:
 
 
 def write_annotations(path: str | Path, corpus: PoseCorpus, meta: dict | None = None) -> None:
-    """One annotation line per video; fill provenance collapses to vis 1."""
-    with open(path, "w", encoding="utf-8") as handle:
+    """One annotation line per video; fill provenance collapses to vis 1.
+
+    Each line is, byte for byte, ``json.dumps(record)`` of the record
+    ``{"video": ..., "n": ..., "frames": [[[x, y, vis], ...], ...]}`` with
+    float coordinates, vis 0 or 1 and ``"label"`` last where it is not -1,
+    after an optional ``json.dumps({"_meta": meta}, sort_keys=True)`` line.
+
+    A video's frames are one (T, n, 3) float64 array of x, y and vis, which
+    orjson writes compactly. That text holds only numbers, brackets and
+    commas, so three byte replaces make it json's: each vis loses its
+    ``.0`` (only a vis is followed by ``]``) and each comma gains a space.
+    orjson writes the shortest round-trip digits, as ``repr`` does, but
+    where ``repr`` switches to exponent form or ``NaN`` it writes
+    ``0.00001``, ``1e16`` or ``null``. So a video with a coordinate that is
+    not finite, nonzero below 1e-4 in magnitude, or at least 1e16 in
+    magnitude has its frames written by a compact ``json.dumps`` instead,
+    before the same replaces. The envelope around the frames, the id above
+    all, is always ``json.dumps``'s.
+    """
+    import orjson  # only commands that write annotations pay for the import
+
+    joints = np.concatenate((corpus.coords, (corpus.flags > 0)[..., None]), axis=2)
+    size = np.abs(corpus.coords)
+    plain = ((size == 0) | ((size >= 1e-4) & (size < 1e16))).all(axis=(1, 2))
+    plain = np.logical_and.reduceat(plain, corpus.offsets[:-1])  # no video is empty
+    with open(path, "wb") as handle:
         if meta is not None:
-            handle.write(json.dumps({"_meta": meta}, sort_keys=True) + "\n")
+            handle.write(json.dumps({"_meta": meta}, sort_keys=True).encode() + b"\n")
         for i, video in enumerate(corpus.videos):
-            a, b = corpus.offsets[i], corpus.offsets[i + 1]
-            frames = corpus.coords[a:b].tolist()
-            for frame, frame_vis in zip(frames, (corpus.flags[a:b] > 0).astype(int).tolist()):
-                for joint, v in zip(frame, frame_vis):
-                    joint.append(v)
-            record: dict = {"video": video, "n": corpus.num_joints, "frames": frames}
-            if corpus.labels[i] >= 0:
-                record["label"] = int(corpus.labels[i])
-            handle.write(json.dumps(record) + "\n")
+            frames = joints[corpus.offsets[i]:corpus.offsets[i + 1]]
+            if plain[i]:
+                text = orjson.dumps(frames, option=orjson.OPT_SERIALIZE_NUMPY)
+            else:
+                text = json.dumps(frames.tolist(), separators=(",", ":")).encode()
+            text = text.replace(b",1.0]", b",1]").replace(b",0.0]", b",0]").replace(b",", b", ")
+            label = b"" if corpus.labels[i] < 0 else b', "label": %d' % corpus.labels[i]
+            handle.write(b'{"video": %s, "n": %d, "frames": %s%s}\n'
+                         % (json.dumps(video).encode(), corpus.num_joints, text, label))

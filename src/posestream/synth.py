@@ -11,6 +11,7 @@ the training and fusion paths can be exercised end to end in seconds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,8 +59,12 @@ class SyntheticSpec:
             raise ValueError(f"unknown motion classes {unknown}; available: {list(CLASS_NAMES)}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.noise_sigma < 0:
-            raise ValueError(f"noise sigma must be >= 0, got {self.noise_sigma}")
+        repeated = sorted({c for c in self.classes if self.classes.count(c) > 1})
+        if repeated:
+            raise ValueError(f"motion classes {repeated} are listed more than once; "
+                             "video ids would repeat")
+        if not 0.0 <= self.noise_sigma < math.inf:
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if self.videos_per_class < 1 or self.frames < 2:
             raise ValueError("need at least 1 video per class and 2 frames per video")
 

@@ -71,6 +71,8 @@ def parse_annotation_line(line: str, n_expected: int | None = None):
         raise AnnotationError(f"invalid JSON ({exc.msg})") from None
     except RecursionError:
         raise AnnotationError("invalid JSON (nested too deeply)") from None
+    except ValueError as exc:
+        raise AnnotationError(f"invalid JSON ({exc})") from None
     if isinstance(obj, dict) and "_meta" in obj:
         return None
     return preprocess.pose_from_record(obj, n_expected=n_expected)

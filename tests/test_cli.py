@@ -94,6 +94,22 @@ class TestSynth:
         assert err["error"] == "ValueError"
         assert "moonwalk" in err["message"]
 
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_non_finite_noise_sigma_writes_nothing(self, sigma, tmp_path, capsys):
+        out = tmp_path / "x.jsonl"
+        code, _, err = run(capsys, "synth", "--out", str(out), "--noise-sigma", sigma)
+        assert code == 1
+        assert err["error"] == "ValueError"
+        assert "noise_sigma" in err["message"]
+        assert not out.exists()
+
+    def test_repeated_class_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "x.jsonl"
+        code, _, err = run(capsys, "synth", "--out", str(out), "--classes", "wave,squat,wave")
+        assert code == 1
+        assert "'wave'" in err["message"]
+        assert not out.exists()
+
 
 class TestPreprocess:
     def test_report_contents(self, workdir):
@@ -293,6 +309,22 @@ class TestPreprocess:
         assert out["videos"] == 1
         error = "missing or malformed field: cannot convert float infinity to integer"
         assert out["rejected"] == [{"line": 2, "error": error}, {"line": 3, "error": error}]
+
+    def test_integer_too_long_to_convert_rejects_only_its_line(self, tmp_path, capsys):
+        good = json.dumps({"video": "ok", "label": 0, "n": 15,
+                           "frames": [[[1.0, float(j), 1] for j in range(15)]] * 3})
+        # json.loads refuses to convert an integer of more than 4300 digits.
+        bad = good.replace('"ok"', '"big"').replace("[1.0,", "[" + "7" * 5000 + ",", 1)
+        ann = tmp_path / "ann.jsonl"
+        ann.write_text(good + "\n" + bad + "\n")
+        cache = tmp_path / "c.cache"
+        code, out, _ = run(capsys, "preprocess", "--annotations", str(ann), "--cache", str(cache))
+        assert code == 0
+        assert out["videos"] == 1
+        [rejected] = out["rejected"]
+        assert rejected["line"] == 2
+        assert rejected["error"].startswith("invalid JSON (Exceeds the limit (4300 digits)")
+        assert read_corpus(cache).videos == ("ok",)
 
     def test_line_that_is_not_utf8_rejected_alone(self, tmp_path, capsys):
         good = json.dumps({"video": "ok", "label": 0, "n": 15,
@@ -908,10 +940,11 @@ class TestConfigFile:
 
 
 class TestOrjsonImport:
-    """Only commands that decode annotation lines pay for importing orjson."""
+    """Only commands that decode or encode annotation lines pay for importing orjson."""
 
     @pytest.mark.parametrize("command, loads", [("eval", False), ("fuse", False),
-                                                ("weights-search", False), ("preprocess", True)])
+                                                ("weights-search", False), ("preprocess", True),
+                                                ("synth", True)])
     def test_loaded_only_by_commands_reading_annotations(self, workdir, tmp_path, command, loads):
         argv = {
             "eval": ["--cache", workdir / "test.cache", "--checkpoint", workdir / "net.ckpt",
@@ -921,6 +954,7 @@ class TestOrjsonImport:
             "weights-search": ["--pose-scores", workdir / "scores.csv",
                                "--labels", workdir / "labels.csv"],
             "preprocess": ["--annotations", workdir / "test.jsonl", "--cache", tmp_path / "c"],
+            "synth": ["--out", tmp_path / "a.jsonl", "--videos-per-class", "1", "--frames", "4"],
         }[command]
         code = ("import sys, posestream.cli\n"
                 "assert 'orjson' not in sys.modules\n"

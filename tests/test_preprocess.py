@@ -1008,3 +1008,59 @@ def test_writer_matches_record_loop(seed, n, counts, labelled, meta):
         path = Path(tmp) / "ann.jsonl"
         write_annotations(path, PoseCorpus.of(poses), meta=meta)
         assert path.read_bytes() == "".join(line + "\n" for line in lines).encode("utf-8")
+
+
+# Coordinates orjson writes as repr does, and the boundary values just outside
+# that range, which repr writes in exponent form.
+_PLAIN_VALUES = [1e-4, np.nextafter(1e16, 0), -0.0, 0.0, 1.0, 37.0, -1e15, 123456789012345.0,
+                 2.0**53, 0.1, 1 / 3]
+_EXPONENT_VALUES = [np.nextafter(1e-4, 0), 1e16, 5e-324, -1e-5, 1e17, -1e300]
+# json.dumps escapes these; none may be touched by the frames' byte replaces.
+_ODD_IDS = ["null", "frames", '"frames": null', "a,1.0], b,0.0]", "tab\there\\", "\x01ctl",
+            "café_é", "视频", "\U0001f600", "NaN"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 4),
+    counts=st.lists(st.integers(1, 4), min_size=1, max_size=len(_ODD_IDS)),
+    labelled=st.sampled_from([0.0, 0.5, 1.0]),
+    spiked=st.sampled_from([0.0, 0.3]),
+)
+def test_writer_fast_path_matches_record_loop(seed, n, counts, labelled, spiked):
+    """The orjson path writes the json.dumps lines of the per-joint record loop
+    byte for byte on in-range coordinates, and every video holding a value
+    repr writes in exponent form goes through json.dumps instead."""
+    import orjson
+
+    rng = np.random.default_rng(seed)
+    poses, plain_videos = [], 0
+    for i, frames in enumerate(counts):
+        scale = 10.0 ** rng.integers(-3, 15, size=(frames, n, 2))
+        coords = rng.normal(size=(frames, n, 2)) * scale
+        coords[np.abs(coords) < 1e-4] = 0.5
+        kind = rng.integers(0, 4, size=coords.shape)
+        coords[kind == 1] = np.round(coords[kind == 1])
+        coords[kind == 2] = rng.choice(_PLAIN_VALUES, size=int((kind == 2).sum()))
+        if rng.random() < spiked:
+            coords[tuple(rng.integers(0, d) for d in coords.shape)] = rng.choice(_EXPONENT_VALUES)
+        else:
+            plain_videos += 1
+        flags = rng.integers(0, 5, size=(frames, n)).astype(np.uint8)
+        label = int(rng.integers(0, 2**31)) if rng.random() < labelled else -1
+        poses.append(reference.Pose(_ODD_IDS[i], coords, flags, label))
+    lines = [json.dumps(reference.pose_to_record(pose)) for pose in poses]
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return dumps(*args, **kwargs)
+
+    dumps = orjson.dumps
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(orjson, "dumps", counted)
+        path = Path(tmp) / "ann.jsonl"
+        write_annotations(path, PoseCorpus.of(poses))
+        assert path.read_bytes() == "".join(line + "\n" for line in lines).encode("utf-8")
+    assert len(calls) == plain_videos

@@ -22,6 +22,15 @@ class TestSpec:
         with pytest.raises(ValueError, match="sigma"):
             SyntheticSpec(noise_sigma=-1.0)
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+    def test_rejects_non_finite_sigma(self, sigma):
+        with pytest.raises(ValueError, match="noise_sigma"):
+            SyntheticSpec(noise_sigma=sigma)
+
+    def test_rejects_repeated_class(self):
+        with pytest.raises(ValueError, match="'wave'"):
+            SyntheticSpec(classes=("wave", "squat", "wave"))
+
 
 class TestGenerate:
     def test_counts_and_labels(self):
