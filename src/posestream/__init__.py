@@ -22,6 +22,7 @@ from .preprocess import (
     normalize,
     spatial_interpolate,
     temporal_interpolate,
+    voting_pairs,
     write_annotations,
     zero_fill,
 )
@@ -99,6 +100,7 @@ __all__ = [
     "spatial_interpolate",
     "temporal_interpolate",
     "train",
+    "voting_pairs",
     "write_annotations",
     "write_corpus",
     "write_labels",

@@ -121,10 +121,15 @@ def _fill_counts(
 def cmd_preprocess(cfg: PipelineConfig) -> dict:
     """Annotations -> one filled-corpus file + report."""
     cfg.require("annotations", "cache")
+    if not cfg.interpolate:
+        for key in ("spatial_model", "save_spatial_model"):
+            if getattr(cfg, key):
+                raise CliError(f"--{key.replace('_', '-')} needs spatial interpolation, "
+                               "which --no-interpolate (interpolate: false) turns off")
     topology = _load_topology(cfg)
     run_meta = {"config_hash": cfg.hash(), "seed": cfg.seed}
     model = None
-    if cfg.interpolate and cfg.spatial_model:
+    if cfg.spatial_model:
         model = preprocess.SpatialModel.load(cfg.spatial_model)
         if model.topology_name != topology.name:
             raise CliError(f"spatial model '{cfg.spatial_model}' was fit on "
@@ -165,7 +170,11 @@ def cmd_preprocess(cfg: PipelineConfig) -> dict:
     unusable_frames = int(np.count_nonzero(~corpus.flags.any(axis=1)))
     if cfg.interpolate:
         if model is None:
-            model = preprocess.fit_spatial_model(corpus, topology, degree=cfg.poly_degree)
+            # A saved model must serve any corpus; one used only here needs
+            # just the pairs that vote on this corpus, and fits the same bits.
+            pairs = None if cfg.save_spatial_model else preprocess.voting_pairs(corpus, topology)
+            model = preprocess.fit_spatial_model(corpus, topology, degree=cfg.poly_degree,
+                                                 pairs=pairs)
         if cfg.save_spatial_model:
             _atomic_write(cfg.save_spatial_model, model.save)
         corpus = preprocess.spatial_interpolate(corpus, model, topology)

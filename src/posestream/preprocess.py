@@ -249,7 +249,9 @@ class SpatialModel:
     For each ordered joint pair (source, target), coeffs[source, target]
     holds polynomial coefficients mapping the source's normalized (x, y) to
     the target's predicted (x, y). Pairs that no training frame fills
-    together are left untrained and abstain from voting.
+    together, or that the fit left out, are untrained and abstain from
+    voting. A model fitted on a subset of pairs holds only for the corpus
+    the subset was selected on; one fitted on every pair holds for any.
 
     A model file is a ``binio`` container (magic ``PSPM``) whose header
     holds ``topology_name``, ``degree`` (1 or 2) and ``joints`` n, followed
@@ -304,35 +306,43 @@ MODEL_FILE = binio.FileKind("spatial model", b"PSPM", 1,
                             {"topology_name": str, "degree": int, "joints": int}, _model_layout)
 
 
-def fit_spatial_model(corpus: PoseCorpus, topology: SkeletonTopology, degree: int = 1) -> SpatialModel:
-    """Least-squares fit of every ordered joint pair over a normalized corpus.
+def fit_spatial_model(corpus: PoseCorpus, topology: SkeletonTopology, degree: int = 1,
+                      pairs: np.ndarray | None = None) -> SpatialModel:
+    """Least-squares fit of ordered joint pairs over a normalized corpus.
 
-    For each pair the target position is regressed on polynomial features of
-    the source position, using every corpus frame where both joints are
-    filled. A rank-deficient design (e.g. a single-frame corpus) falls back
-    to a mean-offset model: target = source + mean(target - source). Pairs
-    that are never filled together stay untrained.
+    pairs is an (n, n) bool mask [source, target] of the pairs to fit; None
+    fits every pair. For each pair the target position is regressed on
+    polynomial features of the source position, using every corpus frame
+    where both joints are filled. A rank-deficient design (e.g. a
+    single-frame corpus) falls back to a mean-offset model: target = source
+    + mean(target - source). Pairs outside the mask, and pairs that are
+    never filled together, stay untrained. A fitted pair's coefficients do
+    not depend on the mask, but a model fitted on a subset (such as
+    ``voting_pairs`` of a corpus) holds only for the corpus the subset was
+    selected on.
     """
     if degree not in (1, 2):
         raise ValueError(f"degree must be 1 or 2, got {degree}")
     if corpus.num_joints != topology.n:
         raise ValueError(f"corpus has {corpus.num_joints} joints, expected {topology.n}")
+    n = topology.n
+    pairs = np.ones((n, n), dtype=bool) if pairs is None else np.asarray(pairs, dtype=bool)
+    if pairs.shape != (n, n):
+        raise ValueError(f"pairs must have shape ({n}, {n}), got {pairs.shape}")
+    pairs = pairs & ~np.eye(n, dtype=bool)
 
     # Joint-major (n, frames, ...) layout: every pair reads two contiguous rows.
     # Missing joints hold arbitrary coordinates; zeros keep the features finite.
     filled = (corpus.flags > 0).T.copy()
     coords = np.where(filled[..., None], corpus.coords.transpose(1, 0, 2), 0.0)
 
-    n = topology.n
     n_feat = _feature_count(degree)
     coeffs = np.zeros((n, n, n_feat, 2))
     trained = np.zeros((n, n), dtype=bool)
 
-    for s in range(n):
+    for s in np.flatnonzero(pairs.any(axis=1)):
         features = _poly_features(coords[s], degree)
-        for t in range(n):
-            if s == t:
-                continue
+        for t in np.flatnonzero(pairs[s]):
             rows = np.flatnonzero(filled[s] & filled[t])
             if not rows.size:
                 continue
@@ -359,6 +369,40 @@ def _voter_groups(topology: SkeletonTopology) -> tuple[np.ndarray, np.ndarray]:
     for mask in masks:
         mask.flags.writeable = False  # shared by every caller through the cache
     return masks
+
+
+def _votes(
+    flags: np.ndarray, trained: np.ndarray, topology: SkeletonTopology
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The missing (frame, joint) rows t, j of flags, in frame-major order,
+    and the (rows, n) mask of each row's voters whose pair [voter, joint] is
+    trained: the voter rule of spatial_interpolate, for the fill and for
+    voting_pairs alike."""
+    same_limb, torso = _voter_groups(topology)
+    filled = flags > 0
+    t, j = np.nonzero(~filled)
+    seen = filled[t]
+    limb_voters = seen & same_limb[j]
+    torso_voters = seen & torso[j]
+    voters = np.where(limb_voters.any(axis=1, keepdims=True), limb_voters,
+                      np.where(torso_voters.any(axis=1, keepdims=True), torso_voters, seen))
+    return t, j, voters & trained.T[j]
+
+
+def voting_pairs(corpus: PoseCorpus, topology: SkeletonTopology) -> np.ndarray:
+    """The (n, n) mask [voter, missing joint] of the pairs spatial_interpolate
+    reads on this normalized corpus: a model fitted on just these pairs
+    fills it as a model fitted on every pair does.
+
+    A pair counts when its voter votes on some missing joint and some frame
+    fills both of its joints, so that it can be trained at all.
+    """
+    filled = corpus.flags > 0
+    _, j, votes = _votes(corpus.flags, filled.T @ filled, topology)
+    row, voter = np.nonzero(votes)
+    pairs = np.zeros((topology.n, topology.n), dtype=bool)
+    pairs[voter, j[row]] = True
+    return pairs
 
 
 def spatial_interpolate(
@@ -388,17 +432,7 @@ def spatial_interpolate(
 
     coords = corpus.coords.copy()
     flags = corpus.flags.copy()
-    same_limb, torso = _voter_groups(topology)
-
-    # One row per missing (frame, joint), in frame-major order.
-    filled = flags > 0
-    t, j = np.nonzero(~filled)
-    seen = filled[t]
-    limb_voters = seen & same_limb[j]
-    torso_voters = seen & torso[j]
-    voters = np.where(limb_voters.any(axis=1, keepdims=True), limb_voters,
-                      np.where(torso_voters.any(axis=1, keepdims=True), torso_voters, seen))
-    votes = voters & model.trained.T[j]
+    t, j, votes = _votes(flags, model.trained, topology)
     row, voter = np.nonzero(votes)
     predictions = model.predict(voter, j[row], coords[t[row], voter])
     count = votes.sum(axis=1)
@@ -472,6 +506,17 @@ def _parse_frames(frames: list, n: int) -> tuple[np.ndarray, np.ndarray]:
     return table[..., :2], table[..., 2].astype(np.uint8)
 
 
+_ID_RULE = "must not contain ',', '\"', CR, LF or unpaired surrogates, nor start with '#'"
+
+
+def _is_video_id(video: object) -> bool:
+    """Whether the annotation reader accepts video as an id."""
+    # Score and label CSVs join fields with bare commas, one row per line, and
+    # the corpus file stores ids as UTF-8, which has no unpaired surrogates.
+    return (isinstance(video, str) and video != "" and not video.startswith("#")
+            and not any(c in ',"\r\n' or "\ud800" <= c <= "\udfff" for c in video))
+
+
 def pose_from_record(record: dict, n_expected: int | None = None) -> Record:
     """Parse one annotation record into its corpus fields; raises
     AnnotationError on any defect."""
@@ -485,13 +530,8 @@ def pose_from_record(record: dict, n_expected: int | None = None) -> Record:
         raise AnnotationError(f"missing or malformed field: {exc}") from None
     if not isinstance(video, str) or not video:
         raise AnnotationError("'video' must be a non-empty string")
-    # Score and label CSVs join fields with bare commas, one row per line, and
-    # the corpus file stores ids as UTF-8, which has no unpaired surrogates.
-    if video.startswith("#") or any(c in ',"\r\n' or "\ud800" <= c <= "\udfff" for c in video):
-        raise AnnotationError(
-            f"video id {video!r} must not contain ',', '\"', CR, LF or unpaired "
-            "surrogates, nor start with '#'"
-        )
+    if not _is_video_id(video):
+        raise AnnotationError(f"video id {video!r} {_ID_RULE}")
     if n_expected is not None and n != n_expected:
         raise AnnotationError(f"record has n={n}, expected n={n_expected}")
     if not isinstance(frames, list) or not frames:
@@ -604,6 +644,9 @@ def _is_blank(line: bytes) -> bool:
 def write_annotations(path: str | Path, corpus: PoseCorpus, meta: dict | None = None) -> None:
     """One annotation line per video; fill provenance collapses to vis 1.
 
+    An id the reader would reject (see ``_is_video_id``) raises ValueError
+    before the file is opened.
+
     Each line is, byte for byte, ``json.dumps(record)`` of the record
     ``{"video": ..., "n": ..., "frames": [[[x, y, vis], ...], ...]}`` with
     float coordinates, vis 0 or 1 and ``"label"`` last where it is not -1,
@@ -623,6 +666,10 @@ def write_annotations(path: str | Path, corpus: PoseCorpus, meta: dict | None = 
     """
     import orjson  # only commands that write annotations pay for the import
 
+    for video in corpus.videos:
+        if not _is_video_id(video):
+            raise ValueError(f"cannot write video id {video!r}: an id must be a non-empty "
+                             f"string and {_ID_RULE}")
     joints = np.concatenate((corpus.coords, (corpus.flags > 0)[..., None]), axis=2)
     size = np.abs(corpus.coords)
     plain = ((size == 0) | ((size >= 1e-4) & (size < 1e16))).all(axis=(1, 2))

@@ -65,6 +65,8 @@ class SyntheticSpec:
                              "video ids would repeat")
         if not 0.0 <= self.noise_sigma < math.inf:
             raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
+            raise ValueError(f"seed must be an int >= 0, got {self.seed!r}")
         if self.videos_per_class < 1 or self.frames < 2:
             raise ValueError("need at least 1 video per class and 2 frames per video")
 

@@ -103,6 +103,14 @@ class TestSynth:
         assert "noise_sigma" in err["message"]
         assert not out.exists()
 
+    def test_negative_seed_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "x.jsonl"
+        code, _, err = run(capsys, "synth", "--out", str(out), "--seed", "-1")
+        assert code == 1
+        assert err == {"error": "ValueError", "message": "seed must be an int >= 0, got -1",
+                       "command": "synth"}
+        assert not out.exists()
+
     def test_repeated_class_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "x.jsonl"
         code, _, err = run(capsys, "synth", "--out", str(out), "--classes", "wave,squat,wave")
@@ -356,6 +364,46 @@ class TestPreprocess:
         if defect == "degree two":
             assert "degree 2, but --poly-degree is 1" in err["message"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [("--spatial-model",), ("--save-spatial-model",),
+                                       ("--save-spatial-model", "--spatial-model")])
+    def test_spatial_model_flags_refused_without_interpolation(self, flags, tmp_path, capsys):
+        ann = tmp_path / "ann.jsonl"
+        assert main(["synth", "--out", str(ann), "--videos-per-class", "1", "--frames", "6"]) == 0
+        out = tmp_path / "out"
+        models = [arg for flag in flags for arg in (flag, str(out / f"{flag[2:]}.bin"))]
+        code, _, err = run(
+            capsys, "preprocess", "--annotations", str(ann), "--cache", str(out / "c.cache"),
+            "--report", str(out / "r.json"), "--no-interpolate", *models,
+        )
+        assert code == 1
+        assert err["error"] == "CliError"
+        assert err["message"].startswith(f"{flags[-1]} needs spatial interpolation, which "
+                                         "--no-interpolate")
+        assert not out.exists()
+
+    def test_fits_only_the_pairs_that_vote(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **kw: calls.append(1) or lstsq(*a, **kw))
+
+        def preprocess(dropout, name, *extra):
+            ann = tmp_path / f"{dropout}.jsonl"
+            assert main(["synth", "--out", str(ann), "--videos-per-class", "3", "--frames", "12",
+                         "--dropout", dropout, "--seed", "4"]) == 0
+            calls.clear()
+            code, _, _ = run(capsys, "preprocess", "--annotations", str(ann),
+                             "--cache", str(tmp_path / f"{name}.cache"), *extra)
+            assert code == 0
+            return len(calls)
+
+        assert preprocess("0.0", "clean") == 0
+        voting = preprocess("0.2", "voting")
+        every = preprocess("0.2", "every", "--save-spatial-model", str(tmp_path / "m.bin"))
+        trainable = int(SpatialModel.load(tmp_path / "m.bin").trained.sum())
+        assert every == trainable == 15 * 14
+        assert 0 < voting < trainable
+        assert (tmp_path / "voting.cache").read_bytes() == (tmp_path / "every.cache").read_bytes()
 
 
 def _bad_model(path, defect):

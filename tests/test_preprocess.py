@@ -2,6 +2,7 @@
 
 import copy
 import json
+import re
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -34,6 +35,7 @@ from posestream.preprocess import (
     parse_annotation_line,
     spatial_interpolate,
     temporal_interpolate,
+    voting_pairs,
     write_annotations,
     zero_fill,
 )
@@ -591,6 +593,16 @@ class TestAnnotationIO:
         with pytest.raises(AnnotationError, match="video id"):
             pose_from_record({"video": video, "n": 1, "frames": [[[0, 0, 1]]]})
 
+    @pytest.mark.parametrize("video", ["a,b", 'a"b', "a\rb", "a\nb", "#a", "\ud800", "", 7])
+    def test_writer_refuses_ids_the_reader_rejects(self, video, tmp_path):
+        with pytest.raises(AnnotationError):
+            pose_from_record({"video": video, "n": 1, "frames": [[[0, 0, 1]]]})
+        corpus = PoseCorpus(videos=("ok", video), labels=[0, 1], offsets=[0, 1, 2],
+                            coords=np.zeros((2, 1, 2)), flags=np.ones((2, 1)))
+        with pytest.raises(ValueError, match=f"cannot write video id {re.escape(repr(video))}"):
+            write_annotations(tmp_path / "ann.jsonl", corpus)
+        assert not (tmp_path / "ann.jsonl").exists()
+
     @pytest.mark.parametrize("label", [-1, 2**31, 1.5, "3", True])
     def test_rejects_labels_outside_int_range(self, label):
         with pytest.raises(AnnotationError, match="label"):
@@ -719,6 +731,45 @@ def test_fit_and_fill_match_loops(seed, topo, counts, dropout, degenerate, max_g
     model = replace(model, trained=sampled.trained & (rng.random(model.trained.shape) >= abstain))
     assert_same_corpus(spatial_interpolate(corpus, model, topo),
                        [reference.spatial_interpolate(p, model, topo) for p in poses])
+
+
+@settings(max_examples=60, deadline=None)
+@given(**corpus_knobs, degree=st.sampled_from([1, 2]))
+def test_voting_pairs_model_fills_as_full_model(seed, topo, counts, dropout, degenerate, max_gap,
+                                                degree):
+    rng = np.random.default_rng(seed)
+    poses = [reference.normalize(p, topo)
+             for p in noisy_poses(topo, rng, counts, dropout, degenerate, max_gap)]
+    corpus = PoseCorpus.of(poses)
+    full = fit_spatial_model(corpus, topo, degree=degree)
+    pairs = voting_pairs(corpus, topo)
+    model = fit_spatial_model(corpus, topo, degree=degree, pairs=pairs)
+    np.testing.assert_array_equal(model.trained, pairs)
+    assert model.coeffs[pairs].tobytes() == full.coeffs[pairs].tobytes()
+    filled = spatial_interpolate(corpus, model, topo)
+    expected = spatial_interpolate(corpus, full, topo)
+    assert filled.coords.tobytes() == expected.coords.tobytes()
+    np.testing.assert_array_equal(filled.flags, expected.flags)
+
+    # The pairs are exactly those whose predictions the loop fill asks the full model for.
+    asked = np.zeros_like(pairs)
+    reference_predict = reference.predict
+
+    def predict(model, source, target, xy):
+        asked[source, target] = True
+        return reference_predict(model, source, target, xy)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reference, "predict", predict)
+        for pose in poses:
+            reference.spatial_interpolate(pose, full, topo)
+    np.testing.assert_array_equal(pairs, asked)
+
+
+def test_fit_rejects_pairs_of_another_shape():
+    corpus = one_video(np.zeros((2, 3, 2)))
+    with pytest.raises(ValueError, match=r"pairs must have shape \(3, 3\), got \(2, 2\)"):
+        fit_spatial_model(corpus, simple_topology(), pairs=np.ones((2, 2), bool))
 
 
 def chain(values):
@@ -1016,7 +1067,8 @@ _PLAIN_VALUES = [1e-4, np.nextafter(1e16, 0), -0.0, 0.0, 1.0, 37.0, -1e15, 12345
                  2.0**53, 0.1, 1 / 3]
 _EXPONENT_VALUES = [np.nextafter(1e-4, 0), 1e16, 5e-324, -1e-5, 1e17, -1e300]
 # json.dumps escapes these; none may be touched by the frames' byte replaces.
-_ODD_IDS = ["null", "frames", '"frames": null', "a,1.0], b,0.0]", "tab\there\\", "\x01ctl",
+# Ids holding ',' or '"' are refused before anything is written.
+_ODD_IDS = ["null", "frames", "frames: null}", "a[1.0] b[0.0]", "tab\there\\", "\x01ctl",
             "café_é", "视频", "\U0001f600", "NaN"]
 
 

@@ -1,5 +1,6 @@
 """Synthetic corpus generator tests."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -30,6 +31,12 @@ class TestSpec:
     def test_rejects_repeated_class(self):
         with pytest.raises(ValueError, match="'wave'"):
             SyntheticSpec(classes=("wave", "squat", "wave"))
+
+    # A numpy integer would reach cmd_synth's JSON config hash, which refuses it.
+    @pytest.mark.parametrize("seed", [-1, True, 1.0, "1", None, np.int64(3)])
+    def test_rejects_seed_that_is_not_a_non_negative_int(self, seed):
+        with pytest.raises(ValueError, match=re.escape(f"seed must be an int >= 0, got {seed!r}")):
+            SyntheticSpec(seed=seed)
 
 
 class TestGenerate:
