@@ -13,6 +13,9 @@ deterministic given its config and seed, every output embeds the config
 hash and seed, every check runs before the first write, and all writes are
 atomic (unique temp file + rename). Errors leave a machine-readable JSON
 line on stderr and a nonzero exit code.
+
+Each command imports the layers it runs at its top, and calls them as
+module attributes; ``fuse`` and ``weights-search`` load only ``fusion``.
 """
 
 from __future__ import annotations
@@ -22,24 +25,18 @@ import hashlib
 import itertools
 import json
 import os
-import secrets
 import sys
 from dataclasses import asdict
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from . import convnet, fusion, preprocess, synth, tensorize
 from .config import PipelineConfig, load_config
-from .preprocess import (
-    AnnotationError,
-    VIS_OBSERVED,
-    VIS_SPATIAL,
-    VIS_SYNTHETIC,
-    VIS_TEMPORAL,
-)
-from .skeleton import SkeletonTopology, build_topology, euler_tour
+
+if TYPE_CHECKING:
+    from . import fusion, synth
+    from .skeleton import SkeletonTopology
 
 
 # train and eval run the pose ConvNet in float32, whatever a checkpoint stores:
@@ -58,7 +55,7 @@ def _atomic_write(path: str | Path, writer: Callable[[Path], None]) -> None:
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
     os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
     try:
         writer(tmp)
@@ -74,15 +71,13 @@ def _write_json(path: str | Path, payload: dict) -> None:
     )
 
 
-def _load_topology(cfg: PipelineConfig) -> SkeletonTopology:
-    return build_topology(cfg.profile, cfg.topology_file)
-
-
 # ---------------------------------------------------------------------------
 # synth
 # ---------------------------------------------------------------------------
 
 def cmd_synth(spec: synth.SyntheticSpec, out: str | Path) -> dict:
+    from . import preprocess, synth
+
     spec_dict = asdict(spec)
     spec_hash = hashlib.sha256(
         json.dumps(spec_dict, sort_keys=True, default=list).encode("utf-8")
@@ -97,19 +92,19 @@ def cmd_synth(spec: synth.SyntheticSpec, out: str | Path) -> dict:
 # preprocess
 # ---------------------------------------------------------------------------
 
-_FILL_KINDS = {
-    "observed": VIS_OBSERVED,
-    "temporal": VIS_TEMPORAL,
-    "spatial": VIS_SPATIAL,
-    "synthetic": VIS_SYNTHETIC,
-}
-
-
 def _fill_counts(
     flags: np.ndarray, topology: SkeletonTopology
 ) -> tuple[dict[str, int], dict[str, dict[str, int]]]:
     """Provenance counts over the corpus flags: in total, and per joint name."""
-    per_joint = {kind: (flags == code).sum(axis=0) for kind, code in _FILL_KINDS.items()}
+    from . import preprocess
+
+    kinds = {
+        "observed": preprocess.VIS_OBSERVED,
+        "temporal": preprocess.VIS_TEMPORAL,
+        "spatial": preprocess.VIS_SPATIAL,
+        "synthetic": preprocess.VIS_SYNTHETIC,
+    }
+    per_joint = {kind: (flags == code).sum(axis=0) for kind, code in kinds.items()}
     totals = {kind: int(counts.sum()) for kind, counts in per_joint.items()}
     by_name = {
         name: {kind: int(counts[j]) for kind, counts in per_joint.items()}
@@ -120,13 +115,16 @@ def _fill_counts(
 
 def cmd_preprocess(cfg: PipelineConfig) -> dict:
     """Annotations -> one filled-corpus file + report."""
+    from . import preprocess, tensorize
+    from .skeleton import build_topology, euler_tour
+
     cfg.require("annotations", "cache")
     if not cfg.interpolate:
         for key in ("spatial_model", "save_spatial_model"):
             if getattr(cfg, key):
                 raise CliError(f"--{key.replace('_', '-')} needs spatial interpolation, "
                                "which --no-interpolate (interpolate: false) turns off")
-    topology = _load_topology(cfg)
+    topology = build_topology(cfg.profile, cfg.topology_file)
     run_meta = {"config_hash": cfg.hash(), "seed": cfg.seed}
     model = None
     if cfg.spatial_model:
@@ -147,7 +145,7 @@ def cmd_preprocess(cfg: PipelineConfig) -> dict:
     for lineno, line in preprocess.iter_annotation_lines(cfg.annotations):
         try:
             record = preprocess.parse_annotation_line(line, n_expected=topology.n)
-        except AnnotationError as exc:
+        except preprocess.AnnotationError as exc:
             rejected.append({"line": lineno, "error": str(exc)})
             continue
         if record is None:
@@ -206,9 +204,12 @@ def cmd_preprocess(cfg: PipelineConfig) -> dict:
 
 def cmd_train(cfg: PipelineConfig) -> dict:
     """Filled corpus -> checkpoint + per-epoch CSV trace; snippets are redrawn each epoch."""
+    from . import convnet, tensorize
+    from .skeleton import build_topology, euler_tour
+
     cfg.require("cache", "checkpoint")
     corpus = tensorize.read_corpus(cfg.cache)
-    tour = euler_tour(_load_topology(cfg))
+    tour = euler_tour(build_topology(cfg.profile, cfg.topology_file))
     if tour != corpus.path:
         raise CliError(f"{cfg.cache}: corpus topology '{corpus.path.topology}' does not match "
                        f"profile '{cfg.profile}' ('{tour.topology}')")
@@ -255,6 +256,8 @@ def cmd_eval(cfg: PipelineConfig) -> dict:
     tensors exist at a time, so memory holds the corpus, the checkpoint
     and one slice whatever the corpus size. Accuracy, per-class accuracy
     and confusion are null unless every video has a label."""
+    from . import convnet, fusion, tensorize
+
     cfg.require("cache", "checkpoint", "scores")
     corpus = tensorize.read_corpus(cfg.cache)
     net = convnet.load_checkpoint(cfg.checkpoint)[0].astype(COMPUTE_DTYPE)
@@ -304,6 +307,8 @@ def cmd_eval(cfg: PipelineConfig) -> dict:
 
 def _load_streams(cfg: PipelineConfig) -> dict[str, fusion.StreamScores]:
     """The streams whose score files are given, by name."""
+    from . import fusion
+
     paths = {name: getattr(cfg, f"{name}_scores") for name in fusion.STREAMS}
     streams = {name: fusion.read_scores(path, stream=name) for name, path in paths.items() if path}
     if not streams:
@@ -316,6 +321,8 @@ def cmd_fuse(cfg: PipelineConfig) -> dict:
 
     Each subset of the given streams is scored with the run's weights set to
     0.0 outside it; a subset whose own weights are all zero reads null."""
+    from . import fusion
+
     cfg.require("labels", "fused_scores")
     streams = _load_streams(cfg)
     labels = fusion.read_labels(cfg.labels)
@@ -353,6 +360,8 @@ def cmd_fuse(cfg: PipelineConfig) -> dict:
 
 def cmd_weights_search(cfg: PipelineConfig) -> dict:
     """Grid search fusion weights against a labeled validation split."""
+    from . import fusion
+
     cfg.require("labels")
     streams = _load_streams(cfg)
     labels = fusion.read_labels(cfg.labels)
@@ -422,8 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_synth = sub.add_parser("synth", help="generate a synthetic annotation file")
     p_synth.add_argument("--out", required=True, help="annotation JSONL to write")
-    p_synth.add_argument("--classes", default=",".join(synth.CLASS_NAMES),
-                         help="comma-separated motion class names")
+    p_synth.add_argument("--classes", default=None,
+                         help="comma-separated motion class names (default: every class)")
     p_synth.add_argument("--videos-per-class", type=int, default=50)
     p_synth.add_argument("--frames", type=int, default=40)
     p_synth.add_argument("--noise-sigma", type=float, default=1.0)
@@ -457,15 +466,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _numbers(flag: str, text: str) -> tuple[float, ...]:
+    """The comma-separated numbers of a flag's value; an empty value, or an
+    item that is not a number, is a CliError naming the flag and the item."""
+    numbers = []
+    for item in text.split(","):
+        try:
+            numbers.append(float(item))
+        except ValueError:
+            raise CliError(f"--{flag}: {item!r} is not a number (in {text!r})") from None
+    return tuple(numbers)
+
+
 def _overrides_from_args(args: argparse.Namespace) -> dict:
     skip = {"command", "config", "func", "no_interpolate", "weights", "grid"}
     overrides = {k: v for k, v in vars(args).items() if k not in skip}
     if getattr(args, "no_interpolate", False):
         overrides["interpolate"] = False
-    if getattr(args, "weights", None):
-        overrides["weights"] = tuple(float(v) for v in args.weights.split(","))
-    if getattr(args, "grid", None):
-        overrides["weight_grid"] = tuple(float(v) for v in args.grid.split(","))
+    for flag, key in (("weights", "weights"), ("grid", "weight_grid")):
+        if getattr(args, flag, None) is not None:
+            overrides[key] = _numbers(flag, getattr(args, flag))
     return overrides
 
 
@@ -473,8 +493,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "synth":
+            from . import synth
+
+            classes = synth.CLASS_NAMES if args.classes is None else args.classes.split(",")
             spec = synth.SyntheticSpec(
-                classes=tuple(args.classes.split(",")),
+                classes=tuple(classes),
                 videos_per_class=args.videos_per_class,
                 frames=args.frames,
                 noise_sigma=args.noise_sigma,

@@ -8,6 +8,11 @@ file of every command embeds the hash of the resolved settings plus the
 seed, so runs can be traced back to their settings. The hash leaves out
 input and output paths (``topology_file`` stays in: it selects the
 skeleton).
+
+This module imports nothing else from the package, so every command can
+load it without the layers it does not run. It owns the settings objects
+the layers take, ``NetSpec`` and ``TrainConfig`` (``convnet``) and
+``SAMPLING_MODES`` (``tensorize``), which those modules import from here.
 """
 
 from __future__ import annotations
@@ -19,8 +24,37 @@ import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
-from .convnet import NetSpec, TrainConfig
-from .tensorize import SAMPLING_MODES
+SAMPLING_MODES = ("random", "center")
+
+
+@dataclass(frozen=True)
+class NetSpec:
+    """Tunable architecture constants."""
+
+    conv1_channels: int = 32
+    conv2_channels: int = 64
+    hidden: int = 256
+    pool: int = 2  # window and stride of the single max-pool layer
+
+    def __post_init__(self) -> None:
+        for name, value in asdict(self).items():
+            if not value >= 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+
+
+@dataclass
+class TrainConfig:
+    learning_rate: float = 0.01
+    epochs: int = 30
+    batch_size: int = 32
+    seed: int = 0
+    weight_decay: float = 0.0
+
+    def __post_init__(self) -> None:
+        for name, least in (("learning_rate", 0), ("epochs", 0), ("batch_size", 1),
+                            ("weight_decay", 0)):
+            if not getattr(self, name) >= least:  # NaN fails too
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
 
 
 @dataclass

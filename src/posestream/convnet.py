@@ -48,6 +48,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import binio
+from .config import NetSpec, TrainConfig
 
 FILTER_H = 3  # rows = snippets (time)
 FILTER_W = 2  # columns = flattened joint coordinates
@@ -67,21 +68,6 @@ CONV_SLICE = 8
 
 class TrainingDivergedError(RuntimeError):
     """Loss became non-finite during training."""
-
-
-@dataclass(frozen=True)
-class NetSpec:
-    """Tunable architecture constants."""
-
-    conv1_channels: int = 32
-    conv2_channels: int = 64
-    hidden: int = 256
-    pool: int = 2  # window and stride of the single max-pool layer
-
-    def __post_init__(self) -> None:
-        for name, value in asdict(self).items():
-            if not value >= 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 @dataclass
@@ -411,21 +397,6 @@ def backward(net: PoseConvNet, batch: np.ndarray, labels: np.ndarray) -> dict[st
 # ---------------------------------------------------------------------------
 # Training
 # ---------------------------------------------------------------------------
-
-@dataclass
-class TrainConfig:
-    learning_rate: float = 0.01
-    epochs: int = 30
-    batch_size: int = 32
-    seed: int = 0
-    weight_decay: float = 0.0
-
-    def __post_init__(self) -> None:
-        for name, least in (("learning_rate", 0), ("epochs", 0), ("batch_size", 1),
-                            ("weight_decay", 0)):
-            if not getattr(self, name) >= least:  # NaN fails too
-                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
-
 
 @dataclass
 class EpochStats:

@@ -39,14 +39,13 @@ from pathlib import Path
 import numpy as np
 
 from . import binio
+from .config import SAMPLING_MODES
 from .preprocess import VIS_OBSERVED, VIS_SYNTHETIC, PoseCorpus
 from .skeleton import TraversalPath
 
 CORPUS_MAGIC = b"PCRP"
 CORPUS_VERSION = 2
 CHANNELS = 3
-
-SAMPLING_MODES = ("random", "center")
 
 
 # ---------------------------------------------------------------------------

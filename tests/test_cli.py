@@ -819,6 +819,25 @@ class TestWeightsSearch:
         assert err["message"].startswith(f"{key} must be finite")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flag, value, item", [
+        ("--grid", "1,,2", "''"), ("--weights", "a,b,c", "'a'"),
+        ("--grid", "", "''"), ("--weights", "", "''"),
+    ])
+    def test_value_that_is_not_numbers_names_flag_and_item(self, tmp_path, capsys, flag,
+                                                           value, item):
+        TestFuse().write_streams(tmp_path)
+        command = "weights-search" if flag == "--grid" else "fuse"
+        code, out, err = run(
+            capsys, command, "--pose-scores", str(tmp_path / "pose.csv"),
+            "--labels", str(tmp_path / "labels.csv"),
+            "--fused-scores" if command == "fuse" else "--report", str(tmp_path / "out"),
+            flag, value,
+        )
+        assert (code, out) == (1, {})
+        assert err["error"] == "CliError"
+        assert err["message"].startswith(f"{flag}: {item} is not a number")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["fuse", "weights-search"])
     def test_overflowing_weights_named(self, tmp_path, capsys, command):
         TestFuse().write_streams(tmp_path)
@@ -1019,6 +1038,61 @@ class TestOrjsonImport:
         importers = [path.name for path in sources
                      if any(_imports_orjson(node) for node in ast.walk(ast.parse(path.read_text())))]
         assert importers == ["preprocess.py"]
+
+
+class TestModuleSets:
+    """Each command loads only the package modules it runs: with bytecode
+    writing off, every module imported is compiled again on every start."""
+
+
+    @pytest.mark.parametrize("command, extra", [
+        ("--help", []),
+        ("fuse", ["fusion"]),
+        ("weights-search", ["fusion"]),
+        ("synth", ["binio", "preprocess", "skeleton", "synth"]),
+        ("preprocess", ["binio", "preprocess", "skeleton", "tensorize"]),
+        ("train", ["binio", "convnet", "preprocess", "skeleton", "tensorize"]),
+        ("eval", ["binio", "convnet", "fusion", "preprocess", "skeleton", "tensorize"]),
+    ])
+    def test_command_loads_only_its_layers(self, workdir, tmp_path, command, extra):
+        argv = {
+            "--help": [],
+            "fuse": ["--pose-scores", workdir / "scores.csv", "--labels", workdir / "labels.csv",
+                     "--fused-scores", tmp_path / "f.csv"],
+            "weights-search": ["--pose-scores", workdir / "scores.csv",
+                               "--labels", workdir / "labels.csv"],
+            "synth": ["--out", tmp_path / "a.jsonl", "--videos-per-class", "1", "--frames", "4"],
+            "preprocess": ["--annotations", workdir / "test.jsonl", "--cache", tmp_path / "c"],
+            "train": ["--cache", workdir / "test.cache", "--checkpoint", tmp_path / "n",
+                      *FAST],
+            "eval": ["--cache", workdir / "test.cache", "--checkpoint", workdir / "net.ckpt",
+                     "--scores", tmp_path / "s.csv"],
+        }[command]
+        code = ("import sys\n"
+                "from posestream import cli\n"
+                "try:\n"
+                "    assert cli.main(sys.argv[1:]) == 0\n"
+                "except SystemExit as exc:\n"
+                "    assert exc.code == 0\n"
+                "print(sorted(m for m in sys.modules if m.startswith('posestream')))")
+        loaded = _run_python(code, command, *map(str, argv))
+        expected = ["posestream"] + [f"posestream.{name}" for name in ["cli", "config", *extra]]
+        assert loaded == str(sorted(expected))
+
+    def test_package_import_loads_no_submodule(self):
+        code = ("import sys, posestream\n"
+                "print(sorted(m for m in sys.modules if m.startswith('posestream')))")
+        assert _run_python(code) == "['posestream']"
+
+
+def _run_python(code: str, *argv: str) -> str:
+    """The last stdout line of ``code`` run in a fresh interpreter."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                            text=True)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.strip().splitlines()[-1]
 
 
 def _imports_orjson(node: ast.AST) -> bool:

@@ -1,5 +1,6 @@
 """Every public name of the package is used by the package or the benchmark,
-and the README's library example runs.
+resolves on first use from a bare ``import posestream``, and the README's
+library example runs.
 
 A name in ``posestream.__all__`` that nothing references outside its own
 ``def`` or ``class`` in ``src/posestream`` or ``perfbench/`` is public API
@@ -7,8 +8,13 @@ that only tests use; it should go, or the code that needs it should use it.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import posestream
 
@@ -62,3 +68,32 @@ def test_readme_library_example_runs():
     exec(compile(blocks[0], "README.md#library-use", "exec"), namespace)
     assert 0.0 <= namespace["accuracy"] <= 1.0
 
+
+
+def test_every_public_name_resolves_on_first_use():
+    code = (
+        "import importlib, sys, posestream\n"
+        "names = posestream.__all__\n"
+        "assert set(names) <= set(dir(posestream))\n"
+        "for name in names:\n"
+        "    value = getattr(posestream, name)\n"
+        "    namespace = {}\n"
+        "    exec(f'from posestream import {name}', namespace)\n"
+        "    assert namespace[name] is value, name\n"
+        "    home = importlib.import_module(value.__module__)\n"
+        "    assert getattr(home, name) is value, name\n"
+        "print(len(names))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == [str(len(posestream.__all__))]
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        posestream.no_such_name
+    assert not hasattr(posestream, "no_such_name")
+    with pytest.raises(ImportError):
+        exec("from posestream import no_such_name", {})
