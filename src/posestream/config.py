@@ -12,7 +12,9 @@ skeleton).
 This module imports nothing else from the package, so every command can
 load it without the layers it does not run. It owns the settings objects
 the layers take, ``NetSpec`` and ``TrainConfig`` (``convnet``) and
-``SAMPLING_MODES`` (``tensorize``), which those modules import from here.
+``SAMPLING_MODES`` (``tensorize``), which those modules import from here,
+and the video id rule that the annotation reader and the score and label
+CSV readers share.
 """
 
 from __future__ import annotations
@@ -25,6 +27,16 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 SAMPLING_MODES = ("random", "center")
+
+ID_RULE = "must not contain ',', '\"', CR, LF or unpaired surrogates, nor start with '#'"
+
+
+def is_video_id(video: object) -> bool:
+    """Whether video is an id every reader accepts and every writer writes back."""
+    # Score and label CSVs join fields with bare commas, one row per line, and
+    # the corpus file stores ids as UTF-8, which has no unpaired surrogates.
+    return (isinstance(video, str) and video != "" and not video.startswith("#")
+            and not any(c in ',"\r\n' or "\ud800" <= c <= "\udfff" for c in video))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,9 @@ Score CSV format: header ``video,class_0,...,class_{C-1}``, one row per
 video, sorted by video id. The snippet-level variant inserts a ``snippet``
 column after ``video``. A labels CSV is ``video,label``. Lines starting
 with ``#`` are metadata comments and are ignored by the readers, which
-reject malformed rows naming the file and the line.
+reject malformed rows naming the file and the line. Video ids follow the
+annotation rule (``config.is_video_id``), so the writers write back every
+id the readers accept.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
+
+from .config import ID_RULE, is_video_id
 
 # Stream names in weight-column order: a weighting is one
 # (w_pose, w_spatial, w_temporal) row.
@@ -242,6 +246,11 @@ def _parse_int(path: str | Path, lineno: int, text: str, what: str) -> int:
         raise ValueError(f"{path}:{lineno}: {what} '{text}' is not an integer") from None
 
 
+def _check_id(path: str | Path, lineno: int, video: str) -> None:
+    if not is_video_id(video):
+        raise ValueError(f"{path}:{lineno}: video id {video!r} {ID_RULE}")
+
+
 def _parse_scores(path: str | Path, lineno: int, fields: list[str]) -> np.ndarray:
     try:
         values = [float(v) for v in fields]
@@ -256,8 +265,8 @@ def read_scores(path: str | Path, stream: str = "other") -> StreamScores:
     """Read a score CSV; detects the snippet-level variant by its header.
 
     Non-numeric or non-finite scores, non-integer snippet indices, rows of
-    the wrong width, duplicate rows and a file without score rows raise
-    ValueError naming the file and the line."""
+    the wrong width, ids the writer cannot write back, duplicate rows and a
+    file without score rows raise ValueError naming the file and the line."""
     rows = _csv_rows(path)
     header_line, header = next(rows, (0, None))
     if header is None:
@@ -276,6 +285,7 @@ def read_scores(path: str | Path, stream: str = "other") -> StreamScores:
             raise ValueError(
                 f"{path}:{lineno}: row has {len(row)} fields, header has {len(header)}"
             )
+        _check_id(path, lineno, row[0])
         snippet = _parse_int(path, lineno, row[1], "snippet index") if snippet_level else 0
         key = (row[0], snippet)
         if key in first_seen:
@@ -302,8 +312,9 @@ def write_labels(path: str | Path, labels: dict[str, int], meta: dict | None = N
 
 
 def read_labels(path: str | Path) -> dict[str, int]:
-    """Read a labels CSV; malformed rows, non-integer labels and duplicate
-    ids raise ValueError naming the file and the line."""
+    """Read a labels CSV; malformed rows, ids the writer cannot write back,
+    non-integer labels and duplicate ids raise ValueError naming the file
+    and the line."""
     rows = _csv_rows(path)
     _, header = next(rows, (0, None))
     if header != ["video", "label"]:
@@ -313,6 +324,7 @@ def read_labels(path: str | Path) -> dict[str, int]:
     for lineno, row in rows:
         if len(row) != 2:
             raise ValueError(f"{path}:{lineno}: malformed labels row {row}")
+        _check_id(path, lineno, row[0])
         if row[0] in labels:
             raise ValueError(
                 f"{path}:{lineno}: duplicate video id '{row[0]}', first on line {first_seen[row[0]]}"

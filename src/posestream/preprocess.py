@@ -31,20 +31,12 @@ with vis 1 for visible and 0 for missing, and the optional label in
 Lines whose JSON object contains a ``_meta`` key are reserved for file
 metadata and skipped by the reader.
 
-Annotation files are read as bytes, one line at a time, and each line is
-decoded with orjson, which rounds every number as json does. The stdlib json
-decodes a line again, and its outcome stands, when orjson refuses the line
-(``NaN`` and ``Infinity`` tokens, which ``write_annotations`` writes for
-missing joints that hold them, numbers beyond the float64 range, lone
-surrogate escapes, a byte-order mark), when the record fails validation,
-when an object other than a plain record nests deeper than json is sure to
-decode, or when a long line has so many brackets that orjson's recursion
-could exhaust the stack. On the lines left, the decoders differ only on
-integers outside [-2**63, 2**64), which orjson returns as floats: as
-coordinates they round to the same float64, and as ``vis``, ``n`` or
-``label`` they fail validation. So every accepted record and every rejection
-message is json's. A line that is not UTF-8 is rejected on its own, like one
-that is not JSON.
+Annotation files are RFC 8259 JSON lines. They are read as bytes, one line
+at a time, and orjson alone decodes each line. A line orjson refuses is
+rejected with orjson's message: that covers ``NaN`` and ``Infinity``
+tokens, numbers beyond the float64 range, lone surrogate escapes and a
+byte-order mark. A line that is not UTF-8 is rejected on its own, naming its
+first bad byte.
 """
 
 from __future__ import annotations
@@ -52,6 +44,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import reprlib
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -59,6 +52,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import binio
+from .config import ID_RULE, is_video_id
 from .skeleton import SkeletonTopology, upper_body_joints
 
 VIS_MISSING = 0
@@ -506,17 +500,6 @@ def _parse_frames(frames: list, n: int) -> tuple[np.ndarray, np.ndarray]:
     return table[..., :2], table[..., 2].astype(np.uint8)
 
 
-_ID_RULE = "must not contain ',', '\"', CR, LF or unpaired surrogates, nor start with '#'"
-
-
-def _is_video_id(video: object) -> bool:
-    """Whether the annotation reader accepts video as an id."""
-    # Score and label CSVs join fields with bare commas, one row per line, and
-    # the corpus file stores ids as UTF-8, which has no unpaired surrogates.
-    return (isinstance(video, str) and video != "" and not video.startswith("#")
-            and not any(c in ',"\r\n' or "\ud800" <= c <= "\udfff" for c in video))
-
-
 def pose_from_record(record: dict, n_expected: int | None = None) -> Record:
     """Parse one annotation record into its corpus fields; raises
     AnnotationError on any defect."""
@@ -530,8 +513,8 @@ def pose_from_record(record: dict, n_expected: int | None = None) -> Record:
         raise AnnotationError(f"missing or malformed field: {exc}") from None
     if not isinstance(video, str) or not video:
         raise AnnotationError("'video' must be a non-empty string")
-    if not _is_video_id(video):
-        raise AnnotationError(f"video id {video!r} {_ID_RULE}")
+    if not is_video_id(video):
+        raise AnnotationError(f"video id {video!r} {ID_RULE}")
     if n_expected is not None and n != n_expected:
         raise AnnotationError(f"record has n={n}, expected n={n_expected}")
     if not isinstance(frames, list) or not frames:
@@ -539,7 +522,9 @@ def pose_from_record(record: dict, n_expected: int | None = None) -> Record:
     coords, vis = _parse_frames(frames, n)
     label = record.get("label")
     if label is not None and (type(label) is not int or not 0 <= label < 2**31):
-        raise AnnotationError(f"'label' must be an integer in [0, 2**31), got {label!r}")
+        # reprlib: a label nested thousands deep would exhaust repr's recursion.
+        raise AnnotationError(f"'label' must be an integer in [0, 2**31), "
+                              f"got {reprlib.repr(label)}")
     return video, coords, vis, -1 if label is None else label
 
 
@@ -547,16 +532,11 @@ def pose_from_record(record: dict, n_expected: int | None = None) -> Record:
 # objects overflowed an 8 MB stack, ~160 bytes of stack per level and ~32 per
 # byte of line. So a line goes to orjson only when it is at most
 # _ORJSON_MAX_BYTES long or has at most _ORJSON_MAX_OPENERS opening brackets
-# (each bound keeps the stack under ~2 MB); any other goes straight to json,
-# whose recursion guard refuses what it cannot nest. A record of T frames and
-# n joints has 1 + T * (n + 1) opening brackets.
+# (each bound keeps the stack under ~2 MB); any other is rejected as nested
+# too deeply. A record of T frames and n joints has 1 + T * (n + 1) opening
+# brackets.
 _ORJSON_MAX_BYTES = 1 << 16
 _ORJSON_MAX_OPENERS = 8192
-# A record holding only these keys nests 4 deep once validated. Any other
-# object is taken from orjson only if it nests at most _SHALLOW deep, which
-# json decodes from any call stack; deeper ones json may refuse.
-_RECORD_KEYS = frozenset(("video", "n", "frames", "label"))
-_SHALLOW = 32
 
 
 def parse_annotation_line(line: bytes, n_expected: int | None = None) -> Record | None:
@@ -572,47 +552,19 @@ def parse_annotation_line(line: bytes, n_expected: int | None = None) -> Record 
             or line.count(b"[") + line.count(b"{") <= _ORJSON_MAX_OPENERS):
         try:
             obj = orjson.loads(line)
-        except orjson.JSONDecodeError:
-            obj = None
-        if isinstance(obj, dict) and (obj.keys() <= _RECORD_KEYS or _nests_within(obj, _SHALLOW)):
-            if "_meta" in obj:
+        except orjson.JSONDecodeError as exc:
+            error = exc.msg
+        else:
+            if isinstance(obj, dict) and "_meta" in obj:
                 return None
-            try:
-                return pose_from_record(obj, n_expected=n_expected)
-            except AnnotationError:
-                pass
-    return _parse_with_json(line, n_expected)
-
-
-def _nests_within(value: object, depth: int) -> bool:
-    """Whether no list or dict item lies depth or more levels inside value."""
-    level = [value]
-    for _ in range(depth):
-        level = [item for node in level if isinstance(node, (list, dict))
-                 for item in (node.values() if isinstance(node, dict) else node)]
-        if not level:
-            return True
-    return False
-
-
-def _parse_with_json(line: bytes, n_expected: int | None) -> Record | None:
-    """parse_annotation_line on the stdlib decoder alone, whose outcome on
-    every line is the parser's contract."""
+            return pose_from_record(obj, n_expected=n_expected)
+    else:
+        error = "nested too deeply"
     try:
-        text = line.decode("utf-8")
+        line.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise AnnotationError(f"line is not UTF-8 (bad byte at offset {exc.start})") from None
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise AnnotationError(f"invalid JSON ({exc.msg})") from None
-    except RecursionError:
-        raise AnnotationError("invalid JSON (nested too deeply)") from None
-    except ValueError as exc:  # an integer of more digits than int() converts
-        raise AnnotationError(f"invalid JSON ({exc})") from None
-    if isinstance(obj, dict) and "_meta" in obj:
-        return None
-    return pose_from_record(obj, n_expected=n_expected)
+    raise AnnotationError(f"invalid JSON ({error})")
 
 
 def iter_annotation_lines(path: str | Path) -> Iterator[tuple[int, bytes]]:
@@ -644,22 +596,24 @@ def _is_blank(line: bytes) -> bool:
 def write_annotations(path: str | Path, corpus: PoseCorpus, meta: dict | None = None) -> None:
     """One annotation line per video; fill provenance collapses to vis 1.
 
-    An id the reader would reject (see ``_is_video_id``) raises ValueError
-    before the file is opened.
+    An id the reader would reject (see ``config.is_video_id``), or a meta
+    value that is not finite or lies beyond the float64 range, raises
+    ValueError before the file is opened.
 
     Each line is, byte for byte, ``json.dumps(record)`` of the record
     ``{"video": ..., "n": ..., "frames": [[[x, y, vis], ...], ...]}`` with
     float coordinates, vis 0 or 1 and ``"label"`` last where it is not -1,
     after an optional ``json.dumps({"_meta": meta}, sort_keys=True)`` line.
+    A coordinate that is not finite, which only a missing joint can hold and
+    no stage reads, is written as 0.0, so every line is RFC 8259 JSON.
 
     A video's frames are one (T, n, 3) float64 array of x, y and vis, which
     orjson writes compactly. That text holds only numbers, brackets and
-    commas, so three byte replaces make it json's: each vis loses its
-    ``.0`` (only a vis is followed by ``]``) and each comma gains a space.
-    orjson writes the shortest round-trip digits, as ``repr`` does, but
-    where ``repr`` switches to exponent form or ``NaN`` it writes
-    ``0.00001``, ``1e16`` or ``null``. So a video with a coordinate that is
-    not finite, nonzero below 1e-4 in magnitude, or at least 1e16 in
+    commas, so two byte replaces make it json's: each vis loses its ``.0``
+    (only a vis is followed by ``]``) and each comma gains a space. orjson
+    writes the shortest round-trip digits, as ``repr`` does, but where
+    ``repr`` switches to exponent form it writes ``0.00001`` or ``1e16``. So
+    a video with a coordinate nonzero below 1e-4 or at least 1e16 in
     magnitude has its frames written by a compact ``json.dumps`` instead,
     before the same replaces. The envelope around the frames, the id above
     all, is always ``json.dumps``'s.
@@ -667,23 +621,30 @@ def write_annotations(path: str | Path, corpus: PoseCorpus, meta: dict | None = 
     import orjson  # only commands that write annotations pay for the import
 
     for video in corpus.videos:
-        if not _is_video_id(video):
+        if not is_video_id(video):
             raise ValueError(f"cannot write video id {video!r}: an id must be a non-empty "
-                             f"string and {_ID_RULE}")
+                             f"string and {ID_RULE}")
+    head = b""
+    if meta is not None:
+        head = json.dumps({"_meta": meta}, sort_keys=True, allow_nan=False).encode() + b"\n"
+        try:
+            orjson.loads(head)
+        except orjson.JSONDecodeError as exc:  # an integer beyond the float64 range
+            raise ValueError(f"meta is not RFC 8259 JSON ({exc.msg})") from None
     joints = np.concatenate((corpus.coords, (corpus.flags > 0)[..., None]), axis=2)
-    size = np.abs(corpus.coords)
+    np.nan_to_num(joints, copy=False, nan=0.0, posinf=0.0, neginf=0.0)
+    size = np.abs(joints[..., :2])
     plain = ((size == 0) | ((size >= 1e-4) & (size < 1e16))).all(axis=(1, 2))
     plain = np.logical_and.reduceat(plain, corpus.offsets[:-1])  # no video is empty
     with open(path, "wb") as handle:
-        if meta is not None:
-            handle.write(json.dumps({"_meta": meta}, sort_keys=True).encode() + b"\n")
+        handle.write(head)
         for i, video in enumerate(corpus.videos):
             frames = joints[corpus.offsets[i]:corpus.offsets[i + 1]]
             if plain[i]:
                 text = orjson.dumps(frames, option=orjson.OPT_SERIALIZE_NUMPY)
             else:
                 text = json.dumps(frames.tolist(), separators=(",", ":")).encode()
-            text = text.replace(b",1.0]", b",1]").replace(b",0.0]", b",0]").replace(b",", b", ")
+            text = text.replace(b".0]", b"]").replace(b",", b", ")
             label = b"" if corpus.labels[i] < 0 else b', "label": %d' % corpus.labels[i]
             handle.write(b'{"video": %s, "n": %d, "frames": %s%s}\n'
                          % (json.dumps(video).encode(), corpus.num_joints, text, label))

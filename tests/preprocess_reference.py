@@ -48,10 +48,12 @@ class Pose(NamedTuple):
 
 
 def pose_to_record(pose: Pose) -> dict:
-    """Annotation record for one video; fill provenance collapses to vis 1."""
+    """Annotation record for one video; fill provenance collapses to vis 1,
+    and a coordinate that is not finite (a missing joint's) is written as 0."""
     frames = [
         [
-            [float(x), float(y), 1 if v > 0 else 0]
+            [float(x) if np.isfinite(x) else 0.0, float(y) if np.isfinite(y) else 0.0,
+             1 if v > 0 else 0]
             for (x, y), v in zip(frame_xy, frame_vis)
         ]
         for frame_xy, frame_vis in zip(pose.coords, pose.flags)

@@ -206,7 +206,7 @@ class TestPreprocess:
         assert full.flags[rows].tobytes() == kept.flags.tobytes()
 
     def test_over_deep_line_rejected(self, tmp_path, capsys):
-        # json.loads raises RecursionError, not JSONDecodeError, past its nesting limit.
+        # A line over 64 KiB with more than 8192 brackets never reaches orjson.
         good = '{"video": "ok", "label": 0, "n": 15, "frames": [[%s]]}' % ",".join(
             "[1.0,%d,1]" % j for j in range(15)
         )
@@ -220,8 +220,8 @@ class TestPreprocess:
 
     def test_line_nested_past_the_fast_decoder_stack_rejected(self, tmp_path):
         # 60,000 nested objects overflow orjson's recursive build on an 8 MB
-        # stack, so the line must reach json, which refuses it; a subprocess
-        # keeps a crash from taking the whole test run down.
+        # stack, so the line must be refused before orjson sees it; a
+        # subprocess keeps a crash from taking the whole test run down.
         good = json.dumps({"video": "ok", "n": 15, "frames": [[[1.0, j, 1] for j in range(15)]]})
         ann = tmp_path / "ann.jsonl"
         ann.write_text(good + "\n" + '{"a":' * 60000 + "1" + "}" * 60000 + "\n")
@@ -301,7 +301,7 @@ class TestPreprocess:
                            "--cache", str(tmp_path / "c.cache"))
         assert code == 0
         assert out["videos"] == 1
-        error = "frame 0 joint 3 has an integer coordinate outside the float64 range"
+        error = "invalid JSON (number is infinity when parsed as double)"
         assert out["rejected"] == [{"line": 2, "error": error}, {"line": 3, "error": error}]
         assert read_corpus(tmp_path / "c.cache").videos[0] == "a"
 
@@ -315,13 +315,14 @@ class TestPreprocess:
                            "--cache", str(tmp_path / "c.cache"))
         assert code == 0
         assert out["videos"] == 1
-        error = "missing or malformed field: cannot convert float infinity to integer"
-        assert out["rejected"] == [{"line": 2, "error": error}, {"line": 3, "error": error}]
+        # json.dumps writes Infinity and -Infinity, which are not RFC 8259 JSON.
+        assert out["rejected"] == [{"line": 2, "error": "invalid JSON (unexpected character)"},
+                                   {"line": 3, "error": "invalid JSON (no digit after minus sign)"}]
 
     def test_integer_too_long_to_convert_rejects_only_its_line(self, tmp_path, capsys):
         good = json.dumps({"video": "ok", "label": 0, "n": 15,
                            "frames": [[[1.0, float(j), 1] for j in range(15)]] * 3})
-        # json.loads refuses to convert an integer of more than 4300 digits.
+        # A 5000-digit integer lies beyond the float64 range.
         bad = good.replace('"ok"', '"big"').replace("[1.0,", "[" + "7" * 5000 + ",", 1)
         ann = tmp_path / "ann.jsonl"
         ann.write_text(good + "\n" + bad + "\n")
@@ -331,8 +332,28 @@ class TestPreprocess:
         assert out["videos"] == 1
         [rejected] = out["rejected"]
         assert rejected["line"] == 2
-        assert rejected["error"].startswith("invalid JSON (Exceeds the limit (4300 digits)")
+        assert rejected["error"] == "invalid JSON (number is infinity when parsed as double)"
         assert read_corpus(cache).videos == ("ok",)
+
+    def test_lines_outside_rfc_8259_rejected_alone(self, tmp_path, capsys):
+        good = json.dumps({"video": "ok", "label": 0, "n": 15,
+                           "frames": [[[1.0, float(j), 1] for j in range(15)]] * 3})
+        bad = {
+            good.replace("[1.0,", "[NaN,", 1): "unexpected character",
+            good.replace("[1.0,", "[Infinity,", 1): "unexpected character",
+            good.replace("[1.0,", "[1e400,", 1): "number is infinity when parsed as double",
+            good.replace("[1.0,", "[%d," % 10**400, 1): "number is infinity when parsed as double",
+            good.replace('"ok"', '"\\ud800"'): "no matched low surrogate in string",
+            "\ufeff" + good: "byte order mark (BOM) is not supported",
+        }
+        ann = tmp_path / "ann.jsonl"
+        ann.write_text("\n".join([*bad, good]) + "\n", encoding="utf-8")
+        code, out, _ = run(capsys, "preprocess", "--annotations", str(ann),
+                           "--cache", str(tmp_path / "c.cache"))
+        assert code == 0
+        assert out["videos"] == 1
+        assert out["rejected"] == [{"line": line, "error": f"invalid JSON ({message})"}
+                                   for line, message in enumerate(bad.values(), 1)]
 
     def test_line_that_is_not_utf8_rejected_alone(self, tmp_path, capsys):
         good = json.dumps({"video": "ok", "label": 0, "n": 15,
@@ -748,6 +769,23 @@ class TestFuse:
         assert code == 1
         assert err["error"] == "ValueError"
         assert "weights (0.0, 1.0, 0.0) are zero on every given stream" in err["message"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == inputs
+
+    @pytest.mark.parametrize("stream", ["pose", "labels"])
+    def test_id_the_writer_cannot_write_back_fails_before_any_write(self, stream, tmp_path,
+                                                                     capsys):
+        self.write_streams(tmp_path)
+        path = tmp_path / f"{stream}.csv"
+        path.write_text(path.read_text().replace("v1,", '"v,1",'))
+        inputs = sorted(p.name for p in tmp_path.iterdir())
+        code, _, err = run(
+            capsys, "fuse", "--pose-scores", str(tmp_path / "pose.csv"),
+            "--labels", str(tmp_path / "labels.csv"),
+            "--fused-scores", str(tmp_path / "fused.csv"),
+            "--report", str(tmp_path / "fuse.json"),
+        )
+        assert code == 1
+        assert err["message"].startswith(f"{path}:3: video id 'v,1' must not contain ','")
         assert sorted(p.name for p in tmp_path.iterdir()) == inputs
 
     def test_subset_with_zero_weights_reads_null(self, tmp_path, capsys):

@@ -294,6 +294,20 @@ def test_csv_defects_name_file_and_line(tmp_path, reader, text, line):
         reader(path)
 
 
+@pytest.mark.parametrize("video", ["a,b", "#x"])
+@pytest.mark.parametrize("reader, text", [
+    (read_scores, 'video,class_0,class_1\nv,0.5,0.5\n"%s",0.5,0.5\n'),
+    (read_scores, 'video,snippet,class_0\nv,0,0.5\n"%s",0,0.5\n'),
+    (read_labels, 'video,label\nv,0\n"%s",1\n'),
+], ids=["scores", "snippet-scores", "labels"])
+def test_ids_the_writers_cannot_write_back_are_refused(tmp_path, reader, text, video):
+    # Written back bare, "a,b" splits into two fields and "#x" reads as a comment.
+    path = tmp_path / "bad.csv"
+    path.write_text(text % video)
+    with pytest.raises(ValueError, match=re.escape(f"{path}:3: video id {video!r} must not")):
+        reader(path)
+
+
 class TestStreamScores:
     @pytest.mark.parametrize("videos, matrix, match", [
         ((), np.zeros((0, 2)), "no videos"),

@@ -1,5 +1,6 @@
 """Normalization, interpolation, and annotation I/O tests."""
 
+import ast
 import copy
 import json
 import re
@@ -588,6 +589,12 @@ class TestAnnotationIO:
         assert [entry["line"] for entry in report["rejected"]] == [3]
         assert report["rejected"][0]["error"].startswith("invalid JSON")
 
+    def test_label_nested_thousands_deep_rejects_its_line(self):
+        line = b'{"video": "v", "n": 1, "frames": [[[0, 0, 1]]], "label": %s}' % (
+            b"[" * 5000 + b"]" * 5000)
+        with pytest.raises(AnnotationError, match=r"'label' must be an integer .*, got \[\[\["):
+            parse_annotation_line(line, 1)
+
     @pytest.mark.parametrize("video", ["a,b", 'a"b', "a\rb", "a\nb", "#a", "\ud800"])
     def test_rejects_ids_the_csvs_cannot_carry(self, video):
         with pytest.raises(AnnotationError, match="video id"):
@@ -945,10 +952,13 @@ def _line_outcome(parse, line):
     depth=st.sampled_from([3000, 10000]),
 )
 def test_line_parser_matches_json_oracle(n, frames, xy, vis, edits, framing, duplicate, depth):
-    """Every line gives the json-only parser's record bytes or its rejection
-    text: NaN and Infinity tokens on missing and visible joints, integers
-    beyond orjson's range in each field, lone surrogates in ids, duplicate
-    keys, trailing data, a byte-order mark and deep nesting."""
+    """A line orjson accepts gives the json-only parser's record bytes or its
+    rejection text, and a line orjson refuses gives ``invalid JSON (...)``
+    with orjson's message: NaN and Infinity tokens on missing and visible
+    joints, integers beyond float64 in each field, lone surrogates in ids,
+    duplicate keys, trailing data, a byte-order mark and deep nesting."""
+    import orjson
+
     table = [[[xy[2 * (3 * t + j)], xy[2 * (3 * t + j) + 1], vis[3 * t + j]]
               for j in range(n)] for t in range(frames)]
     record = {"video": "v", "n": n, "label": 1, "frames": table}
@@ -958,19 +968,40 @@ def test_line_parser_matches_json_oracle(n, frames, xy, vis, edits, framing, dup
         else:
             record[field] = value
     line = json.dumps(record)
-    nest = "[" * depth + "%s" + "]" * depth
-    line = {
-        "record": line,
-        "duplicate key": line[:-1] + ", %s: %s}" % tuple(map(json.dumps, duplicate)),
-        "trailing data": line + " {}",
-        "bom": "\ufeff" + line,
-        "meta": '{"_meta": %s}' % line,
-        "deep": nest % line,
-        "deep extra": line[:-1] + ', "deep": %s}' % (nest % 1),
-        "deep meta": '{"_meta": %s}' % (nest % line),
-    }[framing]
-    assert (_line_outcome(lambda b: parse_annotation_line(b, n), line.encode("utf-8"))
-            == _line_outcome(lambda text: reference.parse_annotation_line(text, n), line))
+
+    def framed(nest):
+        return {
+            "record": line,
+            "duplicate key": line[:-1] + ", %s: %s}" % tuple(map(json.dumps, duplicate)),
+            "trailing data": line + " {}",
+            "bom": "\ufeff" + line,
+            "meta": '{"_meta": %s}' % line,
+            "deep": nest % line,
+            "deep extra": line[:-1] + ', "deep": %s}' % (nest % 1),
+            "deep meta": '{"_meta": %s}' % (nest % line),
+        }[framing]
+
+    text = framed("[" * depth + "%s" + "]" * depth)
+    ours = _line_outcome(lambda b: parse_annotation_line(b, n), text.encode("utf-8"))
+    try:
+        orjson.loads(text)
+    except orjson.JSONDecodeError as exc:
+        assert ours == f"invalid JSON ({exc.msg})"
+        # Trailing data, or a byte-order mark or token RFC 8259 does not allow.
+        assert (framing in ("bom", "trailing data")
+                or re.search(r"NaN|Infinity|\\ud[89a-f]|\d{310}", text))
+        return
+    # orjson nests as deep as the stack guard lets a line through, past
+    # json's recursion limit, so json reads the deep framings one level deep.
+    expected = _line_outcome(lambda shallow: reference.parse_annotation_line(shallow, n),
+                             framed("[%s]"))
+    values = [value for *_, value in edits] + [duplicate[1]] * (framing == "duplicate key")
+    if isinstance(expected, str) and any(type(value) is int and not -(2**63) <= value < 2**64
+                                         for value in values):
+        # orjson reads such an integer as a float, which a rejection may name.
+        assert isinstance(ours, str)
+    else:
+        assert ours == expected
 
 
 def test_orjson_decodes_the_traffic(tmp_path, monkeypatch):
@@ -991,25 +1022,84 @@ def test_orjson_decodes_the_traffic(tmp_path, monkeypatch):
     assert any(b", 0]" in line for line in lines)  # missing joints were written
 
 
-def test_missing_joints_holding_nan_read_back_through_json(tmp_path, monkeypatch):
-    """write_annotations writes NaN for a missing joint that holds it; orjson
-    refuses the token and json reads every value back."""
+def test_missing_joints_holding_nan_written_as_zero(tmp_path, monkeypatch):
+    """write_annotations writes 0 for a NaN or infinite coordinate on a
+    missing joint: the same bytes as for the corpus holding 0 there, which
+    orjson decodes on every line with the stdlib decoder broken."""
+    import orjson
+
     coords = np.random.default_rng(3).normal(size=(2, 4, 3, 2))
     flags = np.ones((4, 3), np.uint8)
     flags[1, 2] = flags[3, 0] = 0
-    coords[0, 1, 2] = np.nan
+    coords[0, 1, 2] = np.nan, np.inf
+    coords[0, 3, 0, 1] = -np.inf
     corpus = PoseCorpus.of([reference.Pose("nan", coords[0], flags, 2),
                             reference.Pose("plain", coords[1], np.ones_like(flags), -1)])
-    path = tmp_path / "ann.jsonl"
-    write_annotations(path, corpus)
-    decoded = []
-    monkeypatch.setattr(preprocess.json, "loads",
-                        lambda text, loads=json.loads: decoded.append(text) or loads(text))
+    zeroed = replace(corpus, coords=np.where(np.isfinite(corpus.coords), corpus.coords, 0.0))
+    path, expected = tmp_path / "ann.jsonl", tmp_path / "zeroed.jsonl"
+    write_annotations(path, corpus, meta={"seed": 1})
+    write_annotations(expected, zeroed, meta={"seed": 1})
+    assert path.read_bytes() == expected.read_bytes()
+    assert all(orjson.loads(line) for _, line in iter_annotation_lines(path))
+
+    def no_json(*args, **kwargs):
+        raise AssertionError("the stdlib JSON decoder ran")
+
+    monkeypatch.setattr(preprocess.json, "loads", no_json)
     again = PoseCorpus.of(read_records(path, n_expected=3))
-    assert [text.split('"')[3] for text in decoded] == ["nan"]
     assert again.videos == corpus.videos and again.labels.tolist() == [2, -1]
-    assert again.coords.tobytes() == corpus.coords.tobytes()
+    assert again.coords.tobytes() == zeroed.coords.tobytes()
     assert again.flags.tobytes() == corpus.flags.tobytes()
+
+
+@pytest.mark.parametrize("value, message", [
+    (float("nan"), "not JSON compliant"), (-float("inf"), "not JSON compliant"),
+    (10**400, "meta is not RFC 8259 JSON"),
+])
+def test_meta_the_reader_would_refuse_fails_before_the_file_is_opened(tmp_path, value, message):
+    corpus = PoseCorpus.of([reference.Pose("a", np.zeros((1, 1, 2)), np.ones((1, 1), np.uint8))])
+    path = tmp_path / "ann.jsonl"
+    with pytest.raises(ValueError, match=message):
+        write_annotations(path, corpus, meta={"seed": value})
+    assert not path.exists()
+
+
+_JSON_DECODERS = {"loads", "load", "JSONDecoder"}
+
+
+def _json_decoder_uses(tree: ast.AST) -> list[str]:
+    """The stdlib JSON decoders tree names: json.loads, json.load and
+    json.JSONDecoder as attributes or imported names, and aliased imports of
+    json, through which an attribute would go unseen."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names
+                      if alias.name.split(".")[0] == "json" and alias.name != "json"
+                      or alias.name == "json" and alias.asname]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "json":
+            found += [alias.name for alias in node.names if alias.name in _JSON_DECODERS]
+        elif isinstance(node, ast.Attribute) and node.attr in _JSON_DECODERS:
+            base = node.value
+            while isinstance(base, ast.Attribute):
+                base = base.value
+            if isinstance(base, ast.Name) and base.id == "json":
+                found.append(node.attr)
+    return found
+
+
+def test_orjson_is_the_only_annotation_decoder():
+    tree = ast.parse(Path(preprocess.__file__).read_text(encoding="utf-8"))
+    assert _json_decoder_uses(tree) == []
+
+
+def test_the_decoder_guard_sees_every_bypass():
+    tree = ast.parse("import json\nimport json as j\nimport json.decoder\n"
+                     "from json import dumps, loads\nfrom json.decoder import JSONDecoder\n"
+                     "json.loads(s)\njson.load(f)\njson.decoder.JSONDecoder()\njson.dumps(x)\n"
+                     "orjson.loads(s)\nreader.load(f)\n")
+    assert sorted(_json_decoder_uses(tree)) == ["JSONDecoder", "JSONDecoder", "json",
+                                                "json.decoder", "load", "loads", "loads"]
 
 
 @settings(max_examples=200, deadline=None)
@@ -1040,7 +1130,8 @@ def test_annotation_lines_are_those_text_mode_reads(text):
 def test_writer_matches_record_loop(seed, n, counts, labelled, meta):
     """write_annotations writes the json.dumps lines of the per-joint record
     loop, byte for byte: flags 0-4 collapse to vis 0/1, a label of -1 is left
-    out, and -0.0, integer-valued floats and NaN on missing joints keep their form."""
+    out, -0.0 and integer-valued floats keep their form, and NaN on missing
+    joints is written as 0."""
     rng = np.random.default_rng(seed)
     poses = []
     for i, frames in enumerate(counts):
