@@ -21,7 +21,6 @@ module attributes; ``fuse`` and ``weights-search`` load only ``fusion``.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import itertools
 import json
 import os
@@ -32,7 +31,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from .config import PipelineConfig, load_config
+from .config import PipelineConfig, load_config, settings_hash
 
 if TYPE_CHECKING:
     from . import fusion, synth
@@ -79,10 +78,7 @@ def cmd_synth(spec: synth.SyntheticSpec, out: str | Path) -> dict:
     from . import preprocess, synth
 
     spec_dict = asdict(spec)
-    spec_hash = hashlib.sha256(
-        json.dumps(spec_dict, sort_keys=True, default=list).encode("utf-8")
-    ).hexdigest()[:12]
-    meta = {"seed": spec.seed, "config_hash": spec_hash, "spec": spec_dict}
+    meta = {"seed": spec.seed, "config_hash": settings_hash(spec_dict), "spec": spec_dict}
     corpus = synth.generate(spec)
     _atomic_write(out, lambda p: preprocess.write_annotations(p, corpus, meta=meta))
     return {"videos": len(corpus.videos), "classes": len(spec.classes), "out": str(out)}
@@ -129,15 +125,10 @@ def cmd_preprocess(cfg: PipelineConfig) -> dict:
     model = None
     if cfg.spatial_model:
         model = preprocess.SpatialModel.load(cfg.spatial_model)
-        if model.topology_name != topology.name:
-            raise CliError(f"spatial model '{cfg.spatial_model}' was fit on "
-                           f"'{model.topology_name}', not '{topology.name}'")
-        if model.trained.shape[0] != topology.n:
-            raise CliError(f"spatial model '{cfg.spatial_model}' has {model.trained.shape[0]} "
-                           f"joints, topology '{topology.name}' has {topology.n}")
-        if model.degree != cfg.poly_degree:
-            raise CliError(f"spatial model '{cfg.spatial_model}' has degree {model.degree}, "
-                           f"but --poly-degree is {cfg.poly_degree}")
+        try:
+            model.check(topology, poly_degree=cfg.poly_degree)
+        except ValueError as exc:
+            raise CliError(f"{cfg.spatial_model}: {exc}") from None
 
     records: list[preprocess.Record] = []
     rejected: list[dict] = []
@@ -397,32 +388,27 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
+# Help text of the config flags that have one.
+_HELP = {
+    "profile": "skeleton profile (jhmdb_gt, estimated_14, penn, custom)",
+    "topology_file": "description file for --profile custom",
+    "k": "segments per video",
+    "sampling": "snippet sampling mode (random, center)",
+    "seed": "master seed",
+    "max_gap": "longest temporal gap filled by interpolation",
+    "poly_degree": "spatial model polynomial degree (1, 2)",
+    "spatial_model": "load a previously fitted spatial model",
+    "save_spatial_model": "save the fitted spatial model",
+}
+
+
 def _add_config_args(parser: argparse.ArgumentParser, *names: str) -> None:
-    """Register override flags whose dest matches a PipelineConfig field."""
-    specs: dict[str, dict] = {
-        "profile": dict(type=str, help="skeleton profile (jhmdb_gt, estimated_14, penn, custom)"),
-        "topology_file": dict(type=str, help="description file for --profile custom"),
-        "k": dict(type=int, help="segments per video"),
-        "sampling": dict(type=str, help="snippet sampling mode (random, center)"),
-        "seed": dict(type=int, help="master seed"),
-        "max_gap": dict(type=int, help="longest temporal gap filled by interpolation"),
-        "poly_degree": dict(type=int, help="spatial model polynomial degree (1, 2)"),
-        "conv1_channels": dict(type=int), "conv2_channels": dict(type=int),
-        "hidden": dict(type=int),
-        "learning_rate": dict(type=float), "epochs": dict(type=int),
-        "batch_size": dict(type=int), "weight_decay": dict(type=float),
-        "annotations": dict(type=str), "cache": dict(type=str),
-        "spatial_model": dict(type=str, help="load a previously fitted spatial model"),
-        "save_spatial_model": dict(type=str, help="save the fitted spatial model"),
-        "checkpoint": dict(type=str), "trace": dict(type=str),
-        "scores": dict(type=str), "labels": dict(type=str), "report": dict(type=str),
-        "fused_scores": dict(type=str),
-        "pose_scores": dict(type=str), "spatial_scores": dict(type=str),
-        "temporal_scores": dict(type=str),
-    }
+    """One flag per PipelineConfig field, whose dest is the field and whose
+    type is its default's (str for a path, whose default is None)."""
     for name in names:
-        flag = "--" + name.replace("_", "-")
-        parser.add_argument(flag, dest=name, default=None, **specs[name])
+        default = getattr(PipelineConfig, name)
+        parser.add_argument("--" + name.replace("_", "-"), dest=name, default=None,
+                            type=str if default is None else type(default), help=_HELP.get(name))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -433,12 +419,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--out", required=True, help="annotation JSONL to write")
     p_synth.add_argument("--classes", default=None,
                          help="comma-separated motion class names (default: every class)")
-    p_synth.add_argument("--videos-per-class", type=int, default=50)
-    p_synth.add_argument("--frames", type=int, default=40)
-    p_synth.add_argument("--noise-sigma", type=float, default=1.0)
-    p_synth.add_argument("--dropout", type=float, default=0.0)
-    p_synth.add_argument("--seed", type=int, default=0)
-    p_synth.add_argument("--profile", default="jhmdb_gt")
+    # Every flag defaults to None, so SyntheticSpec's defaults are the only ones.
+    for flag, kind in (("--videos-per-class", int), ("--frames", int), ("--noise-sigma", float),
+                       ("--dropout", float), ("--seed", int), ("--profile", None)):
+        p_synth.add_argument(flag, type=kind, default=None)
 
     for name, needed in {
         "preprocess": ("annotations", "cache", "profile", "topology_file", "seed", "max_gap",
@@ -456,7 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="YAML/JSON config file")
         _add_config_args(p, *needed)
         if name == "preprocess":
-            p.add_argument("--no-interpolate", action="store_true",
+            p.add_argument("--no-interpolate", dest="interpolate", action="store_false",
+                           default=None,
                            help="skip interpolation; zero-fill missing joints (baseline)")
         if name == "fuse":
             p.add_argument("--weights", default=None,
@@ -479,13 +464,14 @@ def _numbers(flag: str, text: str) -> tuple[float, ...]:
 
 
 def _overrides_from_args(args: argparse.Namespace) -> dict:
-    skip = {"command", "config", "func", "no_interpolate", "weights", "grid"}
-    overrides = {k: v for k, v in vars(args).items() if k not in skip}
-    if getattr(args, "no_interpolate", False):
-        overrides["interpolate"] = False
+    """The config keys the flags give: each flag's dest is its key, but
+    --weights and --grid hold the numbers of weights and weight_grid."""
+    overrides = dict(vars(args))
+    del overrides["command"], overrides["config"]
     for flag, key in (("weights", "weights"), ("grid", "weight_grid")):
-        if getattr(args, flag, None) is not None:
-            overrides[key] = _numbers(flag, getattr(args, flag))
+        text = overrides.pop(flag, None)
+        if text is not None:
+            overrides[key] = _numbers(flag, text)
     return overrides
 
 
@@ -495,17 +481,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "synth":
             from . import synth
 
-            classes = synth.CLASS_NAMES if args.classes is None else args.classes.split(",")
-            spec = synth.SyntheticSpec(
-                classes=tuple(classes),
-                videos_per_class=args.videos_per_class,
-                frames=args.frames,
-                noise_sigma=args.noise_sigma,
-                dropout=args.dropout,
-                seed=args.seed,
-                profile=args.profile,
-            )
-            result = cmd_synth(spec, args.out)
+            given = {k: v for k, v in vars(args).items()
+                     if v is not None and k not in ("command", "out")}
+            if "classes" in given:
+                given["classes"] = tuple(given["classes"].split(","))
+            result = cmd_synth(synth.SyntheticSpec(**given), args.out)
         else:
             cfg = load_config(args.config, _overrides_from_args(args))
             command = {

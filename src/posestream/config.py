@@ -6,15 +6,16 @@ A value out of its range raises ValueError naming the key as soon as the
 config is built, before any command reads or writes a file. Every output
 file of every command embeds the hash of the resolved settings plus the
 seed, so runs can be traced back to their settings. The hash leaves out
-input and output paths (``topology_file`` stays in: it selects the
-skeleton).
+input and output paths (``topology_file`` stays in: with profile
+``custom`` it selects the skeleton).
 
 This module imports nothing else from the package, so every command can
 load it without the layers it does not run. It owns the settings objects
 the layers take, ``NetSpec`` and ``TrainConfig`` (``convnet``) and
 ``SAMPLING_MODES`` (``tensorize``), which those modules import from here,
-and the video id rule that the annotation reader and the score and label
-CSV readers share.
+the video id rule that the annotation reader and the score and label CSV
+readers share, and the message for a text file that is not UTF-8, which
+the CSV and topology readers share.
 """
 
 from __future__ import annotations
@@ -37,6 +38,18 @@ def is_video_id(video: object) -> bool:
     # the corpus file stores ids as UTF-8, which has no unpaired surrogates.
     return (isinstance(video, str) and video != "" and not video.startswith("#")
             and not any(c in ',"\r\n' or "\ud800" <= c <= "\udfff" for c in video))
+
+
+def decode_utf8(path: str | Path, data: bytes) -> str:
+    """The text of a file's bytes; ValueError naming the file, and the line
+    of the first byte that is not UTF-8 and its offset in that line."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start]
+        line, offset = head.count(b"\n") + 1, exc.start - head.rfind(b"\n") - 1
+        message = f"line is not UTF-8 (bad byte at offset {offset})"
+        raise ValueError(f"{path}:{line}: {message}") from None
 
 
 @dataclass(frozen=True)
@@ -85,13 +98,13 @@ class PipelineConfig:
     poly_degree: int = 1
     interpolate: bool = True
     # network
-    conv1_channels: int = 32
-    conv2_channels: int = 64
-    hidden: int = 256
-    learning_rate: float = 0.01
-    epochs: int = 30
-    batch_size: int = 32
-    weight_decay: float = 0.0
+    conv1_channels: int = NetSpec.conv1_channels
+    conv2_channels: int = NetSpec.conv2_channels
+    hidden: int = NetSpec.hidden
+    learning_rate: float = TrainConfig.learning_rate
+    epochs: int = TrainConfig.epochs
+    batch_size: int = TrainConfig.batch_size
+    weight_decay: float = TrainConfig.weight_decay
     # paths (not part of the hash)
     annotations: str | None = None
     cache: str | None = None
@@ -148,9 +161,13 @@ class PipelineConfig:
         """Hash of the settings and seed; the paths under ``# paths`` are
         left out, so the same run written under other file names records
         the same hash."""
-        settings = {k: v for k, v in asdict(self).items() if k not in _PATH_FIELDS}
-        canonical = json.dumps(settings, sort_keys=True, default=list)
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
+        return settings_hash({k: v for k, v in asdict(self).items() if k not in _PATH_FIELDS})
+
+
+def settings_hash(settings: dict) -> str:
+    """The 12-hex hash that every output file records of the settings it was made with."""
+    canonical = json.dumps(settings, sort_keys=True, default=list)
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
 
 
 _DEFAULTS = {f.name: f.default for f in fields(PipelineConfig)}

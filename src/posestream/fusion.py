@@ -25,11 +25,11 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .config import ID_RULE, is_video_id
+from .config import ID_RULE, decode_utf8, is_video_id
 
 # Stream names in weight-column order: a weighting is one
 # (w_pose, w_spatial, w_temporal) row.
@@ -211,9 +211,15 @@ def _format(value: float) -> str:
     return f"{value:.12g}"
 
 
-def _write_csv(path: str | Path, meta: dict | None, header: str, rows: Iterator[str]) -> None:
+def _write_csv(path: str | Path, meta: dict | None, header: str, videos: Iterable[str],
+               rows: Iterator[str]) -> None:
     """Write an optional ``# key=value`` meta line, the header and the rows,
-    one line at a time."""
+    one line at a time; an id the readers refuse raises ValueError before
+    the file is opened."""
+    for video in videos:
+        if not is_video_id(video):
+            raise ValueError(f"cannot write video id {video!r}: an id must be a non-empty "
+                             f"string and {ID_RULE}")
     with open(path, "w", encoding="utf-8") as handle:
         if meta:
             handle.write("# " + " ".join(f"{k}={v}" for k, v in sorted(meta.items())) + "\n")
@@ -226,17 +232,22 @@ def write_scores(path: str | Path, stream: StreamScores, meta: dict | None = Non
     header = "video," + ",".join(f"class_{c}" for c in range(stream.num_classes))
     rows = (video + "," + ",".join(_format(v) for v in row)
             for video, row in zip(stream.videos, stream.matrix))
-    _write_csv(path, meta, header, rows)
+    _write_csv(path, meta, header, stream.videos, rows)
 
 
 def _csv_rows(path: str | Path) -> Iterator[tuple[int, list[str]]]:
-    """(line number, fields) of every line that is neither blank nor a ``#`` comment."""
+    """(line number, fields) of every line that is neither blank nor a ``#`` comment;
+    bytes that are not UTF-8 raise ValueError naming the file and the line."""
     with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.startswith("#"):
-                row = next(csv.reader([line]), [])
-                if row:
-                    yield lineno, row
+        try:
+            for lineno, line in enumerate(handle, start=1):
+                if not line.startswith("#"):
+                    row = next(csv.reader([line]), [])
+                    if row:
+                        yield lineno, row
+        except UnicodeDecodeError:
+            decode_utf8(path, Path(path).read_bytes())  # raises, naming the line
+            raise
 
 
 def _parse_int(path: str | Path, lineno: int, text: str, what: str) -> int:
@@ -308,7 +319,8 @@ def read_scores(path: str | Path, stream: str = "other") -> StreamScores:
 
 
 def write_labels(path: str | Path, labels: dict[str, int], meta: dict | None = None) -> None:
-    _write_csv(path, meta, "video,label", (f"{video},{labels[video]}" for video in sorted(labels)))
+    _write_csv(path, meta, "video,label", labels,
+               (f"{video},{labels[video]}" for video in sorted(labels)))
 
 
 def read_labels(path: str | Path) -> dict[str, int]:

@@ -267,6 +267,18 @@ class SpatialModel:
         feats = _poly_features(xy.reshape(-1, 2), self.degree)
         return np.matmul(feats[:, None, :], self.coeffs[source, target])[:, 0].reshape(xy.shape)
 
+    def check(self, topology: SkeletonTopology, poly_degree: int | None = None) -> None:
+        """ValueError unless the model was fit on topology (and, if given, at poly_degree)."""
+        if self.topology_name != topology.name:
+            raise ValueError(f"spatial model was fit on '{self.topology_name}', "
+                             f"not '{topology.name}'")
+        if self.trained.shape != (topology.n, topology.n):
+            raise ValueError(f"spatial model has {len(self.trained)} joints, "
+                             f"topology '{topology.name}' has {topology.n}")
+        if poly_degree is not None and self.degree != poly_degree:
+            raise ValueError(f"spatial model has degree {self.degree}, "
+                             f"but --poly-degree is {poly_degree}")
+
     def save(self, path: str | Path) -> None:
         header = {"topology_name": self.topology_name, "degree": self.degree,
                   "joints": len(self.trained)}
@@ -414,15 +426,9 @@ def spatial_interpolate(
     Joints left without a single vote are set to (0, 0) and flagged
     synthetic; the output has no missing entries.
     """
-    if model.topology_name != topology.name:
-        raise ValueError(
-            f"spatial model was fit on '{model.topology_name}', not '{topology.name}'"
-        )
-    n = topology.n
-    if corpus.num_joints != n:
-        raise ValueError(f"corpus has {corpus.num_joints} joints, topology expects {n}")
-    if model.trained.shape != (n, n):
-        raise ValueError(f"spatial model has {model.trained.shape[0]} joints, topology expects {n}")
+    model.check(topology)
+    if corpus.num_joints != topology.n:
+        raise ValueError(f"corpus has {corpus.num_joints} joints, topology expects {topology.n}")
 
     coords = corpus.coords.copy()
     flags = corpus.flags.copy()

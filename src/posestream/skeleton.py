@@ -27,6 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
+from .config import decode_utf8
+
 
 @dataclass(frozen=True)
 class SkeletonTopology:
@@ -361,14 +363,17 @@ def build_topology(
 ) -> SkeletonTopology:
     """Return the topology for a dataset profile.
 
-    ``profile='custom'`` loads a description file; built-in profiles ignore
-    ``description_file``. Raises ValueError for unknown profiles or invalid
-    description files.
+    ``profile='custom'`` loads a description file, and only it takes one.
+    Raises ValueError for unknown profiles, a description file given to a
+    built-in profile or missing for ``custom``, and invalid description files.
     """
     if profile == "custom":
         if description_file is None:
             raise ValueError("profile 'custom' requires a description file")
         return load_topology(description_file)
+    if description_file is not None:
+        raise ValueError(f"a description file (--topology-file) is read only for profile "
+                         f"'custom', not '{profile}'")
     try:
         return PROFILES[profile]
     except KeyError:
@@ -377,29 +382,39 @@ def build_topology(
 
 
 def load_topology(path: str | Path) -> SkeletonTopology:
-    """Parse a topology description file (see module docstring for format)."""
+    """Parse a topology description file (see module docstring for format).
+
+    Every defect raises ValueError naming the file, and the line where
+    there is one."""
     path = Path(path)
     lines = [
-        stripped
-        for raw in path.read_text(encoding="utf-8").splitlines()
+        (lineno, stripped)
+        for lineno, raw in enumerate(decode_utf8(path, path.read_bytes()).splitlines(), start=1)
         if (stripped := raw.split("#", 1)[0].strip())
     ]
     if not lines:
         raise ValueError(f"{path}: empty topology description")
 
+    def integer(lineno: int, what: str, text: str) -> int:
+        try:
+            return int(text)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: {what} '{text}' is not an integer") from None
+
+    header_line, header_text = lines[0]
     header: dict[str, str] = {}
-    for token in lines[0].split():
+    for token in header_text.split():
         key, sep, value = token.partition("=")
         if not sep:
-            raise ValueError(f"{path}: malformed header token '{token}'")
+            raise ValueError(f"{path}:{header_line}: malformed header token '{token}'")
         header[key] = value
     for key in ("n", "root", "torso"):
         if key not in header:
-            raise ValueError(f"{path}: header missing '{key}='")
-    n = int(header["n"])
+            raise ValueError(f"{path}:{header_line}: header missing '{key}='")
+    n = integer(header_line, "n", header["n"])
     torso_names = header["torso"].split(",")
     if len(torso_names) != 2:
-        raise ValueError(f"{path}: torso must name exactly two joints")
+        raise ValueError(f"{path}:{header_line}: torso must name exactly two joints")
 
     edges: list[tuple[str, str]] = []
     parts: dict[str, int] = {}
@@ -410,14 +425,14 @@ def load_topology(path: str | Path) -> SkeletonTopology:
             names.append(nm)
 
     register(header["root"])
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         fields = line.split()
         if len(fields) != 3 or not fields[2].startswith("part="):
             raise ValueError(
                 f"{path}:{lineno}: expected '<parent> <child> part=<1..5>', got '{line}'"
             )
         parent, child = fields[0], fields[1]
-        part = int(fields[2][len("part="):])
+        part = integer(lineno, "part", fields[2][len("part="):])
         register(parent)
         register(child)
         edges.append((parent, child))
@@ -433,11 +448,14 @@ def load_topology(path: str | Path) -> SkeletonTopology:
     if missing:
         raise ValueError(f"{path}: joints without a part: {missing}")
 
-    return make_topology(
-        name=f"custom:{path.stem}",
-        joint_names=names,
-        edges=edges,
-        root=header["root"],
-        parts=parts,
-        torso=(torso_names[0], torso_names[1]),
-    )
+    try:
+        return make_topology(
+            name=f"custom:{path.stem}",
+            joint_names=names,
+            edges=edges,
+            root=header["root"],
+            parts=parts,
+            torso=(torso_names[0], torso_names[1]),
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

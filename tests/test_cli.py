@@ -1,5 +1,6 @@
 """CLI command tests: composition, validation, determinism, error JSON."""
 
+import argparse
 import ast
 import json
 import os
@@ -15,14 +16,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posestream.cli import _atomic_write, cmd_eval, cmd_train, main
+from posestream.cli import (
+    _atomic_write, _overrides_from_args, build_parser, cmd_eval, cmd_synth, cmd_train, main,
+)
 from posestream.config import PipelineConfig, load_config
 from posestream.convnet import (
-    FORWARD_SLICE, NetSpec, forward, init_net, load_checkpoint, save_checkpoint,
+    FORWARD_SLICE, NetSpec, TrainConfig, forward, init_net, load_checkpoint, save_checkpoint,
 )
 from posestream.fusion import read_scores
 from posestream.preprocess import SpatialModel
 from posestream.skeleton import build_topology, euler_tour
+from posestream.synth import SyntheticSpec
 from posestream.tensorize import FilledCorpus, corpus_tensors, read_corpus, write_corpus
 
 FAST = [
@@ -401,6 +405,20 @@ class TestPreprocess:
         assert err["error"] == "CliError"
         assert err["message"].startswith(f"{flags[-1]} needs spatial interpolation, which "
                                          "--no-interpolate")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["preprocess", "train"])
+    def test_topology_file_refused_with_a_built_in_profile(self, workdir, tmp_path, capsys,
+                                                           command):
+        out = tmp_path / "out"
+        argv = {"preprocess": ["--annotations", str(workdir / "test.jsonl"),
+                               "--cache", str(out / "c.cache"), "--report", str(out / "r.json")],
+                "train": ["--cache", str(workdir / "train.cache"),
+                          "--checkpoint", str(out / "n.ckpt"), "--trace", str(out / "t.csv")]}
+        code, _, err = run(capsys, command, *argv[command], "--profile", "jhmdb_gt",
+                           "--topology-file", str(tmp_path / "nonexistent.txt"))
+        assert code == 1
+        assert "--topology-file" in err["message"] and "not 'jhmdb_gt'" in err["message"]
         assert not out.exists()
 
     def test_fits_only_the_pairs_that_vote(self, tmp_path, capsys, monkeypatch):
@@ -1016,6 +1034,105 @@ class TestConfigHash:
     ])
     def test_settings_change_the_hash(self, change):
         assert PipelineConfig(**change).hash() != PipelineConfig().hash()
+
+
+# Each subcommand's flags as flag -> (dest, type); --no-interpolate sets the
+# config key interpolate, which it turns off.
+FLAGS = {
+    "synth": {
+        "--classes": ("classes", None), "--dropout": ("dropout", float),
+        "--frames": ("frames", int), "--noise-sigma": ("noise_sigma", float),
+        "--out": ("out", None), "--profile": ("profile", None), "--seed": ("seed", int),
+        "--videos-per-class": ("videos_per_class", int),
+    },
+    "preprocess": {
+        "--annotations": ("annotations", str), "--cache": ("cache", str),
+        "--config": ("config", None), "--max-gap": ("max_gap", int),
+        "--no-interpolate": ("interpolate", None), "--poly-degree": ("poly_degree", int),
+        "--profile": ("profile", str), "--report": ("report", str),
+        "--save-spatial-model": ("save_spatial_model", str), "--seed": ("seed", int),
+        "--spatial-model": ("spatial_model", str), "--topology-file": ("topology_file", str),
+    },
+    "train": {
+        "--batch-size": ("batch_size", int), "--cache": ("cache", str),
+        "--checkpoint": ("checkpoint", str), "--config": ("config", None),
+        "--conv1-channels": ("conv1_channels", int), "--conv2-channels": ("conv2_channels", int),
+        "--epochs": ("epochs", int), "--hidden": ("hidden", int), "--k": ("k", int),
+        "--learning-rate": ("learning_rate", float), "--profile": ("profile", str),
+        "--sampling": ("sampling", str), "--seed": ("seed", int),
+        "--topology-file": ("topology_file", str), "--trace": ("trace", str),
+        "--weight-decay": ("weight_decay", float),
+    },
+    "eval": {
+        "--cache": ("cache", str), "--checkpoint": ("checkpoint", str),
+        "--config": ("config", None), "--labels": ("labels", str), "--report": ("report", str),
+        "--scores": ("scores", str), "--seed": ("seed", int),
+    },
+    "fuse": {
+        "--config": ("config", None), "--fused-scores": ("fused_scores", str),
+        "--labels": ("labels", str), "--pose-scores": ("pose_scores", str),
+        "--report": ("report", str), "--seed": ("seed", int),
+        "--spatial-scores": ("spatial_scores", str), "--temporal-scores": ("temporal_scores", str),
+        "--weights": ("weights", None),
+    },
+    "weights-search": {
+        "--config": ("config", None), "--grid": ("grid", None), "--labels": ("labels", str),
+        "--pose-scores": ("pose_scores", str), "--report": ("report", str),
+        "--seed": ("seed", int), "--spatial-scores": ("spatial_scores", str),
+        "--temporal-scores": ("temporal_scores", str),
+    },
+}
+
+
+def _subparsers() -> dict[str, argparse.ArgumentParser]:
+    parser = build_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {"": parser, **action.choices}
+
+
+class TestCliSurface:
+    """The flags come from the settings dataclasses; the surface they make is pinned."""
+
+    @pytest.mark.parametrize("command", list(FLAGS))
+    def test_flags_have_their_dest_and_type(self, command):
+        actions = _subparsers()[command]._actions
+        flags = {a.option_strings[-1]: (a.dest, a.type) for a in actions
+                 if a.option_strings and a.dest != "help"}
+        assert flags == FLAGS[command]
+
+    def test_help_text_is_pinned(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "100")
+        text = (Path(__file__).parent / "cli_help.txt").read_text("utf-8")
+        pinned = {}
+        for block in text.split("==== posestream")[1:]:
+            title, _, help_text = block.partition("\n")
+            pinned[title.strip()] = help_text
+        helps = {name: parser.format_help() for name, parser in _subparsers().items()}
+        assert helps == pinned
+
+    def test_default_config_hash(self):
+        assert PipelineConfig().hash() == "f63fcd2742ca"
+
+    def test_network_and_training_defaults_are_the_layers(self):
+        cfg = PipelineConfig()
+        assert cfg.net_spec() == NetSpec()
+        assert cfg.train_config() == TrainConfig()
+
+    def test_synth_defaults_are_the_spec_defaults(self, tmp_path, capsys):
+        assert main(["synth", "--out", str(tmp_path / "cli.jsonl")]) == 0
+        cmd_synth(SyntheticSpec(), tmp_path / "spec.jsonl")
+        assert (tmp_path / "cli.jsonl").read_bytes() == (tmp_path / "spec.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("in_file, flag, interpolate", [
+        (None, False, True), (None, True, False), ("false", False, False), ("true", True, False),
+    ])
+    def test_no_interpolate_overrides_the_file_only_when_given(self, tmp_path, in_file, flag,
+                                                               interpolate):
+        cfg_file = tmp_path / "cfg.yaml"
+        cfg_file.write_text("" if in_file is None else f"interpolate: {in_file}\n")
+        args = build_parser().parse_args(
+            ["preprocess", "--config", str(cfg_file), *(["--no-interpolate"] if flag else [])])
+        assert load_config(args.config, _overrides_from_args(args)).interpolate is interpolate
 
 
 class TestConfigFile:

@@ -459,6 +459,32 @@ def test_subset_table_matches_per_subset_reference(case):
     assert report["fused_accuracy"] == expected[given_names]
 
 
+@pytest.mark.parametrize("video", ["a,b", "#x", 'say "hi"', "line\nbreak", ""])
+@pytest.mark.parametrize("write", [
+    lambda path, video: write_scores(path, stream("pose", {"v": [1.0], video: [2.0]})),
+    lambda path, video: write_labels(path, {"v": 0, video: 1}),
+], ids=["scores", "labels"])
+def test_writers_refuse_ids_their_readers_refuse(tmp_path, write, video):
+    path = tmp_path / "out.csv"
+    with pytest.raises(ValueError, match=re.escape(f"cannot write video id {video!r}")):
+        write(path, video)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("reader, lines, offset", [
+    (read_scores, [b"# seed=1", b"video,class_0", b"v,0.5", b"caf\xe9,0.5"], 3),
+    (read_scores, [b"video,class_0", *(b"v%d,0.5" % i for i in range(3000)), b"w,0.\xff"], 4),
+    (read_labels, [b"video,label", b"v,0", b"caf\xe9,1"], 3),
+], ids=["scores", "scores-past-first-chunk", "labels"])
+def test_bytes_that_are_not_utf8_name_file_and_line(tmp_path, reader, lines, offset):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"\r\n".join(lines) + b"\r\n")
+    with pytest.raises(ValueError) as exc:
+        reader(path)
+    message = f"line is not UTF-8 (bad byte at offset {offset})"
+    assert str(exc.value) == f"{path}:{len(lines)}: {message}"
+
+
 class TestLabelFiles:
     def test_round_trip(self, tmp_path):
         labels = {"b": 1, "a": 0, "c": 2}

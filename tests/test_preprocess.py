@@ -288,6 +288,19 @@ class TestSpatialModel:
         with pytest.raises(ValueError, match="degree"):
             fit_spatial_model(affine_corpus(JHMDB), JHMDB, degree=3)
 
+    def test_check_names_topology_joints_and_degree(self):
+        model = fit_spatial_model(affine_corpus(JHMDB), JHMDB, degree=1)
+        model.check(JHMDB, poly_degree=1)
+        cut = replace(model, coeffs=model.coeffs[:5, :5], trained=model.trained[:5, :5])
+        for call, message in [
+            (lambda: model.check(build_topology("penn")), "fit on 'jhmdb_gt', not 'penn'"),
+            (lambda: cut.check(JHMDB), "has 5 joints, topology 'jhmdb_gt' has 15"),
+            (lambda: model.check(JHMDB, poly_degree=2), "has degree 1, but --poly-degree is 2"),
+            (lambda: spatial_interpolate(affine_corpus(JHMDB), cut, JHMDB), "has 5 joints"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                call()
+
     def test_rejects_empty_corpus(self):
         with pytest.raises(ValueError, match="empty"):
             fit_spatial_model(PoseCorpus.of([]), JHMDB)

@@ -1,5 +1,7 @@
 """Topology construction and Euler-tour tests."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -220,6 +222,30 @@ class TestDescriptionFile:
         path.write_text("n=2 root=r torso=r,a\nr a\n")
         with pytest.raises(ValueError, match="part="):
             load_topology(path)
+
+
+    @pytest.mark.parametrize("content, where, message", [
+        (b"n=x root=r torso=r,a\nr a part=1\n", ":1: ", "n 'x' is not an integer"),
+        (b"n=2 root=r torso=r,a\n\n# edges\nr a part=one\n", ":4: ", "part 'one' is not"),
+        (b"# skeleton\nn=2 root=r torso=r\nr a part=1\n", ":2: ", "torso must name exactly two"),
+        (b"n=2 root=r torso=r,a\nr a part=1 # caf\xe9\n", ":2: ",
+         "line is not UTF-8 (bad byte at offset 16)"),
+        (b"n=2 root=r torso=r,zz\nr a part=1\n", ": ", "unknown joint 'zz'"),
+        (b"n=2 root=r torso=r,a\nr a part=7\n", ": ", "part ids must be in 1..5"),
+        (b"# nothing here\n", ": ", "empty topology description"),
+    ], ids=["n-not-int", "part-not-int", "torso-one-joint", "not-utf8", "unknown-torso-joint",
+            "part-out-of-range", "empty"])
+    def test_every_defect_names_the_file(self, tmp_path, content, where, message):
+        path = tmp_path / "bad.topo"
+        path.write_bytes(content)
+        with pytest.raises(ValueError, match=re.escape(message)) as exc:
+            load_topology(path)
+        assert str(exc.value).startswith(f"{path}{where}")
+
+    def test_built_in_profile_refuses_a_description_file(self, tmp_path):
+        path = tmp_path / "never_read.topo"
+        with pytest.raises(ValueError, match="--topology-file.*'custom', not 'penn'"):
+            build_topology("penn", path)
 
 
 class TestUpperBody:
