@@ -15,6 +15,13 @@ dimension, truncation and trailing bytes. Every size is checked against the file
 into the buffer the caller keeps, so a file's bytes are held once. Each
 defect is a ValueError that names the file; a file kind adds only the
 checks of what its values mean.
+
+A caller may hold float64 arrays of the layout in another float dtype:
+``read(..., dtype=)`` fills arrays of that dtype, and ``write`` takes them.
+Such an array is converted in chunks of at most CHUNK_BYTES of the file's
+dtype, so no whole-array copy in either dtype exists; a value beyond the
+dtype's range reads as inf, for the kind's checks to refuse. Arrays of the
+layout's own dtype are read and written in one piece.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ from typing import Callable, TypeVar
 import numpy as np
 
 PREFIX = struct.Struct("<4sII")  # magic, version, header length
+CHUNK_BYTES = 1 << 16  # file bytes per conversion step between dtypes
 
 Layout = dict[str, tuple[str, tuple[int, ...]]]
 T = TypeVar("T")
@@ -79,12 +87,20 @@ class FileKind:
             handle.write(PREFIX.pack(self.magic, self.version, len(raw)))
             handle.write(raw)
             for name, (dtype, _) in layout.items():
-                # Written in place: a copy of a corpus-sized array would set peak memory.
-                handle.write(np.ascontiguousarray(arrays[name], dtype).data)
+                array = arrays[name]
+                if array.dtype == dtype:
+                    # Written in place: a copy of a corpus-sized array would set peak memory.
+                    handle.write(np.ascontiguousarray(array).data)
+                    continue
+                for piece, buffer in _chunks(array.reshape(-1), np.dtype(dtype)):
+                    np.copyto(buffer, piece, casting="unsafe")
+                    handle.write(buffer.data)
 
-    def read(self, path: str | Path, build: Callable[[dict, dict[str, np.ndarray]], T]) -> T:
-        """``build(header, arrays)`` of a file of this kind; a ValueError or
-        TypeError of the layout or the build names the file."""
+    def read(self, path: str | Path, build: Callable[[dict, dict[str, np.ndarray]], T],
+             dtype=np.float64) -> T:
+        """``build(header, arrays)`` of a file of this kind, with the layout's
+        float64 arrays in dtype; a ValueError or TypeError of the layout or
+        the build names the file."""
 
         def fail(message: str) -> ValueError:
             return ValueError(f"{path}: {message}")
@@ -114,21 +130,38 @@ class FileKind:
                 layout = self.layout(header)
             except (TypeError, ValueError) as exc:
                 raise fail(str(exc)) from None
-            for name, (dtype, shape) in layout.items():
+            for name, (kind, shape) in layout.items():
                 if min(shape, default=0) < 0:
                     raise fail(f"array '{name}' has a negative dimension: {shape}")
-                end += np.dtype(dtype).itemsize * math.prod(shape)
+                end += np.dtype(kind).itemsize * math.prod(shape)
                 if end > size:
                     raise fail(f"truncated in array '{name}' (it ends at {end}, "
                                f"the file at {size})")
             if end < size:
                 raise fail(f"{size - end} trailing bytes after the last array")
-            arrays = {name: np.empty(shape, dtype) for name, (dtype, shape) in layout.items()}
-            for name, array in arrays.items():
-                buffer = array.reshape(-1).view(np.uint8)
-                if handle.readinto(buffer) != len(buffer):
-                    raise fail(f"truncated in array '{name}' (the file shrank while it was read)")
+            arrays = {}
+            for name, (kind, shape) in layout.items():
+                kind = np.dtype(kind)
+                array = arrays[name] = np.empty(shape, dtype if kind == np.float64 else kind)
+                flat = array.reshape(-1)
+                for piece, raw in [(flat, flat)] if array.dtype == kind else _chunks(flat, kind):
+                    if handle.readinto(raw.view(np.uint8)) != raw.nbytes:
+                        raise fail(f"truncated in array '{name}' "
+                                   "(the file shrank while it was read)")
+                    if raw is not piece:
+                        with np.errstate(over="ignore"):  # the kind's build sees the inf
+                            np.copyto(piece, raw)
         try:
             return build(header, arrays)
         except (TypeError, ValueError) as exc:
             raise fail(str(exc)) from None
+
+
+def _chunks(flat: np.ndarray, kind: np.dtype):
+    """(piece of flat, buffer of kind as long) pairs that cover flat, each
+    piece at most CHUNK_BYTES in kind; one buffer serves every pair."""
+    step = CHUNK_BYTES // kind.itemsize
+    buffer = np.empty(min(step, flat.size), kind)
+    for start in range(0, flat.size, step):
+        piece = flat[start:start + step]
+        yield piece, buffer[:len(piece)]

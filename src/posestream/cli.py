@@ -211,7 +211,14 @@ def cmd_train(cfg: PipelineConfig) -> dict:
         raise CliError(f"{cfg.cache}: training needs at least two classes")
 
     def draw(epoch: int, rows: np.ndarray) -> np.ndarray:
-        return tensorize.corpus_tensors(corpus, rows, cfg.k, cfg.sampling, cfg.seed, epoch)
+        # Built FORWARD_SLICE rows at a time, so the epoch's tensors exist
+        # once, in COMPUTE_DTYPE, beside the net's workspace.
+        tensors = np.empty((len(rows), *corpus.tensor_shape(cfg.k)), COMPUTE_DTYPE)
+        for start in range(0, len(rows), convnet.FORWARD_SLICE):
+            part = rows[start:start + convnet.FORWARD_SLICE]
+            tensors[start:start + len(part)] = tensorize.corpus_tensors(
+                corpus, part, cfg.k, cfg.sampling, cfg.seed, epoch)
+        return tensors
 
     net = convnet.init_net(
         input_shape=corpus.tensor_shape(cfg.k), num_classes=num_classes, seed=cfg.seed,
@@ -244,14 +251,16 @@ def cmd_eval(cfg: PipelineConfig) -> dict:
     Snippets are drawn once from the corpus seed, K from the checkpoint.
     The videos are taken in id order, in the same slices of at most
     FORWARD_SLICE rows that ``forward`` scores, and only one slice's
-    tensors exist at a time, so memory holds the corpus, the checkpoint
-    and one slice whatever the corpus size. Accuracy, per-class accuracy
-    and confusion are null unless every video has a label."""
+    tensors exist at a time, scored into one workspace that every slice
+    reuses; so memory holds the corpus, the checkpoint read straight into
+    COMPUTE_DTYPE, one slice and the workspace whatever the corpus size.
+    Accuracy, per-class accuracy and confusion are null unless every
+    video has a label."""
     from . import convnet, fusion, tensorize
 
     cfg.require("cache", "checkpoint", "scores")
     corpus = tensorize.read_corpus(cfg.cache)
-    net = convnet.load_checkpoint(cfg.checkpoint)[0].astype(COMPUTE_DTYPE)
+    net = convnet.load_checkpoint(cfg.checkpoint, COMPUTE_DTYPE)[0]
     k = net.input_shape[0]
     if net.input_shape != corpus.tensor_shape(k):
         raise CliError(f"checkpoint expects input {net.input_shape}, corpus {cfg.cache} "
@@ -262,9 +271,11 @@ def cmd_eval(cfg: PipelineConfig) -> dict:
     if cfg.labels and not labeled:
         raise CliError(f"{cfg.cache}: some videos have no label; cannot write {cfg.labels}")
 
+    workspace = convnet.Workspace()
+
     def score(rows: np.ndarray) -> np.ndarray:
         tensors = tensorize.corpus_tensors(corpus, rows, k, cfg.sampling, corpus.seed)
-        return convnet.forward(net, tensors)
+        return convnet.forward(net, tensors, workspace)
 
     order = np.array(sorted(range(len(corpus.videos)), key=corpus.videos.__getitem__))
     slices = convnet.row_slices(order, convnet.FORWARD_SLICE)

@@ -17,15 +17,30 @@ reach the output: with the default 2x2 pool the net never sees the last
 snippet when K - 4 is odd (K = 15: row 14 is dead), nor the last tensor
 column when W - 2 is odd.
 
+Every pass writes its large arrays into a ``Workspace``: named buffers
+allocated on first use and reused by later passes, with the im2col
+columns gathered by ``np.copyto`` and the conv products written by
+``np.matmul(..., out=)``. So eval's slices and train's SGD steps map no
+fresh memory, whatever glibc's mmap threshold, and compute the same bits
+as fresh arrays would.
+
 Scoring (``forward``) keeps nothing for backprop and runs in slices of at
 most FORWARD_SLICE rows, so its memory does not grow with the batch.
 Within a slice, the convs and the pool run on sub-slices of at most
-CONV_SLICE rows and the fully connected head once on the slice's pooled
-rows. Slicing changes which rows share a matrix product, and OpenBLAS may
-pick other kernels for other product heights, so sliced and unsliced
-probabilities are equal bit for bit only where the tests check it: the
-default 32/64/256 net and the 8/16/64 net. Other widths may differ in the
-last bits (NetSpec(5, 7, 9) does at 129 and 130 rows).
+CONV_SLICE rows, writing one pooled buffer, and the fully connected head
+runs once on the slice's pooled rows. CONV_SLICE sizes the workspace's
+conv buffers, trading memory for per-call overhead: for the default net
+in float32 they take 2.9 MB at 4 rows, 5.8 MB at 8 and 1.4 MB at 2, and
+scoring 640 videos took about 4% more CPU time at 4 rows than at 8 and 6%
+more at 2 (medians of 30 interleaved runs, one BLAS thread on a 2-vCPU
+x86-64 VM). A slice of fewer than HEAD_ROWS rows gets zero pooled rows
+whose outputs are dropped, as OpenBLAS multiplies fewer rows with other
+kernels and other last bits; so a row's probabilities do not depend on
+the batch it came in. Slicing changes which rows share a matrix product,
+and OpenBLAS may pick other kernels for other product heights, so sliced
+and unsliced probabilities are equal bit for bit only where the tests
+check it: the default 32/64/256 net and the 8/16/64 net. Other widths may
+differ in the last bits (NetSpec(5, 7, 9) does at 129 and 130 rows).
 
 The checkpoint file is a ``binio`` container (magic ``PCN1``). Its header
 holds ``input_shape``, ``num_classes``, ``arch`` (the ``NetSpec`` fields)
@@ -33,7 +48,9 @@ and ``meta`` (the caller's run metadata); those fix every parameter's
 shape, and the parameters follow as float64 arrays in ``parameters()``
 order, so the file cannot hold a missing, repeated or mis-shaped one. The
 payload is float64 whatever the net's dtype (it holds every float32 value
-exactly), and the reader returns a float64 net.
+exactly). The reader takes a ``dtype`` (float64 by default) and reads each
+parameter straight into it, through ``binio``'s chunked conversion, so a
+float32 net loads without a float64 copy beside it.
 """
 
 from __future__ import annotations
@@ -59,11 +76,12 @@ CHECKPOINT_VERSION = 2
 PROB_FLOOR = 1e-12
 
 # Rows per _probs call in forward(), which keeps eval memory flat in corpus
-# size, and rows per conv/pool pass inside it: at CONV_SLICE rows the im2col
-# buffers are reused from the heap instead of freshly mapped, while the head
-# still reads fc1_w only once per FORWARD_SLICE rows.
+# size; rows per conv/pool pass inside it, which sizes the workspace's im2col
+# buffers while the head still reads fc1_w only once per FORWARD_SLICE rows;
+# and the fewest rows the head multiplies (module docstring).
 FORWARD_SLICE = 64
-CONV_SLICE = 8
+CONV_SLICE = 4
+HEAD_ROWS = 8
 
 
 class TrainingDivergedError(RuntimeError):
@@ -193,20 +211,46 @@ def _conv_extents(net: PoseConvNet) -> tuple[tuple[int, int], tuple[int, int]]:
     return (rows2 + FILTER_H - 1, cols2 + FILTER_W - 1), (rows2, cols2)
 
 
-def _im2col(x: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """(B·rows·cols, 6·Cin) buffer: row (b, r, c) is the 3x2 window of x[b]
-    at (r, c), flattened in (fh, fw, Cin) order to match w.reshape(-1, Cout)."""
+class Workspace:
+    """Named buffers that the passes of one net write into. Each is
+    allocated on its first use and reused by every later pass that fits in
+    it, so eval's slices and train's steps map no fresh memory."""
+
+    def __init__(self) -> None:
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+        """A C-contiguous view of buffer name in shape, contents undefined."""
+        size = math.prod(shape)
+        buffer = self._buffers.get(name)
+        if buffer is None or buffer.size < size or buffer.dtype != dtype:
+            buffer = self._buffers[name] = np.empty(size, dtype)
+        return buffer[:size].reshape(shape)
+
+
+def _buffer(ws: Workspace | None, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+    """Buffer name of ws, or a fresh array where there is no workspace."""
+    return np.empty(shape, dtype) if ws is None else ws.take(name, shape, dtype)
+
+
+def _conv(
+    x: np.ndarray, w: np.ndarray, extent: tuple[int, int], ws: Workspace | None, name: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """The valid stride-1 conv, without bias, at the top-left extent of output
+    positions, as one GEMM into ws; returns (im2col columns (B·R·C, 6·Cin),
+    outputs (B, R, C, Cout)). Row (b, r, c) of the columns is the 3x2 window
+    of x[b] at (r, c), in (fh, fw, Cin) order to match w.reshape(-1, Cout)."""
+    (rows, cols), (_, _, c_in, c_out) = extent, w.shape
     windows = sliding_window_view(
         x[:, : rows + FILTER_H - 1, : cols + FILTER_W - 1], (FILTER_H, FILTER_W), axis=(1, 2)
     )
-    return windows.transpose(0, 1, 2, 4, 5, 3).reshape(-1, FILTER_H * FILTER_W * x.shape[3])
-
-
-def _conv(x: np.ndarray, w: np.ndarray, extent: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """The valid stride-1 conv, without bias, at the top-left extent of output
-    positions, as one GEMM; returns (im2col columns, outputs (B, R, C, Cout))."""
-    columns = _im2col(x, *extent)
-    return columns, (columns @ w.reshape(-1, w.shape[3])).reshape(x.shape[0], *extent, w.shape[3])
+    columns = _buffer(ws, f"{name}.columns", (len(x), rows, cols, FILTER_H, FILTER_W, c_in),
+                      x.dtype)
+    np.copyto(columns, windows.transpose(0, 1, 2, 4, 5, 3))
+    columns = columns.reshape(-1, FILTER_H * FILTER_W * c_in)
+    out = _buffer(ws, f"{name}.out", (len(x), rows, cols, c_out), x.dtype)
+    np.matmul(columns, w.reshape(-1, c_out), out=out.reshape(-1, c_out))
+    return columns, out
 
 
 def _bias_relu(z: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -216,10 +260,11 @@ def _bias_relu(z: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _conv_relu(
-    x: np.ndarray, w: np.ndarray, b: np.ndarray, extent: tuple[int, int]
+    x: np.ndarray, w: np.ndarray, b: np.ndarray, extent: tuple[int, int],
+    ws: Workspace | None = None, name: str = "conv",
 ) -> tuple[np.ndarray, np.ndarray]:
     """ReLU of the conv plus bias; returns (im2col columns, activations (B, R, C, Cout))."""
-    columns, z = _conv(x, w, extent)
+    columns, z = _conv(x, w, extent, ws, name)
     return columns, _bias_relu(z, b)
 
 
@@ -231,15 +276,20 @@ def _conv_grads(
     return (columns.T @ flat).reshape(w.shape), flat.sum(axis=0)
 
 
-def _conv_input_grad(d_out: np.ndarray, w: np.ndarray, input_shape: tuple[int, ...]) -> np.ndarray:
+def _conv_input_grad(
+    d_out: np.ndarray, w: np.ndarray, input_shape: tuple[int, ...], ws: Workspace | None = None
+) -> np.ndarray:
     """Gradient of a conv's input (B, R+2, C+1, Cin) from its output gradient
     (B, R, C, Cout): one contiguous GEMM per filter offset, added at that offset."""
     batch, rows, cols, c_out = d_out.shape
     flat = d_out.reshape(-1, c_out)
-    d_x = np.zeros(input_shape, dtype=d_out.dtype)
+    d_x = _buffer(ws, "d_input", input_shape, d_out.dtype)
+    d_x.fill(0)
+    product = _buffer(ws, "d_input.offset", (len(flat), w.shape[2]), d_out.dtype)
     for i in range(FILTER_H):
         for j in range(FILTER_W):
-            d_x[:, i:i + rows, j:j + cols, :] += (flat @ w[i, j].T).reshape(batch, rows, cols, -1)
+            np.matmul(flat, w[i, j].T, out=product)
+            d_x[:, i:i + rows, j:j + cols, :] += product.reshape(batch, rows, cols, -1)
     return d_x
 
 
@@ -249,21 +299,29 @@ def _pool_views(x: np.ndarray, size: int) -> list[np.ndarray]:
     return [x[:, i::size, j::size, :] for i in range(size) for j in range(size)]
 
 
-def _pool(x: np.ndarray, size: int) -> np.ndarray:
-    """Non-overlapping max pool of x, whose rows and columns are whole windows."""
+def _pool(x: np.ndarray, size: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Non-overlapping max pool of x, whose rows and columns are whole
+    windows, into out (a fresh array if None)."""
     views = _pool_views(x, size)
-    out = views[0].copy()
+    if out is None:
+        out = views[0].copy()
+    else:
+        np.copyto(out, views[0])
     for view in views[1:]:
         np.maximum(out, view, out=out)
     return out
 
 
-def _pool_argmax(x: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+def _pool_argmax(
+    x: np.ndarray, size: int, ws: Workspace | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Max pool plus the argmax offset within each window; ties go to the
     lowest offset."""
     views = _pool_views(x, size)
-    out = views[0].copy()
-    idx = np.zeros(out.shape, dtype=np.intp)
+    out = _buffer(ws, "pooled", views[0].shape, x.dtype)
+    np.copyto(out, views[0])
+    idx = _buffer(ws, "pooled.argmax", out.shape, np.intp)
+    idx.fill(0)
     for k, view in enumerate(views[1:], start=1):
         better = view > out
         np.maximum(out, view, out=out)
@@ -272,10 +330,12 @@ def _pool_argmax(x: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     return out, idx
 
 
-def _unpool(d_out: np.ndarray, idx: np.ndarray, size: int) -> np.ndarray:
+def _unpool(
+    d_out: np.ndarray, idx: np.ndarray, size: int, ws: Workspace | None = None
+) -> np.ndarray:
     """Route each window's gradient to its argmax offset; zeros elsewhere."""
     batch, rows, cols, channels = d_out.shape
-    d_x = np.empty((batch, rows * size, cols * size, channels), dtype=d_out.dtype)
+    d_x = _buffer(ws, "d_pool", (batch, rows * size, cols * size, channels), d_out.dtype)
     for k, view in enumerate(_pool_views(d_x, size)):
         np.multiply(d_out, idx == k, out=view)
     return d_x
@@ -304,35 +364,36 @@ def _head(net: PoseConvNet, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def row_slices(x: np.ndarray, size: int) -> list[np.ndarray]:
-    """Near-equal row slices of x, none longer than size; no slice has a
-    single row unless x does, because numpy runs a one-row matmul through a
-    matrix-vector path whose last bits differ."""
+    """Near-equal row slices of x, none longer than size."""
     return np.array_split(x, -(-len(x) // size))
 
 
-def _pooled(net: PoseConvNet, x: np.ndarray) -> np.ndarray:
-    """Pool output of a batch, keeping nothing for backprop. conv2's bias
-    and ReLU come after the pool, on a pool² share of the values: both are
-    monotone, so relu(max(z) + b) is max(relu(z + b)) bit for bit."""
+def _probs(net: PoseConvNet, x: np.ndarray, ws: Workspace) -> np.ndarray:
+    """Class probabilities of a batch: convs and pool per CONV_SLICE rows
+    into one pooled buffer, then one head over all of x, padded with zero
+    rows to HEAD_ROWS. conv2's bias and ReLU come after the pool, on a
+    pool² share of the values: both are monotone, so relu(max(z) + b) is
+    max(relu(z + b)) bit for bit."""
     extent1, extent2 = _conv_extents(net)
-    a1 = _conv_relu(x, net.conv1_w, net.conv1_b, extent1)[1]
-    z2 = _conv(a1, net.conv2_w, extent2)[1]
-    return _bias_relu(_pool(z2, net.arch.pool), net.conv2_b)
+    pooled_rows, pooled_cols = _pooled_shape(net.input_shape, net.arch)
+    pooled = _buffer(ws, "pooled", (max(len(x), HEAD_ROWS), pooled_rows, pooled_cols,
+                                    net.arch.conv2_channels), x.dtype)
+    pooled[len(x):] = 0
+    for start in range(0, len(x), CONV_SLICE):
+        part = x[start:start + CONV_SLICE]
+        a1 = _conv_relu(part, net.conv1_w, net.conv1_b, extent1, ws, "conv1")[1]
+        z2 = _conv(a1, net.conv2_w, extent2, ws, "conv2")[1]
+        out = _pool(z2, net.arch.pool, pooled[start:start + len(part)])
+        _bias_relu(out, net.conv2_b)
+    return _softmax(_head(net, pooled.reshape(len(pooled), -1))[1][:len(x)])
 
 
-def _probs(net: PoseConvNet, x: np.ndarray) -> np.ndarray:
-    """Class probabilities of a batch: convs and pool per CONV_SLICE rows,
-    then one head over all of x."""
-    pooled = np.concatenate([_pooled(net, part) for part in row_slices(x, CONV_SLICE)])
-    return _softmax(_head(net, pooled.reshape(len(x), -1))[1])
-
-
-def _forward(net: PoseConvNet, x: np.ndarray) -> dict[str, np.ndarray]:
-    """Training forward pass: probabilities plus what backprop reads."""
+def _forward(net: PoseConvNet, x: np.ndarray, ws: Workspace | None = None) -> dict[str, np.ndarray]:
+    """Training forward pass: probabilities plus what backprop reads, in ws."""
     extent1, extent2 = _conv_extents(net)
-    cols1, a1 = _conv_relu(x, net.conv1_w, net.conv1_b, extent1)
-    cols2, a2 = _conv_relu(a1, net.conv2_w, net.conv2_b, extent2)
-    pooled, pool_idx = _pool_argmax(a2, net.arch.pool)
+    cols1, a1 = _conv_relu(x, net.conv1_w, net.conv1_b, extent1, ws, "conv1")
+    cols2, a2 = _conv_relu(a1, net.conv2_w, net.conv2_b, extent2, ws, "conv2")
+    pooled, pool_idx = _pool_argmax(a2, net.arch.pool, ws)
     af, logits = _head(net, pooled.reshape(len(x), -1))
     return {
         "cols1": cols1, "a1": a1, "cols2": cols2, "pooled": pooled,
@@ -340,22 +401,26 @@ def _forward(net: PoseConvNet, x: np.ndarray) -> dict[str, np.ndarray]:
     }
 
 
-def forward(net: PoseConvNet, batch: np.ndarray) -> np.ndarray:
-    """(B, classes) probabilities of a batch (B, K, W, 3) of tensors.
+def forward(net: PoseConvNet, batch: np.ndarray, ws: Workspace | None = None) -> np.ndarray:
+    """(B, classes) probabilities of a batch (B, K, W, 3) of tensors,
+    computed in ws (a fresh Workspace if None), which a caller that scores
+    many batches keeps across them.
 
     The batch is scored in near-equal slices of at most FORWARD_SLICE rows
-    (``row_slices``). For the default and the 8/16/64 net the probabilities
-    are those of one unsliced pass bit for bit; for other widths they may
-    differ in the last bits (module docstring)."""
+    (``row_slices``), and a video's probabilities do not depend on the
+    other rows of its batch. For the default and the 8/16/64 net they are
+    those of one unsliced pass of at least HEAD_ROWS rows bit for bit; for
+    other widths they may differ in the last bits (module docstring)."""
     batch = _as_batch(net, batch)
-    return np.concatenate([_probs(net, part) for part in row_slices(batch, FORWARD_SLICE)])
+    ws = Workspace() if ws is None else ws
+    return np.concatenate([_probs(net, part, ws) for part in row_slices(batch, FORWARD_SLICE)])
 
 
 def _loss_and_grads(
-    net: PoseConvNet, x: np.ndarray, labels: np.ndarray
+    net: PoseConvNet, x: np.ndarray, labels: np.ndarray, ws: Workspace | None = None
 ) -> tuple[float, np.ndarray, dict[str, np.ndarray]]:
-    """Summed cross-entropy loss and its gradients over a batch."""
-    cache = _forward(net, x)
+    """Summed cross-entropy loss and its gradients over a batch, computed in ws."""
+    cache = _forward(net, x, ws)
     probs = cache["probs"]
     batch = x.shape[0]
     picked = np.maximum(probs[np.arange(batch), labels], PROB_FLOOR)
@@ -373,9 +438,9 @@ def _loss_and_grads(
     grads["fc1_b"] = d_zf.sum(axis=0)
     # A window's gradient passes conv2's ReLU iff the window max is positive.
     d_pooled = (d_zf @ net.fc1_w.T).reshape(pooled.shape) * (pooled > 0)
-    d_z2 = _unpool(d_pooled, cache["pool_idx"], net.arch.pool)
+    d_z2 = _unpool(d_pooled, cache["pool_idx"], net.arch.pool, ws)
     grads["conv2_w"], grads["conv2_b"] = _conv_grads(d_z2, cache["cols2"], net.conv2_w)
-    d_z1 = _conv_input_grad(d_z2, net.conv2_w, cache["a1"].shape)
+    d_z1 = _conv_input_grad(d_z2, net.conv2_w, cache["a1"].shape, ws)
     d_z1 *= cache["a1"] > 0
     grads["conv1_w"], grads["conv1_b"] = _conv_grads(d_z1, cache["cols1"], net.conv1_w)
     return total_loss, probs, grads
@@ -429,19 +494,22 @@ def train(
 
     net = net.copy()
     rng = np.random.default_rng(config.seed)
+    ws = Workspace()
     trace: list[EpochStats] = []
     for epoch in range(config.epochs):
         order = rng.permutation(len(labels))
         data = _as_batch(net, draw(epoch, order))
-        trace.append(_train_epoch(net, epoch, data, labels[order], config))
+        trace.append(_train_epoch(net, epoch, data, labels[order], config, ws))
         del data  # this epoch's tensors go before the next draw
     return net, trace
 
 
 def _train_epoch(
-    net: PoseConvNet, epoch: int, data: np.ndarray, labels: np.ndarray, config: TrainConfig
+    net: PoseConvNet, epoch: int, data: np.ndarray, labels: np.ndarray, config: TrainConfig,
+    ws: Workspace,
 ) -> EpochStats:
-    """One epoch of SGD steps on net, in place; no slice of data outlives it."""
+    """One epoch of SGD steps on net, in place, computed in ws; no slice of
+    data outlives it."""
     if len(data) != len(labels):
         raise ValueError(f"draw returned {len(data)} tensors for {len(labels)} rows")
     epoch_loss = 0.0
@@ -449,7 +517,7 @@ def _train_epoch(
     for start in range(0, len(labels), config.batch_size):
         x = data[start:start + config.batch_size]
         y = labels[start:start + config.batch_size]
-        batch_loss, probs, grads = _loss_and_grads(net, x, y)
+        batch_loss, probs, grads = _loss_and_grads(net, x, y, ws)
         if not np.isfinite(batch_loss):
             raise TrainingDivergedError(
                 f"non-finite loss at epoch {epoch}, batch {start // config.batch_size}"
@@ -496,13 +564,19 @@ def save_checkpoint(net: PoseConvNet, path: str | Path, meta: dict | None = None
 
 
 def _net_of(header: dict, params: dict[str, np.ndarray]) -> tuple[PoseConvNet, dict]:
+    for name, value in params.items():
+        # min and max carry any NaN or inf, without a mask the size of fc1_w.
+        if value.size and not (np.isfinite(value.min()) and np.isfinite(value.max())):
+            raise ValueError(f"parameter '{name}' is not finite in {value.dtype}")
     net = PoseConvNet(input_shape=tuple(header["input_shape"]), num_classes=header["num_classes"],
                       arch=NetSpec(**header["arch"]), **params)
     return net, header["meta"]
 
 
-def load_checkpoint(path: str | Path) -> tuple[PoseConvNet, dict]:
+def load_checkpoint(path: str | Path, dtype=np.float64) -> tuple[PoseConvNet, dict]:
     """Rebuild a net from a checkpoint; returns (net, caller meta dict).
-    The net is float64, whatever dtype the saved net had. Defects raise
+    Each parameter is read straight into dtype, whatever dtype the saved
+    net had: bit for bit the float64 net cast with ``astype``, without it.
+    Defects, a parameter that is not finite in dtype among them, raise
     ValueError naming the file."""
-    return CHECKPOINT_FILE.read(path, _net_of)
+    return CHECKPOINT_FILE.read(path, _net_of, dtype)

@@ -20,6 +20,8 @@ Description file format (UTF-8, ``#`` comments allowed)::
     n=<int> root=<name> torso=<name>,<name>
     <parent_name> <child_name> part=<1..5>
     ...
+
+The header holds each of its three keys once, in any order, and no other.
 """
 
 from __future__ import annotations
@@ -381,6 +383,9 @@ def build_topology(
         raise ValueError(f"unknown profile '{profile}'; known: {known}") from None
 
 
+HEADER_KEYS = ("n", "root", "torso")
+
+
 def load_topology(path: str | Path) -> SkeletonTopology:
     """Parse a topology description file (see module docstring for format).
 
@@ -407,8 +412,13 @@ def load_topology(path: str | Path) -> SkeletonTopology:
         key, sep, value = token.partition("=")
         if not sep:
             raise ValueError(f"{path}:{header_line}: malformed header token '{token}'")
+        if key not in HEADER_KEYS:
+            raise ValueError(f"{path}:{header_line}: unknown header key '{key}' "
+                             f"(the keys are {', '.join(HEADER_KEYS)})")
+        if key in header:
+            raise ValueError(f"{path}:{header_line}: header key '{key}' given twice")
         header[key] = value
-    for key in ("n", "root", "torso"):
+    for key in HEADER_KEYS:
         if key not in header:
             raise ValueError(f"{path}:{header_line}: header missing '{key}='")
     n = integer(header_line, "n", header["n"])

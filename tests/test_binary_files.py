@@ -1,6 +1,7 @@
 """Corpus, checkpoint and spatial model files share one container: cut,
-padded, old-format and arbitrary-header files fail with the file name, and
-no other module frames a binary file of its own."""
+padded, old-format and arbitrary-header files fail with the file name, also
+through the checkpoint read that converts to float32, and no other module
+frames a binary file of its own."""
 
 import ast
 import json
@@ -48,16 +49,24 @@ def small_model(rng, degree=1):
                         rng.random((n, n)) > 0.5)
 
 
+def load_float32_checkpoint(path):
+    return load_checkpoint(path, np.float32)
+
+
 def write_files(directory, seed=0, frames=(2, 1)):
-    """{path: reader} of a valid corpus, checkpoint and spatial model."""
+    """{path: reader} of a valid corpus, checkpoint and spatial model, and of
+    the checkpoint again (n32.ckpt) for the reader that converts to float32."""
     rng = np.random.default_rng(seed)
     net = init_net((6, 6, 3), num_classes=2, seed=seed,
                    arch=NetSpec(conv1_channels=1, conv2_channels=1, hidden=2))
-    corpus, checkpoint, model = (Path(directory) / name for name in ("c.bin", "n.ckpt", "m.bin"))
+    corpus, checkpoint, model, checkpoint32 = (
+        Path(directory) / name for name in ("c.bin", "n.ckpt", "m.bin", "n32.ckpt"))
     write_corpus(corpus, small_corpus(rng, frames))
     save_checkpoint(net, checkpoint, meta={"seed": seed})
     small_model(rng).save(model)
-    return {corpus: read_corpus, checkpoint: load_checkpoint, model: SpatialModel.load}
+    checkpoint32.write_bytes(checkpoint.read_bytes())
+    return {corpus: read_corpus, checkpoint: load_checkpoint, model: SpatialModel.load,
+            checkpoint32: load_float32_checkpoint}
 
 
 def with_header(raw, header, version=None):
@@ -100,7 +109,8 @@ def test_round_trips_and_old_formats_are_rejected_naming_the_file(tmp_path):
         read(path)
     # A corpus or checkpoint of the format before the container starts with
     # the same magic and a u32 version 1; a spatial model was an .npz file.
-    for path, read in ((tmp_path / "c.bin", read_corpus), (tmp_path / "n.ckpt", load_checkpoint)):
+    for path, read in ((tmp_path / "c.bin", read_corpus), (tmp_path / "n.ckpt", load_checkpoint),
+                       (tmp_path / "n32.ckpt", load_float32_checkpoint)):
         path.write_bytes(with_header(path.read_bytes(), b"{}", version=1))
         assert "version 1 " in rejected(read, path)
     old_model = tmp_path / "model.npz"
@@ -133,6 +143,7 @@ DIMENSIONS = {
                *(("arch", key) for key in ("conv1_channels", "conv2_channels", "hidden", "pool"))],
     "m.bin": [("joints",), ("degree",)],
 }
+DIMENSIONS["n32.ckpt"] = DIMENSIONS["n.ckpt"]
 BAD_DIMENSIONS = st.sampled_from([-1, -(10**12), 1.5, 2.0, 10**12, True])
 JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),

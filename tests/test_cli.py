@@ -721,6 +721,27 @@ class TestEval:
         large, own = eval_peak(4 * FORWARD_SLICE)
         assert large - small <= own
 
+    def test_peak_holds_less_than_a_float64_copy_of_the_net(self, tmp_path):
+        """eval reads the checkpoint straight into float32 and scores into one
+        workspace, so its peak beyond the corpus arrays is below what a
+        float64 copy of the net alone would take."""
+        tour = euler_tour(build_topology("jhmdb_gt"))
+        net = init_net((15, 2 * len(tour), 3), num_classes=4, seed=0)  # default NetSpec
+        save_checkpoint(net, tmp_path / "net.ckpt")
+        corpus = random_corpus(20, tour, np.random.default_rng(10))
+        write_corpus(tmp_path / "c.bin", corpus)
+        cfg = PipelineConfig(cache=str(tmp_path / "c.bin"), scores=str(tmp_path / "s.csv"),
+                             checkpoint=str(tmp_path / "net.ckpt"))
+        tracemalloc.start()
+        try:
+            cmd_eval(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        arrays = sum(a.nbytes for a in (corpus.labels, corpus.offsets, corpus.coords,
+                                        corpus.flags))
+        assert peak - arrays < sum(p.nbytes for p in net.parameters().values())
+
 
 class TestFuse:
     def write_streams(self, tmp_path):

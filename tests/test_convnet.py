@@ -1,5 +1,6 @@
 """Pose ConvNet tests: init, forward, gradients, training, checkpoints."""
 
+import re
 import tracemalloc
 from dataclasses import asdict, replace
 
@@ -9,12 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import convnet_reference as reference
+from posestream import binio
 from posestream.convnet import (
     CHECKPOINT_FILE,
     FORWARD_SLICE,
+    HEAD_ROWS,
     NetSpec,
     TrainConfig,
     TrainingDivergedError,
+    Workspace,
     _conv_grads,
     _conv_input_grad,
     _conv_relu,
@@ -234,13 +238,36 @@ class TestForward:
     def test_slicing_keeps_probabilities_bit_exact(self, count, dtype):
         # Dyadic inputs and conv weights make pool ties and zero activations
         # common, where conv2's bias and ReLU after the pool (forward) must
-        # still match them before it (_forward).
+        # still match them before it (_forward). forward pads a batch of
+        # fewer than HEAD_ROWS rows with zero rows, so the unsliced pass
+        # gets the same zero rows.
         for dyadic in (False, True):
             net = _oracle_net(self.EVAL_SHAPE, 4, self.EVAL_ARCH, 1, dyadic).astype(dtype)
             x = _data(6, (count,) + self.EVAL_SHAPE, dyadic).astype(dtype)
             probs = forward(net, x)
             assert probs.dtype == dtype
-            assert probs.tobytes() == _forward(net, x)["probs"].tobytes(), dyadic
+            want = _forward(net, _padded(x))["probs"][:count]
+            assert probs.tobytes() == want.tobytes(), dyadic
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+    @pytest.mark.parametrize("arch", [NetSpec(), EVAL_ARCH, NetSpec(5, 7, 9)],
+                             ids=["32_64_256", "8_16_64", "5_7_9"])
+    def test_a_row_scores_the_same_in_a_batch_of_any_size(self, arch, dtype):
+        # Without the zero rows, a 1- or 2-row batch takes OpenBLAS kernels
+        # whose last bits differ from those of taller products.
+        net = init_net(self.EVAL_SHAPE, num_classes=4, seed=2, arch=arch).astype(dtype)
+        x = np.random.default_rng(7).normal(size=(65,) + self.EVAL_SHAPE).astype(dtype)
+        want = forward(net, x)
+        for count in (1, 2, 7):
+            assert forward(net, x[:count]).tobytes() == want[:count].tobytes(), count
+        assert forward(net, x[-2:]).tobytes() == want[-2:].tobytes()
+
+    def test_a_kept_workspace_scores_as_a_fresh_one(self):
+        net = init_net(self.EVAL_SHAPE, num_classes=4, seed=3, arch=self.EVAL_ARCH)
+        x = np.random.default_rng(8).normal(size=(70,) + self.EVAL_SHAPE)
+        ws = Workspace()
+        for rows in (slice(0, 3), slice(3, 70), slice(60, 61)):
+            assert forward(net, x[rows], ws).tobytes() == forward(net, x[rows]).tobytes()
 
 
 def _data(seed, shape, dyadic):
@@ -262,10 +289,17 @@ def _oracle_net(shape, classes, arch, seed, dyadic):
     return net
 
 
+def _padded(x):
+    """x with zero rows appended up to HEAD_ROWS rows."""
+    return np.concatenate([x, np.zeros((max(HEAD_ROWS - len(x), 0),) + x.shape[1:], x.dtype)])
+
+
 def _reference_forward(net, x):
-    """forward() with the reference layers: same slices, same arithmetic."""
+    """forward() with the reference layers: same slices, same zero rows,
+    same arithmetic."""
     slices = np.array_split(x, -(-len(x) // FORWARD_SLICE))
-    return np.concatenate([reference._forward(net, part)["probs"] for part in slices])
+    return np.concatenate([reference._forward(net, _padded(part))["probs"][:len(part)]
+                           for part in slices])
 
 
 def _assert_grads_close(got, want):
@@ -672,6 +706,42 @@ class TestCheckpoint:
         for name, param in net.parameters().items():
             assert restored[name].dtype == np.float32
             assert restored[name].tobytes() == param.tobytes(), name
+
+    # fc1_w (2240, 64) spans many of binio's conversion chunks.
+    CHUNKED = ((15, 58, 3), NetSpec(conv1_channels=8, conv2_channels=16, hidden=64))
+
+    def test_float32_read_is_the_cast_of_the_float64_read(self, tmp_path):
+        net = init_net(self.CHUNKED[0], num_classes=4, seed=26, arch=self.CHUNKED[1])
+        assert net.fc1_w.nbytes > 8 * binio.CHUNK_BYTES
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(net, path, meta={"seed": 26})
+        loaded, meta = load_checkpoint(path, np.float32)
+        assert meta == {"seed": 26}
+        want = load_checkpoint(path)[0].astype(np.float32)
+        assert (loaded.input_shape, loaded.num_classes, loaded.arch) == (
+            want.input_shape, want.num_classes, want.arch)
+        for name, param in want.parameters().items():
+            got = loaded.parameters()[name]
+            assert got.dtype == np.float32 and got.tobytes() == param.tobytes(), name
+
+    @pytest.mark.parametrize("value, dtype", [
+        (np.nan, np.float64), (-np.inf, np.float32), (1e300, np.float32),
+    ], ids=["nan", "inf", "beyond-float32"])
+    def test_rejects_a_parameter_that_is_not_finite(self, tmp_path, value, dtype):
+        net = small_net(seed=28)
+        net.out_w[1, 2] = value
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(net, path)
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: parameter 'out_w' "
+                                             rf"is not finite in {np.dtype(dtype).name}$"):
+            load_checkpoint(path, dtype)
+
+    def test_saving_a_float32_net_writes_its_float64_cast(self, tmp_path):
+        net = init_net(self.CHUNKED[0], num_classes=4, seed=27,
+                       arch=self.CHUNKED[1]).astype(np.float32)
+        save_checkpoint(net, tmp_path / "f32.ckpt")
+        save_checkpoint(net.astype(np.float64), tmp_path / "f64.ckpt")
+        assert (tmp_path / "f32.ckpt").read_bytes() == (tmp_path / "f64.ckpt").read_bytes()
 
     def test_rejects_bad_magic(self, tmp_path):
         path = tmp_path / "junk.ckpt"

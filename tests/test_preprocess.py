@@ -1220,3 +1220,70 @@ def test_writer_fast_path_matches_record_loop(seed, n, counts, labelled, spiked)
         write_annotations(path, PoseCorpus.of(poses))
         assert path.read_bytes() == "".join(line + "\n" for line in lines).encode("utf-8")
     assert len(calls) == plain_videos
+
+
+# ---------------------------------------------------------------------------
+# Mutation fuzz of annotation lines
+# ---------------------------------------------------------------------------
+
+_TOKENS = [b"{", b"}", b"[", b"]", b",", b":", b'"', b"-", b".", b"e", b"0", b"-0", b"1e999",
+           b"1e-400", b"18446744073709551616", b"NaN", b"Infinity", b"null", b"true", b"\xff",
+           b"\xc3", b"\\u", b"\\ud800", b'"n": 2', b'"frames": []', b'"label": -1',
+           b'"video": ""', b'"_meta": {}', b"[[", b"]]"]
+# JSON values that stand in for one number or string of a line.
+_VALUES = [b"null", b"true", b"-1", b"2.5", b"1e999", b"4294967296", b'"x"', b'""', b"[]", b"{}",
+           b"[1, 2]", b"[[0, 0, 1]]", b'{"n": 3}']
+
+
+@pytest.fixture(scope="module")
+def annotation_lines():
+    """The lines write_annotations writes for two 3-joint videos, one with
+    missing joints, after a _meta line."""
+    rng = np.random.default_rng(12)
+    vis = np.ones((3, 3), np.uint8)
+    vis[1, 2] = vis[2, 0] = 0
+    poses = [("walk", rng.normal(size=(2, 3, 2)), np.ones((2, 3), np.uint8), 1),
+             ("jump #2", rng.normal(size=(3, 3, 2)) * 1e3, vis, -1)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ann.jsonl"
+        write_annotations(path, PoseCorpus.of(poses), meta={"seed": 4})
+        return [line for _, line in iter_annotation_lines(path)]
+
+
+@st.composite
+def _mutated(draw, lines):
+    line = draw(st.sampled_from(lines))
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(line)))
+        to = draw(st.integers(at, min(len(line), at + 12)))
+        kind = draw(st.sampled_from(["cut", "flip", "insert", "duplicate", "delete", "value"]))
+        scalars = list(re.finditer(rb'-?\d[\d.eE+-]*|"[^"]*"', line))
+        if kind == "value" and scalars:
+            span = draw(st.sampled_from(scalars)).span()
+            line = line[:span[0]] + draw(st.sampled_from(_VALUES)) + line[span[1]:]
+        elif kind == "cut":
+            line = line[:at]
+        elif kind == "flip" and at < len(line):
+            line = line[:at] + bytes([draw(st.integers(0, 255))]) + line[at + 1:]
+        elif kind == "insert":
+            line = line[:at] + draw(st.sampled_from(_TOKENS)) + line[at:]
+        elif kind == "duplicate":
+            line = line[:to] + line[at:to] + line[to:]
+        elif kind == "delete":
+            line = line[:at] + line[to:]
+    return line
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(data=st.data(), n_expected=st.sampled_from([None, 3]))
+def test_a_mutated_annotation_line_fails_only_as_an_annotation_error(
+        annotation_lines, data, n_expected):
+    """Real annotation lines with bytes cut, flipped, inserted, duplicated or
+    deleted, or a number or string swapped for another JSON value, either
+    parse or raise AnnotationError; warnings are errors here, so a numpy
+    warning fails too."""
+    line = data.draw(_mutated(annotation_lines))
+    try:
+        parse_annotation_line(line, n_expected)
+    except AnnotationError:
+        pass

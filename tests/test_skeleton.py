@@ -233,8 +233,12 @@ class TestDescriptionFile:
         (b"n=2 root=r torso=r,zz\nr a part=1\n", ": ", "unknown joint 'zz'"),
         (b"n=2 root=r torso=r,a\nr a part=7\n", ": ", "part ids must be in 1..5"),
         (b"# nothing here\n", ": ", "empty topology description"),
+        (b"n=2 root=r torso=r,a nn=5 n=2\nr a part=1\n", ":1: ", "unknown header key 'nn'"),
+        (b"n=2 root=r torso=r,a n=2\nr a part=1\n", ":1: ", "header key 'n' given twice"),
+        (b"# typo\nn=2 root=r tosro=r,a\nr a part=1\n", ":2: ",
+         "unknown header key 'tosro' (the keys are n, root, torso)"),
     ], ids=["n-not-int", "part-not-int", "torso-one-joint", "not-utf8", "unknown-torso-joint",
-            "part-out-of-range", "empty"])
+            "part-out-of-range", "empty", "unknown-key", "repeated-key", "misspelt-key"])
     def test_every_defect_names_the_file(self, tmp_path, content, where, message):
         path = tmp_path / "bad.topo"
         path.write_bytes(content)
