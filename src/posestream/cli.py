@@ -63,6 +63,29 @@ def _atomic_write(path: str | Path, writer: Callable[[Path], None]) -> None:
         tmp.unlink(missing_ok=True)
 
 
+def _check_outputs(**paths: str | Path | None) -> None:
+    """Refuse, before any work and creating nothing, output paths that
+    cannot be written: each given path's nearest existing ancestor must be
+    a directory, the path must not be one, and no two may be the same file.
+    Each keyword is a flag's name, which the CliError names with the path."""
+    seen: dict[str, str] = {}
+    for name, path in paths.items():
+        if not path:  # an empty path, like None, is an output not asked for
+            continue
+        flag = "--" + name.replace("_", "-")
+        ancestor = Path(path).parent
+        while not ancestor.exists() and ancestor != ancestor.parent:
+            ancestor = ancestor.parent
+        if not ancestor.is_dir():
+            raise CliError(f"{flag}: cannot write {path}: {ancestor} is not a directory")
+        if Path(path).is_dir():
+            raise CliError(f"{flag}: cannot write {path}: it is a directory")
+        real = os.path.realpath(path)
+        if real in seen:
+            raise CliError(f"{flag}: {path} is also the {seen[real]} path")
+        seen[real] = flag
+
+
 def _write_json(path: str | Path, payload: dict) -> None:
     _atomic_write(
         path,
@@ -77,6 +100,7 @@ def _write_json(path: str | Path, payload: dict) -> None:
 def cmd_synth(spec: synth.SyntheticSpec, out: str | Path) -> dict:
     from . import preprocess, synth
 
+    _check_outputs(out=out)
     spec_dict = asdict(spec)
     meta = {"seed": spec.seed, "config_hash": settings_hash(spec_dict), "spec": spec_dict}
     corpus = synth.generate(spec)
@@ -115,6 +139,7 @@ def cmd_preprocess(cfg: PipelineConfig) -> dict:
     from .skeleton import build_topology, euler_tour
 
     cfg.require("annotations", "cache")
+    _check_outputs(cache=cfg.cache, report=cfg.report, save_spatial_model=cfg.save_spatial_model)
     if not cfg.interpolate:
         for key in ("spatial_model", "save_spatial_model"):
             if getattr(cfg, key):
@@ -199,6 +224,7 @@ def cmd_train(cfg: PipelineConfig) -> dict:
     from .skeleton import build_topology, euler_tour
 
     cfg.require("cache", "checkpoint")
+    _check_outputs(checkpoint=cfg.checkpoint, trace=cfg.trace)
     corpus = tensorize.read_corpus(cfg.cache)
     tour = euler_tour(build_topology(cfg.profile, cfg.topology_file))
     if tour != corpus.path:
@@ -259,6 +285,7 @@ def cmd_eval(cfg: PipelineConfig) -> dict:
     from . import convnet, fusion, tensorize
 
     cfg.require("cache", "checkpoint", "scores")
+    _check_outputs(scores=cfg.scores, labels=cfg.labels, report=cfg.report)
     corpus = tensorize.read_corpus(cfg.cache)
     net = convnet.load_checkpoint(cfg.checkpoint, COMPUTE_DTYPE)[0]
     k = net.input_shape[0]
@@ -326,6 +353,7 @@ def cmd_fuse(cfg: PipelineConfig) -> dict:
     from . import fusion
 
     cfg.require("labels", "fused_scores")
+    _check_outputs(fused_scores=cfg.fused_scores, report=cfg.report)
     streams = _load_streams(cfg)
     labels = fusion.read_labels(cfg.labels)
     fused = fusion.fuse(streams, cfg.weights)
@@ -365,6 +393,7 @@ def cmd_weights_search(cfg: PipelineConfig) -> dict:
     from . import fusion
 
     cfg.require("labels")
+    _check_outputs(report=cfg.report)
     streams = _load_streams(cfg)
     labels = fusion.read_labels(cfg.labels)
 

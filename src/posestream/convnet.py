@@ -22,7 +22,10 @@ allocated on first use and reused by later passes, with the im2col
 columns gathered by ``np.copyto`` and the conv products written by
 ``np.matmul(..., out=)``. So eval's slices and train's SGD steps map no
 fresh memory, whatever glibc's mmap threshold, and compute the same bits
-as fresh arrays would.
+as fresh arrays would. The backward pass writes the unpooled gradient and
+conv2's input gradient into conv2's activation and im2col buffers, which
+are dead by then, so an SGD step takes no more workspace than a forward
+pass.
 
 Scoring (``forward``) keeps nothing for backprop and runs in slices of at
 most FORWARD_SLICE rows, so its memory does not grow with the batch.
@@ -277,15 +280,20 @@ def _conv_grads(
 
 
 def _conv_input_grad(
-    d_out: np.ndarray, w: np.ndarray, input_shape: tuple[int, ...], ws: Workspace | None = None
+    d_out: np.ndarray, w: np.ndarray, input_shape: tuple[int, ...], ws: Workspace | None = None,
+    name: str = "d_input",
 ) -> np.ndarray:
     """Gradient of a conv's input (B, R+2, C+1, Cin) from its output gradient
-    (B, R, C, Cout): one contiguous GEMM per filter offset, added at that offset."""
+    (B, R, C, Cout): one contiguous GEMM per filter offset, added at that
+    offset. The gradient and the GEMM product are two disjoint views of
+    buffer name of ws."""
     batch, rows, cols, c_out = d_out.shape
     flat = d_out.reshape(-1, c_out)
-    d_x = _buffer(ws, "d_input", input_shape, d_out.dtype)
+    size = math.prod(input_shape)
+    space = _buffer(ws, name, (size + len(flat) * w.shape[2],), d_out.dtype)
+    d_x = space[:size].reshape(input_shape)
     d_x.fill(0)
-    product = _buffer(ws, "d_input.offset", (len(flat), w.shape[2]), d_out.dtype)
+    product = space[size:].reshape(len(flat), w.shape[2])
     for i in range(FILTER_H):
         for j in range(FILTER_W):
             np.matmul(flat, w[i, j].T, out=product)
@@ -331,11 +339,13 @@ def _pool_argmax(
 
 
 def _unpool(
-    d_out: np.ndarray, idx: np.ndarray, size: int, ws: Workspace | None = None
+    d_out: np.ndarray, idx: np.ndarray, size: int, ws: Workspace | None = None,
+    name: str = "d_pool",
 ) -> np.ndarray:
-    """Route each window's gradient to its argmax offset; zeros elsewhere."""
+    """Route each window's gradient to its argmax offset, into buffer name of
+    ws; zeros elsewhere."""
     batch, rows, cols, channels = d_out.shape
-    d_x = _buffer(ws, "d_pool", (batch, rows * size, cols * size, channels), d_out.dtype)
+    d_x = _buffer(ws, name, (batch, rows * size, cols * size, channels), d_out.dtype)
     for k, view in enumerate(_pool_views(d_x, size)):
         np.multiply(d_out, idx == k, out=view)
     return d_x
@@ -438,9 +448,11 @@ def _loss_and_grads(
     grads["fc1_b"] = d_zf.sum(axis=0)
     # A window's gradient passes conv2's ReLU iff the window max is positive.
     d_pooled = (d_zf @ net.fc1_w.T).reshape(pooled.shape) * (pooled > 0)
-    d_z2 = _unpool(d_pooled, cache["pool_idx"], net.arch.pool, ws)
+    # Nothing reads conv2's activations after the pool, nor its columns once
+    # its gradients are taken, so the gradients below reuse those buffers.
+    d_z2 = _unpool(d_pooled, cache["pool_idx"], net.arch.pool, ws, "conv2.out")
     grads["conv2_w"], grads["conv2_b"] = _conv_grads(d_z2, cache["cols2"], net.conv2_w)
-    d_z1 = _conv_input_grad(d_z2, net.conv2_w, cache["a1"].shape, ws)
+    d_z1 = _conv_input_grad(d_z2, net.conv2_w, cache["a1"].shape, ws, "conv2.columns")
     d_z1 *= cache["a1"] > 0
     grads["conv1_w"], grads["conv1_b"] = _conv_grads(d_z1, cache["cols1"], net.conv1_w)
     return total_loss, probs, grads

@@ -15,13 +15,19 @@ Built-in profiles:
 - ``penn``           13 joints, rooted at the head (25)
 - ``custom``         loaded from a plain-text description file
 
-Description file format (UTF-8, ``#`` comments allowed)::
+Description format (UTF-8, ``#`` comments allowed)::
 
-    n=<int> root=<name> torso=<name>,<name>
+    n=<int> root=<name> torso=<group>,<group> [joints=<name>,...]
     <parent_name> <child_name> part=<1..5>
     ...
 
-The header holds each of its three keys once, in any order, and no other.
+The header holds each of its keys once, in any order, and no other;
+``joints=`` is optional. A torso group is one joint, or joints joined by
+``+`` whose mean stands in for a joint the skeleton lacks
+(``torso=neck,r_hip+l_hip``). Joint indices follow ``joints=``, which
+names each joint of the root and the edges once; without it they follow
+first appearance, the root first. The root is in part 5. The built-in
+profiles are ``DESCRIPTIONS`` in this format, read by the same parser.
 """
 
 from __future__ import annotations
@@ -210,153 +216,163 @@ def euler_tour(topology: SkeletonTopology) -> TraversalPath:
     return TraversalPath(joints=tuple(order), topology=topology.name)
 
 
+HEADER_KEYS = ("n", "root", "torso", "joints")
+
+
+def _parse(text: str, source: str, name: str) -> SkeletonTopology:
+    """The topology a description text gives, named name (see module
+    docstring for the format). Every defect raises ValueError starting with
+    source, and naming the line where there is one."""
+    lines = [(lineno, stripped) for lineno, raw in enumerate(text.splitlines(), start=1)
+             if (stripped := raw.split("#", 1)[0].strip())]
+    if not lines:
+        raise ValueError(f"{source}: empty topology description")
+
+    def integer(lineno: int, what: str, text: str) -> int:
+        try:
+            return int(text)
+        except ValueError:
+            raise ValueError(f"{source}:{lineno}: {what} '{text}' is not an integer") from None
+
+    header_line, header_text = lines[0]
+    at = f"{source}:{header_line}"
+    header: dict[str, str] = {}
+    for token in header_text.split():
+        key, sep, value = token.partition("=")
+        if not sep:
+            raise ValueError(f"{at}: malformed header token '{token}'")
+        if key not in HEADER_KEYS:
+            raise ValueError(f"{at}: unknown header key '{key}' "
+                             f"(the keys are {', '.join(HEADER_KEYS)})")
+        if key in header:
+            raise ValueError(f"{at}: header key '{key}' given twice")
+        header[key] = value
+    for key in ("n", "root", "torso"):
+        if key not in header:
+            raise ValueError(f"{at}: header missing '{key}='")
+    n = integer(header_line, "n", header["n"])
+    torso = [tuple(group.split("+")) for group in header["torso"].split(",")]
+    if len(torso) != 2:
+        raise ValueError(f"{at}: torso must name exactly two joint groups")
+    for group in torso:
+        if "" in group:
+            raise ValueError(f"{at}: torso group '{'+'.join(group)}' has an empty member")
+
+    edges: list[tuple[str, str]] = []
+    parts: dict[str, int] = {}
+    for lineno, line in lines[1:]:
+        fields = line.split()
+        if len(fields) != 3 or not fields[2].startswith("part="):
+            raise ValueError(
+                f"{source}:{lineno}: expected '<parent> <child> part=<1..5>', got '{line}'"
+            )
+        parent, child = fields[0], fields[1]
+        part = integer(lineno, "part", fields[2][len("part="):])
+        edges.append((parent, child))
+        prev = parts.setdefault(child, part)
+        if prev != part:
+            raise ValueError(f"{source}:{lineno}: joint '{child}' assigned to parts {prev} and {part}")
+
+    names = list(dict.fromkeys([header["root"], *(nm for edge in edges for nm in edge)]))
+    if len(names) != n:
+        raise ValueError(f"{at}: header says n={n} but {len(names)} joints are named")
+    if "joints" in header:
+        order = header["joints"].split(",")
+        if len(order) != n:
+            raise ValueError(f"{at}: joints= names {len(order)} joints but n={n}")
+        for nm in order:
+            if order.count(nm) > 1:
+                raise ValueError(f"{at}: joints= names '{nm}' twice")
+            if nm not in names:
+                raise ValueError(f"{at}: joints= names '{nm}', which neither the root "
+                                 "nor an edge names")
+        names = order
+    for nm in (nm for group in torso for nm in group):
+        if nm not in names:
+            raise ValueError(f"{source}: unknown joint '{nm}' in the torso on line {header_line}")
+    # The root never appears as a child; default it to the torso group (5).
+    parts.setdefault(header["root"], 5)
+
+    try:
+        return make_topology(name=name, joint_names=names, edges=edges, root=header["root"],
+                             parts=parts, torso=tuple(torso))
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
+
+
+def load_topology(path: str | Path) -> SkeletonTopology:
+    """Read a topology description file as profile ``custom:<file stem>``.
+
+    Every defect raises ValueError naming the file, and the line where
+    there is one."""
+    path = Path(path)
+    return _parse(decode_utf8(path, path.read_bytes()), str(path), f"custom:{path.stem}")
+
+
 # ---------------------------------------------------------------------------
-# Built-in profiles
+# Built-in profiles, as description texts
 # ---------------------------------------------------------------------------
 
+DESCRIPTIONS = {
+    "jhmdb_gt": """\
 # 15 manually annotated joints, puppet order. Tree rooted at the belly with
 # limb chains as branches; torso segment is neck-belly.
-JHMDB_GT = make_topology(
-    name="jhmdb_gt",
-    joint_names=[
-        "neck",        # 0
-        "belly",       # 1
-        "head",        # 2
-        "r_shoulder",  # 3
-        "l_shoulder",  # 4
-        "r_hip",       # 5
-        "l_hip",       # 6
-        "r_elbow",     # 7
-        "l_elbow",     # 8
-        "r_knee",      # 9
-        "l_knee",      # 10
-        "r_wrist",     # 11
-        "l_wrist",     # 12
-        "r_ankle",     # 13
-        "l_ankle",     # 14
-    ],
-    edges=[
-        ("belly", "neck"),
-        ("neck", "head"),
-        ("neck", "r_shoulder"),
-        ("neck", "l_shoulder"),
-        ("r_shoulder", "r_elbow"),
-        ("r_elbow", "r_wrist"),
-        ("l_shoulder", "l_elbow"),
-        ("l_elbow", "l_wrist"),
-        ("belly", "r_hip"),
-        ("belly", "l_hip"),
-        ("r_hip", "r_knee"),
-        ("r_knee", "r_ankle"),
-        ("l_hip", "l_knee"),
-        ("l_knee", "l_ankle"),
-    ],
-    root="belly",
-    parts={
-        "r_shoulder": 1, "r_elbow": 1, "r_wrist": 1,
-        "l_shoulder": 2, "l_elbow": 2, "l_wrist": 2,
-        "r_hip": 3, "r_knee": 3, "r_ankle": 3,
-        "l_hip": 4, "l_knee": 4, "l_ankle": 4,
-        "head": 5, "neck": 5, "belly": 5,
-    },
-    torso=("neck", "belly"),
-)
-
+n=15 root=belly torso=neck,belly joints=neck,belly,head,r_shoulder,l_shoulder,r_hip,l_hip,r_elbow,l_elbow,r_knee,l_knee,r_wrist,l_wrist,r_ankle,l_ankle
+belly neck part=5
+neck head part=5
+neck r_shoulder part=1
+neck l_shoulder part=2
+r_shoulder r_elbow part=1
+r_elbow r_wrist part=1
+l_shoulder l_elbow part=2
+l_elbow l_wrist part=2
+belly r_hip part=3
+belly l_hip part=4
+r_hip r_knee part=3
+r_knee r_ankle part=3
+l_hip l_knee part=4
+l_knee l_ankle part=4
+""",
+    "estimated_14": """\
 # Detector output with the four face keypoints dropped and the nose kept as
 # the head. No belly annotation, so the torso segment runs from the neck to
 # the hip midpoint.
-ESTIMATED_14 = make_topology(
-    name="estimated_14",
-    joint_names=[
-        "head",        # 0
-        "neck",        # 1
-        "r_shoulder",  # 2
-        "r_elbow",     # 3
-        "r_wrist",     # 4
-        "l_shoulder",  # 5
-        "l_elbow",     # 6
-        "l_wrist",     # 7
-        "r_hip",       # 8
-        "r_knee",      # 9
-        "r_ankle",     # 10
-        "l_hip",       # 11
-        "l_knee",      # 12
-        "l_ankle",     # 13
-    ],
-    edges=[
-        ("neck", "head"),
-        ("neck", "r_shoulder"),
-        ("r_shoulder", "r_elbow"),
-        ("r_elbow", "r_wrist"),
-        ("neck", "l_shoulder"),
-        ("l_shoulder", "l_elbow"),
-        ("l_elbow", "l_wrist"),
-        ("neck", "r_hip"),
-        ("r_hip", "r_knee"),
-        ("r_knee", "r_ankle"),
-        ("neck", "l_hip"),
-        ("l_hip", "l_knee"),
-        ("l_knee", "l_ankle"),
-    ],
-    root="neck",
-    parts={
-        "r_shoulder": 1, "r_elbow": 1, "r_wrist": 1,
-        "l_shoulder": 2, "l_elbow": 2, "l_wrist": 2,
-        "r_hip": 3, "r_knee": 3, "r_ankle": 3,
-        "l_hip": 4, "l_knee": 4, "l_ankle": 4,
-        "head": 5, "neck": 5,
-    },
-    torso=("neck", ("r_hip", "l_hip")),
-)
-
+n=14 root=neck torso=neck,r_hip+l_hip joints=head,neck,r_shoulder,r_elbow,r_wrist,l_shoulder,l_elbow,l_wrist,r_hip,r_knee,r_ankle,l_hip,l_knee,l_ankle
+neck head part=5
+neck r_shoulder part=1
+r_shoulder r_elbow part=1
+r_elbow r_wrist part=1
+neck l_shoulder part=2
+l_shoulder l_elbow part=2
+l_elbow l_wrist part=2
+neck r_hip part=3
+r_hip r_knee part=3
+r_knee r_ankle part=3
+neck l_hip part=4
+l_hip l_knee part=4
+l_knee l_ankle part=4
+""",
+    "penn": """\
 # 13 joints, official annotation order, rooted at the head. No neck or
 # belly, so the torso segment runs from the head to the hip midpoint.
-PENN = make_topology(
-    name="penn",
-    joint_names=[
-        "head",        # 0
-        "l_shoulder",  # 1
-        "r_shoulder",  # 2
-        "l_elbow",     # 3
-        "r_elbow",     # 4
-        "l_wrist",     # 5
-        "r_wrist",     # 6
-        "l_hip",       # 7
-        "r_hip",       # 8
-        "l_knee",      # 9
-        "r_knee",      # 10
-        "l_ankle",     # 11
-        "r_ankle",     # 12
-    ],
-    edges=[
-        ("head", "l_shoulder"),
-        ("head", "r_shoulder"),
-        ("l_shoulder", "l_elbow"),
-        ("l_elbow", "l_wrist"),
-        ("r_shoulder", "r_elbow"),
-        ("r_elbow", "r_wrist"),
-        ("l_shoulder", "l_hip"),
-        ("r_shoulder", "r_hip"),
-        ("l_hip", "l_knee"),
-        ("l_knee", "l_ankle"),
-        ("r_hip", "r_knee"),
-        ("r_knee", "r_ankle"),
-    ],
-    root="head",
-    parts={
-        "r_shoulder": 1, "r_elbow": 1, "r_wrist": 1,
-        "l_shoulder": 2, "l_elbow": 2, "l_wrist": 2,
-        "r_hip": 3, "r_knee": 3, "r_ankle": 3,
-        "l_hip": 4, "l_knee": 4, "l_ankle": 4,
-        "head": 5,
-    },
-    torso=("head", ("l_hip", "r_hip")),
-)
+n=13 root=head torso=head,l_hip+r_hip joints=head,l_shoulder,r_shoulder,l_elbow,r_elbow,l_wrist,r_wrist,l_hip,r_hip,l_knee,r_knee,l_ankle,r_ankle
+head l_shoulder part=2
+head r_shoulder part=1
+l_shoulder l_elbow part=2
+l_elbow l_wrist part=2
+r_shoulder r_elbow part=1
+r_elbow r_wrist part=1
+l_shoulder l_hip part=4
+r_shoulder r_hip part=3
+l_hip l_knee part=4
+l_knee l_ankle part=4
+r_hip r_knee part=3
+r_knee r_ankle part=3
+""",
+}
 
 PROFILES: dict[str, SkeletonTopology] = {
-    "jhmdb_gt": JHMDB_GT,
-    "estimated_14": ESTIMATED_14,
-    "penn": PENN,
+    name: _parse(text, name, name) for name, text in DESCRIPTIONS.items()
 }
 
 
@@ -381,91 +397,3 @@ def build_topology(
     except KeyError:
         known = sorted(PROFILES) + ["custom"]
         raise ValueError(f"unknown profile '{profile}'; known: {known}") from None
-
-
-HEADER_KEYS = ("n", "root", "torso")
-
-
-def load_topology(path: str | Path) -> SkeletonTopology:
-    """Parse a topology description file (see module docstring for format).
-
-    Every defect raises ValueError naming the file, and the line where
-    there is one."""
-    path = Path(path)
-    lines = [
-        (lineno, stripped)
-        for lineno, raw in enumerate(decode_utf8(path, path.read_bytes()).splitlines(), start=1)
-        if (stripped := raw.split("#", 1)[0].strip())
-    ]
-    if not lines:
-        raise ValueError(f"{path}: empty topology description")
-
-    def integer(lineno: int, what: str, text: str) -> int:
-        try:
-            return int(text)
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: {what} '{text}' is not an integer") from None
-
-    header_line, header_text = lines[0]
-    header: dict[str, str] = {}
-    for token in header_text.split():
-        key, sep, value = token.partition("=")
-        if not sep:
-            raise ValueError(f"{path}:{header_line}: malformed header token '{token}'")
-        if key not in HEADER_KEYS:
-            raise ValueError(f"{path}:{header_line}: unknown header key '{key}' "
-                             f"(the keys are {', '.join(HEADER_KEYS)})")
-        if key in header:
-            raise ValueError(f"{path}:{header_line}: header key '{key}' given twice")
-        header[key] = value
-    for key in HEADER_KEYS:
-        if key not in header:
-            raise ValueError(f"{path}:{header_line}: header missing '{key}='")
-    n = integer(header_line, "n", header["n"])
-    torso_names = header["torso"].split(",")
-    if len(torso_names) != 2:
-        raise ValueError(f"{path}:{header_line}: torso must name exactly two joints")
-
-    edges: list[tuple[str, str]] = []
-    parts: dict[str, int] = {}
-    names: list[str] = []
-
-    def register(nm: str) -> None:
-        if nm not in names:
-            names.append(nm)
-
-    register(header["root"])
-    for lineno, line in lines[1:]:
-        fields = line.split()
-        if len(fields) != 3 or not fields[2].startswith("part="):
-            raise ValueError(
-                f"{path}:{lineno}: expected '<parent> <child> part=<1..5>', got '{line}'"
-            )
-        parent, child = fields[0], fields[1]
-        part = integer(lineno, "part", fields[2][len("part="):])
-        register(parent)
-        register(child)
-        edges.append((parent, child))
-        prev = parts.setdefault(child, part)
-        if prev != part:
-            raise ValueError(f"{path}:{lineno}: joint '{child}' assigned to parts {prev} and {part}")
-
-    if len(names) != n:
-        raise ValueError(f"{path}: header says n={n} but {len(names)} joints are named")
-    # The root never appears as a child; default it to the torso group (5).
-    parts.setdefault(header["root"], 5)
-    missing = [nm for nm in names if nm not in parts]
-    if missing:
-        raise ValueError(f"{path}: joints without a part: {missing}")
-
-    try:
-        return make_topology(
-            name=f"custom:{path.stem}",
-            joint_names=names,
-            edges=edges,
-            root=header["root"],
-            parts=parts,
-            torso=(torso_names[0], torso_names[1]),
-        )
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None

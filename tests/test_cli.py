@@ -1022,6 +1022,68 @@ class TestRerunAfterFailure:
             assert _snapshot(out) == clean
 
 
+# Each command's argv without its outputs, "{workdir}" standing for the shared
+# pipeline's directory, and every output flag the command takes.
+_OUTPUT_RUNS = {
+    "synth": (["synth", "--videos-per-class", "1", "--frames", "8"], ["out"]),
+    "preprocess": (["preprocess", "--annotations", "{workdir}/train.jsonl"],
+                   ["cache", "report", "save-spatial-model"]),
+    "train": (["train", "--cache", "{workdir}/train.cache", *FAST], ["checkpoint", "trace"]),
+    "eval": (["eval", "--cache", "{workdir}/test.cache", "--checkpoint", "{workdir}/net.ckpt"],
+             ["scores", "labels", "report"]),
+    "fuse": (["fuse", "--pose-scores", "{workdir}/scores.csv",
+              "--labels", "{workdir}/labels.csv"], ["fused-scores", "report"]),
+    "weights-search": (["weights-search", "--pose-scores", "{workdir}/scores.csv",
+                        "--labels", "{workdir}/labels.csv"], ["report"]),
+}
+
+
+class TestOutputsCheckedFirst:
+    def argv(self, command, workdir, root, **paths):
+        """The command's argv, each output flag under root unless paths names it."""
+        inputs, flags = _OUTPUT_RUNS[command]
+        argv = [arg.format(workdir=workdir) for arg in inputs]
+        for flag in flags:
+            argv += [f"--{flag}", str(paths.get(flag, root / f"{flag}.out"))]
+        return argv
+
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command, (_, flags) in _OUTPUT_RUNS.items() for flag in flags])
+    def test_an_output_under_a_file_fails_before_any_write(self, workdir, tmp_path, capsys,
+                                                           command, flag):
+        (tmp_path / "afile").write_text("a regular file")
+        before = _snapshot(tmp_path)
+        bad = tmp_path / "afile" / "x.out"
+        code, _, err = run(capsys, *self.argv(command, workdir, tmp_path, **{flag: bad}))
+        assert code == 1
+        assert err["message"] == (f"--{flag}: cannot write {bad}: {tmp_path / 'afile'} "
+                                  "is not a directory")
+        assert _snapshot(tmp_path) == before
+
+    def test_an_output_that_is_a_directory_fails(self, workdir, tmp_path, capsys):
+        (tmp_path / "dir").mkdir()
+        code, _, err = run(capsys, *self.argv("eval", workdir, tmp_path,
+                                              report=tmp_path / "dir"))
+        assert code == 1
+        assert err["message"] == f"--report: cannot write {tmp_path / 'dir'}: it is a directory"
+        assert [p.name for p in tmp_path.iterdir()] == ["dir"]
+
+    def test_two_outputs_on_one_path_fail(self, workdir, tmp_path, capsys):
+        (tmp_path / "sub").mkdir()
+        alias = tmp_path / "sub" / ".." / "same.csv"
+        code, _, err = run(capsys, *self.argv("fuse", workdir, tmp_path, **{
+            "fused-scores": tmp_path / "same.csv", "report": alias}))
+        assert code == 1
+        assert err["message"] == f"--report: {alias} is also the --fused-scores path"
+        assert [p.name for p in tmp_path.iterdir()] == ["sub"]
+
+    def test_missing_directories_are_made_on_write(self, workdir, tmp_path, capsys):
+        code, _, _ = run(capsys, *self.argv("fuse", workdir, tmp_path / "new" / "dirs"))
+        assert code == 0
+        assert sorted(p.name for p in (tmp_path / "new" / "dirs").iterdir()) == [
+            "fused-scores.out", "report.out"]
+
+
 class TestAtomicWrite:
     def test_foreign_temp_file_survives(self, tmp_path):
         target = tmp_path / "out.txt"

@@ -524,6 +524,22 @@ def linearly_separable_dataset(rng, count=80):
 
 
 class TestTrain:
+    def test_an_sgd_step_needs_no_more_workspace_than_a_forward_pass(self):
+        # The backward pass writes into the conv2 buffers the forward pass
+        # leaves dead, and a kept workspace gives the gradients fresh arrays give.
+        shape = (15, 58, 3)
+        net = init_net(shape, num_classes=4, seed=4, arch=NetSpec(8, 16, 64)).astype(np.float32)
+        x = np.random.default_rng(9).normal(size=(64, *shape)).astype(np.float32)
+        labels = np.arange(64) % 4
+        forward_ws, step_ws = Workspace(), Workspace()
+        _forward(net, x, forward_ws)
+        fresh = _loss_and_grads(net, x, labels)[2]
+        for _ in range(2):
+            grads = _loss_and_grads(net, x, labels, step_ws)[2]
+            assert all(grads[name].tobytes() == fresh[name].tobytes() for name in fresh)
+        size = lambda ws: sum(buffer.nbytes for buffer in ws._buffers.values())
+        assert size(step_ws) <= size(forward_ws)
+
     def test_learns_separable_classes(self):
         rng = np.random.default_rng(8)
         x, y = linearly_separable_dataset(rng, count=200)

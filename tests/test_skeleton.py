@@ -1,18 +1,24 @@
 """Topology construction and Euler-tour tests."""
 
+import dataclasses
 import re
 
 import numpy as np
 import pytest
 
+from posestream.cli import main
+from posestream.preprocess import VIS_SPATIAL, VIS_TEMPORAL
 from posestream.skeleton import (
+    DESCRIPTIONS,
     PROFILES,
+    SkeletonTopology,
     build_topology,
     euler_tour,
     load_topology,
     make_topology,
     upper_body_joints,
 )
+from posestream.tensorize import read_corpus
 
 
 def chain_topology():
@@ -236,9 +242,23 @@ class TestDescriptionFile:
         (b"n=2 root=r torso=r,a nn=5 n=2\nr a part=1\n", ":1: ", "unknown header key 'nn'"),
         (b"n=2 root=r torso=r,a n=2\nr a part=1\n", ":1: ", "header key 'n' given twice"),
         (b"# typo\nn=2 root=r tosro=r,a\nr a part=1\n", ":2: ",
-         "unknown header key 'tosro' (the keys are n, root, torso)"),
+         "unknown header key 'tosro' (the keys are n, root, torso, joints)"),
+        (b"n=3 root=r torso=r,a joints=r,a,a\nr a part=1\na b part=1\n", ":1: ",
+         "joints= names 'a' twice"),
+        (b"n=2 root=r torso=r,a joints=r,zz\nr a part=1\n", ":1: ",
+         "joints= names 'zz', which neither the root nor an edge names"),
+        (b"n=2 root=r torso=r,a joints=r,a,b\nr a part=1\n", ":1: ",
+         "joints= names 3 joints but n=2"),
+        # The line is named after the message, so that a single unknown torso
+        # joint reads as it always has.
+        (b"# hips\nn=3 root=r torso=r,a+zz\nr a part=1\nr b part=2\n", ": ",
+         "unknown joint 'zz' in the torso on line 2"),
+        (b"n=3 root=r torso=r,a+\nr a part=1\nr b part=2\n", ":1: ",
+         "torso group 'a+' has an empty member"),
     ], ids=["n-not-int", "part-not-int", "torso-one-joint", "not-utf8", "unknown-torso-joint",
-            "part-out-of-range", "empty", "unknown-key", "repeated-key", "misspelt-key"])
+            "part-out-of-range", "empty", "unknown-key", "repeated-key", "misspelt-key",
+            "joints-repeated", "joints-stray", "joints-not-n", "torso-group-unknown-joint",
+            "torso-group-empty-member"])
     def test_every_defect_names_the_file(self, tmp_path, content, where, message):
         path = tmp_path / "bad.topo"
         path.write_bytes(content)
@@ -250,6 +270,83 @@ class TestDescriptionFile:
         path = tmp_path / "never_read.topo"
         with pytest.raises(ValueError, match="--topology-file.*'custom', not 'penn'"):
             build_topology("penn", path)
+
+
+# Each built-in profile's fields and Euler tour, as the Python-data form of
+# the profiles gave them before they became description texts.
+BUILT_INS = {
+    "jhmdb_gt": dict(
+        joint_names=("neck", "belly", "head", "r_shoulder", "l_shoulder", "r_hip", "l_hip",
+                     "r_elbow", "l_elbow", "r_knee", "l_knee", "r_wrist", "l_wrist", "r_ankle",
+                     "l_ankle"),
+        edges=((1, 0), (0, 2), (0, 3), (0, 4), (3, 7), (7, 11), (4, 8), (8, 12), (1, 5), (1, 6),
+               (5, 9), (9, 13), (6, 10), (10, 14)),
+        root=1,
+        parts=(5, 5, 5, 1, 2, 3, 4, 1, 2, 3, 4, 1, 2, 3, 4),
+        torso_anchors=((0,), (1,)),
+        tour=(1, 0, 2, 0, 3, 7, 11, 7, 3, 0, 4, 8, 12, 8, 4, 0, 1, 5, 9, 13, 9, 5, 1, 6, 10, 14,
+              10, 6, 1),
+    ),
+    "estimated_14": dict(
+        joint_names=("head", "neck", "r_shoulder", "r_elbow", "r_wrist", "l_shoulder", "l_elbow",
+                     "l_wrist", "r_hip", "r_knee", "r_ankle", "l_hip", "l_knee", "l_ankle"),
+        edges=((1, 0), (1, 2), (2, 3), (3, 4), (1, 5), (5, 6), (6, 7), (1, 8), (8, 9), (9, 10),
+               (1, 11), (11, 12), (12, 13)),
+        root=1,
+        parts=(5, 5, 1, 1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 4),
+        torso_anchors=((1,), (8, 11)),
+        tour=(1, 0, 1, 2, 3, 4, 3, 2, 1, 5, 6, 7, 6, 5, 1, 8, 9, 10, 9, 8, 1, 11, 12, 13, 12, 11,
+              1),
+    ),
+    "penn": dict(
+        joint_names=("head", "l_shoulder", "r_shoulder", "l_elbow", "r_elbow", "l_wrist",
+                     "r_wrist", "l_hip", "r_hip", "l_knee", "r_knee", "l_ankle", "r_ankle"),
+        edges=((0, 1), (0, 2), (1, 3), (3, 5), (2, 4), (4, 6), (1, 7), (2, 8), (7, 9), (9, 11),
+               (8, 10), (10, 12)),
+        root=0,
+        parts=(5, 2, 1, 2, 1, 2, 1, 4, 3, 4, 3, 4, 3),
+        torso_anchors=((0,), (7, 8)),
+        tour=(0, 1, 3, 5, 3, 1, 7, 9, 11, 9, 7, 1, 0, 2, 4, 6, 4, 2, 8, 10, 12, 10, 8, 2, 0),
+    ),
+}
+
+
+class TestBuiltInDescriptions:
+    @pytest.mark.parametrize("profile", sorted(BUILT_INS))
+    def test_fields_and_tour_are_pinned(self, profile):
+        fields = dict(BUILT_INS[profile])
+        tour = fields.pop("tour")
+        topo = build_topology(profile)
+        assert topo == SkeletonTopology(name=profile, **fields)
+        assert euler_tour(topo).joints == tour
+
+    @pytest.mark.parametrize("profile", sorted(BUILT_INS))
+    def test_written_to_a_file_it_loads_as_custom(self, tmp_path, profile):
+        path = tmp_path / f"my_{profile}.topo"
+        path.write_text(DESCRIPTIONS[profile], "utf-8")
+        topo = build_topology("custom", path)
+        assert topo.name == f"custom:my_{profile}"
+        assert dataclasses.replace(topo, name=profile) == PROFILES[profile]
+
+    @pytest.mark.parametrize("profile", sorted(BUILT_INS))
+    def test_a_file_preprocesses_as_the_built_in(self, tmp_path, profile):
+        path = tmp_path / "skeleton.topo"
+        path.write_text(DESCRIPTIONS[profile], "utf-8")
+        ann = tmp_path / "ann.jsonl"
+        assert main(["synth", "--out", str(ann), "--profile", profile, "--videos-per-class", "2",
+                     "--frames", "12", "--dropout", "0.2", "--seed", "3"]) == 0
+        corpora = []
+        for name, extra in (("built_in", ["--profile", profile]),
+                            ("file", ["--profile", "custom", "--topology-file", str(path)])):
+            cache = tmp_path / f"{name}.cache"
+            assert main(["preprocess", "--annotations", str(ann), "--cache", str(cache),
+                         *extra]) == 0
+            corpora.append(read_corpus(cache))
+        built_in, from_file = corpora
+        # Both fills ran, so the torso anchors and the part votes were used.
+        assert {VIS_TEMPORAL, VIS_SPATIAL} <= set(np.unique(from_file.flags).tolist())
+        for field in ("offsets", "labels", "coords", "flags"):
+            assert np.array_equal(getattr(from_file, field), getattr(built_in, field)), field
 
 
 class TestUpperBody:
