@@ -10,9 +10,10 @@ turns checkpoint + corpus into a score CSV and an accuracy report, and
 draw that builds each epoch's tensors from fresh snippets, in that epoch's
 order, and ``eval`` builds one slice of videos at a time. Every command is
 deterministic given its config and seed, every output embeds the config
-hash and seed, every check runs before the first write, and all writes are
-atomic (unique temp file + rename). Errors leave a machine-readable JSON
-line on stderr and a nonzero exit code.
+hash and seed, every output path is checked before any work, and every
+output is written to a unique temp file, all of them renamed into place
+only once all are written (``_Outputs``). Errors leave a machine-readable
+JSON line on stderr and a nonzero exit code.
 
 Each command imports the layers it runs at its top, and calls them as
 module attributes; ``fuse`` and ``weights-search`` load only ``fusion``.
@@ -47,50 +48,57 @@ class CliError(ValueError):
     """User-facing command error."""
 
 
-def _atomic_write(path: str | Path, writer: Callable[[Path], None]) -> None:
-    """Write via a unique temp file in the same directory, then rename into place.
+class _Outputs:
+    """A command's output files, declared once, one keyword per flag; a None
+    or empty path is an output not asked for. Building it refuses, before
+    any work and creating nothing, a path whose nearest existing ancestor is
+    not a directory, a path that is a directory, and two outputs on one file."""
 
-    O_EXCL leaves any existing file untouched; mode 0o666 lets the umask apply.
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
-    os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
-    try:
-        writer(tmp)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    def __init__(self, **paths: str | Path | None) -> None:
+        self.paths = {name: path for name, path in paths.items() if path}
+        self.ancestors: dict[str, Path] = {}
+        seen: dict[str, str] = {}
+        for name, path in self.paths.items():
+            flag = _flag(name)
+            ancestor = next((p for p in Path(path).parents if p.exists()), Path("."))
+            if not ancestor.is_dir():
+                raise CliError(f"{flag}: cannot write {path}: {ancestor} is not a directory")
+            if Path(path).is_dir():
+                raise CliError(f"{flag}: cannot write {path}: it is a directory")
+            real = os.path.realpath(path)
+            if real in seen:
+                raise CliError(f"{flag}: {path} is also the {seen[real]} path")
+            seen[real], self.ancestors[name] = flag, ancestor
+
+    def commit(self, **writers: Callable[[Path], None] | dict) -> None:
+        """Write each output asked for (a dict as a JSON report) to a unique
+        temp file in its nearest existing ancestor; then, output by output,
+        make its directories and rename it into place. A failure before the
+        first rename leaves nothing; an OSError names the flag and the path."""
+        temps: dict[str, Path] = {}
+        try:
+            for name, path in self.paths.items():
+                tmp = self.ancestors[name] / f"{Path(path).name}.{os.urandom(8).hex()}.tmp"
+                # O_EXCL leaves any existing file untouched; 0o666 lets the umask apply.
+                os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+                temps[name], writer = tmp, writers[name]
+                if isinstance(writer, dict):
+                    tmp.write_text(json.dumps(writer, indent=2, sort_keys=True) + "\n", "utf-8")
+                else:
+                    writer(tmp)
+            for name, path in self.paths.items():
+                Path(path).parent.mkdir(parents=True, exist_ok=True)
+                os.replace(temps[name], path)
+        except OSError as exc:
+            raise CliError(f"{_flag(name)}: cannot write {self.paths[name]}: "
+                           f"{exc.strerror or exc}") from None
+        finally:
+            for tmp in temps.values():
+                tmp.unlink(missing_ok=True)
 
 
-def _check_outputs(**paths: str | Path | None) -> None:
-    """Refuse, before any work and creating nothing, output paths that
-    cannot be written: each given path's nearest existing ancestor must be
-    a directory, the path must not be one, and no two may be the same file.
-    Each keyword is a flag's name, which the CliError names with the path."""
-    seen: dict[str, str] = {}
-    for name, path in paths.items():
-        if not path:  # an empty path, like None, is an output not asked for
-            continue
-        flag = "--" + name.replace("_", "-")
-        ancestor = Path(path).parent
-        while not ancestor.exists() and ancestor != ancestor.parent:
-            ancestor = ancestor.parent
-        if not ancestor.is_dir():
-            raise CliError(f"{flag}: cannot write {path}: {ancestor} is not a directory")
-        if Path(path).is_dir():
-            raise CliError(f"{flag}: cannot write {path}: it is a directory")
-        real = os.path.realpath(path)
-        if real in seen:
-            raise CliError(f"{flag}: {path} is also the {seen[real]} path")
-        seen[real] = flag
-
-
-def _write_json(path: str | Path, payload: dict) -> None:
-    _atomic_write(
-        path,
-        lambda p: p.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", "utf-8"),
-    )
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 # ---------------------------------------------------------------------------
@@ -100,11 +108,11 @@ def _write_json(path: str | Path, payload: dict) -> None:
 def cmd_synth(spec: synth.SyntheticSpec, out: str | Path) -> dict:
     from . import preprocess, synth
 
-    _check_outputs(out=out)
+    outputs = _Outputs(out=out)
     spec_dict = asdict(spec)
     meta = {"seed": spec.seed, "config_hash": settings_hash(spec_dict), "spec": spec_dict}
     corpus = synth.generate(spec)
-    _atomic_write(out, lambda p: preprocess.write_annotations(p, corpus, meta=meta))
+    outputs.commit(out=lambda p: preprocess.write_annotations(p, corpus, meta=meta))
     return {"videos": len(corpus.videos), "classes": len(spec.classes), "out": str(out)}
 
 
@@ -139,11 +147,12 @@ def cmd_preprocess(cfg: PipelineConfig) -> dict:
     from .skeleton import build_topology, euler_tour
 
     cfg.require("annotations", "cache")
-    _check_outputs(cache=cfg.cache, report=cfg.report, save_spatial_model=cfg.save_spatial_model)
+    outputs = _Outputs(cache=cfg.cache, report=cfg.report,
+                       save_spatial_model=cfg.save_spatial_model)
     if not cfg.interpolate:
         for key in ("spatial_model", "save_spatial_model"):
             if getattr(cfg, key):
-                raise CliError(f"--{key.replace('_', '-')} needs spatial interpolation, "
+                raise CliError(f"{_flag(key)} needs spatial interpolation, "
                                "which --no-interpolate (interpolate: false) turns off")
     topology = build_topology(cfg.profile, cfg.topology_file)
     run_meta = {"config_hash": cfg.hash(), "seed": cfg.seed}
@@ -189,14 +198,11 @@ def cmd_preprocess(cfg: PipelineConfig) -> dict:
             pairs = None if cfg.save_spatial_model else preprocess.voting_pairs(corpus, topology)
             model = preprocess.fit_spatial_model(corpus, topology, degree=cfg.poly_degree,
                                                  pairs=pairs)
-        if cfg.save_spatial_model:
-            _atomic_write(cfg.save_spatial_model, model.save)
         corpus = preprocess.spatial_interpolate(corpus, model, topology)
     else:
         corpus = preprocess.zero_fill(corpus)
     corpus = tensorize.FilledCorpus(**vars(corpus), path=euler_tour(topology), seed=cfg.seed,
                                     config_hash=cfg.hash())
-    _atomic_write(cfg.cache, lambda p: tensorize.write_corpus(p, corpus))
 
     fills, fills_per_joint = _fill_counts(corpus.flags, topology)
     report = {
@@ -209,8 +215,8 @@ def cmd_preprocess(cfg: PipelineConfig) -> dict:
         "fills_per_joint": fills_per_joint,
         "cache": str(cfg.cache),
     }
-    if cfg.report:
-        _write_json(cfg.report, report)
+    outputs.commit(cache=lambda p: tensorize.write_corpus(p, corpus), report=report,
+                   save_spatial_model=lambda p: model.save(p))
     return report
 
 
@@ -224,7 +230,7 @@ def cmd_train(cfg: PipelineConfig) -> dict:
     from .skeleton import build_topology, euler_tour
 
     cfg.require("cache", "checkpoint")
-    _check_outputs(checkpoint=cfg.checkpoint, trace=cfg.trace)
+    outputs = _Outputs(checkpoint=cfg.checkpoint, trace=cfg.trace)
     corpus = tensorize.read_corpus(cfg.cache)
     tour = euler_tour(build_topology(cfg.profile, cfg.topology_file))
     if tour != corpus.path:
@@ -253,11 +259,10 @@ def cmd_train(cfg: PipelineConfig) -> dict:
     trained, trace = convnet.train(net, draw, corpus.labels, cfg.train_config())
 
     meta = {"config_hash": cfg.hash(), "seed": cfg.seed, "num_classes": num_classes}
-    _atomic_write(cfg.checkpoint, lambda p: convnet.save_checkpoint(trained, p, meta=meta))
-    if cfg.trace:
-        lines = [f"# config_hash={cfg.hash()} seed={cfg.seed}", "epoch,loss,accuracy"]
-        lines += [f"{s.epoch},{s.loss:.12g},{s.accuracy:.12g}" for s in trace]
-        _atomic_write(cfg.trace, lambda p: p.write_text("\n".join(lines) + "\n", "utf-8"))
+    lines = [f"# config_hash={cfg.hash()} seed={cfg.seed}", "epoch,loss,accuracy"]
+    lines += [f"{s.epoch},{s.loss:.12g},{s.accuracy:.12g}" for s in trace]
+    outputs.commit(checkpoint=lambda p: convnet.save_checkpoint(trained, p, meta=meta),
+                   trace=lambda p: p.write_text("\n".join(lines) + "\n", "utf-8"))
     final = trace[-1] if trace else None
     return {
         "epochs": len(trace),
@@ -285,7 +290,7 @@ def cmd_eval(cfg: PipelineConfig) -> dict:
     from . import convnet, fusion, tensorize
 
     cfg.require("cache", "checkpoint", "scores")
-    _check_outputs(scores=cfg.scores, labels=cfg.labels, report=cfg.report)
+    outputs = _Outputs(scores=cfg.scores, labels=cfg.labels, report=cfg.report)
     corpus = tensorize.read_corpus(cfg.cache)
     net = convnet.load_checkpoint(cfg.checkpoint, COMPUTE_DTYPE)[0]
     k = net.input_shape[0]
@@ -313,9 +318,6 @@ def cmd_eval(cfg: PipelineConfig) -> dict:
     result = fusion.evaluate(scores, labels) if labeled else None
 
     run_meta = {"config_hash": cfg.hash(), "seed": cfg.seed}
-    _atomic_write(cfg.scores, lambda p: fusion.write_scores(p, scores, meta=run_meta))
-    if cfg.labels:
-        _atomic_write(cfg.labels, lambda p: fusion.write_labels(p, labels, meta=run_meta))
     per_class = [None if np.isnan(v) else float(v) for v in result.per_class] if result else None
     report = {
         **run_meta,
@@ -325,8 +327,8 @@ def cmd_eval(cfg: PipelineConfig) -> dict:
         "confusion": result.confusion.tolist() if result else None,
         "scores": str(cfg.scores),
     }
-    if cfg.report:
-        _write_json(cfg.report, report)
+    outputs.commit(scores=lambda p: fusion.write_scores(p, scores, meta=run_meta),
+                   labels=lambda p: fusion.write_labels(p, labels, meta=run_meta), report=report)
     return report
 
 
@@ -353,7 +355,7 @@ def cmd_fuse(cfg: PipelineConfig) -> dict:
     from . import fusion
 
     cfg.require("labels", "fused_scores")
-    _check_outputs(fused_scores=cfg.fused_scores, report=cfg.report)
+    outputs = _Outputs(fused_scores=cfg.fused_scores, report=cfg.report)
     streams = _load_streams(cfg)
     labels = fusion.read_labels(cfg.labels)
     fused = fusion.fuse(streams, cfg.weights)
@@ -373,7 +375,6 @@ def cmd_fuse(cfg: PipelineConfig) -> dict:
         "seed": cfg.seed,
         "weights": ",".join(f"{w:g}" for w in cfg.weights),
     }
-    _atomic_write(cfg.fused_scores, lambda p: fusion.write_scores(p, fused, meta=run_meta))
     report = {
         "config_hash": cfg.hash(),
         "seed": cfg.seed,
@@ -383,8 +384,8 @@ def cmd_fuse(cfg: PipelineConfig) -> dict:
         "fused_accuracy": subsets["+".join(present)],
         "fused_scores": str(cfg.fused_scores),
     }
-    if cfg.report:
-        _write_json(cfg.report, report)
+    outputs.commit(fused_scores=lambda p: fusion.write_scores(p, fused, meta=run_meta),
+                   report=report)
     return report
 
 
@@ -393,7 +394,7 @@ def cmd_weights_search(cfg: PipelineConfig) -> dict:
     from . import fusion
 
     cfg.require("labels")
-    _check_outputs(report=cfg.report)
+    outputs = _Outputs(report=cfg.report)
     streams = _load_streams(cfg)
     labels = fusion.read_labels(cfg.labels)
 
@@ -413,8 +414,7 @@ def cmd_weights_search(cfg: PipelineConfig) -> dict:
             for weights, accuracy in zip(grid, accuracies)
         ],
     }
-    if cfg.report:
-        _write_json(cfg.report, report)
+    outputs.commit(report=report)
     return report
 
 
@@ -447,7 +447,7 @@ def _add_config_args(parser: argparse.ArgumentParser, *names: str) -> None:
     type is its default's (str for a path, whose default is None)."""
     for name in names:
         default = getattr(PipelineConfig, name)
-        parser.add_argument("--" + name.replace("_", "-"), dest=name, default=None,
+        parser.add_argument(_flag(name), dest=name, default=None,
                             type=str if default is None else type(default), help=_HELP.get(name))
 
 

@@ -13,9 +13,9 @@ This module imports nothing else from the package, so every command can
 load it without the layers it does not run. It owns the settings objects
 the layers take, ``NetSpec`` and ``TrainConfig`` (``convnet``) and
 ``SAMPLING_MODES`` (``tensorize``), which those modules import from here,
-the video id rule that the annotation reader and the score and label CSV
-readers share, and the message for a text file that is not UTF-8, which
-the CSV and topology readers share.
+the video id rule and check that the annotation, corpus and CSV readers
+and writers share, and the message for a text file that is not UTF-8,
+which the config, CSV and topology readers share.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+from typing import Iterable
 
 SAMPLING_MODES = ("random", "center")
 
@@ -38,6 +39,15 @@ def is_video_id(video: object) -> bool:
     # the corpus file stores ids as UTF-8, which has no unpaired surrogates.
     return (isinstance(video, str) and video != "" and not video.startswith("#")
             and not any(c in ',"\r\n' or "\ud800" <= c <= "\udfff" for c in video))
+
+
+def check_video_ids(videos: Iterable[object]) -> None:
+    """ValueError naming the first id that is_video_id rejects: no file the
+    tool writes can hold it."""
+    for video in videos:
+        if not is_video_id(video):
+            raise ValueError(f"cannot write video id {video!r}: an id must be a non-empty "
+                             f"string and {ID_RULE}")
 
 
 def decode_utf8(path: str | Path, data: bytes) -> str:
@@ -200,14 +210,10 @@ def _read_config_file(path: str | Path) -> dict:
     import yaml  # only commands given a config file pay for the import
 
     try:
-        text = Path(path).read_bytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: config is not UTF-8 (bad byte at offset {exc.start})") from None
-    stream = io.StringIO(text)
-    stream.name = str(path)  # so YAML error marks cite the file
-    try:
+        stream = io.StringIO(decode_utf8(path, Path(path).read_bytes()))
+        stream.name = str(path)  # so YAML error marks cite the file
         raw = yaml.safe_load(stream)
-    except yaml.YAMLError as exc:
+    except (ValueError, yaml.YAMLError) as exc:  # ValueError: not UTF-8, or a bad date
         raise ValueError(f"{path}: config is not valid YAML: {exc}") from None
     if raw is None:
         return {}

@@ -29,7 +29,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .config import ID_RULE, decode_utf8, is_video_id
+from .config import ID_RULE, check_video_ids, decode_utf8, is_video_id
 
 # Stream names in weight-column order: a weighting is one
 # (w_pose, w_spatial, w_temporal) row.
@@ -216,10 +216,7 @@ def _write_csv(path: str | Path, meta: dict | None, header: str, videos: Iterabl
     """Write an optional ``# key=value`` meta line, the header and the rows,
     one line at a time; an id the readers refuse raises ValueError before
     the file is opened."""
-    for video in videos:
-        if not is_video_id(video):
-            raise ValueError(f"cannot write video id {video!r}: an id must be a non-empty "
-                             f"string and {ID_RULE}")
+    check_video_ids(videos)
     with open(path, "w", encoding="utf-8") as handle:
         if meta:
             handle.write("# " + " ".join(f"{k}={v}" for k, v in sorted(meta.items())) + "\n")

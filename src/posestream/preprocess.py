@@ -52,7 +52,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import binio
-from .config import ID_RULE, is_video_id
+from .config import ID_RULE, check_video_ids, is_video_id
 from .skeleton import SkeletonTopology, upper_body_joints
 
 VIS_MISSING = 0
@@ -626,10 +626,7 @@ def write_annotations(path: str | Path, corpus: PoseCorpus, meta: dict | None = 
     """
     import orjson  # only commands that write annotations pay for the import
 
-    for video in corpus.videos:
-        if not is_video_id(video):
-            raise ValueError(f"cannot write video id {video!r}: an id must be a non-empty "
-                             f"string and {ID_RULE}")
+    check_video_ids(corpus.videos)
     head = b""
     if meta is not None:
         head = json.dumps({"_meta": meta}, sort_keys=True, allow_nan=False).encode() + b"\n"

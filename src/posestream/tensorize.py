@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from . import binio
-from .config import SAMPLING_MODES
+from .config import SAMPLING_MODES, check_video_ids
 from .preprocess import VIS_OBSERVED, VIS_SYNTHETIC, PoseCorpus
 from .skeleton import TraversalPath
 
@@ -66,6 +66,7 @@ class FilledCorpus(PoseCorpus):
         super().__post_init__()
         if self.labels.min() < -1:
             raise ValueError("labels below -1 (-1 marks an absent label)")
+        check_video_ids(self.videos)
         if len(set(self.videos)) != len(self.videos):
             raise ValueError("video ids are not unique")
         if np.any((self.flags < VIS_OBSERVED) | (self.flags > VIS_SYNTHETIC)):

@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import errno
 import json
 import os
 import shutil
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posestream.cli import (
-    _atomic_write, _overrides_from_args, build_parser, cmd_eval, cmd_synth, cmd_train, main,
+    _Outputs, _overrides_from_args, build_parser, cmd_eval, cmd_synth, cmd_train, main,
 )
 from posestream.config import PipelineConfig, load_config
 from posestream.convnet import (
@@ -1089,7 +1090,7 @@ class TestAtomicWrite:
         target = tmp_path / "out.txt"
         foreign = tmp_path / "out.txt.tmp"
         foreign.write_text("someone else's")
-        _atomic_write(target, lambda p: p.write_text("mine"))
+        _Outputs(out=target).commit(out=lambda p: p.write_text("mine"))
         assert target.read_text() == "mine"
         assert foreign.read_text() == "someone else's"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt", "out.txt.tmp"]
@@ -1100,8 +1101,71 @@ class TestAtomicWrite:
             raise RuntimeError("disk full")
 
         with pytest.raises(RuntimeError):
-            _atomic_write(tmp_path / "out.txt", broken)
+            _Outputs(out=tmp_path / "out.txt").commit(out=broken)
         assert list(tmp_path.iterdir()) == []
+
+
+def _fail_writing(monkeypatch, flag):
+    """Make the writer of the output flag write a few bytes and then fail as a
+    full disk does; the command's other writers run as they are."""
+    commit = _Outputs.commit
+
+    def full(path):
+        path.write_bytes(b"partial")
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(_Outputs, "commit", lambda self, **writers: commit(
+        self, **{**writers, flag.replace("-", "_"): full}))
+
+
+class TestOutputsCommittedLast:
+    """Every output is written to a temp file before any is renamed into
+    place, so a failed write leaves the output directory as it was."""
+
+    argv = TestOutputsCheckedFirst.argv
+
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command, (_, flags) in _OUTPUT_RUNS.items() for flag in flags])
+    def test_a_failed_write_leaves_the_directory_as_it_was(self, workdir, tmp_path, capsys,
+                                                           monkeypatch, command, flag):
+        for name in _OUTPUT_RUNS[command][1]:
+            (tmp_path / f"{name}.out").write_text("an earlier run's output")
+        before = _snapshot(tmp_path)
+        _fail_writing(monkeypatch, flag)
+        code, _, err = run(capsys, *self.argv(command, workdir, tmp_path))
+        assert code == 1
+        assert err["message"] == (f"--{flag}: cannot write {tmp_path / (flag + '.out')}: "
+                                  "No space left on device")
+        assert _snapshot(tmp_path) == before
+
+    def test_a_failed_write_makes_no_directory(self, workdir, tmp_path, capsys, monkeypatch):
+        _fail_writing(monkeypatch, "report")
+        code, _, err = run(capsys, *self.argv("eval", workdir, tmp_path / "new" / "dirs"))
+        assert code == 1
+        assert err["message"].startswith(f"--report: cannot write {tmp_path / 'new'}")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_file_too_large_is_named_by_its_flag(self, tmp_path):
+        """A real write error: the child process may write files of 64 KiB at most."""
+        ann = tmp_path / "ann.jsonl"
+        assert main(["synth", "--out", str(ann), "--videos-per-class", "5", "--frames", "40",
+                     "--dropout", "0.2", "--seed", "3"]) == 0
+        before = _snapshot(tmp_path)
+        out = tmp_path / "out"
+        code = ("import resource, sys\n"
+                "resource.setrlimit(resource.RLIMIT_FSIZE, (65536, 65536))\n"
+                "from posestream import cli\n"
+                "print(cli.main(sys.argv[1:]))")
+        src = Path(__file__).resolve().parents[1] / "src"
+        result = subprocess.run(
+            [sys.executable, "-c", code, "preprocess", "--annotations", str(ann),
+             "--cache", str(out / "c.cache"), "--report", str(out / "r.json"),
+             "--save-spatial-model", str(out / "sm.bin")],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True)
+        assert result.stdout.strip() == "1"
+        error = json.loads(result.stderr.strip().splitlines()[-1])
+        assert error["message"] == f"--cache: cannot write {out / 'c.cache'}: File too large"
+        assert _snapshot(tmp_path) == before
 
 
 class TestConfigHash:
@@ -1226,8 +1290,9 @@ class TestConfigFile:
         (b"weights: 5\n", "weights must be a list of numbers, got 5"),
         (b'epochs: "x"\n', "epochs must be an integer, got 'x'"),
         (b"weights: [1, 2]\n", "weights must be three values"),
+        (b"seed: 2020-13-01\n", "not valid YAML: month must be in 1..12"),
     ], ids=["yaml syntax", "not utf-8", "seed text", "weights scalar", "epochs text",
-            "weights length"])
+            "weights length", "bad date"])
     def test_defect_is_value_error_naming_the_file(self, tmp_path, content, message):
         cfg_file = tmp_path / "cfg.yaml"
         cfg_file.write_bytes(content)

@@ -1,5 +1,6 @@
 """Snippet planning, tensor assembly, and filled-corpus file tests."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -288,6 +289,20 @@ class TestTensorCache:
         with pytest.raises(ValueError, match=message) as exc:
             read_corpus(bad)
         assert str(bad) in str(exc.value)
+
+    @pytest.mark.parametrize("video", ["a,bc", "#vid"])
+    def test_an_id_no_csv_can_hold_is_refused_on_write_and_read(self, tmp_path, video):
+        corpus = self.make_corpus()
+        message = f"cannot write video id {re.escape(repr(video))}"
+        with pytest.raises(ValueError, match=message):
+            replace(corpus, videos=("vid0", video, "vid2"))
+        good = tmp_path / "good.bin"
+        write_corpus(good, corpus)
+        bad = tmp_path / "bad.bin"  # the same length of id keeps the header's framing
+        bad.write_bytes(good.read_bytes().replace(b'"vid1"', f'"{video}"'.encode()))
+        with pytest.raises(ValueError, match=message) as exc:
+            read_corpus(bad)
+        assert str(exc.value).startswith(f"{bad}: ")
 
     def test_rejects_non_finite_coordinates(self):
         corpus = self.make_corpus()
