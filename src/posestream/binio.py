@@ -7,17 +7,21 @@ Filled corpus, checkpoint and spatial model share one little-endian form::
 
 A ``FileKind`` names the type of every header field and gives a
 ``layout(header) -> {name: (dtype, shape)}`` of the arrays that follow, so
-the header is the schema. ``write`` and ``read`` own every framing check:
+the header is the schema. ``write`` and ``open`` own every framing check:
 bad magic or version, a header that is not a JSON object or has a field of
 the wrong type (a dimension 1.5 or true is no integer), a negative
-dimension, truncation and trailing bytes. Every size is checked against the file's (from
-``fstat``) before anything is allocated, and each array is read straight
-into the buffer the caller keeps, so a file's bytes are held once. Each
-defect is a ValueError that names the file; a file kind adds only the
-checks of what its values mean.
+dimension, truncation and trailing bytes. Every size is checked against the
+file's (from ``fstat``) before anything is allocated. The ``OpenFile`` that
+``open`` returns reads any row range of an array's leading axis straight
+into a buffer the caller keeps, so a caller may hold a file's bytes once,
+or one part of them at a time; a file that shrinks while it is open fails
+that read. ``read`` is ``open``, then every array read whole. Each defect
+is a ValueError that names the file; a file kind adds only the checks of
+what its values mean.
 
 A caller may hold float64 arrays of the layout in another float dtype:
-``read(..., dtype=)`` fills arrays of that dtype, and ``write`` takes them.
+``read(..., dtype=)`` and ``read_into`` fill arrays of that dtype, and
+``write`` takes them.
 Such an array is converted in chunks of at most CHUNK_BYTES of the file's
 dtype, so no whole-array copy in either dtype exists; a value beyond the
 dtype's range reads as inf, for the kind's checks to refuse. Arrays of the
@@ -99,13 +103,21 @@ class FileKind:
     def read(self, path: str | Path, build: Callable[[dict, dict[str, np.ndarray]], T],
              dtype=np.float64) -> T:
         """``build(header, arrays)`` of a file of this kind, with the layout's
-        float64 arrays in dtype; a ValueError or TypeError of the layout or
-        the build names the file."""
+        float64 arrays in dtype: ``open``, then every array read whole; a
+        ValueError or TypeError of the layout or the build names the file."""
+        with self.open(path) as file:
+            arrays = {name: file.read(name, dtype) for name in file.layout}
+        return file.named(build, file.header, arrays)
+
+    def open(self, path: str | Path) -> OpenFile:
+        """The file at path, open for reading, once every framing check has
+        passed; the caller closes it (it is a context manager)."""
 
         def fail(message: str) -> ValueError:
             return ValueError(f"{path}: {message}")
 
-        with open(path, "rb") as handle:
+        handle = open(path, "rb")
+        try:
             size = os.fstat(handle.fileno()).st_size
             prefix = handle.read(PREFIX.size)
             if prefix[:4] != self.magic[:len(prefix)]:
@@ -130,31 +142,71 @@ class FileKind:
                 layout = self.layout(header)
             except (TypeError, ValueError) as exc:
                 raise fail(str(exc)) from None
+            starts = {}
             for name, (kind, shape) in layout.items():
                 if min(shape, default=0) < 0:
                     raise fail(f"array '{name}' has a negative dimension: {shape}")
+                starts[name] = end
                 end += np.dtype(kind).itemsize * math.prod(shape)
                 if end > size:
                     raise fail(f"truncated in array '{name}' (it ends at {end}, "
                                f"the file at {size})")
             if end < size:
                 raise fail(f"{size - end} trailing bytes after the last array")
-            arrays = {}
-            for name, (kind, shape) in layout.items():
-                kind = np.dtype(kind)
-                array = arrays[name] = np.empty(shape, dtype if kind == np.float64 else kind)
-                flat = array.reshape(-1)
-                for piece, raw in [(flat, flat)] if array.dtype == kind else _chunks(flat, kind):
-                    if handle.readinto(raw.view(np.uint8)) != raw.nbytes:
-                        raise fail(f"truncated in array '{name}' "
-                                   "(the file shrank while it was read)")
-                    if raw is not piece:
-                        with np.errstate(over="ignore"):  # the kind's build sees the inf
-                            np.copyto(piece, raw)
+        except BaseException:
+            handle.close()
+            raise
+        return OpenFile(path, handle, header, layout, starts)
+
+
+class OpenFile:
+    """A file whose framing checks have passed: its header, the layout of
+    its arrays and where each starts in the file. ``read_into`` fills a
+    caller's buffer from any row range of an array's leading axis."""
+
+    def __init__(self, path: str | Path, handle: typing.BinaryIO, header: dict,
+                 layout: Layout, starts: dict[str, int]) -> None:
+        self.path, self.handle, self.header = path, handle, header
+        self.layout, self.starts = layout, starts
+
+    def __enter__(self) -> OpenFile:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        self.handle.close()
+
+    def named(self, build: Callable[..., T], *args, **kwargs) -> T:
+        """build(*args, **kwargs), a ValueError or TypeError of it naming the file."""
         try:
-            return build(header, arrays)
+            return build(*args, **kwargs)
         except (TypeError, ValueError) as exc:
-            raise fail(str(exc)) from None
+            raise ValueError(f"{self.path}: {exc}") from None
+
+    def read(self, name: str, dtype=np.float64) -> np.ndarray:
+        """The whole array name, in dtype if the layout's is float64."""
+        kind, shape = self.layout[name]
+        array = np.empty(shape, dtype if np.dtype(kind) == np.float64 else kind)
+        self.read_into(name, array)
+        return array
+
+    def read_into(self, name: str, out: np.ndarray, start: int = 0) -> None:
+        """Fill out, C-contiguous and shaped as rows of the array name, with
+        its rows start to start + len(out), converted to out's dtype if it
+        is not the layout's."""
+        kind, shape = self.layout[name]
+        kind = np.dtype(kind)
+        self.handle.seek(self.starts[name] + int(start) * kind.itemsize * math.prod(shape[1:]))
+        flat = out.reshape(-1)
+        for piece, raw in [(flat, flat)] if out.dtype == kind else _chunks(flat, kind):
+            if self.handle.readinto(raw.view(np.uint8)) != raw.nbytes:
+                raise ValueError(f"{self.path}: truncated in array '{name}' "
+                                 "(the file shrank while it was read)")
+            if raw is not piece:
+                with np.errstate(over="ignore"):  # the kind's build sees the inf
+                    np.copyto(piece, raw)
 
 
 def _chunks(flat: np.ndarray, kind: np.dtype):

@@ -8,12 +8,15 @@ turns checkpoint + corpus into a score CSV and an accuracy report, and
 ``eval`` build pose tensors from the corpus on demand, in the shape
 ``FilledCorpus.tensor_shape`` gives: ``train`` hands ``convnet.train`` a
 draw that builds each epoch's tensors from fresh snippets, in that epoch's
-order, and ``eval`` builds one slice of videos at a time. Every command is
-deterministic given its config and seed, every output embeds the config
-hash and seed, every output path is checked before any work, and every
-output is written to a unique temp file, all of them renamed into place
-only once all are written (``_Outputs``). Errors leave a machine-readable
-JSON line on stderr and a nonzero exit code.
+order, and ``eval`` holds the corpus file open and reads, builds and
+scores one slice of videos at a time. Every command is deterministic
+given its config and seed, every output embeds the config hash and seed,
+every output path is checked before any work (none may be a file the
+command reads; each ``cmd_*`` but ``cmd_synth`` takes the config file's
+path for that), and every output is written to a unique temp file, all
+of them renamed into place only once all are written (``_Outputs``).
+Errors leave a machine-readable JSON line on stderr and a nonzero exit
+code.
 
 Each command imports the layers it runs at its top, and calls them as
 module attributes; ``fuse`` and ``weights-search`` load only ``fusion``.
@@ -50,14 +53,18 @@ class CliError(ValueError):
 
 class _Outputs:
     """A command's output files, declared once, one keyword per flag; a None
-    or empty path is an output not asked for. Building it refuses, before
+    or empty path is an output not asked for; ``inputs`` gives the path of
+    each file the command reads, by config key. Building it refuses, before
     any work and creating nothing, a path whose nearest existing ancestor is
-    not a directory, a path that is a directory, and two outputs on one file."""
+    not a directory, a path that is a directory, and an output on the file
+    of another output or of an input."""
 
-    def __init__(self, **paths: str | Path | None) -> None:
+    def __init__(self, inputs: dict[str, str | Path | None] | None = None, /,
+                 **paths: str | Path | None) -> None:
         self.paths = {name: path for name, path in paths.items() if path}
         self.ancestors: dict[str, Path] = {}
-        seen: dict[str, str] = {}
+        seen = {os.path.realpath(path): _flag(name)
+                for name, path in (inputs or {}).items() if path}
         for name, path in self.paths.items():
             flag = _flag(name)
             ancestor = next((p for p in Path(path).parents if p.exists()), Path("."))
@@ -141,14 +148,16 @@ def _fill_counts(
     return totals, by_name
 
 
-def cmd_preprocess(cfg: PipelineConfig) -> dict:
+def cmd_preprocess(cfg: PipelineConfig, config: str | None = None) -> dict:
     """Annotations -> one filled-corpus file + report."""
     from . import preprocess, tensorize
     from .skeleton import build_topology, euler_tour
 
     cfg.require("annotations", "cache")
-    outputs = _Outputs(cache=cfg.cache, report=cfg.report,
-                       save_spatial_model=cfg.save_spatial_model)
+    outputs = _Outputs(
+        {"annotations": cfg.annotations, "spatial_model": cfg.spatial_model,
+         "topology_file": cfg.topology_file, "config": config},
+        cache=cfg.cache, report=cfg.report, save_spatial_model=cfg.save_spatial_model)
     if not cfg.interpolate:
         for key in ("spatial_model", "save_spatial_model"):
             if getattr(cfg, key):
@@ -224,13 +233,14 @@ def cmd_preprocess(cfg: PipelineConfig) -> dict:
 # train
 # ---------------------------------------------------------------------------
 
-def cmd_train(cfg: PipelineConfig) -> dict:
+def cmd_train(cfg: PipelineConfig, config: str | None = None) -> dict:
     """Filled corpus -> checkpoint + per-epoch CSV trace; snippets are redrawn each epoch."""
     from . import convnet, tensorize
     from .skeleton import build_topology, euler_tour
 
     cfg.require("cache", "checkpoint")
-    outputs = _Outputs(checkpoint=cfg.checkpoint, trace=cfg.trace)
+    outputs = _Outputs({"cache": cfg.cache, "topology_file": cfg.topology_file,
+                        "config": config}, checkpoint=cfg.checkpoint, trace=cfg.trace)
     corpus = tensorize.read_corpus(cfg.cache)
     tour = euler_tour(build_topology(cfg.profile, cfg.topology_file))
     if tour != corpus.path:
@@ -276,45 +286,52 @@ def cmd_train(cfg: PipelineConfig) -> dict:
 # eval
 # ---------------------------------------------------------------------------
 
-def cmd_eval(cfg: PipelineConfig) -> dict:
+def cmd_eval(cfg: PipelineConfig, config: str | None = None) -> dict:
     """Checkpoint + filled corpus -> per-video score CSV + accuracy report.
 
     Snippets are drawn once from the corpus seed, K from the checkpoint.
-    The videos are taken in id order, in the same slices of at most
-    FORWARD_SLICE rows that ``forward`` scores, and only one slice's
-    tensors exist at a time, scored into one workspace that every slice
-    reuses; so memory holds the corpus, the checkpoint read straight into
-    COMPUTE_DTYPE, one slice and the workspace whatever the corpus size.
-    Accuracy, per-class accuracy and confusion are null unless every
-    video has a label."""
+    The corpus file is opened, not read: its header, ids, offsets and
+    labels are checked before the checkpoint is read. The videos are taken
+    in id order, in the same slices of at most FORWARD_SLICE rows that
+    ``forward`` scores; each slice's frames are read from the file and
+    checked, and its tensors built in and scored through one workspace
+    that every slice reuses. So memory holds the corpus's ids, offsets and
+    labels, the checkpoint read straight into COMPUTE_DTYPE, one slice's
+    frames, the workspace (one slice's tensors included) and the score
+    rows, and no frame of the other slices. Accuracy, per-class accuracy
+    and confusion are null unless every video has a label."""
     from . import convnet, fusion, tensorize
 
     cfg.require("cache", "checkpoint", "scores")
-    outputs = _Outputs(scores=cfg.scores, labels=cfg.labels, report=cfg.report)
-    corpus = tensorize.read_corpus(cfg.cache)
-    net = convnet.load_checkpoint(cfg.checkpoint, COMPUTE_DTYPE)[0]
-    k = net.input_shape[0]
-    if net.input_shape != corpus.tensor_shape(k):
-        raise CliError(f"checkpoint expects input {net.input_shape}, corpus {cfg.cache} "
-                       f"provides {corpus.tensor_shape(k)}")
-    labels = {video: int(label) for video, label in zip(corpus.videos, corpus.labels)
-              if label >= 0}
-    labeled = len(labels) == len(corpus.videos)
-    if cfg.labels and not labeled:
-        raise CliError(f"{cfg.cache}: some videos have no label; cannot write {cfg.labels}")
+    outputs = _Outputs({"cache": cfg.cache, "checkpoint": cfg.checkpoint, "config": config},
+                       scores=cfg.scores, labels=cfg.labels, report=cfg.report)
+    with tensorize.OpenCorpus(cfg.cache) as corpus:
+        net = convnet.load_checkpoint(cfg.checkpoint, COMPUTE_DTYPE)[0]
+        k = net.input_shape[0]
+        if net.input_shape != corpus.tensor_shape(k):
+            raise CliError(f"checkpoint expects input {net.input_shape}, corpus {cfg.cache} "
+                           f"provides {corpus.tensor_shape(k)}")
+        labels = {video: int(label) for video, label in zip(corpus.videos, corpus.labels)
+                  if label >= 0}
+        labeled = len(labels) == len(corpus.videos)
+        if cfg.labels and not labeled:
+            raise CliError(f"{cfg.cache}: some videos have no label; cannot write {cfg.labels}")
 
-    workspace = convnet.Workspace()
+        workspace = convnet.Workspace()
 
-    def score(rows: np.ndarray) -> np.ndarray:
-        tensors = tensorize.corpus_tensors(corpus, rows, k, cfg.sampling, corpus.seed)
-        return convnet.forward(net, tensors, workspace)
+        def score(rows: np.ndarray) -> np.ndarray:
+            # In the workspace: a fresh array per slice would be mapped afresh.
+            tensors = workspace.take("tensors", (len(rows), *corpus.tensor_shape(k)), np.float64)
+            tensorize.corpus_tensors(corpus.read(rows), np.arange(len(rows)), k, cfg.sampling,
+                                     corpus.seed, out=tensors)
+            return convnet.forward(net, tensors, workspace)
 
-    order = np.array(sorted(range(len(corpus.videos)), key=corpus.videos.__getitem__))
-    slices = convnet.row_slices(order, convnet.FORWARD_SLICE)
-    scores = fusion.StreamScores(
-        stream="pose", videos=tuple(corpus.videos[i] for i in order),
-        matrix=np.concatenate([score(rows) for rows in slices]),
-    )
+        order = np.array(sorted(range(len(corpus.videos)), key=corpus.videos.__getitem__))
+        slices = convnet.row_slices(order, convnet.FORWARD_SLICE)
+        scores = fusion.StreamScores(
+            stream="pose", videos=tuple(corpus.videos[i] for i in order),
+            matrix=np.concatenate([score(rows) for rows in slices]),
+        )
     result = fusion.evaluate(scores, labels) if labeled else None
 
     run_meta = {"config_hash": cfg.hash(), "seed": cfg.seed}
@@ -336,6 +353,14 @@ def cmd_eval(cfg: PipelineConfig) -> dict:
 # fuse / weights-search
 # ---------------------------------------------------------------------------
 
+def _fusion_inputs(cfg: PipelineConfig, config: str | None) -> dict[str, str | None]:
+    """The files fuse and weights-search read, by config key."""
+    from . import fusion
+
+    keys = [f"{name}_scores" for name in fusion.STREAMS] + ["labels"]
+    return {key: getattr(cfg, key) for key in keys} | {"config": config}
+
+
 def _load_streams(cfg: PipelineConfig) -> dict[str, fusion.StreamScores]:
     """The streams whose score files are given, by name."""
     from . import fusion
@@ -347,7 +372,7 @@ def _load_streams(cfg: PipelineConfig) -> dict[str, fusion.StreamScores]:
     return streams
 
 
-def cmd_fuse(cfg: PipelineConfig) -> dict:
+def cmd_fuse(cfg: PipelineConfig, config: str | None = None) -> dict:
     """Score CSVs + labels -> fused score CSV + accuracy table per subset.
 
     Each subset of the given streams is scored with the run's weights set to
@@ -355,7 +380,8 @@ def cmd_fuse(cfg: PipelineConfig) -> dict:
     from . import fusion
 
     cfg.require("labels", "fused_scores")
-    outputs = _Outputs(fused_scores=cfg.fused_scores, report=cfg.report)
+    outputs = _Outputs(_fusion_inputs(cfg, config), fused_scores=cfg.fused_scores,
+                       report=cfg.report)
     streams = _load_streams(cfg)
     labels = fusion.read_labels(cfg.labels)
     fused = fusion.fuse(streams, cfg.weights)
@@ -389,12 +415,12 @@ def cmd_fuse(cfg: PipelineConfig) -> dict:
     return report
 
 
-def cmd_weights_search(cfg: PipelineConfig) -> dict:
+def cmd_weights_search(cfg: PipelineConfig, config: str | None = None) -> dict:
     """Grid search fusion weights against a labeled validation split."""
     from . import fusion
 
     cfg.require("labels")
-    outputs = _Outputs(report=cfg.report)
+    outputs = _Outputs(_fusion_inputs(cfg, config), report=cfg.report)
     streams = _load_streams(cfg)
     labels = fusion.read_labels(cfg.labels)
 
@@ -535,7 +561,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 "fuse": cmd_fuse,
                 "weights-search": cmd_weights_search,
             }[args.command]
-            result = command(cfg)
+            result = command(cfg, args.config)
         print(json.dumps(result, sort_keys=True))
         return 0
     except Exception as exc:  # all command failures surface as JSON on stderr

@@ -92,26 +92,31 @@ class PoseCorpus:
         self.offsets = np.asarray(self.offsets, dtype=np.int64)
         self.coords = np.asarray(self.coords, dtype=np.float64)
         self.flags = np.asarray(self.flags, dtype=np.uint8)
-        count = len(self.videos)
-        if count == 0:
-            raise ValueError("refusing to build an empty corpus")
-        if self.labels.shape != (count,) or self.offsets.shape != (count + 1,):
-            raise ValueError(f"{count} videos need {count} labels and {count + 1} offsets, got "
-                             f"{self.labels.shape} and {self.offsets.shape}")
         if self.coords.ndim != 3 or self.coords.shape[2] != 2:
             raise ValueError(f"coords must have shape (F, n, 2), got {self.coords.shape}")
         if self.flags.shape != self.coords.shape[:2]:
             raise ValueError(f"flags shape {self.flags.shape} does not match coords "
                              f"{self.coords.shape[:2]}")
-        if (self.offsets[0] != 0 or self.offsets[-1] != len(self.coords)
-                or np.any(np.diff(self.offsets) < 1)):
-            raise ValueError(f"frame offsets must rise from 0 to {len(self.coords)} "
-                             "with no empty video")
+        self.check_index(self.videos, self.labels, self.offsets, len(self.coords))
         if not np.isfinite(self.coords).all():
             bad = ((self.flags > 0) & ~np.isfinite(self.coords).all(axis=2)).any(axis=1)
             if bad.any():
                 video = self.videos[np.searchsorted(self.offsets, bad.argmax(), side="right") - 1]
                 raise ValueError(f"video '{video}' has non-finite coordinates on filled joints")
+
+    @staticmethod
+    def check_index(videos: Sequence[str], labels: np.ndarray, offsets: np.ndarray,
+                    frames: int) -> None:
+        """The checks of a corpus that need none of its frames: a label per
+        video, and offsets that rise from 0 to the frame count."""
+        count = len(videos)
+        if count == 0:
+            raise ValueError("refusing to build an empty corpus")
+        if labels.shape != (count,) or offsets.shape != (count + 1,):
+            raise ValueError(f"{count} videos need {count} labels and {count + 1} offsets, got "
+                             f"{labels.shape} and {offsets.shape}")
+        if offsets[0] != 0 or offsets[-1] != frames or np.any(np.diff(offsets) < 1):
+            raise ValueError(f"frame offsets must rise from 0 to {frames} with no empty video")
 
     @classmethod
     def of(cls, records: Sequence[Record]) -> "PoseCorpus":

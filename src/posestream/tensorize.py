@@ -28,6 +28,14 @@ indices), ``config_hash``, ``seed``, ``videos`` (the ids, in order),
     flags    uint8   (F, n)     fill provenance, 1 observed .. 4 synthetic
 
 Video i owns frames offsets[i] to offsets[i+1] - 1.
+
+``OpenCorpus`` holds the file open: opening it checks the framing, the
+header, the offsets and the labels, and keeps them; its ``read`` returns
+the ``FilledCorpus`` of any videos, reading their frames with one read per
+run of videos that follow each other in the file, and that corpus's own
+checks cover those frames. ``read_corpus`` is that read of every video
+(``train``); ``eval`` reads one slice of videos at a time, so it never
+holds the corpus's frames.
 """
 
 from __future__ import annotations
@@ -64,19 +72,25 @@ class FilledCorpus(PoseCorpus):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.labels.min() < -1:
-            raise ValueError("labels below -1 (-1 marks an absent label)")
-        check_video_ids(self.videos)
-        if len(set(self.videos)) != len(self.videos):
-            raise ValueError("video ids are not unique")
+        self.check_header(self.videos, self.labels, self.path, self.num_joints, self.seed)
         if np.any((self.flags < VIS_OBSERVED) | (self.flags > VIS_SYNTHETIC)):
             raise ValueError(f"fill flags outside {VIS_OBSERVED}-{VIS_SYNTHETIC}: "
                              "a filled corpus has no missing joints")
-        tour = self.path.joints
-        if not tour or min(tour) < 0 or max(tour) >= self.num_joints:
-            raise ValueError(f"tour joints do not index the {self.num_joints} joints")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+
+    @staticmethod
+    def check_header(videos: tuple[str, ...], labels: np.ndarray, path: TraversalPath,
+                     joints: int, seed: int) -> None:
+        """The checks of a filled corpus's ids, labels, tour and seed, which
+        need none of its frames."""
+        if labels.min() < -1:
+            raise ValueError("labels below -1 (-1 marks an absent label)")
+        check_video_ids(videos)
+        if len(set(videos)) != len(videos):
+            raise ValueError("video ids are not unique")
+        if not path.joints or min(path.joints) < 0 or max(path.joints) >= joints:
+            raise ValueError(f"tour joints do not index the {joints} joints")
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
 
     def tensor_shape(self, k: int) -> tuple[int, int, int]:
         """(K, 2L, CHANNELS): the shape of one video's tensor at k segments."""
@@ -122,7 +136,7 @@ def _segment_frames(frames: np.ndarray, k: int, mode: str, seeds: list) -> np.nd
 
 def corpus_tensors(
     corpus: FilledCorpus, rows: np.ndarray, k: int, mode: str, seed: int,
-    epoch: int | None = None,
+    epoch: int | None = None, out: np.ndarray | None = None,
 ) -> np.ndarray:
     """(R, K, 2L, 3) pose tensors of the corpus videos at the indices
     ``rows``, in that order.
@@ -134,7 +148,8 @@ def corpus_tensors(
     gap between them. A video's snippets are seeded by ``seed``, its id and,
     when given, the epoch, never by the other videos, so a video's tensor
     is the same whichever rows are asked for. The three channels are
-    written into one preallocated array.
+    written into one array: out, a float64 array of the result's shape,
+    when given (``eval`` reuses one for every slice), else a new one.
     """
     if k < 1:
         raise ValueError(f"segment count must be >= 1, got {k}")
@@ -146,9 +161,13 @@ def corpus_tensors(
     starts = corpus.offsets[rows]
     frames = _segment_frames(corpus.offsets[rows + 1] - starts, k, mode, seeds) + starts[:, None]
     joints = np.asarray(corpus.path.joints, dtype=np.intp)
-    tensors = np.zeros((len(rows), *corpus.tensor_shape(k)))
+    shape = (len(rows), *corpus.tensor_shape(k))
+    tensors = np.empty(shape) if out is None else out
+    if tensors.shape != shape or tensors.dtype != np.float64:
+        raise ValueError(f"out must be a float64 array of shape {shape}")
     positions, velocity, acceleration = np.moveaxis(tensors, -1, 0)
     positions[...] = corpus.coords[frames[:, :, None], joints].reshape(len(rows), k, -1)
+    velocity[:, 0] = acceleration[:, 0] = 0
     np.subtract(positions[:, 1:], positions[:, :-1], out=velocity[:, 1:])
     np.subtract(velocity[:, 1:], velocity[:, :-1], out=acceleration[:, 1:])
     return tensors
@@ -184,12 +203,57 @@ def write_corpus(path: str | Path, corpus: FilledCorpus) -> None:
     CORPUS_FILE.write(path, header, arrays)
 
 
-def _corpus_of(header: dict, arrays: dict[str, np.ndarray]) -> FilledCorpus:
-    return FilledCorpus(header["videos"], **arrays,
-                        path=TraversalPath(tuple(header["tour"]), header["topology"]),
-                        seed=header["seed"], config_hash=header["config_hash"])
+class OpenCorpus:
+    """A filled-corpus file held open: every framing check, and every check
+    of its header, offsets and labels, runs when it opens, and ``read``
+    reads the frames of any videos. It is a context manager that closes the
+    file."""
+
+    def __init__(self, path: str | Path) -> None:
+        self.file = CORPUS_FILE.open(path)
+        try:
+            header = self.file.header
+            self.videos: tuple[str, ...] = tuple(header["videos"])
+            self.offsets, self.labels = self.file.read("offsets"), self.file.read("labels")
+            self.path = TraversalPath(tuple(header["tour"]), header["topology"])
+            self.seed, self.config_hash = header["seed"], header["config_hash"]
+            self.num_joints = header["joints"]
+            self.file.named(FilledCorpus.check_index, self.videos, self.labels, self.offsets,
+                            header["frames"])
+            self.file.named(FilledCorpus.check_header, self.videos, self.labels, self.path,
+                            self.num_joints, self.seed)
+        except BaseException:
+            self.file.close()
+            raise
+
+    tensor_shape = FilledCorpus.tensor_shape
+
+    def __enter__(self) -> OpenCorpus:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.file.close()
+
+    def read(self, rows: np.ndarray | None = None) -> FilledCorpus:
+        """The FilledCorpus of the videos at the indices rows (every video if
+        None), in that order, read with one read of coords and one of flags
+        per run of videos whose frames follow each other in the file; that
+        corpus's checks of the frames name the file."""
+        rows = np.arange(len(self.videos)) if rows is None else np.asarray(rows, np.intp)
+        starts, stops = self.offsets[rows], self.offsets[rows + 1]
+        offsets = np.concatenate([[0], np.cumsum(stops - starts)])
+        coords = np.empty((offsets[-1], self.num_joints, 2))
+        flags = np.empty((offsets[-1], self.num_joints), np.uint8)
+        runs = np.flatnonzero(np.r_[True, starts[1:] != stops[:-1], True])
+        for first, end in zip(runs[:-1], runs[1:]):
+            self.file.read_into("coords", coords[offsets[first]:offsets[end]], starts[first])
+            self.file.read_into("flags", flags[offsets[first]:offsets[end]], starts[first])
+        return self.file.named(
+            FilledCorpus, tuple(self.videos[row] for row in rows), self.labels[rows], offsets,
+            coords, flags, path=self.path, seed=self.seed, config_hash=self.config_hash)
 
 
 def read_corpus(path: str | Path) -> FilledCorpus:
     """Read and validate a filled-corpus file; errors name the file."""
-    return CORPUS_FILE.read(path, _corpus_of)
+    with OpenCorpus(path) as corpus:
+        return corpus.read()

@@ -1,7 +1,7 @@
 """Corpus, checkpoint and spatial model files share one container: cut,
 padded, old-format and arbitrary-header files fail with the file name, also
-through the checkpoint read that converts to float32, and no other module
-frames a binary file of its own."""
+through the checkpoint read that converts to float32 and the corpus read one
+video at a time, and no other module frames a binary file of its own."""
 
 import ast
 import json
@@ -19,7 +19,7 @@ from posestream import binio
 from posestream.convnet import NetSpec, init_net, load_checkpoint, save_checkpoint
 from posestream.preprocess import PoseCorpus, SpatialModel
 from posestream.skeleton import euler_tour, make_topology
-from posestream.tensorize import FilledCorpus, read_corpus, write_corpus
+from posestream.tensorize import FilledCorpus, OpenCorpus, read_corpus, write_corpus
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -53,20 +53,28 @@ def load_float32_checkpoint(path):
     return load_checkpoint(path, np.float32)
 
 
+def read_corpus_by_rows(path):
+    """Open the corpus, then read it one video at a time, the last first."""
+    with OpenCorpus(path) as corpus:
+        return [corpus.read([row]) for row in reversed(range(len(corpus.videos)))]
+
+
 def write_files(directory, seed=0, frames=(2, 1)):
-    """{path: reader} of a valid corpus, checkpoint and spatial model, and of
-    the checkpoint again (n32.ckpt) for the reader that converts to float32."""
+    """{path: reader} of a valid corpus, checkpoint and spatial model, of the
+    checkpoint again (n32.ckpt) for the reader that converts to float32, and
+    of the corpus again (r.bin) for the reader of one video at a time."""
     rng = np.random.default_rng(seed)
     net = init_net((6, 6, 3), num_classes=2, seed=seed,
                    arch=NetSpec(conv1_channels=1, conv2_channels=1, hidden=2))
-    corpus, checkpoint, model, checkpoint32 = (
-        Path(directory) / name for name in ("c.bin", "n.ckpt", "m.bin", "n32.ckpt"))
+    corpus, checkpoint, model, checkpoint32, rows = (
+        Path(directory) / name for name in ("c.bin", "n.ckpt", "m.bin", "n32.ckpt", "r.bin"))
     write_corpus(corpus, small_corpus(rng, frames))
     save_checkpoint(net, checkpoint, meta={"seed": seed})
     small_model(rng).save(model)
     checkpoint32.write_bytes(checkpoint.read_bytes())
+    rows.write_bytes(corpus.read_bytes())
     return {corpus: read_corpus, checkpoint: load_checkpoint, model: SpatialModel.load,
-            checkpoint32: load_float32_checkpoint}
+            checkpoint32: load_float32_checkpoint, rows: read_corpus_by_rows}
 
 
 def with_header(raw, header, version=None):
@@ -110,7 +118,8 @@ def test_round_trips_and_old_formats_are_rejected_naming_the_file(tmp_path):
     # A corpus or checkpoint of the format before the container starts with
     # the same magic and a u32 version 1; a spatial model was an .npz file.
     for path, read in ((tmp_path / "c.bin", read_corpus), (tmp_path / "n.ckpt", load_checkpoint),
-                       (tmp_path / "n32.ckpt", load_float32_checkpoint)):
+                       (tmp_path / "n32.ckpt", load_float32_checkpoint),
+                       (tmp_path / "r.bin", read_corpus_by_rows)):
         path.write_bytes(with_header(path.read_bytes(), b"{}", version=1))
         assert "version 1 " in rejected(read, path)
     old_model = tmp_path / "model.npz"
@@ -119,6 +128,31 @@ def test_round_trips_and_old_formats_are_rejected_naming_the_file(tmp_path):
                  coeffs=np.zeros((3, 3, 3, 2)), trained=np.zeros((3, 3), bool),
                  counts=np.ones((3, 3), np.int64))
     assert "not a spatial model file (bad magic" in rejected(SpatialModel.load, old_model)
+
+
+def test_rows_read_alone_are_the_rows_read_whole(tmp_path):
+    corpus = small_corpus(np.random.default_rng(4), [3, 1, 2, 2])
+    write_corpus(tmp_path / "c.bin", corpus)
+    whole = read_corpus(tmp_path / "c.bin")
+    assert whole.coords.tobytes() == corpus.coords.tobytes()
+    with OpenCorpus(tmp_path / "c.bin") as opened:
+        part = opened.read([3, 0, 1])
+    assert part.videos == ("clip3", "clip0", "clip1")
+    np.testing.assert_array_equal(part.offsets, [0, 2, 5, 6])
+    assert part.coords.tobytes() == np.concatenate(
+        [corpus.coords[6:8], corpus.coords[0:4]]).tobytes()
+    assert part.flags.tobytes() == np.concatenate(
+        [corpus.flags[6:8], corpus.flags[0:4]]).tobytes()
+
+
+def test_a_file_that_shrinks_while_open_fails_naming_it(tmp_path):
+    path = tmp_path / "c.bin"  # far larger than the reader's buffer
+    write_corpus(path, small_corpus(np.random.default_rng(5), [2000, 2000]))
+    raw = path.read_bytes()
+    with OpenCorpus(path) as corpus:
+        path.write_bytes(raw[:-3])
+        message = rejected(lambda _: corpus.read(), path)
+    assert message == f"{path}: truncated in array 'flags' (the file shrank while it was read)"
 
 
 def test_writers_refuse_what_would_not_read_back(tmp_path):
@@ -144,6 +178,7 @@ DIMENSIONS = {
     "m.bin": [("joints",), ("degree",)],
 }
 DIMENSIONS["n32.ckpt"] = DIMENSIONS["n.ckpt"]
+DIMENSIONS["r.bin"] = DIMENSIONS["c.bin"]
 BAD_DIMENSIONS = st.sampled_from([-1, -(10**12), 1.5, 2.0, 10**12, True])
 JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),

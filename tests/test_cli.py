@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from posestream import binio
 from posestream.cli import (
     _Outputs, _overrides_from_args, build_parser, cmd_eval, cmd_synth, cmd_train, main,
 )
@@ -695,8 +696,9 @@ class TestEval:
         assert got.tobytes() == forward(net.astype(np.float32), data).tobytes()
 
     def test_memory_flat_in_corpus_size(self, tmp_path):
-        """A corpus 4x larger adds no more to eval's peak than its own arrays
-        and score rows: the tensors exist one FORWARD_SLICE of videos at a time."""
+        """eval holds no frame beyond one slice's: from 64 to 640 videos of 40
+        frames (6.5 MB more coordinates and flags in the file) its traced peak
+        grows by less than 1 MB."""
         tour = euler_tour(build_topology("jhmdb_gt"))
         net = init_net((15, 2 * len(tour), 3), num_classes=4, seed=0,
                        arch=NetSpec(conv1_channels=8, conv2_channels=16, hidden=64))
@@ -704,23 +706,59 @@ class TestEval:
         rng = np.random.default_rng(8)
 
         def eval_peak(videos):
-            corpus = random_corpus(videos, tour, rng)
-            write_corpus(tmp_path / "c.bin", corpus)
+            write_corpus(tmp_path / "c.bin", random_corpus(videos, tour, rng, frames=40))
             cfg = PipelineConfig(cache=str(tmp_path / "c.bin"), scores=str(tmp_path / "s.csv"),
                                  checkpoint=str(tmp_path / "net.ckpt"))
             tracemalloc.start()
             try:
                 cmd_eval(cfg)
-                peak = tracemalloc.get_traced_memory()[1]
+                return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            arrays = sum(a.nbytes for a in (corpus.labels, corpus.offsets, corpus.coords,
-                                            corpus.flags))
-            return peak, arrays + (tmp_path / "s.csv").stat().st_size
 
-        small, _ = eval_peak(FORWARD_SLICE)
-        large, own = eval_peak(4 * FORWARD_SLICE)
-        assert large - small <= own
+        assert eval_peak(10 * FORWARD_SLICE) - eval_peak(FORWARD_SLICE) < 1_000_000
+
+    @pytest.mark.parametrize("defect, message", [
+        ("label", "labels below -1"),
+        ("flag", "fill flags outside 1-4"),
+        ("coordinate", "video 'clip00128' has non-finite coordinates on filled joints"),
+    ])
+    def test_a_corpus_defect_fails_naming_the_file_before_any_write(self, tmp_path, capsys,
+                                                                     defect, message):
+        """A defect of the last video of 129 fails eval: a label before the
+        checkpoint is read (here there is none), a frame when the last of
+        three slices is read; either way nothing is written."""
+        tour = euler_tour(build_topology("jhmdb_gt"))
+        net = init_net((15, 2 * len(tour), 3), num_classes=4, seed=0,
+                       arch=NetSpec(conv1_channels=4, conv2_channels=6, hidden=16))
+        save_checkpoint(net, tmp_path / "net.ckpt")
+        corpus = random_corpus(2 * FORWARD_SLICE + 1, tour, np.random.default_rng(11))
+        cache = tmp_path / "c.bin"
+        write_corpus(cache, corpus)
+        raw = bytearray(cache.read_bytes())
+        _, _, length = binio.PREFIX.unpack_from(raw)
+        # The labels follow the header and the V + 1 offsets; the flags are
+        # the last F * n bytes, after the coordinates.
+        at, value = {
+            "label": (binio.PREFIX.size + length + 16 * len(corpus.videos),
+                      np.int64(-2).tobytes()),
+            "flag": (len(raw) - 1, b"\x05"),
+            "coordinate": (len(raw) - corpus.flags.size - 8, np.float64(np.nan).tobytes()),
+        }[defect]
+        raw[at:at + len(value)] = value
+        cache.write_bytes(raw)
+        out = tmp_path / "out"
+        out.mkdir()
+        for name in ("s.csv", "l.csv", "r.json"):
+            (out / name).write_text("an earlier run's output")
+        before = _snapshot(out)
+        checkpoint = tmp_path / ("none.ckpt" if defect == "label" else "net.ckpt")
+        code, _, err = run(capsys, "eval", "--cache", str(cache), "--checkpoint",
+                           str(checkpoint), "--scores", str(out / "s.csv"),
+                           "--labels", str(out / "l.csv"), "--report", str(out / "r.json"))
+        assert code == 1
+        assert err["message"].startswith(f"{cache}: {message}"), err["message"]
+        assert _snapshot(out) == before
 
     def test_peak_holds_less_than_a_float64_copy_of_the_net(self, tmp_path):
         """eval reads the checkpoint straight into float32 and scores into one
@@ -1083,6 +1121,40 @@ class TestOutputsCheckedFirst:
         assert code == 0
         assert sorted(p.name for p in (tmp_path / "new" / "dirs").iterdir()) == [
             "fused-scores.out", "report.out"]
+
+
+# Each command with one output on the file of one of its inputs, "{d}" standing
+# for a directory that holds copies of the shared pipeline's files.
+_OUTPUT_ON_INPUT = {
+    "preprocess": (["preprocess", "--annotations", "{d}/train.jsonl",
+                    "--cache", "{d}/train.jsonl"], "cache", "annotations"),
+    "train": (["train", "--cache", "{d}/train.cache", *FAST,
+               "--checkpoint", "{d}/train.cache"], "checkpoint", "cache"),
+    "eval": (["eval", "--cache", "{d}/test.cache", "--checkpoint", "{d}/net.ckpt",
+              "--scores", "{d}/net.ckpt"], "scores", "checkpoint"),
+    "fuse": (["fuse", "--pose-scores", "{d}/scores.csv", "--labels", "{d}/labels.csv",
+              "--fused-scores", "{d}/labels.csv"], "fused-scores", "labels"),
+    "weights-search": (["weights-search", "--config", "{d}/run.json",
+                        "--pose-scores", "{d}/scores.csv", "--labels", "{d}/labels.csv",
+                        "--report", "{d}/run.json"], "report", "config"),
+}
+
+
+class TestOutputOnAnInput:
+    @pytest.mark.parametrize("command", sorted(_OUTPUT_ON_INPUT))
+    def test_fails_naming_both_flags_before_any_write(self, workdir, tmp_path, capsys,
+                                                      command):
+        for name in ("train.jsonl", "train.cache", "test.cache", "net.ckpt", "scores.csv",
+                     "labels.csv"):
+            shutil.copy(workdir / name, tmp_path / name)
+        (tmp_path / "run.json").write_text('{"seed": 0}\n')
+        before = _snapshot(tmp_path)
+        argv, output, given = _OUTPUT_ON_INPUT[command]
+        code, _, err = run(capsys, *(arg.format(d=tmp_path) for arg in argv))
+        assert code == 1
+        path = argv[argv.index(f"--{output}") + 1].format(d=tmp_path)
+        assert err["message"] == f"--{output}: {path} is also the --{given} path"
+        assert _snapshot(tmp_path) == before
 
 
 class TestAtomicWrite:

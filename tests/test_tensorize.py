@@ -331,6 +331,10 @@ class TestTensorCache:
         assert data.shape == (3, *corpus.tensor_shape(5)) == (3, 5, 14, 3)
         assert data.dtype == np.float64 and corpus.labels.dtype == np.int64
         np.testing.assert_array_equal(corpus.labels, [0, -1, 1])
+        for out in (np.empty((2, 5, 14, 3)), np.empty((3, 5, 14, 3), np.float32)):
+            with pytest.raises(ValueError, match=r"out must be a float64 array of shape "
+                                                 r"\(3, 5, 14, 3\)"):
+                corpus_tensors(corpus, range(3), k=5, mode="center", seed=0, out=out)
 
     def test_unlabeled_videos_read_minus_one(self, tmp_path):
         corpus = self.make_corpus(labels=(-1, -1, 2))
@@ -360,6 +364,11 @@ def test_corpus_tensors_match_per_video_reference(corpus, k, mode, seed, epoch):
     expected = reference.corpus_tensors(corpus, k, mode, seed, epoch)
     assert data.dtype == expected.dtype and data.shape == expected.shape
     assert data.tobytes() == expected.tobytes()
+    # A buffer a caller reuses, whatever it held, gets the same bits.
+    out = np.full(expected.shape, np.nan)
+    assert corpus_tensors(corpus, range(len(corpus.videos)), k=k, mode=mode, seed=seed,
+                          epoch=epoch, out=out) is out
+    assert out.tobytes() == expected.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
