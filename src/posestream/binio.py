@@ -19,13 +19,10 @@ that read. ``read`` is ``open``, then every array read whole. Each defect
 is a ValueError that names the file; a file kind adds only the checks of
 what its values mean.
 
-A caller may hold float64 arrays of the layout in another float dtype:
-``read(..., dtype=)`` and ``read_into`` fill arrays of that dtype, and
-``write`` takes them.
-Such an array is converted in chunks of at most CHUNK_BYTES of the file's
-dtype, so no whole-array copy in either dtype exists; a value beyond the
-dtype's range reads as inf, for the kind's checks to refuse. Arrays of the
-layout's own dtype are read and written in one piece.
+Every array is written and read in its layout's dtype, in one piece:
+``write`` refuses an array of another dtype or shape, and ``read_into`` a
+buffer of another dtype or row shape, or rows outside the array; a file
+kind whose callers hold another dtype casts at its own boundary.
 """
 
 from __future__ import annotations
@@ -42,7 +39,6 @@ from typing import Callable, TypeVar
 import numpy as np
 
 PREFIX = struct.Struct("<4sII")  # magic, version, header length
-CHUNK_BYTES = 1 << 16  # file bytes per conversion step between dtypes
 
 Layout = dict[str, tuple[str, tuple[int, ...]]]
 T = TypeVar("T")
@@ -76,37 +72,33 @@ class FileKind:
 
     def write(self, path: str | Path, header: dict, arrays: dict[str, np.ndarray]) -> None:
         """Write header and arrays; a header field of the wrong type, or arrays
-        that are not the layout's names and shapes, are refused before any
-        write, so every file written reads back."""
+        that are not the layout's names, shapes and dtypes, are refused before
+        any write, so every file written reads back."""
         self._check_header(path, header)
         layout = self.layout(header)
         if list(arrays) != list(layout):
             raise ValueError(f"{path}: arrays {list(arrays)} are not the layout's {list(layout)}")
-        for name, (_, shape) in layout.items():
+        for name, (dtype, shape) in layout.items():
             if arrays[name].shape != shape:
                 raise ValueError(f"{path}: array '{name}' has shape {arrays[name].shape}, "
                                  f"the header implies {shape}")
+            if arrays[name].dtype != dtype:
+                raise ValueError(f"{path}: array '{name}' has dtype {arrays[name].dtype}, "
+                                 f"the layout's is {np.dtype(dtype)}")
         raw = json.dumps(header, sort_keys=True).encode("utf-8")
         with open(path, "wb") as handle:
             handle.write(PREFIX.pack(self.magic, self.version, len(raw)))
             handle.write(raw)
-            for name, (dtype, _) in layout.items():
-                array = arrays[name]
-                if array.dtype == dtype:
-                    # Written in place: a copy of a corpus-sized array would set peak memory.
-                    handle.write(np.ascontiguousarray(array).data)
-                    continue
-                for piece, buffer in _chunks(array.reshape(-1), np.dtype(dtype)):
-                    np.copyto(buffer, piece, casting="unsafe")
-                    handle.write(buffer.data)
+            for array in arrays.values():
+                # Written in place: a copy of a corpus-sized array would set peak memory.
+                handle.write(np.ascontiguousarray(array).data)
 
-    def read(self, path: str | Path, build: Callable[[dict, dict[str, np.ndarray]], T],
-             dtype=np.float64) -> T:
-        """``build(header, arrays)`` of a file of this kind, with the layout's
-        float64 arrays in dtype: ``open``, then every array read whole; a
-        ValueError or TypeError of the layout or the build names the file."""
+    def read(self, path: str | Path, build: Callable[[dict, dict[str, np.ndarray]], T]) -> T:
+        """``build(header, arrays)`` of a file of this kind: ``open``, then
+        every array read whole; a ValueError or TypeError of the layout or
+        the build names the file."""
         with self.open(path) as file:
-            arrays = {name: file.read(name, dtype) for name in file.layout}
+            arrays = {name: file.read(name) for name in file.layout}
         return file.named(build, file.header, arrays)
 
     def open(self, path: str | Path) -> OpenFile:
@@ -185,35 +177,26 @@ class OpenFile:
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{self.path}: {exc}") from None
 
-    def read(self, name: str, dtype=np.float64) -> np.ndarray:
-        """The whole array name, in dtype if the layout's is float64."""
+    def read(self, name: str) -> np.ndarray:
+        """The whole array name."""
         kind, shape = self.layout[name]
-        array = np.empty(shape, dtype if np.dtype(kind) == np.float64 else kind)
+        array = np.empty(shape, kind)
         self.read_into(name, array)
         return array
 
     def read_into(self, name: str, out: np.ndarray, start: int = 0) -> None:
-        """Fill out, C-contiguous and shaped as rows of the array name, with
-        its rows start to start + len(out), converted to out's dtype if it
-        is not the layout's."""
+        """Fill out, a C-contiguous array of the dtype and row shape of the
+        array name, with its rows start to start + len(out); another buffer,
+        or rows outside the array, are refused naming the file."""
         kind, shape = self.layout[name]
-        kind = np.dtype(kind)
-        self.handle.seek(self.starts[name] + int(start) * kind.itemsize * math.prod(shape[1:]))
-        flat = out.reshape(-1)
-        for piece, raw in [(flat, flat)] if out.dtype == kind else _chunks(flat, kind):
-            if self.handle.readinto(raw.view(np.uint8)) != raw.nbytes:
-                raise ValueError(f"{self.path}: truncated in array '{name}' "
-                                 "(the file shrank while it was read)")
-            if raw is not piece:
-                with np.errstate(over="ignore"):  # the kind's build sees the inf
-                    np.copyto(piece, raw)
-
-
-def _chunks(flat: np.ndarray, kind: np.dtype):
-    """(piece of flat, buffer of kind as long) pairs that cover flat, each
-    piece at most CHUNK_BYTES in kind; one buffer serves every pair."""
-    step = CHUNK_BYTES // kind.itemsize
-    buffer = np.empty(min(step, flat.size), kind)
-    for start in range(0, flat.size, step):
-        piece = flat[start:start + step]
-        yield piece, buffer[:len(piece)]
+        kind, start = np.dtype(kind), int(start)
+        if out.dtype != kind or out.shape[1:] != shape[1:] or not out.flags.c_contiguous:
+            raise ValueError(f"{self.path}: array '{name}' reads into C-contiguous {kind} rows "
+                             f"of shape {shape[1:]}, not {out.dtype} {out.shape}")
+        if start < 0 or start + len(out) > shape[0]:
+            raise ValueError(f"{self.path}: rows {start} to {start + len(out)} are outside "
+                             f"array '{name}' of {shape[0]} rows")
+        self.handle.seek(self.starts[name] + start * kind.itemsize * math.prod(shape[1:]))
+        if self.handle.readinto(out.reshape(-1).view(np.uint8)) != out.nbytes:
+            raise ValueError(f"{self.path}: truncated in array '{name}' "
+                             "(the file shrank while it was read)")

@@ -42,11 +42,6 @@ if TYPE_CHECKING:
     from .skeleton import SkeletonTopology
 
 
-# train and eval run the pose ConvNet in float32, whatever a checkpoint stores:
-# half the GEMM cost of float64, within 1e-6 of its probabilities.
-COMPUTE_DTYPE = np.float32
-
-
 class CliError(ValueError):
     """User-facing command error."""
 
@@ -254,8 +249,8 @@ def cmd_train(cfg: PipelineConfig, config: str | None = None) -> dict:
 
     def draw(epoch: int, rows: np.ndarray) -> np.ndarray:
         # Built FORWARD_SLICE rows at a time, so the epoch's tensors exist
-        # once, in COMPUTE_DTYPE, beside the net's workspace.
-        tensors = np.empty((len(rows), *corpus.tensor_shape(cfg.k)), COMPUTE_DTYPE)
+        # once, in the net's dtype, beside its workspace.
+        tensors = np.empty((len(rows), *corpus.tensor_shape(cfg.k)), convnet.NET_DTYPE)
         for start in range(0, len(rows), convnet.FORWARD_SLICE):
             part = rows[start:start + convnet.FORWARD_SLICE]
             tensors[start:start + len(part)] = tensorize.corpus_tensors(
@@ -265,7 +260,7 @@ def cmd_train(cfg: PipelineConfig, config: str | None = None) -> dict:
     net = convnet.init_net(
         input_shape=corpus.tensor_shape(cfg.k), num_classes=num_classes, seed=cfg.seed,
         arch=cfg.net_spec(),
-    ).astype(COMPUTE_DTYPE)
+    ).astype(convnet.NET_DTYPE)
     trained, trace = convnet.train(net, draw, corpus.labels, cfg.train_config())
 
     meta = {"config_hash": cfg.hash(), "seed": cfg.seed, "num_classes": num_classes}
@@ -296,9 +291,9 @@ def cmd_eval(cfg: PipelineConfig, config: str | None = None) -> dict:
     ``forward`` scores; each slice's frames are read from the file and
     checked, and its tensors built in and scored through one workspace
     that every slice reuses. So memory holds the corpus's ids, offsets and
-    labels, the checkpoint read straight into COMPUTE_DTYPE, one slice's
-    frames, the workspace (one slice's tensors included) and the score
-    rows, and no frame of the other slices. Accuracy, per-class accuracy
+    labels, the checkpoint's float32 net, one slice's frames, the
+    workspace (one slice's tensors included) and the score rows, and no
+    frame of the other slices. Accuracy, per-class accuracy
     and confusion are null unless every video has a label."""
     from . import convnet, fusion, tensorize
 
@@ -306,7 +301,7 @@ def cmd_eval(cfg: PipelineConfig, config: str | None = None) -> dict:
     outputs = _Outputs({"cache": cfg.cache, "checkpoint": cfg.checkpoint, "config": config},
                        scores=cfg.scores, labels=cfg.labels, report=cfg.report)
     with tensorize.OpenCorpus(cfg.cache) as corpus:
-        net = convnet.load_checkpoint(cfg.checkpoint, COMPUTE_DTYPE)[0]
+        net = convnet.load_checkpoint(cfg.checkpoint)[0]
         k = net.input_shape[0]
         if net.input_shape != corpus.tensor_shape(k):
             raise CliError(f"checkpoint expects input {net.input_shape}, corpus {cfg.cache} "

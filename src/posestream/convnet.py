@@ -7,8 +7,8 @@ not contract; the 3x2 filter and the layer order are fixed. The net computes
 in the dtype of its parameters: ``init_net`` draws float64, where analytic
 gradients match central finite differences tightly, and ``astype`` casts a
 net; forward, backward and train cast their batch to that dtype and keep
-every intermediate in it. The command line trains and scores float32 nets,
-at about half the float64 GEMM cost.
+every intermediate in it. Every command's net, and every checkpoint, is
+NET_DTYPE (float32), at about half the float64 GEMM cost.
 
 Each conv is one GEMM over an im2col buffer and computes only the output
 positions the pool reads. The pool covers the first (K - 4) // pool * pool
@@ -22,10 +22,11 @@ allocated on first use and reused by later passes, with the im2col
 columns gathered by ``np.copyto`` and the conv products written by
 ``np.matmul(..., out=)``. So eval's slices and train's SGD steps map no
 fresh memory, whatever glibc's mmap threshold, and compute the same bits
-as fresh arrays would. The backward pass writes the unpooled gradient and
-conv2's input gradient into conv2's activation and im2col buffers, which
-are dead by then, so an SGD step takes no more workspace than a forward
-pass.
+as a fresh workspace would; ``forward`` and ``backward`` take a fresh one
+where the caller keeps none. The backward pass writes the unpooled
+gradient and conv2's input gradient into conv2's activation and im2col
+buffers, which are dead by then, so an SGD step takes no more workspace
+than a forward pass.
 
 Scoring (``forward``) keeps nothing for backprop and runs in slices of at
 most FORWARD_SLICE rows, so its memory does not grow with the batch.
@@ -48,12 +49,11 @@ differ in the last bits (NetSpec(5, 7, 9) does at 129 and 130 rows).
 The checkpoint file is a ``binio`` container (magic ``PCN1``). Its header
 holds ``input_shape``, ``num_classes``, ``arch`` (the ``NetSpec`` fields)
 and ``meta`` (the caller's run metadata); those fix every parameter's
-shape, and the parameters follow as float64 arrays in ``parameters()``
+shape, and the parameters follow as NET_DTYPE arrays in ``parameters()``
 order, so the file cannot hold a missing, repeated or mis-shaped one. The
-payload is float64 whatever the net's dtype (it holds every float32 value
-exactly). The reader takes a ``dtype`` (float64 by default) and reads each
-parameter straight into it, through ``binio``'s chunked conversion, so a
-float32 net loads without a float64 copy beside it.
+writer saves any net as its NET_DTYPE cast and refuses a parameter that is
+not finite in it; the reader reads each parameter straight into a NET_DTYPE
+net, which is the cast of the saved net whatever its dtype.
 """
 
 from __future__ import annotations
@@ -74,7 +74,10 @@ FILTER_H = 3  # rows = snippets (time)
 FILTER_W = 2  # columns = flattened joint coordinates
 
 CHECKPOINT_MAGIC = b"PCN1"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
+
+# The dtype of a checkpoint's parameters and of the net every command runs.
+NET_DTYPE = np.dtype("<f4")
 
 PROB_FLOOR = 1e-12
 
@@ -231,13 +234,8 @@ class Workspace:
         return buffer[:size].reshape(shape)
 
 
-def _buffer(ws: Workspace | None, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
-    """Buffer name of ws, or a fresh array where there is no workspace."""
-    return np.empty(shape, dtype) if ws is None else ws.take(name, shape, dtype)
-
-
 def _conv(
-    x: np.ndarray, w: np.ndarray, extent: tuple[int, int], ws: Workspace | None, name: str
+    x: np.ndarray, w: np.ndarray, extent: tuple[int, int], ws: Workspace, name: str
 ) -> tuple[np.ndarray, np.ndarray]:
     """The valid stride-1 conv, without bias, at the top-left extent of output
     positions, as one GEMM into ws; returns (im2col columns (B·R·C, 6·Cin),
@@ -247,11 +245,10 @@ def _conv(
     windows = sliding_window_view(
         x[:, : rows + FILTER_H - 1, : cols + FILTER_W - 1], (FILTER_H, FILTER_W), axis=(1, 2)
     )
-    columns = _buffer(ws, f"{name}.columns", (len(x), rows, cols, FILTER_H, FILTER_W, c_in),
-                      x.dtype)
+    columns = ws.take(f"{name}.columns", (len(x), rows, cols, FILTER_H, FILTER_W, c_in), x.dtype)
     np.copyto(columns, windows.transpose(0, 1, 2, 4, 5, 3))
     columns = columns.reshape(-1, FILTER_H * FILTER_W * c_in)
-    out = _buffer(ws, f"{name}.out", (len(x), rows, cols, c_out), x.dtype)
+    out = ws.take(f"{name}.out", (len(x), rows, cols, c_out), x.dtype)
     np.matmul(columns, w.reshape(-1, c_out), out=out.reshape(-1, c_out))
     return columns, out
 
@@ -263,8 +260,8 @@ def _bias_relu(z: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _conv_relu(
-    x: np.ndarray, w: np.ndarray, b: np.ndarray, extent: tuple[int, int],
-    ws: Workspace | None = None, name: str = "conv",
+    x: np.ndarray, w: np.ndarray, b: np.ndarray, extent: tuple[int, int], ws: Workspace,
+    name: str,
 ) -> tuple[np.ndarray, np.ndarray]:
     """ReLU of the conv plus bias; returns (im2col columns, activations (B, R, C, Cout))."""
     columns, z = _conv(x, w, extent, ws, name)
@@ -280,8 +277,7 @@ def _conv_grads(
 
 
 def _conv_input_grad(
-    d_out: np.ndarray, w: np.ndarray, input_shape: tuple[int, ...], ws: Workspace | None = None,
-    name: str = "d_input",
+    d_out: np.ndarray, w: np.ndarray, input_shape: tuple[int, ...], ws: Workspace, name: str
 ) -> np.ndarray:
     """Gradient of a conv's input (B, R+2, C+1, Cin) from its output gradient
     (B, R, C, Cout): one contiguous GEMM per filter offset, added at that
@@ -290,7 +286,7 @@ def _conv_input_grad(
     batch, rows, cols, c_out = d_out.shape
     flat = d_out.reshape(-1, c_out)
     size = math.prod(input_shape)
-    space = _buffer(ws, name, (size + len(flat) * w.shape[2],), d_out.dtype)
+    space = ws.take(name, (size + len(flat) * w.shape[2],), d_out.dtype)
     d_x = space[:size].reshape(input_shape)
     d_x.fill(0)
     product = space[size:].reshape(len(flat), w.shape[2])
@@ -307,28 +303,23 @@ def _pool_views(x: np.ndarray, size: int) -> list[np.ndarray]:
     return [x[:, i::size, j::size, :] for i in range(size) for j in range(size)]
 
 
-def _pool(x: np.ndarray, size: int, out: np.ndarray | None = None) -> np.ndarray:
+def _pool(x: np.ndarray, size: int, out: np.ndarray) -> np.ndarray:
     """Non-overlapping max pool of x, whose rows and columns are whole
-    windows, into out (a fresh array if None)."""
+    windows, into out."""
     views = _pool_views(x, size)
-    if out is None:
-        out = views[0].copy()
-    else:
-        np.copyto(out, views[0])
+    np.copyto(out, views[0])
     for view in views[1:]:
         np.maximum(out, view, out=out)
     return out
 
 
-def _pool_argmax(
-    x: np.ndarray, size: int, ws: Workspace | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def _pool_argmax(x: np.ndarray, size: int, ws: Workspace) -> tuple[np.ndarray, np.ndarray]:
     """Max pool plus the argmax offset within each window; ties go to the
     lowest offset."""
     views = _pool_views(x, size)
-    out = _buffer(ws, "pooled", views[0].shape, x.dtype)
+    out = ws.take("pooled", views[0].shape, x.dtype)
     np.copyto(out, views[0])
-    idx = _buffer(ws, "pooled.argmax", out.shape, np.intp)
+    idx = ws.take("pooled.argmax", out.shape, np.intp)
     idx.fill(0)
     for k, view in enumerate(views[1:], start=1):
         better = view > out
@@ -338,14 +329,11 @@ def _pool_argmax(
     return out, idx
 
 
-def _unpool(
-    d_out: np.ndarray, idx: np.ndarray, size: int, ws: Workspace | None = None,
-    name: str = "d_pool",
-) -> np.ndarray:
+def _unpool(d_out: np.ndarray, idx: np.ndarray, size: int, ws: Workspace, name: str) -> np.ndarray:
     """Route each window's gradient to its argmax offset, into buffer name of
     ws; zeros elsewhere."""
     batch, rows, cols, channels = d_out.shape
-    d_x = _buffer(ws, name, (batch, rows * size, cols * size, channels), d_out.dtype)
+    d_x = ws.take(name, (batch, rows * size, cols * size, channels), d_out.dtype)
     for k, view in enumerate(_pool_views(d_x, size)):
         np.multiply(d_out, idx == k, out=view)
     return d_x
@@ -386,8 +374,8 @@ def _probs(net: PoseConvNet, x: np.ndarray, ws: Workspace) -> np.ndarray:
     max(relu(z + b)) bit for bit."""
     extent1, extent2 = _conv_extents(net)
     pooled_rows, pooled_cols = _pooled_shape(net.input_shape, net.arch)
-    pooled = _buffer(ws, "pooled", (max(len(x), HEAD_ROWS), pooled_rows, pooled_cols,
-                                    net.arch.conv2_channels), x.dtype)
+    pooled = ws.take("pooled", (max(len(x), HEAD_ROWS), pooled_rows, pooled_cols,
+                                net.arch.conv2_channels), x.dtype)
     pooled[len(x):] = 0
     for start in range(0, len(x), CONV_SLICE):
         part = x[start:start + CONV_SLICE]
@@ -398,7 +386,7 @@ def _probs(net: PoseConvNet, x: np.ndarray, ws: Workspace) -> np.ndarray:
     return _softmax(_head(net, pooled.reshape(len(pooled), -1))[1][:len(x)])
 
 
-def _forward(net: PoseConvNet, x: np.ndarray, ws: Workspace | None = None) -> dict[str, np.ndarray]:
+def _forward(net: PoseConvNet, x: np.ndarray, ws: Workspace) -> dict[str, np.ndarray]:
     """Training forward pass: probabilities plus what backprop reads, in ws."""
     extent1, extent2 = _conv_extents(net)
     cols1, a1 = _conv_relu(x, net.conv1_w, net.conv1_b, extent1, ws, "conv1")
@@ -427,7 +415,7 @@ def forward(net: PoseConvNet, batch: np.ndarray, ws: Workspace | None = None) ->
 
 
 def _loss_and_grads(
-    net: PoseConvNet, x: np.ndarray, labels: np.ndarray, ws: Workspace | None = None
+    net: PoseConvNet, x: np.ndarray, labels: np.ndarray, ws: Workspace
 ) -> tuple[float, np.ndarray, dict[str, np.ndarray]]:
     """Summed cross-entropy loss and its gradients over a batch, computed in ws."""
     cache = _forward(net, x, ws)
@@ -460,14 +448,14 @@ def _loss_and_grads(
 
 def backward(net: PoseConvNet, batch: np.ndarray, labels: np.ndarray) -> dict[str, np.ndarray]:
     """Analytic loss gradients of a batch (B, K, W, 3) with B labels, summed
-    over the batch."""
+    over the batch, computed in a fresh Workspace."""
     batch = _as_batch(net, batch)
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (batch.shape[0],):
         raise ValueError(f"expected {batch.shape[0]} labels, got {labels.shape}")
     if labels.min() < 0 or labels.max() >= net.num_classes:
         raise ValueError(f"labels out of range for {net.num_classes} classes")
-    _, _, grads = _loss_and_grads(net, batch, labels)
+    _, _, grads = _loss_and_grads(net, batch, labels, Workspace())
     return grads
 
 
@@ -555,7 +543,7 @@ def _checkpoint_layout(header: dict) -> binio.Layout:
         raise ValueError(f"input_shape {header['input_shape']} is not 3 dimensions")
     shapes = _param_shapes(tuple(header["input_shape"]), header["num_classes"],
                            NetSpec(**header["arch"]))
-    return {name: ("<f8", shape) for name, shape in shapes.items()}
+    return {name: (NET_DTYPE.str, shape) for name, shape in shapes.items()}
 
 
 CHECKPOINT_FILE = binio.FileKind(
@@ -565,30 +553,42 @@ CHECKPOINT_FILE = binio.FileKind(
 )
 
 
+def _check_finite(params: dict[str, np.ndarray]) -> None:
+    for name, value in params.items():
+        # min and max carry any NaN or inf, without a mask the size of fc1_w.
+        if value.size and not (np.isfinite(value.min()) and np.isfinite(value.max())):
+            raise ValueError(f"parameter '{name}' is not finite in {value.dtype}")
+
+
 def save_checkpoint(net: PoseConvNet, path: str | Path, meta: dict | None = None) -> None:
+    """Write net, of any dtype, as its NET_DTYPE cast; a parameter that is
+    not finite in NET_DTYPE is refused, naming the file, before any write."""
     header = {
         "input_shape": list(net.input_shape),
         "num_classes": net.num_classes,
         "arch": asdict(net.arch),
         "meta": meta or {},
     }
-    CHECKPOINT_FILE.write(path, header, net.parameters())
+    with np.errstate(over="ignore"):  # a value beyond NET_DTYPE's range casts to inf
+        params = {name: value.astype(NET_DTYPE, copy=False)
+                  for name, value in net.parameters().items()}
+    try:
+        _check_finite(params)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    CHECKPOINT_FILE.write(path, header, params)
 
 
 def _net_of(header: dict, params: dict[str, np.ndarray]) -> tuple[PoseConvNet, dict]:
-    for name, value in params.items():
-        # min and max carry any NaN or inf, without a mask the size of fc1_w.
-        if value.size and not (np.isfinite(value.min()) and np.isfinite(value.max())):
-            raise ValueError(f"parameter '{name}' is not finite in {value.dtype}")
+    _check_finite(params)
     net = PoseConvNet(input_shape=tuple(header["input_shape"]), num_classes=header["num_classes"],
                       arch=NetSpec(**header["arch"]), **params)
     return net, header["meta"]
 
 
-def load_checkpoint(path: str | Path, dtype=np.float64) -> tuple[PoseConvNet, dict]:
-    """Rebuild a net from a checkpoint; returns (net, caller meta dict).
-    Each parameter is read straight into dtype, whatever dtype the saved
-    net had: bit for bit the float64 net cast with ``astype``, without it.
-    Defects, a parameter that is not finite in dtype among them, raise
-    ValueError naming the file."""
-    return CHECKPOINT_FILE.read(path, _net_of, dtype)
+def load_checkpoint(path: str | Path) -> tuple[PoseConvNet, dict]:
+    """Rebuild a NET_DTYPE net from a checkpoint, each parameter read
+    straight into it; returns (net, caller meta dict). A float64 caller
+    casts it with ``astype``. Defects, a parameter that is not finite among
+    them, raise ValueError naming the file."""
+    return CHECKPOINT_FILE.read(path, _net_of)

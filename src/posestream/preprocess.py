@@ -287,7 +287,8 @@ class SpatialModel:
     def save(self, path: str | Path) -> None:
         header = {"topology_name": self.topology_name, "degree": self.degree,
                   "joints": len(self.trained)}
-        MODEL_FILE.write(path, header, {"coeffs": self.coeffs, "trained": self.trained})
+        MODEL_FILE.write(path, header, {"coeffs": self.coeffs,
+                                        "trained": self.trained.astype(np.uint8)})
 
     @classmethod
     def load(cls, path: str | Path) -> "SpatialModel":

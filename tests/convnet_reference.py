@@ -156,7 +156,7 @@ def train(net: PoseConvNet, data: np.ndarray, labels: np.ndarray, config: TrainC
             batch_idx = order[start:start + config.batch_size]
             x = data[batch_idx]
             y = labels[batch_idx]
-            batch_loss, probs, grads = convnet._loss_and_grads(net, x, y)
+            batch_loss, probs, grads = convnet._loss_and_grads(net, x, y, convnet.Workspace())
             epoch_loss += batch_loss
             epoch_hits += int((probs.argmax(axis=1) == y).sum())
             scale = config.learning_rate / len(batch_idx)

@@ -16,7 +16,7 @@ from conftest import assert_kink_free
 from posestream.cli import main
 from posestream.config import PipelineConfig
 from posestream.cli import cmd_eval, cmd_preprocess, cmd_synth, cmd_train
-from posestream.convnet import NetSpec, backward, init_net, _loss_and_grads
+from posestream.convnet import NetSpec, Workspace, backward, init_net, _loss_and_grads
 from posestream.fusion import StreamScores, evaluate, fuse
 from posestream.preprocess import (
     PoseCorpus,
@@ -200,9 +200,9 @@ def test_criterion_6_gradient_check():
                 idx = it.multi_index
                 saved = param[idx]
                 param[idx] = saved + h
-                plus, _, _ = _loss_and_grads(net, x, labels)
+                plus, _, _ = _loss_and_grads(net, x, labels, Workspace())
                 param[idx] = saved - h
-                minus, _, _ = _loss_and_grads(net, x, labels)
+                minus, _, _ = _loss_and_grads(net, x, labels, Workspace())
                 param[idx] = saved
                 numeric = (plus - minus) / (2.0 * h)
                 rel = abs(analytic[name][idx] - numeric) / max(1.0, abs(analytic[name][idx]))

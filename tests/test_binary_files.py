@@ -1,7 +1,8 @@
 """Corpus, checkpoint and spatial model files share one container: cut,
 padded, old-format and arbitrary-header files fail with the file name, also
-through the checkpoint read that converts to float32 and the corpus read one
-video at a time, and no other module frames a binary file of its own."""
+through the corpus read one video at a time; rows are read only in the
+array's own dtype and bounds; and no other module frames a binary file of
+its own."""
 
 import ast
 import json
@@ -19,7 +20,7 @@ from posestream import binio
 from posestream.convnet import NetSpec, init_net, load_checkpoint, save_checkpoint
 from posestream.preprocess import PoseCorpus, SpatialModel
 from posestream.skeleton import euler_tour, make_topology
-from posestream.tensorize import FilledCorpus, OpenCorpus, read_corpus, write_corpus
+from posestream.tensorize import CORPUS_FILE, FilledCorpus, OpenCorpus, read_corpus, write_corpus
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -49,10 +50,6 @@ def small_model(rng, degree=1):
                         rng.random((n, n)) > 0.5)
 
 
-def load_float32_checkpoint(path):
-    return load_checkpoint(path, np.float32)
-
-
 def read_corpus_by_rows(path):
     """Open the corpus, then read it one video at a time, the last first."""
     with OpenCorpus(path) as corpus:
@@ -60,21 +57,19 @@ def read_corpus_by_rows(path):
 
 
 def write_files(directory, seed=0, frames=(2, 1)):
-    """{path: reader} of a valid corpus, checkpoint and spatial model, of the
-    checkpoint again (n32.ckpt) for the reader that converts to float32, and
-    of the corpus again (r.bin) for the reader of one video at a time."""
+    """{path: reader} of a valid corpus, checkpoint and spatial model, and of
+    the corpus again (r.bin) for the reader of one video at a time."""
     rng = np.random.default_rng(seed)
     net = init_net((6, 6, 3), num_classes=2, seed=seed,
                    arch=NetSpec(conv1_channels=1, conv2_channels=1, hidden=2))
-    corpus, checkpoint, model, checkpoint32, rows = (
-        Path(directory) / name for name in ("c.bin", "n.ckpt", "m.bin", "n32.ckpt", "r.bin"))
+    corpus, checkpoint, model, rows = (
+        Path(directory) / name for name in ("c.bin", "n.ckpt", "m.bin", "r.bin"))
     write_corpus(corpus, small_corpus(rng, frames))
     save_checkpoint(net, checkpoint, meta={"seed": seed})
     small_model(rng).save(model)
-    checkpoint32.write_bytes(checkpoint.read_bytes())
     rows.write_bytes(corpus.read_bytes())
     return {corpus: read_corpus, checkpoint: load_checkpoint, model: SpatialModel.load,
-            checkpoint32: load_float32_checkpoint, rows: read_corpus_by_rows}
+            rows: read_corpus_by_rows}
 
 
 def with_header(raw, header, version=None):
@@ -118,7 +113,6 @@ def test_round_trips_and_old_formats_are_rejected_naming_the_file(tmp_path):
     # A corpus or checkpoint of the format before the container starts with
     # the same magic and a u32 version 1; a spatial model was an .npz file.
     for path, read in ((tmp_path / "c.bin", read_corpus), (tmp_path / "n.ckpt", load_checkpoint),
-                       (tmp_path / "n32.ckpt", load_float32_checkpoint),
                        (tmp_path / "r.bin", read_corpus_by_rows)):
         path.write_bytes(with_header(path.read_bytes(), b"{}", version=1))
         assert "version 1 " in rejected(read, path)
@@ -155,6 +149,32 @@ def test_a_file_that_shrinks_while_open_fails_naming_it(tmp_path):
     assert message == f"{path}: truncated in array 'flags' (the file shrank while it was read)"
 
 
+def test_rows_outside_an_array_are_refused_naming_them(tmp_path):
+    # 10 frames: rows 8 to 11 of coords would run into flags' bytes, and
+    # rows of flags, the last array, past the end of the file.
+    path = tmp_path / "c.bin"
+    write_corpus(path, small_corpus(np.random.default_rng(6), [4, 6]))
+    with CORPUS_FILE.open(path) as file:
+        for name, out, start in (("coords", np.empty((3, 3, 2)), 8),
+                                 ("flags", np.empty((3, 3), np.uint8), 8),
+                                 ("coords", np.empty((1, 3, 2)), -1)):
+            message = rejected(lambda _: file.read_into(name, out, start), path)
+            assert message == (f"{path}: rows {start} to {start + len(out)} are outside "
+                               f"array '{name}' of 10 rows")
+        file.read_into("coords", np.empty((0, 3, 2)), 10)
+
+
+def test_a_buffer_of_another_dtype_or_row_shape_is_refused(tmp_path):
+    path = tmp_path / "c.bin"
+    write_corpus(path, small_corpus(np.random.default_rng(7), [4]))
+    with CORPUS_FILE.open(path) as file:
+        for out in (np.empty((2, 3, 2), np.float32), np.empty((2, 6)),
+                    np.empty((2, 3, 4))[:, :, :2]):
+            message = rejected(lambda _: file.read_into("coords", out), path)
+            assert message == (f"{path}: array 'coords' reads into C-contiguous float64 rows "
+                               f"of shape (3, 2), not {out.dtype} {out.shape}")
+
+
 def test_writers_refuse_what_would_not_read_back(tmp_path):
     rng = np.random.default_rng(3)
     corpus = replace(small_corpus(rng, [2]), seed=np.int64(7))
@@ -163,6 +183,9 @@ def test_writers_refuse_what_would_not_read_back(tmp_path):
         (tmp_path / "c.bin", lambda p: write_corpus(p, corpus), "header field 'seed' must be int"),
         (tmp_path / "m.bin", model.save,
          r"array 'coeffs' has shape \(3, 3, 3, 2\), the header implies \(2, 2, 3, 2\)"),
+        (tmp_path / "m32.bin",
+         replace(small_model(rng), coeffs=model.coeffs.astype(np.float32)).save,
+         "array 'coeffs' has dtype float32, the layout's is float64"),
     ]
     for path, write, message in cases:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
@@ -177,7 +200,6 @@ DIMENSIONS = {
                *(("arch", key) for key in ("conv1_channels", "conv2_channels", "hidden", "pool"))],
     "m.bin": [("joints",), ("degree",)],
 }
-DIMENSIONS["n32.ckpt"] = DIMENSIONS["n.ckpt"]
 DIMENSIONS["r.bin"] = DIMENSIONS["c.bin"]
 BAD_DIMENSIONS = st.sampled_from([-1, -(10**12), 1.5, 2.0, 10**12, True])
 JSON = st.recursive(

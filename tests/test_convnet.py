@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import convnet_reference as reference
-from posestream import binio
 from posestream.convnet import (
     CHECKPOINT_FILE,
     FORWARD_SLICE,
@@ -67,7 +66,7 @@ from conftest import assert_kink_free, write_raw
 def numeric_gradients(net, x, labels, h=1e-4):
     """Central finite differences of the summed batch loss, per parameter."""
     def batch_loss():
-        total, _, _ = _loss_and_grads(net, x, labels)
+        total, _, _ = _loss_and_grads(net, x, labels, Workspace())
         return total
 
     grads = {}
@@ -161,7 +160,7 @@ class TestConvPrimitive:
         w = np.zeros((3, 2, 1, 1))
         w[:, :, 0, 0] = [[1.0, 0.0], [0.0, 2.0], [-1.0, 0.0]]
         b = np.array([0.5])
-        _, out = _conv_relu(x, w, b, (1, 3))
+        _, out = _conv_relu(x, w, b, (1, 3), Workspace(), "conv")
         # out[j] = x[0,j] + 2*x[1,j+1] - x[2,j] + 0.5
         expected = np.array(
             [[0 + 2 * 5 - 8 + 0.5, 1 + 2 * 6 - 9 + 0.5, 2 + 2 * 7 - 10 + 0.5]]
@@ -175,7 +174,7 @@ class TestConvPrimitive:
         b = rng.normal(size=4)
         expected = np.maximum(naive_conv(x, w, b), 0.0)
         for extent in [(4, 6), (3, 5), (1, 1)]:
-            _, out = _conv_relu(x, w, b, extent)
+            _, out = _conv_relu(x, w, b, extent, Workspace(), "conv")
             np.testing.assert_allclose(out, expected[:, : extent[0], : extent[1]], atol=1e-12)
 
 
@@ -246,7 +245,7 @@ class TestForward:
             x = _data(6, (count,) + self.EVAL_SHAPE, dyadic).astype(dtype)
             probs = forward(net, x)
             assert probs.dtype == dtype
-            want = _forward(net, _padded(x))["probs"][:count]
+            want = _forward(net, _padded(x), Workspace())["probs"][:count]
             assert probs.tobytes() == want.tobytes(), dyadic
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
@@ -325,27 +324,28 @@ class TestAgainstReference:
         w = _data(seed + 1, (3, 2, c_in, c_out), dyadic)
         b = _data(seed + 2, (c_out,), dyadic)
         z_ref, cols_ref = reference._conv_forward(x, w, b)
-        cols, a = _conv_relu(x, w, b, (r2, c2))
+        ws = Workspace()
+        cols, a = _conv_relu(x, w, b, (r2, c2), ws, "conv")
         np.testing.assert_allclose(a, np.maximum(z_ref, 0.0)[:, :r2, :c2], rtol=0, atol=1e-12)
         np.testing.assert_array_equal(cols, cols_ref[:, :r2, :c2].reshape(cols.shape))
 
         a_ref = np.maximum(z_ref, 0.0)
         a = a_ref[:, :r2, :c2]
         pooled_ref, idx_ref = reference._pool_forward(a_ref, size)
-        pooled, idx = _pool_argmax(a, size)
+        pooled, idx = _pool_argmax(a, size, ws)
         assert pooled.tobytes() == pooled_ref.tobytes()
-        assert pooled.tobytes() == _pool(a, size).tobytes()
+        assert pooled.tobytes() == _pool(a, size, np.empty_like(pooled)).tobytes()
         np.testing.assert_array_equal(idx, idx_ref)
 
         d_pooled = _data(seed + 3, pooled.shape, dyadic)
         d_a_ref = reference._pool_backward(d_pooled, idx_ref, a_ref.shape, size)
-        d_a = _unpool(d_pooled, idx, size)
+        d_a = _unpool(d_pooled, idx, size, ws, "d_pool")
         np.testing.assert_array_equal(d_a, d_a_ref[:, :r2, :c2])
         assert not d_a_ref[:, r2:].any() and not d_a_ref[:, :, c2:].any()
 
         d_x_ref, d_w_ref, d_b_ref = reference._conv_backward(d_a_ref, cols_ref, w, x.shape)
         d_w, d_b = _conv_grads(d_a, cols, w)
-        d_x = _conv_input_grad(d_a, w, (batch, r2 + 2, c2 + 1, c_in))
+        d_x = _conv_input_grad(d_a, w, (batch, r2 + 2, c2 + 1, c_in), ws, "d_input")
         _assert_grads_close({"d_w": d_w, "d_b": d_b, "d_x": d_x},
                             {"d_w": d_w_ref, "d_b": d_b_ref, "d_x": d_x_ref[:, : r2 + 2, : c2 + 1]})
         assert not d_x_ref[:, r2 + 2:].any() and not d_x_ref[:, :, c2 + 1:].any()
@@ -363,9 +363,9 @@ class TestAgainstReference:
         labels = np.random.default_rng(seed).integers(0, classes, batch)
 
         np.testing.assert_allclose(forward(net, x), _reference_forward(net, x), rtol=0, atol=1e-12)
-        np.testing.assert_array_equal(_forward(net, x)["pool_idx"],
+        np.testing.assert_array_equal(_forward(net, x, Workspace())["pool_idx"],
                                       reference._forward(net, x)["pool_idx"])
-        loss_new, probs_new, grads = _loss_and_grads(net, x, labels)
+        loss_new, probs_new, grads = _loss_and_grads(net, x, labels, Workspace())
         loss_ref, probs_ref, grads_ref = reference._loss_and_grads(net, x, labels)
         assert abs(loss_new - loss_ref) <= 1e-12 * max(1.0, abs(loss_ref))
         np.testing.assert_allclose(probs_new, probs_ref, rtol=0, atol=1e-12)
@@ -384,7 +384,7 @@ class TestAgainstReference:
         x = _data(seed + 3, (batch, *shape), dyadic)
         labels = np.random.default_rng(seed).integers(0, 5, batch)
         assert forward(net, x).tobytes() == _reference_forward(net, x).tobytes()
-        _, probs, grads = _loss_and_grads(net, x, labels)
+        _, probs, grads = _loss_and_grads(net, x, labels, Workspace())
         _, probs_ref, grads_ref = reference._loss_and_grads(net, x, labels)
         assert probs.tobytes() == probs_ref.tobytes()
         _assert_grads_close(grads, grads_ref)
@@ -411,7 +411,7 @@ def batch_loss(probs_logits, labels):
     net.out_w[...] = 0.0
     net.out_b[...] = probs_logits
     x = np.zeros((len(labels),) + SMALL_SHAPE)
-    return _loss_and_grads(net, x, np.asarray(labels))[0]
+    return _loss_and_grads(net, x, np.asarray(labels), Workspace())[0]
 
 
 class TestLoss:
@@ -533,7 +533,7 @@ class TestTrain:
         labels = np.arange(64) % 4
         forward_ws, step_ws = Workspace(), Workspace()
         _forward(net, x, forward_ws)
-        fresh = _loss_and_grads(net, x, labels)[2]
+        fresh = _loss_and_grads(net, x, labels, Workspace())[2]
         for _ in range(2):
             grads = _loss_and_grads(net, x, labels, step_ws)[2]
             assert all(grads[name].tobytes() == fresh[name].tobytes() for name in fresh)
@@ -697,6 +697,7 @@ class TestFloat32:
 
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
+        # A float64 net is saved, and read back, as its float32 cast bit for bit.
         net = small_net(seed=21)
         path = tmp_path / "net.ckpt"
         save_checkpoint(net, path, meta={"seed": 21, "config_hash": "fff"})
@@ -705,59 +706,52 @@ class TestCheckpoint:
         assert loaded.input_shape == net.input_shape
         assert loaded.num_classes == net.num_classes
         assert loaded.arch == net.arch
-        for name, param in net.parameters().items():
-            np.testing.assert_array_equal(loaded.parameters()[name], param)
+        assert loaded.dtype == np.float32
+        for name, param in net.astype(np.float32).parameters().items():
+            assert loaded.parameters()[name].tobytes() == param.tobytes(), name
+        save_checkpoint(net.astype(np.float32), tmp_path / "cast.ckpt", meta=meta)
+        assert (tmp_path / "cast.ckpt").read_bytes() == path.read_bytes()
 
     def test_float32_round_trip_exact(self, tmp_path):
-        # The float64 payload holds every float32 value, so casting the
-        # loaded (float64) net back gives the saved net bit for bit.
         x, y = linearly_separable_dataset(np.random.default_rng(16), count=16)
         net, _ = train(small_net(seed=25).astype(np.float32), fixed(x), y,
                        TrainConfig(learning_rate=0.05, epochs=2, batch_size=8))
         path = tmp_path / "net.ckpt"
         save_checkpoint(net, path)
-        loaded, _ = load_checkpoint(path)
-        assert loaded.dtype == np.float64
-        restored = loaded.astype(np.float32).parameters()
+        restored = load_checkpoint(path)[0].parameters()
         for name, param in net.parameters().items():
             assert restored[name].dtype == np.float32
             assert restored[name].tobytes() == param.tobytes(), name
 
-    # fc1_w (2240, 64) spans many of binio's conversion chunks.
-    CHUNKED = ((15, 58, 3), NetSpec(conv1_channels=8, conv2_channels=16, hidden=64))
-
-    def test_float32_read_is_the_cast_of_the_float64_read(self, tmp_path):
-        net = init_net(self.CHUNKED[0], num_classes=4, seed=26, arch=self.CHUNKED[1])
-        assert net.fc1_w.nbytes > 8 * binio.CHUNK_BYTES
-        path = tmp_path / "net.ckpt"
-        save_checkpoint(net, path, meta={"seed": 26})
-        loaded, meta = load_checkpoint(path, np.float32)
-        assert meta == {"seed": 26}
-        want = load_checkpoint(path)[0].astype(np.float32)
-        assert (loaded.input_shape, loaded.num_classes, loaded.arch) == (
-            want.input_shape, want.num_classes, want.arch)
-        for name, param in want.parameters().items():
-            got = loaded.parameters()[name]
-            assert got.dtype == np.float32 and got.tobytes() == param.tobytes(), name
-
-    @pytest.mark.parametrize("value, dtype", [
-        (np.nan, np.float64), (-np.inf, np.float32), (1e300, np.float32),
-    ], ids=["nan", "inf", "beyond-float32"])
-    def test_rejects_a_parameter_that_is_not_finite(self, tmp_path, value, dtype):
+    @pytest.mark.parametrize("value", [np.nan, -np.inf, 1e300],
+                             ids=["nan", "inf", "beyond-float32"])
+    def test_rejects_a_parameter_that_is_not_finite(self, tmp_path, value):
+        # Refused at save, before any write, and at load from a file written otherwise.
         net = small_net(seed=28)
         net.out_w[1, 2] = value
         path = tmp_path / "net.ckpt"
-        save_checkpoint(net, path)
-        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: parameter 'out_w' "
-                                             rf"is not finite in {np.dtype(dtype).name}$"):
-            load_checkpoint(path, dtype)
+        message = rf"^{re.escape(str(path))}: parameter 'out_w' is not finite in float32$"
+        with pytest.raises(ValueError, match=message):
+            save_checkpoint(net, path)
+        assert not path.exists()
+        header = {"input_shape": list(net.input_shape), "num_classes": net.num_classes,
+                  "arch": asdict(net.arch), "meta": {}}
+        with np.errstate(over="ignore"):
+            write_raw(path, CHECKPOINT_FILE, header, net.astype(np.float32).parameters())
+        with pytest.raises(ValueError, match=message):
+            load_checkpoint(path)
 
-    def test_saving_a_float32_net_writes_its_float64_cast(self, tmp_path):
-        net = init_net(self.CHUNKED[0], num_classes=4, seed=27,
-                       arch=self.CHUNKED[1]).astype(np.float32)
-        save_checkpoint(net, tmp_path / "f32.ckpt")
-        save_checkpoint(net.astype(np.float64), tmp_path / "f64.ckpt")
-        assert (tmp_path / "f32.ckpt").read_bytes() == (tmp_path / "f64.ckpt").read_bytes()
+    def test_rejects_a_version_2_checkpoint_naming_the_file(self, tmp_path):
+        # Version 2 held the same header and the parameters as float64.
+        net = small_net(seed=29)
+        header = {"input_shape": list(net.input_shape), "num_classes": net.num_classes,
+                  "arch": asdict(net.arch), "meta": {}}
+        path = tmp_path / "net.ckpt"
+        write_raw(path, replace(CHECKPOINT_FILE, version=2), header, net.parameters())
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: unsupported pose "
+                                             r"ConvNet checkpoint version 2 \(this reader "
+                                             r"reads version 3\)$"):
+            load_checkpoint(path)
 
     def test_rejects_bad_magic(self, tmp_path):
         path = tmp_path / "junk.ckpt"
@@ -772,7 +766,7 @@ class TestCheckpoint:
         path = tmp_path / "net.ckpt"
         save_checkpoint(net, path)
         loaded, _ = load_checkpoint(path)
-        np.testing.assert_array_equal(forward(loaded, x), forward(net, x))
+        np.testing.assert_array_equal(forward(loaded, x), forward(net.astype(np.float32), x))
 
     def test_rejects_parameter_shape_the_meta_contradicts(self, tmp_path):
         # Input (15, 58, 3) pools to 5 x 28 positions of 6 channels: fc1_w
@@ -787,7 +781,7 @@ class TestCheckpoint:
     def test_rejects_a_checkpoint_of_fewer_than_two_classes(self, tmp_path):
         # A file whose header says 0 classes and whose out layer has 0
         # columns: it fails on load, not in eval's argmax.
-        net = small_net()
+        net = small_net().astype(np.float32)
         header = {"input_shape": list(net.input_shape), "num_classes": 0,
                   "arch": asdict(net.arch), "meta": {}}
         params = {**net.parameters(), "out_w": net.out_w[:, :0], "out_b": net.out_b[:0]}
