@@ -205,8 +205,11 @@ def cmd_preprocess(cfg: PipelineConfig, config: str | None = None) -> dict:
         corpus = preprocess.spatial_interpolate(corpus, model, topology)
     else:
         corpus = preprocess.zero_fill(corpus)
-    corpus = tensorize.FilledCorpus(**vars(corpus), path=euler_tour(topology), seed=cfg.seed,
-                                    config_hash=cfg.hash())
+    try:  # the one cast of the coordinates to the net's dtype
+        corpus = tensorize.FilledCorpus(**vars(corpus), path=euler_tour(topology),
+                                        seed=cfg.seed, config_hash=cfg.hash())
+    except ValueError as exc:
+        raise CliError(f"{cfg.annotations}: {exc}") from None
 
     fills, fills_per_joint = _fill_counts(corpus.flags, topology)
     report = {
@@ -229,7 +232,7 @@ def cmd_preprocess(cfg: PipelineConfig, config: str | None = None) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_train(cfg: PipelineConfig, config: str | None = None) -> dict:
-    """Filled corpus -> checkpoint + per-epoch CSV trace; snippets are redrawn each epoch."""
+    """Filled corpus -> checkpoint + per-epoch CSV trace; each epoch draws fresh float32 tensors."""
     from . import convnet, tensorize
     from .skeleton import build_topology, euler_tour
 
@@ -248,14 +251,7 @@ def cmd_train(cfg: PipelineConfig, config: str | None = None) -> dict:
         raise CliError(f"{cfg.cache}: training needs at least two classes")
 
     def draw(epoch: int, rows: np.ndarray) -> np.ndarray:
-        # Built FORWARD_SLICE rows at a time, so the epoch's tensors exist
-        # once, in the net's dtype, beside its workspace.
-        tensors = np.empty((len(rows), *corpus.tensor_shape(cfg.k)), convnet.NET_DTYPE)
-        for start in range(0, len(rows), convnet.FORWARD_SLICE):
-            part = rows[start:start + convnet.FORWARD_SLICE]
-            tensors[start:start + len(part)] = tensorize.corpus_tensors(
-                corpus, part, cfg.k, cfg.sampling, cfg.seed, epoch)
-        return tensors
+        return tensorize.corpus_tensors(corpus, rows, cfg.k, cfg.sampling, cfg.seed, epoch)
 
     net = convnet.init_net(
         input_shape=corpus.tensor_shape(cfg.k), num_classes=num_classes, seed=cfg.seed,
@@ -289,12 +285,12 @@ def cmd_eval(cfg: PipelineConfig, config: str | None = None) -> dict:
     labels are checked before the checkpoint is read. The videos are taken
     in id order, in the same slices of at most FORWARD_SLICE rows that
     ``forward`` scores; each slice's frames are read from the file and
-    checked, and its tensors built in and scored through one workspace
-    that every slice reuses. So memory holds the corpus's ids, offsets and
-    labels, the checkpoint's float32 net, one slice's frames, the
-    workspace (one slice's tensors included) and the score rows, and no
-    frame of the other slices. Accuracy, per-class accuracy
-    and confusion are null unless every video has a label."""
+    checked, and its float32 tensors built in and scored through one
+    workspace that every slice reuses, with no cast. So memory holds the
+    corpus's ids, offsets and labels, the checkpoint's float32 net, one
+    slice's frames, the workspace (one slice's tensors included) and the
+    score rows, and no frame of the other slices. Accuracy, per-class
+    accuracy and confusion are null unless every video has a label."""
     from . import convnet, fusion, tensorize
 
     cfg.require("cache", "checkpoint", "scores")
@@ -316,7 +312,7 @@ def cmd_eval(cfg: PipelineConfig, config: str | None = None) -> dict:
 
         def score(rows: np.ndarray) -> np.ndarray:
             # In the workspace: a fresh array per slice would be mapped afresh.
-            tensors = workspace.take("tensors", (len(rows), *corpus.tensor_shape(k)), np.float64)
+            tensors = workspace.take("tensors", (len(rows), *corpus.tensor_shape(k)), net.dtype)
             tensorize.corpus_tensors(corpus.read(rows), np.arange(len(rows)), k, cfg.sampling,
                                      corpus.seed, out=tensors)
             return convnet.forward(net, tensors, workspace)

@@ -11,11 +11,11 @@ input and output paths (``topology_file`` stays in: with profile
 
 This module imports nothing else from the package, so every command can
 load it without the layers it does not run. It owns the settings objects
-the layers take, ``NetSpec`` and ``TrainConfig`` (``convnet``) and
-``SAMPLING_MODES`` (``tensorize``), which those modules import from here,
-the video id rule and check that the annotation, corpus and CSV readers
-and writers share, and the message for a text file that is not UTF-8,
-which the config, CSV and topology readers share.
+the layers take (``NetSpec``, ``TrainConfig``, ``SAMPLING_MODES`` and the
+net's dtype ``NET_DTYPE``), which they import from here, the video id rule
+and check that the annotation, corpus and CSV readers and writers share,
+and the message for a text file that is not UTF-8, which the config, CSV
+and topology readers share.
 """
 
 from __future__ import annotations
@@ -28,6 +28,9 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Iterable
 
+import numpy as np
+
+NET_DTYPE = np.dtype("<f4")  # of every command's net and checkpoint, and of the corpus
 SAMPLING_MODES = ("random", "center")
 
 ID_RULE = "must not contain ',', '\"', CR, LF or unpaired surrogates, nor start with '#'"

@@ -7,8 +7,8 @@ not contract; the 3x2 filter and the layer order are fixed. The net computes
 in the dtype of its parameters: ``init_net`` draws float64, where analytic
 gradients match central finite differences tightly, and ``astype`` casts a
 net; forward, backward and train cast their batch to that dtype and keep
-every intermediate in it. Every command's net, and every checkpoint, is
-NET_DTYPE (float32), at about half the float64 GEMM cost.
+every intermediate in it. Every command's net, checkpoint and corpus
+tensor is NET_DTYPE (float32), at about half the float64 GEMM cost.
 
 Each conv is one GEMM over an im2col buffer and computes only the output
 positions the pool reads. The pool covers the first (K - 4) // pool * pool
@@ -68,16 +68,13 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import binio
-from .config import NetSpec, TrainConfig
+from .config import NET_DTYPE, NetSpec, TrainConfig
 
 FILTER_H = 3  # rows = snippets (time)
 FILTER_W = 2  # columns = flattened joint coordinates
 
 CHECKPOINT_MAGIC = b"PCN1"
 CHECKPOINT_VERSION = 3
-
-# The dtype of a checkpoint's parameters and of the net every command runs.
-NET_DTYPE = np.dtype("<f4")
 
 PROB_FLOOR = 1e-12
 

@@ -47,7 +47,7 @@ import math
 import reprlib
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import ClassVar, Iterator, Sequence
 
 import numpy as np
 
@@ -77,20 +77,22 @@ class PoseCorpus:
 
     Video i owns rows offsets[i] to offsets[i+1] - 1 of coords and flags.
     flags holds fill provenance (0 missing .. 4 synthetic); coordinates are
-    only meaningful where flags > 0.
+    only meaningful where flags > 0, and there must be finite in coords_dtype.
     """
 
     videos: tuple[str, ...]
     labels: np.ndarray   # (V,) int64, -1 where absent
     offsets: np.ndarray  # (V+1,) int64
-    coords: np.ndarray   # (F, n, 2) float64
+    coords: np.ndarray   # (F, n, 2) coords_dtype
     flags: np.ndarray    # (F, n) uint8
+    coords_dtype: ClassVar[np.dtype] = np.dtype(np.float64)  # NET_DTYPE in a FilledCorpus
 
     def __post_init__(self) -> None:
         self.videos = tuple(self.videos)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         self.offsets = np.asarray(self.offsets, dtype=np.int64)
-        self.coords = np.asarray(self.coords, dtype=np.float64)
+        with np.errstate(over="ignore"):  # a value beyond coords_dtype's range casts to inf
+            self.coords = np.asarray(self.coords, dtype=self.coords_dtype)
         self.flags = np.asarray(self.flags, dtype=np.uint8)
         if self.coords.ndim != 3 or self.coords.shape[2] != 2:
             raise ValueError(f"coords must have shape (F, n, 2), got {self.coords.shape}")
@@ -102,7 +104,8 @@ class PoseCorpus:
             bad = ((self.flags > 0) & ~np.isfinite(self.coords).all(axis=2)).any(axis=1)
             if bad.any():
                 video = self.videos[np.searchsorted(self.offsets, bad.argmax(), side="right") - 1]
-                raise ValueError(f"video '{video}' has non-finite coordinates on filled joints")
+                raise ValueError(f"video '{video}' has non-finite {self.coords.dtype} "
+                                 "coordinates on filled joints")
 
     @staticmethod
     def check_index(videos: Sequence[str], labels: np.ndarray, offsets: np.ndarray,

@@ -11,11 +11,11 @@ all-zero first row. Result shape: K x 2L x 3.
 ``preprocess`` writes its filled, normalized frames to one filled-corpus
 file. ``FilledCorpus`` is the ``preprocess.PoseCorpus`` of those frames
 plus the file header (Euler tour, seed, config hash), with the file's
-arrays as they are on disk. ``corpus_tensors`` builds the tensors of the
-rows it is given (``train``: every video, in an epoch's order; ``eval``:
-one slice) from their segment bounds as one (R, K) array, one random draw
-per video, one gather of the chosen frames and two differences over the
-whole (R, K, 2L) position array.
+arrays as they are on disk. ``corpus_tensors`` builds the NET_DTYPE
+tensors of the rows it is given (``train``: every video, in an epoch's
+order; ``eval``: one slice) from their segment bounds as one (R, K) array,
+one random draw per video, one gather of the chosen frames and two
+differences over the whole (R, K, 2L) position array.
 
 The filled-corpus file is a ``binio`` container (magic ``PCRP``). Its
 header holds ``topology`` (the name), ``tour`` (the Euler tour's joint
@@ -24,7 +24,7 @@ indices), ``config_hash``, ``seed``, ``videos`` (the ids, in order),
 
     offsets  int64   (V+1,)     0 first, strictly increasing, last = F
     labels   int64   (V,)       -1 where absent
-    coords   float64 (F, n, 2)  in (frame, joint, xy) order
+    coords   float32 (F, n, 2)  in (frame, joint, xy) order
     flags    uint8   (F, n)     fill provenance, 1 observed .. 4 synthetic
 
 Video i owns frames offsets[i] to offsets[i+1] - 1.
@@ -47,12 +47,12 @@ from pathlib import Path
 import numpy as np
 
 from . import binio
-from .config import SAMPLING_MODES, check_video_ids
+from .config import NET_DTYPE, SAMPLING_MODES, check_video_ids
 from .preprocess import VIS_OBSERVED, VIS_SYNTHETIC, PoseCorpus
 from .skeleton import TraversalPath
 
 CORPUS_MAGIC = b"PCRP"
-CORPUS_VERSION = 2
+CORPUS_VERSION = 3
 CHANNELS = 3
 
 
@@ -63,12 +63,13 @@ CHANNELS = 3
 @dataclass
 class FilledCorpus(PoseCorpus):
     """A filled corpus as one file holds it: the normalized frames of one
-    preprocess run, the Euler tour their tensors follow, and the run's seed
-    and config hash."""
+    preprocess run, as NET_DTYPE coordinates, the Euler tour their tensors
+    follow, and the run's seed and config hash."""
 
     path: TraversalPath
     seed: int
     config_hash: str
+    coords_dtype = NET_DTYPE  # a class attribute, not a field
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -148,8 +149,8 @@ def corpus_tensors(
     gap between them. A video's snippets are seeded by ``seed``, its id and,
     when given, the epoch, never by the other videos, so a video's tensor
     is the same whichever rows are asked for. The three channels are
-    written into one array: out, a float64 array of the result's shape,
-    when given (``eval`` reuses one for every slice), else a new one.
+    written into one NET_DTYPE array: out, of the result's shape, when
+    given (``eval`` reuses one for every slice), else a new one.
     """
     if k < 1:
         raise ValueError(f"segment count must be >= 1, got {k}")
@@ -162,9 +163,9 @@ def corpus_tensors(
     frames = _segment_frames(corpus.offsets[rows + 1] - starts, k, mode, seeds) + starts[:, None]
     joints = np.asarray(corpus.path.joints, dtype=np.intp)
     shape = (len(rows), *corpus.tensor_shape(k))
-    tensors = np.empty(shape) if out is None else out
-    if tensors.shape != shape or tensors.dtype != np.float64:
-        raise ValueError(f"out must be a float64 array of shape {shape}")
+    tensors = np.empty(shape, NET_DTYPE) if out is None else out
+    if tensors.shape != shape or tensors.dtype != NET_DTYPE:
+        raise ValueError(f"out must be a {NET_DTYPE} array of shape {shape}")
     positions, velocity, acceleration = np.moveaxis(tensors, -1, 0)
     positions[...] = corpus.coords[frames[:, :, None], joints].reshape(len(rows), k, -1)
     velocity[:, 0] = acceleration[:, 0] = 0
@@ -178,7 +179,7 @@ def _corpus_layout(header: dict) -> binio.Layout:
     return {
         "offsets": ("<i8", (count + 1,)),
         "labels": ("<i8", (count,)),
-        "coords": ("<f8", (frames, joints, 2)),
+        "coords": (NET_DTYPE.str, (frames, joints, 2)),
         "flags": ("u1", (frames, joints)),
     }
 
@@ -242,7 +243,7 @@ class OpenCorpus:
         rows = np.arange(len(self.videos)) if rows is None else np.asarray(rows, np.intp)
         starts, stops = self.offsets[rows], self.offsets[rows + 1]
         offsets = np.concatenate([[0], np.cumsum(stops - starts)])
-        coords = np.empty((offsets[-1], self.num_joints, 2))
+        coords = np.empty((offsets[-1], self.num_joints, 2), NET_DTYPE)
         flags = np.empty((offsets[-1], self.num_joints), np.uint8)
         runs = np.flatnonzero(np.r_[True, starts[1:] != stops[:-1], True])
         for first, end in zip(runs[:-1], runs[1:]):

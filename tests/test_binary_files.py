@@ -155,23 +155,23 @@ def test_rows_outside_an_array_are_refused_naming_them(tmp_path):
     path = tmp_path / "c.bin"
     write_corpus(path, small_corpus(np.random.default_rng(6), [4, 6]))
     with CORPUS_FILE.open(path) as file:
-        for name, out, start in (("coords", np.empty((3, 3, 2)), 8),
+        for name, out, start in (("coords", np.empty((3, 3, 2), np.float32), 8),
                                  ("flags", np.empty((3, 3), np.uint8), 8),
-                                 ("coords", np.empty((1, 3, 2)), -1)):
+                                 ("coords", np.empty((1, 3, 2), np.float32), -1)):
             message = rejected(lambda _: file.read_into(name, out, start), path)
             assert message == (f"{path}: rows {start} to {start + len(out)} are outside "
                                f"array '{name}' of 10 rows")
-        file.read_into("coords", np.empty((0, 3, 2)), 10)
+        file.read_into("coords", np.empty((0, 3, 2), np.float32), 10)
 
 
 def test_a_buffer_of_another_dtype_or_row_shape_is_refused(tmp_path):
     path = tmp_path / "c.bin"
     write_corpus(path, small_corpus(np.random.default_rng(7), [4]))
     with CORPUS_FILE.open(path) as file:
-        for out in (np.empty((2, 3, 2), np.float32), np.empty((2, 6)),
-                    np.empty((2, 3, 4))[:, :, :2]):
+        for out in (np.empty((2, 3, 2)), np.empty((2, 6), np.float32),
+                    np.empty((2, 3, 4), np.float32)[:, :, :2]):
             message = rejected(lambda _: file.read_into("coords", out), path)
-            assert message == (f"{path}: array 'coords' reads into C-contiguous float64 rows "
+            assert message == (f"{path}: array 'coords' reads into C-contiguous float32 rows "
                                f"of shape (3, 2), not {out.dtype} {out.shape}")
 
 

@@ -23,7 +23,8 @@ from posestream.cli import (
 )
 from posestream.config import PipelineConfig, load_config
 from posestream.convnet import (
-    FORWARD_SLICE, NetSpec, TrainConfig, forward, init_net, load_checkpoint, save_checkpoint,
+    FORWARD_SLICE, NET_DTYPE, NetSpec, TrainConfig, Workspace, forward, init_net,
+    load_checkpoint, save_checkpoint,
 )
 from posestream.fusion import read_scores
 from posestream.preprocess import SpatialModel
@@ -146,6 +147,30 @@ class TestPreprocess:
         )
         assert code == 0
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ann.jsonl", "c.cache", "r.json"]
+
+    @pytest.mark.parametrize("value", [1e300, 1e30])
+    def test_a_coordinate_beyond_float32_fails_naming_the_file(self, tmp_path, capsys, value):
+        """The corpus holds float32: a joint at 1e300, finite in float64, is
+        refused naming the annotation file and the video, and nothing is
+        written; one at 1e30 fits in float32 and preprocesses."""
+        ann = tmp_path / "ann.jsonl"
+        cmd_synth(SyntheticSpec(videos_per_class=10, frames=20, dropout=0.2, seed=202), ann)
+        lines = ann.read_text().splitlines()
+        record = json.loads(lines[1])
+        assert record["video"] == "wave_0000"
+        record["frames"][3][8][0] = value
+        lines[1] = json.dumps(record)
+        ann.write_text("\n".join(lines) + "\n")
+        code, _, err = run(capsys, "preprocess", "--annotations", str(ann), "--cache",
+                           str(tmp_path / "c.cache"), "--report", str(tmp_path / "r.json"))
+        if value == 1e300:
+            assert code == 1
+            assert err["message"] == (f"{ann}: video 'wave_0000' has non-finite float32 "
+                                      "coordinates on filled joints")
+            assert [p.name for p in tmp_path.iterdir()] == ["ann.jsonl"]
+        else:
+            assert code == 0
+            assert np.isfinite(read_corpus(tmp_path / "c.cache").coords).all()
 
     def test_duplicate_ids_rejected_before_any_write(self, tmp_path, capsys):
         frames = ",".join(["[%s]" % ",".join("[1.0,%d,1]" % j for j in range(15))] * 3)
@@ -546,8 +571,9 @@ class TestTrain:
 
     def test_memory_growth_bounded(self, tmp_path):
         """A corpus 4x larger adds no more to train's peak than its own arrays
-        and one float64 copy of the added videos' tensors: train holds one
-        epoch's draw at a time, and nothing of an earlier epoch's."""
+        and 8 bytes per value of the added videos' tensors (their float32
+        draw and its gather of positions): train holds one epoch's draw at a
+        time, and nothing of an earlier epoch's."""
         tour = euler_tour(build_topology("jhmdb_gt"))
         rng = np.random.default_rng(8)
 
@@ -721,7 +747,7 @@ class TestEval:
     @pytest.mark.parametrize("defect, message", [
         ("label", "labels below -1"),
         ("flag", "fill flags outside 1-4"),
-        ("coordinate", "video 'clip00128' has non-finite coordinates on filled joints"),
+        ("coordinate", "video 'clip00128' has non-finite float32 coordinates on filled joints"),
     ])
     def test_a_corpus_defect_fails_naming_the_file_before_any_write(self, tmp_path, capsys,
                                                                      defect, message):
@@ -743,7 +769,7 @@ class TestEval:
             "label": (binio.PREFIX.size + length + 16 * len(corpus.videos),
                       np.int64(-2).tobytes()),
             "flag": (len(raw) - 1, b"\x05"),
-            "coordinate": (len(raw) - corpus.flags.size - 8, np.float64(np.nan).tobytes()),
+            "coordinate": (len(raw) - corpus.flags.size - 4, np.float32(np.nan).tobytes()),
         }[defect]
         raw[at:at + len(value)] = value
         cache.write_bytes(raw)
@@ -780,6 +806,24 @@ class TestEval:
         arrays = sum(a.nbytes for a in (corpus.labels, corpus.offsets, corpus.coords,
                                         corpus.flags))
         assert peak - arrays < sum(p.nbytes for p in net.parameters().values())
+
+    def test_a_slice_reaches_the_net_with_no_copy(self):
+        """corpus_tensors builds eval's slices in the net's dtype, so one
+        forward of 64 rows through a warmed workspace allocates less than a
+        copy of the slice in that dtype: the net scores it as it was built."""
+        tour = euler_tour(build_topology("jhmdb_gt"))
+        net = init_net((15, 2 * len(tour), 3), num_classes=4, seed=0).astype(NET_DTYPE)
+        corpus = random_corpus(FORWARD_SLICE, tour, np.random.default_rng(12))
+        tensors = corpus_tensors(corpus, np.arange(FORWARD_SLICE), 15, "random", corpus.seed)
+        workspace = Workspace()
+        forward(net, tensors, workspace)
+        tracemalloc.start()
+        try:
+            forward(net, tensors, workspace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < tensors.size * NET_DTYPE.itemsize
 
 
 class TestFuse:

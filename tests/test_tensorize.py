@@ -9,11 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tensorize_reference as reference
+from conftest import write_raw
 from posestream import binio
+from posestream.config import NET_DTYPE
 from posestream.preprocess import PoseCorpus
 from preprocess_reference import Pose
 from posestream.skeleton import build_topology, euler_tour, make_topology
 from posestream.tensorize import (
+    CORPUS_FILE,
     FilledCorpus,
     _video_seed,
     corpus_tensors,
@@ -156,15 +159,18 @@ class TestBuildPoseTensor:
         coords = rng.normal(size=(15, topo.n, 2))
         tensor = tensor_of(filled_pose(coords), tour, 15)
         for k in range(15):
-            expected = np.concatenate([coords[k, j] for j in tour.joints])
-            np.testing.assert_array_equal(tensor[k, :, 0], expected)
+            expected = np.concatenate([coords[k, j] for j in tour.joints]).astype(NET_DTYPE)
+            assert tensor[k, :, 0].tobytes() == expected.tobytes()
 
     def test_reconstruction_from_velocity(self):
+        # Multiples of 1/64 below 8 in magnitude: every difference and partial
+        # sum is exact in float32, so the velocity integrates back exactly.
         rng = np.random.default_rng(2)
         path = self.path_for(4)
-        tensor = tensor_of(filled_pose(rng.normal(size=(40, 4, 2))), path, 15, "random", 5)
+        coords = rng.integers(-256, 256, size=(40, 4, 2)) / 64
+        tensor = tensor_of(filled_pose(coords), path, 15, "random", 5)
         rebuilt = tensor[0, :, 0] + np.cumsum(tensor[:, :, 1], axis=0)
-        np.testing.assert_allclose(rebuilt, tensor[:, :, 0], atol=1e-12)
+        assert rebuilt.tobytes() == tensor[:, :, 0].tobytes()
 
     def test_same_seed_bit_identical(self):
         rng = np.random.default_rng(3)
@@ -215,13 +221,17 @@ class TestBuildPoseTensor:
 class TestTensorCache:
     """The filled-corpus file that preprocess writes at the --cache path."""
 
-    def make_corpus(self, frames=(20, 3, 9), n=4, labels=(0, -1, 1)):
+    def make_poses(self, frames=(20, 3, 9), n=4, labels=(0, -1, 1)):
         rng = np.random.default_rng(8)
         poses = []
         for i, (count, label) in enumerate(zip(frames, labels)):
             pose = filled_pose(rng.normal(size=(count, n, 2)), video=f"vid{i}", label=label)
             pose.flags[:] = rng.integers(1, 5, size=pose.flags.shape)
             poses.append(pose)
+        return poses
+
+    def make_corpus(self, frames=(20, 3, 9), n=4, labels=(0, -1, 1)):
+        poses = self.make_poses(frames, n, labels)
         return filled_corpus(euler_tour(chain_topology(n)), poses, 42, "abc123")
 
     def test_round_trip(self, tmp_path):
@@ -235,8 +245,11 @@ class TestTensorCache:
         assert loaded.videos == ("vid0", "vid1", "vid2")
         np.testing.assert_array_equal(loaded.labels, [0, -1, 1])
         np.testing.assert_array_equal(loaded.offsets, [0, 20, 23, 32])
-        # Coordinates are float64 on disk: bit-exact, like the flags.
-        assert loaded.coords.tobytes() == corpus.coords.tobytes()
+        # Coordinates are held and stored as the float32 cast of the float64
+        # ones the corpus was built from: bit-exact, like the flags.
+        written = np.concatenate([pose.coords for pose in self.make_poses()])
+        assert written.dtype == np.float64 and loaded.coords.dtype == NET_DTYPE
+        assert loaded.coords.tobytes() == written.astype(np.float32).tobytes()
         np.testing.assert_array_equal(loaded.flags, corpus.flags)
 
     def test_rejects_empty(self, tmp_path):
@@ -265,8 +278,8 @@ class TestTensorCache:
          + raw[at["labels"] + 8:], "labels below -1"),
         ("flag 0", lambda raw, at: raw[:-1] + b"\x00", "fill flags"),
         ("flag 5", lambda raw, at: raw[:-1] + b"\x05", "fill flags"),
-        ("nan", lambda raw, at: raw[:at["flags"] - 8] + np.float64(np.nan).tobytes()
-         + raw[at["flags"]:], "non-finite"),
+        ("nan", lambda raw, at: raw[:at["flags"] - 4] + np.float32(np.nan).tobytes()
+         + raw[at["flags"]:], "non-finite float32"),
         ("trailing", lambda raw, at: raw + b"\x00", "trailing bytes"),
         ("ids", lambda raw, at: raw.replace(b'"vid2"', b'"vid1"'), "video ids are not unique"),
         ("seed", lambda raw, at: raw.replace(b'"seed": 42', b'"seed": -4'), "seed must be >= 0"),
@@ -311,6 +324,34 @@ class TestTensorCache:
         with pytest.raises(ValueError, match="video 'vid1' has non-finite"):
             replace(corpus, coords=coords)
 
+    @pytest.mark.filterwarnings("error")
+    def test_a_coordinate_beyond_float32_is_refused_naming_the_video(self):
+        # 1e300 is finite in float64 but casts to inf in float32; 1e30 fits.
+        poses = self.make_poses()
+        poses[2].coords[4, 3, 1] = 1e300
+        with pytest.raises(ValueError, match=r"^video 'vid2' has non-finite float32 "
+                                             r"coordinates on filled joints$"):
+            filled_corpus(euler_tour(chain_topology(4)), poses)
+        poses[2].coords[4, 3, 1] = 1e30
+        corpus = filled_corpus(euler_tour(chain_topology(4)), poses)
+        assert corpus.coords[23 + 4, 3, 1] == np.float32(1e30)
+
+    def test_rejects_a_version_2_corpus_naming_the_file(self, tmp_path):
+        # Version 2 held the same header and arrays, the coordinates as float64.
+        corpus = self.make_corpus()
+        path = tmp_path / "corpus.bin"
+        header = {"topology": corpus.path.topology, "tour": list(corpus.path.joints),
+                  "config_hash": corpus.config_hash, "seed": corpus.seed,
+                  "videos": list(corpus.videos), "frames": len(corpus.coords),
+                  "joints": corpus.num_joints}
+        arrays = {"offsets": corpus.offsets, "labels": corpus.labels,
+                  "coords": corpus.coords.astype(np.float64), "flags": corpus.flags}
+        write_raw(path, replace(CORPUS_FILE, version=2), header, arrays)
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: unsupported "
+                                             r"filled-corpus version 2 \(this reader reads "
+                                             r"version 3\)$"):
+            read_corpus(path)
+
     def test_corpus_tensors_follow_the_seed_rule(self):
         corpus = self.make_corpus()
         data = corpus_tensors(corpus, range(3), k=5, mode="random", seed=3, epoch=2)
@@ -329,10 +370,10 @@ class TestTensorCache:
         corpus = self.make_corpus()
         data = corpus_tensors(corpus, range(3), k=5, mode="center", seed=0)
         assert data.shape == (3, *corpus.tensor_shape(5)) == (3, 5, 14, 3)
-        assert data.dtype == np.float64 and corpus.labels.dtype == np.int64
+        assert data.dtype == NET_DTYPE and corpus.labels.dtype == np.int64
         np.testing.assert_array_equal(corpus.labels, [0, -1, 1])
-        for out in (np.empty((2, 5, 14, 3)), np.empty((3, 5, 14, 3), np.float32)):
-            with pytest.raises(ValueError, match=r"out must be a float64 array of shape "
+        for out in (np.empty((2, 5, 14, 3), NET_DTYPE), np.empty((3, 5, 14, 3))):
+            with pytest.raises(ValueError, match=r"out must be a float32 array of shape "
                                                  r"\(3, 5, 14, 3\)"):
                 corpus_tensors(corpus, range(3), k=5, mode="center", seed=0, out=out)
 
@@ -365,7 +406,7 @@ def test_corpus_tensors_match_per_video_reference(corpus, k, mode, seed, epoch):
     assert data.dtype == expected.dtype and data.shape == expected.shape
     assert data.tobytes() == expected.tobytes()
     # A buffer a caller reuses, whatever it held, gets the same bits.
-    out = np.full(expected.shape, np.nan)
+    out = np.full(expected.shape, np.nan, NET_DTYPE)
     assert corpus_tensors(corpus, range(len(corpus.videos)), k=k, mode=mode, seed=seed,
                           epoch=epoch, out=out) is out
     assert out.tobytes() == expected.tobytes()
