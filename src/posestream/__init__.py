@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 
 _PUBLIC = {
     "skeleton": ("SkeletonTopology", "TraversalPath", "build_topology", "euler_tour",
-                 "load_topology", "make_topology"),
+                 "load_topology"),
     "preprocess": ("AnnotationError", "PoseCorpus", "SpatialModel", "fit_spatial_model",
                    "normalize", "spatial_interpolate", "temporal_interpolate", "voting_pairs",
                    "write_annotations", "zero_fill"),

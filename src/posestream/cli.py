@@ -10,13 +10,14 @@ turns checkpoint + corpus into a score CSV and an accuracy report, and
 draw that builds each epoch's tensors from fresh snippets, in that epoch's
 order, and ``eval`` holds the corpus file open and reads, builds and
 scores one slice of videos at a time. Every command is deterministic
-given its config and seed, every output embeds the config hash and seed,
-every output path is checked before any work (none may be a file the
-command reads; each ``cmd_*`` but ``cmd_synth`` takes the config file's
-path for that), and every output is written to a unique temp file, all
-of them renamed into place only once all are written (``_Outputs``).
-Errors leave a machine-readable JSON line on stderr and a nonzero exit
-code.
+given its config and seed, every output but the ``--save-spatial-model``
+file embeds the config hash and seed (that file's header holds only
+``topology_name``, ``degree`` and ``joints``), every output path is
+checked before any work (none may be a file the command reads; each
+``cmd_*`` but ``cmd_synth`` takes the config file's path for that), and
+every output is written to a unique temp file, all of them renamed into
+place only once all are written (``_Outputs``). Errors leave a
+machine-readable JSON line on stderr and a nonzero exit code.
 
 Each command imports the layers it runs at its top, and calls them as
 module attributes; ``fuse`` and ``weights-search`` load only ``fusion``.
@@ -282,7 +283,8 @@ def cmd_eval(cfg: PipelineConfig, config: str | None = None) -> dict:
 
     Snippets are drawn once from the corpus seed, K from the checkpoint.
     The corpus file is opened, not read: its header, ids, offsets and
-    labels are checked before the checkpoint is read. The videos are taken
+    labels are checked before the checkpoint is read, and the labels
+    against the checkpoint's classes right after. The videos are taken
     in id order, in the same slices of at most FORWARD_SLICE rows that
     ``forward`` scores; each slice's frames are read from the file and
     checked, and its float32 tensors built in and scored through one
@@ -302,6 +304,11 @@ def cmd_eval(cfg: PipelineConfig, config: str | None = None) -> dict:
         if net.input_shape != corpus.tensor_shape(k):
             raise CliError(f"checkpoint expects input {net.input_shape}, corpus {cfg.cache} "
                            f"provides {corpus.tensor_shape(k)}")
+        over = np.flatnonzero(corpus.labels >= net.num_classes)
+        if over.size:
+            raise CliError(f"{cfg.cache}: label {corpus.labels[over[0]]} of video "
+                           f"'{corpus.videos[over[0]]}' out of range for the {net.num_classes} "
+                           f"classes of checkpoint {cfg.checkpoint}")
         labels = {video: int(label) for video, label in zip(corpus.videos, corpus.labels)
                   if label >= 0}
         labeled = len(labels) == len(corpus.videos)
@@ -374,7 +381,7 @@ def cmd_fuse(cfg: PipelineConfig, config: str | None = None) -> dict:
     outputs = _Outputs(_fusion_inputs(cfg, config), fused_scores=cfg.fused_scores,
                        report=cfg.report)
     streams = _load_streams(cfg)
-    labels = fusion.read_labels(cfg.labels)
+    labels = fusion.read_labels(cfg.labels, next(iter(streams.values())))
     fused = fusion.fuse(streams, cfg.weights)
 
     present = [name for name in fusion.STREAMS if name in streams]
@@ -413,7 +420,7 @@ def cmd_weights_search(cfg: PipelineConfig, config: str | None = None) -> dict:
     cfg.require("labels")
     outputs = _Outputs(_fusion_inputs(cfg, config), report=cfg.report)
     streams = _load_streams(cfg)
-    labels = fusion.read_labels(cfg.labels)
+    labels = fusion.read_labels(cfg.labels, next(iter(streams.values())))
 
     axes = [cfg.weight_grid if name in streams else (0.0,) for name in fusion.STREAMS]
     grid = [combo for combo in itertools.product(*axes) if any(w != 0.0 for w in combo)]

@@ -178,7 +178,8 @@ class PipelineConfig:
 
 
 def settings_hash(settings: dict) -> str:
-    """The 12-hex hash that every output file records of the settings it was made with."""
+    """The 12-hex hash of the settings an output was made with, which every
+    output file but a saved spatial model records."""
     canonical = json.dumps(settings, sort_keys=True, default=list)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
 

@@ -281,7 +281,7 @@ def read_scores(path: str | Path, stream: str = "other") -> StreamScores:
         raise ValueError(f"{path}: empty score file")
     if len(header) < 2 or header[0] != "video":
         raise ValueError(f"{path}:{header_line}: expected header 'video,class_0,...', got {header}")
-    snippet_level = len(header) > 2 and header[1] == "snippet"
+    snippet_level = header[1] == "snippet"
     first_class = 2 if snippet_level else 1
     if len(header) - first_class < 1:
         raise ValueError(f"{path}:{header_line}: no class columns found")
@@ -320,10 +320,11 @@ def write_labels(path: str | Path, labels: dict[str, int], meta: dict | None = N
                (f"{video},{labels[video]}" for video in sorted(labels)))
 
 
-def read_labels(path: str | Path) -> dict[str, int]:
+def read_labels(path: str | Path, scores: StreamScores | None = None) -> dict[str, int]:
     """Read a labels CSV; malformed rows, ids the writer cannot write back,
     non-integer labels and duplicate ids raise ValueError naming the file
-    and the line."""
+    and the line. Given scores, a video they score that has no label, or a
+    label outside their classes, raises ValueError naming the file."""
     rows = _csv_rows(path)
     _, header = next(rows, (0, None))
     if header != ["video", "label"]:
@@ -343,4 +344,9 @@ def read_labels(path: str | Path) -> dict[str, int]:
         if not 0 <= label < 2**31:
             raise ValueError(f"{path}:{lineno}: label {label} outside [0, 2**31)")
         labels[row[0]] = label
+    if scores is not None:
+        try:
+            _truth(scores.videos, labels, scores.num_classes)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     return labels

@@ -26,8 +26,11 @@ The header holds each of its keys once, in any order, and no other;
 ``+`` whose mean stands in for a joint the skeleton lacks
 (``torso=neck,r_hip+l_hip``). Joint indices follow ``joints=``, which
 names each joint of the root and the edges once; without it they follow
-first appearance, the root first. The root is in part 5. The built-in
-profiles are ``DESCRIPTIONS`` in this format, read by the same parser.
+first appearance, the root first. The root is in part 5. Each other
+joint is the child on exactly one line: a line whose child is the root, or
+a joint that an earlier line already made a child, is refused naming that
+line. The built-in profiles are ``DESCRIPTIONS`` in this format, read by
+the same parser.
 """
 
 from __future__ import annotations
@@ -100,97 +103,6 @@ def upper_body_joints(topology: SkeletonTopology) -> frozenset[int]:
     )
 
 
-def _validate(topology: SkeletonTopology) -> SkeletonTopology:
-    n = topology.n
-    if n < 2:
-        raise ValueError(f"topology '{topology.name}' needs at least 2 joints, got {n}")
-    if len(set(topology.joint_names)) != n:
-        raise ValueError(f"topology '{topology.name}' has duplicate joint names")
-    if not 0 <= topology.root < n:
-        raise ValueError(f"root index {topology.root} out of range for n={n}")
-    if len(topology.edges) != n - 1:
-        raise ValueError(
-            f"topology '{topology.name}' must have {n - 1} edges, got {len(topology.edges)}"
-        )
-
-    parent_of: dict[int, int] = {}
-    for parent, child in topology.edges:
-        for idx in (parent, child):
-            if not 0 <= idx < n:
-                raise ValueError(f"edge ({parent}, {child}) references joint {idx} >= n={n}")
-        if child == topology.root:
-            raise ValueError(f"root joint {child} appears as a child")
-        if child in parent_of:
-            raise ValueError(f"joint {child} has two parents")
-        parent_of[child] = parent
-
-    # With n-1 edges and unique parents, reachability from the root is
-    # equivalent to the edges forming a tree.
-    children = topology.children()
-    seen = {topology.root}
-    stack = [topology.root]
-    while stack:
-        for child in children[stack.pop()]:
-            seen.add(child)
-            stack.append(child)
-    if len(seen) != n:
-        missing = sorted(set(range(n)) - seen)
-        raise ValueError(f"joints {missing} not reachable from root; edges do not form a tree")
-
-    if len(topology.parts) != n:
-        raise ValueError("parts must assign exactly one part id per joint")
-    bad = [p for p in topology.parts if p not in (1, 2, 3, 4, 5)]
-    if bad:
-        raise ValueError(f"part ids must be in 1..5, got {sorted(set(bad))}")
-
-    anchors = topology.torso_anchors
-    if len(anchors) != 2 or any(len(group) == 0 for group in anchors):
-        raise ValueError("torso_anchors must be two non-empty joint groups")
-    for group in anchors:
-        for idx in group:
-            if not 0 <= idx < n:
-                raise ValueError(f"torso anchor joint {idx} out of range")
-    if set(anchors[0]) == set(anchors[1]):
-        raise ValueError("torso anchor groups must differ")
-    return topology
-
-
-def make_topology(
-    name: str,
-    joint_names: list[str] | tuple[str, ...],
-    edges: list[tuple[str, str]],
-    root: str,
-    parts: dict[str, int],
-    torso: tuple[str | tuple[str, ...], str | tuple[str, ...]],
-) -> SkeletonTopology:
-    """Build and validate a topology from joint names instead of indices."""
-    names = tuple(joint_names)
-    index = {nm: i for i, nm in enumerate(names)}
-
-    def resolve(nm: str) -> int:
-        if nm not in index:
-            raise ValueError(f"unknown joint '{nm}' in topology '{name}'")
-        return index[nm]
-
-    def resolve_group(group: str | tuple[str, ...]) -> tuple[int, ...]:
-        if isinstance(group, str):
-            return (resolve(group),)
-        return tuple(resolve(g) for g in group)
-
-    missing_part = [nm for nm in names if nm not in parts]
-    if missing_part:
-        raise ValueError(f"joints without a part assignment: {missing_part}")
-    topology = SkeletonTopology(
-        name=name,
-        joint_names=names,
-        edges=tuple((resolve(p), resolve(c)) for p, c in edges),
-        root=resolve(root),
-        parts=tuple(parts[nm] for nm in names),
-        torso_anchors=(resolve_group(torso[0]), resolve_group(torso[1])),
-    )
-    return _validate(topology)
-
-
 def euler_tour(topology: SkeletonTopology) -> TraversalPath:
     """Depth-first root-to-root walk; children visited in ascending index order.
 
@@ -258,8 +170,9 @@ def _parse(text: str, source: str, name: str) -> SkeletonTopology:
         if "" in group:
             raise ValueError(f"{at}: torso group '{'+'.join(group)}' has an empty member")
 
+    root = header["root"]
     edges: list[tuple[str, str]] = []
-    parts: dict[str, int] = {}
+    parts: dict[str, int] = {}  # child -> part
     for lineno, line in lines[1:]:
         fields = line.split()
         if len(fields) != 3 or not fields[2].startswith("part="):
@@ -268,12 +181,14 @@ def _parse(text: str, source: str, name: str) -> SkeletonTopology:
             )
         parent, child = fields[0], fields[1]
         part = integer(lineno, "part", fields[2][len("part="):])
+        if child == root:
+            raise ValueError(f"{source}:{lineno}: the root '{root}' appears as a child")
+        if child in parts:
+            raise ValueError(f"{source}:{lineno}: joint '{child}' has two parents")
         edges.append((parent, child))
-        prev = parts.setdefault(child, part)
-        if prev != part:
-            raise ValueError(f"{source}:{lineno}: joint '{child}' assigned to parts {prev} and {part}")
+        parts[child] = part
 
-    names = list(dict.fromkeys([header["root"], *(nm for edge in edges for nm in edge)]))
+    names = list(dict.fromkeys([root, *(nm for edge in edges for nm in edge)]))
     if len(names) != n:
         raise ValueError(f"{at}: header says n={n} but {len(names)} joints are named")
     if "joints" in header:
@@ -290,14 +205,36 @@ def _parse(text: str, source: str, name: str) -> SkeletonTopology:
     for nm in (nm for group in torso for nm in group):
         if nm not in names:
             raise ValueError(f"{source}: unknown joint '{nm}' in the torso on line {header_line}")
-    # The root never appears as a child; default it to the torso group (5).
-    parts.setdefault(header["root"], 5)
 
-    try:
-        return make_topology(name=name, joint_names=names, edges=edges, root=header["root"],
-                             parts=parts, torso=tuple(torso))
-    except ValueError as exc:
-        raise ValueError(f"{source}: {exc}") from None
+    # Once every joint but the root is the child of exactly one line, the
+    # lines are n - 1 edges, and they form a tree if the root reaches every
+    # joint.
+    second = [nm for nm in names if nm != root and nm not in parts]
+    if second:
+        raise ValueError(f"{source}: second root: joints {second} are no edge's child")
+    if n < 2:
+        raise ValueError(f"{source}: topology '{name}' needs at least 2 joints, got {n}")
+    parts[root] = 5
+    index = {nm: i for i, nm in enumerate(names)}
+    topology = SkeletonTopology(
+        name=name,
+        joint_names=tuple(names),
+        edges=tuple((index[p], index[c]) for p, c in edges),
+        root=index[root],
+        parts=tuple(parts[nm] for nm in names),
+        torso_anchors=tuple(tuple(index[nm] for nm in group) for group in torso),
+    )
+    reached = set(euler_tour(topology).joints)
+    if len(reached) != n:
+        missing = sorted(set(range(n)) - reached)
+        raise ValueError(f"{source}: joints {missing} not reachable from root; "
+                         "edges do not form a tree")
+    bad = [p for p in topology.parts if p not in (1, 2, 3, 4, 5)]
+    if bad:
+        raise ValueError(f"{source}: part ids must be in 1..5, got {sorted(set(bad))}")
+    if set(torso[0]) == set(torso[1]):
+        raise ValueError(f"{source}: torso anchor groups must differ")
+    return topology
 
 
 def load_topology(path: str | Path) -> SkeletonTopology:

@@ -4,6 +4,14 @@ from dataclasses import replace
 
 import numpy as np
 
+from posestream.skeleton import _parse
+
+
+def topology(text, name="test"):
+    """The topology a description text gives, read by the parser that reads
+    description files and the built-in profiles."""
+    return _parse(text, name, name)
+
 
 def write_raw(path, kind, header, arrays):
     """A file with kind's magic and version holding any header and arrays,

@@ -11,7 +11,7 @@ from contextlib import contextmanager, redirect_stdout
 
 import numpy as np
 import pytest
-from conftest import assert_kink_free
+from conftest import assert_kink_free, topology
 
 from posestream.cli import main
 from posestream.config import PipelineConfig
@@ -25,7 +25,7 @@ from posestream.preprocess import (
     spatial_interpolate,
     temporal_interpolate,
 )
-from posestream.skeleton import build_topology, euler_tour, make_topology
+from posestream.skeleton import build_topology, euler_tour
 from posestream.synth import SyntheticSpec
 from posestream.tensorize import FilledCorpus, corpus_tensors
 
@@ -43,16 +43,9 @@ def criterion(number, description):
 
 
 def random_tree(rng, n):
-    names = [f"j{i}" for i in range(n)]
-    edges = [(names[int(rng.integers(0, i))], names[i]) for i in range(1, n)]
-    return make_topology(
-        name=f"random{n}",
-        joint_names=names,
-        edges=edges,
-        root=names[0],
-        parts={nm: 1 + (i % 5) for i, nm in enumerate(names)},
-        torso=(names[0], names[1]),
-    )
+    lines = [f"n={n} root=j0 torso=j0,j1"]
+    lines += [f"j{int(rng.integers(0, i))} j{i} part={1 + i % 5}" for i in range(1, n)]
+    return topology("\n".join(lines), f"random{n}")
 
 
 def test_criterion_1_euler_tour_suite():

@@ -16,22 +16,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import topology
 from posestream import binio
 from posestream.convnet import NetSpec, init_net, load_checkpoint, save_checkpoint
 from posestream.preprocess import PoseCorpus, SpatialModel
-from posestream.skeleton import euler_tour, make_topology
+from posestream.skeleton import euler_tour
 from posestream.tensorize import CORPUS_FILE, FilledCorpus, OpenCorpus, read_corpus, write_corpus
 
 ROOT = Path(__file__).resolve().parents[1]
 
-TOPOLOGY = make_topology(
-    name="tri",
-    joint_names=["r", "a", "b"],
-    edges=[("r", "a"), ("r", "b")],
-    root="r",
-    parts={"r": 5, "a": 1, "b": 2},
-    torso=("a", "b"),
-)
+TOPOLOGY = topology("n=3 root=r torso=a,b\nr a part=1\nr b part=2\n", "tri")
 
 
 def small_corpus(rng, frames):
@@ -173,6 +167,28 @@ def test_a_buffer_of_another_dtype_or_row_shape_is_refused(tmp_path):
             message = rejected(lambda _: file.read_into("coords", out), path)
             assert message == (f"{path}: array 'coords' reads into C-contiguous float32 rows "
                                f"of shape (3, 2), not {out.dtype} {out.shape}")
+
+
+def test_a_corpus_of_no_videos_is_refused_naming_the_file(tmp_path):
+    path = tmp_path / "c.bin"
+    header = {"topology": "tri", "tour": list(euler_tour(TOPOLOGY).joints), "config_hash": "h",
+              "seed": 7, "videos": [], "frames": 0, "joints": TOPOLOGY.n}
+    arrays = {"offsets": np.zeros(1, "<i8"), "labels": np.zeros(0, "<i8"),
+              "coords": np.zeros((0, TOPOLOGY.n, 2), "<f4"),
+              "flags": np.zeros((0, TOPOLOGY.n), "u1")}
+    CORPUS_FILE.write(path, header, arrays)
+    assert rejected(OpenCorpus, path) == f"{path}: refusing to build an empty corpus"
+
+
+def test_a_checkpoint_input_of_two_dimensions_is_refused_naming_the_file(tmp_path):
+    write_files(tmp_path)
+    path = tmp_path / "n.ckpt"
+    raw = path.read_bytes()
+    _, _, length = binio.PREFIX.unpack_from(raw)
+    header = json.loads(raw[binio.PREFIX.size:binio.PREFIX.size + length])
+    header["input_shape"] = header["input_shape"][:2]
+    path.write_bytes(with_header(raw, json.dumps(header).encode()))
+    assert rejected(load_checkpoint, path) == f"{path}: input_shape [6, 6] is not 3 dimensions"
 
 
 def test_writers_refuse_what_would_not_read_back(tmp_path):

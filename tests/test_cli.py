@@ -511,6 +511,18 @@ class TestTrain:
         assert "without labels" in err["message"] and str(cache) in err["message"]
         assert not (tmp_path / "n.ckpt").exists()
 
+    def test_one_class_corpus_rejected_before_any_write(self, tmp_path, capsys):
+        ann, cache = tmp_path / "a.jsonl", tmp_path / "c.cache"
+        assert main(["synth", "--out", str(ann), "--classes", "wave", "--videos-per-class", "2",
+                     "--frames", "12", "--seed", "1"]) == 0
+        assert main(["preprocess", "--annotations", str(ann), "--cache", str(cache)]) == 0
+        capsys.readouterr()
+        code, _, err = run(capsys, "train", "--cache", str(cache),
+                           "--checkpoint", str(tmp_path / "n.ckpt"))
+        assert code == 1
+        assert err["message"] == f"{cache}: training needs at least two classes"
+        assert not (tmp_path / "n.ckpt").exists()
+
     def test_output_names_leave_artifacts_unchanged(self, workdir, tmp_path, capsys):
         for name in ("a", "b"):
             assert main([
@@ -665,6 +677,25 @@ class TestEval:
         )
         assert code == 1
         assert "checkpoint expects" in err["message"]
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_a_label_beyond_the_checkpoint_fails_naming_both_before_scoring(
+            self, tmp_path, capsys, monkeypatch):
+        ann, cache, checkpoint = tmp_path / "a.jsonl", tmp_path / "c.cache", tmp_path / "n.ckpt"
+        assert main(["synth", "--out", str(ann), "--videos-per-class", "3", "--seed", "1"]) == 0
+        assert main(["preprocess", "--annotations", str(ann), "--cache", str(cache)]) == 0
+        save_checkpoint(init_net((15, 58, 3), num_classes=2, seed=0,
+                                 arch=NetSpec(conv1_channels=4, conv2_channels=6, hidden=16)),
+                        checkpoint)
+        scored = []
+        monkeypatch.setattr("posestream.convnet.forward", lambda *args: scored.append(args))
+        capsys.readouterr()
+        code, _, err = run(capsys, "eval", "--cache", str(cache), "--checkpoint", str(checkpoint),
+                           "--scores", str(tmp_path / "s.csv"))
+        assert code == 1
+        assert err["message"] == (f"{cache}: label 2 of video 'stride_0000' out of range for "
+                                  f"the 2 classes of checkpoint {checkpoint}")
+        assert scored == []
         assert not (tmp_path / "s.csv").exists()
 
     def unlabeled_corpus(self, tmp_path):
@@ -939,6 +970,28 @@ class TestFuse:
         assert "weights (1.0, 0.0, 1.0)" in err["message"]
         assert sorted(p.name for p in tmp_path.iterdir()) == inputs
 
+    def test_a_label_outside_the_classes_fails_naming_the_labels_file(self, tmp_path, capsys):
+        self.write_streams(tmp_path)
+        labels = tmp_path / "labels.csv"
+        labels.write_text("video,label\nv0,0\nv1,1\nv2,7\n")
+        code, _, err = run(
+            capsys, "fuse", "--pose-scores", str(tmp_path / "pose.csv"),
+            "--labels", str(labels), "--fused-scores", str(tmp_path / "fused.csv"),
+        )
+        assert code == 1
+        assert err["message"] == f"{labels}: label 7 of video 'v2' out of range for 2 classes"
+        assert not (tmp_path / "fused.csv").exists()
+
+    def test_needs_a_score_file(self, tmp_path, capsys):
+        self.write_streams(tmp_path)
+        code, _, err = run(
+            capsys, "fuse", "--labels", str(tmp_path / "labels.csv"),
+            "--fused-scores", str(tmp_path / "fused.csv"),
+        )
+        assert code == 1
+        assert err["message"] == "fusion needs at least one of pose/spatial/temporal score files"
+        assert not (tmp_path / "fused.csv").exists()
+
     def test_needs_labels(self, tmp_path, capsys):
         self.write_streams(tmp_path)
         code, _, err = run(
@@ -960,6 +1013,30 @@ class TestWeightsSearch:
         assert code == 0
         assert out["best_accuracy"] == 1.0
         assert len(out["candidates"]) == 3  # (0,1), (1,0), (1,1); temporal axis fixed at 0
+
+    def test_a_scored_video_without_a_label_fails_naming_the_labels_file(self, tmp_path,
+                                                                         capsys):
+        TestFuse().write_streams(tmp_path)
+        labels = tmp_path / "labels.csv"
+        labels.write_text("video,label\nv0,0\nv1,1\n")
+        code, _, err = run(
+            capsys, "weights-search", "--pose-scores", str(tmp_path / "pose.csv"),
+            "--labels", str(labels), "--report", str(tmp_path / "out.json"),
+        )
+        assert code == 1
+        assert err["message"] == f"{labels}: labels missing for videos: ['v2']"
+        assert not (tmp_path / "out.json").exists()
+
+    def test_a_grid_of_zeros_fails_before_any_write(self, tmp_path, capsys):
+        TestFuse().write_streams(tmp_path)
+        code, _, err = run(
+            capsys, "weights-search", "--pose-scores", str(tmp_path / "pose.csv"),
+            "--labels", str(tmp_path / "labels.csv"), "--report", str(tmp_path / "out.json"),
+            "--grid", "0",
+        )
+        assert code == 1
+        assert err["message"] == "weight grid contains no usable (non-zero) combination"
+        assert not (tmp_path / "out.json").exists()
 
     @pytest.mark.parametrize("flag, value, key", [
         ("--grid", "nan,1", "weight_grid"), ("--grid", "0,inf", "weight_grid"),
@@ -1407,8 +1484,9 @@ class TestConfigFile:
         (b'epochs: "x"\n', "epochs must be an integer, got 'x'"),
         (b"weights: [1, 2]\n", "weights must be three values"),
         (b"seed: 2020-13-01\n", "not valid YAML: month must be in 1..12"),
+        (b"- seed: 1\n- k: 3\n", "config must be a mapping, got list"),
     ], ids=["yaml syntax", "not utf-8", "seed text", "weights scalar", "epochs text",
-            "weights length", "bad date"])
+            "weights length", "bad date", "yaml list"])
     def test_defect_is_value_error_naming_the_file(self, tmp_path, content, message):
         cfg_file = tmp_path / "cfg.yaml"
         cfg_file.write_bytes(content)
@@ -1527,7 +1605,7 @@ class TestConfigValues:
     @pytest.mark.parametrize("key, value", [
         ("conv1_channels", 0), ("conv2_channels", 0), ("hidden", 0), ("learning_rate", -1),
         ("epochs", -1), ("batch_size", 0), ("weight_decay", -5), ("k", 0), ("sampling", "foo"),
-        ("max_gap", -1), ("poly_degree", 3),
+        ("max_gap", -1), ("poly_degree", 3), ("seed", -1),
     ])
     @pytest.mark.parametrize("via", ["file", "flag"])
     def test_rejected_naming_the_key(self, workdir, tmp_path, capsys, key, value, via):

@@ -273,6 +273,21 @@ class TestScoreFiles:
         with pytest.raises(ValueError, match="duplicate"):
             read_scores(path)
 
+    def test_snippet_file_without_class_columns_is_refused(self, tmp_path):
+        # Read as one class, its scores would be the snippet indices.
+        path = tmp_path / "bad.csv"
+        path.write_text("# seed=1\nvideo,snippet\nv1,0\nv2,1\n")
+        with pytest.raises(ValueError) as exc:
+            read_scores(path)
+        assert str(exc.value) == f"{path}:2: no class columns found"
+
+    def test_file_of_only_comments_is_empty(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("# seed=1\n# config_hash=abc\n")
+        with pytest.raises(ValueError) as exc:
+            read_scores(path)
+        assert str(exc.value) == f"{path}: empty score file"
+
 
 @pytest.mark.parametrize("reader, text, line", [
     (read_scores, "# seed=1\nvideo,class_0,class_1\nv,nan,0.5\n", 3),
@@ -285,8 +300,10 @@ class TestScoreFiles:
     (read_labels, "video,label\nv,0\nw,x\n", 3),
     (read_labels, "# seed=1\nvideo,label\nv,-1\n", 3),
     (read_labels, "video,label\nv,0\nv,1\n", 3),
+    (read_labels, "video,label\nv,0\nw,1,2\n", 3),
 ], ids=["nan", "inf", "not-a-number", "header-only", "short-row", "snippet-index",
-        "duplicate-snippet", "label-not-int", "negative-label", "duplicate-label"])
+        "duplicate-snippet", "label-not-int", "negative-label", "duplicate-label",
+        "label-row-width"])
 def test_csv_defects_name_file_and_line(tmp_path, reader, text, line):
     path = tmp_path / "bad.csv"
     path.write_text(text)

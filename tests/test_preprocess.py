@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import preprocess_reference as reference
-from conftest import write_raw
+from conftest import topology, write_raw
 from posestream import preprocess
 from posestream.cli import cmd_preprocess, main
 from posestream.config import PipelineConfig
@@ -40,21 +40,15 @@ from posestream.preprocess import (
     write_annotations,
     zero_fill,
 )
-from posestream.skeleton import build_topology, make_topology
+from posestream.skeleton import build_topology
 
 JHMDB = build_topology("jhmdb_gt")
 
 
 def simple_topology():
     """Three joints: neck, belly (torso), wrist (part 1)."""
-    return make_topology(
-        name="tiny",
-        joint_names=["neck", "belly", "wrist"],
-        edges=[("neck", "belly"), ("neck", "wrist")],
-        root="neck",
-        parts={"neck": 5, "belly": 5, "wrist": 1},
-        torso=("neck", "belly"),
-    )
+    return topology("n=3 root=neck torso=neck,belly\nneck belly part=5\nneck wrist part=1\n",
+                    "tiny")
 
 
 def random_pose(rng, n=15, frames=5, lo=0.0, hi=200.0):
@@ -391,14 +385,8 @@ class TestSpatialInterpolate:
     def test_mean_of_votes(self):
         # Two voters predicting (1,0) and (3,0) must fill (2,0). Use a
         # constant-offset corpus so the predictions are exact.
-        topo = make_topology(
-            name="three_arm",
-            joint_names=["neck", "belly", "a", "b", "c"],
-            edges=[("neck", "belly"), ("neck", "a"), ("a", "b"), ("b", "c")],
-            root="neck",
-            parts={"neck": 5, "belly": 5, "a": 1, "b": 1, "c": 1},
-            torso=("neck", "belly"),
-        )
+        topo = topology("n=5 root=neck torso=neck,belly\nneck belly part=5\nneck a part=1\n"
+                        "a b part=1\nb c part=1\n", "three_arm")
         rng = np.random.default_rng(2)
         base = rng.uniform(size=(50, 1, 2))
         coords = np.concatenate(
@@ -601,6 +589,18 @@ class TestAnnotationIO:
         report = preprocess_file(tmp_path, [record_line("a"), "", "not json"])
         assert [entry["line"] for entry in report["rejected"]] == [3]
         assert report["rejected"][0]["error"].startswith("invalid JSON")
+
+    @pytest.mark.parametrize("line, error", [
+        (b'{"video": "b", "n": 15, "frames": []}', "'frames' must be a non-empty list"),
+        (b'\xff{"video": "b", "n": 15}', "line is not UTF-8 (bad byte at offset 0)"),
+    ], ids=["no-frames", "first-byte-not-utf8"])
+    def test_a_bad_line_is_rejected_and_the_run_goes_on(self, tmp_path, line, error):
+        path = tmp_path / "ann.jsonl"
+        path.write_bytes(b"\n".join([record_line("a").encode(), line, record_line("c").encode()]))
+        report = cmd_preprocess(PipelineConfig(annotations=str(path),
+                                               cache=str(tmp_path / "c.cache")))
+        assert report["videos"] == 2
+        assert report["rejected"] == [{"line": 2, "error": error}]
 
     def test_label_nested_thousands_deep_rejects_its_line(self):
         line = b'{"video": "v", "n": 1, "frames": [[[0, 0, 1]]], "label": %s}' % (

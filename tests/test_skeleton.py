@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from conftest import topology
 from posestream.cli import main
 from posestream.preprocess import VIS_SPATIAL, VIS_TEMPORAL
 from posestream.skeleton import (
@@ -15,35 +16,20 @@ from posestream.skeleton import (
     build_topology,
     euler_tour,
     load_topology,
-    make_topology,
     upper_body_joints,
 )
 from posestream.tensorize import read_corpus
 
 
 def chain_topology():
-    return make_topology(
-        name="chain3",
-        joint_names=["root", "a", "b"],
-        edges=[("root", "a"), ("a", "b")],
-        root="root",
-        parts={"root": 5, "a": 1, "b": 1},
-        torso=("root", "a"),
-    )
+    return topology("n=3 root=root torso=root,a\nroot a part=1\na b part=1\n", "chain3")
 
 
 def random_tree(rng, n):
     """Random rooted tree as a parent array: parent[i] < i for i >= 1."""
-    names = [f"j{i}" for i in range(n)]
-    edges = [(names[int(rng.integers(0, i))], names[i]) for i in range(1, n)]
-    return make_topology(
-        name=f"random{n}",
-        joint_names=names,
-        edges=edges,
-        root=names[0],
-        parts={nm: 1 + (i % 5) for i, nm in enumerate(names)},
-        torso=(names[0], names[1]),
-    )
+    lines = [f"n={n} root=j0 torso=j0,j1"]
+    lines += [f"j{int(rng.integers(0, i))} j{i} part={1 + i % 5}" for i in range(1, n)]
+    return topology("\n".join(lines), f"random{n}")
 
 
 class TestBuildTopology:
@@ -88,61 +74,22 @@ class TestBuildTopology:
 
 class TestTopologyValidation:
     def test_rejects_double_parent(self):
-        with pytest.raises(ValueError, match="two parents"):
-            make_topology(
-                name="bad",
-                joint_names=["r", "a", "b"],
-                edges=[("r", "a"), ("b", "a")],
-                root="r",
-                parts={"r": 5, "a": 1, "b": 1},
-                torso=("r", "a"),
-            )
-
-    def test_rejects_wrong_edge_count(self):
-        with pytest.raises(ValueError, match="must have 2 edges"):
-            make_topology(
-                name="bad",
-                joint_names=["r", "a", "b"],
-                edges=[("r", "a")],
-                root="r",
-                parts={"r": 5, "a": 1, "b": 1},
-                torso=("r", "a"),
-            )
+        with pytest.raises(ValueError, match="^bad:3: joint 'a' has two parents$"):
+            topology("n=3 root=r torso=r,a\nr a part=1\nb a part=1\n", "bad")
 
     def test_rejects_disconnected_cycle(self):
-        # r-a plus a 2-cycle between b and c: edge count is right but b, c
-        # are unreachable from the root.
+        # r-a plus a 2-cycle between b and c: every joint but the root has
+        # one parent, but b and c are unreachable from the root.
         with pytest.raises(ValueError, match="not reachable"):
-            make_topology(
-                name="bad",
-                joint_names=["r", "a", "b", "c"],
-                edges=[("r", "a"), ("b", "c"), ("c", "b")],
-                root="r",
-                parts={"r": 5, "a": 1, "b": 1, "c": 1},
-                torso=("r", "a"),
-            )
+            topology("n=4 root=r torso=r,a\nr a part=1\nb c part=1\nc b part=1\n", "bad")
 
     def test_rejects_bad_part_id(self):
         with pytest.raises(ValueError, match="part ids"):
-            make_topology(
-                name="bad",
-                joint_names=["r", "a"],
-                edges=[("r", "a")],
-                root="r",
-                parts={"r": 5, "a": 7},
-                torso=("r", "a"),
-            )
+            topology("n=2 root=r torso=r,a\nr a part=7\n", "bad")
 
     def test_rejects_identical_torso_anchors(self):
         with pytest.raises(ValueError, match="anchor groups must differ"):
-            make_topology(
-                name="bad",
-                joint_names=["r", "a"],
-                edges=[("r", "a")],
-                root="r",
-                parts={"r": 5, "a": 1},
-                torso=("r", "r"),
-            )
+            topology("n=2 root=r torso=r,r\nr a part=1\n", "bad")
 
 
 class TestEulerTour:
@@ -153,14 +100,7 @@ class TestEulerTour:
 
     def test_star_child_order(self):
         # Both child orders are legal tours; ascending index picks c1 first.
-        topo = make_topology(
-            name="star",
-            joint_names=["root", "c1", "c2"],
-            edges=[("root", "c1"), ("root", "c2")],
-            root="root",
-            parts={"root": 5, "c1": 1, "c2": 2},
-            torso=("c1", "c2"),
-        )
+        topo = topology("n=3 root=root torso=c1,c2\nroot c1 part=1\nroot c2 part=2\n", "star")
         assert euler_tour(topo).joints == (0, 1, 0, 2, 0)
 
     def test_jhmdb_length(self):
@@ -220,8 +160,9 @@ class TestDescriptionFile:
     def test_rejects_non_tree(self, tmp_path):
         path = tmp_path / "bad.topo"
         path.write_text("n=3 root=r torso=r,a\nr a part=1\nr a part=1\n")
-        with pytest.raises(ValueError, match="two parents|joints"):
+        with pytest.raises(ValueError) as exc:
             load_topology(path)
+        assert str(exc.value) == f"{path}:3: joint 'a' has two parents"
 
     def test_rejects_malformed_line(self, tmp_path):
         path = tmp_path / "bad.topo"
@@ -255,10 +196,22 @@ class TestDescriptionFile:
          "unknown joint 'zz' in the torso on line 2"),
         (b"n=3 root=r torso=r,a+\nr a part=1\nr b part=2\n", ":1: ",
          "torso group 'a+' has an empty member"),
+        (b"n=2 root=r torso=r,a a\nr a part=1\n", ":1: ", "malformed header token 'a'"),
+        (b"n=2 torso=r,a\nr a part=1\n", ":1: ", "header missing 'root='"),
+        (b"n=1 root=r torso=r,r\n", ": ", "topology 'custom:bad' needs at least 2 joints, got 1"),
+        (b"n=3 root=r torso=r,a\nb a part=1\n", ": ",
+         "second root: joints ['b'] are no edge's child"),
+        # The tree defects are named on the line that makes them.
+        (b"n=3 root=r torso=r,a\na r part=1\nr b part=1\n", ":2: ",
+         "the root 'r' appears as a child"),
+        (b"n=3 root=r torso=r,a\nr a part=1\nb a part=1\n", ":3: ", "joint 'a' has two parents"),
+        (b"n=2 root=r torso=r,a\nr a part=1\nr a part=2\n", ":3: ",
+         "joint 'a' has two parents"),
     ], ids=["n-not-int", "part-not-int", "torso-one-joint", "not-utf8", "unknown-torso-joint",
             "part-out-of-range", "empty", "unknown-key", "repeated-key", "misspelt-key",
             "joints-repeated", "joints-stray", "joints-not-n", "torso-group-unknown-joint",
-            "torso-group-empty-member"])
+            "torso-group-empty-member", "malformed-header-token", "header-key-missing",
+            "one-joint", "second-root", "root-as-child", "two-parents", "part-conflict"])
     def test_every_defect_names_the_file(self, tmp_path, content, where, message):
         path = tmp_path / "bad.topo"
         path.write_bytes(content)

@@ -9,12 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tensorize_reference as reference
-from conftest import write_raw
+from conftest import topology, write_raw
 from posestream import binio
 from posestream.config import NET_DTYPE
 from posestream.preprocess import PoseCorpus
 from preprocess_reference import Pose
-from posestream.skeleton import build_topology, euler_tour, make_topology
+from posestream.skeleton import build_topology, euler_tour
 from posestream.tensorize import (
     CORPUS_FILE,
     FilledCorpus,
@@ -31,14 +31,9 @@ def segment_bounds(num_frames, k):
 
 
 def chain_topology(n):
-    return make_topology(
-        name=f"chain{n}",
-        joint_names=[f"j{i}" for i in range(n)],
-        edges=[(f"j{i}", f"j{i+1}") for i in range(n - 1)],
-        root="j0",
-        parts={f"j{i}": 1 + (i % 5) for i in range(n)},
-        torso=("j0", "j1"),
-    )
+    lines = [f"n={n} root=j0 torso=j0,j1"]
+    lines += [f"j{i} j{i + 1} part={1 + (i + 1) % 5}" for i in range(n - 1)]
+    return topology("\n".join(lines), f"chain{n}")
 
 
 def filled_pose(coords, video="v", label=0):
@@ -191,23 +186,10 @@ class TestBuildPoseTensor:
         # Moving joint data to new indices while renaming the topology the
         # same way (preserving sibling index order, which fixes the tour)
         # yields the identical tensor: ordering follows the topology.
-        topo = make_topology(
-            name="orig",
-            joint_names=["r", "a", "b"],
-            edges=[("r", "a"), ("r", "b")],
-            root="r",
-            parts={"r": 5, "a": 1, "b": 2},
-            torso=("a", "b"),
-        )
+        edges = "r a part=1\nr b part=2\n"
+        topo = topology("n=3 root=r torso=a,b joints=r,a,b\n" + edges, "orig")
         perm = [2, 0, 1]  # old index -> new index, order-preserving on siblings
-        permuted = make_topology(
-            name="perm",
-            joint_names=["a", "b", "r"],
-            edges=[("r", "a"), ("r", "b")],
-            root="r",
-            parts={"r": 5, "a": 1, "b": 2},
-            torso=("a", "b"),
-        )
+        permuted = topology("n=3 root=r torso=a,b joints=a,b,r\n" + edges, "perm")
         rng = np.random.default_rng(4)
         coords = rng.normal(size=(6, 3, 2))
         new_coords = np.empty_like(coords)
