@@ -193,9 +193,12 @@ def cmd_preprocess(cfg: PipelineConfig, config: str | None = None) -> dict:
     del records
     if cfg.interpolate:
         corpus = preprocess.temporal_interpolate(corpus, max_gap=cfg.max_gap)
+    filled = corpus.flags > 0
     corpus = preprocess.normalize(corpus, topology)
-    # Usable frames keep their torso anchors, so unusable ones have no filled joint.
-    unusable_frames = int(np.count_nonzero(~corpus.flags.any(axis=1)))
+    # The joints normalization demotes in a frame it keeps lie beyond the radius.
+    kept = corpus.flags.any(axis=1)
+    unusable_frames = int(np.count_nonzero(~kept))
+    implausible = np.count_nonzero(filled & (corpus.flags == 0) & kept[:, None], axis=0)
     if cfg.interpolate:
         if model is None:
             # A saved model must serve any corpus; one used only here needs
@@ -219,8 +222,10 @@ def cmd_preprocess(cfg: PipelineConfig, config: str | None = None) -> dict:
         "rejected": rejected,
         "frames": int(corpus.offsets[-1]),
         "unusable_frames": unusable_frames,
+        "implausible_per_joint": dict(zip(topology.joint_names, implausible.tolist())),
         "fills": fills,
         "fills_per_joint": fills_per_joint,
+        "annotations": str(cfg.annotations),
         "cache": str(cfg.cache),
     }
     outputs.commit(cache=lambda p: tensorize.write_corpus(p, corpus), report=report,

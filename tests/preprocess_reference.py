@@ -149,6 +149,11 @@ def normalize(pose: Pose, topology: SkeletonTopology, eps: float = 1e-8):
         if not (d > eps and np.isfinite(d) and np.isfinite(center).all()
                 and np.isfinite(coords[t, filled]).all()):
             usable[t] = False
+            continue
+        for j in np.flatnonzero(filled):
+            if np.hypot(*coords[t, j]) > preprocess.PLAUSIBLE_RADIUS:
+                coords[t, j] = 0.0
+                vis[t, j] = VIS_MISSING
     coords[~usable] = 0.0
     vis[~usable] = VIS_MISSING
     return pose._replace(coords=coords, flags=vis)
@@ -186,6 +191,10 @@ def predict(model: SpatialModel, source: int, target: int, xy: np.ndarray) -> np
 
 
 def fit_spatial_model(corpus, topology: SkeletonTopology, degree: int = 1, min_samples: int = 1):
+    """One ``lstsq`` per pair, over the frames that fill both joints. A pair
+    is rank-deficient when it has fewer frames m than features p, or when the
+    singular values of its design, on the source centered at its mean over
+    the frames that fill it, are at most sqrt(p * m * eps) apart in ratio."""
     sequences = list(corpus)
     coords = np.concatenate([s.coords for s in sequences], axis=0)
     filled = np.concatenate([s.flags for s in sequences], axis=0) > 0
@@ -194,6 +203,9 @@ def fit_spatial_model(corpus, topology: SkeletonTopology, degree: int = 1, min_s
     coeffs = np.zeros((n, n, n_feat, 2))
     trained = np.zeros((n, n), dtype=bool)
     for s in range(n):
+        if not filled[:, s].any():
+            continue
+        center = coords[filled[:, s], s].mean(axis=0)
         for t in range(n):
             if s == t:
                 continue
@@ -202,10 +214,11 @@ def fit_spatial_model(corpus, topology: SkeletonTopology, degree: int = 1, min_s
             if m < max(min_samples, 1):
                 continue
             src = coords[both, s]
-            design = _poly_features(src, degree)
             target = coords[both, t]
-            solution, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
-            if rank < n_feat:
+            values = np.linalg.svd(_poly_features(src - center, degree), compute_uv=False)
+            if m >= n_feat and values[-1] > np.sqrt(n_feat * m * np.finfo(float).eps) * values[0]:
+                solution = np.linalg.lstsq(_poly_features(src, degree), target, rcond=None)[0]
+            else:
                 offset = (target - src).mean(axis=0)
                 solution = np.zeros((n_feat, 2))
                 solution[0] = offset
@@ -214,6 +227,34 @@ def fit_spatial_model(corpus, topology: SkeletonTopology, degree: int = 1, min_s
             coeffs[s, t] = solution
             trained[s, t] = True
     return SpatialModel(topology_name=topology.name, degree=degree, coeffs=coeffs, trained=trained)
+
+
+def design_conditions(corpus, topology: SkeletonTopology, degree: int = 1) -> np.ndarray:
+    """(n, n) condition number [source, target] of each pair's design, on the
+    source centered as fit_spatial_model centers it and with unit columns:
+    the kappa that bounds the error of a fit through the normal equations.
+    inf where the pair has fewer frames than features or a feature that is
+    0 on every frame, 0 where it has no frame."""
+    coords = np.concatenate([s.coords for s in corpus], axis=0)
+    filled = np.concatenate([s.flags for s in corpus], axis=0) > 0
+    n = topology.n
+    kappa = np.zeros((n, n))
+    for s in range(n):
+        if not filled[:, s].any():
+            continue
+        center = coords[filled[:, s], s].mean(axis=0)
+        for t in range(n):
+            both = filled[:, s] & filled[:, t]
+            if s == t or not both.any():
+                continue
+            design = _poly_features(coords[both, s] - center, degree)
+            norms = np.linalg.norm(design, axis=0)
+            if len(design) < design.shape[1] or not norms.all():
+                kappa[s, t] = np.inf
+                continue
+            values = np.linalg.svd(design / norms, compute_uv=False)
+            kappa[s, t] = values[0] / values[-1]
+    return kappa
 
 
 def spatial_interpolate(pose: Pose, model: SpatialModel, topology: SkeletonTopology):

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posestream import binio
+from posestream import binio, preprocess
 from posestream.cli import (
     _Outputs, _overrides_from_args, build_parser, cmd_eval, cmd_synth, cmd_train, main,
 )
@@ -149,28 +149,61 @@ class TestPreprocess:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ann.jsonl", "c.cache", "r.json"]
 
     @pytest.mark.parametrize("value", [1e300, 1e30])
-    def test_a_coordinate_beyond_float32_fails_naming_the_file(self, tmp_path, capsys, value):
-        """The corpus holds float32: a joint at 1e300, finite in float64, is
-        refused naming the annotation file and the video, and nothing is
-        written; one at 1e30 fits in float32 and preprocesses."""
+    def test_a_joint_far_off_the_torso_is_demoted_and_counted(self, tmp_path, capsys, value):
+        """A visible joint set far off the torso in one video is demoted and
+        counted, and spreads to no other video: their corpus bytes do not
+        depend on how far off it is, and they stay within 1e-3 torso units of
+        the unchanged run, where one joint more is fitted. A joint at 1e300,
+        beyond float32, preprocesses, and the corpus trains and evaluates."""
         ann = tmp_path / "ann.jsonl"
         cmd_synth(SyntheticSpec(videos_per_class=10, frames=20, dropout=0.2, seed=202), ann)
         lines = ann.read_text().splitlines()
         record = json.loads(lines[1])
-        assert record["video"] == "wave_0000"
-        record["frames"][3][8][0] = value
-        lines[1] = json.dumps(record)
-        ann.write_text("\n".join(lines) + "\n")
-        code, _, err = run(capsys, "preprocess", "--annotations", str(ann), "--cache",
-                           str(tmp_path / "c.cache"), "--report", str(tmp_path / "r.json"))
+        assert record["video"] == "wave_0000" and record["frames"][3][8][2] == 1
+        corpora, reports = {}, {}
+        for name, x in [("clean", None), ("near", 1e4), ("far", value)]:
+            if x is not None:
+                record["frames"][3][8][0] = x
+            lines[1] = json.dumps(record)
+            (tmp_path / f"{name}.jsonl").write_text("\n".join(lines) + "\n")
+            code, reports[name], err = run(
+                capsys, "preprocess", "--annotations", str(tmp_path / f"{name}.jsonl"),
+                "--cache", str(tmp_path / f"{name}.cache"))
+            assert code == 0, err
+            corpora[name] = read_corpus(tmp_path / f"{name}.cache")
+            assert np.isfinite(corpora[name].coords).all()
+        elbow = [reports[name]["implausible_per_joint"]["l_elbow"] for name in corpora]
+        assert elbow[0] == 0 and elbow[1] == elbow[2] > 0
+        assert sum(reports["far"]["implausible_per_joint"].values()) == elbow[2]
+        others = slice(corpora["far"].offsets[1], None)
+        assert (corpora["far"].coords[others].tobytes()
+                == corpora["near"].coords[others].tobytes())
+        assert np.abs(corpora["far"].coords[others] - corpora["clean"].coords[others]).max() < 1e-3
         if value == 1e300:
-            assert code == 1
-            assert err["message"] == (f"{ann}: video 'wave_0000' has non-finite float32 "
-                                      "coordinates on filled joints")
-            assert [p.name for p in tmp_path.iterdir()] == ["ann.jsonl"]
-        else:
-            assert code == 0
-            assert np.isfinite(read_corpus(tmp_path / "c.cache").coords).all()
+            code, _, err = run(capsys, "train", "--cache", str(tmp_path / "far.cache"),
+                               "--checkpoint", str(tmp_path / "n.ckpt"), *FAST)
+            assert code == 0, err
+            code, out, err = run(capsys, "eval", "--cache", str(tmp_path / "far.cache"),
+                                 "--checkpoint", str(tmp_path / "n.ckpt"),
+                                 "--scores", str(tmp_path / "s.csv"))
+            assert code == 0, err
+            assert np.isfinite(out["accuracy"])
+
+    def test_a_fill_beyond_float32_fails_naming_the_file(self, tmp_path, capsys):
+        """A loaded spatial model can vote a joint beyond float32: the run
+        fails naming the annotation file and the video, and writes nothing."""
+        ann = tmp_path / "ann.jsonl"
+        cmd_synth(SyntheticSpec(videos_per_class=1, frames=6, dropout=0.3, seed=2), ann)
+        coeffs = np.zeros((15, 15, 3, 2))
+        coeffs[..., 0, :] = 1e300
+        SpatialModel("jhmdb_gt", 1, coeffs, ~np.eye(15, dtype=bool)).save(tmp_path / "m.bin")
+        out = tmp_path / "out"
+        code, _, err = run(capsys, "preprocess", "--annotations", str(ann), "--cache",
+                           str(out / "c.cache"), "--spatial-model", str(tmp_path / "m.bin"))
+        assert code == 1
+        assert err["message"].startswith(f"{ann}: video '")
+        assert err["message"].endswith("' has non-finite float32 coordinates on filled joints")
+        assert not out.exists()
 
     def test_duplicate_ids_rejected_before_any_write(self, tmp_path, capsys):
         frames = ",".join(["[%s]" % ",".join("[1.0,%d,1]" % j for j in range(15))] * 3)
@@ -449,26 +482,35 @@ class TestPreprocess:
         assert not out.exists()
 
     def test_fits_only_the_pairs_that_vote(self, tmp_path, capsys, monkeypatch):
-        calls = []
-        lstsq = np.linalg.lstsq
-        monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **kw: calls.append(1) or lstsq(*a, **kw))
+        fitted = []
+        fit = preprocess.fit_spatial_model
 
-        def preprocess(dropout, name, *extra):
+        def record(corpus, topology, **kw):
+            model = fit(corpus, topology, **kw)
+            fitted.append((model, preprocess.voting_pairs(corpus, topology)))
+            return model
+
+        monkeypatch.setattr(preprocess, "fit_spatial_model", record)
+
+        def run_preprocess(dropout, name, *extra):
             ann = tmp_path / f"{dropout}.jsonl"
             assert main(["synth", "--out", str(ann), "--videos-per-class", "3", "--frames", "12",
                          "--dropout", dropout, "--seed", "4"]) == 0
-            calls.clear()
+            fitted.clear()
             code, _, _ = run(capsys, "preprocess", "--annotations", str(ann),
                              "--cache", str(tmp_path / f"{name}.cache"), *extra)
             assert code == 0
-            return len(calls)
+            (model, voting), = fitted
+            return model.trained, voting
 
-        assert preprocess("0.0", "clean") == 0
-        voting = preprocess("0.2", "voting")
-        every = preprocess("0.2", "every", "--save-spatial-model", str(tmp_path / "m.bin"))
-        trainable = int(SpatialModel.load(tmp_path / "m.bin").trained.sum())
-        assert every == trainable == 15 * 14
-        assert 0 < voting < trainable
+        trained, voting = run_preprocess("0.0", "clean")
+        assert not trained.any() and not voting.any()
+        trained, voting = run_preprocess("0.2", "voting")
+        np.testing.assert_array_equal(trained, voting)
+        assert 0 < trained.sum() < 15 * 14
+        trained, _ = run_preprocess("0.2", "every", "--save-spatial-model", str(tmp_path / "m.bin"))
+        assert trained.sum() == 15 * 14
+        np.testing.assert_array_equal(SpatialModel.load(tmp_path / "m.bin").trained, trained)
         assert (tmp_path / "voting.cache").read_bytes() == (tmp_path / "every.cache").read_bytes()
 
 

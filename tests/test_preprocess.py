@@ -103,6 +103,16 @@ class TestNormalize:
         assert (out.flags[0] == VIS_MISSING).all() and (out.coords[0] == 0.0).all()
         np.testing.assert_allclose(out.coords[1, 2], [1.0, 0.5])
 
+    def test_joint_beyond_the_radius_is_demoted(self):
+        # Torso length 2 centered on (0, 1): the wrist lies 10.1 torso lengths
+        # from the center in frame 0, past PLAUSIBLE_RADIUS, and 9.9 in frame 1.
+        coords = np.array([[[0.0, 0.0], [0.0, 2.0], [20.2, 1.0]],
+                           [[0.0, 0.0], [0.0, 2.0], [19.8, 1.0]]])
+        out = normalize(one_video(coords), simple_topology())
+        assert out.flags[0, 2] == VIS_MISSING and (out.coords[0, 2] == 0.0).all()
+        np.testing.assert_allclose(out.coords[1, 2], [9.9, 0.0])
+        assert np.count_nonzero(out.flags) == 5
+
     def test_already_normalized_is_identity(self):
         topo = simple_topology()
         coords = np.array([[[0.0, -0.5], [0.0, 0.5], [1.0, 0.5]]])
@@ -268,6 +278,59 @@ class TestSpatialModel:
         # Mean offset: joint 1 = joint 0 + (1, 1) on the only sample.
         np.testing.assert_allclose(model.predict(0, 1, np.array([5.0, 5.0])), [6.0, 6.0])
         assert model.trained[0, 1]
+
+    @pytest.mark.parametrize("case", ["one frame", "fewer frames than features",
+                                      "constant source", "collinear source at degree 2"])
+    def test_degenerate_designs_fall_back_to_the_mean_offset(self, case):
+        rng = np.random.default_rng(3)
+        degree, coords = {
+            "one frame": (1, rng.uniform(-1, 1, (1, 3, 2))),
+            "fewer frames than features": (2, rng.uniform(-1, 1, (5, 3, 2))),
+            "constant source": (1, rng.uniform(-1, 1, (40, 3, 2))),
+            "collinear source at degree 2": (2, rng.uniform(-1, 1, (50, 3, 2))),
+        }[case]
+        if case == "constant source":
+            coords[:, 0] = [0.3, -0.7]
+        if case == "collinear source at degree 2":
+            coords[:, 0, 1] = 2.0 * coords[:, 0, 0] + 1.0
+        self.assert_mean_offset(coords, degree)
+
+    def test_a_design_between_the_lstsq_cut_and_the_moment_cut_falls_back(self):
+        """The fit falls back when the centered design's singular values are
+        at most sqrt(p * m * eps) apart in ratio; lstsq cuts at m * eps and
+        would fit this pair, with coefficients near 1e9."""
+        rng = np.random.default_rng(4)
+        coords = rng.uniform(-1, 1, (200, 3, 2))
+        coords[:, 0, 1] = coords[:, 0, 0] + 1e-9 * rng.uniform(-1, 1, 200)
+        design = coords[:, 0] - coords[:, 0].mean(axis=0)
+        values = np.linalg.svd(np.c_[np.ones(200), design], compute_uv=False)
+        eps = np.finfo(np.float64).eps
+        assert 200 * eps < values[-1] / values[0] < np.sqrt(3 * 200 * eps)
+        _, _, rank, _ = np.linalg.lstsq(np.c_[np.ones(200), coords[:, 0]], coords[:, 1], rcond=None)
+        assert rank == 3
+        self.assert_mean_offset(coords, 1)
+
+    @staticmethod
+    def assert_mean_offset(coords, degree):
+        """Joint 0 predicts joint 1 as itself plus their mean offset, in the
+        fit and in the per-pair loop."""
+        topo = simple_topology()
+        expected = np.zeros((6 if degree == 2 else 3, 2))
+        expected[0] = (coords[:, 1] - coords[:, 0]).mean(axis=0)
+        expected[1, 0] = expected[2, 1] = 1.0
+        pose = reference.Pose("v", coords, np.ones(coords.shape[:2], np.uint8))
+        for model in (fit_spatial_model(PoseCorpus.of([pose]), topo, degree=degree),
+                      reference.fit_spatial_model([pose], topo, degree=degree)):
+            assert model.trained[0, 1]
+            np.testing.assert_allclose(model.coeffs[0, 1], expected, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("value, degree", [(1e160, 1), (1e300, 1), (1e80, 2)])
+    def test_coordinates_too_large_to_sum_name_their_joint(self, value, degree):
+        coords = np.random.default_rng(5).uniform(-1, 1, (20, 3, 2))
+        coords[7, 2, 1] = value
+        with pytest.raises(ValueError, match="^joint 'wrist' has coordinates too large for the "
+                                             "spatial fit: the sums of their products overflow"):
+            fit_spatial_model(one_video(coords), simple_topology(), degree=degree)
 
     def test_pairs_never_filled_together_stay_untrained(self):
         topo = simple_topology()
@@ -736,6 +799,14 @@ def test_temporal_and_normalize_match_loops(seed, topo, counts, dropout, degener
        min_samples=st.sampled_from([1, 4, 12]), abstain=st.sampled_from([0.0, 0.5]))
 def test_fit_and_fill_match_loops(seed, topo, counts, dropout, degenerate, max_gap,
                                   degree, min_samples, abstain):
+    """The fit trains the pairs the per-pair lstsq loop trains, exactly, and
+    its coefficients are within max(1e-9, 10 * kappa**2 * eps) times each
+    pair's largest coefficient of the loop's. kappa is the condition number
+    of the pair's scaled, centered design (0 for a pair with fewer frames
+    than features or a feature that is 0 on every frame, which falls back to
+    a mean offset): the fit solves normal equations, whose error grows with
+    kappa squared, and the loop a QR. Given coefficients, the fill is the
+    loop's bit for bit."""
     # Small corpora make rank-deficient designs and untrained pairs common.
     rng = np.random.default_rng(seed)
     poses = [reference.normalize(p, topo)
@@ -743,8 +814,12 @@ def test_fit_and_fill_match_loops(seed, topo, counts, dropout, degenerate, max_g
     corpus = PoseCorpus.of(poses)
     model = fit_spatial_model(corpus, topo, degree=degree)
     loop_model = reference.fit_spatial_model(poses, topo, degree=degree)
-    assert model.coeffs.tobytes() == loop_model.coeffs.tobytes()
     np.testing.assert_array_equal(model.trained, loop_model.trained)
+    kappa = reference.design_conditions(poses, topo, degree=degree)
+    kappa[np.isinf(kappa)] = 0.0
+    rtol = np.maximum(1e-9, 10 * kappa**2 * np.finfo(np.float64).eps)
+    error = np.abs(model.coeffs - loop_model.coeffs).max(axis=(2, 3))
+    assert (error <= rtol * np.abs(loop_model.coeffs).max(axis=(2, 3))).all()
 
     # Untrain pairs with few samples, and more at random, so that untrained voters abstain.
     sampled = reference.fit_spatial_model(poses, topo, degree=degree, min_samples=min_samples)
