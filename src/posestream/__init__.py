@@ -18,7 +18,7 @@ _PUBLIC = {
     "skeleton": ("SkeletonTopology", "TraversalPath", "build_topology", "euler_tour",
                  "load_topology"),
     "preprocess": ("AnnotationError", "PoseCorpus", "SpatialModel", "fit_spatial_model",
-                   "normalize", "spatial_interpolate", "temporal_interpolate", "voting_pairs",
+                   "normalize", "spatial_interpolate", "temporal_interpolate",
                    "write_annotations", "zero_fill"),
     "tensorize": ("FilledCorpus", "corpus_tensors", "read_corpus", "write_corpus"),
     "convnet": ("PoseConvNet", "TrainingDivergedError", "backward", "forward", "init_net",

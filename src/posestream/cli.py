@@ -201,11 +201,7 @@ def cmd_preprocess(cfg: PipelineConfig, config: str | None = None) -> dict:
     implausible = np.count_nonzero(filled & (corpus.flags == 0) & kept[:, None], axis=0)
     if cfg.interpolate:
         if model is None:
-            # A saved model must serve any corpus; one used only here needs
-            # just the pairs that vote on this corpus, and fits the same bits.
-            pairs = None if cfg.save_spatial_model else preprocess.voting_pairs(corpus, topology)
-            model = preprocess.fit_spatial_model(corpus, topology, degree=cfg.poly_degree,
-                                                 pairs=pairs)
+            model = preprocess.fit_spatial_model(corpus, topology, degree=cfg.poly_degree)
         corpus = preprocess.spatial_interpolate(corpus, model, topology)
     else:
         corpus = preprocess.zero_fill(corpus)

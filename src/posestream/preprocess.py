@@ -265,9 +265,7 @@ class SpatialModel:
     For each ordered joint pair (source, target), coeffs[source, target]
     holds polynomial coefficients mapping the source's normalized (x, y) to
     the target's predicted (x, y). Pairs that no training frame fills
-    together, or that the fit left out, are untrained and abstain from
-    voting. A model fitted on a subset of pairs holds only for the corpus
-    the subset was selected on; one fitted on every pair holds for any.
+    together are untrained and abstain from voting.
 
     A model file is a ``binio`` container (magic ``PSPM``) whose header
     holds ``topology_name``, ``degree`` (1 or 2) and ``joints`` n, followed
@@ -339,18 +337,15 @@ MODEL_FILE = binio.FileKind("spatial model", b"PSPM", 1,
 _MOMENT_BLOCK = 512
 
 
-def fit_spatial_model(corpus: PoseCorpus, topology: SkeletonTopology, degree: int = 1,
-                      pairs: np.ndarray | None = None) -> SpatialModel:
-    """Least-squares fit of ordered joint pairs over a normalized corpus.
+def fit_spatial_model(corpus: PoseCorpus, topology: SkeletonTopology,
+                      degree: int = 1) -> SpatialModel:
+    """Least-squares fit of every ordered joint pair over a normalized corpus.
 
-    pairs is an (n, n) bool mask [source, target] of the pairs to fit; None
-    fits every pair. For each pair the target position is regressed on the
+    For each pair (source, target) the target position is regressed on the
     p polynomial features of the source position (p = 3 at degree 1, 6 at
     degree 2), using every corpus frame where both joints are filled. Pairs
-    outside the mask, and pairs that are never filled together, stay
-    untrained. A fitted pair's coefficients do not depend on the mask, bit
-    for bit, but a model fitted on a subset (such as ``voting_pairs`` of a
-    corpus) holds only for the corpus the subset was selected on.
+    that are never filled together stay untrained. The model holds for any
+    corpus of the topology, not only the one it was fitted on.
 
     Method: a p-feature fit needs only its p x p moment sums. Each source's
     coordinates are centered at their mean over the frames that fill the
@@ -379,22 +374,15 @@ def fit_spatial_model(corpus: PoseCorpus, topology: SkeletonTopology, degree: in
     if corpus.num_joints != topology.n:
         raise ValueError(f"corpus has {corpus.num_joints} joints, expected {topology.n}")
     n = topology.n
-    pairs = np.ones((n, n), dtype=bool) if pairs is None else np.asarray(pairs, dtype=bool)
-    if pairs.shape != (n, n):
-        raise ValueError(f"pairs must have shape ({n}, {n}), got {pairs.shape}")
-    pairs = pairs & ~np.eye(n, dtype=bool)
     exponents = _exponents(2 * degree)
     p = len(_exponents(degree))  # the features are the first p monomials
     coeffs = np.zeros((n, n, p, 2))
     trained = np.zeros((n, n), dtype=bool)
-    if not pairs.any():
-        return SpatialModel(topology.name, degree, coeffs, trained)
 
-    # A joint that no pair reads counts as missing, so none of its
-    # coordinates reaches the sums. Each (x, y) is taken as one complex
-    # number, so that the (frames, n) mask selects whole points; missing
-    # joints hold arbitrary coordinates, and zeros keep the sums finite.
-    filled = (corpus.flags > 0) & (pairs.any(axis=1) | pairs.any(axis=0))
+    # Each (x, y) is taken as one complex number, so that the (frames, n)
+    # mask selects whole points; missing joints hold arbitrary coordinates,
+    # and zeros keep the sums finite.
+    filled = corpus.flags > 0
     points = np.ascontiguousarray(corpus.coords, dtype=np.float64).view(np.complex128)[..., 0]
     sums = np.zeros((len(exponents) * n, 3 * n))
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, naming the joint
@@ -419,7 +407,7 @@ def fit_spatial_model(corpus: PoseCorpus, topology: SkeletonTopology, degree: in
                          "for the spatial fit: the sums of their products overflow float64")
 
     center = np.stack((means.real, means.imag), axis=1)
-    s, t = np.nonzero(pairs & (sums[0, :, 0] > 0))
+    s, t = np.nonzero(~np.eye(n, dtype=bool) & (sums[0, :, 0] > 0))
     moments = sums[:, s, :, t]  # (pairs, monomials, 3)
     count = moments[:, 0, 0]
     product = [[exponents.index((i + k, j + l)) for k, l in exponents[:p]]
@@ -465,40 +453,6 @@ def _voter_groups(topology: SkeletonTopology) -> tuple[np.ndarray, np.ndarray]:
     return masks
 
 
-def _votes(
-    flags: np.ndarray, trained: np.ndarray, topology: SkeletonTopology
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The missing (frame, joint) rows t, j of flags, in frame-major order,
-    and the (rows, n) mask of each row's voters whose pair [voter, joint] is
-    trained: the voter rule of spatial_interpolate, for the fill and for
-    voting_pairs alike."""
-    same_limb, torso = _voter_groups(topology)
-    filled = flags > 0
-    t, j = np.nonzero(~filled)
-    seen = filled[t]
-    limb_voters = seen & same_limb[j]
-    torso_voters = seen & torso[j]
-    voters = np.where(limb_voters.any(axis=1, keepdims=True), limb_voters,
-                      np.where(torso_voters.any(axis=1, keepdims=True), torso_voters, seen))
-    return t, j, voters & trained.T[j]
-
-
-def voting_pairs(corpus: PoseCorpus, topology: SkeletonTopology) -> np.ndarray:
-    """The (n, n) mask [voter, missing joint] of the pairs spatial_interpolate
-    reads on this normalized corpus: a model fitted on just these pairs
-    fills it as a model fitted on every pair does.
-
-    A pair counts when its voter votes on some missing joint and some frame
-    fills both of its joints, so that it can be trained at all.
-    """
-    filled = corpus.flags > 0
-    _, j, votes = _votes(corpus.flags, filled.T @ filled, topology)
-    row, voter = np.nonzero(votes)
-    pairs = np.zeros((topology.n, topology.n), dtype=bool)
-    pairs[voter, j[row]] = True
-    return pairs
-
-
 def spatial_interpolate(
     corpus: PoseCorpus, model: SpatialModel, topology: SkeletonTopology
 ) -> PoseCorpus:
@@ -518,16 +472,22 @@ def spatial_interpolate(
     if corpus.num_joints != topology.n:
         raise ValueError(f"corpus has {corpus.num_joints} joints, topology expects {topology.n}")
 
-    coords = corpus.coords.copy()
-    flags = corpus.flags.copy()
-    t, j, votes = _votes(flags, model.trained, topology)
+    same_limb, torso = _voter_groups(topology)
+    filled = corpus.flags > 0
+    t, j = np.nonzero(~filled)
+    seen = filled[t]
+    limb_voters = seen & same_limb[j]
+    torso_voters = seen & torso[j]
+    voters = np.where(limb_voters.any(axis=1, keepdims=True), limb_voters,
+                      np.where(torso_voters.any(axis=1, keepdims=True), torso_voters, seen))
+    votes = voters & model.trained.T[j]
     row, voter = np.nonzero(votes)
-    predictions = model.predict(voter, j[row], coords[t[row], voter])
+    predictions = model.predict(voter, j[row], corpus.coords[t[row], voter])
     count = votes.sum(axis=1)
     first = np.cumsum(count) - count
 
-    coords[t, j] = 0.0
-    flags[t, j] = VIS_SYNTHETIC
+    unvoted = zero_fill(corpus)
+    coords, flags = unvoted.coords, unvoted.flags
     # Rows with k votes at once, as a (rows, k, 2) mean: that reduces each
     # row's votes in the same order as a mean over that row's vote list.
     for k in np.flatnonzero(np.bincount(count)[1:]) + 1:

@@ -151,7 +151,11 @@ def normalize(pose: Pose, topology: SkeletonTopology, eps: float = 1e-8):
             usable[t] = False
             continue
         for j in np.flatnonzero(filled):
-            if np.hypot(*coords[t, j]) > preprocess.PLAUSIBLE_RADIUS:
+            # A finite joint can lie so far out that its distance overflows
+            # to inf; it is beyond the radius all the same.
+            with np.errstate(over="ignore"):
+                far = np.hypot(*coords[t, j]) > preprocess.PLAUSIBLE_RADIUS
+            if far:
                 coords[t, j] = 0.0
                 vis[t, j] = VIS_MISSING
     coords[~usable] = 0.0

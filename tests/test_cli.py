@@ -481,37 +481,42 @@ class TestPreprocess:
         assert "--topology-file" in err["message"] and "not 'jhmdb_gt'" in err["message"]
         assert not out.exists()
 
-    def test_fits_only_the_pairs_that_vote(self, tmp_path, capsys, monkeypatch):
-        fitted = []
-        fit = preprocess.fit_spatial_model
+    def test_one_model_fills_saves_and_loads(self, tmp_path, capsys, monkeypatch):
+        ann = tmp_path / "ann.jsonl"
+        assert main(["synth", "--out", str(ann), "--videos-per-class", "3", "--frames", "12",
+                     "--dropout", "0.2", "--seed", "4"]) == 0
+        # l_ankle missing in every frame, so that the pairs it is in stay untrained.
+        lines = []
+        for line in ann.read_text().splitlines():
+            record = json.loads(line)
+            for frame in record.get("frames", []):
+                frame[14][2] = 0
+            lines.append(json.dumps(record))
+        ann.write_text("\n".join(lines) + "\n")
+        normalized = []
+        interpolate = preprocess.spatial_interpolate
 
-        def record(corpus, topology, **kw):
-            model = fit(corpus, topology, **kw)
-            fitted.append((model, preprocess.voting_pairs(corpus, topology)))
-            return model
+        def record(corpus, model, topology):
+            normalized.append(corpus)
+            return interpolate(corpus, model, topology)
 
-        monkeypatch.setattr(preprocess, "fit_spatial_model", record)
-
-        def run_preprocess(dropout, name, *extra):
-            ann = tmp_path / f"{dropout}.jsonl"
-            assert main(["synth", "--out", str(ann), "--videos-per-class", "3", "--frames", "12",
-                         "--dropout", dropout, "--seed", "4"]) == 0
-            fitted.clear()
+        monkeypatch.setattr(preprocess, "spatial_interpolate", record)
+        model = str(tmp_path / "m.bin")
+        for name, extra in [("default", []), ("save", ["--save-spatial-model", model]),
+                            ("load", ["--spatial-model", model])]:
             code, _, _ = run(capsys, "preprocess", "--annotations", str(ann),
                              "--cache", str(tmp_path / f"{name}.cache"), *extra)
             assert code == 0
-            (model, voting), = fitted
-            return model.trained, voting
+        cache = (tmp_path / "default.cache").read_bytes()
+        assert (tmp_path / "save.cache").read_bytes() == cache
+        assert (tmp_path / "load.cache").read_bytes() == cache
 
-        trained, voting = run_preprocess("0.0", "clean")
-        assert not trained.any() and not voting.any()
-        trained, voting = run_preprocess("0.2", "voting")
-        np.testing.assert_array_equal(trained, voting)
-        assert 0 < trained.sum() < 15 * 14
-        trained, _ = run_preprocess("0.2", "every", "--save-spatial-model", str(tmp_path / "m.bin"))
-        assert trained.sum() == 15 * 14
-        np.testing.assert_array_equal(SpatialModel.load(tmp_path / "m.bin").trained, trained)
-        assert (tmp_path / "voting.cache").read_bytes() == (tmp_path / "every.cache").read_bytes()
+        filled = (normalized[0].flags > 0).astype(np.int64)
+        together = (filled.T @ filled > 0) & ~np.eye(15, dtype=bool)
+        trained = SpatialModel.load(model).trained
+        np.testing.assert_array_equal(trained, together)
+        assert not trained[14].any() and not trained[:, 14].any()
+        assert trained.sum() == 14 * 13
 
 
 def _bad_model(path, defect):

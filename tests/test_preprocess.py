@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import preprocess_reference as reference
@@ -36,7 +36,6 @@ from posestream.preprocess import (
     parse_annotation_line,
     spatial_interpolate,
     temporal_interpolate,
-    voting_pairs,
     write_annotations,
     zero_fill,
 )
@@ -782,6 +781,8 @@ corpus_knobs = dict(
 
 @settings(max_examples=150, deadline=None)
 @given(**corpus_knobs)
+# A finite joint over a tiny torso whose distance from the origin overflows.
+@example(seed=2**32 - 1, topo=PROFILES[0], counts=[8], dropout=0.5, degenerate=0.3, max_gap=2)
 def test_temporal_and_normalize_match_loops(seed, topo, counts, dropout, degenerate, max_gap):
     poses = noisy_poses(topo, np.random.default_rng(seed), counts, dropout, degenerate, max_gap)
     corpus = PoseCorpus.of(poses)
@@ -826,45 +827,6 @@ def test_fit_and_fill_match_loops(seed, topo, counts, dropout, degenerate, max_g
     model = replace(model, trained=sampled.trained & (rng.random(model.trained.shape) >= abstain))
     assert_same_corpus(spatial_interpolate(corpus, model, topo),
                        [reference.spatial_interpolate(p, model, topo) for p in poses])
-
-
-@settings(max_examples=60, deadline=None)
-@given(**corpus_knobs, degree=st.sampled_from([1, 2]))
-def test_voting_pairs_model_fills_as_full_model(seed, topo, counts, dropout, degenerate, max_gap,
-                                                degree):
-    rng = np.random.default_rng(seed)
-    poses = [reference.normalize(p, topo)
-             for p in noisy_poses(topo, rng, counts, dropout, degenerate, max_gap)]
-    corpus = PoseCorpus.of(poses)
-    full = fit_spatial_model(corpus, topo, degree=degree)
-    pairs = voting_pairs(corpus, topo)
-    model = fit_spatial_model(corpus, topo, degree=degree, pairs=pairs)
-    np.testing.assert_array_equal(model.trained, pairs)
-    assert model.coeffs[pairs].tobytes() == full.coeffs[pairs].tobytes()
-    filled = spatial_interpolate(corpus, model, topo)
-    expected = spatial_interpolate(corpus, full, topo)
-    assert filled.coords.tobytes() == expected.coords.tobytes()
-    np.testing.assert_array_equal(filled.flags, expected.flags)
-
-    # The pairs are exactly those whose predictions the loop fill asks the full model for.
-    asked = np.zeros_like(pairs)
-    reference_predict = reference.predict
-
-    def predict(model, source, target, xy):
-        asked[source, target] = True
-        return reference_predict(model, source, target, xy)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(reference, "predict", predict)
-        for pose in poses:
-            reference.spatial_interpolate(pose, full, topo)
-    np.testing.assert_array_equal(pairs, asked)
-
-
-def test_fit_rejects_pairs_of_another_shape():
-    corpus = one_video(np.zeros((2, 3, 2)))
-    with pytest.raises(ValueError, match=r"pairs must have shape \(3, 3\), got \(2, 2\)"):
-        fit_spatial_model(corpus, simple_topology(), pairs=np.ones((2, 2), bool))
 
 
 def chain(values):
