@@ -12,12 +12,12 @@ order, and ``eval`` holds the corpus file open and reads, builds and
 scores one slice of videos at a time. Every command is deterministic
 given its config and seed, every output but the ``--save-spatial-model``
 file embeds the config hash and seed (that file's header holds only
-``topology_name``, ``degree`` and ``joints``), every output path is
-checked before any work (none may be a file the command reads; each
-``cmd_*`` but ``cmd_synth`` takes the config file's path for that), and
-every output is written to a unique temp file, all of them renamed into
-place only once all are written (``_Outputs``). Errors leave a
-machine-readable JSON line on stderr and a nonzero exit code.
+``topology_name`` and ``joint_names``), every output path is checked
+before any work (none may be a file the command reads; each ``cmd_*``
+but ``cmd_synth`` takes the config file's path for that), and every
+output is written to a unique temp file, all of them renamed into place
+only once all are written (``_Outputs``). Errors leave a machine-readable
+JSON line on stderr and a nonzero exit code.
 
 Each command imports the layers it runs at its top, and calls them as
 module attributes; ``fuse`` and ``weights-search`` load only ``fusion``.
@@ -165,7 +165,7 @@ def cmd_preprocess(cfg: PipelineConfig, config: str | None = None) -> dict:
     if cfg.spatial_model:
         model = preprocess.SpatialModel.load(cfg.spatial_model)
         try:
-            model.check(topology, poly_degree=cfg.poly_degree)
+            model.check(topology)
         except ValueError as exc:
             raise CliError(f"{cfg.spatial_model}: {exc}") from None
 
@@ -201,7 +201,7 @@ def cmd_preprocess(cfg: PipelineConfig, config: str | None = None) -> dict:
     implausible = np.count_nonzero(filled & (corpus.flags == 0) & kept[:, None], axis=0)
     if cfg.interpolate:
         if model is None:
-            model = preprocess.fit_spatial_model(corpus, topology, degree=cfg.poly_degree)
+            model = preprocess.fit_spatial_model(corpus, topology)
         corpus = preprocess.spatial_interpolate(corpus, model, topology)
     else:
         corpus = preprocess.zero_fill(corpus)
@@ -361,13 +361,15 @@ def _fusion_inputs(cfg: PipelineConfig, config: str | None) -> dict[str, str | N
 
 
 def _load_streams(cfg: PipelineConfig) -> dict[str, fusion.StreamScores]:
-    """The streams whose score files are given, by name."""
+    """The streams whose score files are given, by name; streams that are
+    not aligned fail naming both files."""
     from . import fusion
 
     paths = {name: getattr(cfg, f"{name}_scores") for name in fusion.STREAMS}
     streams = {name: fusion.read_scores(path, stream=name) for name, path in paths.items() if path}
     if not streams:
         raise CliError(f"fusion needs at least one of {'/'.join(fusion.STREAMS)} score files")
+    fusion.check_aligned(streams, {name: f"stream '{name}' ({paths[name]})" for name in streams})
     return streams
 
 
@@ -461,7 +463,6 @@ _HELP = {
     "sampling": "snippet sampling mode (random, center)",
     "seed": "master seed",
     "max_gap": "longest temporal gap filled by interpolation",
-    "poly_degree": "spatial model polynomial degree (1, 2)",
     "spatial_model": "load a previously fitted spatial model",
     "save_spatial_model": "save the fitted spatial model",
 }
@@ -491,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, needed in {
         "preprocess": ("annotations", "cache", "profile", "topology_file", "seed", "max_gap",
-                       "poly_degree", "spatial_model", "save_spatial_model", "report"),
+                       "spatial_model", "save_spatial_model", "report"),
         "train": ("cache", "checkpoint", "trace", "profile", "topology_file", "k", "sampling",
                   "seed", "learning_rate", "epochs", "batch_size", "weight_decay",
                   "conv1_channels", "conv2_channels", "hidden"),

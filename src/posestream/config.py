@@ -67,12 +67,12 @@ def decode_utf8(path: str | Path, data: bytes) -> str:
 
 @dataclass(frozen=True)
 class NetSpec:
-    """Tunable architecture constants."""
+    """The net's tunable layer widths; its filter and pool sizes are fixed
+    (``convnet.FILTER_H``, ``FILTER_W``, ``POOL``)."""
 
     conv1_channels: int = 32
     conv2_channels: int = 64
     hidden: int = 256
-    pool: int = 2  # window and stride of the single max-pool layer
 
     def __post_init__(self) -> None:
         for name, value in asdict(self).items():
@@ -108,7 +108,6 @@ class PipelineConfig:
     seed: int = 0
     # interpolation
     max_gap: int = 10
-    poly_degree: int = 1
     interpolate: bool = True
     # network
     conv1_channels: int = NetSpec.conv1_channels
@@ -151,7 +150,6 @@ class PipelineConfig:
         for key, fits, rule in (
             ("k", self.k >= 1, ">= 1"), ("max_gap", self.max_gap >= 0, ">= 0"),
             ("sampling", self.sampling in SAMPLING_MODES, f"one of {SAMPLING_MODES}"),
-            ("poly_degree", self.poly_degree in (1, 2), "1 or 2"),
         ):
             if not fits:
                 raise ValueError(f"{key} must be {rule}, got {getattr(self, key)!r}")

@@ -3,19 +3,18 @@
 Architecture: two valid-padding 3x2 convolutions (stride 1) each followed by
 ReLU, one 2x2/2 max pool, a hidden fully connected layer with ReLU, and a
 softmax output layer. Channel counts and the hidden width are configuration,
-not contract; the 3x2 filter and the layer order are fixed. The net computes
-in the dtype of its parameters: ``init_net`` draws float64, where analytic
-gradients match central finite differences tightly, and ``astype`` casts a
-net; forward, backward and train cast their batch to that dtype and keep
-every intermediate in it. Every command's net, checkpoint and corpus
-tensor is NET_DTYPE (float32), at about half the float64 GEMM cost.
+not contract; the 3x2 filter, the 2x2 pool and the layer order are fixed.
+The net computes in the dtype of its parameters: ``init_net`` draws float64,
+where analytic gradients match central finite differences tightly, and
+``astype`` casts a net; forward, backward and train cast their batch to that
+dtype and keep every intermediate in it. Every command's net, checkpoint and
+corpus tensor is NET_DTYPE (float32), at about half the float64 GEMM cost.
 
 Each conv is one GEMM over an im2col buffer and computes only the output
-positions the pool reads. The pool covers the first (K - 4) // pool * pool
-conv2 rows (and likewise columns), so input rows past that many + 4 never
-reach the output: with the default 2x2 pool the net never sees the last
-snippet when K - 4 is odd (K = 15: row 14 is dead), nor the last tensor
-column when W - 2 is odd.
+positions the pool reads. The pool covers the first (K - 4) // 2 * 2 conv2
+rows (and likewise columns), so input rows past that many + 4 never reach
+the output: the net never sees the last snippet when K - 4 is odd (K = 15:
+row 14 is dead), nor the last tensor column when W - 2 is odd.
 
 Every pass writes its large arrays into a ``Workspace``: named buffers
 allocated on first use and reused by later passes, with the im2col
@@ -47,19 +46,20 @@ check it: the default 32/64/256 net and the 8/16/64 net. Other widths may
 differ in the last bits (NetSpec(5, 7, 9) does at 129 and 130 rows).
 
 The checkpoint file is a ``binio`` container (magic ``PCN1``). Its header
-holds ``input_shape``, ``num_classes``, ``arch`` (the ``NetSpec`` fields)
-and ``meta`` (the caller's run metadata); those fix every parameter's
-shape, and the parameters follow as NET_DTYPE arrays in ``parameters()``
-order, so the file cannot hold a missing, repeated or mis-shaped one. The
-writer saves any net as its NET_DTYPE cast and refuses a parameter that is
-not finite in it; the reader reads each parameter straight into a NET_DTYPE
-net, which is the cast of the saved net whatever its dtype.
+holds ``input_shape``, ``num_classes``, ``arch`` (exactly the ``NetSpec``
+fields) and ``meta`` (the caller's run metadata); those fix every
+parameter's shape, and the parameters follow as NET_DTYPE arrays in
+``parameters()`` order, so the file cannot hold a missing, repeated or
+mis-shaped one. The writer saves any net as its NET_DTYPE cast and refuses
+a parameter that is not finite in it; the reader reads each parameter
+straight into a NET_DTYPE net, which is the cast of the saved net whatever
+its dtype.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Callable
 
@@ -72,9 +72,10 @@ from .config import NET_DTYPE, NetSpec, TrainConfig
 
 FILTER_H = 3  # rows = snippets (time)
 FILTER_W = 2  # columns = flattened joint coordinates
+POOL = 2  # window and stride of the single max-pool layer, in rows and columns
 
 CHECKPOINT_MAGIC = b"PCN1"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 PROB_FLOOR = 1e-12
 
@@ -146,12 +147,12 @@ def _pooled_shape(input_shape: tuple[int, int, int], arch: NetSpec) -> tuple[int
     k, width, _ = input_shape
     rows = k - 2 * (FILTER_H - 1)
     cols = width - 2 * (FILTER_W - 1)
-    pooled_rows = rows // arch.pool
-    pooled_cols = cols // arch.pool
+    pooled_rows = rows // POOL
+    pooled_cols = cols // POOL
     if pooled_rows < 1 or pooled_cols < 1:
         raise ValueError(
             f"input {k}x{width} too small for two {FILTER_H}x{FILTER_W} convolutions "
-            f"plus {arch.pool}x{arch.pool} pooling"
+            f"plus {POOL}x{POOL} pooling"
         )
     return pooled_rows, pooled_cols
 
@@ -210,7 +211,7 @@ def _conv_extents(net: PoseConvNet) -> tuple[tuple[int, int], tuple[int, int]]:
     """(rows, cols) each conv computes: only the conv2 outputs the pool reads,
     and only the conv1 outputs those read."""
     pooled_rows, pooled_cols = _pooled_shape(net.input_shape, net.arch)
-    rows2, cols2 = pooled_rows * net.arch.pool, pooled_cols * net.arch.pool
+    rows2, cols2 = pooled_rows * POOL, pooled_cols * POOL
     return (rows2 + FILTER_H - 1, cols2 + FILTER_W - 1), (rows2, cols2)
 
 
@@ -294,26 +295,26 @@ def _conv_input_grad(
     return d_x
 
 
-def _pool_views(x: np.ndarray, size: int) -> list[np.ndarray]:
-    """The size² strided views of x (B, R·size, C·size, ch), one per window
+def _pool_views(x: np.ndarray) -> list[np.ndarray]:
+    """The POOL² strided views of x (B, R·POOL, C·POOL, ch), one per window
     offset in row-major order; view k holds offset k of every window."""
-    return [x[:, i::size, j::size, :] for i in range(size) for j in range(size)]
+    return [x[:, i::POOL, j::POOL, :] for i in range(POOL) for j in range(POOL)]
 
 
-def _pool(x: np.ndarray, size: int, out: np.ndarray) -> np.ndarray:
+def _pool(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Non-overlapping max pool of x, whose rows and columns are whole
     windows, into out."""
-    views = _pool_views(x, size)
+    views = _pool_views(x)
     np.copyto(out, views[0])
     for view in views[1:]:
         np.maximum(out, view, out=out)
     return out
 
 
-def _pool_argmax(x: np.ndarray, size: int, ws: Workspace) -> tuple[np.ndarray, np.ndarray]:
+def _pool_argmax(x: np.ndarray, ws: Workspace) -> tuple[np.ndarray, np.ndarray]:
     """Max pool plus the argmax offset within each window; ties go to the
     lowest offset."""
-    views = _pool_views(x, size)
+    views = _pool_views(x)
     out = ws.take("pooled", views[0].shape, x.dtype)
     np.copyto(out, views[0])
     idx = ws.take("pooled.argmax", out.shape, np.intp)
@@ -326,12 +327,12 @@ def _pool_argmax(x: np.ndarray, size: int, ws: Workspace) -> tuple[np.ndarray, n
     return out, idx
 
 
-def _unpool(d_out: np.ndarray, idx: np.ndarray, size: int, ws: Workspace, name: str) -> np.ndarray:
+def _unpool(d_out: np.ndarray, idx: np.ndarray, ws: Workspace, name: str) -> np.ndarray:
     """Route each window's gradient to its argmax offset, into buffer name of
     ws; zeros elsewhere."""
     batch, rows, cols, channels = d_out.shape
-    d_x = ws.take(name, (batch, rows * size, cols * size, channels), d_out.dtype)
-    for k, view in enumerate(_pool_views(d_x, size)):
+    d_x = ws.take(name, (batch, rows * POOL, cols * POOL, channels), d_out.dtype)
+    for k, view in enumerate(_pool_views(d_x)):
         np.multiply(d_out, idx == k, out=view)
     return d_x
 
@@ -367,7 +368,7 @@ def _probs(net: PoseConvNet, x: np.ndarray, ws: Workspace) -> np.ndarray:
     """Class probabilities of a batch: convs and pool per CONV_SLICE rows
     into one pooled buffer, then one head over all of x, padded with zero
     rows to HEAD_ROWS. conv2's bias and ReLU come after the pool, on a
-    pool² share of the values: both are monotone, so relu(max(z) + b) is
+    POOL² share of the values: both are monotone, so relu(max(z) + b) is
     max(relu(z + b)) bit for bit."""
     extent1, extent2 = _conv_extents(net)
     pooled_rows, pooled_cols = _pooled_shape(net.input_shape, net.arch)
@@ -378,7 +379,7 @@ def _probs(net: PoseConvNet, x: np.ndarray, ws: Workspace) -> np.ndarray:
         part = x[start:start + CONV_SLICE]
         a1 = _conv_relu(part, net.conv1_w, net.conv1_b, extent1, ws, "conv1")[1]
         z2 = _conv(a1, net.conv2_w, extent2, ws, "conv2")[1]
-        out = _pool(z2, net.arch.pool, pooled[start:start + len(part)])
+        out = _pool(z2, pooled[start:start + len(part)])
         _bias_relu(out, net.conv2_b)
     return _softmax(_head(net, pooled.reshape(len(pooled), -1))[1][:len(x)])
 
@@ -388,7 +389,7 @@ def _forward(net: PoseConvNet, x: np.ndarray, ws: Workspace) -> dict[str, np.nda
     extent1, extent2 = _conv_extents(net)
     cols1, a1 = _conv_relu(x, net.conv1_w, net.conv1_b, extent1, ws, "conv1")
     cols2, a2 = _conv_relu(a1, net.conv2_w, net.conv2_b, extent2, ws, "conv2")
-    pooled, pool_idx = _pool_argmax(a2, net.arch.pool, ws)
+    pooled, pool_idx = _pool_argmax(a2, ws)
     af, logits = _head(net, pooled.reshape(len(x), -1))
     return {
         "cols1": cols1, "a1": a1, "cols2": cols2, "pooled": pooled,
@@ -435,7 +436,7 @@ def _loss_and_grads(
     d_pooled = (d_zf @ net.fc1_w.T).reshape(pooled.shape) * (pooled > 0)
     # Nothing reads conv2's activations after the pool, nor its columns once
     # its gradients are taken, so the gradients below reuse those buffers.
-    d_z2 = _unpool(d_pooled, cache["pool_idx"], net.arch.pool, ws, "conv2.out")
+    d_z2 = _unpool(d_pooled, cache["pool_idx"], ws, "conv2.out")
     grads["conv2_w"], grads["conv2_b"] = _conv_grads(d_z2, cache["cols2"], net.conv2_w)
     d_z1 = _conv_input_grad(d_z2, net.conv2_w, cache["a1"].shape, ws, "conv2.columns")
     d_z1 *= cache["a1"] > 0
@@ -535,11 +536,23 @@ def _train_epoch(
 # Checkpoint I/O
 # ---------------------------------------------------------------------------
 
+def _arch(arch: dict[str, int]) -> NetSpec:
+    """The NetSpec of a checkpoint's arch, whose keys must be exactly its fields."""
+    names = [field.name for field in fields(NetSpec)]
+    missing = [name for name in names if name not in arch]
+    if missing:
+        raise ValueError(f"arch lacks the NetSpec keys {missing}")
+    unknown = sorted(set(arch) - set(names))
+    if unknown:
+        raise ValueError(f"arch has keys that are no NetSpec field: {unknown}")
+    return NetSpec(**arch)
+
+
 def _checkpoint_layout(header: dict) -> binio.Layout:
     if len(header["input_shape"]) != 3:
         raise ValueError(f"input_shape {header['input_shape']} is not 3 dimensions")
     shapes = _param_shapes(tuple(header["input_shape"]), header["num_classes"],
-                           NetSpec(**header["arch"]))
+                           _arch(header["arch"]))
     return {name: (NET_DTYPE.str, shape) for name, shape in shapes.items()}
 
 
@@ -579,7 +592,7 @@ def save_checkpoint(net: PoseConvNet, path: str | Path, meta: dict | None = None
 def _net_of(header: dict, params: dict[str, np.ndarray]) -> tuple[PoseConvNet, dict]:
     _check_finite(params)
     net = PoseConvNet(input_shape=tuple(header["input_shape"]), num_classes=header["num_classes"],
-                      arch=NetSpec(**header["arch"]), **params)
+                      arch=_arch(header["arch"]), **params)
     return net, header["meta"]
 
 

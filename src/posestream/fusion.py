@@ -84,25 +84,33 @@ def consensus(snippets: np.ndarray) -> np.ndarray:
     return snippets.mean(axis=0)
 
 
+def check_aligned(streams: Mapping[str, StreamScores], labels: Mapping[str, str]) -> None:
+    """ValueError unless every stream scores the videos of the first, with as
+    many classes. The message names the two streams by their labels, and
+    the first video one scores and the other lacks, or both class counts."""
+    (first, ours), *others = streams.items()
+    for name, theirs in others:
+        one, other = labels[name], labels[first]
+        if theirs.videos != ours.videos:
+            video = min(set(theirs.videos) ^ set(ours.videos))
+            has, lacks = (one, other) if video in theirs.videos else (other, one)
+            raise ValueError(f"{has} scores video '{video}', which {lacks} lacks")
+        if theirs.num_classes != ours.num_classes:
+            raise ValueError(f"{one} has {theirs.num_classes} classes, "
+                             f"{other} has {ours.num_classes}")
+
+
 def _present(streams: Mapping[str, StreamScores]) -> list[tuple[int, StreamScores]]:
     """(weight column, stream) of each given stream; the names must be from
-    STREAMS, and the streams must cover identical video sets and class counts."""
+    STREAMS, and the streams must be aligned (``check_aligned``)."""
     unknown = sorted(set(streams) - set(STREAMS))
     if unknown:
         raise ValueError(f"unknown streams {unknown}, expected names from {STREAMS}")
-    present = [(column, name, streams[name]) for column, name in enumerate(STREAMS)
-               if name in streams]
-    if not present:
+    given = {name: streams[name] for name in STREAMS if name in streams}
+    if not given:
         raise ValueError("fusion needs at least one stream")
-    _, first_name, first = present[0]
-    for _, name, s in present[1:]:
-        if s.videos != first.videos:
-            raise ValueError(f"stream '{name}' covers a different video set than '{first_name}'")
-        if s.num_classes != first.num_classes:
-            raise ValueError(
-                f"stream '{name}' has {s.num_classes} classes, expected {first.num_classes}"
-            )
-    return [(column, s) for column, _, s in present]
+    check_aligned(given, {name: f"stream '{name}'" for name in given})
+    return [(STREAMS.index(name), s) for name, s in given.items()]
 
 
 def _fused(present: list[tuple[int, StreamScores]], weights) -> np.ndarray:

@@ -5,7 +5,7 @@ coordinates (so torso joints can be recovered before they are needed),
 normalization rescales each frame by the torso length, centers it on the
 torso midpoint and demotes joints too far off the torso to be a pose, and
 spatial interpolation then fills whatever is still missing by letting
-visible joints vote through learned pairwise polynomial models in the
+visible joints vote through learned pairwise affine models in the
 scale-free normalized space. Joints nothing can recover are set to the
 torso center (0, 0) and flagged synthetic, never left marked invalid.
 
@@ -238,43 +238,27 @@ def temporal_interpolate(corpus: PoseCorpus, max_gap: int = 10) -> PoseCorpus:
 
 
 # ---------------------------------------------------------------------------
-# Spatial interpolation: pairwise polynomial voting
+# Spatial interpolation: pairwise affine voting
 # ---------------------------------------------------------------------------
-
-def _exponents(degree: int) -> list[tuple[int, int]]:
-    """The (i, j) of the monomials x**i * y**j of total degree at most
-    degree, lowest degree first and then by falling i: 1, x, y, x*x, x*y, ..."""
-    return [(total - j, j) for total in range(degree + 1) for j in range(total + 1)]
-
-
-def _monomials(x: np.ndarray, y: np.ndarray, degree: int) -> list[np.ndarray]:
-    """x**i * y**j for the (i, j) of ``_exponents(degree)``, in that order.
-
-    Powers are repeated products, so x**2 is the bits of x * x."""
-    xs, ys = [np.ones_like(x)], [np.ones_like(y)]
-    for _ in range(degree):
-        xs.append(xs[-1] * x)
-        ys.append(ys[-1] * y)
-    return [xs[i] * ys[j] for i, j in _exponents(degree)]
-
 
 @dataclass
 class SpatialModel:
     """Pairwise joint-position predictors used for missing-joint voting.
 
     For each ordered joint pair (source, target), coeffs[source, target]
-    holds polynomial coefficients mapping the source's normalized (x, y) to
-    the target's predicted (x, y). Pairs that no training frame fills
-    together are untrained and abstain from voting.
+    holds the affine map from the source's normalized (x, y) to the
+    target's predicted (x, y): rows for the features 1, x and y. Pairs that
+    no training frame fills together are untrained and abstain from voting.
 
-    A model file is a ``binio`` container (magic ``PSPM``) whose header
-    holds ``topology_name``, ``degree`` (1 or 2) and ``joints`` n, followed
-    by coeffs as float64 (n, n, 3 or 6, 2) and trained as uint8 0/1 (n, n).
+    A model file is a ``binio`` container (magic ``PSPM``, version 2) whose
+    header holds ``topology_name`` and ``joint_names`` (n names, in joint
+    order), followed by coeffs as float64 (n, n, 3, 2) and trained as uint8
+    0/1 (n, n).
     """
 
     topology_name: str
-    degree: int
-    coeffs: np.ndarray   # (n, n, n_features, 2)
+    joint_names: tuple[str, ...]
+    coeffs: np.ndarray   # (n, n, 3, 2)
     trained: np.ndarray  # (n, n) bool
 
     def predict(self, source, target, xy) -> np.ndarray:
@@ -284,24 +268,26 @@ class SpatialModel:
         indices, or index arrays with one entry per row of xy.
         """
         xy = np.asarray(xy, dtype=np.float64)
-        feats = np.stack(_monomials(*xy.reshape(-1, 2).T, self.degree), axis=1)
+        x, y = xy.reshape(-1, 2).T
+        feats = np.stack((np.ones_like(x), x, y), axis=1)
         return np.matmul(feats[:, None, :], self.coeffs[source, target])[:, 0].reshape(xy.shape)
 
-    def check(self, topology: SkeletonTopology, poly_degree: int | None = None) -> None:
-        """ValueError unless the model was fit on topology (and, if given, at poly_degree)."""
+    def check(self, topology: SkeletonTopology) -> None:
+        """ValueError unless the model was fit on topology: its name, and its
+        joint names in order."""
         if self.topology_name != topology.name:
             raise ValueError(f"spatial model was fit on '{self.topology_name}', "
                              f"not '{topology.name}'")
-        if self.trained.shape != (topology.n, topology.n):
-            raise ValueError(f"spatial model has {len(self.trained)} joints, "
+        if len(self.joint_names) != topology.n:
+            raise ValueError(f"spatial model has {len(self.joint_names)} joints, "
                              f"topology '{topology.name}' has {topology.n}")
-        if poly_degree is not None and self.degree != poly_degree:
-            raise ValueError(f"spatial model has degree {self.degree}, "
-                             f"but --poly-degree is {poly_degree}")
+        for index, (ours, theirs) in enumerate(zip(self.joint_names, topology.joint_names)):
+            if ours != theirs:
+                raise ValueError(f"spatial model joint {index} is '{ours}', "
+                                 f"topology '{topology.name}' has '{theirs}' there")
 
     def save(self, path: str | Path) -> None:
-        header = {"topology_name": self.topology_name, "degree": self.degree,
-                  "joints": len(self.trained)}
+        header = {"topology_name": self.topology_name, "joint_names": list(self.joint_names)}
         MODEL_FILE.write(path, header, {"coeffs": self.coeffs,
                                         "trained": self.trained.astype(np.uint8)})
 
@@ -313,10 +299,8 @@ class SpatialModel:
 
 
 def _model_layout(header: dict) -> binio.Layout:
-    degree, n = header["degree"], header["joints"]
-    if degree not in (1, 2):
-        raise ValueError(f"spatial model degree must be 1 or 2, got {degree}")
-    return {"coeffs": ("<f8", (n, n, len(_exponents(degree)), 2)), "trained": ("u1", (n, n))}
+    n = len(header["joint_names"])
+    return {"coeffs": ("<f8", (n, n, 3, 2)), "trained": ("u1", (n, n))}
 
 
 def _model_of(header: dict, arrays: dict[str, np.ndarray]) -> SpatialModel:
@@ -325,33 +309,33 @@ def _model_of(header: dict, arrays: dict[str, np.ndarray]) -> SpatialModel:
         raise ValueError("spatial model coeffs have non-finite entries")
     if trained.max(initial=0) > 1:
         raise ValueError("spatial model trained flags must be 0 or 1")
-    return SpatialModel(topology_name=header["topology_name"], degree=header["degree"],
+    return SpatialModel(topology_name=header["topology_name"],
+                        joint_names=tuple(header["joint_names"]),
                         coeffs=coeffs, trained=trained.view(bool))
 
 
-MODEL_FILE = binio.FileKind("spatial model", b"PSPM", 1,
-                            {"topology_name": str, "degree": int, "joints": int}, _model_layout)
+MODEL_FILE = binio.FileKind("spatial model", b"PSPM", 2,
+                            {"topology_name": str, "joint_names": list[str]}, _model_layout)
 
 
 # The moment pass sums this many frames at a time, which bounds its temporaries.
 _MOMENT_BLOCK = 512
 
 
-def fit_spatial_model(corpus: PoseCorpus, topology: SkeletonTopology,
-                      degree: int = 1) -> SpatialModel:
-    """Least-squares fit of every ordered joint pair over a normalized corpus.
+def fit_spatial_model(corpus: PoseCorpus, topology: SkeletonTopology) -> SpatialModel:
+    """Least-squares affine fit of every ordered joint pair over a normalized corpus.
 
     For each pair (source, target) the target position is regressed on the
-    p polynomial features of the source position (p = 3 at degree 1, 6 at
-    degree 2), using every corpus frame where both joints are filled. Pairs
-    that are never filled together stay untrained. The model holds for any
-    corpus of the topology, not only the one it was fitted on.
+    p = 3 features 1, x and y of the source position, using every corpus
+    frame where both joints are filled. Pairs that are never filled
+    together stay untrained. The model holds for any corpus of the
+    topology, not only the one it was fitted on.
 
     Method: a p-feature fit needs only its p x p moment sums. Each source's
     coordinates are centered at their mean over the frames that fill the
     source. One pass over blocks of frames then takes, as GEMMs against the
     filled mask and the zero-filled targets, the sums over each pair's frames
-    of the centered monomials up to twice the degree and of the features
+    of the centered monomials 1, x, y, x*x, x*y, y*y and of the features
     times the target: every pair's normal equations at once. A pair is
     rank-deficient when the smallest eigenvalue of its centered moment
     matrix is at most p * count * eps times the largest, that is when the
@@ -369,13 +353,9 @@ def fit_spatial_model(corpus: PoseCorpus, topology: SkeletonTopology,
     pair's largest. A filled coordinate so large that the sums of its
     products overflow float64 raises ValueError naming its joint.
     """
-    if degree not in (1, 2):
-        raise ValueError(f"degree must be 1 or 2, got {degree}")
     if corpus.num_joints != topology.n:
         raise ValueError(f"corpus has {corpus.num_joints} joints, expected {topology.n}")
-    n = topology.n
-    exponents = _exponents(2 * degree)
-    p = len(_exponents(degree))  # the features are the first p monomials
+    n, p = topology.n, 3
     coeffs = np.zeros((n, n, p, 2))
     trained = np.zeros((n, n), dtype=bool)
 
@@ -384,7 +364,7 @@ def fit_spatial_model(corpus: PoseCorpus, topology: SkeletonTopology,
     # and zeros keep the sums finite.
     filled = corpus.flags > 0
     points = np.ascontiguousarray(corpus.coords, dtype=np.float64).view(np.complex128)[..., 0]
-    sums = np.zeros((len(exponents) * n, 3 * n))
+    sums = np.zeros((6 * n, 3 * n))
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, naming the joint
         means = np.sum(points, axis=0, where=filled) / np.maximum(filled.sum(axis=0), 1)
         for start in range(0, len(points), _MOMENT_BLOCK):
@@ -392,13 +372,14 @@ def fit_spatial_model(corpus: PoseCorpus, topology: SkeletonTopology,
             block = points[start:start + _MOMENT_BLOCK]
             xy = np.where(mask, block, 0)
             centered = np.where(mask, block - means, 0)
-            features = np.stack(_monomials(centered.real, centered.imag, 2 * degree), axis=1)
-            features[:, 0] = mask  # the constant, 0 where the source is missing
+            x, y = centered.real, centered.imag
+            # The constant is 0 where the source is missing.
+            features = np.stack((mask, x, y, x * x, x * y, y * y), axis=1)
             targets = np.stack((mask, xy.real, xy.imag), axis=1)
             sums += features.reshape(len(mask), -1).T @ targets.reshape(len(mask), -1)
     # sums[k, s, c, t]: over the frames filling both s and t, monomial k of
     # the centered source s times 1, x or y of the target t (c = 0, 1, 2).
-    sums = sums.reshape(len(exponents), n, 3, n)
+    sums = sums.reshape(6, n, 3, n)
     if not np.isfinite(sums).all():
         bad = ~np.isfinite(sums)
         source = bad[:, :, 0].any(axis=(0, 2))
@@ -410,10 +391,9 @@ def fit_spatial_model(corpus: PoseCorpus, topology: SkeletonTopology,
     s, t = np.nonzero(~np.eye(n, dtype=bool) & (sums[0, :, 0] > 0))
     moments = sums[:, s, :, t]  # (pairs, monomials, 3)
     count = moments[:, 0, 0]
-    product = [[exponents.index((i + k, j + l)) for k, l in exponents[:p]]
-               for i, j in exponents[:p]]
-    gram = moments[:, product, 0]  # (pairs, p, p): the centered design's moment matrix
-    cross = moments[:, :p, 1:]     # (pairs, p, 2): its features times the target
+    # The centered design's moment matrix: feature i times feature j is monomial [i][j].
+    gram = moments[:, [[0, 1, 2], [1, 3, 4], [2, 4, 5]], 0]  # (pairs, p, p)
+    cross = moments[:, :p, 1:]  # (pairs, p, 2): its features times the target
     eigenvalues = np.linalg.eigvalsh(gram)
     full = (count >= p) & (eigenvalues[:, 0]
                            > p * count * np.finfo(np.float64).eps * eigenvalues[:, -1])
@@ -421,16 +401,12 @@ def fit_spatial_model(corpus: PoseCorpus, topology: SkeletonTopology,
     scale = np.sqrt(np.diagonal(gram[full], axis1=1, axis2=2))
     solved = np.linalg.solve(gram[full] / scale[:, :, None] / scale[:, None, :],
                              cross[full] / scale[..., None]) / scale[..., None]
-    # The centered feature (x + a)**i * (y + b)**j, with (a, b) minus the
-    # source's mean, is the sum of C(i, k) C(j, l) a**(i-k) b**(j-l) x**k y**l.
+    # On the centered source (x + a, y + b), with (a, b) minus the source's
+    # mean, the fit c0 + c1 (x + a) + c2 (y + b) has constant c0 + a c1 + b c2.
     a, b = -center[s[full]].T
-    solution = np.zeros_like(solved)
-    for column, (i, j) in enumerate(exponents[:p]):
-        for row, (k, l) in enumerate(exponents[:p]):
-            if k <= i and l <= j:
-                weight = math.comb(i, k) * math.comb(j, l) * a ** (i - k) * b ** (j - l)
-                solution[:, row] += weight[:, None] * solved[:, column]
-    coeffs[s[full], t[full]] = solution
+    solved[:, 0] += a[:, None] * solved[:, 1]
+    solved[:, 0] += b[:, None] * solved[:, 2]
+    coeffs[s[full], t[full]] = solved
 
     rest = ~full
     offset = (cross[rest, 0] - moments[rest, 1:3, 0]) / count[rest, None] - center[s[rest]]
@@ -438,7 +414,7 @@ def fit_spatial_model(corpus: PoseCorpus, topology: SkeletonTopology,
     coeffs[s[rest], t[rest], 1, 0] = 1.0
     coeffs[s[rest], t[rest], 2, 1] = 1.0
     trained[s, t] = True
-    return SpatialModel(topology.name, degree, coeffs, trained)
+    return SpatialModel(topology.name, topology.joint_names, coeffs, trained)
 
 
 @functools.lru_cache(maxsize=8)

@@ -34,12 +34,14 @@ def assert_kink_free(net, x, h=1e-4, factor=10.0):
     """
     from convnet_reference import _forward
 
+    from posestream.convnet import POOL
+
     cache = _forward(net, np.asarray(x, dtype=np.float64))
     z_margin = min(
         np.abs(cache["z1"]).min(), np.abs(cache["z2"]).min(), np.abs(cache["zf"]).min()
     )
     a2 = cache["a2"]
-    size = net.arch.pool
+    size = POOL
     batch, rows, cols, channels = a2.shape
     r2, c2 = rows // size, cols // size
     windows = a2[:, : r2 * size, : c2 * size, :].reshape(

@@ -19,7 +19,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from posestream import convnet
 from posestream.convnet import (
-    FILTER_H, FILTER_W, PROB_FLOOR, PoseConvNet, TrainConfig, _softmax,
+    FILTER_H, FILTER_W, POOL, PROB_FLOOR, PoseConvNet, TrainConfig, _softmax,
 )
 
 
@@ -57,8 +57,9 @@ def _conv_backward(
     return d_x, d_w, d_b
 
 
-def _pool_forward(x: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+def _pool_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Non-overlapping max pool; returns (output, argmax within each window)."""
+    size = POOL
     batch, rows, cols, channels = x.shape
     out_rows, out_cols = rows // size, cols // size
     trimmed = x[:, : out_rows * size, : out_cols * size, :]
@@ -72,8 +73,9 @@ def _pool_forward(x: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pool_backward(
-    grad_out: np.ndarray, idx: np.ndarray, input_shape: tuple[int, ...], size: int
+    grad_out: np.ndarray, idx: np.ndarray, input_shape: tuple[int, ...]
 ) -> np.ndarray:
+    size = POOL
     batch, rows, cols, channels = input_shape
     out_rows, out_cols = rows // size, cols // size
     d_windows = np.zeros((batch, out_rows, out_cols, size * size, channels))
@@ -91,7 +93,7 @@ def _forward(net: PoseConvNet, x: np.ndarray) -> dict[str, np.ndarray]:
     a1 = np.maximum(z1, 0.0)
     z2, cols2 = _conv_forward(a1, net.conv2_w, net.conv2_b)
     a2 = np.maximum(z2, 0.0)
-    pooled, pool_idx = _pool_forward(a2, net.arch.pool)
+    pooled, pool_idx = _pool_forward(a2)
     flat = pooled.reshape(x.shape[0], -1)
     zf = flat @ net.fc1_w + net.fc1_b
     af = np.maximum(zf, 0.0)
@@ -127,7 +129,7 @@ def _loss_and_grads(
     d_flat = d_zf @ net.fc1_w.T
     d_pooled = d_flat.reshape(cache["pool_idx"].shape[0], cache["pool_idx"].shape[1],
                               cache["pool_idx"].shape[2], -1)
-    d_a2 = _pool_backward(d_pooled, cache["pool_idx"], cache["a2"].shape, net.arch.pool)
+    d_a2 = _pool_backward(d_pooled, cache["pool_idx"], cache["a2"].shape)
     d_z2 = d_a2 * (cache["z2"] > 0)
     d_a1, grads["conv2_w"], grads["conv2_b"] = _conv_backward(
         d_z2, cache["cols2"], net.conv2_w, cache["a1"].shape

@@ -180,21 +180,18 @@ def temporal_interpolate(pose: Pose, max_gap: int = 10) -> Pose:
     return pose._replace(coords=coords, flags=vis)
 
 
-def _poly_features(xy: np.ndarray, degree: int) -> np.ndarray:
+def _features(xy: np.ndarray) -> np.ndarray:
     x, y = xy[:, 0], xy[:, 1]
-    cols = [np.ones_like(x), x, y]
-    if degree == 2:
-        cols += [x * x, x * y, y * y]
-    return np.stack(cols, axis=1)
+    return np.stack([np.ones_like(x), x, y], axis=1)
 
 
 def predict(model: SpatialModel, source: int, target: int, xy: np.ndarray) -> np.ndarray:
     """One voter's prediction, as the scalar ``SpatialModel.predict`` made it."""
-    feats = _poly_features(np.asarray(xy, dtype=np.float64)[None, :], model.degree)
+    feats = _features(np.asarray(xy, dtype=np.float64)[None, :])
     return feats[0] @ model.coeffs[source, target]
 
 
-def fit_spatial_model(corpus, topology: SkeletonTopology, degree: int = 1, min_samples: int = 1):
+def fit_spatial_model(corpus, topology: SkeletonTopology, min_samples: int = 1):
     """One ``lstsq`` per pair, over the frames that fill both joints. A pair
     is rank-deficient when it has fewer frames m than features p, or when the
     singular values of its design, on the source centered at its mean over
@@ -203,7 +200,7 @@ def fit_spatial_model(corpus, topology: SkeletonTopology, degree: int = 1, min_s
     coords = np.concatenate([s.coords for s in sequences], axis=0)
     filled = np.concatenate([s.flags for s in sequences], axis=0) > 0
     n = topology.n
-    n_feat = 3 if degree == 1 else 6
+    n_feat = 3
     coeffs = np.zeros((n, n, n_feat, 2))
     trained = np.zeros((n, n), dtype=bool)
     for s in range(n):
@@ -219,9 +216,9 @@ def fit_spatial_model(corpus, topology: SkeletonTopology, degree: int = 1, min_s
                 continue
             src = coords[both, s]
             target = coords[both, t]
-            values = np.linalg.svd(_poly_features(src - center, degree), compute_uv=False)
+            values = np.linalg.svd(_features(src - center), compute_uv=False)
             if m >= n_feat and values[-1] > np.sqrt(n_feat * m * np.finfo(float).eps) * values[0]:
-                solution = np.linalg.lstsq(_poly_features(src, degree), target, rcond=None)[0]
+                solution = np.linalg.lstsq(_features(src), target, rcond=None)[0]
             else:
                 offset = (target - src).mean(axis=0)
                 solution = np.zeros((n_feat, 2))
@@ -230,10 +227,11 @@ def fit_spatial_model(corpus, topology: SkeletonTopology, degree: int = 1, min_s
                 solution[2, 1] = 1.0
             coeffs[s, t] = solution
             trained[s, t] = True
-    return SpatialModel(topology_name=topology.name, degree=degree, coeffs=coeffs, trained=trained)
+    return SpatialModel(topology_name=topology.name, joint_names=topology.joint_names,
+                        coeffs=coeffs, trained=trained)
 
 
-def design_conditions(corpus, topology: SkeletonTopology, degree: int = 1) -> np.ndarray:
+def design_conditions(corpus, topology: SkeletonTopology) -> np.ndarray:
     """(n, n) condition number [source, target] of each pair's design, on the
     source centered as fit_spatial_model centers it and with unit columns:
     the kappa that bounds the error of a fit through the normal equations.
@@ -251,7 +249,7 @@ def design_conditions(corpus, topology: SkeletonTopology, degree: int = 1) -> np
             both = filled[:, s] & filled[:, t]
             if s == t or not both.any():
                 continue
-            design = _poly_features(coords[both, s] - center, degree)
+            design = _features(coords[both, s] - center)
             norms = np.linalg.norm(design, axis=0)
             if len(design) < design.shape[1] or not norms.all():
                 kappa[s, t] = np.inf

@@ -150,7 +150,7 @@ def affine_corpus(family_seed, latent_seed, num_frames):
 def test_criterion_5_spatial_model_recovery():
     with criterion(5, "exact affine corpus: fit residual < 1e-6, knocked-out joints refilled < 1e-6"):
         corpus = affine_corpus(family_seed=9, latent_seed=1, num_frames=120)
-        model = fit_spatial_model(corpus, JHMDB, degree=1)
+        model = fit_spatial_model(corpus, JHMDB)
         coords = corpus.coords
         worst_fit = 0.0
         for s in range(JHMDB.n):

@@ -38,9 +38,9 @@ def small_corpus(rng, frames):
                         config_hash="h")
 
 
-def small_model(rng, degree=1):
+def small_model(rng):
     n = TOPOLOGY.n
-    return SpatialModel(TOPOLOGY.name, degree, rng.normal(size=(n, n, 3 * degree, 2)),
+    return SpatialModel(TOPOLOGY.name, TOPOLOGY.joint_names, rng.normal(size=(n, n, 3, 2)),
                         rng.random((n, n)) > 0.5)
 
 
@@ -105,9 +105,11 @@ def test_round_trips_and_old_formats_are_rejected_naming_the_file(tmp_path):
     for path, read in write_files(tmp_path).items():
         read(path)
     # A corpus or checkpoint of the format before the container starts with
-    # the same magic and a u32 version 1; a spatial model was an .npz file.
+    # the same magic and a u32 version 1, as does the spatial model file of
+    # the container's first version; before that a spatial model was an .npz file.
     for path, read in ((tmp_path / "c.bin", read_corpus), (tmp_path / "n.ckpt", load_checkpoint),
-                       (tmp_path / "r.bin", read_corpus_by_rows)):
+                       (tmp_path / "r.bin", read_corpus_by_rows),
+                       (tmp_path / "m.bin", SpatialModel.load)):
         path.write_bytes(with_header(path.read_bytes(), b"{}", version=1))
         assert "version 1 " in rejected(read, path)
     old_model = tmp_path / "model.npz"
@@ -194,7 +196,7 @@ def test_a_checkpoint_input_of_two_dimensions_is_refused_naming_the_file(tmp_pat
 def test_writers_refuse_what_would_not_read_back(tmp_path):
     rng = np.random.default_rng(3)
     corpus = replace(small_corpus(rng, [2]), seed=np.int64(7))
-    model = replace(small_model(rng), trained=np.zeros((2, 2), bool))
+    model = replace(small_model(rng), joint_names=TOPOLOGY.joint_names[:2])
     cases = [
         (tmp_path / "c.bin", lambda p: write_corpus(p, corpus), "header field 'seed' must be int"),
         (tmp_path / "m.bin", model.save,
@@ -213,8 +215,8 @@ def test_writers_refuse_what_would_not_read_back(tmp_path):
 DIMENSIONS = {
     "c.bin": [("frames",), ("joints",), ("tour", 0)],
     "n.ckpt": [("num_classes",), ("input_shape", 0), ("input_shape", 1), ("input_shape", 2),
-               *(("arch", key) for key in ("conv1_channels", "conv2_channels", "hidden", "pool"))],
-    "m.bin": [("joints",), ("degree",)],
+               *(("arch", key) for key in ("conv1_channels", "conv2_channels", "hidden"))],
+    "m.bin": [("joint_names",)],
 }
 DIMENSIONS["r.bin"] = DIMENSIONS["c.bin"]
 BAD_DIMENSIONS = st.sampled_from([-1, -(10**12), 1.5, 2.0, 10**12, True])

@@ -32,6 +32,8 @@ from posestream.skeleton import build_topology, euler_tour
 from posestream.synth import SyntheticSpec
 from posestream.tensorize import FilledCorpus, corpus_tensors, read_corpus, write_corpus
 
+JHMDB_NAMES = build_topology("jhmdb_gt").joint_names
+
 FAST = [
     "--conv1-channels", "4", "--conv2-channels", "6", "--hidden", "16",
     "--epochs", "2", "--batch-size", "8", "--learning-rate", "0.05",
@@ -196,7 +198,8 @@ class TestPreprocess:
         cmd_synth(SyntheticSpec(videos_per_class=1, frames=6, dropout=0.3, seed=2), ann)
         coeffs = np.zeros((15, 15, 3, 2))
         coeffs[..., 0, :] = 1e300
-        SpatialModel("jhmdb_gt", 1, coeffs, ~np.eye(15, dtype=bool)).save(tmp_path / "m.bin")
+        model = SpatialModel("jhmdb_gt", JHMDB_NAMES, coeffs, ~np.eye(15, dtype=bool))
+        model.save(tmp_path / "m.bin")
         out = tmp_path / "out"
         code, _, err = run(capsys, "preprocess", "--annotations", str(ann), "--cache",
                            str(out / "c.cache"), "--spatial-model", str(tmp_path / "m.bin"))
@@ -432,7 +435,8 @@ class TestPreprocess:
         assert out["videos"] == 2
         assert out["rejected"] == [{"line": 2, "error": "line is not UTF-8 (bad byte at offset 14)"}]
 
-    @pytest.mark.parametrize("defect", ["truncated", "five joints", "penn", "degree two"])
+    @pytest.mark.parametrize("defect",
+                             ["truncated", "five joints", "penn", "other joint order"])
     def test_bad_spatial_model_fails_before_any_write(self, defect, tmp_path, capsys):
         ann = tmp_path / "ann.jsonl"
         assert main(["synth", "--out", str(ann), "--videos-per-class", "1", "--frames", "6"]) == 0
@@ -446,8 +450,9 @@ class TestPreprocess:
         )
         assert code == 1
         assert str(model) in err["message"]
-        if defect == "degree two":
-            assert "degree 2, but --poly-degree is 1" in err["message"]
+        if defect == "other joint order":
+            assert err["message"] == (f"{model}: spatial model joint 0 is '{JHMDB_NAMES[-1]}', "
+                                      f"topology 'jhmdb_gt' has '{JHMDB_NAMES[0]}' there")
         assert not out.exists()
 
     @pytest.mark.parametrize("flags", [("--spatial-model",), ("--save-spatial-model",),
@@ -521,11 +526,14 @@ class TestPreprocess:
 
 def _bad_model(path, defect):
     if defect == "penn":
-        model = SpatialModel("penn", 1, np.zeros((13, 13, 3, 2)), np.zeros((13, 13), bool))
-    elif defect == "degree two":
-        model = SpatialModel("jhmdb_gt", 2, np.zeros((15, 15, 6, 2)), np.zeros((15, 15), bool))
+        names = build_topology("penn").joint_names
+        model = SpatialModel("penn", names, np.zeros((13, 13, 3, 2)), np.zeros((13, 13), bool))
+    elif defect == "other joint order":
+        model = SpatialModel("jhmdb_gt", JHMDB_NAMES[::-1], np.zeros((15, 15, 3, 2)),
+                             np.zeros((15, 15), bool))
     else:
-        model = SpatialModel("jhmdb_gt", 1, np.zeros((5, 5, 3, 2)), np.zeros((5, 5), bool))
+        model = SpatialModel("jhmdb_gt", JHMDB_NAMES[:5], np.zeros((5, 5, 3, 2)),
+                             np.zeros((5, 5), bool))
     model.save(path)
     if defect == "truncated":
         path.write_bytes(path.read_bytes()[:200])
@@ -971,6 +979,31 @@ class TestFuse:
         assert "weights (0.0, 1.0, 0.0) are zero on every given stream" in err["message"]
         assert sorted(p.name for p in tmp_path.iterdir()) == inputs
 
+    @pytest.mark.parametrize("command", ["fuse", "weights-search"])
+    @pytest.mark.parametrize("other, message", [
+        ("video,class_0,class_1\na,0.1,0.9\nc,0.2,0.8\n",
+         "stream 'pose' ({pose}) scores video 'b', which stream 'spatial' ({other}) lacks"),
+        ("video,class_0,class_1,class_2\na,0.1,0.8,0.1\nb,0.2,0.7,0.1\n",
+         "stream 'spatial' ({other}) has 3 classes, stream 'pose' ({pose}) has 2"),
+    ], ids=["videos", "classes"])
+    def test_streams_that_differ_fail_naming_both_files(self, tmp_path, capsys, command, other,
+                                                        message):
+        pose, spatial = tmp_path / "p.csv", tmp_path / "s.csv"
+        pose.write_text("video,class_0,class_1\na,0.9,0.1\nb,0.3,0.7\n")
+        spatial.write_text(other)
+        (tmp_path / "labels.csv").write_text("video,label\na,0\nb,1\nc,1\n")
+        inputs = sorted(p.name for p in tmp_path.iterdir())
+        outputs = ["--fused-scores", str(tmp_path / "fused.csv")] if command == "fuse" else []
+        code, _, err = run(
+            capsys, command, "--pose-scores", str(pose), "--spatial-scores", str(spatial),
+            "--labels", str(tmp_path / "labels.csv"), "--report", str(tmp_path / "r.json"),
+            *outputs,
+        )
+        assert code == 1
+        assert err == {"error": "ValueError", "command": command,
+                       "message": message.format(pose=pose, other=spatial)}
+        assert sorted(p.name for p in tmp_path.iterdir()) == inputs
+
     @pytest.mark.parametrize("stream", ["pose", "labels"])
     def test_id_the_writer_cannot_write_back_fails_before_any_write(self, stream, tmp_path,
                                                                      capsys):
@@ -1179,7 +1212,7 @@ def rerun_inputs(tmp_path_factory):
     lines = ann.read_text().splitlines()
     (root / "dup.jsonl").write_text("\n".join(lines + [lines[1]]) + "\n")
     (root / "junk.jsonl").write_text("not json\n")
-    for defect in ("truncated", "five joints", "penn", "degree two"):
+    for defect in ("truncated", "five joints", "penn", "other joint order"):
         _bad_model(root / f"{defect}.npz", defect)
     return root
 
@@ -1190,7 +1223,7 @@ _FAILED_RUNS = {
     "truncated model": ("ann.jsonl", ("--spatial-model", "truncated.npz")),
     "five-joint model": ("ann.jsonl", ("--spatial-model", "five joints.npz")),
     "penn model": ("ann.jsonl", ("--spatial-model", "penn.npz")),
-    "model of another degree": ("ann.jsonl", ("--spatial-model", "degree two.npz")),
+    "model of another joint order": ("ann.jsonl", ("--spatial-model", "other joint order.npz")),
 }
 
 
@@ -1435,7 +1468,7 @@ FLAGS = {
     "preprocess": {
         "--annotations": ("annotations", str), "--cache": ("cache", str),
         "--config": ("config", None), "--max-gap": ("max_gap", int),
-        "--no-interpolate": ("interpolate", None), "--poly-degree": ("poly_degree", int),
+        "--no-interpolate": ("interpolate", None),
         "--profile": ("profile", str), "--report": ("report", str),
         "--save-spatial-model": ("save_spatial_model", str), "--seed": ("seed", int),
         "--spatial-model": ("spatial_model", str), "--topology-file": ("topology_file", str),
@@ -1498,7 +1531,7 @@ class TestCliSurface:
         assert helps == pinned
 
     def test_default_config_hash(self):
-        assert PipelineConfig().hash() == "f63fcd2742ca"
+        assert PipelineConfig().hash() == "b1e87c1e9e98"
 
     def test_network_and_training_defaults_are_the_layers(self):
         cfg = PipelineConfig()
@@ -1652,11 +1685,11 @@ class TestConfigValues:
     @pytest.mark.parametrize("key, value", [
         ("conv1_channels", 0), ("conv2_channels", 0), ("hidden", 0), ("learning_rate", -1),
         ("epochs", -1), ("batch_size", 0), ("weight_decay", -5), ("k", 0), ("sampling", "foo"),
-        ("max_gap", -1), ("poly_degree", 3), ("seed", -1),
+        ("max_gap", -1), ("seed", -1),
     ])
     @pytest.mark.parametrize("via", ["file", "flag"])
     def test_rejected_naming_the_key(self, workdir, tmp_path, capsys, key, value, via):
-        if key in ("max_gap", "poly_degree"):
+        if key == "max_gap":
             argv = ["preprocess", "--annotations", str(workdir / "train.jsonl"),
                     "--cache", str(tmp_path / "out.cache")]
         else:
@@ -1680,8 +1713,8 @@ class TestConfigValues:
 class TestUsageErrors:
     @pytest.mark.parametrize("command, flag", [
         ("preprocess", "--sequences=x"), ("preprocess", "--k=10"),
-        ("preprocess", "--sampling=center"), ("train", "--sequences=x"),
-        ("train", "--no-resample"),
+        ("preprocess", "--sampling=center"), ("preprocess", "--poly-degree=1"),
+        ("train", "--sequences=x"), ("train", "--no-resample"),
     ])
     def test_removed_flags_are_usage_errors(self, command, flag, capsys):
         paths = {"preprocess": ["--annotations", "a"], "train": ["--checkpoint", "n"]}

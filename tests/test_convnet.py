@@ -14,6 +14,7 @@ from posestream.convnet import (
     CHECKPOINT_FILE,
     FORWARD_SLICE,
     HEAD_ROWS,
+    POOL,
     NetSpec,
     TrainConfig,
     TrainingDivergedError,
@@ -88,7 +89,7 @@ def numeric_gradients(net, x, labels, h=1e-4):
 
 
 class TestInit:
-    @pytest.mark.parametrize("field", ["conv1_channels", "conv2_channels", "hidden", "pool"])
+    @pytest.mark.parametrize("field", ["conv1_channels", "conv2_channels", "hidden"])
     def test_netspec_rejects_a_size_below_one(self, field):
         with pytest.raises(ValueError, match=f"^{field} must be >= 1, got 0$"):
             NetSpec(**{field: 0})
@@ -314,13 +315,13 @@ class TestAgainstReference:
 
     @settings(max_examples=150, deadline=None)
     @given(batch=st.integers(1, 3), rows=st.integers(1, 4), cols=st.integers(1, 4),
-           c_in=st.integers(1, 6), c_out=st.integers(1, 6), size=st.sampled_from([2, 3]),
+           c_in=st.integers(1, 6), c_out=st.integers(1, 6),
            seed=st.integers(0, 2**32 - 1), dyadic=st.booleans())
-    def test_layers(self, batch, rows, cols, c_in, c_out, size, seed, dyadic):
+    def test_layers(self, batch, rows, cols, c_in, c_out, seed, dyadic):
         # rows x cols pool windows; the conv input has spare rows and
         # columns that only the reference computes outputs for.
-        r2, c2 = rows * size, cols * size
-        x = _data(seed, (batch, r2 + 2 + size - 1, c2 + 1 + size - 1, c_in), dyadic)
+        r2, c2 = rows * POOL, cols * POOL
+        x = _data(seed, (batch, r2 + 2 + POOL - 1, c2 + 1 + POOL - 1, c_in), dyadic)
         w = _data(seed + 1, (3, 2, c_in, c_out), dyadic)
         b = _data(seed + 2, (c_out,), dyadic)
         z_ref, cols_ref = reference._conv_forward(x, w, b)
@@ -331,15 +332,15 @@ class TestAgainstReference:
 
         a_ref = np.maximum(z_ref, 0.0)
         a = a_ref[:, :r2, :c2]
-        pooled_ref, idx_ref = reference._pool_forward(a_ref, size)
-        pooled, idx = _pool_argmax(a, size, ws)
+        pooled_ref, idx_ref = reference._pool_forward(a_ref)
+        pooled, idx = _pool_argmax(a, ws)
         assert pooled.tobytes() == pooled_ref.tobytes()
-        assert pooled.tobytes() == _pool(a, size, np.empty_like(pooled)).tobytes()
+        assert pooled.tobytes() == _pool(a, np.empty_like(pooled)).tobytes()
         np.testing.assert_array_equal(idx, idx_ref)
 
         d_pooled = _data(seed + 3, pooled.shape, dyadic)
-        d_a_ref = reference._pool_backward(d_pooled, idx_ref, a_ref.shape, size)
-        d_a = _unpool(d_pooled, idx, size, ws, "d_pool")
+        d_a_ref = reference._pool_backward(d_pooled, idx_ref, a_ref.shape)
+        d_a = _unpool(d_pooled, idx, ws, "d_pool")
         np.testing.assert_array_equal(d_a, d_a_ref[:, :r2, :c2])
         assert not d_a_ref[:, r2:].any() and not d_a_ref[:, :, c2:].any()
 
@@ -352,12 +353,12 @@ class TestAgainstReference:
 
     @settings(max_examples=80, deadline=None)
     @given(c1=st.integers(4, 9), c2=st.integers(5, 9), hidden=st.integers(6, 12),
-           pool=st.sampled_from([2, 3]), k_extra=st.integers(0, 7), w_extra=st.integers(0, 7),
+           k_extra=st.integers(0, 7), w_extra=st.integers(0, 7),
            classes=st.integers(2, 5), batch=st.integers(1, 6),
            seed=st.integers(0, 2**31), dyadic=st.booleans())
-    def test_net(self, c1, c2, hidden, pool, k_extra, w_extra, classes, batch, seed, dyadic):
-        shape = (4 + pool + k_extra, 2 + pool + w_extra, 3)
-        arch = NetSpec(conv1_channels=c1, conv2_channels=c2, hidden=hidden, pool=pool)
+    def test_net(self, c1, c2, hidden, k_extra, w_extra, classes, batch, seed, dyadic):
+        shape = (4 + POOL + k_extra, 2 + POOL + w_extra, 3)
+        arch = NetSpec(conv1_channels=c1, conv2_channels=c2, hidden=hidden)
         net = _oracle_net(shape, classes, arch, seed, dyadic)
         x = _data(seed + 3, (batch, *shape), dyadic)
         labels = np.random.default_rng(seed).integers(0, classes, batch)
@@ -741,16 +742,43 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=message):
             load_checkpoint(path)
 
-    def test_rejects_a_version_2_checkpoint_naming_the_file(self, tmp_path):
-        # Version 2 held the same header and the parameters as float64.
+    @staticmethod
+    def assert_old_version_refused(path, version, dtype):
+        """A checkpoint as an older writer wrote it is refused by its version,
+        naming the file. Versions 2 and 3 held the pool size in arch, version
+        2 the parameters as float64."""
         net = small_net(seed=29)
         header = {"input_shape": list(net.input_shape), "num_classes": net.num_classes,
-                  "arch": asdict(net.arch), "meta": {}}
-        path = tmp_path / "net.ckpt"
-        write_raw(path, replace(CHECKPOINT_FILE, version=2), header, net.parameters())
+                  "arch": {**asdict(net.arch), "pool": 2}, "meta": {}}
+        write_raw(path, replace(CHECKPOINT_FILE, version=version), header,
+                  net.astype(dtype).parameters())
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: unsupported pose "
-                                             r"ConvNet checkpoint version 2 \(this reader "
-                                             r"reads version 3\)$"):
+                                             rf"ConvNet checkpoint version {version} \(this "
+                                             r"reader reads version 4\)$"):
+            load_checkpoint(path)
+
+    def test_rejects_a_version_2_checkpoint_naming_the_file(self, tmp_path):
+        self.assert_old_version_refused(tmp_path / "net.ckpt", 2, np.float64)
+
+    def test_rejects_a_version_3_checkpoint_naming_the_file(self, tmp_path):
+        self.assert_old_version_refused(tmp_path / "net.ckpt", 3, np.float32)
+
+    @pytest.mark.parametrize("arch, message", [
+        ({}, r"arch lacks the NetSpec keys \['conv1_channels', 'conv2_channels', 'hidden'\]"),
+        ({"conv1_channels": 3}, r"arch lacks the NetSpec keys \['conv2_channels', 'hidden'\]"),
+        ({**asdict(SMALL_ARCH), "extra": 1},
+         r"arch has keys that are no NetSpec field: \['extra'\]"),
+        ({**asdict(SMALL_ARCH), "pool": 2}, r"arch has keys that are no NetSpec field: \['pool'\]"),
+    ], ids=["empty", "one key", "unknown key", "pool"])
+    def test_rejects_an_arch_that_is_not_exactly_the_netspec_fields(self, tmp_path, arch,
+                                                                     message):
+        # Read with NetSpec's defaults, a missing key would load a net of other widths.
+        net = small_net(seed=30).astype(np.float32)
+        header = {"input_shape": list(net.input_shape), "num_classes": net.num_classes,
+                  "arch": arch, "meta": {}}
+        path = tmp_path / "net.ckpt"
+        write_raw(path, CHECKPOINT_FILE, header, net.parameters())
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: {message}$"):
             load_checkpoint(path)
 
     def test_rejects_bad_magic(self, tmp_path):

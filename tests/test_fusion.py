@@ -92,7 +92,8 @@ class TestFuse:
         np.testing.assert_allclose(one.scores["v"], two.scores["v"])
 
     def test_class_count_mismatch(self):
-        with pytest.raises(ValueError, match="classes"):
+        with pytest.raises(ValueError, match="^stream 'spatial' has 3 classes, stream 'pose' "
+                                             "has 2$"):
             fuse(
                 {
                     "pose": stream("pose", {"v": [0.5, 0.5]}),
@@ -102,7 +103,8 @@ class TestFuse:
             )
 
     def test_video_set_mismatch(self):
-        with pytest.raises(ValueError, match="video set"):
+        with pytest.raises(ValueError, match="^stream 'pose' scores video 'a', which stream "
+                                             "'spatial' lacks$"):
             fuse(
                 {"pose": stream("pose", {"a": [1.0, 0.0]}),
                  "spatial": stream("spatial", {"b": [1.0, 0.0]})},

@@ -237,7 +237,7 @@ class TestTemporalInterpolate:
 def affine_corpus(topo, num_frames=60, seed=0):
     """Poses where every joint is an exact affine function of a 2-D latent.
 
-    Any joint pair is then exactly affine in each other, so a degree-1 fit
+    Any joint pair is then exactly affine in each other, so the affine fit
     must recover the relations to rounding error.
     """
     rng = np.random.default_rng(seed)
@@ -258,13 +258,13 @@ class TestSpatialModel:
         rng = np.random.default_rng(0)
         base = rng.uniform(size=(40, 1, 2))
         coords = np.concatenate([base, base + [0.0, -1.0], base + [0.5, 0.5]], axis=1)
-        model = fit_spatial_model(one_video(coords), topo, degree=1)
+        model = fit_spatial_model(one_video(coords), topo)
         pred = model.predict(0, 1, np.array([0.3, 0.7]))
         np.testing.assert_allclose(pred, [0.3, -0.3], atol=1e-9)
 
     def test_affine_recovery(self):
         corpus = affine_corpus(JHMDB)
-        model = fit_spatial_model(corpus, JHMDB, degree=1)
+        model = fit_spatial_model(corpus, JHMDB)
         coords = corpus.coords
         for s, t in [(0, 1), (3, 11), (14, 2)]:
             preds = np.array([model.predict(s, t, coords[f, s]) for f in range(10)])
@@ -273,26 +273,23 @@ class TestSpatialModel:
     def test_single_frame_fallback(self):
         topo = simple_topology()
         coords = np.array([[[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]]])
-        model = fit_spatial_model(one_video(coords), topo, degree=1)
+        model = fit_spatial_model(one_video(coords), topo)
         # Mean offset: joint 1 = joint 0 + (1, 1) on the only sample.
         np.testing.assert_allclose(model.predict(0, 1, np.array([5.0, 5.0])), [6.0, 6.0])
         assert model.trained[0, 1]
 
     @pytest.mark.parametrize("case", ["one frame", "fewer frames than features",
-                                      "constant source", "collinear source at degree 2"])
+                                      "constant source", "collinear source"])
     def test_degenerate_designs_fall_back_to_the_mean_offset(self, case):
         rng = np.random.default_rng(3)
-        degree, coords = {
-            "one frame": (1, rng.uniform(-1, 1, (1, 3, 2))),
-            "fewer frames than features": (2, rng.uniform(-1, 1, (5, 3, 2))),
-            "constant source": (1, rng.uniform(-1, 1, (40, 3, 2))),
-            "collinear source at degree 2": (2, rng.uniform(-1, 1, (50, 3, 2))),
-        }[case]
+        frames = {"one frame": 1, "fewer frames than features": 2, "constant source": 40,
+                  "collinear source": 50}[case]
+        coords = rng.uniform(-1, 1, (frames, 3, 2))
         if case == "constant source":
             coords[:, 0] = [0.3, -0.7]
-        if case == "collinear source at degree 2":
+        if case == "collinear source":
             coords[:, 0, 1] = 2.0 * coords[:, 0, 0] + 1.0
-        self.assert_mean_offset(coords, degree)
+        self.assert_mean_offset(coords)
 
     def test_a_design_between_the_lstsq_cut_and_the_moment_cut_falls_back(self):
         """The fit falls back when the centered design's singular values are
@@ -307,84 +304,89 @@ class TestSpatialModel:
         assert 200 * eps < values[-1] / values[0] < np.sqrt(3 * 200 * eps)
         _, _, rank, _ = np.linalg.lstsq(np.c_[np.ones(200), coords[:, 0]], coords[:, 1], rcond=None)
         assert rank == 3
-        self.assert_mean_offset(coords, 1)
+        self.assert_mean_offset(coords)
 
     @staticmethod
-    def assert_mean_offset(coords, degree):
+    def assert_mean_offset(coords):
         """Joint 0 predicts joint 1 as itself plus their mean offset, in the
         fit and in the per-pair loop."""
         topo = simple_topology()
-        expected = np.zeros((6 if degree == 2 else 3, 2))
+        expected = np.zeros((3, 2))
         expected[0] = (coords[:, 1] - coords[:, 0]).mean(axis=0)
         expected[1, 0] = expected[2, 1] = 1.0
         pose = reference.Pose("v", coords, np.ones(coords.shape[:2], np.uint8))
-        for model in (fit_spatial_model(PoseCorpus.of([pose]), topo, degree=degree),
-                      reference.fit_spatial_model([pose], topo, degree=degree)):
+        for model in (fit_spatial_model(PoseCorpus.of([pose]), topo),
+                      reference.fit_spatial_model([pose], topo)):
             assert model.trained[0, 1]
             np.testing.assert_allclose(model.coeffs[0, 1], expected, rtol=0.0, atol=1e-12)
 
-    @pytest.mark.parametrize("value, degree", [(1e160, 1), (1e300, 1), (1e80, 2)])
-    def test_coordinates_too_large_to_sum_name_their_joint(self, value, degree):
+    @pytest.mark.parametrize("value, axis", [(1e160, 1), (1e300, 1), (1e160, 0)])
+    def test_coordinates_too_large_to_sum_name_their_joint(self, value, axis):
         coords = np.random.default_rng(5).uniform(-1, 1, (20, 3, 2))
-        coords[7, 2, 1] = value
+        coords[7, 2, axis] = value
         with pytest.raises(ValueError, match="^joint 'wrist' has coordinates too large for the "
                                              "spatial fit: the sums of their products overflow"):
-            fit_spatial_model(one_video(coords), simple_topology(), degree=degree)
+            fit_spatial_model(one_video(coords), simple_topology())
 
     def test_pairs_never_filled_together_stay_untrained(self):
         topo = simple_topology()
         coords = np.array([[[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]]] * 2)
         vis = np.array([[1, 1, 0], [1, 0, 1]], dtype=np.uint8)
-        model = fit_spatial_model(one_video(coords, vis), topo, degree=1)
+        model = fit_spatial_model(one_video(coords, vis), topo)
         np.testing.assert_array_equal(
             model.trained, [[False, True, True], [True, False, False], [True, False, False]]
         )
 
-    def test_rejects_bad_degree(self):
-        with pytest.raises(ValueError, match="degree"):
-            fit_spatial_model(affine_corpus(JHMDB), JHMDB, degree=3)
-
-    def test_check_names_topology_joints_and_degree(self):
-        model = fit_spatial_model(affine_corpus(JHMDB), JHMDB, degree=1)
-        model.check(JHMDB, poly_degree=1)
-        cut = replace(model, coeffs=model.coeffs[:5, :5], trained=model.trained[:5, :5])
+    def test_check_names_topology_and_joints(self):
+        model = fit_spatial_model(affine_corpus(JHMDB), JHMDB)
+        model.check(JHMDB)
+        cut = replace(model, joint_names=model.joint_names[:5], coeffs=model.coeffs[:5, :5],
+                      trained=model.trained[:5, :5])
         for call, message in [
             (lambda: model.check(build_topology("penn")), "fit on 'jhmdb_gt', not 'penn'"),
             (lambda: cut.check(JHMDB), "has 5 joints, topology 'jhmdb_gt' has 15"),
-            (lambda: model.check(JHMDB, poly_degree=2), "has degree 1, but --poly-degree is 2"),
             (lambda: spatial_interpolate(affine_corpus(JHMDB), cut, JHMDB), "has 5 joints"),
         ]:
             with pytest.raises(ValueError, match=message):
                 call()
 
+    def test_check_refuses_a_model_of_other_joint_names(self, tmp_path):
+        """Two description files of one stem load as the same profile; a
+        model fit on one fills the wrong joints of the other, so check
+        compares the joint names in order."""
+        text = "n=4 root=neck torso=neck,belly{}\nneck belly part=5\nneck arm part=1\n" \
+               "belly leg part=3\n"
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        (tmp_path / "a" / "sk.txt").write_text(text.format(""))
+        (tmp_path / "b" / "sk.txt").write_text(text.format(" joints=neck,leg,arm,belly"))
+        a = build_topology("custom", tmp_path / "a" / "sk.txt")
+        b = build_topology("custom", tmp_path / "b" / "sk.txt")
+        assert a.name == b.name == "custom:sk" and a.joint_names != b.joint_names
+        model = fit_spatial_model(one_video(np.random.default_rng(6).uniform(-1, 1, (9, 4, 2))), a)
+        model.check(a)
+        with pytest.raises(ValueError, match=f"^spatial model joint 1 is '{a.joint_names[1]}', "
+                                             f"topology 'custom:sk' has 'leg' there$"):
+            model.check(b)
+
     def test_rejects_empty_corpus(self):
         with pytest.raises(ValueError, match="empty"):
             fit_spatial_model(PoseCorpus.of([]), JHMDB)
 
-    def test_degree_two_fits_quadratic(self):
-        topo = simple_topology()
-        rng = np.random.default_rng(5)
-        src = rng.uniform(-1, 1, size=(80, 2))
-        tgt = np.stack([src[:, 0] ** 2, src[:, 0] * src[:, 1]], axis=1)
-        coords = np.stack([src, tgt, src + 1.0], axis=1)
-        model = fit_spatial_model(one_video(coords), topo, degree=2)
-        pred = model.predict(0, 1, np.array([0.4, -0.3]))
-        np.testing.assert_allclose(pred, [0.16, -0.12], atol=1e-9)
-
     def test_save_load_round_trip(self, tmp_path):
-        model = fit_spatial_model(affine_corpus(JHMDB), JHMDB, degree=1)
+        model = fit_spatial_model(affine_corpus(JHMDB), JHMDB)
         path = tmp_path / "model.bin"
         model.save(path)
         loaded = type(model).load(path)
         assert loaded.topology_name == model.topology_name
-        assert loaded.degree == model.degree
+        assert loaded.joint_names == model.joint_names == JHMDB.joint_names
         np.testing.assert_array_equal(loaded.coeffs, model.coeffs)
         np.testing.assert_array_equal(loaded.trained, model.trained)
 
-    @pytest.mark.parametrize("degree", [1, 2])
-    def test_predict_is_array_valued(self, degree):
-        model = fit_spatial_model(affine_corpus(JHMDB), JHMDB, degree=degree)
-        rng = np.random.default_rng(degree)
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_predict_is_array_valued(self, seed):
+        model = fit_spatial_model(affine_corpus(JHMDB, seed=seed), JHMDB)
+        rng = np.random.default_rng(seed)
         sources, targets = rng.integers(0, JHMDB.n, size=(2, 40))
         xy = rng.normal(size=(40, 2))
         rows = model.predict(sources, targets, xy)
@@ -395,10 +397,11 @@ class TestSpatialModel:
 
 
 def _write_model(path, coeffs=None, trained=None, **changes):
-    """A degree-1 model file with header fields replaced (None drops one) and
-    the given arrays written as they are."""
-    model = fit_spatial_model(affine_corpus(JHMDB), JHMDB, degree=1)
-    header = {"topology_name": model.topology_name, "degree": 1, "joints": JHMDB.n, **changes}
+    """A model file with header fields replaced (None drops one) and the
+    given arrays written as they are."""
+    model = fit_spatial_model(affine_corpus(JHMDB), JHMDB)
+    header = {"topology_name": model.topology_name, "joint_names": list(JHMDB.joint_names),
+              **changes}
     arrays = {"coeffs": model.coeffs if coeffs is None else coeffs,
               "trained": model.trained.astype(np.uint8) if trained is None else trained}
     write_raw(path, MODEL_FILE, {k: v for k, v in header.items() if v is not None}, arrays)
@@ -418,9 +421,9 @@ MODEL_DEFECTS = {
     "truncated": (_truncated, "truncated in array 'coeffs'"),
     "not a model file": (lambda p: p.write_bytes(b"hello, not a model\n"), "bad magic"),
     "a bare .npy": (_bare_npy, "not a spatial model file (bad magic"),
-    "missing key": (lambda p: _write_model(p, degree=None), "header field 'degree'"),
-    "degree 3": (lambda p: _write_model(p, degree=3), "degree must be 1 or 2, got 3"),
-    "float degree": (lambda p: _write_model(p, degree=1.0), "header field 'degree' must be int"),
+    "missing key": (lambda p: _write_model(p, joint_names=None), "header field 'joint_names'"),
+    "a joint name not a string": (lambda p: _write_model(p, joint_names=[0] * 15),
+                                  "header field 'joint_names' must be list[str]"),
     "name not a string": (lambda p: _write_model(p, topology_name=7), "field 'topology_name'"),
     "5x5 coeffs": (lambda p: _write_model(p, coeffs=np.zeros((5, 5, 3, 2))), "truncated"),
     "degree-2 coeffs": (lambda p: _write_model(p, coeffs=np.zeros((15, 15, 6, 2))),
@@ -443,6 +446,18 @@ def test_spatial_model_load_names_file_and_field(defect, tmp_path):
     assert message in str(info.value)
 
 
+def test_a_version_1_spatial_model_is_refused_naming_the_file(tmp_path):
+    # Version 1 held a degree (1 or 2) and a joint count, not the joint names.
+    model = fit_spatial_model(affine_corpus(JHMDB), JHMDB)
+    path = tmp_path / "model.bin"
+    write_raw(path, replace(MODEL_FILE, version=1),
+              {"topology_name": "jhmdb_gt", "degree": 1, "joints": JHMDB.n},
+              {"coeffs": model.coeffs, "trained": model.trained.astype(np.uint8)})
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: unsupported spatial model "
+                                         r"version 1 \(this reader reads version 2\)$"):
+        SpatialModel.load(path)
+
+
 class TestSpatialInterpolate:
     def test_mean_of_votes(self):
         # Two voters predicting (1,0) and (3,0) must fill (2,0). Use a
@@ -455,7 +470,7 @@ class TestSpatialInterpolate:
             [base, base + [0.0, 1.0], base + [1.0, 0.0], base + [3.0, 0.0], base + [2.0, 0.0]],
             axis=1,
         )
-        model = fit_spatial_model(one_video(coords), topo, degree=1)
+        model = fit_spatial_model(one_video(coords), topo)
 
         frame = np.array([[[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [3.0, 0.0], [99.0, 99.0]]])
         vis = np.array([[1, 1, 1, 1, 0]], dtype=np.uint8)
@@ -466,14 +481,14 @@ class TestSpatialInterpolate:
         assert out.flags[0, 4] == VIS_SPATIAL
 
     def test_identity_when_nothing_missing(self):
-        model = fit_spatial_model(affine_corpus(JHMDB), JHMDB, degree=1)
+        model = fit_spatial_model(affine_corpus(JHMDB), JHMDB)
         pose = affine_corpus(JHMDB, num_frames=4, seed=1)
         out = spatial_interpolate(pose, model, JHMDB)
         np.testing.assert_array_equal(out.coords, pose.coords)
         np.testing.assert_array_equal(out.flags, pose.flags)
 
     def test_knocked_out_joint_recovered(self):
-        model = fit_spatial_model(affine_corpus(JHMDB, num_frames=80), JHMDB, degree=1)
+        model = fit_spatial_model(affine_corpus(JHMDB, num_frames=80), JHMDB)
         probe = affine_corpus(JHMDB, num_frames=6, seed=0)
         for victim in (11, 2, 14):
             vis = probe.flags.copy()
@@ -494,7 +509,8 @@ class TestSpatialInterpolate:
         for (voter, target), point in predictions.items():
             coeffs[voter, target, 0] = point
             trained[voter, target] = True
-        return SpatialModel(topology_name=topo.name, degree=1, coeffs=coeffs, trained=trained)
+        return SpatialModel(topology_name=topo.name, joint_names=topo.joint_names,
+                            coeffs=coeffs, trained=trained)
 
     def test_torso_group_fallback_for_upper_body(self):
         # r_wrist (part 1) missing along with its whole part: voters must be
@@ -550,7 +566,7 @@ class TestSpatialInterpolate:
     def test_zero_voters_synthetic_zero_fill(self):
         topo = simple_topology()
         coords = np.array([[[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]])
-        model = fit_spatial_model(one_video(coords), topo, degree=1)
+        model = fit_spatial_model(one_video(coords), topo)
         model = replace(model, trained=np.zeros_like(model.trained))  # every voter abstains
         vis = np.array([[1, 1, 0]], dtype=np.uint8)
         out = spatial_interpolate(one_video(coords, vis), model, topo)
@@ -559,14 +575,14 @@ class TestSpatialInterpolate:
 
     def test_no_missing_after_interpolation(self):
         rng = np.random.default_rng(9)
-        model = fit_spatial_model(affine_corpus(JHMDB, num_frames=100), JHMDB, degree=1)
+        model = fit_spatial_model(affine_corpus(JHMDB, num_frames=100), JHMDB)
         probe = affine_corpus(JHMDB, num_frames=12, seed=3)
         vis = (rng.random(probe.flags.shape) > 0.4).astype(np.uint8)
         out = spatial_interpolate(one_video(probe.coords, vis, video="p"), model, JHMDB)
         assert (out.flags > 0).all()
 
     def test_topology_mismatch_rejected(self):
-        model = fit_spatial_model(affine_corpus(JHMDB), JHMDB, degree=1)
+        model = fit_spatial_model(affine_corpus(JHMDB), JHMDB)
         pose = affine_corpus(JHMDB, num_frames=2)
         with pytest.raises(ValueError, match="fit on"):
             spatial_interpolate(pose, model, build_topology("penn"))
@@ -796,10 +812,10 @@ def test_temporal_and_normalize_match_loops(seed, topo, counts, dropout, degener
 
 
 @settings(max_examples=60, deadline=None)
-@given(**corpus_knobs, degree=st.sampled_from([1, 2]),
-       min_samples=st.sampled_from([1, 4, 12]), abstain=st.sampled_from([0.0, 0.5]))
+@given(**corpus_knobs, min_samples=st.sampled_from([1, 4, 12]),
+       abstain=st.sampled_from([0.0, 0.5]))
 def test_fit_and_fill_match_loops(seed, topo, counts, dropout, degenerate, max_gap,
-                                  degree, min_samples, abstain):
+                                  min_samples, abstain):
     """The fit trains the pairs the per-pair lstsq loop trains, exactly, and
     its coefficients are within max(1e-9, 10 * kappa**2 * eps) times each
     pair's largest coefficient of the loop's. kappa is the condition number
@@ -813,17 +829,17 @@ def test_fit_and_fill_match_loops(seed, topo, counts, dropout, degenerate, max_g
     poses = [reference.normalize(p, topo)
              for p in noisy_poses(topo, rng, counts, dropout, degenerate, max_gap)]
     corpus = PoseCorpus.of(poses)
-    model = fit_spatial_model(corpus, topo, degree=degree)
-    loop_model = reference.fit_spatial_model(poses, topo, degree=degree)
+    model = fit_spatial_model(corpus, topo)
+    loop_model = reference.fit_spatial_model(poses, topo)
     np.testing.assert_array_equal(model.trained, loop_model.trained)
-    kappa = reference.design_conditions(poses, topo, degree=degree)
+    kappa = reference.design_conditions(poses, topo)
     kappa[np.isinf(kappa)] = 0.0
     rtol = np.maximum(1e-9, 10 * kappa**2 * np.finfo(np.float64).eps)
     error = np.abs(model.coeffs - loop_model.coeffs).max(axis=(2, 3))
     assert (error <= rtol * np.abs(loop_model.coeffs).max(axis=(2, 3))).all()
 
     # Untrain pairs with few samples, and more at random, so that untrained voters abstain.
-    sampled = reference.fit_spatial_model(poses, topo, degree=degree, min_samples=min_samples)
+    sampled = reference.fit_spatial_model(poses, topo, min_samples=min_samples)
     model = replace(model, trained=sampled.trained & (rng.random(model.trained.shape) >= abstain))
     assert_same_corpus(spatial_interpolate(corpus, model, topo),
                        [reference.spatial_interpolate(p, model, topo) for p in poses])
