@@ -9,18 +9,21 @@ turns checkpoint + corpus into a score CSV and an accuracy report, and
 ``FilledCorpus.tensor_shape`` gives: ``train`` hands ``convnet.train`` a
 draw that builds each epoch's tensors from fresh snippets, in that epoch's
 order, and ``eval`` holds the corpus file open and reads, builds and
-scores one slice of videos at a time. Every command is deterministic
-given its config and seed, every output but the ``--save-spatial-model``
-file embeds the config hash and seed (that file's header holds only
-``topology_name`` and ``joint_names``), every output path is checked
-before any work (none may be a file the command reads; each ``cmd_*``
-but ``cmd_synth`` takes the config file's path for that), and every
-output is written to a unique temp file, all of them renamed into place
-only once all are written (``_Outputs``). Errors leave a machine-readable
+scores one slice of videos at a time. The corpus file holds coordinates
+only; ``preprocess``'s report keeps their fill provenance. Every command
+is deterministic given its config and seed, every output but the
+``--save-spatial-model`` file embeds the config hash and seed (that
+file's header holds only ``topology_name`` and ``joint_names``), every
+output path is checked before any work (none may be a file the command
+reads; each ``cmd_*`` but ``cmd_synth`` takes the config file's path for
+that), and every output is written to a unique temp file, all of them
+renamed into place only once all are written (``_Outputs``). Errors leave a machine-readable
 JSON line on stderr and a nonzero exit code.
 
 Each command imports the layers it runs at its top, and calls them as
-module attributes; ``fuse`` and ``weights-search`` load only ``fusion``.
+module attributes; ``fuse`` and ``weights-search`` load only ``fusion``,
+and ``train`` and ``eval`` do not load ``preprocess`` (``eval`` loads no
+``numpy.random`` either: its snippet draw is a counter-based hash).
 """
 
 from __future__ import annotations
@@ -205,13 +208,15 @@ def cmd_preprocess(cfg: PipelineConfig, config: str | None = None) -> dict:
         corpus = preprocess.spatial_interpolate(corpus, model, topology)
     else:
         corpus = preprocess.zero_fill(corpus)
+    # The provenance lives in the report: the filled corpus holds no flags.
+    fills, fills_per_joint = _fill_counts(corpus.flags, topology)
     try:  # the one cast of the coordinates to the net's dtype
-        corpus = tensorize.FilledCorpus(**vars(corpus), path=euler_tour(topology),
+        corpus = tensorize.FilledCorpus(corpus.videos, corpus.labels, corpus.offsets,
+                                        corpus.coords, path=euler_tour(topology),
                                         seed=cfg.seed, config_hash=cfg.hash())
     except ValueError as exc:
         raise CliError(f"{cfg.annotations}: {exc}") from None
 
-    fills, fills_per_joint = _fill_counts(corpus.flags, topology)
     report = {
         **run_meta,
         "videos": len(corpus.videos),

@@ -14,8 +14,9 @@ load it without the layers it does not run. It owns the settings objects
 the layers take (``NetSpec``, ``TrainConfig``, ``SAMPLING_MODES`` and the
 net's dtype ``NET_DTYPE``), which they import from here, the video id rule
 and check that the annotation, corpus and CSV readers and writers share,
-and the message for a text file that is not UTF-8, which the config, CSV
-and topology readers share.
+the check of a corpus's ids, labels and offsets that the pose corpus and
+the filled corpus share, and the message for a text file that is not
+UTF-8, which the config, CSV and topology readers share.
 """
 
 from __future__ import annotations
@@ -24,9 +25,10 @@ import hashlib
 import io
 import json
 import math
+import re
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -35,13 +37,15 @@ SAMPLING_MODES = ("random", "center")
 
 ID_RULE = "must not contain ',', '\"', CR, LF or unpaired surrogates, nor start with '#'"
 
+# Score and label CSVs join fields with bare commas, one row per line, and
+# the corpus file stores ids as UTF-8, which has no unpaired surrogates.
+_ID_FORBIDDEN = re.compile('[,"\r\n\ud800-\udfff]')
+
 
 def is_video_id(video: object) -> bool:
     """Whether video is an id every reader accepts and every writer writes back."""
-    # Score and label CSVs join fields with bare commas, one row per line, and
-    # the corpus file stores ids as UTF-8, which has no unpaired surrogates.
     return (isinstance(video, str) and video != "" and not video.startswith("#")
-            and not any(c in ',"\r\n' or "\ud800" <= c <= "\udfff" for c in video))
+            and _ID_FORBIDDEN.search(video) is None)
 
 
 def check_video_ids(videos: Iterable[object]) -> None:
@@ -51,6 +55,20 @@ def check_video_ids(videos: Iterable[object]) -> None:
         if not is_video_id(video):
             raise ValueError(f"cannot write video id {video!r}: an id must be a non-empty "
                              f"string and {ID_RULE}")
+
+
+def check_corpus_index(videos: Sequence[str], labels: np.ndarray, offsets: np.ndarray,
+                       frames: int) -> None:
+    """The checks of a corpus that need none of its frames: a label per
+    video, and offsets that rise from 0 to the frame count."""
+    count = len(videos)
+    if count == 0:
+        raise ValueError("refusing to build an empty corpus")
+    if labels.shape != (count,) or offsets.shape != (count + 1,):
+        raise ValueError(f"{count} videos need {count} labels and {count + 1} offsets, got "
+                         f"{labels.shape} and {offsets.shape}")
+    if offsets[0] != 0 or offsets[-1] != frames or np.any(np.diff(offsets) < 1):
+        raise ValueError(f"frame offsets must rise from 0 to {frames} with no empty video")
 
 
 def decode_utf8(path: str | Path, data: bytes) -> str:

@@ -406,8 +406,11 @@ def forward(net: PoseConvNet, batch: np.ndarray, ws: Workspace | None = None) ->
     (``row_slices``), and a video's probabilities do not depend on the
     other rows of its batch. For the default and the 8/16/64 net they are
     those of one unsliced pass of at least HEAD_ROWS rows bit for bit; for
-    other widths they may differ in the last bits (module docstring)."""
+    other widths they may differ in the last bits (module docstring). An
+    empty batch gives (0, classes)."""
     batch = _as_batch(net, batch)
+    if not len(batch):
+        return np.empty((0, net.num_classes), net.dtype)
     ws = Workspace() if ws is None else ws
     return np.concatenate([_probs(net, part, ws) for part in row_slices(batch, FORWARD_SLICE)])
 
@@ -446,8 +449,10 @@ def _loss_and_grads(
 
 def backward(net: PoseConvNet, batch: np.ndarray, labels: np.ndarray) -> dict[str, np.ndarray]:
     """Analytic loss gradients of a batch (B, K, W, 3) with B labels, summed
-    over the batch, computed in a fresh Workspace."""
+    over the batch, computed in a fresh Workspace; an empty batch is refused."""
     batch = _as_batch(net, batch)
+    if not len(batch):
+        raise ValueError(f"batch must be non-empty, got shape {batch.shape}")
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (batch.shape[0],):
         raise ValueError(f"expected {batch.shape[0]} labels, got {labels.shape}")

@@ -47,12 +47,12 @@ import math
 import reprlib
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import ClassVar, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from . import binio
-from .config import ID_RULE, check_video_ids, is_video_id
+from .config import ID_RULE, check_corpus_index, check_video_ids, is_video_id
 from .skeleton import SkeletonTopology, upper_body_joints
 
 VIS_MISSING = 0
@@ -77,49 +77,33 @@ class PoseCorpus:
 
     Video i owns rows offsets[i] to offsets[i+1] - 1 of coords and flags.
     flags holds fill provenance (0 missing .. 4 synthetic); coordinates are
-    only meaningful where flags > 0, and there must be finite in coords_dtype.
+    only meaningful where flags > 0, and there must be finite.
     """
 
     videos: tuple[str, ...]
     labels: np.ndarray   # (V,) int64, -1 where absent
     offsets: np.ndarray  # (V+1,) int64
-    coords: np.ndarray   # (F, n, 2) coords_dtype
+    coords: np.ndarray   # (F, n, 2) float64
     flags: np.ndarray    # (F, n) uint8
-    coords_dtype: ClassVar[np.dtype] = np.dtype(np.float64)  # NET_DTYPE in a FilledCorpus
 
     def __post_init__(self) -> None:
         self.videos = tuple(self.videos)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         self.offsets = np.asarray(self.offsets, dtype=np.int64)
-        with np.errstate(over="ignore"):  # a value beyond coords_dtype's range casts to inf
-            self.coords = np.asarray(self.coords, dtype=self.coords_dtype)
+        self.coords = np.asarray(self.coords, dtype=np.float64)
         self.flags = np.asarray(self.flags, dtype=np.uint8)
         if self.coords.ndim != 3 or self.coords.shape[2] != 2:
             raise ValueError(f"coords must have shape (F, n, 2), got {self.coords.shape}")
         if self.flags.shape != self.coords.shape[:2]:
             raise ValueError(f"flags shape {self.flags.shape} does not match coords "
                              f"{self.coords.shape[:2]}")
-        self.check_index(self.videos, self.labels, self.offsets, len(self.coords))
+        check_corpus_index(self.videos, self.labels, self.offsets, len(self.coords))
         if not np.isfinite(self.coords).all():
             bad = ((self.flags > 0) & ~np.isfinite(self.coords).all(axis=2)).any(axis=1)
             if bad.any():
                 video = self.videos[np.searchsorted(self.offsets, bad.argmax(), side="right") - 1]
                 raise ValueError(f"video '{video}' has non-finite {self.coords.dtype} "
                                  "coordinates on filled joints")
-
-    @staticmethod
-    def check_index(videos: Sequence[str], labels: np.ndarray, offsets: np.ndarray,
-                    frames: int) -> None:
-        """The checks of a corpus that need none of its frames: a label per
-        video, and offsets that rise from 0 to the frame count."""
-        count = len(videos)
-        if count == 0:
-            raise ValueError("refusing to build an empty corpus")
-        if labels.shape != (count,) or offsets.shape != (count + 1,):
-            raise ValueError(f"{count} videos need {count} labels and {count + 1} offsets, got "
-                             f"{labels.shape} and {offsets.shape}")
-        if offsets[0] != 0 or offsets[-1] != frames or np.any(np.diff(offsets) < 1):
-            raise ValueError(f"frame offsets must rise from 0 to {frames} with no empty video")
 
     @classmethod
     def of(cls, records: Sequence[Record]) -> "PoseCorpus":

@@ -80,6 +80,13 @@ def parse_annotation_line(line: str, n_expected: int | None = None):
     return preprocess.pose_from_record(obj, n_expected=n_expected)
 
 
+def is_video_id(video: object) -> bool:
+    """The id rule as a per-character loop: the oracle of the one compiled
+    character class ``config.is_video_id`` matches."""
+    return (isinstance(video, str) and video != "" and not video.startswith("#")
+            and not any(c in ',"\r\n' or "\ud800" <= c <= "\udfff" for c in video))
+
+
 def pose_from_record(record: dict, n_expected: int | None = None) -> Pose:
     if not isinstance(record, dict):
         raise AnnotationError("record is not a JSON object")
@@ -91,7 +98,7 @@ def pose_from_record(record: dict, n_expected: int | None = None) -> Pose:
         raise AnnotationError(f"missing or malformed field: {exc}") from None
     if not isinstance(video, str) or not video:
         raise AnnotationError("'video' must be a non-empty string")
-    if video.startswith("#") or any(c in ',"\r\n' or "\ud800" <= c <= "\udfff" for c in video):
+    if not is_video_id(video):
         raise AnnotationError(
             f"video id {video!r} must not contain ',', '\"', CR, LF or unpaired "
             "surrogates, nor start with '#'"

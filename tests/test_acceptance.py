@@ -77,8 +77,7 @@ def test_criterion_2_tensor_shapes():
         for profile, shape in expected.items():
             topo = build_topology(profile)
             coords = rng.uniform(0, 100, size=(40, topo.n, 2))
-            pose = ("v", coords, np.ones((40, topo.n), np.uint8), 0)
-            corpus = FilledCorpus(**vars(PoseCorpus.of([pose])), path=euler_tour(topo), seed=0,
+            corpus = FilledCorpus(("v",), [0], [0, 40], coords, path=euler_tour(topo), seed=0,
                                   config_hash="")
             data = corpus_tensors(corpus, [0], k=15, mode="random", seed=1)
             assert data.shape == (1, *shape)

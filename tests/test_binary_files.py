@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from conftest import topology
 from posestream import binio
 from posestream.convnet import NetSpec, init_net, load_checkpoint, save_checkpoint
-from posestream.preprocess import PoseCorpus, SpatialModel
+from posestream.preprocess import SpatialModel
 from posestream.skeleton import euler_tour
 from posestream.tensorize import CORPUS_FILE, FilledCorpus, OpenCorpus, read_corpus, write_corpus
 
@@ -29,13 +29,10 @@ TOPOLOGY = topology("n=3 root=r torso=a,b\nr a part=1\nr b part=2\n", "tri")
 
 
 def small_corpus(rng, frames):
-    poses = [
-        (f"clip{i}", rng.normal(size=(count, TOPOLOGY.n, 2)),
-         rng.integers(1, 5, size=(count, TOPOLOGY.n)), i)
-        for i, count in enumerate(frames)
-    ]
-    return FilledCorpus(**vars(PoseCorpus.of(poses)), path=euler_tour(TOPOLOGY), seed=7,
-                        config_hash="h")
+    return FilledCorpus(
+        videos=[f"clip{i}" for i in range(len(frames))], labels=np.arange(len(frames)),
+        offsets=np.cumsum([0, *frames]), coords=rng.normal(size=(sum(frames), TOPOLOGY.n, 2)),
+        path=euler_tour(TOPOLOGY), seed=7, config_hash="h")
 
 
 def small_model(rng):
@@ -131,8 +128,6 @@ def test_rows_read_alone_are_the_rows_read_whole(tmp_path):
     np.testing.assert_array_equal(part.offsets, [0, 2, 5, 6])
     assert part.coords.tobytes() == np.concatenate(
         [corpus.coords[6:8], corpus.coords[0:4]]).tobytes()
-    assert part.flags.tobytes() == np.concatenate(
-        [corpus.flags[6:8], corpus.flags[0:4]]).tobytes()
 
 
 def test_a_file_that_shrinks_while_open_fails_naming_it(tmp_path):
@@ -142,17 +137,16 @@ def test_a_file_that_shrinks_while_open_fails_naming_it(tmp_path):
     with OpenCorpus(path) as corpus:
         path.write_bytes(raw[:-3])
         message = rejected(lambda _: corpus.read(), path)
-    assert message == f"{path}: truncated in array 'flags' (the file shrank while it was read)"
+    assert message == f"{path}: truncated in array 'coords' (the file shrank while it was read)"
 
 
 def test_rows_outside_an_array_are_refused_naming_them(tmp_path):
-    # 10 frames: rows 8 to 11 of coords would run into flags' bytes, and
-    # rows of flags, the last array, past the end of the file.
+    # 10 frames: rows 8 to 11 of coords, the last array, would run past the
+    # end of the file, and row -1 before the array.
     path = tmp_path / "c.bin"
     write_corpus(path, small_corpus(np.random.default_rng(6), [4, 6]))
     with CORPUS_FILE.open(path) as file:
         for name, out, start in (("coords", np.empty((3, 3, 2), np.float32), 8),
-                                 ("flags", np.empty((3, 3), np.uint8), 8),
                                  ("coords", np.empty((1, 3, 2), np.float32), -1)):
             message = rejected(lambda _: file.read_into(name, out, start), path)
             assert message == (f"{path}: rows {start} to {start + len(out)} are outside "
@@ -176,8 +170,7 @@ def test_a_corpus_of_no_videos_is_refused_naming_the_file(tmp_path):
     header = {"topology": "tri", "tour": list(euler_tour(TOPOLOGY).joints), "config_hash": "h",
               "seed": 7, "videos": [], "frames": 0, "joints": TOPOLOGY.n}
     arrays = {"offsets": np.zeros(1, "<i8"), "labels": np.zeros(0, "<i8"),
-              "coords": np.zeros((0, TOPOLOGY.n, 2), "<f4"),
-              "flags": np.zeros((0, TOPOLOGY.n), "u1")}
+              "coords": np.zeros((0, TOPOLOGY.n, 2), "<f4")}
     CORPUS_FILE.write(path, header, arrays)
     assert rejected(OpenCorpus, path) == f"{path}: refusing to build an empty corpus"
 

@@ -267,10 +267,11 @@ class TestPreprocess:
         assert reports["with"]["unusable_frames"] == reports["without"]["unusable_frames"] + 2
         full, kept = read_corpus(tmp_path / "with.cache"), read_corpus(tmp_path / "without.cache")
         assert full.videos == (kept.videos[0], "bad", kept.videos[1])
-        assert (full.coords[12:14] == 0.0).all() and (full.flags[12:14] == 4).all()
+        assert (full.coords[12:14] == 0.0).all()
+        assert (reports["with"]["fills"]["synthetic"]
+                == reports["without"]["fills"]["synthetic"] + 2 * topo.n)
         rows = np.r_[0:12, 14:26]
         assert full.coords[rows].tobytes() == kept.coords.tobytes()
-        assert full.flags[rows].tobytes() == kept.flags.tobytes()
 
     def test_over_deep_line_rejected(self, tmp_path, capsys):
         # A line over 64 KiB with more than 8192 brackets never reaches orjson.
@@ -656,8 +657,7 @@ class TestTrain:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            arrays = sum(a.nbytes for a in (corpus.labels, corpus.offsets, corpus.coords,
-                                            corpus.flags))
+            arrays = sum(a.nbytes for a in (corpus.labels, corpus.offsets, corpus.coords))
             return peak, arrays, 8 * videos * np.prod(corpus.tensor_shape(cfg.k))
 
         small, _, small_tensors = train_peak(64)
@@ -670,7 +670,7 @@ def random_corpus(videos, tour, rng, frames=20):
     return FilledCorpus(
         videos=[f"clip{i:05d}" for i in range(videos)], labels=np.arange(videos) % 4,
         offsets=np.arange(videos + 1) * frames, coords=rng.normal(size=(videos * frames, 15, 2)),
-        flags=np.ones((videos * frames, 15), np.uint8), path=tour, seed=3, config_hash="h",
+        path=tour, seed=3, config_hash="h",
     )
 
 
@@ -809,7 +809,7 @@ class TestEval:
 
     def test_memory_flat_in_corpus_size(self, tmp_path):
         """eval holds no frame beyond one slice's: from 64 to 640 videos of 40
-        frames (6.5 MB more coordinates and flags in the file) its traced peak
+        frames (5.2 MB more coordinates in the file) its traced peak
         grows by less than 1 MB."""
         tour = euler_tour(build_topology("jhmdb_gt"))
         net = init_net((15, 2 * len(tour), 3), num_classes=4, seed=0,
@@ -832,7 +832,6 @@ class TestEval:
 
     @pytest.mark.parametrize("defect, message", [
         ("label", "labels below -1"),
-        ("flag", "fill flags outside 1-4"),
         ("coordinate", "video 'clip00128' has non-finite float32 coordinates on filled joints"),
     ])
     def test_a_corpus_defect_fails_naming_the_file_before_any_write(self, tmp_path, capsys,
@@ -849,13 +848,12 @@ class TestEval:
         write_corpus(cache, corpus)
         raw = bytearray(cache.read_bytes())
         _, _, length = binio.PREFIX.unpack_from(raw)
-        # The labels follow the header and the V + 1 offsets; the flags are
-        # the last F * n bytes, after the coordinates.
+        # The labels follow the header and the V + 1 offsets; the
+        # coordinates are the last F * n * 2 float32 values.
         at, value = {
             "label": (binio.PREFIX.size + length + 16 * len(corpus.videos),
                       np.int64(-2).tobytes()),
-            "flag": (len(raw) - 1, b"\x05"),
-            "coordinate": (len(raw) - corpus.flags.size - 4, np.float32(np.nan).tobytes()),
+            "coordinate": (len(raw) - 4, np.float32(np.nan).tobytes()),
         }[defect]
         raw[at:at + len(value)] = value
         cache.write_bytes(raw)
@@ -889,8 +887,7 @@ class TestEval:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        arrays = sum(a.nbytes for a in (corpus.labels, corpus.offsets, corpus.coords,
-                                        corpus.flags))
+        arrays = sum(a.nbytes for a in (corpus.labels, corpus.offsets, corpus.coords))
         assert peak - arrays < sum(p.nbytes for p in net.parameters().values())
 
     def test_a_slice_reaches_the_net_with_no_copy(self):
@@ -1628,8 +1625,8 @@ class TestModuleSets:
         ("weights-search", ["fusion"]),
         ("synth", ["binio", "preprocess", "skeleton", "synth"]),
         ("preprocess", ["binio", "preprocess", "skeleton", "tensorize"]),
-        ("train", ["binio", "convnet", "preprocess", "skeleton", "tensorize"]),
-        ("eval", ["binio", "convnet", "fusion", "preprocess", "skeleton", "tensorize"]),
+        ("train", ["binio", "convnet", "skeleton", "tensorize"]),
+        ("eval", ["binio", "convnet", "fusion", "skeleton", "tensorize"]),
     ])
     def test_command_loads_only_its_layers(self, workdir, tmp_path, command, extra):
         argv = {
@@ -1655,6 +1652,16 @@ class TestModuleSets:
         loaded = _run_python(code, command, *map(str, argv))
         expected = ["posestream"] + [f"posestream.{name}" for name in ["cli", "config", *extra]]
         assert loaded == str(sorted(expected))
+
+    def test_eval_loads_no_numpy_random(self, workdir, tmp_path):
+        """eval's snippet draw is a hash, so scoring needs no generator."""
+        code = ("import sys\n"
+                "from posestream import cli\n"
+                "assert cli.main(sys.argv[1:]) == 0\n"
+                "print('numpy.random' in sys.modules)")
+        argv = ["eval", "--cache", workdir / "test.cache", "--checkpoint", workdir / "net.ckpt",
+                "--scores", tmp_path / "s.csv"]
+        assert _run_python(code, *map(str, argv)) == "False"
 
     def test_package_import_loads_no_submodule(self):
         code = ("import sys, posestream\n"

@@ -180,6 +180,12 @@ class TestConvPrimitive:
 
 
 class TestForward:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_an_empty_batch_gives_no_rows(self, dtype):
+        net = small_net().astype(dtype)
+        probs = forward(net, np.zeros((0,) + SMALL_SHAPE))
+        assert probs.shape == (0, 3) and probs.dtype == dtype
+
     def test_zero_input_uniform_probabilities(self):
         net = small_net()
         probs = forward(net, np.zeros((1,) + SMALL_SHAPE))
@@ -435,6 +441,11 @@ class TestLoss:
 
 
 class TestGradients:
+    def test_an_empty_batch_is_refused(self):
+        with pytest.raises(ValueError, match=r"^batch must be non-empty, got shape "
+                                             r"\(0, 8, 10, 3\)$"):
+            backward(small_net(), np.zeros((0,) + SMALL_SHAPE), np.zeros(0, np.int64))
+
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(3)
         net = small_net(seed=4)

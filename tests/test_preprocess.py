@@ -17,7 +17,7 @@ import preprocess_reference as reference
 from conftest import topology, write_raw
 from posestream import preprocess
 from posestream.cli import cmd_preprocess, main
-from posestream.config import PipelineConfig
+from posestream.config import PipelineConfig, is_video_id
 from posestream.fusion import StreamScores, read_labels, read_scores, write_labels, write_scores
 
 from posestream.preprocess import (
@@ -1340,3 +1340,14 @@ def test_a_mutated_annotation_line_fails_only_as_an_annotation_error(
         parse_annotation_line(line, n_expected)
     except AnnotationError:
         pass
+
+
+@settings(max_examples=500, deadline=None)
+@given(video=st.text(alphabet=st.characters(min_codepoint=0xD7F0, max_codepoint=0xE010)
+                           | st.characters() | st.sampled_from(',"\r\n#'), max_size=8)
+       | st.none() | st.integers() | st.binary(max_size=4))
+@example(video="\udfff")
+@example(video="퟿")
+@example(video="a#b")
+def test_video_id_rule_matches_the_per_character_loop(video):
+    assert is_video_id(video) == reference.is_video_id(video)

@@ -1,6 +1,7 @@
 """Topology construction and Euler-tour tests."""
 
 import dataclasses
+import json
 import re
 
 import numpy as np
@@ -8,7 +9,6 @@ import pytest
 
 from conftest import topology
 from posestream.cli import main
-from posestream.preprocess import VIS_SPATIAL, VIS_TEMPORAL
 from posestream.skeleton import (
     DESCRIPTIONS,
     PROFILES,
@@ -288,17 +288,21 @@ class TestBuiltInDescriptions:
         ann = tmp_path / "ann.jsonl"
         assert main(["synth", "--out", str(ann), "--profile", profile, "--videos-per-class", "2",
                      "--frames", "12", "--dropout", "0.2", "--seed", "3"]) == 0
-        corpora = []
+        corpora, reports = [], []
         for name, extra in (("built_in", ["--profile", profile]),
                             ("file", ["--profile", "custom", "--topology-file", str(path)])):
-            cache = tmp_path / f"{name}.cache"
+            cache, report = tmp_path / f"{name}.cache", tmp_path / f"{name}.json"
             assert main(["preprocess", "--annotations", str(ann), "--cache", str(cache),
-                         *extra]) == 0
+                         "--report", str(report), *extra]) == 0
             corpora.append(read_corpus(cache))
+            reports.append(json.loads(report.read_text("utf-8")))
         built_in, from_file = corpora
         # Both fills ran, so the torso anchors and the part votes were used.
-        assert {VIS_TEMPORAL, VIS_SPATIAL} <= set(np.unique(from_file.flags).tolist())
-        for field in ("offsets", "labels", "coords", "flags"):
+        fills = reports[1]["fills"]
+        assert fills["temporal"] > 0 and fills["spatial"] > 0
+        assert fills == reports[0]["fills"]
+        assert reports[1]["fills_per_joint"] == reports[0]["fills_per_joint"]
+        for field in ("offsets", "labels", "coords"):
             assert np.array_equal(getattr(from_file, field), getattr(built_in, field)), field
 
 

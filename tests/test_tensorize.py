@@ -18,7 +18,9 @@ from posestream.skeleton import build_topology, euler_tour
 from posestream.tensorize import (
     CORPUS_FILE,
     FilledCorpus,
-    _video_seed,
+    OpenCorpus,
+    _segment_frames,
+    _segment_words,
     corpus_tensors,
     read_corpus,
     write_corpus,
@@ -43,8 +45,9 @@ def filled_pose(coords, video="v", label=0):
 
 
 def filled_corpus(path, poses, seed=0, config_hash=""):
-    return FilledCorpus(**vars(PoseCorpus.of(poses)), path=path, seed=seed,
-                        config_hash=config_hash)
+    corpus = PoseCorpus.of(poses)
+    return FilledCorpus(corpus.videos, corpus.labels, corpus.offsets, corpus.coords, path=path,
+                        seed=seed, config_hash=config_hash)
 
 
 def tensor_of(pose, path, k, mode="center", seed=0):
@@ -175,13 +178,6 @@ class TestBuildPoseTensor:
         t2 = tensor_of(filled_pose(coords), path, 15, "random", 9)
         assert t1.tobytes() == t2.tobytes()
 
-    def test_rejects_missing_joints(self):
-        path = self.path_for(2)
-        pose = filled_pose(np.zeros((4, 2, 2)))
-        pose.flags[1, 0] = 0
-        with pytest.raises(ValueError, match="missing joints"):
-            tensor_of(pose, path, 2)
-
     def test_consistent_relabeling_keeps_tensor(self):
         # Moving joint data to new indices while renaming the topology the
         # same way (preserving sibling index order, which fixes the tour)
@@ -207,9 +203,7 @@ class TestTensorCache:
         rng = np.random.default_rng(8)
         poses = []
         for i, (count, label) in enumerate(zip(frames, labels)):
-            pose = filled_pose(rng.normal(size=(count, n, 2)), video=f"vid{i}", label=label)
-            pose.flags[:] = rng.integers(1, 5, size=pose.flags.shape)
-            poses.append(pose)
+            poses.append(filled_pose(rng.normal(size=(count, n, 2)), video=f"vid{i}", label=label))
         return poses
 
     def make_corpus(self, frames=(20, 3, 9), n=4, labels=(0, -1, 1)):
@@ -228,11 +222,11 @@ class TestTensorCache:
         np.testing.assert_array_equal(loaded.labels, [0, -1, 1])
         np.testing.assert_array_equal(loaded.offsets, [0, 20, 23, 32])
         # Coordinates are held and stored as the float32 cast of the float64
-        # ones the corpus was built from: bit-exact, like the flags.
+        # ones the corpus was built from: bit-exact.
         written = np.concatenate([pose.coords for pose in self.make_poses()])
         assert written.dtype == np.float64 and loaded.coords.dtype == NET_DTYPE
         assert loaded.coords.tobytes() == written.astype(np.float32).tobytes()
-        np.testing.assert_array_equal(loaded.flags, corpus.flags)
+        assert not hasattr(loaded, "flags")
 
     def test_rejects_empty(self, tmp_path):
         tour = euler_tour(chain_topology(4))
@@ -258,13 +252,11 @@ class TestTensorCache:
          + raw[at["offsets"] + 16:], "frame offsets"),
         ("label", lambda raw, at: raw[:at["labels"]] + np.int64(-2).tobytes()
          + raw[at["labels"] + 8:], "labels below -1"),
-        ("flag 0", lambda raw, at: raw[:-1] + b"\x00", "fill flags"),
-        ("flag 5", lambda raw, at: raw[:-1] + b"\x05", "fill flags"),
-        ("nan", lambda raw, at: raw[:at["flags"] - 4] + np.float32(np.nan).tobytes()
-         + raw[at["flags"]:], "non-finite float32"),
+        ("nan", lambda raw, at: raw[:-4] + np.float32(np.nan).tobytes(), "non-finite float32"),
         ("trailing", lambda raw, at: raw + b"\x00", "trailing bytes"),
         ("ids", lambda raw, at: raw.replace(b'"vid2"', b'"vid1"'), "video ids are not unique"),
-        ("seed", lambda raw, at: raw.replace(b'"seed": 42', b'"seed": -4'), "seed must be >= 0"),
+        ("seed", lambda raw, at: raw.replace(b'"seed": 42', b'"seed": -4'),
+         re.escape("seed must be in [0, 2**64), got -4")),
         ("joints", lambda raw, at: raw.replace(b'"joints": 4', b'"joints":-4'),
          r"array 'coords' has a negative dimension: \(32, -4, 2\)"),
     ])
@@ -274,11 +266,10 @@ class TestTensorCache:
         write_corpus(good, corpus)
         raw = good.read_bytes()
         # The int64 offsets follow the prefix and header, then the int64
-        # labels; the flags are the last F * n bytes.
+        # labels; the coordinates are the last F * n * 2 float32 values.
         _, _, length = binio.PREFIX.unpack_from(raw)
         offsets = binio.PREFIX.size + length
-        at = {"offsets": offsets, "labels": offsets + 8 * (len(corpus.videos) + 1),
-              "flags": len(raw) - corpus.flags.size}
+        at = {"offsets": offsets, "labels": offsets + 8 * (len(corpus.videos) + 1)}
         bad = tmp_path / "bad.bin"
         bad.write_bytes(patch(raw, at))
         with pytest.raises(ValueError, match=message) as exc:
@@ -318,20 +309,33 @@ class TestTensorCache:
         corpus = filled_corpus(euler_tour(chain_topology(4)), poses)
         assert corpus.coords[23 + 4, 3, 1] == np.float32(1e30)
 
-    def test_rejects_a_version_2_corpus_naming_the_file(self, tmp_path):
-        # Version 2 held the same header and arrays, the coordinates as float64.
+    def write_old_corpus(self, path, version, coords_dtype):
+        """A corpus in an old version's layout: version 2 and 3 held a uint8
+        flags array after the coordinates, version 2 float64 coordinates."""
         corpus = self.make_corpus()
-        path = tmp_path / "corpus.bin"
         header = {"topology": corpus.path.topology, "tour": list(corpus.path.joints),
                   "config_hash": corpus.config_hash, "seed": corpus.seed,
                   "videos": list(corpus.videos), "frames": len(corpus.coords),
                   "joints": corpus.num_joints}
         arrays = {"offsets": corpus.offsets, "labels": corpus.labels,
-                  "coords": corpus.coords.astype(np.float64), "flags": corpus.flags}
-        write_raw(path, replace(CORPUS_FILE, version=2), header, arrays)
+                  "coords": corpus.coords.astype(coords_dtype),
+                  "flags": np.ones(corpus.coords.shape[:2], np.uint8)}
+        write_raw(path, replace(CORPUS_FILE, version=version), header, arrays)
+
+    def test_rejects_a_version_2_corpus_naming_the_file(self, tmp_path):
+        path = tmp_path / "corpus.bin"
+        self.write_old_corpus(path, 2, np.float64)
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: unsupported "
                                              r"filled-corpus version 2 \(this reader reads "
-                                             r"version 3\)$"):
+                                             r"version 4\)$"):
+            read_corpus(path)
+
+    def test_rejects_a_version_3_corpus_naming_the_file(self, tmp_path):
+        path = tmp_path / "corpus.bin"
+        self.write_old_corpus(path, 3, np.float32)
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: unsupported "
+                                             r"filled-corpus version 3 \(this reader reads "
+                                             r"version 4\)$"):
             read_corpus(path)
 
     def test_corpus_tensors_follow_the_seed_rule(self):
@@ -339,8 +343,8 @@ class TestTensorCache:
         data = corpus_tensors(corpus, range(3), k=5, mode="random", seed=3, epoch=2)
         for row, video in enumerate(corpus.videos):
             lo, hi = corpus.offsets[row:row + 2]
-            frames = reference.plan_snippets(int(hi - lo), k=5, mode="random",
-                                             seed=_video_seed(3, video, 2))
+            frames = reference.plan_snippets(int(hi - lo), k=5, mode="random", seed=3,
+                                             video_digest=reference.digest(video), epoch=2)
             expected = reference.build_pose_tensor(corpus.coords[lo:hi], corpus.path, frames)
             assert data[row].tobytes() == expected.tobytes()
         # A video's plan does not depend on the rest of the corpus.
@@ -406,3 +410,92 @@ def test_rows_select_the_videos_they_name(corpus, k, mode, seed, data):
     tensors = corpus_tensors(corpus, rows, k=k, mode=mode, seed=seed)
     expected = reference.corpus_tensors(corpus, k, mode, seed, None)
     assert tensors.tobytes() == expected[rows].tobytes()
+
+
+# Seeds and digests at both ends of the 64-bit range, where a wrong
+# promotion or a lost carry would show.
+EDGE_KEYS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**63, 2**64 - 2, 2**64 - 1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.sampled_from(EDGE_KEYS) | st.integers(0, 2**64 - 1),
+       digests=st.lists(st.sampled_from(EDGE_KEYS) | st.integers(0, 2**64 - 1), min_size=1,
+                        max_size=5),
+       epoch=st.none() | st.sampled_from([0, 1, 2**63, 2**64 - 2]) | st.integers(0, 100),
+       k=st.integers(1, 6))
+def test_segment_words_match_the_integer_reference(seed, digests, epoch, k):
+    words = _segment_words(seed, np.array(digests, np.uint64), epoch, k)
+    assert words.dtype == np.uint64 and words.shape == (len(digests), k)
+    expected = [[reference.segment_word(seed, d, epoch, s) for s in range(k)] for d in digests]
+    assert words.tolist() == expected
+
+
+def test_a_corpus_hashes_its_ids_once():
+    corpus = filled_corpus(euler_tour(chain_topology(2)),
+                           [filled_pose(np.zeros((3, 2, 2)), video=v) for v in ("a", "é", "c")])
+    assert corpus.digests is corpus.digests
+    assert corpus.digests.tolist() == [reference.digest(v) for v in ("a", "é", "c")]
+
+
+@pytest.mark.parametrize("width", range(1, 9))
+def test_each_frame_of_a_segment_is_drawn_uniformly(width):
+    """20000 one-segment videos of `width` frames, each its own digest: every
+    frame's count lies within 5 standard deviations of 20000 / width (a
+    binomial bound that a fair draw misses with probability below 1e-5)."""
+    draws = 20_000
+    digests = np.arange(draws, dtype=np.uint64) * np.uint64(0x2545F4914F6CDD1D)
+    words = _segment_words(7, digests, 3, 1)
+    frames = _segment_frames(np.full(draws, width), 1, words)[:, 0]
+    counts = np.bincount(frames, minlength=width)
+    p = 1 / width
+    bound = 5 * np.sqrt(draws * p * (1 - p))
+    assert len(counts) == width
+    assert np.abs(counts - draws * p).max() <= bound, counts
+
+
+def test_epochs_and_seeds_draw_apart():
+    corpus = filled_corpus(euler_tour(chain_topology(2)),
+                           [filled_pose(np.arange(800.0).reshape(200, 2, 2), video="v")])
+    drawn = {corpus_tensors(corpus, [0], 15, "random", seed, epoch).tobytes()
+             for seed in (0, 1) for epoch in (None, 0, 1)}
+    assert len(drawn) == 6
+
+
+class TestRows:
+    def corpus(self):
+        poses = [filled_pose(np.ones((4, 2, 2)) * i, video=f"v{i}") for i in range(3)]
+        return filled_corpus(euler_tour(chain_topology(2)), poses)
+
+    @pytest.mark.parametrize("rows, named", [
+        ([-1], "-1"), ([0, 3], "3"), ([2**40], str(2**40)), (np.array([1, 2**63], np.uint64),
+                                                             str(2**63)),
+        ([0.5], "0.5"), ([1.0], "1.0"), ([True], "True"), (["0"], "'0'"), ([0, None], "None"),
+    ])
+    def test_a_row_that_is_no_video_index_is_named(self, rows, named):
+        with pytest.raises(ValueError, match=rf"^row {re.escape(named)} is not the index of "
+                                             r"one of the 3 videos$"):
+            corpus_tensors(self.corpus(), rows, 2, "random", 0)
+
+    @pytest.mark.parametrize("rows, named", [([-1], "-1"), ([3], "3"), ([0.5], "0.5")])
+    def test_a_corpus_file_read_names_a_bad_row(self, tmp_path, rows, named):
+        write_corpus(tmp_path / "c.bin", self.corpus())
+        with OpenCorpus(tmp_path / "c.bin") as opened:
+            with pytest.raises(ValueError, match=rf"^row {re.escape(named)} is not the index "
+                                                 r"of one of the 3 videos$"):
+                opened.read(rows)
+
+    def test_rows_must_be_one_dimensional(self):
+        with pytest.raises(ValueError, match=r"rows must be a 1-D sequence of video indices, "
+                                             r"got shape \(1, 2\)"):
+            corpus_tensors(self.corpus(), [[0, 1]], 2, "center", 0)
+
+    @pytest.mark.parametrize("mode", ["random", "center"])
+    @pytest.mark.parametrize("rows", [[], np.zeros(0, np.int64)])
+    def test_no_rows_give_an_empty_batch(self, rows, mode):
+        tensors = corpus_tensors(self.corpus(), rows, 5, mode, 0)
+        assert tensors.shape == (0, 5, 6, 3) and tensors.dtype == NET_DTYPE
+
+    @pytest.mark.parametrize("seed, epoch", [(-1, None), (2**64, None), (0, -1)])
+    def test_a_seed_or_epoch_out_of_range_is_refused(self, seed, epoch):
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\) and epoch"):
+            corpus_tensors(self.corpus(), [0], 2, "random", seed, epoch)
