@@ -65,7 +65,7 @@ from typing import Callable
 
 import numpy as np
 
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from . import binio
 from .config import NET_DTYPE, NetSpec, TrainConfig
@@ -238,13 +238,13 @@ def _conv(
     """The valid stride-1 conv, without bias, at the top-left extent of output
     positions, as one GEMM into ws; returns (im2col columns (B·R·C, 6·Cin),
     outputs (B, R, C, Cout)). Row (b, r, c) of the columns is the 3x2 window
-    of x[b] at (r, c), in (fh, fw, Cin) order to match w.reshape(-1, Cout)."""
+    of x[b] at (r, c), in (fh, fw, Cin) order to match w.reshape(-1, Cout).
+    The extent must fit in x: the windows are one strided view of it."""
     (rows, cols), (_, _, c_in, c_out) = extent, w.shape
-    windows = sliding_window_view(
-        x[:, : rows + FILTER_H - 1, : cols + FILTER_W - 1], (FILTER_H, FILTER_W), axis=(1, 2)
-    )
-    columns = ws.take(f"{name}.columns", (len(x), rows, cols, FILTER_H, FILTER_W, c_in), x.dtype)
-    np.copyto(columns, windows.transpose(0, 1, 2, 4, 5, 3))
+    shape = (len(x), rows, cols, FILTER_H, FILTER_W, c_in)
+    s0, s1, s2, s3 = x.strides
+    columns = ws.take(f"{name}.columns", shape, x.dtype)
+    np.copyto(columns, as_strided(x, shape, (s0, s1, s2, s1, s2, s3), writeable=False))
     columns = columns.reshape(-1, FILTER_H * FILTER_W * c_in)
     out = ws.take(f"{name}.out", (len(x), rows, cols, c_out), x.dtype)
     np.matmul(columns, w.reshape(-1, c_out), out=out.reshape(-1, c_out))

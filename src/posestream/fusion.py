@@ -8,13 +8,16 @@ the given streams, keyed by the names in STREAMS, and one weight per name
 in that order: the per-class sum pose*w_p + spatial*w_s + temporal*w_t over
 the given streams, so ablations on stream subsets run through the same code
 path. A weighting that is zero on every given stream fuses nothing and is
-rejected.
+rejected. ``fuse`` and ``search_weights`` share one kernel, which fuses a
+block of weightings as one (weightings, classes, videos) array.
 
 Score CSV format: header ``video,class_0,...,class_{C-1}``, one row per
 video, sorted by video id. The snippet-level variant inserts a ``snippet``
 column after ``video``. A labels CSV is ``video,label``. Lines starting
 with ``#`` are metadata comments and are ignored by the readers, which
-reject malformed rows naming the file and the line. Video ids follow the
+reject malformed rows naming the file and the line. A reader splits, converts
+and checks a whole file at once, and walks its rows one at a time only to
+name the first bad line of a file that fails a check. Video ids follow the
 annotation rule (``config.is_video_id``), so the writers write back every
 id the readers accept.
 """
@@ -24,6 +27,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import accumulate, chain, groupby, pairwise
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -35,9 +39,10 @@ from .config import ID_RULE, check_video_ids, decode_utf8, is_video_id
 # (w_pose, w_spatial, w_temporal) row.
 STREAMS = ("pose", "spatial", "temporal")
 
-# Weight candidates fused at once by search_weights; its temporaries hold
-# SEARCH_CHUNK x videos x classes floats.
-SEARCH_CHUNK = 64
+# Bytes of the two (rows, classes, videos) float64 buffers search_weights
+# fuses each block of weight rows into: a block stays in cache, and holds
+# at least one row.
+SEARCH_BYTES = 2**20
 
 
 @dataclass
@@ -113,10 +118,12 @@ def _present(streams: Mapping[str, StreamScores]) -> list[tuple[int, StreamScore
     return [(STREAMS.index(name), s) for name, s in given.items()]
 
 
-def _fused(present: list[tuple[int, StreamScores]], weights) -> np.ndarray:
-    """(rows, videos, classes) weighted sums for a (rows, 3) weight array,
-    added in STREAMS order. A row that is zero on every given stream, or
-    whose sum overflows, raises ValueError naming its weights."""
+def _fused(present: list[tuple[int, StreamScores]], weights,
+           out: np.ndarray | None = None) -> np.ndarray:
+    """(rows, classes, videos) weighted sums for a (rows, 3) weight array,
+    each entry 0.0 + w_p*s_p + w_s*s_s + w_t*s_t over the given streams, in
+    out[0] if given (out[1] takes the products). A row that is zero on every given
+    stream, or whose sum overflows, raises ValueError naming its weights."""
     weights = np.asarray(weights, dtype=np.float64)
     if weights.ndim != 2 or weights.shape[1] != len(STREAMS):
         raise ValueError(f"expected rows of {len(STREAMS)} weights {STREAMS}, "
@@ -125,10 +132,13 @@ def _fused(present: list[tuple[int, StreamScores]], weights) -> np.ndarray:
     if idle.any():
         bad = tuple(float(w) for w in weights[idle.argmax()])
         raise ValueError(f"weights {bad} are zero on every given stream")
-    total = np.zeros((len(weights), *present[0][1].matrix.shape))
+    videos, classes = present[0][1].matrix.shape
+    total, term = (np.empty((2, len(weights), classes, videos)) if out is None
+                   else out[:, :len(weights)])
+    total.fill(0.0)
     with np.errstate(over="ignore", invalid="ignore"):
         for column, s in present:
-            total += weights[:, column, None, None] * s.matrix
+            total += np.multiply(weights[:, column, None, None], s.matrix.T, out=term)
     finite = np.isfinite(total).all(axis=(1, 2))
     if not finite.all():
         bad = tuple(float(w) for w in weights[finite.argmin()])
@@ -145,7 +155,7 @@ def fuse(streams: Mapping[str, StreamScores], weights: Sequence[float]) -> Strea
     """
     present = _present(streams)
     total = _fused(present, [weights])[0]
-    return StreamScores(stream="fused", videos=present[0][1].videos, matrix=total)
+    return StreamScores(stream="fused", videos=present[0][1].videos, matrix=total.T)
 
 
 @dataclass
@@ -195,64 +205,78 @@ def search_weights(
 ) -> np.ndarray:
     """Accuracy of every weight row on a labeled split, in row order.
 
-    Rows are fused and scored together, SEARCH_CHUNK at a time, with the same
-    per-element operations as ``fuse`` and ``evaluate`` on each one.
+    Blocks of rows are fused by ``fuse``'s kernel into buffers of about
+    SEARCH_BYTES and scored by a running maximum over the classes, whose
+    strict ``>`` keeps ties on the lowest class as ``evaluate``'s argmax does.
     """
     if not len(weights):
         raise ValueError("weight grid is empty")
     present = _present(streams)
     weights = np.asarray(weights, dtype=np.float64)
-    videos = present[0][1].videos
-    truth = _truth(videos, labels, present[0][1].num_classes)
-    hits = np.concatenate([
-        (_fused(present, weights[start:start + SEARCH_CHUNK]).argmax(axis=2) == truth).sum(axis=1)
-        for start in range(0, len(weights), SEARCH_CHUNK)
-    ])
-    return hits / len(videos)
+    videos, classes = present[0][1].matrix.shape
+    is_truth = np.arange(classes)[:, None] == _truth(present[0][1].videos, labels, classes)
+    block = max(1, SEARCH_BYTES // (16 * classes * videos))
+    out = np.empty((2, block, classes, videos))
+    hits = np.empty(len(weights), dtype=np.int64)
+    for start in range(0, len(weights), block):
+        total = _fused(present, weights[start:start + block], out)
+        top, hit = total[:, 0].copy(), np.repeat(is_truth[:1], len(total), axis=0)
+        for c in range(1, classes):
+            better = total[:, c] > top  # strict: a tie keeps the lower class
+            np.maximum(top, total[:, c], out=top)
+            hit &= ~better
+            hit |= better & is_truth[c]
+        hits[start:start + len(total)] = np.count_nonzero(hit, axis=1)
+    return hits / videos
 
 
 # ---------------------------------------------------------------------------
 # CSV I/O
 # ---------------------------------------------------------------------------
 
-def _format(value: float) -> str:
-    return f"{value:.12g}"
-
-
-def _write_csv(path: str | Path, meta: dict | None, header: str, videos: Iterable[str],
-               rows: Iterator[str]) -> None:
-    """Write an optional ``# key=value`` meta line, the header and the rows,
-    one line at a time; an id the readers refuse raises ValueError before
-    the file is opened."""
+def _write_csv(path: str | Path, meta: dict | None, header: str, videos: Sequence[str],
+               line: str, rows: Iterable[tuple]) -> None:
+    """Write an optional ``# key=value`` meta line, the header and one line
+    per video, formatting every row with line in one pass; an id the readers
+    refuse raises ValueError before the file is opened."""
     check_video_ids(videos)
+    head = f"# {' '.join(f'{k}={v}' for k, v in sorted(meta.items()))}\n" if meta else ""
+    body = ((line + "\n") * len(videos)) % tuple(chain.from_iterable(rows))
     with open(path, "w", encoding="utf-8") as handle:
-        if meta:
-            handle.write("# " + " ".join(f"{k}={v}" for k, v in sorted(meta.items())) + "\n")
-        handle.write(header + "\n")
-        for row in rows:
-            handle.write(row + "\n")
+        handle.write(f"{head}{header}\n{body}")
 
 
 def write_scores(path: str | Path, stream: StreamScores, meta: dict | None = None) -> None:
+    """Write a score CSV, each score as ``"%.12g"`` (which equals ``f"{score:.12g}"``)."""
     header = "video," + ",".join(f"class_{c}" for c in range(stream.num_classes))
-    rows = (video + "," + ",".join(_format(v) for v in row)
-            for video, row in zip(stream.videos, stream.matrix))
-    _write_csv(path, meta, header, stream.videos, rows)
+    _write_csv(path, meta, header, stream.videos, "%s" + ",%.12g" * stream.num_classes,
+               zip(stream.videos, *stream.matrix.T.tolist()))
 
 
-def _csv_rows(path: str | Path) -> Iterator[tuple[int, list[str]]]:
-    """(line number, fields) of every line that is neither blank nor a ``#`` comment;
-    bytes that are not UTF-8 raise ValueError naming the file and the line."""
-    with open(path, encoding="utf-8") as handle:
-        try:
-            for lineno, line in enumerate(handle, start=1):
-                if not line.startswith("#"):
-                    row = next(csv.reader([line]), [])
-                    if row:
-                        yield lineno, row
-        except UnicodeDecodeError:
-            decode_utf8(path, Path(path).read_bytes())  # raises, naming the line
-            raise
+def _csv_rows(path: str | Path) -> tuple[list[int], list[list[str]]]:
+    """Line numbers and fields of the lines that are neither blank nor a ``#``
+    comment, from one csv.reader that splits each line as a reader of that
+    line alone would: a quoted field left open at the end of a line is closed
+    there. Bytes that are not UTF-8 raise ValueError naming the file and the
+    line."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.readlines()
+    except UnicodeDecodeError:
+        decode_utf8(path, Path(path).read_bytes())  # raises, naming the line
+        raise
+    numbers = [n for n, line in enumerate(lines, 1) if line != "\n" and line[0] != "#"]
+    rows: list[list[str]] = []
+
+    def kept() -> Iterator[str]:
+        for count, n in enumerate(numbers):
+            if len(rows) < count:  # the reader is still in the last line's row
+                yield '"'
+            yield lines[n - 1]
+
+    for row in csv.reader(kept()):
+        rows.append(row)
+    return numbers, rows
 
 
 def _parse_int(path: str | Path, lineno: int, text: str, what: str) -> int:
@@ -267,40 +291,35 @@ def _check_id(path: str | Path, lineno: int, video: str) -> None:
         raise ValueError(f"{path}:{lineno}: video id {video!r} {ID_RULE}")
 
 
-def _parse_scores(path: str | Path, lineno: int, fields: list[str]) -> np.ndarray:
+def _check_scores(path: str | Path, lineno: int, fields: list[str]) -> None:
     try:
         values = [float(v) for v in fields]
     except ValueError as exc:
         raise ValueError(f"{path}:{lineno}: score is not a number ({exc})") from None
     if not all(math.isfinite(v) for v in values):
         raise ValueError(f"{path}:{lineno}: score is not finite: {fields}")
-    return np.array(values)
 
 
-def read_scores(path: str | Path, stream: str = "other") -> StreamScores:
-    """Read a score CSV; detects the snippet-level variant by its header.
-
-    Non-numeric or non-finite scores, non-integer snippet indices, rows of
-    the wrong width, ids the writer cannot write back, duplicate rows and a
-    file without score rows raise ValueError naming the file and the line."""
-    rows = _csv_rows(path)
-    header_line, header = next(rows, (0, None))
-    if header is None:
-        raise ValueError(f"{path}: empty score file")
-    if len(header) < 2 or header[0] != "video":
-        raise ValueError(f"{path}:{header_line}: expected header 'video,class_0,...', got {header}")
-    snippet_level = header[1] == "snippet"
-    first_class = 2 if snippet_level else 1
-    if len(header) - first_class < 1:
-        raise ValueError(f"{path}:{header_line}: no class columns found")
-
+def _score_columns(path: str | Path, numbers: list[int], rows: list[list[str]], width: int,
+                   snippet_level: bool) -> tuple[tuple[str, ...], list, np.ndarray]:
+    """(ids, (id, snippet index) keys, (classes, rows) scores) of the score
+    rows, converted and checked all at once. When a check fails, the rows
+    are checked again one at a time, so the error names the first bad line."""
+    try:
+        if all(len(row) == width for row in rows):
+            ids, *columns = zip(*rows)
+            snippets = list(map(int, columns.pop(0))) if snippet_level else [0] * len(ids)
+            keys = list(zip(ids, snippets))
+            values = np.fromiter(map(float, chain.from_iterable(columns)), np.float64)
+            if (all(map(is_video_id, ids)) and len(set(keys)) == len(keys)
+                    and np.isfinite(values).all()):
+                return ids, keys, values.reshape(len(columns), -1)
+    except ValueError:
+        pass
     first_seen: dict[tuple[str, int], int] = {}
-    per_video: dict[str, list[tuple[int, np.ndarray]]] = {}
-    for lineno, row in rows:
-        if len(row) != len(header):
-            raise ValueError(
-                f"{path}:{lineno}: row has {len(row)} fields, header has {len(header)}"
-            )
+    for lineno, row in zip(numbers, rows):
+        if len(row) != width:
+            raise ValueError(f"{path}:{lineno}: row has {len(row)} fields, header has {width}")
         _check_id(path, lineno, row[0])
         snippet = _parse_int(path, lineno, row[1], "snippet index") if snippet_level else 0
         key = (row[0], snippet)
@@ -308,50 +327,76 @@ def read_scores(path: str | Path, stream: str = "other") -> StreamScores:
             what = f"video '{row[0]}' snippet {snippet}" if snippet_level else f"video '{row[0]}'"
             raise ValueError(f"{path}:{lineno}: duplicate {what}, first on line {first_seen[key]}")
         first_seen[key] = lineno
-        per_video.setdefault(row[0], []).append(
-            (snippet, _parse_scores(path, lineno, row[first_class:]))
-        )
-    if not per_video:
+        _check_scores(path, lineno, row[1 + snippet_level:])
+    raise AssertionError(f"{path}: the file fails a check that no row fails")
+
+
+def read_scores(path: str | Path, stream: str = "other") -> StreamScores:
+    """Read a score CSV; detects the snippet-level variant by its header.
+
+    Non-numeric or non-finite scores, non-integer snippet indices, rows of
+    the wrong width, ids the writer cannot write back, duplicate rows and a
+    file without score rows raise ValueError naming the file and the first
+    bad line."""
+    numbers, rows = _csv_rows(path)
+    if not rows:
+        raise ValueError(f"{path}: empty score file")
+    header_line, header = numbers[0], rows[0]
+    if len(header) < 2 or header[0] != "video":
+        raise ValueError(f"{path}:{header_line}: expected header 'video,class_0,...', got {header}")
+    snippet_level = header[1] == "snippet"
+    if len(header) - 1 - snippet_level < 1:
+        raise ValueError(f"{path}:{header_line}: no class columns found")
+    if len(rows) == 1:
         raise ValueError(f"{path}:{header_line}: no score rows after the header")
 
-    videos = tuple(sorted(per_video))
-    matrix = np.array([
-        consensus(np.stack([vec for _, vec in sorted(per_video[v], key=lambda e: e[0])]))
-        if snippet_level else per_video[v][0][1]
-        for v in videos
-    ])
-    return StreamScores(stream=stream, videos=videos, matrix=matrix)
+    ids, keys, values = _score_columns(path, numbers[1:], rows[1:], len(header), snippet_level)
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    ordered = [ids[i] for i in order]
+    matrix = values.T[order]
+    if snippet_level:
+        ends = accumulate(len(list(group)) for _, group in groupby(ordered))
+        matrix = np.array([consensus(matrix[start:end]) for start, end in pairwise([0, *ends])])
+    return StreamScores(stream=stream, videos=tuple(dict.fromkeys(ordered)), matrix=matrix)
 
 
 def write_labels(path: str | Path, labels: dict[str, int], meta: dict | None = None) -> None:
-    _write_csv(path, meta, "video,label", labels,
-               (f"{video},{labels[video]}" for video in sorted(labels)))
+    """Write a labels CSV, one row per video in id order."""
+    videos = sorted(labels)
+    _write_csv(path, meta, "video,label", videos, "%s,%s",
+               ((video, labels[video]) for video in videos))
 
 
 def read_labels(path: str | Path, scores: StreamScores | None = None) -> dict[str, int]:
-    """Read a labels CSV; malformed rows, ids the writer cannot write back,
-    non-integer labels and duplicate ids raise ValueError naming the file
-    and the line. Given scores, a video they score that has no label, or a
-    label outside their classes, raises ValueError naming the file."""
-    rows = _csv_rows(path)
-    _, header = next(rows, (0, None))
-    if header != ["video", "label"]:
+    """Read a labels CSV, converted and checked all at once; malformed rows,
+    ids the writer cannot write back, non-integer labels and duplicate ids
+    raise ValueError naming the file and the first bad line (found by
+    checking the rows again one at a time). Given scores, a video they score
+    that has no label, or a label outside their classes, raises ValueError
+    naming the file."""
+    numbers, rows = _csv_rows(path)
+    if rows[:1] != [["video", "label"]]:
         raise ValueError(f"{path}: expected header 'video,label'")
-    labels: dict[str, int] = {}
-    first_seen: dict[str, int] = {}
-    for lineno, row in rows:
-        if len(row) != 2:
-            raise ValueError(f"{path}:{lineno}: malformed labels row {row}")
-        _check_id(path, lineno, row[0])
-        if row[0] in labels:
-            raise ValueError(
-                f"{path}:{lineno}: duplicate video id '{row[0]}', first on line {first_seen[row[0]]}"
-            )
-        first_seen[row[0]] = lineno
-        label = _parse_int(path, lineno, row[1], "label")
-        if not 0 <= label < 2**31:
-            raise ValueError(f"{path}:{lineno}: label {label} outside [0, 2**31)")
-        labels[row[0]] = label
+    numbers, rows = numbers[1:], rows[1:]
+    try:
+        labels = {video: int(label) for video, label in rows}
+    except ValueError:  # a row of another width, or a label that is no integer
+        labels = {}
+    if not (len(labels) == len(rows) and all(map(is_video_id, labels))
+            and 0 <= min(labels.values(), default=0) <= max(labels.values(), default=0) < 2**31):
+        first_seen: dict[str, int] = {}
+        for lineno, row in zip(numbers, rows):
+            if len(row) != 2:
+                raise ValueError(f"{path}:{lineno}: malformed labels row {row}")
+            _check_id(path, lineno, row[0])
+            if row[0] in first_seen:
+                raise ValueError(f"{path}:{lineno}: duplicate video id '{row[0]}', first on "
+                                 f"line {first_seen[row[0]]}")
+            first_seen[row[0]] = lineno
+            label = _parse_int(path, lineno, row[1], "label")
+            if not 0 <= label < 2**31:
+                raise ValueError(f"{path}:{lineno}: label {label} outside [0, 2**31)")
+        raise AssertionError(f"{path}: the file fails a check that no row fails")
     if scores is not None:
         try:
             _truth(scores.videos, labels, scores.num_classes)

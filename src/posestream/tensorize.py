@@ -301,9 +301,12 @@ class OpenCorpus:
         """The FilledCorpus of the videos at the indices rows (every video if
         None), in that order, read with one read per run of videos whose
         frames follow each other in the file; that corpus's checks of the
-        frames name the file. A row that is not a video index fails naming it."""
+        frames name the file. A row that is not a video index fails naming it,
+        and no rows fail naming the file."""
         count = len(self.videos)
         rows = np.arange(count) if rows is None else _index_rows(rows, count)
+        if not len(rows):
+            raise ValueError(f"{self.file.path}: no rows to read")
         starts, stops = self.offsets[rows], self.offsets[rows + 1]
         offsets = np.concatenate([[0], np.cumsum(stops - starts)])
         coords = np.empty((offsets[-1], self.num_joints, 2), NET_DTYPE)

@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fusion_reference
+from posestream import fusion
 from posestream.cli import cmd_fuse
 from posestream.config import PipelineConfig
 from posestream.fusion import (
@@ -213,19 +215,35 @@ class TestSearchWeights:
         with pytest.raises(ValueError, match=match):
             search_weights({"pose": stream("pose", {"a": [1.0, 0.0]})}, labels, grid)
 
-    def test_chunks_match_one_candidate_at_a_time(self):
-        # More candidates than one chunk holds, with ties across chunks.
+    def test_chunks_match_one_candidate_at_a_time(self, monkeypatch):
+        # Scores of few values, -0.0 among them, tie often; weights include
+        # negatives and -0.0; blocks of 1 and 7 rows, and one block of all.
         rng = np.random.default_rng(9)
         videos = [f"v{i:02d}" for i in range(30)]
         labels = {v: int(rng.integers(0, 3)) for v in videos}
-        streams = {name: stream(name, {v: rng.integers(0, 3, 3).astype(float) for v in videos})
-                   for name in STREAMS}
-        values = (0.0, 0.5, 1.0, 2.0, -1.0)
-        grid = [(p, s, t) for p in values for s in values for t in values if (p, s, t) != (0, 0, 0)]
-        assert len(grid) > 64
-        accuracies = search_weights(streams, labels, grid)
-        expected = [evaluate(fuse(streams, w), labels).accuracy for w in grid]
-        assert accuracies.tolist() == expected
+        scores = {name: stream(name, {v: rng.choice([-1.0, -0.0, 0.0, 1.0, 2.0], 3)
+                                      for v in videos})
+                  for name in STREAMS}
+        grid = list(itertools.product((0.0, 0.5, 1.0, 2.0, -1.0, -0.0), repeat=3))
+        for names in [("pose",), ("spatial", "temporal"), STREAMS]:
+            streams = {name: scores[name] for name in names}
+            usable = [w for w in grid if any(w[STREAMS.index(name)] for name in names)]
+            expected = [evaluate(fuse(streams, w), labels).accuracy for w in usable]
+            assert len(usable) > 7 and len(set(expected)) > 1
+            for rows in (1, 7, len(usable)):
+                monkeypatch.setattr(fusion, "SEARCH_BYTES", rows * 16 * 3 * len(videos))
+                assert search_weights(streams, labels, usable).tolist() == expected
+
+    @pytest.mark.parametrize("rows", [1, 2, 4])
+    def test_an_overflow_in_a_late_block_names_its_row(self, monkeypatch, rows):
+        monkeypatch.setattr(fusion, "SEARCH_BYTES", rows * 16 * 2 * 2)
+        labels = {"a": 0, "b": 1}
+        streams = {"pose": stream("pose", {"a": [1.0, 0.5], "b": [0.5, 1.0]}),
+                   "spatial": stream("spatial", {"a": [1.0, 0.0], "b": [0.0, 1.0]})}
+        grid = [(w, 1.0, 0.0) for w in range(1, 6)] + [(1e308, 1e308, 0.0), (-1e308, -1e308, 0.0)]
+        with pytest.raises(ValueError, match=r"weights \(1e\+308, 1e\+308, 0\.0\)"):
+            search_weights(streams, labels, grid)
+        assert search_weights(streams, labels, grid[:5]).tolist() == [1.0] * 5
 
 
 class TestScoreFiles:
@@ -517,3 +535,87 @@ class TestLabelFiles:
         path.write_text("video,cls\nv,0\n")
         with pytest.raises(ValueError, match="header"):
             read_labels(path)
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the readers and the score writer one line at a time
+# ---------------------------------------------------------------------------
+
+_VALID = {"id": ["v", "w", "x1", "é", "a b"], "int": ["0", "1", "2", "7", " 3", "1_0"],
+          "score": ["0.5", "-0", "-0.0", "1e3", "2", "0.1", " 1.5", "1_0", "1e-320"]}
+_INVALID = {"id": ["", "#x", "a,b", 'q"t'], "int": ["-1", "x", "", "2.0", "2147483648"],
+            "score": ["nan", "inf", "-inf", "abc", "", "1e999", "0x1"]}
+_HEADERS = {"scores": ["video"], "snippets": ["video", "snippet"], "labels": ["video", "label"]}
+
+
+@st.composite
+def csv_files(draw):
+    """A score, snippet score or labels file with comments, blank lines,
+    quoted fields and CR, LF or CRLF line ends. Most rows are sound; the
+    rest may hold bad values, an unterminated quote or the wrong width."""
+    kind = draw(st.sampled_from(sorted(_HEADERS)))
+    classes = 0 if kind == "labels" else draw(st.integers(1, 3))
+    header = _HEADERS[kind] + [f"class_{c}" for c in range(classes)]
+    if draw(st.integers(0, 9)) == 0:
+        header = draw(st.sampled_from([["video"], ["id", "class_0"], ["video", "snippet"]]))
+    columns = ["id"] + ["int"] * (kind != "scores") + ["score"] * classes
+
+    def row(number, sound):
+        fields = []
+        for i, column in enumerate(columns):
+            text = draw(st.sampled_from(_VALID[column] + ([] if sound else _INVALID[column])))
+            if column == "id" and sound and kind != "snippets":
+                text += str(number)  # distinct ids; a snippet file repeats them
+            if column == "int" and sound and kind == "snippets":
+                text = str(number)  # distinct snippet indices
+            # An unterminated quote runs to the end of its line.
+            quoting = ["bare"] * 4 + ["quoted"] + ["open"] * (i == len(columns) - 1 or not sound)
+            quoting = draw(st.sampled_from(quoting))
+            if quoting == "quoted":
+                text = '"' + text.replace('"', '""') + '"'
+            fields.append('"' + text if quoting == "open" else text)
+        if not sound:
+            fields = fields[:draw(st.integers(1, len(fields) + 1))] + fields[-1:]
+        return ",".join(fields)
+
+    lines = [",".join(header)] + [row(number, draw(st.integers(0, 7)) > 0)
+                                  for number in range(draw(st.integers(0, 8)))]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "# seed=1", "#"])))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return kind, newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+def _outcome(read, path):
+    try:
+        result = read(path)
+    except Exception as exc:  # noqa: BLE001 - the two readers must fail alike
+        return type(exc), str(exc)
+    if isinstance(result, dict):
+        return list(result.items())
+    return result.stream, result.videos, result.matrix.shape, result.matrix.tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=csv_files())
+def test_readers_match_the_per_line_reference(case):
+    kind, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "file.csv"
+        path.write_bytes(text.encode("utf-8"))
+        if kind == "labels":
+            assert _outcome(read_labels, path) == _outcome(fusion_reference.read_labels, path)
+        else:
+            assert (_outcome(lambda p: read_scores(p, "pose"), path)
+                    == _outcome(lambda p: fusion_reference.read_scores(p, "pose"), path))
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                              min_size=3, max_size=3), min_size=1, max_size=6))
+def test_score_writer_matches_the_per_line_reference(rows):
+    scores = stream("pose", {f"v{i}": row for i, row in enumerate(rows)})
+    with tempfile.TemporaryDirectory() as tmp:
+        write_scores(Path(tmp) / "new.csv", scores)
+        fusion_reference.write_scores(Path(tmp) / "old.csv", scores)
+        assert (Path(tmp) / "new.csv").read_bytes() == (Path(tmp) / "old.csv").read_bytes()

@@ -484,6 +484,14 @@ class TestRows:
                                                  r"of one of the 3 videos$"):
                 opened.read(rows)
 
+    @pytest.mark.parametrize("rows", [[], np.zeros(0, np.int64)])
+    def test_a_corpus_file_read_of_no_rows_names_the_file(self, tmp_path, rows):
+        write_corpus(tmp_path / "c.bin", self.corpus())
+        with OpenCorpus(tmp_path / "c.bin") as opened:
+            with pytest.raises(ValueError) as exc:
+                opened.read(rows)
+        assert str(exc.value) == f"{tmp_path / 'c.bin'}: no rows to read"
+
     def test_rows_must_be_one_dimensional(self):
         with pytest.raises(ValueError, match=r"rows must be a 1-D sequence of video indices, "
                                              r"got shape \(1, 2\)"):
