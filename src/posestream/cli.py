@@ -89,7 +89,7 @@ class _Outputs:
                 os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
                 temps[name], writer = tmp, writers[name]
                 if isinstance(writer, dict):
-                    tmp.write_text(json.dumps(writer, indent=2, sort_keys=True) + "\n", "utf-8")
+                    tmp.write_text(json.dumps(writer, sort_keys=True) + "\n", "utf-8")
                 else:
                     writer(tmp)
             for name, path in self.paths.items():
@@ -499,8 +499,8 @@ def build_parser() -> argparse.ArgumentParser:
         "preprocess": ("annotations", "cache", "profile", "topology_file", "seed", "max_gap",
                        "spatial_model", "save_spatial_model", "report"),
         "train": ("cache", "checkpoint", "trace", "profile", "topology_file", "k", "sampling",
-                  "seed", "learning_rate", "epochs", "batch_size", "weight_decay",
-                  "conv1_channels", "conv2_channels", "hidden"),
+                  "seed", "learning_rate", "epochs", "batch_size", "conv1_channels",
+                  "conv2_channels", "hidden"),
         "eval": ("cache", "checkpoint", "scores", "labels", "report", "seed"),
         "fuse": ("pose_scores", "spatial_scores", "temporal_scores", "labels", "fused_scores",
                  "report", "seed"),

@@ -104,11 +104,9 @@ class TrainConfig:
     epochs: int = 30
     batch_size: int = 32
     seed: int = 0
-    weight_decay: float = 0.0
 
     def __post_init__(self) -> None:
-        for name, least in (("learning_rate", 0), ("epochs", 0), ("batch_size", 1),
-                            ("weight_decay", 0)):
+        for name, least in (("learning_rate", 0), ("epochs", 0), ("batch_size", 1)):
             if not getattr(self, name) >= least:  # NaN fails too
                 raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
 
@@ -134,7 +132,6 @@ class PipelineConfig:
     learning_rate: float = TrainConfig.learning_rate
     epochs: int = TrainConfig.epochs
     batch_size: int = TrainConfig.batch_size
-    weight_decay: float = TrainConfig.weight_decay
     # paths (not part of the hash)
     annotations: str | None = None
     cache: str | None = None
@@ -178,8 +175,7 @@ class PipelineConfig:
 
     def train_config(self) -> TrainConfig:
         return TrainConfig(learning_rate=self.learning_rate, epochs=self.epochs,
-                           batch_size=self.batch_size, seed=self.seed,
-                           weight_decay=self.weight_decay)
+                           batch_size=self.batch_size, seed=self.seed)
 
     def require(self, *names: str) -> None:
         missing = [name for name in names if getattr(self, name) is None]

@@ -22,10 +22,12 @@ columns gathered by ``np.copyto`` and the conv products written by
 ``np.matmul(..., out=)``. So eval's slices and train's SGD steps map no
 fresh memory, whatever glibc's mmap threshold, and compute the same bits
 as a fresh workspace would; ``forward`` and ``backward`` take a fresh one
-where the caller keeps none. The backward pass writes the unpooled
-gradient and conv2's input gradient into conv2's activation and im2col
-buffers, which are dead by then, so an SGD step takes no more workspace
-than a forward pass.
+where the caller keeps none. Scoring and training run one conv stage,
+and the backward pass keeps no pool index: it routes each window's
+gradient to the first offset whose biased conv2 output equals the pooled
+value, into conv2's output buffer, and writes conv2's input gradient into
+conv2's im2col buffer. Both are dead by then, so an SGD step takes no
+more workspace than a forward pass.
 
 Scoring (``forward``) keeps nothing for backprop and runs in slices of at
 most FORWARD_SLICE rows, so its memory does not grow with the batch.
@@ -257,15 +259,6 @@ def _bias_relu(z: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.maximum(z, 0.0, out=z)
 
 
-def _conv_relu(
-    x: np.ndarray, w: np.ndarray, b: np.ndarray, extent: tuple[int, int], ws: Workspace,
-    name: str,
-) -> tuple[np.ndarray, np.ndarray]:
-    """ReLU of the conv plus bias; returns (im2col columns, activations (B, R, C, Cout))."""
-    columns, z = _conv(x, w, extent, ws, name)
-    return columns, _bias_relu(z, b)
-
-
 def _conv_grads(
     d_out: np.ndarray, columns: np.ndarray, w: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -311,30 +304,19 @@ def _pool(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pool_argmax(x: np.ndarray, ws: Workspace) -> tuple[np.ndarray, np.ndarray]:
-    """Max pool plus the argmax offset within each window; ties go to the
-    lowest offset."""
-    views = _pool_views(x)
-    out = ws.take("pooled", views[0].shape, x.dtype)
-    np.copyto(out, views[0])
-    idx = ws.take("pooled.argmax", out.shape, np.intp)
-    idx.fill(0)
-    for k, view in enumerate(views[1:], start=1):
-        better = view > out
-        np.maximum(out, view, out=out)
-        # idx[better] = k without a data-dependent branch per element (~2x faster).
-        idx += better * (k - idx)
-    return out, idx
-
-
-def _unpool(d_out: np.ndarray, idx: np.ndarray, ws: Workspace, name: str) -> np.ndarray:
-    """Route each window's gradient to its argmax offset, into buffer name of
-    ws; zeros elsewhere."""
-    batch, rows, cols, channels = d_out.shape
-    d_x = ws.take(name, (batch, rows * POOL, cols * POOL, channels), d_out.dtype)
-    for k, view in enumerate(_pool_views(d_x)):
-        np.multiply(d_out, idx == k, out=view)
-    return d_x
+def _unpool(d_pooled: np.ndarray, pooled: np.ndarray, z: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Route each window's gradient to the first offset whose z + b equals
+    its pooled value, in place in conv2's unbiased outputs z; zeros
+    elsewhere. That is the offset a strict-> argmax over relu(z + b) picks,
+    ties going to the lowest one. Each offset's view of z is read before it
+    is written."""
+    routed = np.zeros(pooled.shape, bool)
+    for view in _pool_views(z):
+        hit = view + b == pooled
+        hit &= ~routed
+        routed |= hit
+        np.multiply(d_pooled, hit, out=view)
+    return z
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -364,37 +346,46 @@ def row_slices(x: np.ndarray, size: int) -> list[np.ndarray]:
     return np.array_split(x, -(-len(x) // size))
 
 
-def _probs(net: PoseConvNet, x: np.ndarray, ws: Workspace) -> np.ndarray:
-    """Class probabilities of a batch: convs and pool per CONV_SLICE rows
-    into one pooled buffer, then one head over all of x, padded with zero
-    rows to HEAD_ROWS. conv2's bias and ReLU come after the pool, on a
-    POOL² share of the values: both are monotone, so relu(max(z) + b) is
-    max(relu(z + b)) bit for bit."""
+def _stage(
+    net: PoseConvNet, x: np.ndarray, pooled: np.ndarray, ws: Workspace
+) -> dict[str, np.ndarray]:
+    """The convs and the pool of x, in ws, the pool into pooled. conv2's
+    bias and ReLU come after the pool, on a POOL² share of the values: both
+    are monotone, so relu(max(z) + b) is max(relu(z + b)) bit for bit.
+    Returns what backprop reads: both convs' im2col columns, conv1's
+    activations and conv2's unbiased outputs."""
     extent1, extent2 = _conv_extents(net)
+    cols1, z1 = _conv(x, net.conv1_w, extent1, ws, "conv1")
+    a1 = _bias_relu(z1, net.conv1_b)
+    cols2, z2 = _conv(a1, net.conv2_w, extent2, ws, "conv2")
+    _bias_relu(_pool(z2, pooled), net.conv2_b)
+    return {"cols1": cols1, "a1": a1, "cols2": cols2, "z2": z2}
+
+
+def _pooled(net: PoseConvNet, rows: int, ws: Workspace, dtype) -> np.ndarray:
     pooled_rows, pooled_cols = _pooled_shape(net.input_shape, net.arch)
-    pooled = ws.take("pooled", (max(len(x), HEAD_ROWS), pooled_rows, pooled_cols,
-                                net.arch.conv2_channels), x.dtype)
+    return ws.take("pooled", (rows, pooled_rows, pooled_cols, net.arch.conv2_channels), dtype)
+
+
+def _probs(net: PoseConvNet, x: np.ndarray, ws: Workspace) -> np.ndarray:
+    """Class probabilities of a batch: the conv stage per CONV_SLICE rows
+    into one pooled buffer, then one head over all of x, padded with zero
+    rows to HEAD_ROWS."""
+    pooled = _pooled(net, max(len(x), HEAD_ROWS), ws, x.dtype)
     pooled[len(x):] = 0
     for start in range(0, len(x), CONV_SLICE):
         part = x[start:start + CONV_SLICE]
-        a1 = _conv_relu(part, net.conv1_w, net.conv1_b, extent1, ws, "conv1")[1]
-        z2 = _conv(a1, net.conv2_w, extent2, ws, "conv2")[1]
-        out = _pool(z2, pooled[start:start + len(part)])
-        _bias_relu(out, net.conv2_b)
+        _stage(net, part, pooled[start:start + len(part)], ws)
     return _softmax(_head(net, pooled.reshape(len(pooled), -1))[1][:len(x)])
 
 
 def _forward(net: PoseConvNet, x: np.ndarray, ws: Workspace) -> dict[str, np.ndarray]:
-    """Training forward pass: probabilities plus what backprop reads, in ws."""
-    extent1, extent2 = _conv_extents(net)
-    cols1, a1 = _conv_relu(x, net.conv1_w, net.conv1_b, extent1, ws, "conv1")
-    cols2, a2 = _conv_relu(a1, net.conv2_w, net.conv2_b, extent2, ws, "conv2")
-    pooled, pool_idx = _pool_argmax(a2, ws)
+    """Training forward pass: the conv stage on all of x, then the head;
+    probabilities plus what backprop reads, in ws."""
+    pooled = _pooled(net, len(x), ws, x.dtype)
+    cache = _stage(net, x, pooled, ws)
     af, logits = _head(net, pooled.reshape(len(x), -1))
-    return {
-        "cols1": cols1, "a1": a1, "cols2": cols2, "pooled": pooled,
-        "pool_idx": pool_idx, "af": af, "probs": _softmax(logits),
-    }
+    return {**cache, "pooled": pooled, "af": af, "probs": _softmax(logits)}
 
 
 def forward(net: PoseConvNet, batch: np.ndarray, ws: Workspace | None = None) -> np.ndarray:
@@ -437,14 +428,26 @@ def _loss_and_grads(
     grads["fc1_b"] = d_zf.sum(axis=0)
     # A window's gradient passes conv2's ReLU iff the window max is positive.
     d_pooled = (d_zf @ net.fc1_w.T).reshape(pooled.shape) * (pooled > 0)
-    # Nothing reads conv2's activations after the pool, nor its columns once
-    # its gradients are taken, so the gradients below reuse those buffers.
-    d_z2 = _unpool(d_pooled, cache["pool_idx"], ws, "conv2.out")
+    # The routing overwrites conv2's outputs, which nothing reads after it,
+    # and conv2's input gradient reuses its columns once its gradients are taken.
+    d_z2 = _unpool(d_pooled, pooled, cache["z2"], net.conv2_b)
     grads["conv2_w"], grads["conv2_b"] = _conv_grads(d_z2, cache["cols2"], net.conv2_w)
     d_z1 = _conv_input_grad(d_z2, net.conv2_w, cache["a1"].shape, ws, "conv2.columns")
     d_z1 *= cache["a1"] > 0
     grads["conv1_w"], grads["conv1_b"] = _conv_grads(d_z1, cache["cols1"], net.conv1_w)
     return total_loss, probs, grads
+
+
+def _class_ids(labels: np.ndarray, num_classes: int) -> np.ndarray:
+    """Non-empty labels as int64 class ids below num_classes. Labels whose
+    dtype is no integer type (float, string, bool) are refused, naming the
+    first, rather than cast."""
+    if labels.dtype.kind not in "iu":
+        raise ValueError(f"label {labels[:1].tolist()[0]!r} is not an integer class id "
+                         f"(labels are {labels.dtype})")
+    if labels.min() < 0 or labels.max() >= num_classes:
+        raise ValueError(f"labels out of range for {num_classes} classes")
+    return labels.astype(np.int64, copy=False)
 
 
 def backward(net: PoseConvNet, batch: np.ndarray, labels: np.ndarray) -> dict[str, np.ndarray]:
@@ -453,12 +456,10 @@ def backward(net: PoseConvNet, batch: np.ndarray, labels: np.ndarray) -> dict[st
     batch = _as_batch(net, batch)
     if not len(batch):
         raise ValueError(f"batch must be non-empty, got shape {batch.shape}")
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = np.asarray(labels)
     if labels.shape != (batch.shape[0],):
         raise ValueError(f"expected {batch.shape[0]} labels, got {labels.shape}")
-    if labels.min() < 0 or labels.max() >= net.num_classes:
-        raise ValueError(f"labels out of range for {net.num_classes} classes")
-    _, _, grads = _loss_and_grads(net, batch, labels, Workspace())
+    _, _, grads = _loss_and_grads(net, batch, _class_ids(labels, net.num_classes), Workspace())
     return grads
 
 
@@ -489,11 +490,10 @@ def train(
     Runs are bit reproducible for a fixed seed. Raises TrainingDivergedError
     the moment a batch loss stops being finite.
     """
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = np.asarray(labels)
     if labels.ndim != 1 or labels.size == 0:
         raise ValueError("labels must be a non-empty 1-D array of class ids")
-    if labels.min() < 0 or labels.max() >= net.num_classes:
-        raise ValueError(f"labels out of range for {net.num_classes} classes")
+    labels = _class_ids(labels, net.num_classes)
 
     net = net.copy()
     rng = np.random.default_rng(config.seed)
@@ -530,10 +530,7 @@ def _train_epoch(
         scale = config.learning_rate / len(y)
         params = net.parameters()
         for name, grad in grads.items():
-            param = params[name]
-            param -= scale * grad
-            if config.weight_decay:
-                param -= config.learning_rate * config.weight_decay * param
+            params[name] -= scale * grad
     return EpochStats(epoch, epoch_loss / len(labels), epoch_hits / len(labels))
 
 

@@ -164,9 +164,6 @@ def train(net: PoseConvNet, data: np.ndarray, labels: np.ndarray, config: TrainC
             scale = config.learning_rate / len(batch_idx)
             params = net.parameters()
             for name, grad in grads.items():
-                param = params[name]
-                param -= scale * grad
-                if config.weight_decay:
-                    param -= config.learning_rate * config.weight_decay * param
+                params[name] -= scale * grad
         trace.append((epoch_loss / len(order), epoch_hits / len(order)))
     return net, trace

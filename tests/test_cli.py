@@ -1375,6 +1375,27 @@ class TestAtomicWrite:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestReportFile:
+    @pytest.mark.parametrize("command", ["preprocess", "eval", "fuse", "weights-search"])
+    def test_a_report_holds_the_stdout_line(self, workdir, tmp_path, capsys, command):
+        # Compact, key-sorted JSON plus a newline, byte for byte.
+        TestFuse().write_streams(tmp_path)
+        streams = ["--pose-scores", str(tmp_path / "pose.csv"), "--labels",
+                   str(tmp_path / "labels.csv"), "--spatial-scores", str(tmp_path / "spatial.csv")]
+        argv = {
+            "preprocess": ["--annotations", str(workdir / "test.jsonl"),
+                           "--cache", str(tmp_path / "test.cache")],
+            "eval": ["--cache", str(workdir / "test.cache"), "--checkpoint",
+                     str(workdir / "net.ckpt"), "--scores", str(tmp_path / "scores.csv")],
+            "fuse": [*streams, "--fused-scores", str(tmp_path / "fused.csv")],
+            "weights-search": streams,
+        }[command]
+        report = tmp_path / "report.json"
+        assert main([command, *argv, "--report", str(report)]) == 0
+        line = capsys.readouterr().out
+        assert line.count("\n") == 1 and report.read_bytes() == line.encode("utf-8")
+
+
 def _fail_writing(monkeypatch, flag):
     """Make the writer of the output flag write a few bytes and then fail as a
     full disk does; the command's other writers run as they are."""
@@ -1478,7 +1499,6 @@ FLAGS = {
         "--learning-rate": ("learning_rate", float), "--profile": ("profile", str),
         "--sampling": ("sampling", str), "--seed": ("seed", int),
         "--topology-file": ("topology_file", str), "--trace": ("trace", str),
-        "--weight-decay": ("weight_decay", float),
     },
     "eval": {
         "--cache": ("cache", str), "--checkpoint": ("checkpoint", str),
@@ -1528,7 +1548,7 @@ class TestCliSurface:
         assert helps == pinned
 
     def test_default_config_hash(self):
-        assert PipelineConfig().hash() == "b1e87c1e9e98"
+        assert PipelineConfig().hash() == "1b04f045d142"
 
     def test_network_and_training_defaults_are_the_layers(self):
         cfg = PipelineConfig()
@@ -1691,8 +1711,8 @@ class TestConfigValues:
 
     @pytest.mark.parametrize("key, value", [
         ("conv1_channels", 0), ("conv2_channels", 0), ("hidden", 0), ("learning_rate", -1),
-        ("epochs", -1), ("batch_size", 0), ("weight_decay", -5), ("k", 0), ("sampling", "foo"),
-        ("max_gap", -1), ("seed", -1),
+        ("epochs", -1), ("batch_size", 0), ("k", 0), ("sampling", "foo"), ("max_gap", -1),
+        ("seed", -1),
     ])
     @pytest.mark.parametrize("via", ["file", "flag"])
     def test_rejected_naming_the_key(self, workdir, tmp_path, capsys, key, value, via):
@@ -1721,7 +1741,7 @@ class TestUsageErrors:
     @pytest.mark.parametrize("command, flag", [
         ("preprocess", "--sequences=x"), ("preprocess", "--k=10"),
         ("preprocess", "--sampling=center"), ("preprocess", "--poly-degree=1"),
-        ("train", "--sequences=x"), ("train", "--no-resample"),
+        ("train", "--sequences=x"), ("train", "--no-resample"), ("train", "--weight-decay=0.1"),
     ])
     def test_removed_flags_are_usage_errors(self, command, flag, capsys):
         paths = {"preprocess": ["--annotations", "a"], "train": ["--checkpoint", "n"]}

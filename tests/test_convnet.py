@@ -19,13 +19,13 @@ from posestream.convnet import (
     TrainConfig,
     TrainingDivergedError,
     Workspace,
+    _bias_relu,
+    _conv,
     _conv_grads,
     _conv_input_grad,
-    _conv_relu,
     _forward,
     _loss_and_grads,
     _pool,
-    _pool_argmax,
     _unpool,
     backward,
     forward,
@@ -62,6 +62,11 @@ def naive_conv(x, w, b):
 
 
 from conftest import assert_kink_free, write_raw
+
+
+def conv_relu(x, w, b, extent):
+    """ReLU of the conv plus bias at extent, as the conv stage runs conv1."""
+    return _bias_relu(_conv(x, w, extent, Workspace(), "conv")[1], b)
 
 
 def numeric_gradients(net, x, labels, h=1e-4):
@@ -161,7 +166,7 @@ class TestConvPrimitive:
         w = np.zeros((3, 2, 1, 1))
         w[:, :, 0, 0] = [[1.0, 0.0], [0.0, 2.0], [-1.0, 0.0]]
         b = np.array([0.5])
-        _, out = _conv_relu(x, w, b, (1, 3), Workspace(), "conv")
+        out = conv_relu(x, w, b, (1, 3))
         # out[j] = x[0,j] + 2*x[1,j+1] - x[2,j] + 0.5
         expected = np.array(
             [[0 + 2 * 5 - 8 + 0.5, 1 + 2 * 6 - 9 + 0.5, 2 + 2 * 7 - 10 + 0.5]]
@@ -175,7 +180,7 @@ class TestConvPrimitive:
         b = rng.normal(size=4)
         expected = np.maximum(naive_conv(x, w, b), 0.0)
         for extent in [(4, 6), (3, 5), (1, 1)]:
-            _, out = _conv_relu(x, w, b, extent, Workspace(), "conv")
+            out = conv_relu(x, w, b, extent)
             np.testing.assert_allclose(out, expected[:, : extent[0], : extent[1]], atol=1e-12)
 
 
@@ -332,30 +337,45 @@ class TestAgainstReference:
         b = _data(seed + 2, (c_out,), dyadic)
         z_ref, cols_ref = reference._conv_forward(x, w, b)
         ws = Workspace()
-        cols, a = _conv_relu(x, w, b, (r2, c2), ws, "conv")
+        cols, z = _conv(x, w, (r2, c2), ws, "conv")
+        a = np.maximum(z + b, 0.0)
         np.testing.assert_allclose(a, np.maximum(z_ref, 0.0)[:, :r2, :c2], rtol=0, atol=1e-12)
         np.testing.assert_array_equal(cols, cols_ref[:, :r2, :c2].reshape(cols.shape))
 
-        a_ref = np.maximum(z_ref, 0.0)
-        a = a_ref[:, :r2, :c2]
-        pooled_ref, idx_ref = reference._pool_forward(a_ref)
-        pooled, idx = _pool_argmax(a, ws)
+        # The stage pools the unbiased outputs, then adds the bias and takes
+        # the ReLU; the reference pools the activations and keeps the argmax.
+        pooled_ref, idx_ref = reference._pool_forward(a)
+        pooled = _bias_relu(_pool(z, np.empty(pooled_ref.shape)), b)
         assert pooled.tobytes() == pooled_ref.tobytes()
-        assert pooled.tobytes() == _pool(a, np.empty_like(pooled)).tobytes()
-        np.testing.assert_array_equal(idx, idx_ref)
 
-        d_pooled = _data(seed + 3, pooled.shape, dyadic)
-        d_a_ref = reference._pool_backward(d_pooled, idx_ref, a_ref.shape)
-        d_a = _unpool(d_pooled, idx, ws, "d_pool")
-        np.testing.assert_array_equal(d_a, d_a_ref[:, :r2, :c2])
-        assert not d_a_ref[:, r2:].any() and not d_a_ref[:, :, c2:].any()
+        # Routing without an index lands each window's gradient where the
+        # reference's argmax does (equal values; a zero may differ in sign).
+        d_pooled = _data(seed + 3, pooled.shape, dyadic) * (pooled > 0)
+        d_z = _unpool(d_pooled, pooled, z, b)
+        d_z_ref = np.zeros(z_ref.shape)
+        d_z_ref[:, :r2, :c2] = reference._pool_backward(d_pooled, idx_ref, a.shape) * (a > 0)
+        np.testing.assert_array_equal(d_z, d_z_ref[:, :r2, :c2])
 
-        d_x_ref, d_w_ref, d_b_ref = reference._conv_backward(d_a_ref, cols_ref, w, x.shape)
-        d_w, d_b = _conv_grads(d_a, cols, w)
-        d_x = _conv_input_grad(d_a, w, (batch, r2 + 2, c2 + 1, c_in), ws, "d_input")
+        d_x_ref, d_w_ref, d_b_ref = reference._conv_backward(d_z_ref, cols_ref, w, x.shape)
+        d_w, d_b = _conv_grads(d_z, cols, w)
+        d_x = _conv_input_grad(d_z, w, (batch, r2 + 2, c2 + 1, c_in), ws, "d_input")
         _assert_grads_close({"d_w": d_w, "d_b": d_b, "d_x": d_x},
                             {"d_w": d_w_ref, "d_b": d_b_ref, "d_x": d_x_ref[:, : r2 + 2, : c2 + 1]})
         assert not d_x_ref[:, r2 + 2:].any() and not d_x_ref[:, :, c2 + 1:].any()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_a_tie_made_by_the_bias_routes_to_the_lowest_offset(self, dtype):
+        # One window whose offsets 0, 1 and 3 differ unbiased (the largest is
+        # offset 3) but round to the same z + b; the reference's argmax over
+        # relu(z + b) picks offset 0, and so must the routing.
+        tiny = np.finfo(dtype).eps / 8
+        z = np.array([tiny, 2 * tiny, -1.0, 3 * tiny], dtype).reshape(1, POOL, POOL, 1)
+        b = np.ones(1, dtype)
+        pooled = _bias_relu(_pool(z, np.empty((1, 1, 1, 1), dtype)), b)
+        pooled_ref, idx_ref = reference._pool_forward(np.maximum(z + b, 0.0))
+        assert pooled.tobytes() == pooled_ref.tobytes() and idx_ref.item() == 0
+        d_z = _unpool(np.full(pooled.shape, 0.5, dtype), pooled, z, b)
+        assert d_z.ravel().tolist() == [0.5, 0.0, 0.0, 0.0]
 
     @settings(max_examples=80, deadline=None)
     @given(c1=st.integers(4, 9), c2=st.integers(5, 9), hidden=st.integers(6, 12),
@@ -370,8 +390,6 @@ class TestAgainstReference:
         labels = np.random.default_rng(seed).integers(0, classes, batch)
 
         np.testing.assert_allclose(forward(net, x), _reference_forward(net, x), rtol=0, atol=1e-12)
-        np.testing.assert_array_equal(_forward(net, x, Workspace())["pool_idx"],
-                                      reference._forward(net, x)["pool_idx"])
         loss_new, probs_new, grads = _loss_and_grads(net, x, labels, Workspace())
         loss_ref, probs_ref, grads_ref = reference._loss_and_grads(net, x, labels)
         assert abs(loss_new - loss_ref) <= 1e-12 * max(1.0, abs(loss_ref))
@@ -551,6 +569,8 @@ class TestTrain:
             assert all(grads[name].tobytes() == fresh[name].tobytes() for name in fresh)
         size = lambda ws: sum(buffer.nbytes for buffer in ws._buffers.values())
         assert size(step_ws) <= size(forward_ws)
+        # No pool index: every buffer holds the net's float32 values.
+        assert {buffer.dtype for buffer in step_ws._buffers.values()} == {np.dtype(np.float32)}
 
     def test_learns_separable_classes(self):
         rng = np.random.default_rng(8)
@@ -624,14 +644,12 @@ class TestTrain:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("count, batch_size", [(24, 8), (21, 8)], ids=["whole", "ragged"])
-    @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
-    def test_matches_gather_per_batch_reference(self, dtype, count, batch_size, weight_decay):
+    def test_matches_gather_per_batch_reference(self, dtype, count, batch_size):
         """Slicing the drawn epoch equals gathering each batch from a fixed
         array (tests/convnet_reference.py), bit for bit."""
         x, y = linearly_separable_dataset(np.random.default_rng(18), count=count)
         net = init_net(SMALL_SHAPE, num_classes=2, seed=6, arch=SMALL_ARCH).astype(dtype)
-        cfg = TrainConfig(learning_rate=0.05, epochs=3, batch_size=batch_size, seed=2,
-                          weight_decay=weight_decay)
+        cfg = TrainConfig(learning_rate=0.05, epochs=3, batch_size=batch_size, seed=2)
         trained, trace = train(net, fixed(x), y, cfg)
         want, want_trace = reference.train(net, x, y, cfg)
         for name, param in want.parameters().items():
@@ -658,14 +676,20 @@ class TestTrain:
         with pytest.raises(ValueError, match=message):
             train(small_net(), draw, labels, TrainConfig(epochs=1))
 
-    def test_weight_decay_shrinks_weights(self):
-        x = np.zeros((8, *SMALL_SHAPE))
-        y = np.array([0, 1] * 4, dtype=np.int64)
-        net = small_net()
-        cfg = TrainConfig(learning_rate=0.1, epochs=1, batch_size=8, weight_decay=0.5)
-        trained, _ = train(net, fixed(x), y, cfg)
-        # On all-zero input conv gradients vanish, so only decay acts.
-        np.testing.assert_allclose(trained.conv1_w, net.conv1_w * (1 - 0.1 * 0.5), atol=1e-12)
+    @pytest.mark.parametrize("labels, shown", [
+        (np.array([0.5, 1.9, 2.2, 0.0]), r"0\.5 is not an integer class id \(labels are float64"),
+        (np.array(["1", "0", "2", "1"]), r"'1' is not an integer class id \(labels are <U1"),
+        (np.array([True, False, True, True]), r"True is not an integer class id \(labels are bool"),
+    ], ids=["float", "string", "bool"])
+    def test_refuses_labels_that_are_not_integers(self, labels, shown):
+        # Cast to int64, these once trained as classes [0, 1, 2, 0] and [1, 0, 2, 1].
+        def draw(epoch, rows):
+            raise AssertionError("train drew tensors for invalid labels")
+
+        with pytest.raises(ValueError, match=rf"^label {shown}\)$"):
+            train(small_net(), draw, labels, TrainConfig(epochs=1))
+        with pytest.raises(ValueError, match=rf"^label {shown}\)$"):
+            backward(small_net(), np.zeros((4, *SMALL_SHAPE)), labels)
 
 
 class TestFloat32:
@@ -678,7 +702,7 @@ class TestFloat32:
         net = small_net(seed=4).astype(np.float32)
         grads = backward(net, x, y)
         assert {name: g.dtype for name, g in grads.items()} == dict.fromkeys(grads, np.float32)
-        cfg = TrainConfig(epochs=1, batch_size=8, weight_decay=0.1)
+        cfg = TrainConfig(epochs=1, batch_size=8)
         trained, trace = train(net, fixed(x), y, cfg)
         params = trained.parameters()
         assert {name: p.dtype for name, p in params.items()} == dict.fromkeys(params, np.float32)
