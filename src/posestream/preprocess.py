@@ -175,12 +175,14 @@ def normalize(corpus: PoseCorpus, topology: SkeletonTopology) -> PoseCorpus:
         shift = np.zeros((len(flags), 2))
         shift[frames] = centers[keep]
         # Whole frames at once; missing joints and unusable frames are put back.
-        coords = corpus.coords / scale[:, None, None]
+        # C order, so each (x, y) pair can be read as one complex128 below.
+        coords = np.divide(corpus.coords, scale[:, None, None], order="C")
         coords -= shift[:, None]
         far = np.hypot(coords[..., 0], coords[..., 1]) > PLAUSIBLE_RADIUS
     moved = filled & usable[:, None]
     np.copyto(coords, corpus.coords, where=~moved[..., None])
-    usable &= (np.isfinite(coords).all(axis=2) | ~moved).all(axis=1)
+    # A pair is finite when both coordinates are: one pass instead of two and a reduction.
+    usable &= (np.isfinite(coords.view(np.complex128)[..., 0]) | ~moved).all(axis=1)
     demoted = ~usable[:, None] | (moved & far)
     coords[demoted] = 0.0
     flags[demoted] = VIS_MISSING
@@ -521,10 +523,12 @@ def pose_from_record(record: dict, n_expected: int | None = None) -> Record:
         raise AnnotationError("record is not a JSON object")
     try:
         video = record["video"]
-        n = int(record["n"])
+        n = record["n"]
         frames = record["frames"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except KeyError as exc:
         raise AnnotationError(f"missing or malformed field: {exc}") from None
+    if type(n) is not int:
+        raise AnnotationError(f"'n' must be an integer, got {reprlib.repr(n)}")
     if not isinstance(video, str) or not video:
         raise AnnotationError("'video' must be a non-empty string")
     if not is_video_id(video):

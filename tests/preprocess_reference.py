@@ -14,6 +14,7 @@ and the orjson line parser against ``parse_annotation_line`` here.
 from __future__ import annotations
 
 import json
+import reprlib
 from typing import NamedTuple
 
 import numpy as np
@@ -92,10 +93,12 @@ def pose_from_record(record: dict, n_expected: int | None = None) -> Pose:
         raise AnnotationError("record is not a JSON object")
     try:
         video = record["video"]
-        n = int(record["n"])
+        n = record["n"]
         frames = record["frames"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except KeyError as exc:
         raise AnnotationError(f"missing or malformed field: {exc}") from None
+    if type(n) is not int:
+        raise AnnotationError(f"'n' must be an integer, got {reprlib.repr(n)}")
     if not isinstance(video, str) or not video:
         raise AnnotationError("'video' must be a non-empty string")
     if not is_video_id(video):

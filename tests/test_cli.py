@@ -3,6 +3,7 @@
 import argparse
 import ast
 import errno
+import gc
 import json
 import os
 import shutil
@@ -1697,6 +1698,157 @@ def _run_python(code: str, *argv: str) -> str:
                             text=True)
     assert result.returncode == 0, result.stderr
     return result.stdout.strip().splitlines()[-1]
+
+
+def _entry_argv(command, workdir):
+    """Each command's argv: inputs from the shared pipeline, every output a
+    relative path, so its report reads the same from any directory."""
+    pose = ["--pose-scores", str(workdir / "scores.csv"), "--labels", str(workdir / "labels.csv")]
+    return [command, *{
+        "synth": ["--out", "a.jsonl", "--videos-per-class", "2", "--frames", "8",
+                  "--dropout", "0.2", "--seed", "4"],
+        "preprocess": ["--annotations", str(workdir / "test.jsonl"), "--cache", "c.cache",
+                       "--report", "r.json", "--save-spatial-model", "sm.bin"],
+        "train": ["--cache", str(workdir / "train.cache"), "--checkpoint", "n.ckpt",
+                  "--trace", "t.csv", *FAST],
+        "eval": ["--cache", str(workdir / "test.cache"), "--checkpoint", str(workdir / "net.ckpt"),
+                 "--scores", "s.csv", "--labels", "l.csv", "--report", "r.json"],
+        "fuse": [*pose, "--fused-scores", "f.csv", "--report", "r.json"],
+        "weights-search": [*pose, "--grid", "0.5,1", "--report", "r.json"],
+    }[command]]
+
+
+def _process(*argv, cwd=None, stdout=subprocess.PIPE, unbuffered=False):
+    """``python -m posestream.cli`` run on argv in a fresh interpreter."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(src)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, "-m", "posestream.cli", *map(str, argv)], cwd=cwd,
+                          env=env, stdout=stdout, stderr=subprocess.PIPE, text=True)
+
+
+class TestProcessEntry:
+    """``python -m posestream.cli`` and the ``posestream`` script go through
+    ``cli.run``: main's output, exit code and files, then a frozen collector
+    at exit. main itself leaves the collector as it found it."""
+
+    def test_main_leaves_the_collector_unfrozen(self, workdir, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        before = gc.get_freeze_count()
+        assert main(_entry_argv("weights-search", workdir)) == 0
+        assert main(["preprocess", "--annotations", "missing", "--cache", "c"]) == 1
+        with pytest.raises(SystemExit):
+            main(["preprocess", "--bogus"])
+        capsys.readouterr()
+        assert gc.get_freeze_count() == before
+
+    @pytest.mark.parametrize("command", ["synth", "preprocess", "train", "eval", "fuse",
+                                         "weights-search"])
+    def test_the_process_gives_main_s_line_code_and_files(self, workdir, tmp_path, capsys,
+                                                           monkeypatch, command):
+        argv = _entry_argv(command, workdir)
+        inside, child = tmp_path / "inside", tmp_path / "child"
+        inside.mkdir(), child.mkdir()
+        monkeypatch.chdir(inside)
+        code = main(argv)
+        captured = capsys.readouterr()
+        result = _process(*argv, cwd=child)
+        assert (result.returncode, result.stdout, result.stderr) == (code, captured.out, "")
+        assert code == 0 and captured.out.count("\n") == 1
+        assert _snapshot(child) == _snapshot(inside) and len(_snapshot(inside)) > 0
+
+    @pytest.mark.parametrize("argv, code", [
+        (["preprocess", "--bogus"], 2),
+        (["frobnicate"], 2),
+        (["preprocess", "--annotations", "missing.jsonl", "--cache", "c.cache"], 1),
+    ], ids=["unknown flag", "unknown command", "command error"])
+    def test_an_error_exits_with_main_s_code_and_json_line(self, tmp_path, capsys, monkeypatch,
+                                                           argv, code):
+        monkeypatch.chdir(tmp_path)
+        try:
+            assert main(argv) == code
+        except SystemExit as exc:
+            assert exc.code == code
+        expected = capsys.readouterr().err
+        result = _process(*argv, cwd=tmp_path)
+        assert (result.returncode, result.stdout, result.stderr) == (code, "", expected)
+        assert expected.count("\n") == 1 and "error" in json.loads(expected)
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("command", ["synth", "weights-search", "long line", "--help"])
+    def test_a_closed_stdout_exits_1_with_one_json_line(self, workdir, tmp_path, command,
+                                                        unbuffered):
+        """A stdout whose reader is gone: main's print fails (unbuffered, or
+        a line longer than the buffer) or the entry's flush does (buffered);
+        either way one JSON line, no traceback. argparse ignores a failed
+        --help write, so only the buffered --help reaches the entry's flush."""
+        if command == "long line":  # 600 rejected lines make a report of about 40 KB
+            ann = tmp_path / "ann.jsonl"
+            ann.write_text((workdir / "test.jsonl").read_text() + "not json\n" * 600)
+            argv = ["preprocess", "--annotations", ann, "--cache", "c.cache"]
+        else:
+            argv = _entry_argv(command, workdir) if command != "--help" else [command]
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            result = _process(*argv, cwd=tmp_path, stdout=write, unbuffered=unbuffered)
+        finally:
+            os.close(write)
+        if command == "--help" and unbuffered:
+            assert (result.returncode, result.stderr) == (0, "")
+            return
+        assert result.returncode == 1, result.stderr
+        assert result.stderr.count("\n") == 1, result.stderr
+        error = json.loads(result.stderr)
+        assert error["error"] == "BrokenPipeError" and "Broken pipe" in error["message"]
+
+    @pytest.mark.parametrize("fd", [1, 2])
+    def test_a_stream_closed_from_the_start_is_no_error(self, tmp_path, fd):
+        """A process started with fd 1 or 2 closed has ``sys.stdout`` or
+        ``sys.stderr`` None; print writes nothing there, and neither does the
+        entry."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        result = subprocess.run(
+            ["sh", "-c", f'exec "$0" "$@" {fd}>&-', sys.executable, "-m", "posestream.cli",
+             "synth", "--out", "a.jsonl", "--videos-per-class", "1", "--frames", "4"],
+            cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+            text=True)
+        assert result.returncode == 0, result.stderr
+        if fd == 1:
+            assert result.stderr == ""
+        else:
+            assert json.loads(result.stdout)["videos"] == 4
+        assert (tmp_path / "a.jsonl").exists()
+
+    @pytest.mark.parametrize("entry", ["module", "script"])
+    @pytest.mark.parametrize("argv, code", [
+        (["synth", "--out", "a.jsonl", "--videos-per-class", "1", "--frames", "4"], 0),
+        (["preprocess", "--annotations", "missing.jsonl", "--cache", "c.cache"], 1),
+        (["preprocess", "--bogus"], 2),
+    ], ids=["success", "command error", "usage error"])
+    def test_every_exit_path_freezes_the_collector(self, tmp_path, entry, argv, code):
+        """The ``__main__`` block as ``-m`` runs it, and the console script
+        that ``pyproject.toml`` names, as its generated wrapper calls it."""
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["posestream"]
+        start = {
+            "module": "runpy.run_module('posestream.cli', run_name='__main__', alter_sys=True)",
+            "script": f"module, _, name = {target!r}.partition(':')\n"
+                      "sys.exit(getattr(importlib.import_module(module), name)())",
+        }[entry]
+        program = ("import atexit, gc, importlib, runpy, sys\n"
+                   "assert gc.get_freeze_count() == 0\n"
+                   "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+                   + start)
+        src = Path(__file__).resolve().parents[1] / "src"
+        result = subprocess.run([sys.executable, "-c", program, *argv], cwd=tmp_path,
+                                env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+                                text=True)
+        assert result.returncode == code, result.stderr
+        assert result.stdout.splitlines()[-1] == "frozen True"
 
 
 def _imports_orjson(node: ast.AST) -> bool:

@@ -102,6 +102,26 @@ class TestNormalize:
         assert (out.flags[0] == VIS_MISSING).all() and (out.coords[0] == 0.0).all()
         np.testing.assert_allclose(out.coords[1, 2], [1.0, 0.5])
 
+    @pytest.mark.parametrize("layout", ["fortran", "strided"])
+    def test_coordinate_layout_keeps_the_bits(self, layout):
+        """normalize reads each (x, y) pair as one complex128; a corpus whose
+        coordinates are not C-ordered gives the same bits. Frame 0 overflows
+        over a 1e-5 torso, and frame 2's missing wrist holds inf."""
+        coords = np.array([[[0.0, 0.0], [0.0, 1e-5], [1e304, 0.0]],
+                           [[0.0, 0.0], [0.0, 2.0], [2.0, 2.0]],
+                           [[0.0, 0.0], [0.0, 2.0], [np.inf, 1.0]]])
+        vis = np.array([[1, 1, 1], [1, 1, 1], [1, 1, 0]], dtype=np.uint8)
+        corpus = one_video(coords, vis)
+        other = (np.asfortranarray(corpus.coords) if layout == "fortran"
+                 else np.repeat(corpus.coords, 2, axis=2)[..., ::2])
+        assert not other.flags["C_CONTIGUOUS"]
+        topo = simple_topology()
+        expected = normalize(corpus, topo)
+        out = normalize(replace(corpus, coords=other), topo)
+        assert out.coords.tobytes() == expected.coords.tobytes()
+        np.testing.assert_array_equal(out.flags, expected.flags)
+        np.testing.assert_array_equal(expected.flags, [[0, 0, 0], [1, 1, 1], [1, 1, 0]])
+
     def test_joint_beyond_the_radius_is_demoted(self):
         # Torso length 2 centered on (0, 1): the wrist lies 10.1 torso lengths
         # from the center in frame 0, past PLAUSIBLE_RADIUS, and 9.9 in frame 1.
@@ -663,6 +683,18 @@ class TestAnnotationIO:
         with pytest.raises(AnnotationError, match="frame 1 joint 1 .*float64 range"):
             pose_from_record(record)
 
+    @pytest.mark.parametrize("n", [15.9, 15.0, "15", " 15 ", "1_5", True, None, [15]])
+    def test_rejects_n_that_is_not_a_json_integer(self, n):
+        frames = [[[0, j, 1] for j in range(15)]]
+        with pytest.raises(AnnotationError,
+                           match=re.escape(f"'n' must be an integer, got {n!r}")):
+            pose_from_record({"video": "v", "n": n, "frames": frames}, n_expected=15)
+
+    def test_n_nested_thousands_deep_rejects_its_line(self):
+        line = b'{"video": "v", "n": %s, "frames": [[[0, 0, 1]]]}' % (b"[" * 5000 + b"]" * 5000)
+        with pytest.raises(AnnotationError, match=r"'n' must be an integer, got \[\[\["):
+            parse_annotation_line(line, 1)
+
     def test_reader_reports_line_numbers(self, tmp_path):
         report = preprocess_file(tmp_path, [record_line("a"), "", "not json"])
         assert [entry["line"] for entry in report["rejected"]] == [3]
@@ -671,7 +703,8 @@ class TestAnnotationIO:
     @pytest.mark.parametrize("line, error", [
         (b'{"video": "b", "n": 15, "frames": []}', "'frames' must be a non-empty list"),
         (b'\xff{"video": "b", "n": 15}', "line is not UTF-8 (bad byte at offset 0)"),
-    ], ids=["no-frames", "first-byte-not-utf8"])
+        (b'{"video": "b", "n": 15.0, "frames": []}', "'n' must be an integer, got 15.0"),
+    ], ids=["no-frames", "first-byte-not-utf8", "float-n"])
     def test_a_bad_line_is_rejected_and_the_run_goes_on(self, tmp_path, line, error):
         path = tmp_path / "ann.jsonl"
         path.write_bytes(b"\n".join([record_line("a").encode(), line, record_line("c").encode()]))
