@@ -14,7 +14,8 @@ dimension, truncation and trailing bytes. Every size is checked against the
 file's (from ``fstat``) before anything is allocated. The ``OpenFile`` that
 ``open`` returns reads any row range of an array's leading axis straight
 into a buffer the caller keeps, so a caller may hold a file's bytes once,
-or one part of them at a time; a file that shrinks while it is open fails
+or one part of them at a time, from any number of threads (each read is a
+``preadv`` at the rows' offset); a file that shrinks while it is open fails
 that read. ``read`` is ``open``, then every array read whole. Each defect
 is a ValueError that names the file; a file kind adds only the checks of
 what its values mean.
@@ -187,7 +188,9 @@ class OpenFile:
     def read_into(self, name: str, out: np.ndarray, start: int = 0) -> None:
         """Fill out, a C-contiguous array of the dtype and row shape of the
         array name, with its rows start to start + len(out); another buffer,
-        or rows outside the array, are refused naming the file."""
+        or rows outside the array, are refused naming the file. It reads at
+        an absolute offset and moves no file position, so threads may read
+        one open file at once."""
         kind, shape = self.layout[name]
         kind, start = np.dtype(kind), int(start)
         if out.dtype != kind or out.shape[1:] != shape[1:] or not out.flags.c_contiguous:
@@ -196,7 +199,11 @@ class OpenFile:
         if start < 0 or start + len(out) > shape[0]:
             raise ValueError(f"{self.path}: rows {start} to {start + len(out)} are outside "
                              f"array '{name}' of {shape[0]} rows")
-        self.handle.seek(self.starts[name] + start * kind.itemsize * math.prod(shape[1:]))
-        if self.handle.readinto(out.reshape(-1).view(np.uint8)) != out.nbytes:
-            raise ValueError(f"{self.path}: truncated in array '{name}' "
-                             "(the file shrank while it was read)")
+        at, done = self.starts[name] + start * kind.itemsize * math.prod(shape[1:]), 0
+        buffer = out.reshape(-1).view(np.uint8)
+        while done < out.nbytes:  # one pread returns at most about 2 GiB
+            read = os.preadv(self.handle.fileno(), [buffer[done:]], at + done)
+            if not read:
+                raise ValueError(f"{self.path}: truncated in array '{name}' "
+                                 "(the file shrank while it was read)")
+            done += read

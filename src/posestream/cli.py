@@ -9,7 +9,9 @@ turns checkpoint + corpus into a score CSV and an accuracy report, and
 ``FilledCorpus.tensor_shape`` gives: ``train`` hands ``convnet.train`` a
 draw that builds each epoch's tensors from fresh snippets, in that epoch's
 order, and ``eval`` holds the corpus file open and reads, builds and
-scores one slice of videos at a time. The corpus file holds coordinates
+scores one slice of videos at a time on each of at most two lanes (threads
+that share the file and the net, each with its own workspace), with the
+bytes of one lane. The corpus file holds coordinates
 only; ``preprocess``'s report keeps their fill provenance. Every command
 is deterministic given its config and seed, every output but the
 ``--save-spatial-model`` file embeds the config hash and seed (that
@@ -42,6 +44,7 @@ import itertools
 import json
 import os
 import sys
+import threading
 from dataclasses import asdict
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NoReturn, Sequence
@@ -293,6 +296,57 @@ def cmd_train(cfg: PipelineConfig, config: str | None = None) -> dict:
 # eval
 # ---------------------------------------------------------------------------
 
+# The most lanes eval scores on; each holds its own workspace.
+_LANES = 2
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _on_lanes(score: Callable[[int, np.ndarray], np.ndarray], items: list[np.ndarray],
+              lanes: int) -> list[np.ndarray]:
+    """[score(lane, item) for item in items], lane i taking items i, i +
+    lanes, ...: lane 0 on the calling thread, each other lane on a thread of
+    its own. A lane stops at its first failing item; every thread is joined
+    on every path, and a KeyboardInterrupt stops the other lanes at their
+    next item. The failure of the lowest item index is raised, so every item
+    before it was scored, as in one lane."""
+    results: list = [None] * len(items)
+    failures: dict[int, Exception] = {}
+    interrupted = threading.Event()
+
+    def lane(first: int) -> None:
+        for index in range(first, len(items), lanes):
+            if interrupted.is_set():
+                return
+            try:
+                results[index] = score(first, items[index])
+            except Exception as exc:
+                failures[index] = exc
+                return
+
+    threads: list[threading.Thread] = []
+    try:
+        for first in range(1, lanes):
+            thread = threading.Thread(target=lane, args=(first,), name=f"eval-lane-{first}")
+            thread.start()
+            threads.append(thread)
+        lane(0)
+    except BaseException:
+        interrupted.set()
+        raise
+    finally:
+        for thread in threads:
+            thread.join()
+    if failures:
+        raise failures[min(failures)]
+    return results
+
+
 def cmd_eval(cfg: PipelineConfig, config: str | None = None) -> dict:
     """Checkpoint + filled corpus -> per-video score CSV + accuracy report.
 
@@ -301,13 +355,19 @@ def cmd_eval(cfg: PipelineConfig, config: str | None = None) -> dict:
     labels are checked before the checkpoint is read, and the labels
     against the checkpoint's classes right after. The videos are taken
     in id order, in the same slices of at most FORWARD_SLICE rows that
-    ``forward`` scores; each slice's frames are read from the file and
-    checked, and its float32 tensors built in and scored through one
-    workspace that every slice reuses, with no cast. So memory holds the
-    corpus's ids, offsets and labels, the checkpoint's float32 net, one
-    slice's frames, the workspace (one slice's tensors included) and the
-    score rows, and no frame of the other slices. Accuracy, per-class
-    accuracy and confusion are null unless every video has a label."""
+    ``forward`` scores, on min(2, CPUs of the affinity set, slices) lanes:
+    the calling thread scores the even slices and a second thread the odd
+    ones, and the score rows are joined in slice order, so no output byte
+    depends on the lane count. In its lane, each slice's frames are read
+    from the file and checked, and its float32 tensors built in and scored
+    through the lane's workspace, which its slices reuse, with no cast. So
+    memory holds the corpus's ids, offsets and labels, the checkpoint's
+    float32 net, per lane one slice's frames and a workspace (one slice's
+    tensors included), and the score rows, and no frame of the other
+    slices. A bad slice fails the run as on one lane: once both lanes have
+    stopped, the failure of the first bad slice is raised. Accuracy,
+    per-class accuracy and confusion are null unless every video has a
+    label."""
     from . import convnet, fusion, tensorize
 
     cfg.require("cache", "checkpoint", "scores")
@@ -330,20 +390,21 @@ def cmd_eval(cfg: PipelineConfig, config: str | None = None) -> dict:
         if cfg.labels and not labeled:
             raise CliError(f"{cfg.cache}: some videos have no label; cannot write {cfg.labels}")
 
-        workspace = convnet.Workspace()
+        order = np.array(sorted(range(len(corpus.videos)), key=corpus.videos.__getitem__))
+        slices = convnet.row_slices(order, convnet.FORWARD_SLICE)
+        workspaces = [convnet.Workspace() for _ in range(min(_cpus(), _LANES, len(slices)))]
 
-        def score(rows: np.ndarray) -> np.ndarray:
-            # In the workspace: a fresh array per slice would be mapped afresh.
+        def score(lane: int, rows: np.ndarray) -> np.ndarray:
+            # In the lane's workspace: a fresh array per slice would be mapped afresh.
+            workspace = workspaces[lane]
             tensors = workspace.take("tensors", (len(rows), *corpus.tensor_shape(k)), net.dtype)
             tensorize.corpus_tensors(corpus.read(rows), np.arange(len(rows)), k, cfg.sampling,
                                      corpus.seed, out=tensors)
             return convnet.forward(net, tensors, workspace)
 
-        order = np.array(sorted(range(len(corpus.videos)), key=corpus.videos.__getitem__))
-        slices = convnet.row_slices(order, convnet.FORWARD_SLICE)
         scores = fusion.StreamScores(
             stream="pose", videos=tuple(corpus.videos[i] for i in order),
-            matrix=np.concatenate([score(rows) for rows in slices]),
+            matrix=np.concatenate(_on_lanes(score, slices, len(workspaces))),
         )
     result = fusion.evaluate(scores, labels) if labeled else None
 

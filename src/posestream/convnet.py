@@ -33,12 +33,15 @@ Scoring (``forward``) keeps nothing for backprop and runs in slices of at
 most FORWARD_SLICE rows, so its memory does not grow with the batch.
 Within a slice, the convs and the pool run on sub-slices of at most
 CONV_SLICE rows, writing one pooled buffer, and the fully connected head
-runs once on the slice's pooled rows. CONV_SLICE sizes the workspace's
-conv buffers, trading memory for per-call overhead: for the default net
-in float32 they take 2.9 MB at 4 rows, 5.8 MB at 8 and 1.4 MB at 2, and
-scoring 640 videos took about 4% more CPU time at 4 rows than at 8 and 6%
-more at 2 (medians of 30 interleaved runs, one BLAS thread on a 2-vCPU
-x86-64 VM). A slice of fewer than HEAD_ROWS rows gets zero pooled rows
+runs once on the slice's pooled rows. The two sizes trade memory for
+per-call overhead. For the default net in float32 the conv buffers take
+1.4 MB at 2 rows and 2.8 MB at 4, and a workspace with one slice's
+tensors 2.9 MB at 32 and 2 rows against 5.8 MB at 64 and 4: so eval's two
+lanes, a workspace each, fit in what one lane held at 64 and 4. Scoring
+640 videos on one thread took 287 ms of CPU at 32 and 2 rows, 293 ms at
+32 and 4 and 250 ms at 64 and 4, where the head packs fc1_w half as often
+(medians of 30 interleaved runs, one BLAS thread on a 2-vCPU x86-64 VM).
+A slice of fewer than HEAD_ROWS rows gets zero pooled rows
 whose outputs are dropped, as OpenBLAS multiplies fewer rows with other
 kernels and other last bits; so a row's probabilities do not depend on
 the batch it came in. Slicing changes which rows share a matrix product,
@@ -85,8 +88,8 @@ PROB_FLOOR = 1e-12
 # size; rows per conv/pool pass inside it, which sizes the workspace's im2col
 # buffers while the head still reads fc1_w only once per FORWARD_SLICE rows;
 # and the fewest rows the head multiplies (module docstring).
-FORWARD_SLICE = 64
-CONV_SLICE = 4
+FORWARD_SLICE = 32
+CONV_SLICE = 2
 HEAD_ROWS = 8
 
 

@@ -7,7 +7,9 @@ its own."""
 import ast
 import json
 import re
+import sys
 import tempfile
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -138,6 +140,40 @@ def test_a_file_that_shrinks_while_open_fails_naming_it(tmp_path):
         path.write_bytes(raw[:-3])
         message = rejected(lambda _: corpus.read(), path)
     assert message == f"{path}: truncated in array 'coords' (the file shrank while it was read)"
+
+
+def test_threads_reading_one_open_file_get_the_serial_bytes(tmp_path):
+    """Two threads read interleaved row ranges of one open file, 200 times
+    over, at a short switch interval: every read holds the serial read's
+    bytes, as each read is at its own offset and no file position is shared."""
+    path = tmp_path / "c.bin"
+    write_corpus(path, small_corpus(np.random.default_rng(8), [500] * 8))
+    ranges = [(start, 250) for start in range(0, 4000, 250)]
+    reads, wrong = [0, 0], []
+    with CORPUS_FILE.open(path) as file:
+        whole = file.read("coords")
+
+        def read(lane):
+            out = np.empty((250, 3, 2), np.float32)
+            for _ in range(200):
+                for start, rows in ranges[lane::2]:
+                    file.read_into("coords", out, start)
+                    if out.tobytes() != whole[start:start + rows].tobytes():
+                        wrong.append((lane, start))
+                    reads[lane] += 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read, args=(lane,)) for lane in (0, 1)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert reads == [1600, 1600] and wrong == []
 
 
 def test_rows_outside_an_array_are_refused_naming_them(tmp_path):

@@ -10,6 +10,8 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -809,9 +811,10 @@ class TestEval:
         assert got.tobytes() == forward(net.astype(np.float32), data).tobytes()
 
     def test_memory_flat_in_corpus_size(self, tmp_path):
-        """eval holds no frame beyond one slice's: from 64 to 640 videos of 40
-        frames (5.2 MB more coordinates in the file) its traced peak
-        grows by less than 1 MB."""
+        """eval holds no frame beyond one slice's per lane: from the fewest
+        videos that fill both lanes (two slices) to ten times as many, of 40
+        frames (5.2 MB more coordinates in the file at 32-row slices), its
+        traced peak grows by less than 1 MB."""
         tour = euler_tour(build_topology("jhmdb_gt"))
         net = init_net((15, 2 * len(tour), 3), num_classes=4, seed=0,
                        arch=NetSpec(conv1_channels=8, conv2_channels=16, hidden=64))
@@ -829,17 +832,19 @@ class TestEval:
             finally:
                 tracemalloc.stop()
 
-        assert eval_peak(10 * FORWARD_SLICE) - eval_peak(FORWARD_SLICE) < 1_000_000
+        assert eval_peak(20 * FORWARD_SLICE) - eval_peak(2 * FORWARD_SLICE) < 1_000_000
 
     @pytest.mark.parametrize("defect, message", [
         ("label", "labels below -1"),
-        ("coordinate", "video 'clip00128' has non-finite float32 coordinates on filled joints"),
+        ("coordinate", f"video 'clip{2 * FORWARD_SLICE:05d}' has non-finite float32 "
+                       "coordinates on filled joints"),
     ])
     def test_a_corpus_defect_fails_naming_the_file_before_any_write(self, tmp_path, capsys,
                                                                      defect, message):
-        """A defect of the last video of 129 fails eval: a label before the
-        checkpoint is read (here there is none), a frame when the last of
-        three slices is read; either way nothing is written."""
+        """A defect of the last video of 2 * FORWARD_SLICE + 1 fails eval: a
+        label before the checkpoint is read (here there is none), a frame
+        when the last of three slices is read; either way nothing is
+        written."""
         tour = euler_tour(build_topology("jhmdb_gt"))
         net = init_net((15, 2 * len(tour), 3), num_classes=4, seed=0,
                        arch=NetSpec(conv1_channels=4, conv2_channels=6, hidden=16))
@@ -908,6 +913,124 @@ class TestEval:
         finally:
             tracemalloc.stop()
         assert peak < tensors.size * NET_DTYPE.itemsize
+
+
+class TestEvalLanes:
+    """eval scores its slices on min(2, CPUs of its affinity set) lanes, the
+    main thread taking the even slices and one thread the odd ones."""
+
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        """cpus(n): eval sees an affinity set of n CPUs."""
+        def set_cpus(count):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                                raising=False)
+        return set_cpus
+
+    @staticmethod
+    def scoring_threads(monkeypatch, forward=None):
+        """The names of the threads that call convnet.forward, in call order;
+        forward, if given, runs in its place."""
+        from posestream import convnet
+
+        names, real = [], convnet.forward
+
+        def traced(*args):
+            names.append(threading.current_thread().name)
+            return forward(real, *args) if forward else real(*args)
+
+        monkeypatch.setattr(convnet, "forward", traced)
+        return names
+
+    @staticmethod
+    def corpus_and_net(tmp_path, videos, arch=NetSpec(conv1_channels=4, conv2_channels=6,
+                                                      hidden=16)):
+        tour = euler_tour(build_topology("jhmdb_gt"))
+        net = init_net((15, 2 * len(tour), 3), num_classes=4, seed=videos, arch=arch)
+        save_checkpoint(net, tmp_path / "net.ckpt")
+        corpus = random_corpus(videos, tour, np.random.default_rng(videos))
+        write_corpus(tmp_path / "c.bin", corpus)
+        return corpus
+
+    @pytest.mark.parametrize("arch", [NetSpec(), NetSpec(conv1_channels=8, conv2_channels=16,
+                                                         hidden=64)],
+                             ids=["32_64_256", "8_16_64"])
+    @pytest.mark.parametrize("videos", [1, 7, 31, 32, 33, 64, 65, 129])
+    def test_one_lane_and_two_write_the_same_bytes(self, tmp_path, monkeypatch, capsys, cpus,
+                                                   arch, videos):
+        self.corpus_and_net(tmp_path, videos, arch)
+        threads = self.scoring_threads(monkeypatch)
+        names = ("s.csv", "l.csv", "r.json")
+        written = {}
+        for count in (1, 2):
+            cpus(count)
+            threads.clear()
+            code, out, _ = run(capsys, "eval", "--cache", str(tmp_path / "c.bin"),
+                               "--checkpoint", str(tmp_path / "net.ckpt"),
+                               *(arg for flag, name in zip(("--scores", "--labels", "--report"),
+                                                           names)
+                                 for arg in (flag, str(tmp_path / name))))
+            assert code == 0 and out["videos"] == videos
+            written[count] = [(tmp_path / name).read_bytes() for name in names]
+            lanes = 2 if count == 2 and videos > FORWARD_SLICE else 1
+            assert len(threads) == -(-videos // FORWARD_SLICE)
+            assert len(set(threads)) == lanes
+        assert written[1] == written[2]
+
+    @pytest.mark.parametrize("defects", [(1, 2), (2, 3)], ids=["odd-first", "even-first"])
+    def test_the_earliest_defect_fails_every_run_and_nothing_is_written(
+            self, tmp_path, capsys, cpus, defects):
+        """Non-finite frames in two slices of different lanes: every run names
+        the video of the earlier slice, writes nothing and leaves no thread."""
+        cpus(2)
+        corpus = self.corpus_and_net(tmp_path, 5 * FORWARD_SLICE)
+        cache = tmp_path / "c.bin"
+        raw = bytearray(cache.read_bytes())
+        coords_at = len(raw) - corpus.coords.nbytes
+        bad = [index * FORWARD_SLICE + FORWARD_SLICE // 2 for index in defects]
+        for video in bad:  # the videos are in id order, one slice per FORWARD_SLICE
+            at = coords_at + int(corpus.offsets[video]) * 15 * 2 * 4
+            raw[at:at + 4] = np.float32(np.inf).tobytes()
+        cache.write_bytes(raw)
+        out = tmp_path / "out"
+        out.mkdir()
+        threads = threading.active_count()
+        for _ in range(20):
+            code, _, err = run(capsys, "eval", "--cache", str(cache), "--checkpoint",
+                               str(tmp_path / "net.ckpt"), "--scores", str(out / "s.csv"),
+                               "--labels", str(out / "l.csv"), "--report", str(out / "r.json"))
+            assert code == 1
+            assert err["message"] == (f"{cache}: video '{corpus.videos[bad[0]]}' has non-finite "
+                                      "float32 coordinates on filled joints")
+            assert list(out.iterdir()) == []
+            assert threading.active_count() == threads
+
+    def test_an_interrupt_stops_and_joins_the_other_lane(self, tmp_path, monkeypatch, cpus):
+        """A KeyboardInterrupt on the main lane's second slice reaches the
+        caller once the other lane has stopped at its next slice and been
+        joined; nothing is written."""
+        cpus(2)
+        self.corpus_and_net(tmp_path, 10 * FORWARD_SLICE)
+        interrupted = threading.Event()
+
+        def forward(real, *args):
+            if threading.current_thread() is not threading.main_thread():
+                interrupted.wait(timeout=30)
+                time.sleep(0.2)  # the main lane reaches its handler meanwhile
+            elif threads.count(threading.main_thread().name) == 2:
+                interrupted.set()
+                raise KeyboardInterrupt
+            return real(*args)
+
+        threads = self.scoring_threads(monkeypatch, forward)
+        before = threading.active_count()
+        cfg = PipelineConfig(cache=str(tmp_path / "c.bin"), scores=str(tmp_path / "s.csv"),
+                             checkpoint=str(tmp_path / "net.ckpt"))
+        with pytest.raises(KeyboardInterrupt):
+            cmd_eval(cfg)
+        assert threading.active_count() == before
+        assert len(threads) == 3  # two slices on the main lane, one on the other
+        assert not (tmp_path / "s.csv").exists()
 
 
 class TestFuse:
