@@ -8,19 +8,18 @@ turns checkpoint + corpus into a score CSV and an accuracy report, and
 ``eval`` build pose tensors from the corpus on demand, in the shape
 ``FilledCorpus.tensor_shape`` gives: ``train`` hands ``convnet.train`` a
 draw that builds each epoch's tensors from fresh snippets, in that epoch's
-order, and ``eval`` holds the corpus file open and reads, builds and
-scores one slice of videos at a time on each of at most two lanes (threads
-that share the file and the net, each with its own workspace), with the
-bytes of one lane. The corpus file holds coordinates
-only; ``preprocess``'s report keeps their fill provenance. Every command
-is deterministic given its config and seed, every output but the
-``--save-spatial-model`` file embeds the config hash and seed (that
-file's header holds only ``topology_name`` and ``joint_names``), every
-output path is checked before any work (none may be a file the command
-reads; each ``cmd_*`` but ``cmd_synth`` takes the config file's path for
-that), and every output is written to a unique temp file, all of them
-renamed into place only once all are written (``_Outputs``). Errors leave a machine-readable
-JSON line on stderr and a nonzero exit code.
+order, and ``eval`` holds the corpus file open and hands ``convnet.score``
+a fill that reads and builds the tensors of the videos it asks for. The
+corpus file holds coordinates only; ``preprocess``'s report keeps their
+fill provenance. Every command is deterministic given its config and
+seed, every output but the ``--save-spatial-model`` file embeds the config
+hash and seed (that file's header holds only ``topology_name`` and
+``joint_names``), every output path is checked before any work (none may
+be empty or a file the command reads; each ``cmd_*`` but ``cmd_synth``
+takes the config file's path for that), and every output is written to a
+unique temp file, all of them renamed into place only once all are
+written (``_Outputs``). Errors leave a machine-readable JSON line on
+stderr and a nonzero exit code.
 
 Each command imports the layers it runs at its top, and calls them as
 module attributes; ``fuse`` and ``weights-search`` load only ``fusion``,
@@ -44,7 +43,6 @@ import itertools
 import json
 import os
 import sys
-import threading
 from dataclasses import asdict
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NoReturn, Sequence
@@ -64,20 +62,24 @@ class CliError(ValueError):
 
 class _Outputs:
     """A command's output files, declared once, one keyword per flag; a None
-    or empty path is an output not asked for; ``inputs`` gives the path of
-    each file the command reads, by config key. Building it refuses, before
-    any work and creating nothing, a path whose nearest existing ancestor is
-    not a directory, a path that is a directory, and an output on the file
-    of another output or of an input."""
+    path is an output not asked for; ``inputs`` gives the path of each file
+    the command reads, by config key. Building it refuses, before any work
+    and creating nothing, an empty path, a path whose nearest existing
+    ancestor is not a directory, a path that is a directory, and an output
+    on the file of another output or of an input. Each command builds it
+    before it checks its required settings, so an empty output path is
+    refused naming its flag."""
 
     def __init__(self, inputs: dict[str, str | Path | None] | None = None, /,
                  **paths: str | Path | None) -> None:
-        self.paths = {name: path for name, path in paths.items() if path}
+        self.paths = {name: path for name, path in paths.items() if path is not None}
         self.ancestors: dict[str, Path] = {}
         seen = {os.path.realpath(path): _flag(name)
                 for name, path in (inputs or {}).items() if path}
         for name, path in self.paths.items():
             flag = _flag(name)
+            if path == "":
+                raise CliError(f"{flag}: the output path is empty")
             ancestor = next((p for p in Path(path).parents if p.exists()), Path("."))
             if not ancestor.is_dir():
                 raise CliError(f"{flag}: cannot write {path}: {ancestor} is not a directory")
@@ -164,11 +166,11 @@ def cmd_preprocess(cfg: PipelineConfig, config: str | None = None) -> dict:
     from . import preprocess, tensorize
     from .skeleton import build_topology, euler_tour
 
-    cfg.require("annotations", "cache")
     outputs = _Outputs(
         {"annotations": cfg.annotations, "spatial_model": cfg.spatial_model,
          "topology_file": cfg.topology_file, "config": config},
         cache=cfg.cache, report=cfg.report, save_spatial_model=cfg.save_spatial_model)
+    cfg.require("annotations", "cache")
     if not cfg.interpolate:
         for key in ("spatial_model", "save_spatial_model"):
             if getattr(cfg, key):
@@ -255,9 +257,9 @@ def cmd_train(cfg: PipelineConfig, config: str | None = None) -> dict:
     from . import convnet, tensorize
     from .skeleton import build_topology, euler_tour
 
-    cfg.require("cache", "checkpoint")
     outputs = _Outputs({"cache": cfg.cache, "topology_file": cfg.topology_file,
                         "config": config}, checkpoint=cfg.checkpoint, trace=cfg.trace)
+    cfg.require("cache", "checkpoint")
     corpus = tensorize.read_corpus(cfg.cache)
     tour = euler_tour(build_topology(cfg.profile, cfg.topology_file))
     if tour != corpus.path:
@@ -296,57 +298,6 @@ def cmd_train(cfg: PipelineConfig, config: str | None = None) -> dict:
 # eval
 # ---------------------------------------------------------------------------
 
-# The most lanes eval scores on; each holds its own workspace.
-_LANES = 2
-
-
-def _cpus() -> int:
-    """The CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _on_lanes(score: Callable[[int, np.ndarray], np.ndarray], items: list[np.ndarray],
-              lanes: int) -> list[np.ndarray]:
-    """[score(lane, item) for item in items], lane i taking items i, i +
-    lanes, ...: lane 0 on the calling thread, each other lane on a thread of
-    its own. A lane stops at its first failing item; every thread is joined
-    on every path, and a KeyboardInterrupt stops the other lanes at their
-    next item. The failure of the lowest item index is raised, so every item
-    before it was scored, as in one lane."""
-    results: list = [None] * len(items)
-    failures: dict[int, Exception] = {}
-    interrupted = threading.Event()
-
-    def lane(first: int) -> None:
-        for index in range(first, len(items), lanes):
-            if interrupted.is_set():
-                return
-            try:
-                results[index] = score(first, items[index])
-            except Exception as exc:
-                failures[index] = exc
-                return
-
-    threads: list[threading.Thread] = []
-    try:
-        for first in range(1, lanes):
-            thread = threading.Thread(target=lane, args=(first,), name=f"eval-lane-{first}")
-            thread.start()
-            threads.append(thread)
-        lane(0)
-    except BaseException:
-        interrupted.set()
-        raise
-    finally:
-        for thread in threads:
-            thread.join()
-    if failures:
-        raise failures[min(failures)]
-    return results
-
-
 def cmd_eval(cfg: PipelineConfig, config: str | None = None) -> dict:
     """Checkpoint + filled corpus -> per-video score CSV + accuracy report.
 
@@ -354,25 +305,19 @@ def cmd_eval(cfg: PipelineConfig, config: str | None = None) -> dict:
     The corpus file is opened, not read: its header, ids, offsets and
     labels are checked before the checkpoint is read, and the labels
     against the checkpoint's classes right after. The videos are taken
-    in id order, in the same slices of at most FORWARD_SLICE rows that
-    ``forward`` scores, on min(2, CPUs of the affinity set, slices) lanes:
-    the calling thread scores the even slices and a second thread the odd
-    ones, and the score rows are joined in slice order, so no output byte
-    depends on the lane count. In its lane, each slice's frames are read
-    from the file and checked, and its float32 tensors built in and scored
-    through the lane's workspace, which its slices reuse, with no cast. So
-    memory holds the corpus's ids, offsets and labels, the checkpoint's
-    float32 net, per lane one slice's frames and a workspace (one slice's
-    tensors included), and the score rows, and no frame of the other
-    slices. A bad slice fails the run as on one lane: once both lanes have
-    stopped, the failure of the first bad slice is raised. Accuracy,
-    per-class accuracy and confusion are null unless every video has a
-    label."""
+    in id order and scored by ``convnet.score``, whose fill reads a
+    slice's frames from the file, checks them and builds their float32
+    tensors in place in the buffer it is handed. So memory holds the
+    corpus's ids, offsets and labels, the checkpoint's float32 net, what
+    ``score`` holds per lane (one slice's frames included) and the score
+    rows, and no frame of the other slices; a bad slice fails the run
+    naming the first bad video, as on one lane. Accuracy, per-class
+    accuracy and confusion are null unless every video has a label."""
     from . import convnet, fusion, tensorize
 
-    cfg.require("cache", "checkpoint", "scores")
     outputs = _Outputs({"cache": cfg.cache, "checkpoint": cfg.checkpoint, "config": config},
                        scores=cfg.scores, labels=cfg.labels, report=cfg.report)
+    cfg.require("cache", "checkpoint", "scores")
     with tensorize.OpenCorpus(cfg.cache) as corpus:
         net = convnet.load_checkpoint(cfg.checkpoint)[0]
         k = net.input_shape[0]
@@ -391,20 +336,14 @@ def cmd_eval(cfg: PipelineConfig, config: str | None = None) -> dict:
             raise CliError(f"{cfg.cache}: some videos have no label; cannot write {cfg.labels}")
 
         order = np.array(sorted(range(len(corpus.videos)), key=corpus.videos.__getitem__))
-        slices = convnet.row_slices(order, convnet.FORWARD_SLICE)
-        workspaces = [convnet.Workspace() for _ in range(min(_cpus(), _LANES, len(slices)))]
 
-        def score(lane: int, rows: np.ndarray) -> np.ndarray:
-            # In the lane's workspace: a fresh array per slice would be mapped afresh.
-            workspace = workspaces[lane]
-            tensors = workspace.take("tensors", (len(rows), *corpus.tensor_shape(k)), net.dtype)
-            tensorize.corpus_tensors(corpus.read(rows), np.arange(len(rows)), k, cfg.sampling,
-                                     corpus.seed, out=tensors)
-            return convnet.forward(net, tensors, workspace)
+        def fill(rows: np.ndarray, out: np.ndarray) -> None:
+            tensorize.corpus_tensors(corpus.read(order[rows]), np.arange(len(rows)), k,
+                                     cfg.sampling, corpus.seed, out=out)
 
         scores = fusion.StreamScores(
             stream="pose", videos=tuple(corpus.videos[i] for i in order),
-            matrix=np.concatenate(_on_lanes(score, slices, len(workspaces))),
+            matrix=convnet.score(net, len(order), fill),
         )
     result = fusion.evaluate(scores, labels) if labeled else None
 
@@ -455,9 +394,9 @@ def cmd_fuse(cfg: PipelineConfig, config: str | None = None) -> dict:
     0.0 outside it; a subset whose own weights are all zero reads null."""
     from . import fusion
 
-    cfg.require("labels", "fused_scores")
     outputs = _Outputs(_fusion_inputs(cfg, config), fused_scores=cfg.fused_scores,
                        report=cfg.report)
+    cfg.require("labels", "fused_scores")
     streams = _load_streams(cfg)
     labels = fusion.read_labels(cfg.labels, next(iter(streams.values())))
     fused = fusion.fuse(streams, cfg.weights)
@@ -495,8 +434,8 @@ def cmd_weights_search(cfg: PipelineConfig, config: str | None = None) -> dict:
     """Grid search fusion weights against a labeled validation split."""
     from . import fusion
 
-    cfg.require("labels")
     outputs = _Outputs(_fusion_inputs(cfg, config), report=cfg.report)
+    cfg.require("labels")
     streams = _load_streams(cfg)
     labels = fusion.read_labels(cfg.labels, next(iter(streams.values())))
 

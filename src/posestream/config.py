@@ -178,7 +178,7 @@ class PipelineConfig:
                            batch_size=self.batch_size, seed=self.seed)
 
     def require(self, *names: str) -> None:
-        missing = [name for name in names if getattr(self, name) is None]
+        missing = [name for name in names if getattr(self, name) in (None, "")]
         if missing:
             raise ValueError(f"config is missing required path(s): {', '.join(missing)}")
 

@@ -19,36 +19,36 @@ row 14 is dead), nor the last tensor column when W - 2 is odd.
 Every pass writes its large arrays into a ``Workspace``: named buffers
 allocated on first use and reused by later passes, with the im2col
 columns gathered by ``np.copyto`` and the conv products written by
-``np.matmul(..., out=)``. So eval's slices and train's SGD steps map no
-fresh memory, whatever glibc's mmap threshold, and compute the same bits
-as a fresh workspace would; ``forward`` and ``backward`` take a fresh one
-where the caller keeps none. Scoring and training run one conv stage,
+``np.matmul(..., out=)``. So scoring's slices and train's SGD steps map
+no fresh memory, whatever glibc's mmap threshold, and compute the same
+bits as a fresh workspace would. Scoring and training run one conv stage,
 and the backward pass keeps no pool index: it routes each window's
 gradient to the first offset whose biased conv2 output equals the pooled
 value, into conv2's output buffer, and writes conv2's input gradient into
 conv2's im2col buffer. Both are dead by then, so an SGD step takes no
 more workspace than a forward pass.
 
-Scoring (``forward``) keeps nothing for backprop and runs in slices of at
-most FORWARD_SLICE rows, so its memory does not grow with the batch.
-Within a slice, the convs and the pool run on sub-slices of at most
-CONV_SLICE rows, writing one pooled buffer, and the fully connected head
-runs once on the slice's pooled rows. The two sizes trade memory for
-per-call overhead. For the default net in float32 the conv buffers take
-1.4 MB at 2 rows and 2.8 MB at 4, and a workspace with one slice's
-tensors 2.9 MB at 32 and 2 rows against 5.8 MB at 64 and 4: so eval's two
-lanes, a workspace each, fit in what one lane held at 64 and 4. Scoring
-640 videos on one thread took 287 ms of CPU at 32 and 2 rows, 293 ms at
-32 and 4 and 250 ms at 64 and 4, where the head packs fc1_w half as often
-(medians of 30 interleaved runs, one BLAS thread on a 2-vCPU x86-64 VM).
-A slice of fewer than HEAD_ROWS rows gets zero pooled rows
-whose outputs are dropped, as OpenBLAS multiplies fewer rows with other
-kernels and other last bits; so a row's probabilities do not depend on
-the batch it came in. Slicing changes which rows share a matrix product,
-and OpenBLAS may pick other kernels for other product heights, so sliced
-and unsliced probabilities are equal bit for bit only where the tests
-check it: the default 32/64/256 net and the 8/16/64 net. Other widths may
-differ in the last bits (NetSpec(5, 7, 9) does at 129 and 130 rows).
+Scoring (``score``, and ``forward`` through it) keeps nothing for
+backprop; ``score`` says how it cuts its rows into slices of at most
+FORWARD_SLICE rows and spreads them over lanes. Within a slice, the convs
+and the pool run on sub-slices of at most CONV_SLICE rows, writing one
+pooled buffer, and the fully connected head runs once on the slice's
+pooled rows. The two sizes trade memory for per-call overhead. For the
+default net in float32 the conv buffers take 1.4 MB at 2 rows and 2.8 MB
+at 4, and a workspace with one slice's tensors 2.9 MB at 32 and 2 rows
+against 5.8 MB at 64 and 4: so two lanes, a workspace each, fit in what
+one lane held at 64 and 4. Scoring 640 videos on one thread took 287 ms
+of CPU at 32 and 2 rows, 293 ms at 32 and 4 and 250 ms at 64 and 4, where
+the head packs fc1_w half as often (medians of 30 interleaved runs, one
+BLAS thread on a 2-vCPU x86-64 VM). A slice of fewer than HEAD_ROWS rows
+gets zero pooled rows whose outputs are dropped, as OpenBLAS multiplies
+fewer rows with other kernels and other last bits; so a row's
+probabilities do not depend on the batch it came in. Slicing changes
+which rows share a matrix product, and OpenBLAS may pick other kernels
+for other product heights, so sliced and unsliced probabilities are equal
+bit for bit only where the tests check it: the default 32/64/256 net and
+the 8/16/64 net. Other widths may differ in the last bits (NetSpec(5, 7,
+9) does at 129 and 130 rows).
 
 The checkpoint file is a ``binio`` container (magic ``PCN1``). Its header
 holds ``input_shape``, ``num_classes``, ``arch`` (exactly the ``NetSpec``
@@ -64,6 +64,8 @@ its dtype.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Callable
@@ -84,13 +86,15 @@ CHECKPOINT_VERSION = 4
 
 PROB_FLOOR = 1e-12
 
-# Rows per _probs call in forward(), which keeps eval memory flat in corpus
-# size; rows per conv/pool pass inside it, which sizes the workspace's im2col
-# buffers while the head still reads fc1_w only once per FORWARD_SLICE rows;
-# and the fewest rows the head multiplies (module docstring).
+# Rows per _probs call in score(), which keeps scoring memory flat in the
+# row count; rows per conv/pool pass inside it, which sizes the workspace's
+# im2col buffers while the head still reads fc1_w only once per
+# FORWARD_SLICE rows; the fewest rows the head multiplies; and the most
+# lanes score() runs on, each with a workspace of its own (module docstring).
 FORWARD_SLICE = 32
 CONV_SLICE = 2
 HEAD_ROWS = 8
+LANES = 2
 
 
 class TrainingDivergedError(RuntimeError):
@@ -223,7 +227,7 @@ def _conv_extents(net: PoseConvNet) -> tuple[tuple[int, int], tuple[int, int]]:
 class Workspace:
     """Named buffers that the passes of one net write into. Each is
     allocated on its first use and reused by every later pass that fits in
-    it, so eval's slices and train's steps map no fresh memory."""
+    it, so scoring's slices and train's steps map no fresh memory."""
 
     def __init__(self) -> None:
         self._buffers: dict[str, np.ndarray] = {}
@@ -344,11 +348,6 @@ def _head(net: PoseConvNet, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hidden, hidden @ net.out_w + net.out_b
 
 
-def row_slices(x: np.ndarray, size: int) -> list[np.ndarray]:
-    """Near-equal row slices of x, none longer than size."""
-    return np.array_split(x, -(-len(x) // size))
-
-
 def _stage(
     net: PoseConvNet, x: np.ndarray, pooled: np.ndarray, ws: Workspace
 ) -> dict[str, np.ndarray]:
@@ -391,22 +390,72 @@ def _forward(net: PoseConvNet, x: np.ndarray, ws: Workspace) -> dict[str, np.nda
     return {**cache, "pooled": pooled, "af": af, "probs": _softmax(logits)}
 
 
-def forward(net: PoseConvNet, batch: np.ndarray, ws: Workspace | None = None) -> np.ndarray:
-    """(B, classes) probabilities of a batch (B, K, W, 3) of tensors,
-    computed in ws (a fresh Workspace if None), which a caller that scores
-    many batches keeps across them.
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    The batch is scored in near-equal slices of at most FORWARD_SLICE rows
-    (``row_slices``), and a video's probabilities do not depend on the
-    other rows of its batch. For the default and the 8/16/64 net they are
-    those of one unsliced pass of at least HEAD_ROWS rows bit for bit; for
-    other widths they may differ in the last bits (module docstring). An
+
+def score(net: PoseConvNet, count: int,
+          fill: Callable[[np.ndarray, np.ndarray], None]) -> np.ndarray:
+    """(count, classes) probabilities of rows 0..count-1: ``fill(rows,
+    out)`` writes the tensors of rows, an index array, into out, an array
+    (len(rows), K, W, 3) in the net's dtype.
+
+    The rows are scored in near-equal slices of at most FORWARD_SLICE
+    rows (``np.array_split``), on min(LANES, CPUs of the affinity set,
+    slices) lanes. Each lane takes one contiguous run of slices, with a
+    Workspace of its own that its slices reuse, out included: lane 0 on
+    the calling thread, each other lane on a thread of its own. So memory
+    holds per lane one slice's tensors and buffers. A row's probabilities
+    depend on neither the other rows nor the lane count; for the default
+    and the 8/16/64 net they are those of one unsliced pass of at least
+    HEAD_ROWS rows bit for bit (module docstring). A lane stops at its
+    first failure, KeyboardInterrupt included, and every later lane at
+    its next slice. Every thread is joined on every path; then the
+    failure of the earliest lane is raised, which is that of the earliest
+    failing slice, as on one lane."""
+    probs = np.empty((count, net.num_classes), net.dtype)
+    if not count:
+        return probs
+    slices = np.array_split(np.arange(count), -(-count // FORWARD_SLICE))
+    runs = np.array_split(np.arange(len(slices)), min(LANES, _cpus(), len(slices)))
+    failures: list[BaseException | None] = [None] * len(runs)
+
+    def lane(index: int) -> None:
+        ws = Workspace()
+        try:
+            for rows in (slices[i] for i in runs[index]):
+                if any(failures[:index]):
+                    return
+                out = ws.take("tensors", (len(rows), *net.input_shape), net.dtype)
+                fill(rows, out)
+                probs[rows] = _probs(net, out, ws)
+        except BaseException as exc:  # raised on the calling thread, once all are joined
+            failures[index] = exc
+
+    threads: list[threading.Thread] = []
+    try:
+        for index in range(1, len(runs)):
+            thread = threading.Thread(target=lane, args=(index,), name=f"score-lane-{index}")
+            thread.start()
+            threads.append(thread)
+        lane(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    if any(failures):
+        raise next(filter(None, failures))
+    return probs
+
+
+def forward(net: PoseConvNet, batch: np.ndarray) -> np.ndarray:
+    """(B, classes) probabilities of a batch (B, K, W, 3) of tensors: the
+    ``score`` of its rows, each slice copied into its lane's workspace. An
     empty batch gives (0, classes)."""
     batch = _as_batch(net, batch)
-    if not len(batch):
-        return np.empty((0, net.num_classes), net.dtype)
-    ws = Workspace() if ws is None else ws
-    return np.concatenate([_probs(net, part, ws) for part in row_slices(batch, FORWARD_SLICE)])
+    return score(net, len(batch), lambda rows, out: np.take(batch, rows, axis=0, out=out))
 
 
 def _loss_and_grads(

@@ -1,10 +1,38 @@
 """Shared test helpers."""
 
+import os
+import threading
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from posestream.skeleton import _parse
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """cpus(n): scoring sees an affinity set of n CPUs."""
+    def set_cpus(count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                            raising=False)
+    return set_cpus
+
+
+def scoring_threads(monkeypatch, probs=None):
+    """The names of the threads that score a slice (convnet._probs, the
+    per-slice call of convnet.score), in call order; probs, if given, runs
+    in its place as probs(real, *args)."""
+    from posestream import convnet
+
+    names, real = [], convnet._probs
+
+    def traced(*args):
+        names.append(threading.current_thread().name)
+        return probs(real, *args) if probs else real(*args)
+
+    monkeypatch.setattr(convnet, "_probs", traced)
+    return names
 
 
 def topology(text, name="test"):

@@ -26,14 +26,16 @@ from posestream.cli import (
 )
 from posestream.config import PipelineConfig, load_config
 from posestream.convnet import (
-    FORWARD_SLICE, NET_DTYPE, NetSpec, TrainConfig, Workspace, forward, init_net,
-    load_checkpoint, save_checkpoint,
+    FORWARD_SLICE, NET_DTYPE, NetSpec, TrainConfig, forward, init_net, load_checkpoint,
+    save_checkpoint, score,
 )
 from posestream.fusion import read_scores
 from posestream.preprocess import SpatialModel
 from posestream.skeleton import build_topology, euler_tour
 from posestream.synth import SyntheticSpec
 from posestream.tensorize import FilledCorpus, corpus_tensors, read_corpus, write_corpus
+
+from conftest import scoring_threads
 
 JHMDB_NAMES = build_topology("jhmdb_gt").joint_names
 
@@ -746,7 +748,7 @@ class TestEval:
                                  arch=NetSpec(conv1_channels=4, conv2_channels=6, hidden=16)),
                         checkpoint)
         scored = []
-        monkeypatch.setattr("posestream.convnet.forward", lambda *args: scored.append(args))
+        monkeypatch.setattr("posestream.convnet.score", lambda *args: scored.append(args))
         capsys.readouterr()
         code, _, err = run(capsys, "eval", "--cache", str(cache), "--checkpoint", str(checkpoint),
                            "--scores", str(tmp_path / "s.csv"))
@@ -896,51 +898,40 @@ class TestEval:
         arrays = sum(a.nbytes for a in (corpus.labels, corpus.offsets, corpus.coords))
         assert peak - arrays < sum(p.nbytes for p in net.parameters().values())
 
-    def test_a_slice_reaches_the_net_with_no_copy(self):
-        """corpus_tensors builds eval's slices in the net's dtype, so one
-        forward of 64 rows through a warmed workspace allocates less than a
-        copy of the slice in that dtype: the net scores it as it was built."""
+    def test_a_slice_reaches_the_net_with_no_copy(self, cpus):
+        """corpus_tensors builds eval's slices in place, in the net's dtype,
+        in the buffer score hands its fill, one buffer of the lane's
+        workspace for all its slices. So once the lane's first slice has
+        warmed the workspace, scoring a slice allocates less than a copy of
+        it in that dtype: the net scores it as it was built."""
+        cpus(1)
         tour = euler_tour(build_topology("jhmdb_gt"))
         net = init_net((15, 2 * len(tour), 3), num_classes=4, seed=0).astype(NET_DTYPE)
-        corpus = random_corpus(FORWARD_SLICE, tour, np.random.default_rng(12))
-        tensors = corpus_tensors(corpus, np.arange(FORWARD_SLICE), 15, "random", corpus.seed)
-        workspace = Workspace()
-        forward(net, tensors, workspace)
-        tracemalloc.start()
+        corpus = random_corpus(3 * FORWARD_SLICE, tour, np.random.default_rng(12))
+        buffers, peaks = [], []
+
+        def fill(rows, out):
+            if tracemalloc.is_tracing():  # the previous slice was scored
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+            built = corpus_tensors(corpus, rows, 15, "random", corpus.seed, out=out)
+            assert built is out and out.dtype == NET_DTYPE
+            buffers.append(out)
+            if rows[0]:
+                tracemalloc.start()
+
         try:
-            forward(net, tensors, workspace)
-            peak = tracemalloc.get_traced_memory()[1]
+            score(net, len(corpus.videos), fill)
         finally:
             tracemalloc.stop()
-        assert peak < tensors.size * NET_DTYPE.itemsize
+        assert len(buffers) == 3 and all(np.shares_memory(b, buffers[0]) for b in buffers)
+        assert len(peaks) == 1 and peaks[0] < buffers[0].nbytes
 
 
 class TestEvalLanes:
-    """eval scores its slices on min(2, CPUs of its affinity set) lanes, the
-    main thread taking the even slices and one thread the odd ones."""
-
-    @pytest.fixture
-    def cpus(self, monkeypatch):
-        """cpus(n): eval sees an affinity set of n CPUs."""
-        def set_cpus(count):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
-                                raising=False)
-        return set_cpus
-
-    @staticmethod
-    def scoring_threads(monkeypatch, forward=None):
-        """The names of the threads that call convnet.forward, in call order;
-        forward, if given, runs in its place."""
-        from posestream import convnet
-
-        names, real = [], convnet.forward
-
-        def traced(*args):
-            names.append(threading.current_thread().name)
-            return forward(real, *args) if forward else real(*args)
-
-        monkeypatch.setattr(convnet, "forward", traced)
-        return names
+    """eval scores its slices through convnet.score on min(2, CPUs of its
+    affinity set) lanes: the main thread takes the first run of slices and
+    one thread the rest."""
 
     @staticmethod
     def corpus_and_net(tmp_path, videos, arch=NetSpec(conv1_channels=4, conv2_channels=6,
@@ -952,6 +943,20 @@ class TestEvalLanes:
         write_corpus(tmp_path / "c.bin", corpus)
         return corpus
 
+    @staticmethod
+    def break_slices(tmp_path, corpus, slices):
+        """Non-finite frames in the middle video of each of these slices, of
+        FORWARD_SLICE videos each in id order; returns those videos."""
+        cache = tmp_path / "c.bin"
+        raw = bytearray(cache.read_bytes())
+        coords_at = len(raw) - corpus.coords.nbytes
+        bad = [index * FORWARD_SLICE + FORWARD_SLICE // 2 for index in slices]
+        for video in bad:
+            at = coords_at + int(corpus.offsets[video]) * 15 * 2 * 4
+            raw[at:at + 4] = np.float32(np.inf).tobytes()
+        cache.write_bytes(raw)
+        return [corpus.videos[video] for video in bad]
+
     @pytest.mark.parametrize("arch", [NetSpec(), NetSpec(conv1_channels=8, conv2_channels=16,
                                                          hidden=64)],
                              ids=["32_64_256", "8_16_64"])
@@ -959,7 +964,7 @@ class TestEvalLanes:
     def test_one_lane_and_two_write_the_same_bytes(self, tmp_path, monkeypatch, capsys, cpus,
                                                    arch, videos):
         self.corpus_and_net(tmp_path, videos, arch)
-        threads = self.scoring_threads(monkeypatch)
+        threads = scoring_threads(monkeypatch)
         names = ("s.csv", "l.csv", "r.json")
         written = {}
         for count in (1, 2):
@@ -972,38 +977,66 @@ class TestEvalLanes:
                                  for arg in (flag, str(tmp_path / name))))
             assert code == 0 and out["videos"] == videos
             written[count] = [(tmp_path / name).read_bytes() for name in names]
-            lanes = 2 if count == 2 and videos > FORWARD_SLICE else 1
-            assert len(threads) == -(-videos // FORWARD_SLICE)
+            slices = -(-videos // FORWARD_SLICE)
+            lanes = min(count, slices)
+            assert len(threads) == slices
             assert len(set(threads)) == lanes
+            # The main thread's run is the longer one when the slices are odd.
+            assert threads.count(threading.main_thread().name) == -(-slices // lanes)
         assert written[1] == written[2]
 
-    @pytest.mark.parametrize("defects", [(1, 2), (2, 3)], ids=["odd-first", "even-first"])
+    @pytest.mark.parametrize("defects", [(2, 3), (0, 4), (1, 4)], ids="{0[0]}-{0[1]}".format)
     def test_the_earliest_defect_fails_every_run_and_nothing_is_written(
             self, tmp_path, capsys, cpus, defects):
-        """Non-finite frames in two slices of different lanes: every run names
-        the video of the earlier slice, writes nothing and leaves no thread."""
+        """Non-finite frames in two slices of different lanes (slices 0-2 on
+        the main thread, 3-4 on the other): every run names the video of the
+        earlier slice, writes nothing and leaves no thread. Slice 3 is the
+        other lane's first, so at 2-3 the later lane fails first in time;
+        at 0-4 the main lane does."""
         cpus(2)
         corpus = self.corpus_and_net(tmp_path, 5 * FORWARD_SLICE)
-        cache = tmp_path / "c.bin"
-        raw = bytearray(cache.read_bytes())
-        coords_at = len(raw) - corpus.coords.nbytes
-        bad = [index * FORWARD_SLICE + FORWARD_SLICE // 2 for index in defects]
-        for video in bad:  # the videos are in id order, one slice per FORWARD_SLICE
-            at = coords_at + int(corpus.offsets[video]) * 15 * 2 * 4
-            raw[at:at + 4] = np.float32(np.inf).tobytes()
-        cache.write_bytes(raw)
+        bad = self.break_slices(tmp_path, corpus, defects)
         out = tmp_path / "out"
         out.mkdir()
         threads = threading.active_count()
         for _ in range(20):
-            code, _, err = run(capsys, "eval", "--cache", str(cache), "--checkpoint",
+            code, _, err = run(capsys, "eval", "--cache", str(tmp_path / "c.bin"), "--checkpoint",
                                str(tmp_path / "net.ckpt"), "--scores", str(out / "s.csv"),
                                "--labels", str(out / "l.csv"), "--report", str(out / "r.json"))
             assert code == 1
-            assert err["message"] == (f"{cache}: video '{corpus.videos[bad[0]]}' has non-finite "
+            assert err["message"] == (f"{tmp_path / 'c.bin'}: video '{bad[0]}' has non-finite "
                                       "float32 coordinates on filled joints")
             assert list(out.iterdir()) == []
             assert threading.active_count() == threads
+
+    def test_a_failure_on_the_main_lane_stops_the_other_at_its_next_slice(
+            self, tmp_path, monkeypatch, cpus):
+        """A slice of the main lane fails while the other lane scores its
+        first slice: the other lane scores no further slice, and the
+        failure reaches the caller once it is joined; nothing is written."""
+        cpus(2)
+        self.corpus_and_net(tmp_path, 6 * FORWARD_SLICE)
+        started, failed = threading.Event(), threading.Event()
+
+        def probs(real, *args):
+            if threading.current_thread() is threading.main_thread():
+                started.wait(timeout=30)
+                failed.set()
+                raise ValueError("bad slice")
+            started.set()
+            if failed.wait(timeout=30):
+                time.sleep(0.2)  # the main lane records its failure meanwhile
+            return real(*args)
+
+        threads = scoring_threads(monkeypatch, probs)
+        before = threading.active_count()
+        cfg = PipelineConfig(cache=str(tmp_path / "c.bin"), scores=str(tmp_path / "s.csv"),
+                             checkpoint=str(tmp_path / "net.ckpt"))
+        with pytest.raises(ValueError, match="^bad slice$"):
+            cmd_eval(cfg)
+        assert threading.active_count() == before
+        assert len(threads) == 2 and threads.count(threading.main_thread().name) == 1
+        assert not (tmp_path / "s.csv").exists()
 
     def test_an_interrupt_stops_and_joins_the_other_lane(self, tmp_path, monkeypatch, cpus):
         """A KeyboardInterrupt on the main lane's second slice reaches the
@@ -1013,7 +1046,7 @@ class TestEvalLanes:
         self.corpus_and_net(tmp_path, 10 * FORWARD_SLICE)
         interrupted = threading.Event()
 
-        def forward(real, *args):
+        def probs(real, *args):
             if threading.current_thread() is not threading.main_thread():
                 interrupted.wait(timeout=30)
                 time.sleep(0.2)  # the main lane reaches its handler meanwhile
@@ -1022,7 +1055,7 @@ class TestEvalLanes:
                 raise KeyboardInterrupt
             return real(*args)
 
-        threads = self.scoring_threads(monkeypatch, forward)
+        threads = scoring_threads(monkeypatch, probs)
         before = threading.active_count()
         cfg = PipelineConfig(cache=str(tmp_path / "c.bin"), scores=str(tmp_path / "s.csv"),
                              checkpoint=str(tmp_path / "net.ckpt"))
@@ -1419,6 +1452,30 @@ class TestOutputsCheckedFirst:
         assert code == 1
         assert err["message"] == (f"--{flag}: cannot write {bad}: {tmp_path / 'afile'} "
                                   "is not a directory")
+        assert _snapshot(tmp_path) == before
+
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command, (_, flags) in _OUTPUT_RUNS.items() for flag in flags])
+    def test_an_empty_output_path_fails_naming_the_flag(self, workdir, tmp_path, capsys,
+                                                        command, flag):
+        before = _snapshot(tmp_path)
+        code, out, err = run(capsys, *self.argv(command, workdir, tmp_path, **{flag: ""}))
+        assert (code, out) == (1, {})
+        assert err["message"] == f"--{flag}: the output path is empty"
+        assert _snapshot(tmp_path) == before
+
+    def test_an_empty_path_in_the_config_file_is_refused(self, workdir, tmp_path, capsys):
+        (tmp_path / "run.json").write_text('{"scores": "", "annotations": ""}\n')
+        before = _snapshot(tmp_path)
+        code, _, err = run(capsys, "eval", "--config", str(tmp_path / "run.json"),
+                           "--cache", str(workdir / "test.cache"),
+                           "--checkpoint", str(workdir / "net.ckpt"))
+        assert code == 1
+        assert err["message"] == "--scores: the output path is empty"
+        code, _, err = run(capsys, "preprocess", "--config", str(tmp_path / "run.json"),
+                           "--cache", str(tmp_path / "c.cache"))
+        assert code == 1
+        assert err["message"] == "config is missing required path(s): annotations"
         assert _snapshot(tmp_path) == before
 
     def test_an_output_that_is_a_directory_fails(self, workdir, tmp_path, capsys):

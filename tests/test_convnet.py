@@ -1,6 +1,9 @@
 """Pose ConvNet tests: init, forward, gradients, training, checkpoints."""
 
+import os
 import re
+import sys
+import threading
 import tracemalloc
 from dataclasses import asdict, replace
 
@@ -26,12 +29,14 @@ from posestream.convnet import (
     _forward,
     _loss_and_grads,
     _pool,
+    _probs,
     _unpool,
     backward,
     forward,
     init_net,
     load_checkpoint,
     save_checkpoint,
+    score,
     train,
 )
 
@@ -61,7 +66,7 @@ def naive_conv(x, w, b):
     return out
 
 
-from conftest import assert_kink_free, write_raw
+from conftest import assert_kink_free, scoring_threads, write_raw
 
 
 def conv_relu(x, w, b, extent):
@@ -274,11 +279,94 @@ class TestForward:
         assert forward(net, x[-2:]).tobytes() == want[-2:].tobytes()
 
     def test_a_kept_workspace_scores_as_a_fresh_one(self):
+        """A slice scores the same in buffers that a longer or a shorter
+        slice wrote before it, its zero rows included."""
         net = init_net(self.EVAL_SHAPE, num_classes=4, seed=3, arch=self.EVAL_ARCH)
         x = np.random.default_rng(8).normal(size=(70,) + self.EVAL_SHAPE)
         ws = Workspace()
-        for rows in (slice(0, 3), slice(3, 70), slice(60, 61)):
-            assert forward(net, x[rows], ws).tobytes() == forward(net, x[rows]).tobytes()
+        for rows in (slice(0, 3), slice(3, 35), slice(60, 61)):
+            assert _probs(net, x[rows], ws).tobytes() == _probs(net, x[rows], Workspace()).tobytes()
+
+    def test_a_lane_fills_its_slices_into_one_buffer_and_scores_them_in_place(self, cpus):
+        """On one lane, score hands fill one workspace buffer in the net's
+        dtype for every slice, and each slice scores as it alone would."""
+        cpus(1)
+        net = init_net(self.EVAL_SHAPE, num_classes=4, seed=3, arch=self.EVAL_ARCH)
+        x = np.random.default_rng(8).normal(size=(70,) + self.EVAL_SHAPE)
+        filled = []
+
+        def fill(rows, out):
+            filled.append((rows, out, threading.current_thread()))
+            out[...] = x[rows]
+
+        probs = score(net, len(x), fill)
+        assert [rows.tolist() for rows, _, _ in filled] == [
+            list(range(0, 24)), list(range(24, 47)), list(range(47, 70))]
+        for rows, out, thread in filled:
+            assert thread is threading.main_thread()
+            assert out.dtype == net.dtype and out.flags.c_contiguous
+            assert np.shares_memory(out, filled[0][1])
+            assert probs[rows].tobytes() == _probs(net, x[rows], Workspace()).tobytes()
+
+    @pytest.mark.parametrize("arch", [NetSpec(), EVAL_ARCH], ids=["32_64_256", "8_16_64"])
+    @pytest.mark.parametrize("count", [1, 7, 31, 32, 33, 64, 65, 129])
+    def test_one_lane_and_two_score_the_same_bytes(self, monkeypatch, cpus, arch, count):
+        net = init_net(self.EVAL_SHAPE, num_classes=4, seed=count, arch=arch).astype(np.float32)
+        x = np.random.default_rng(count).normal(size=(count,) + self.EVAL_SHAPE)
+        threads = scoring_threads(monkeypatch)
+        probs = {}
+        for lanes in (1, 2):
+            cpus(lanes)
+            threads.clear()
+            probs[lanes] = forward(net, x).tobytes()
+            assert len(set(threads)) == (lanes if count > FORWARD_SLICE else 1)
+        assert probs[1] == probs[2]
+
+    @pytest.mark.parametrize("count, lanes", [(2, 2), (1, 1), (None, 1)])
+    def test_without_an_affinity_set_the_lanes_follow_the_cpu_count(self, monkeypatch,
+                                                                     count, lanes):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        net = small_net()
+        x = np.random.default_rng(9).normal(size=(3 * FORWARD_SLICE,) + SMALL_SHAPE)
+        threads = scoring_threads(monkeypatch)
+        want = forward(net, x).tobytes()
+        assert len(threads) == 3 and len(set(threads)) == lanes
+        assert want == np.concatenate([forward(net, part) for part in np.split(x, 3)]).tobytes()
+
+    def test_more_lanes_than_cores_score_as_one_and_raise_the_earliest_failure(
+            self, monkeypatch, cpus):
+        """Four lanes on two cores or fewer, switching threads every
+        microsecond: with no failure they score the bytes of one lane, and
+        with failing slices they raise the earliest one's failure and leave
+        no thread running."""
+        from posestream import convnet
+
+        net = small_net()
+        x = np.random.default_rng(10).normal(size=(12 * FORWARD_SLICE,) + SMALL_SHAPE)
+        cpus(1)
+        want = forward(net, x).tobytes()
+        monkeypatch.setattr(convnet, "LANES", 4)
+        cpus(4)
+        rng = np.random.default_rng(11)
+        threads = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                assert forward(net, x).tobytes() == want
+                bad = set(rng.choice(12, size=rng.integers(1, 4), replace=False).tolist())
+
+                def fill(rows, out):
+                    if rows[0] // FORWARD_SLICE in bad:
+                        raise ValueError(f"slice {rows[0] // FORWARD_SLICE}")
+                    out[...] = x[rows]
+
+                with pytest.raises(ValueError, match=f"^slice {min(bad)}$"):
+                    score(net, len(x), fill)
+                assert threading.active_count() == threads
+        finally:
+            sys.setswitchinterval(interval)
 
 
 def _data(seed, shape, dyadic):
