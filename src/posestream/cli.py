@@ -6,20 +6,20 @@ annotation file into one filled-corpus file (the ``--cache`` path),
 turns checkpoint + corpus into a score CSV and an accuracy report, and
 ``fuse`` combines score CSVs from this and external streams. ``train`` and
 ``eval`` build pose tensors from the corpus on demand, in the shape
-``FilledCorpus.tensor_shape`` gives: ``train`` hands ``convnet.train`` a
-draw that builds each epoch's tensors from fresh snippets, in that epoch's
-order, and ``eval`` holds the corpus file open and hands ``convnet.score``
-a fill that reads and builds the tensors of the videos it asks for. The
-corpus file holds coordinates only; ``preprocess``'s report keeps their
-fill provenance. Every command is deterministic given its config and
-seed, every output but the ``--save-spatial-model`` file embeds the config
-hash and seed (that file's header holds only ``topology_name`` and
-``joint_names``), every output path is checked before any work (none may
-be empty or a file the command reads; each ``cmd_*`` but ``cmd_synth``
-takes the config file's path for that), and every output is written to a
-unique temp file, all of them renamed into place only once all are
-written (``_Outputs``). Errors leave a machine-readable JSON line on
-stderr and a nonzero exit code.
+``FilledCorpus.tensor_shape`` gives, into the buffer ``convnet`` hands
+their fill: ``train``'s fill builds each batch's tensors from that epoch's
+snippets, and ``eval`` holds the corpus file open and hands
+``convnet.score`` a fill that reads and builds the tensors of the videos
+it asks for. The corpus file holds coordinates only; ``preprocess``'s
+report keeps their fill provenance. Every command is deterministic given
+its config and seed, every output but the ``--save-spatial-model`` file
+embeds the config hash and seed (that file's header holds only
+``topology_name`` and ``joint_names``), every path is checked before any
+work (none may be empty, and no output may be a file the command reads;
+each ``cmd_*`` but ``cmd_synth`` takes the config file's path for that),
+and every output is written to a unique temp file, all of them renamed
+into place only once all are written (``_Outputs``). Errors leave a
+machine-readable JSON line on stderr and a nonzero exit code.
 
 Each command imports the layers it runs at its top, and calls them as
 module attributes; ``fuse`` and ``weights-search`` load only ``fusion``,
@@ -63,23 +63,25 @@ class CliError(ValueError):
 class _Outputs:
     """A command's output files, declared once, one keyword per flag; a None
     path is an output not asked for; ``inputs`` gives the path of each file
-    the command reads, by config key. Building it refuses, before any work
-    and creating nothing, an empty path, a path whose nearest existing
-    ancestor is not a directory, a path that is a directory, and an output
-    on the file of another output or of an input. Each command builds it
-    before it checks its required settings, so an empty output path is
-    refused naming its flag."""
+    the command reads, by config key, None where it is not given. Building
+    it refuses, before any work and creating nothing, an empty input or
+    output path, an output path whose nearest existing ancestor is not a
+    directory or that is a directory, and an output on the file of another
+    output or of an input. Each command builds it before it checks its
+    required settings, so an empty path is refused naming its flag."""
 
     def __init__(self, inputs: dict[str, str | Path | None] | None = None, /,
                  **paths: str | Path | None) -> None:
         self.paths = {name: path for name, path in paths.items() if path is not None}
         self.ancestors: dict[str, Path] = {}
+        for kind, given in (("input", inputs or {}), ("output", paths)):
+            for name, path in given.items():
+                if path == "":
+                    raise CliError(f"{_flag(name)}: the {kind} path is empty")
         seen = {os.path.realpath(path): _flag(name)
-                for name, path in (inputs or {}).items() if path}
+                for name, path in (inputs or {}).items() if path is not None}
         for name, path in self.paths.items():
             flag = _flag(name)
-            if path == "":
-                raise CliError(f"{flag}: the output path is empty")
             ancestor = next((p for p in Path(path).parents if p.exists()), Path("."))
             if not ancestor.is_dir():
                 raise CliError(f"{flag}: cannot write {path}: {ancestor} is not a directory")
@@ -253,7 +255,7 @@ def cmd_preprocess(cfg: PipelineConfig, config: str | None = None) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_train(cfg: PipelineConfig, config: str | None = None) -> dict:
-    """Filled corpus -> checkpoint + per-epoch CSV trace; each epoch draws fresh float32 tensors."""
+    """Filled corpus -> checkpoint + per-epoch CSV trace; each batch's tensors from fresh snippets."""
     from . import convnet, tensorize
     from .skeleton import build_topology, euler_tour
 
@@ -271,14 +273,14 @@ def cmd_train(cfg: PipelineConfig, config: str | None = None) -> dict:
     if num_classes < 2:
         raise CliError(f"{cfg.cache}: training needs at least two classes")
 
-    def draw(epoch: int, rows: np.ndarray) -> np.ndarray:
-        return tensorize.corpus_tensors(corpus, rows, cfg.k, cfg.sampling, cfg.seed, epoch)
+    def fill(epoch: int, rows: np.ndarray, out: np.ndarray) -> None:
+        tensorize.corpus_tensors(corpus, rows, cfg.k, cfg.sampling, cfg.seed, epoch, out)
 
     net = convnet.init_net(
         input_shape=corpus.tensor_shape(cfg.k), num_classes=num_classes, seed=cfg.seed,
         arch=cfg.net_spec(),
     ).astype(convnet.NET_DTYPE)
-    trained, trace = convnet.train(net, draw, corpus.labels, cfg.train_config())
+    trained, trace = convnet.train(net, fill, corpus.labels, cfg.train_config())
 
     meta = {"config_hash": cfg.hash(), "seed": cfg.seed, "num_classes": num_classes}
     lines = [f"# config_hash={cfg.hash()} seed={cfg.seed}", "epoch,loss,accuracy"]
@@ -567,6 +569,8 @@ def main(argv: Sequence[str] | None = None) -> int:
                 given["classes"] = tuple(given["classes"].split(","))
             result = cmd_synth(synth.SyntheticSpec(**given), args.out)
         else:
+            if args.config == "":  # refused before load_config reads the directory "."
+                raise CliError("--config: the input path is empty")
             cfg = load_config(args.config, _overrides_from_args(args))
             command = {
                 "preprocess": cmd_preprocess,

@@ -6,9 +6,10 @@ softmax output layer. Channel counts and the hidden width are configuration,
 not contract; the 3x2 filter, the 2x2 pool and the layer order are fixed.
 The net computes in the dtype of its parameters: ``init_net`` draws float64,
 where analytic gradients match central finite differences tightly, and
-``astype`` casts a net; forward, backward and train cast their batch to that
-dtype and keep every intermediate in it. Every command's net, checkpoint and
-corpus tensor is NET_DTYPE (float32), at about half the float64 GEMM cost.
+``astype`` casts a net; forward and backward cast their batch to that
+dtype, train's fill writes its batch in it, and every intermediate stays in
+it. Every command's net, checkpoint and corpus tensor is NET_DTYPE
+(float32), at about half the float64 GEMM cost.
 
 Each conv is one GEMM over an im2col buffer and computes only the output
 positions the pool reads. The pool covers the first (K - 4) // 2 * 2 conv2
@@ -19,14 +20,15 @@ row 14 is dead), nor the last tensor column when W - 2 is odd.
 Every pass writes its large arrays into a ``Workspace``: named buffers
 allocated on first use and reused by later passes, with the im2col
 columns gathered by ``np.copyto`` and the conv products written by
-``np.matmul(..., out=)``. So scoring's slices and train's SGD steps map
-no fresh memory, whatever glibc's mmap threshold, and compute the same
-bits as a fresh workspace would. Scoring and training run one conv stage,
-and the backward pass keeps no pool index: it routes each window's
-gradient to the first offset whose biased conv2 output equals the pooled
-value, into conv2's output buffer, and writes conv2's input gradient into
-conv2's im2col buffer. Both are dead by then, so an SGD step takes no
-more workspace than a forward pass.
+``np.matmul(..., out=)``. A batch's tensors live there too: ``score`` and
+``train`` hand their fill the workspace's "tensors" buffer. So scoring's
+slices and train's SGD steps map no fresh memory, whatever glibc's mmap
+threshold, and compute the same bits as a fresh workspace would. Scoring
+and training run one conv stage, and the backward pass keeps no pool
+index: it routes each window's gradient to the first offset whose biased
+conv2 output equals the pooled value, into conv2's output buffer, and
+writes conv2's input gradient into conv2's im2col buffer. Both are dead
+by then, so an SGD step takes no more workspace than a forward pass.
 
 Scoring (``score``, and ``forward`` through it) keeps nothing for
 backprop; ``score`` says how it cuts its rows into slices of at most
@@ -528,19 +530,21 @@ class EpochStats:
 
 def train(
     net: PoseConvNet,
-    draw: Callable[[int, np.ndarray], np.ndarray],
+    fill: Callable[[int, np.ndarray, np.ndarray], None],
     labels: np.ndarray,
     config: TrainConfig,
 ) -> tuple[PoseConvNet, list[EpochStats]]:
     """Mini-batch SGD on summed-then-averaged cross entropy.
 
-    ``draw(epoch, rows)`` returns the tensors of the examples at ``rows``, in
-    order; train calls it once per epoch with that epoch's permutation of
-    all of ``labels``' rows and takes each batch as a contiguous slice. The
-    input net is not modified. The epoch trace reports mean loss and
-    accuracy over that epoch's own batches (measured before each update).
-    Runs are bit reproducible for a fixed seed. Raises TrainingDivergedError
-    the moment a batch loss stops being finite.
+    Each epoch permutes all of ``labels``' rows and takes one SGD step per
+    contiguous run of at most ``config.batch_size`` of them. ``fill(epoch,
+    rows, out)`` writes the tensors of a run's rows, in order, into out, an
+    array (len(rows), K, W, 3) in the net's dtype: the "tensors" buffer of
+    the one Workspace every step reuses, as ``score``'s lanes do. The input
+    net is not modified. The epoch trace reports mean loss and accuracy over
+    that epoch's own batches (measured before each update). Runs are bit
+    reproducible for a fixed seed. Raises TrainingDivergedError the moment a
+    batch loss stops being finite.
     """
     labels = np.asarray(labels)
     if labels.ndim != 1 or labels.size == 0:
@@ -553,37 +557,26 @@ def train(
     trace: list[EpochStats] = []
     for epoch in range(config.epochs):
         order = rng.permutation(len(labels))
-        data = _as_batch(net, draw(epoch, order))
-        trace.append(_train_epoch(net, epoch, data, labels[order], config, ws))
-        del data  # this epoch's tensors go before the next draw
+        epoch_loss = 0.0
+        epoch_hits = 0
+        for start in range(0, len(order), config.batch_size):
+            rows = order[start:start + config.batch_size]
+            x = ws.take("tensors", (len(rows), *net.input_shape), net.dtype)
+            fill(epoch, rows, x)
+            y = labels[rows]
+            batch_loss, probs, grads = _loss_and_grads(net, x, y, ws)
+            if not np.isfinite(batch_loss):
+                raise TrainingDivergedError(
+                    f"non-finite loss at epoch {epoch}, batch {start // config.batch_size}"
+                )
+            epoch_loss += batch_loss
+            epoch_hits += int((probs.argmax(axis=1) == y).sum())
+            scale = config.learning_rate / len(y)
+            params = net.parameters()
+            for name, grad in grads.items():
+                params[name] -= scale * grad
+        trace.append(EpochStats(epoch, epoch_loss / len(labels), epoch_hits / len(labels)))
     return net, trace
-
-
-def _train_epoch(
-    net: PoseConvNet, epoch: int, data: np.ndarray, labels: np.ndarray, config: TrainConfig,
-    ws: Workspace,
-) -> EpochStats:
-    """One epoch of SGD steps on net, in place, computed in ws; no slice of
-    data outlives it."""
-    if len(data) != len(labels):
-        raise ValueError(f"draw returned {len(data)} tensors for {len(labels)} rows")
-    epoch_loss = 0.0
-    epoch_hits = 0
-    for start in range(0, len(labels), config.batch_size):
-        x = data[start:start + config.batch_size]
-        y = labels[start:start + config.batch_size]
-        batch_loss, probs, grads = _loss_and_grads(net, x, y, ws)
-        if not np.isfinite(batch_loss):
-            raise TrainingDivergedError(
-                f"non-finite loss at epoch {epoch}, batch {start // config.batch_size}"
-            )
-        epoch_loss += batch_loss
-        epoch_hits += int((probs.argmax(axis=1) == y).sum())
-        scale = config.learning_rate / len(y)
-        params = net.parameters()
-        for name, grad in grads.items():
-            params[name] -= scale * grad
-    return EpochStats(epoch, epoch_loss / len(labels), epoch_hits / len(labels))
 
 
 # ---------------------------------------------------------------------------

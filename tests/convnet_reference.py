@@ -6,7 +6,7 @@ compute every conv output position (including the rows and columns
 the pool never reads), take the pool argmax over a transposed window copy,
 scatter the conv input gradient through six offset adds, and compute the
 conv1 input gradient that the loss gradient discards. ``train`` is the
-training loop as it was before tensors came from a ``draw`` callable: it
+training loop as it was before tensors came from a callable: it
 gathers each batch's rows from one fixed array. None of these is used by
 the package; ``test_convnet.py`` checks ``posestream.convnet`` against
 them on random inputs.
@@ -142,7 +142,7 @@ def _loss_and_grads(
 
 
 def train(net: PoseConvNet, data: np.ndarray, labels: np.ndarray, config: TrainConfig):
-    """Mini-batch SGD as it ran before ``draw``: one fixed (N, K, W, 3) array,
+    """Mini-batch SGD as it ran before ``fill``: one fixed (N, K, W, 3) array,
     one fancy-index gather of each batch's permuted rows, and the package's
     own ``_loss_and_grads``. Returns (net, [(loss, accuracy) per epoch])."""
     data = np.asarray(data, dtype=net.dtype)

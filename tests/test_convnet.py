@@ -49,8 +49,8 @@ def small_net(seed=0):
 
 
 def fixed(x):
-    """A draw that hands train the same tensors every epoch."""
-    return lambda epoch, rows: x[rows]
+    """A fill that hands train the same tensors every epoch."""
+    return lambda epoch, rows, out: np.copyto(out, x[rows])
 
 
 def naive_conv(x, w, b):
@@ -715,26 +715,35 @@ class TestTrain:
         with pytest.raises(TrainingDivergedError, match="epoch 0"):
             train(net, fixed(x), y, TrainConfig(epochs=1, batch_size=4))
 
-    def test_draw_gets_each_epochs_permutation_once(self):
+    def test_fill_gets_each_epochs_runs_in_order_into_one_buffer(self):
+        """20 rows in batches of 8: each epoch's runs of 8, 8 and 4 rows
+        come in order, join into that epoch's permutation, and are written
+        into one buffer of the net's dtype, shape and C order."""
         rng = np.random.default_rng(14)
         x, y = linearly_separable_dataset(rng, count=20)
+        net = small_net().astype(np.float32)
         calls = []
 
-        def draw(epoch, rows):
-            calls.append((epoch, rows.copy()))
-            return x[rows]
+        def fill(epoch, rows, out):
+            assert out.dtype == np.float32 and out.flags.c_contiguous
+            assert out.shape == (len(rows), *SMALL_SHAPE)
+            calls.append((epoch, rows.copy(), out.ctypes.data))
+            np.copyto(out, x[rows])
 
-        train(small_net(), draw, y, TrainConfig(epochs=3, batch_size=8, seed=4))
-        assert [epoch for epoch, _ in calls] == [0, 1, 2]
+        train(net, fill, y, TrainConfig(epochs=3, batch_size=8, seed=4))
+        assert [(epoch, len(rows)) for epoch, rows, _ in calls] == [
+            (epoch, size) for epoch in range(3) for size in (8, 8, 4)]
+        assert len({pointer for _, _, pointer in calls}) == 1
         permutations = np.random.default_rng(4)
-        for _, rows in calls:
-            np.testing.assert_array_equal(rows, permutations.permutation(20))
+        for epoch in range(3):
+            runs = [rows for at, rows, _ in calls if at == epoch]
+            np.testing.assert_array_equal(np.concatenate(runs), permutations.permutation(20))
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("count, batch_size", [(24, 8), (21, 8)], ids=["whole", "ragged"])
     def test_matches_gather_per_batch_reference(self, dtype, count, batch_size):
-        """Slicing the drawn epoch equals gathering each batch from a fixed
-        array (tests/convnet_reference.py), bit for bit."""
+        """Filling each batch into train's buffer equals gathering it from a
+        fixed array (tests/convnet_reference.py), bit for bit."""
         x, y = linearly_separable_dataset(np.random.default_rng(18), count=count)
         net = init_net(SMALL_SHAPE, num_classes=2, seed=6, arch=SMALL_ARCH).astype(dtype)
         cfg = TrainConfig(learning_rate=0.05, epochs=3, batch_size=batch_size, seed=2)
@@ -744,25 +753,16 @@ class TestTrain:
             assert trained.parameters()[name].tobytes() == param.tobytes(), name
         assert [(s.loss, s.accuracy) for s in trace] == want_trace
 
-    @pytest.mark.parametrize("draw, message", [
-        (lambda epoch, rows: np.zeros((len(rows) - 1, *SMALL_SHAPE)), "draw returned 19 tensors"),
-        (lambda epoch, rows: np.zeros((len(rows), 8, 10)), "does not match a batch"),
-    ], ids=["count", "shape"])
-    def test_rejects_a_draw_that_does_not_fit(self, draw, message):
-        y = np.arange(20) % 2
-        with pytest.raises(ValueError, match=message):
-            train(small_net(), draw, y, TrainConfig(epochs=1, batch_size=8))
-
     @pytest.mark.parametrize("labels, message", [
         (np.zeros(0, np.int64), "non-empty 1-D"), (np.zeros((4, 2), np.int64), "non-empty 1-D"),
         (np.array([0, 3]), "out of range for 3 classes"),
     ], ids=["empty", "2-D", "class"])
     def test_rejects_labels_before_any_draw(self, labels, message):
-        def draw(epoch, rows):
+        def fill(epoch, rows, out):
             raise AssertionError("train drew tensors for invalid labels")
 
         with pytest.raises(ValueError, match=message):
-            train(small_net(), draw, labels, TrainConfig(epochs=1))
+            train(small_net(), fill, labels, TrainConfig(epochs=1))
 
     @pytest.mark.parametrize("labels, shown", [
         (np.array([0.5, 1.9, 2.2, 0.0]), r"0\.5 is not an integer class id \(labels are float64"),
@@ -771,11 +771,11 @@ class TestTrain:
     ], ids=["float", "string", "bool"])
     def test_refuses_labels_that_are_not_integers(self, labels, shown):
         # Cast to int64, these once trained as classes [0, 1, 2, 0] and [1, 0, 2, 1].
-        def draw(epoch, rows):
+        def fill(epoch, rows, out):
             raise AssertionError("train drew tensors for invalid labels")
 
         with pytest.raises(ValueError, match=rf"^label {shown}\)$"):
-            train(small_net(), draw, labels, TrainConfig(epochs=1))
+            train(small_net(), fill, labels, TrainConfig(epochs=1))
         with pytest.raises(ValueError, match=rf"^label {shown}\)$"):
             backward(small_net(), np.zeros((4, *SMALL_SHAPE)), labels)
 
@@ -799,8 +799,8 @@ class TestFloat32:
 
     def test_train_step_is_float32_backward_step(self):
         # One SGD step on one tensor is the float32 backward step bit for
-        # bit: train casts the drawn float64 batch to float32, not the
-        # gradients up to float64.
+        # bit: the fill casts the float64 batch into train's float32 buffer,
+        # and nothing casts the gradients up to float64.
         x, y = linearly_separable_dataset(np.random.default_rng(17), count=1)
         net = small_net(seed=5).astype(np.float32)
         grads = backward(net, x, y)
